@@ -1,7 +1,7 @@
 """Command-line surface: run | estimate | verify | sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 numerical divergence, 4 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 config error (any library
+error other than divergence), 3 numerical divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .config import (apply_overrides, config_from_dict, parse_set_args,
                      serialize_config, sweep)
 from .drivers import build_problem, resolve_params, run
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, FedBilevelError
 from .hypergrad import AggITDConfig, aggitd
 from .lower import LowerStepConfig
 from .quadratic import QuadraticProblem
@@ -37,6 +37,8 @@ def _load_doc(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config {args.config}: {exc.msg} at line "
                               f"{exc.lineno} column {exc.colno}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config root must be a JSON object in {args.config}")
     return apply_overrides(doc, parse_set_args(args.set))
 
 
@@ -70,8 +72,7 @@ def cmd_estimate(args) -> int:
     parts = select_participants(Participation(cfg.participation), problem.m,
                                 root.child("part", 0))
     ledger = CommLedger()
-    x = np.zeros(problem.d1)
-    y = np.zeros(problem.d2)
+    x, y = problem.initial_point()
     h, _, trace = aggitd(problem, x, y, acfg, parts, root.child("est", 0), ledger)
     out = _out_dir(cfg, args)
     trace_path = os.path.join(out, "estimate_trace.json")
@@ -96,17 +97,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _load_doc(args)
     try:
         grid = json.loads(args.grid)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed grid: {exc.msg}") from exc
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError("grid must map keys to value lists")
-    base_cfg = config_from_dict(apply_overrides(doc, parse_set_args(args.set)))
+    base_cfg = config_from_dict(doc)
     out = args.out_dir or base_cfg.out_dir or "sweep_out"
     index = sweep(serialize_config(base_cfg), grid, out)
     print(f"swept {len(index)} cells -> {os.path.join(out, 'index.json')}")
@@ -149,12 +147,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
+    except FedBilevelError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4

@@ -114,31 +114,42 @@ class RunReport:
 
 
 class Evaluator:
-    """Exact metrics via closed forms (quadratic) or Newton-solved oracles (hyperrep)."""
+    """Exact metrics via closed forms (quadratic) or Newton-solved oracles (hyperrep).
+
+    The hyperrep path keeps (y*(x), hypergradient) for the last x it solved, so
+    a metrics row costs one head solve and the driver's est_err lookup at the
+    previous row's x costs none.
+    """
 
     def __init__(self, problem: BilevelProblem):
         self.problem = problem
         self.is_quadratic = isinstance(problem, QuadraticProblem)
+        self._memo = (None, None, None)  # (x bytes, y*(x), hypergradient at x)
+
+    def _head_and_hypergradient(self, x: np.ndarray):
+        key = x.tobytes()
+        if self._memo[0] != key:
+            ys = solve_head_exact(self.problem, x)
+            self._memo = (key, ys, hypergradient_numeric(self.problem, x, ys))
+        return self._memo[1], self._memo[2]
 
     def hypergradient(self, x: np.ndarray) -> np.ndarray:
         if self.is_quadratic:
             return self.problem.inst.hypergradient(x)
-        return hypergradient_numeric(self.problem, x)
+        return self._head_and_hypergradient(x)[1]
 
     def record(self, k: int, ledger: CommLedger, x, y, est_err: float) -> MetricsRecord:
         if self.is_quadratic:
             inst = self.problem.inst
             ys = inst.y_star(x)
-            gap = float(np.sum((y - ys) ** 2))
             grad = inst.hypergradient(x)
             obj = inst.objective(x)
             test = 0.0
         else:
-            ys = solve_head_exact(self.problem, x)
-            gap = float(np.sum((y - ys) ** 2))
-            grad = hypergradient_numeric(self.problem, x)
+            ys, grad = self._head_and_hypergradient(x)
             obj = self.problem.upper_value(x, ys)
             test = self.problem.accuracy(x, y)
+        gap = float(np.sum((y - ys) ** 2))
         return MetricsRecord(k=k, rounds_cum=ledger.rounds_total,
                              grad_norm_sq=float(grad @ grad), lower_gap=gap,
                              est_err=est_err, objective=obj, test_metric=test)

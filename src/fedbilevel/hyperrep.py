@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .problems import BilevelProblem, ProblemConstants
+from .problems import BilevelProblem, Point, ProblemConstants
 from .rng import RngStream
 
 PARTITION_IID = "iid"
@@ -213,28 +213,44 @@ def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 8) -> HyperRe
                            batch_size=batch_size, seed=seed)
 
 
+def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
+                         y: np.ndarray) -> np.ndarray:
+    """Dense aggregate head Hessian: the matrix that agg_hvp_lower_yy applies.
+
+    Per client over its full training split, with z_j = E u_j and
+    D_j = diag(p_j) - p_j p_j^T, H_i = (1/n_i) sum_j D_j kron z_j z_j^T;
+    the result is mean_i H_i + ridge I.
+    """
+    E, H = problem._unpack(x, y)
+    eye_c = np.eye(H.shape[0])
+    total = np.zeros((problem.d2, problem.d2))
+    for idx in problem.train_idx:
+        _, Z, P, _ = problem._per_point(E, H, idx)
+        D = P[:, :, None] * (eye_c - P[:, None, :])    # D_j[c, d] = p_c (delta_cd - p_d)
+        total += np.einsum("jcd,ja,jb->cadb", D, Z, Z).reshape(total.shape) / len(idx)
+    return total / problem.m + problem.spec.ridge * np.eye(problem.d2)
+
+
 def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
                      tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
     """Newton solve of the aggregate (full participation, full batch) head problem."""
-    d2 = problem.d2
-    y = np.zeros(d2)
-    from .problems import Point
+    y = np.zeros(problem.d2)
     for _ in range(max_iter):
-        pt = Point(x, y)
-        g = problem.agg_grad_lower_y(pt)
+        g = problem.agg_grad_lower_y(Point(x, y))
         if np.linalg.norm(g) <= tol:
             break
-        Hd = np.column_stack([problem.agg_hvp_lower_yy(pt, e)
-                              for e in np.eye(d2)])
-        y = y - np.linalg.solve(Hd, g)
+        y = y - np.linalg.solve(agg_hessian_lower_yy(problem, x, y), g)
     return y
 
 
-def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray) -> np.ndarray:
-    """Implicit-function hypergradient with Newton-solved head and dense HessIV."""
-    from .problems import Point
-    y = solve_head_exact(problem, x)
+def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
+                          y: np.ndarray | None = None) -> np.ndarray:
+    """Implicit-function hypergradient with a dense HessIV at the exact head.
+
+    y is the already-solved head y*(x); it is Newton-solved when omitted.
+    """
+    if y is None:
+        y = solve_head_exact(problem, x)
     pt = Point(x, y)
-    Hd = np.column_stack([problem.agg_hvp_lower_yy(pt, e) for e in np.eye(problem.d2)])
-    w = np.linalg.solve(Hd, problem.agg_grad_upper_y(pt))
+    w = np.linalg.solve(agg_hessian_lower_yy(problem, x, y), problem.agg_grad_upper_y(pt))
     return problem.agg_grad_upper_x(pt) - problem.agg_jvp_lower_xy(pt, w)

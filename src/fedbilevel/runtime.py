@@ -50,12 +50,6 @@ class CommLedger:
         self.rounds_total += 1
         self.scalars_sent += scalars
 
-    def snapshot(self) -> dict:
-        return {"rounds_total": self.rounds_total,
-                "rounds_this_outer": self.rounds_this_outer,
-                "loops_this_outer": self.loops_this_outer,
-                "scalars_sent": self.scalars_sent}
-
 
 @dataclass(frozen=True)
 class Participation:

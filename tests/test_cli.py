@@ -76,3 +76,35 @@ def test_sweep_cli(tmp_path):
     assert rc == 0
     assert (out / "index.json").exists()
     assert main(["sweep", "--config", _cfg(tmp_path), "--grid", "not-json"]) == 2
+
+
+def test_malformed_sweep_config_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope}")
+    assert main(["sweep", "--config", str(bad), "--grid", '{"tau": [1]}']) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert main(["sweep", "--config", str(listed), "--grid", '{"tau": [1]}']) == 2
+    assert main(["sweep", "--config", str(tmp_path / "missing.json"),
+                 "--grid", '{"tau": [1]}']) == 2
+    err = capsys.readouterr().err
+    assert "malformed config" in err
+    assert "Traceback" not in err
+
+
+def test_library_error_exit_code(tmp_path, capsys):
+    # the default hyperrep stepsizes break the built instance's lambda cap
+    assert main(["run", "--set", 'problem="hyperrep"',
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "lambda" in err
+    assert "Traceback" not in err
+
+
+def test_estimate_starts_from_initial_point(tmp_path, capsys):
+    # the hyperrep origin is a saddle where the hypergradient vanishes
+    rc = main(["estimate", "--set", 'problem="hyperrep"', "--set", "lambda=0.005",
+               "--set", "beta=0.0005", "--set", "N=2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    norm = float(capsys.readouterr().out.split("||h||=")[1].split()[0])
+    assert norm > 0

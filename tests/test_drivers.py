@@ -216,3 +216,38 @@ def test_hyperrep_end_to_end_learns():
     assert last.objective < first.objective
     assert all(np.isfinite(v) for r in rep.rows for v in r.values())
     assert rep.outer_history[0] == (2 * 8 + 3, 1)
+
+
+def _small_hyperrep_run(K=6):
+    from fedbilevel import HyperRepSpec
+    spec = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4,
+                        n_points=240, partition="label-skew", shards_per_client=1)
+    cfg = RunConfig(problem=spec, K=K, seed=3, eval_every=1, alpha=0.5, N=4,
+                    batch_size=8)
+    return run_fbo_aggitd(cfg)
+
+
+def test_hyperrep_one_head_solve_per_metrics_row(monkeypatch):
+    from fedbilevel import drivers, hyperrep
+    calls = []
+    original = hyperrep.solve_head_exact
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(drivers, "solve_head_exact", counted)
+    monkeypatch.setattr(hyperrep, "solve_head_exact", counted)
+    rep = _small_hyperrep_run()
+    assert len(rep.rows) == 7
+    assert len(calls) == len(rep.rows)
+
+
+def test_hyperrep_est_err_unchanged_without_memo(monkeypatch):
+    from fedbilevel.drivers import Evaluator
+    from fedbilevel.hyperrep import hypergradient_numeric
+    memo = _small_hyperrep_run().column("est_err")
+    monkeypatch.setattr(Evaluator, "hypergradient",
+                        lambda self, x: hypergradient_numeric(self.problem, x))
+    fresh = _small_hyperrep_run().column("est_err")
+    assert np.all(memo[1:] > 0)
+    np.testing.assert_allclose(memo, fresh, rtol=1e-12, atol=0)

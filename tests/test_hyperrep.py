@@ -5,7 +5,8 @@ import pytest
 
 from fedbilevel import (HyperRepSpec, ParameterError, Point, RngStream,
                         make_hyperrep, partition)
-from fedbilevel.hyperrep import hypergradient_numeric, solve_head_exact
+from fedbilevel.hyperrep import (agg_hessian_lower_yy, hypergradient_numeric,
+                                 solve_head_exact)
 
 
 def test_partition_iid_even_split():
@@ -130,6 +131,8 @@ def test_hypergradient_numeric_matches_finite_differences():
     problem = make_hyperrep(spec, seed=8)
     x = 0.1 * RngStream(8).child("x").generator().normal(size=problem.d1)
     hg = hypergradient_numeric(problem, x)
+    np.testing.assert_array_equal(
+        hypergradient_numeric(problem, x, solve_head_exact(problem, x)), hg)
     eps = 1e-5
     fd = np.zeros(problem.d1)
     for j in range(problem.d1):
@@ -139,3 +142,18 @@ def test_hypergradient_numeric_matches_finite_differences():
         dn = problem.upper_value(x - e, solve_head_exact(problem, x - e))
         fd[j] = (up - dn) / (2 * eps)
     assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
+
+
+@pytest.mark.parametrize("mode", ["iid", "label-skew"])
+def test_analytic_head_hessian_matches_hvp_columns(mode):
+    spec = HyperRepSpec(embed_dim=3, feature_dim=5, classes=3, ridge=0.2, m=4,
+                        n_points=160, partition=mode)
+    problem = make_hyperrep(spec, seed=9)
+    gen = RngStream(9).child("hess", mode).generator()
+    for _ in range(3):
+        x = gen.normal(size=problem.d1)
+        y = gen.normal(size=problem.d2)
+        ref = np.column_stack([problem.agg_hvp_lower_yy(Point(x, y), e)
+                               for e in np.eye(problem.d2)])
+        got = agg_hessian_lower_yy(problem, x, y)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
