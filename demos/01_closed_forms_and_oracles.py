@@ -10,7 +10,6 @@ JSON round trip used to replay instances across runs.
 import numpy as np
 
 from fedbilevel import (QuadraticInstance, QuadraticSpec, RngStream,
-                        closed_form_hypergradient, closed_form_lower_opt,
                         dense_hessiv, fd_hypergradient, make_quadratic)
 
 spec = QuadraticSpec(d1=5, d2=5, m=4, n_per_client=8, mu=1.0, L_g=10.0,
@@ -22,11 +21,11 @@ w = np.linalg.eigvalsh(inst.A_bar)
 print(f"aggregate lower Hessian spectrum: [{w[0]:.3f}, {w[-1]:.3f}]")
 
 x = RngStream(1).child("x").generator().normal(size=spec.d1)
-ys = closed_form_lower_opt(inst, x)
+ys = inst.y_star(x)
 residual = np.linalg.norm(inst.A_bar @ ys + inst.B_bar @ x + inst.c_bar)
 print(f"\nlower-level optimum: aggregate gradient norm at y*(x) = {residual:.2e}")
 
-h_formula = closed_form_hypergradient(inst, x)
+h_formula = inst.hypergradient(x)
 h_fd = fd_hypergradient(inst, x, step=1e-5)
 rel = np.linalg.norm(h_formula - h_fd) / np.linalg.norm(h_fd)
 print(f"hypergradient: implicit formula vs finite differences, rel err {rel:.2e}")

@@ -24,7 +24,6 @@ from .oracle import (McMoments, TestRegion, estimator_bias_mc,
                      fd_hypergradient, measure_constants)
 from .problems import (BilevelProblem, ClientData, Point, ProblemConstants)
 from .quadratic import (QuadraticInstance, QuadraticProblem, QuadraticSpec,
-                        closed_form_hypergradient, closed_form_lower_opt,
                         make_problem, make_quadratic)
 from .reporting import export_csv, render_svg
 from .rng import RngStream

@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .config import (apply_overrides, config_from_dict, parse_set_args,
-                     serialize_config, sweep)
+from .config import (apply_overrides, config_from_dict, load_doc,
+                     parse_set_args, sweep)
 from .drivers import build_problem, resolve_params, run
 from .errors import ConfigError, DivergenceError, FedBilevelError
 from .hypergrad import AggITDConfig, aggitd
@@ -27,18 +27,7 @@ from .verify import run_verification
 
 
 def _load_doc(args) -> dict:
-    doc = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config {args.config}: {exc.msg} at line "
-                              f"{exc.lineno} column {exc.colno}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config root must be a JSON object in {args.config}")
+    doc = load_doc(args.config) if args.config else {}
     return apply_overrides(doc, parse_set_args(args.set))
 
 
@@ -106,7 +95,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("grid must map keys to value lists")
     base_cfg = config_from_dict(doc)
     out = args.out_dir or base_cfg.out_dir or "sweep_out"
-    index = sweep(serialize_config(base_cfg), grid, out)
+    index = sweep(doc, grid, out)
     print(f"swept {len(index)} cells -> {os.path.join(out, 'index.json')}")
     return 0
 

@@ -1,6 +1,6 @@
 """JSON run configuration: parsing, validation, serialization and sweeps.
 
-Schema (all keys optional except none; unknown keys are rejected):
+Schema (every key is optional; unknown keys are rejected):
 
     problem        "quadratic" | "hyperrep" | {"type": ..., <spec fields>}
     estimator      "aggitd" | "aid" | "local"
@@ -13,8 +13,9 @@ Schema (all keys optional except none; unknown keys are rejected):
     noise          {"mode": "finite-sum"|"additive-gaussian", "spread": s, "std": s}
     seed, eval_every, out_dir
 
-Unset stepsizes are filled by the condition-number-guided defaults at parse
-time so a parsed config is fully concrete and round-trips exactly.
+Unset N, T and stepsizes are filled by ``drivers.resolve_params`` at parse
+time, against the constants the problem spec declares, so a parsed config is
+fully concrete and round-trips exactly. ``sweep`` resolves them per cell.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import itertools
 import json
 import os
 
-from .drivers import (ESTIMATOR_AGGITD, RunConfig, default_N,
-                      default_stepsizes, run)
-from .errors import ConfigError, ParameterError
+from .drivers import ESTIMATOR_AGGITD, RunConfig, resolve_params, run
+from .errors import ConfigError, ParameterError, ProtocolError
 from .hyperrep import HyperRepSpec
 from .problems import NOISE_FINITE_SUM, NOISE_GAUSSIAN, ProblemConstants
 from .quadratic import QuadraticSpec
@@ -85,74 +85,52 @@ def _declared_constants(spec) -> ProblemConstants:
     return ProblemConstants(mu=spec.ridge, L_g=spec.ridge + 8.0)
 
 
+def _opt(doc: dict, key: str, cast):
+    return cast(doc[key]) if doc.get(key) is not None else None
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     spec = _problem_spec(doc)
-    constants = _declared_constants(spec)
-    K = int(doc.get("K", 100))
-    if K < 0:
-        raise ConfigError("K must be >= 0")
-    N = doc.get("N")
-    N = int(N) if N is not None else default_N(constants)
-    T = doc.get("T")
-    T = int(T) if T is not None else max(1, N)
-    if N < 0 or T < 1:
-        raise ConfigError("need N >= 0 and T >= 1")
-
-    lam_d, alpha_d, beta_d = default_stepsizes(constants, K, N)
-    lam = float(doc.get("lambda", lam_d))
-    alpha = float(doc.get("alpha", alpha_d))
-    beta = float(doc.get("beta", beta_d))
-    lam_cap = min(10.0, 1.0 / constants.L_g)
-    if lam <= 0 or lam > lam_cap * (1 + 1e-12):
-        raise ConfigError(f"lambda={lam} violates cap min{{10, 1/L_g}}={lam_cap}")
-    beta_cap = min(1.0, lam, 1.0 / (6.0 * constants.L_g))
-    if beta <= 0 or beta > beta_cap * (1 + 1e-12):
-        raise ConfigError(f"beta={beta} violates cap min{{1, lambda, 1/(6 L_g)}}={beta_cap}")
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-
     tau = doc.get("tau", 1)
-    taus = tau if isinstance(tau, list) else [tau]
-    if any(int(t) < 1 for t in taus):
-        raise ConfigError("every tau_i must be >= 1")
-    participation = float(doc.get("participation", 1.0))
-    if not 0.0 < participation <= 1.0:
-        raise ConfigError("participation must lie in (0, 1]")
-    eval_every = int(doc.get("eval_every", 1))
-    if eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-    estimator = doc.get("estimator", ESTIMATOR_AGGITD)
-
     try:
-        return RunConfig(problem=spec, estimator=estimator, K=K, N=N, T=T,
-                         lam=lam, alpha=alpha, beta=beta,
-                         tau=tau if isinstance(tau, list) else int(tau),
-                         participation=participation,
-                         seed=int(doc.get("seed", 0)), eval_every=eval_every,
-                         out_dir=doc.get("out_dir"))
-    except ParameterError as exc:
+        cfg = RunConfig(problem=spec, estimator=doc.get("estimator", ESTIMATOR_AGGITD),
+                        K=int(doc.get("K", 100)), N=_opt(doc, "N", int),
+                        T=_opt(doc, "T", int), lam=_opt(doc, "lambda", float),
+                        alpha=_opt(doc, "alpha", float), beta=_opt(doc, "beta", float),
+                        tau=tau if isinstance(tau, list) else int(tau),
+                        participation=float(doc.get("participation", 1.0)),
+                        seed=int(doc.get("seed", 0)),
+                        eval_every=int(doc.get("eval_every", 1)),
+                        out_dir=doc.get("out_dir"))
+        cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta = resolve_params(
+            cfg, _declared_constants(spec))
+    except (ParameterError, ProtocolError) as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a JSON run configuration."""
+def load_doc(path) -> dict:
+    """Read a JSON config file whose root must be an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed config {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return config_from_dict(doc)
+        raise ConfigError(f"config root must be a JSON object in {path}")
+    return doc
+
+
+def parse_config(path) -> RunConfig:
+    """Load and validate a JSON run configuration."""
+    return config_from_dict(load_doc(path))
 
 
 def serialize_config(cfg: RunConfig) -> dict:

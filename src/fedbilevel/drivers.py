@@ -1,11 +1,12 @@
-"""Outer-loop solvers: the fused-estimator driver and the two-loop baseline.
+"""Outer-loop solver: one loop over K outer iterations, three estimator steps.
 
-Each outer iteration runs the hypergradient estimator, then a local SVRG-type
-upper phase (One-Round-Upper), warm-starting the next iteration's lower
-variable at the estimator's final lower iterate. Communication per outer
-iteration: 2N+3 rounds / 1 loop for the fused driver, 2N+T+3 rounds / 2 loops
-for the baseline. Metrics rows use exact noise-off oracles over the full
-client set regardless of the participation ratio.
+Each outer iteration runs an estimator step (fused AggITD, or the two-loop AID
+or fully local baseline), then a local SVRG-type upper phase (One-Round-Upper),
+warm-starting the next iteration's lower variable at the step's final lower
+iterate. Communication per outer iteration: 2N+3 rounds / 1 loop for the fused
+driver, 2N+T+3 rounds / 2 loops for the baseline. Metrics rows use exact
+noise-off oracles over the full client set regardless of the participation
+ratio.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .hypergrad import AggITDConfig, AidConfig, aggitd, aid_fhe, local_fhe
+from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
+                        aggitd, aid_fhe, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
 from .lower import LowerStepConfig, one_round_lower
@@ -31,6 +33,8 @@ DIVERGENCE_NORM = 1e8
 ESTIMATOR_AGGITD = "aggitd"
 ESTIMATOR_AID = "aid"
 ESTIMATOR_LOCAL = "local"
+_LABELS = {ESTIMATOR_AGGITD: "fbo-aggitd", ESTIMATOR_AID: "fednest",
+           ESTIMATOR_LOCAL: "lfednest"}
 
 
 def default_N(constants: ProblemConstants) -> int:
@@ -75,8 +79,11 @@ class RunConfig:
             raise ParameterError("K must be >= 0")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be >= 1")
-        if self.estimator not in (ESTIMATOR_AGGITD, ESTIMATOR_AID, ESTIMATOR_LOCAL):
+        if self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
+        Participation(self.participation)
+        # checks tau and variant; resolve_params checks beta
+        LowerStepConfig(beta=1.0, tau=self.tau, variant=self.variant)
 
 
 @dataclass(frozen=True)
@@ -164,13 +171,22 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
 
 
 def resolve_params(cfg: RunConfig, constants: ProblemConstants):
-    """Fill unset (N, T, lam, alpha, beta) from the condition-number defaults."""
+    """Fill unset (N, T, lam, alpha, beta) from the condition-number defaults
+    and check them against the caps; config parsing and every run call this."""
     N = cfg.N if cfg.N is not None else default_N(constants)
     T = cfg.T if cfg.T is not None else max(1, N)
+    if N < 0 or T < 1:
+        raise ParameterError("need N >= 0 and T >= 1")
     lam0, alpha0, beta0 = default_stepsizes(constants, cfg.K, N, cfg.alpha_bar)
     lam = cfg.lam if cfg.lam is not None else lam0
     alpha = cfg.alpha if cfg.alpha is not None else alpha0
     beta = cfg.beta if cfg.beta is not None else beta0
+    _check_lambda(lam, constants)
+    if beta <= 0:
+        raise ParameterError("beta must be positive")
+    _check_beta(beta, lam, constants)
+    if alpha <= 0:
+        raise ParameterError("alpha must be positive")
     return N, T, lam, alpha, beta
 
 
@@ -210,70 +226,47 @@ def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
             k=k, x_norm=xn, y_norm=yn)
 
 
-def run_fbo_aggitd(cfg: RunConfig, problem: BilevelProblem | None = None) -> RunReport:
-    """Full fused-estimator run: K outer iterations with warm start."""
+def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) -> RunReport:
+    """K outer iterations with warm start; the estimator step maps
+    (x, y, participants, scope) to (h, y). The AID and local steps run the
+    2N-round lower phase, then estimate h in a second loop."""
     if problem is None:
         problem = build_problem(cfg)
-    N, _, lam, alpha, beta = resolve_params(cfg, problem.constants)
-    lower_cfg = LowerStepConfig(beta=beta, tau=cfg.tau, variant=cfg.variant)
-    acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
-    part = Participation(cfg.participation)
-    root = RngStream(cfg.seed)
-    ledger = CommLedger()
-    evaluator = Evaluator(problem)
-
-    x, y = problem.initial_point()
-    rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
-    for k in range(cfg.K):
-        ledger.start_outer()
-        parts = select_participants(part, problem.m, root.child("part", k))
-        h, y, _ = aggitd(problem, x, y, acfg, parts, root.child("est", k), ledger)
-        x_prev = x
-        x = one_round_upper(problem, x, y, h, alpha, cfg.tau, parts,
-                            root.child("upper", k), ledger)
-        ledger.finish_outer()
-        _guard(k, x, y)
-        if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:
-            err = float(np.linalg.norm(h - evaluator.hypergradient(x_prev)))
-            rows.append(evaluator.record(k + 1, ledger, x, y, err))
-    return RunReport(label="fbo-aggitd", rows=rows, final_x=x, final_y=y,
-                     rounds_total=ledger.rounds_total, loops_total=ledger.loops_total,
-                     scalars_sent=ledger.scalars_sent, outer_history=ledger.outer_history)
-
-
-def run_fednest_baseline(cfg: RunConfig, problem: BilevelProblem | None = None,
-                         estimator: str | None = None) -> RunReport:
-    """Two-loop baseline: 2N lower rounds, then the AID (or fully local) FHE."""
-    if problem is None:
-        problem = build_problem(cfg)
-    estimator = estimator or (cfg.estimator if cfg.estimator != ESTIMATOR_AGGITD
-                              else ESTIMATOR_AID)
     N, T, lam, alpha, beta = resolve_params(cfg, problem.constants)
     lower_cfg = LowerStepConfig(beta=beta, tau=cfg.tau, variant=cfg.variant)
-    aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
     part = Participation(cfg.participation)
     root = RngStream(cfg.seed)
     ledger = CommLedger()
     evaluator = Evaluator(problem)
+
+    if estimator == ESTIMATOR_AGGITD:
+        acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
+
+        def step(x, y, parts, scope):
+            h, y, _ = aggitd(problem, x, y, acfg, parts, scope, ledger)
+            return h, y
+    else:
+        aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
+
+        def step(x, y, parts, scope):
+            ledger.begin_loop()
+            for t in range(N):
+                point = Point(x, y)
+                q = aggregate_mean({i: problem.grad_lower_y(i, point, scope.child(i, "zeta_q", t))
+                                    for i in parts}, ledger)
+                y = one_round_lower(problem, x, y, q, lower_cfg, parts,
+                                    scope.child("lower", t), ledger)
+            if estimator == ESTIMATOR_AID:
+                return aid_fhe(problem, x, y, aid_cfg, parts, scope.child("aid"), ledger), y
+            return local_fhe(problem, x, y, aid_cfg, rng=scope.child("local"),
+                             participants=parts, ledger=ledger), y
 
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
     for k in range(cfg.K):
         ledger.start_outer()
         parts = select_participants(part, problem.m, root.child("part", k))
-        scope = root.child("est", k)
-        ledger.begin_loop()
-        for t in range(N):
-            point = Point(x, y)
-            q = aggregate_mean({i: problem.grad_lower_y(i, point, scope.child(i, "zeta_q", t))
-                                for i in parts}, ledger)
-            y = one_round_lower(problem, x, y, q, lower_cfg, parts,
-                                scope.child("lower", t), ledger)
-        if estimator == ESTIMATOR_AID:
-            h = aid_fhe(problem, x, y, aid_cfg, parts, scope.child("aid"), ledger)
-        else:
-            h = local_fhe(problem, x, y, aid_cfg, rng=scope.child("local"),
-                          participants=parts, ledger=ledger)
+        h, y = step(x, y, parts, root.child("est", k))
         x_prev = x
         x = one_round_upper(problem, x, y, h, alpha, cfg.tau, parts,
                             root.child("upper", k), ledger)
@@ -282,14 +275,22 @@ def run_fednest_baseline(cfg: RunConfig, problem: BilevelProblem | None = None,
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:
             err = float(np.linalg.norm(h - evaluator.hypergradient(x_prev)))
             rows.append(evaluator.record(k + 1, ledger, x, y, err))
-    label = "fednest" if estimator == ESTIMATOR_AID else "lfednest"
-    return RunReport(label=label, rows=rows, final_x=x, final_y=y,
+    return RunReport(label=_LABELS[estimator], rows=rows, final_x=x, final_y=y,
                      rounds_total=ledger.rounds_total, loops_total=ledger.loops_total,
                      scalars_sent=ledger.scalars_sent, outer_history=ledger.outer_history)
+
+
+def run_fbo_aggitd(cfg: RunConfig, problem: BilevelProblem | None = None) -> RunReport:
+    """Full fused-estimator run: K outer iterations with warm start."""
+    return _run_loop(cfg, problem, ESTIMATOR_AGGITD)
+
+
+def run_fednest_baseline(cfg: RunConfig, problem: BilevelProblem | None = None) -> RunReport:
+    """Two-loop baseline: 2N lower rounds, then the AID (or, for "local", fully local) FHE."""
+    return _run_loop(cfg, problem, ESTIMATOR_LOCAL if cfg.estimator == ESTIMATOR_LOCAL
+                     else ESTIMATOR_AID)
 
 
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch on cfg.estimator: the fused driver or a baseline variant."""
-    if cfg.estimator == ESTIMATOR_AGGITD:
-        return run_fbo_aggitd(cfg)
-    return run_fednest_baseline(cfg)
+    return _run_loop(cfg, None, cfg.estimator)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
 from .problems import BilevelProblem, Point
-from .quadratic import QuadraticInstance, closed_form_lower_opt
+from .quadratic import QuadraticInstance
 from .rng import RngStream
 from .runtime import CommLedger, aggregate_mean
 
@@ -90,5 +90,5 @@ def lower_gap(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray) -> float:
     """Squared distance ||y - y*(x)||^2 against the closed-form minimizer."""
     if not isinstance(inst, QuadraticInstance):
         raise UnsupportedProblemError("lower_gap needs a quadratic instance")
-    r = y - closed_form_lower_opt(inst, x)
+    r = y - inst.y_star(x)
     return float(r @ r)

@@ -255,16 +255,6 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
                              L_g=spec.L_g, seed=spec.seed, clients=clients)
 
 
-def closed_form_lower_opt(inst: QuadraticInstance, x: np.ndarray) -> np.ndarray:
-    """Exact minimizer of the aggregate lower objective at x."""
-    return inst.y_star(x)
-
-
-def closed_form_hypergradient(inst: QuadraticInstance, x: np.ndarray) -> np.ndarray:
-    """Exact hypergradient via the implicit-function formula at (x, y*(x))."""
-    return inst.hypergradient(x)
-
-
 class QuadraticProblem(BilevelProblem):
     """Stochastic oracle bundle over a QuadraticInstance."""
 

@@ -54,6 +54,8 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope}")
     assert main(["run", "--config", str(bad)]) == 2
+    bad.write_bytes(b"\xff{")
+    assert main(["run", "--config", str(bad)]) == 2
     assert main(["run", "--config", _cfg(tmp_path, {"beta": 0.9})]) == 2
 
 
@@ -76,6 +78,17 @@ def test_sweep_cli(tmp_path):
     assert rc == 0
     assert (out / "index.json").exists()
     assert main(["sweep", "--config", _cfg(tmp_path), "--grid", "not-json"]) == 2
+
+
+def test_sweep_resolves_defaults_per_cell(tmp_path):
+    # the L_g=2 cell's default lambda=0.5 breaks the L_g=20 cell's cap of 0.05
+    out = tmp_path / "cells"
+    problems = [{"type": "quadratic", "d1": 2, "d2": 2, "m": 2, "mu": 1.0, "L_g": L_g}
+                for L_g in (2.0, 20.0)]
+    rc = main(["sweep", "--config", _cfg(tmp_path), "--grid",
+               json.dumps({"problem": problems}), "--out-dir", str(out)])
+    assert rc == 0
+    assert len(list(out.glob("run__*.csv"))) == 2
 
 
 def test_malformed_sweep_config_exit_code(tmp_path, capsys):

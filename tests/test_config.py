@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from fedbilevel import ConfigError, ParameterError
+from fedbilevel import ConfigError, ParameterError, RunConfig
 from fedbilevel.config import (config_from_dict, parse_config, serialize_config,
                                sweep)
+from fedbilevel.drivers import build_problem, resolve_params
 from fedbilevel.hyperrep import HyperRepSpec
 from fedbilevel.quadratic import QuadraticSpec
 
@@ -25,6 +26,15 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.beta == pytest.approx(min(1.0, cfg.lam, 1.0 / (6 * spec.L_g)))
     assert cfg.N == 10  # ceil(kappa) for the default mu=1, L_g=10
     assert cfg.T == cfg.N
+
+
+def test_parse_time_resolution_matches_run_time():
+    doc = {"problem": {"type": "quadratic", "d1": 3, "d2": 3, "m": 2, "mu": 0.5,
+                       "L_g": 4.0}, "K": 9, "T": 3}
+    cfg = config_from_dict(doc)
+    bare = RunConfig(problem=cfg.problem, K=9, T=3)
+    resolved = resolve_params(bare, build_problem(bare).constants)
+    assert (cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta) == resolved
 
 
 def test_beta_cap_rejection_names_cap(tmp_path):

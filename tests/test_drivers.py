@@ -251,3 +251,15 @@ def test_hyperrep_est_err_unchanged_without_memo(monkeypatch):
     fresh = _small_hyperrep_run().column("est_err")
     assert np.all(memo[1:] > 0)
     np.testing.assert_allclose(memo, fresh, rtol=1e-12, atol=0)
+
+
+def test_bad_stepsizes_rejected_before_any_round():
+    cfg = _quad_cfg(K=3, alpha=-1.0)
+    problem = build_problem(cfg)
+    with pytest.raises(ParameterError, match="alpha"):
+        run_fbo_aggitd(cfg, problem=problem)
+    # beta above 1/(6 L_g) = 1/12; the AID estimator itself only checks lambda
+    cfg = _quad_cfg(K=3, beta=0.1)
+    with pytest.raises(ParameterError, match="beta"):
+        run_fednest_baseline(cfg, problem=problem)
+    assert problem.audit.total == 0

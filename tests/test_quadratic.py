@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fedbilevel import (ParameterError, QuadraticInstance, QuadraticSpec,
-                        RngStream, closed_form_hypergradient,
-                        closed_form_lower_opt, make_quadratic)
+                        RngStream, make_quadratic)
 from fedbilevel.oracle import fd_hypergradient
 
 from conftest import manual_instance
@@ -67,19 +66,19 @@ def test_closed_form_lower_opt_examples():
     inst.clients[0].c[:] = [-1.0, -2.0]
     inst = QuadraticInstance(d1=2, d2=2, m=1, mu=1.0, L_g=1.0, seed=0,
                              clients=inst.clients)
-    np.testing.assert_allclose(closed_form_lower_opt(inst, np.zeros(2)), [1.0, 2.0],
+    np.testing.assert_allclose(inst.y_star(np.zeros(2)), [1.0, 2.0],
                                atol=1e-10)
     inst.clients[0].c[:] = 0.0
     inst2 = QuadraticInstance(d1=2, d2=2, m=1, mu=1.0, L_g=1.0, seed=0,
                               clients=inst.clients)
-    np.testing.assert_allclose(closed_form_lower_opt(inst2, np.zeros(2)), [0.0, 0.0],
+    np.testing.assert_allclose(inst2.y_star(np.zeros(2)), [0.0, 0.0],
                                atol=1e-10)
 
 
 def test_closed_form_lower_opt_matches_gradient_descent():
     inst = make_quadratic(QuadraticSpec(d1=3, d2=4, m=3, hetero=0.5, seed=5))
     x = RngStream(5).child("x").generator().normal(size=3)
-    ys = closed_form_lower_opt(inst, x)
+    ys = inst.y_star(x)
     y = np.zeros(4)
     step = 1.0 / inst.L_g
     for _ in range(10_000):
@@ -96,8 +95,8 @@ def test_hypergradient_hand_example_1d():
     inst = QuadraticInstance(d1=1, d2=1, m=1, mu=2.0, L_g=2.0, seed=0,
                              clients=inst.clients)
     x = np.array([1.0])
-    assert closed_form_lower_opt(inst, x)[0] == pytest.approx(-0.5)
-    assert closed_form_hypergradient(inst, x)[0] == pytest.approx(1.25)
+    assert inst.y_star(x)[0] == pytest.approx(-0.5)
+    assert inst.hypergradient(x)[0] == pytest.approx(1.25)
 
 
 def test_hypergradient_decoupled_is_direct_part():
@@ -108,7 +107,7 @@ def test_hypergradient_decoupled_is_direct_part():
                              clients=inst.clients)
     x = np.array([0.7, -1.3])
     expect = inst.rho_x * x + inst.e_bar
-    np.testing.assert_allclose(closed_form_hypergradient(inst, x), expect, rtol=1e-12)
+    np.testing.assert_allclose(inst.hypergradient(x), expect, rtol=1e-12)
 
 
 def test_hypergradient_matches_finite_differences():
@@ -118,7 +117,7 @@ def test_hypergradient_matches_finite_differences():
         inst = make_quadratic(QuadraticSpec(d1=3, d2=3, m=3,
                                             hetero=float(gen.uniform()), seed=100 + k))
         x = gen.normal(size=3)
-        a = closed_form_hypergradient(inst, x)
+        a = inst.hypergradient(x)
         b = fd_hypergradient(inst, x, step=1e-5)
         worst = max(worst, np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
     assert worst <= 1e-5
