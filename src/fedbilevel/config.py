@@ -37,6 +37,24 @@ CONFIG_KEYS = {"problem", "estimator", "K", "N", "T", "lambda", "alpha", "beta",
                "out_dir"}
 
 
+def _cast(key: str, value, cast):
+    """value converted by cast (int or float), or a ConfigError naming the key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from exc
+
+
+def _build_spec(cls, kind: str, fields: dict):
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    unknown = sorted(set(fields) - set(types))
+    if unknown:
+        raise ConfigError(f"bad {kind} problem field(s): {unknown}")
+    return cls(**{k: _cast(k, v, types[k]) if types[k] in (int, float) else v
+                  for k, v in fields.items()})
+
+
 def _problem_spec(doc: dict):
     raw = doc.get("problem", "quadratic")
     if isinstance(raw, str):
@@ -45,37 +63,23 @@ def _problem_spec(doc: dict):
         raise ConfigError("problem must be a string or an object")
     kind = raw.get("type", "quadratic")
     fields = {k: v for k, v in raw.items() if k != "type"}
+    noise = doc.get("noise", {})
+    if not isinstance(noise, dict):
+        raise ConfigError("noise must be an object with mode/spread/std")
+    mode = noise.get("mode", NOISE_FINITE_SUM)
+    if mode not in (NOISE_FINITE_SUM, NOISE_GAUSSIAN):
+        raise ConfigError(f"unknown noise mode {mode!r}")
+    if kind == "hyperrep":
+        return _build_spec(HyperRepSpec, kind, fields)
+    if kind != "quadratic":
+        raise ConfigError(f"unknown problem type {kind!r}")
     if "hetero" in doc:
         fields["hetero"] = doc["hetero"]
     if "noise" in doc:
-        noise = doc["noise"]
-        if not isinstance(noise, dict):
-            raise ConfigError("noise must be an object with mode/spread/std")
-        mode = noise.get("mode", NOISE_FINITE_SUM)
-        if mode not in (NOISE_FINITE_SUM, NOISE_GAUSSIAN):
-            raise ConfigError(f"unknown noise mode {mode!r}")
         fields["noise_mode"] = mode
-        if "spread" in noise:
-            fields["noise_spread"] = float(noise["spread"])
-        if "std" in noise:
-            fields["noise_std"] = float(noise["std"])
-    if kind == "quadratic":
-        fields.setdefault("seed", doc.get("seed", 0))
-        try:
-            return QuadraticSpec(**fields)
-        except TypeError as exc:
-            raise ConfigError(f"bad quadratic problem field: {exc}") from exc
-    if kind == "hyperrep":
-        fields.pop("noise_mode", None)
-        fields.pop("noise_spread", None)
-        fields.pop("noise_std", None)
-        fields.pop("hetero", None)
-        fields.pop("seed", None)
-        try:
-            return HyperRepSpec(**fields)
-        except TypeError as exc:
-            raise ConfigError(f"bad hyperrep problem field: {exc}") from exc
-    raise ConfigError(f"unknown problem type {kind!r}")
+        fields.update({f"noise_{k}": v for k, v in noise.items() if k in ("spread", "std")})
+    fields.setdefault("seed", doc.get("seed", 0))
+    return _build_spec(QuadraticSpec, kind, fields)
 
 
 def _declared_constants(spec) -> ProblemConstants:
@@ -85,8 +89,8 @@ def _declared_constants(spec) -> ProblemConstants:
     return ProblemConstants(mu=spec.ridge, L_g=spec.ridge + 8.0)
 
 
-def _opt(doc: dict, key: str, cast):
-    return cast(doc[key]) if doc.get(key) is not None else None
+def _opt(doc: dict, key: str, cast, default=None):
+    return _cast(key, doc[key], cast) if doc.get(key) is not None else default
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -95,15 +99,15 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     spec = _problem_spec(doc)
     tau = doc.get("tau", 1)
+    tau = [_cast("tau", t, int) for t in tau] if isinstance(tau, list) else _opt(doc, "tau", int, 1)
     try:
         cfg = RunConfig(problem=spec, estimator=doc.get("estimator", ESTIMATOR_AGGITD),
-                        K=int(doc.get("K", 100)), N=_opt(doc, "N", int),
+                        K=_opt(doc, "K", int, 100), N=_opt(doc, "N", int),
                         T=_opt(doc, "T", int), lam=_opt(doc, "lambda", float),
                         alpha=_opt(doc, "alpha", float), beta=_opt(doc, "beta", float),
-                        tau=tau if isinstance(tau, list) else int(tau),
-                        participation=float(doc.get("participation", 1.0)),
-                        seed=int(doc.get("seed", 0)),
-                        eval_every=int(doc.get("eval_every", 1)),
+                        tau=tau, participation=_opt(doc, "participation", float, 1.0),
+                        seed=_opt(doc, "seed", int, 0),
+                        eval_every=_opt(doc, "eval_every", int, 1),
                         out_dir=doc.get("out_dir"))
         cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta = resolve_params(
             cfg, _declared_constants(spec))

@@ -41,7 +41,7 @@ def default_N(constants: ProblemConstants) -> int:
     return max(1, math.ceil(constants.kappa_g))
 
 
-def default_stepsizes(constants: ProblemConstants, K: int, N: int | None = None,
+def default_stepsizes(constants: ProblemConstants, K: int,
                       alpha_bar: float | None = None) -> tuple[float, float, float]:
     """Condition-number-guided defaults: lam = min{10, 1/L_g}, beta at its cap,
     alpha = alpha_bar / sqrt(K) with alpha_bar defaulting to kappa_g^-4."""
@@ -124,8 +124,8 @@ class Evaluator:
     """Exact metrics via closed forms (quadratic) or Newton-solved oracles (hyperrep).
 
     The hyperrep path keeps (y*(x), hypergradient) for the last x it solved, so
-    a metrics row costs one head solve and the driver's est_err lookup at the
-    previous row's x costs none.
+    a metrics row costs one head solve, warm-started at the previous y*, and
+    the driver's est_err lookup at the previous row's x costs none.
     """
 
     def __init__(self, problem: BilevelProblem):
@@ -136,7 +136,7 @@ class Evaluator:
     def _head_and_hypergradient(self, x: np.ndarray):
         key = x.tobytes()
         if self._memo[0] != key:
-            ys = solve_head_exact(self.problem, x)
+            ys = solve_head_exact(self.problem, x, y0=self._memo[1])
             self._memo = (key, ys, hypergradient_numeric(self.problem, x, ys))
         return self._memo[1], self._memo[2]
 
@@ -177,7 +177,7 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     T = cfg.T if cfg.T is not None else max(1, N)
     if N < 0 or T < 1:
         raise ParameterError("need N >= 0 and T >= 1")
-    lam0, alpha0, beta0 = default_stepsizes(constants, cfg.K, N, cfg.alpha_bar)
+    lam0, alpha0, beta0 = default_stepsizes(constants, cfg.K, cfg.alpha_bar)
     lam = cfg.lam if cfg.lam is not None else lam0
     alpha = cfg.alpha if cfg.alpha is not None else alpha0
     beta = cfg.beta if cfg.beta is not None else beta0
@@ -208,11 +208,9 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
         alpha_i = alpha / tau_i
         x_i = x
         for v in range(tau_i):
-            gen = rng.child(i, "xi_up", v).generator()
-            mark = gen.bit_generator.state
-            g_anchor = problem.grad_upper_x(i, Point(x, y_plus), gen)
-            gen.bit_generator.state = mark  # same sample for the local term
-            g_local = problem.grad_upper_x(i, Point(x_i, y_plus), gen)
+            lane = rng.child(i, "xi_up", v)
+            g_anchor = problem.grad_upper_x(i, Point(x, y_plus), lane)
+            g_local = problem.grad_upper_x(i, Point(x_i, y_plus), lane)
             x_i = x_i - alpha_i * (h - g_anchor + g_local)
         results[i] = x_i
     return aggregate_mean(results, ledger)

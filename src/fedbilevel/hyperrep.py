@@ -109,13 +109,10 @@ class HyperRepProblem(BilevelProblem):
         p, f, C = self.spec.embed_dim, self.spec.feature_dim, self.spec.classes
         return x.reshape(p, f), y.reshape(C, p)
 
-    def _batch(self, idx_pool, gen):
-        if gen is None:
+    def _batch(self, idx_pool, lane):
+        if lane is None or self.batch_size >= idx_pool.shape[0]:
             return idx_pool
-        k = min(self.batch_size, idx_pool.shape[0])
-        if k >= idx_pool.shape[0]:
-            return idx_pool
-        return np.sort(gen.choice(idx_pool, size=k, replace=False))
+        return lane.subset(idx_pool, self.batch_size)
 
     def _per_point(self, E, H, idx):
         Us = self.U[idx]                       # (b, f)
@@ -125,39 +122,39 @@ class HyperRepProblem(BilevelProblem):
         R[np.arange(len(idx)), self.labels[idx]] -= 1.0   # residuals pi - onehot
         return Us, Z, P, R
 
-    def _grad_lower_y(self, client, x, y, gen):
+    def _grad_lower_y(self, client, x, y, lane):
         E, H = self._unpack(x, y)
-        idx = self._batch(self.train_idx[client], gen)
+        idx = self._batch(self.train_idx[client], lane)
         Us, Z, P, R = self._per_point(E, H, idx)
         G = R.T @ Z / len(idx)                 # (C, p)
         return G.reshape(-1) + self.spec.ridge * y
 
-    def _grad_upper_y(self, client, x, y, gen):
+    def _grad_upper_y(self, client, x, y, lane):
         E, H = self._unpack(x, y)
-        idx = self._batch(self.val_idx[client], gen)
+        idx = self._batch(self.val_idx[client], lane)
         Us, Z, P, R = self._per_point(E, H, idx)
         return (R.T @ Z / len(idx)).reshape(-1)
 
-    def _grad_upper_x(self, client, x, y, gen):
+    def _grad_upper_x(self, client, x, y, lane):
         E, H = self._unpack(x, y)
-        idx = self._batch(self.val_idx[client], gen)
+        idx = self._batch(self.val_idx[client], lane)
         Us, Z, P, R = self._per_point(E, H, idx)
         return ((R @ H).T @ Us / len(idx)).reshape(-1)
 
-    def _hvp_lower_yy(self, client, x, y, v, gen):
+    def _hvp_lower_yy(self, client, x, y, v, lane):
         E, H = self._unpack(x, y)
         V = v.reshape(H.shape)
-        idx = self._batch(self.train_idx[client], gen)
+        idx = self._batch(self.train_idx[client], lane)
         Us, Z, P, R = self._per_point(E, H, idx)
         W = Z @ V.T                            # (b, C): V z_j rows
         DW = P * W - P * (P * W).sum(axis=1, keepdims=True)   # D_j (V z_j)
         out = DW.T @ Z / len(idx)
         return out.reshape(-1) + self.spec.ridge * v
 
-    def _jvp_lower_xy(self, client, x, y, v, gen):
+    def _jvp_lower_xy(self, client, x, y, v, lane):
         E, H = self._unpack(x, y)
         V = v.reshape(H.shape)
-        idx = self._batch(self.train_idx[client], gen)
+        idx = self._batch(self.train_idx[client], lane)
         Us, Z, P, R = self._per_point(E, H, idx)
         W = Z @ V.T
         DW = P * W - P * (P * W).sum(axis=1, keepdims=True)
@@ -232,9 +229,11 @@ def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
 
 
 def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
-                     tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
-    """Newton solve of the aggregate (full participation, full batch) head problem."""
-    y = np.zeros(problem.d2)
+                     tol: float = 1e-12, max_iter: int = 60,
+                     y0: np.ndarray | None = None) -> np.ndarray:
+    """Newton solve of the aggregate (full participation, full batch) head
+    problem, started at y0 (the origin when omitted)."""
+    y = np.zeros(problem.d2) if y0 is None else y0
     for _ in range(max_iter):
         g = problem.agg_grad_lower_y(Point(x, y))
         if np.linalg.norm(g) <= tol:

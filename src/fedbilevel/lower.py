@@ -72,15 +72,10 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
         beta_i = cfg.beta / tau_i
         y_i = y
         for v in range(tau_i):
-            gen = rng.child(i, "zeta", v).generator()
+            lane = rng.child(i, "zeta", v)
+            step = problem.grad_lower_y(i, Point(x, y_i), lane)
             if cfg.variant == VARIANT_SVRG:
-                mark = gen.bit_generator.state
-                g_local = problem.grad_lower_y(i, Point(x, y_i), gen)
-                gen.bit_generator.state = mark  # same sample for the anchor
-                g_anchor = problem.grad_lower_y(i, Point(x, y), gen)
-                step = g_local - g_anchor + q
-            else:
-                step = problem.grad_lower_y(i, Point(x, y_i), gen)
+                step = step - problem.grad_lower_y(i, Point(x, y), lane) + q
             y_i = y_i - beta_i * step
         results[i] = y_i
     return aggregate_mean(results, ledger)

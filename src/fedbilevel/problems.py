@@ -76,7 +76,7 @@ class ProblemConstants:
 
 
 class SampleAudit:
-    """Counts oracle samples drawn, keyed by purpose tag (lane head)."""
+    """Counts oracle samples drawn, keyed by purpose tag (the lane's innermost tag)."""
 
     def __init__(self):
         self.by_purpose: dict[str, int] = {}
@@ -95,8 +95,9 @@ class BilevelProblem:
     """Base class: dimension checks, client lookup and the sample audit.
 
     Subclasses implement the per-client oracle kernels ``_grad_lower_y`` etc.,
-    each taking (client, x, y, [v,] gen) where ``gen`` is a materialized
-    Generator or None for the exact evaluation.
+    each taking (client, x, y, [v,] lane) where ``lane`` is the call's
+    RngStream, whose counter-based draws pick the sample, or None for the
+    exact evaluation.
     """
 
     def __init__(self, m: int, d1: int, d2: int, constants: ProblemConstants,
@@ -127,16 +128,15 @@ class BilevelProblem:
         if not np.all(np.isfinite(v)):
             raise ContractViolation(f"{name} contains non-finite entries")
 
-    def _materialize(self, stream):
+    def _audited_lane(self, stream):
         if stream is None:
             return None
-        if isinstance(stream, np.random.Generator):
-            # caller-materialized lane (e.g. rewound for a shared-sample pair)
-            self.audit.record("caller-lane", self.batch_size)
-            return stream
-        purpose = next((c for c in stream.key if isinstance(c, str)), "unkeyed")
+        if not isinstance(stream, RngStream):
+            raise ContractViolation(
+                f"oracle stream must be an RngStream or None, got {type(stream).__name__}")
+        purpose = next((c for c in reversed(stream.key) if isinstance(c, str)), "unkeyed")
         self.audit.record(purpose, self.batch_size)
-        return stream.generator()
+        return stream
 
     def initial_point(self) -> tuple[np.ndarray, np.ndarray]:
         """Default (x0, y0) for solvers; the origin unless a subclass overrides."""
@@ -148,19 +148,19 @@ class BilevelProblem:
         """Stochastic gradient of the client lower objective in y."""
         self._check_client(client)
         self._check_point(p)
-        return self._grad_lower_y(client, p.x, p.y, self._materialize(stream))
+        return self._grad_lower_y(client, p.x, p.y, self._audited_lane(stream))
 
     def grad_upper_x(self, client: int, p: Point, stream: RngStream | None) -> np.ndarray:
         """Stochastic gradient of the client upper objective in x."""
         self._check_client(client)
         self._check_point(p)
-        return self._grad_upper_x(client, p.x, p.y, self._materialize(stream))
+        return self._grad_upper_x(client, p.x, p.y, self._audited_lane(stream))
 
     def grad_upper_y(self, client: int, p: Point, stream: RngStream | None) -> np.ndarray:
         """Stochastic gradient of the client upper objective in y."""
         self._check_client(client)
         self._check_point(p)
-        return self._grad_upper_y(client, p.x, p.y, self._materialize(stream))
+        return self._grad_upper_y(client, p.x, p.y, self._audited_lane(stream))
 
     def hvp_lower_yy(self, client: int, p: Point, v: np.ndarray,
                      stream: RngStream | None) -> np.ndarray:
@@ -168,7 +168,7 @@ class BilevelProblem:
         self._check_client(client)
         self._check_point(p)
         self._check_vec(v, self.d2, "v")
-        return self._hvp_lower_yy(client, p.x, p.y, v, self._materialize(stream))
+        return self._hvp_lower_yy(client, p.x, p.y, v, self._audited_lane(stream))
 
     def jvp_lower_xy(self, client: int, p: Point, v: np.ndarray,
                      stream: RngStream | None) -> np.ndarray:
@@ -176,7 +176,7 @@ class BilevelProblem:
         self._check_client(client)
         self._check_point(p)
         self._check_vec(v, self.d2, "v")
-        return self._jvp_lower_xy(client, p.x, p.y, v, self._materialize(stream))
+        return self._jvp_lower_xy(client, p.x, p.y, v, self._audited_lane(stream))
 
     # -- exact full-participation aggregates (diagnostics / evaluation) ----
 
@@ -197,19 +197,19 @@ class BilevelProblem:
 
     # -- kernels to override -----------------------------------------------
 
-    def _grad_lower_y(self, client, x, y, gen):
+    def _grad_lower_y(self, client, x, y, lane):
         raise NotImplementedError
 
-    def _grad_upper_x(self, client, x, y, gen):
+    def _grad_upper_x(self, client, x, y, lane):
         raise NotImplementedError
 
-    def _grad_upper_y(self, client, x, y, gen):
+    def _grad_upper_y(self, client, x, y, lane):
         raise NotImplementedError
 
-    def _hvp_lower_yy(self, client, x, y, v, gen):
+    def _hvp_lower_yy(self, client, x, y, v, lane):
         raise NotImplementedError
 
-    def _jvp_lower_xy(self, client, x, y, v, gen):
+    def _jvp_lower_xy(self, client, x, y, v, lane):
         raise NotImplementedError
 
 

@@ -267,70 +267,70 @@ class QuadraticProblem(BilevelProblem):
                          batch_size=batch_size)
         self.inst = inst
 
-    def _mean_offsets(self, cd, gen, *arrays):
+    def _mean_offsets(self, cd, lane, *arrays):
         """Batch-mean of per-sample offset arrays; sorted indices keep the
         full-batch mean exactly equal to the population mean."""
         n = cd.n_samples
         k = min(self.batch_size, n)
         if k == 1:
-            j = int(gen.integers(n))
+            j = lane.index(n)
             return tuple(a[j] for a in arrays)
         if k >= n:
             return tuple(a.mean(axis=0) for a in arrays)
-        idx = np.sort(gen.choice(n, size=k, replace=False))
+        idx = lane.subset(np.arange(n), k)
         return tuple(a[idx].mean(axis=0) for a in arrays)
 
-    def _grad_lower_y(self, client, x, y, gen):
+    def _grad_lower_y(self, client, x, y, lane):
         cd = self.inst.clients[client]
         g = cd.A @ y + cd.B @ x + cd.c
-        if gen is None:
+        if lane is None:
             return g
         if cd.noise_mode == NOISE_FINITE_SUM:
-            mA, mB, mc = self._mean_offsets(cd, gen, cd.dA, cd.dB, cd.dc)
+            mA, mB, mc = self._mean_offsets(cd, lane, cd.dA, cd.dB, cd.dc)
             return g + mA @ y + mB @ x + mc
-        return g + gen.normal(0.0, cd.gauss_std_g, size=g.shape)
+        return g + lane.normal(cd.gauss_std_g, g.shape)
 
-    def _grad_upper_x(self, client, x, y, gen):
+    def _grad_upper_x(self, client, x, y, lane):
         cd = self.inst.clients[client]
         g = cd.rho_x * x + cd.e
-        if gen is None:
+        if lane is None:
             return g
         if cd.noise_mode == NOISE_FINITE_SUM:
-            (me,) = self._mean_offsets(cd, gen, cd.de)
+            (me,) = self._mean_offsets(cd, lane, cd.de)
             return g + me
-        return g + gen.normal(0.0, cd.gauss_std_f, size=g.shape)
+        return g + lane.normal(cd.gauss_std_f, g.shape)
 
-    def _grad_upper_y(self, client, x, y, gen):
+    def _grad_upper_y(self, client, x, y, lane):
         cd = self.inst.clients[client]
         g = y - cd.d
-        if gen is None:
+        if lane is None:
             return g
         if cd.noise_mode == NOISE_FINITE_SUM:
-            (md,) = self._mean_offsets(cd, gen, cd.dd)
+            (md,) = self._mean_offsets(cd, lane, cd.dd)
             return g - md
-        return g + gen.normal(0.0, cd.gauss_std_f, size=g.shape)
+        return g + lane.normal(cd.gauss_std_f, g.shape)
 
-    def _hvp_lower_yy(self, client, x, y, v, gen):
+    def _hvp_lower_yy(self, client, x, y, v, lane):
         cd = self.inst.clients[client]
-        if gen is None:
+        if lane is None:
             return cd.A @ v
         if cd.noise_mode == NOISE_FINITE_SUM:
-            (mA,) = self._mean_offsets(cd, gen, cd.dA)
+            (mA,) = self._mean_offsets(cd, lane, cd.dA)
             return cd.A @ v + mA @ v
-        S = _sym(gen.normal(0.0, cd.gauss_std_g, size=cd.A.shape))
+        S = _sym(lane.normal(cd.gauss_std_g, cd.A.shape))
         nrm = np.linalg.norm(S, 2)
         if nrm > cd.hess_margin:  # keep sampled eigenvalues inside [mu, L_g]
             S *= cd.hess_margin / nrm if nrm > 0 else 0.0
         return (cd.A + S) @ v
 
-    def _jvp_lower_xy(self, client, x, y, v, gen):
+    def _jvp_lower_xy(self, client, x, y, v, lane):
         cd = self.inst.clients[client]
-        if gen is None:
+        if lane is None:
             return cd.B.T @ v
         if cd.noise_mode == NOISE_FINITE_SUM:
-            (mB,) = self._mean_offsets(cd, gen, cd.dB)
+            (mB,) = self._mean_offsets(cd, lane, cd.dB)
             return cd.B.T @ v + mB.T @ v
-        W = gen.normal(0.0, cd.gauss_std_g, size=cd.B.shape)
+        W = lane.normal(cd.gauss_std_g, cd.B.shape)
         return (cd.B + W).T @ v
 
 

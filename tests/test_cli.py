@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fedbilevel.cli import main
 
 
@@ -57,6 +59,29 @@ def test_config_error_exit_code(tmp_path):
     bad.write_bytes(b"\xff{")
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["run", "--config", _cfg(tmp_path, {"beta": 0.9})]) == 2
+
+
+# (--set overrides on the base config, expected exit code)
+BAD_CONFIGS = [
+    (['beta=0.9'], 2),
+    (['K="abc"'], 2),
+    (['tau=["a"]'], 2),
+    (['participation="x"'], 2),
+    (['noise={"spread": "x"}'], 2),
+    (['problem={"type": "quadratic", "d1": "x"}'], 2),
+    (['problem={"type": "quadratic", "mystery": 1}'], 2),
+]
+
+
+@pytest.mark.parametrize("sets,code", BAD_CONFIGS)
+def test_bad_config_table(tmp_path, capsys, sets, code):
+    args = ["run", "--config", _cfg(tmp_path), "--out-dir", str(tmp_path / "o")]
+    for s in sets:
+        args += ["--set", s]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 def test_divergence_exit_code(tmp_path):

@@ -167,6 +167,25 @@ def test_sample_audit_exact_count_at_fixed_chain_seed():
         assert problem.audit.total == expect
 
 
+def test_sample_audit_tags_shared_samples_by_purpose():
+    from fedbilevel import AggITDConfig, LowerStepConfig, aggitd
+    spec = QuadraticSpec(d1=3, d2=3, m=3, mu=1.0, L_g=2.0, hetero=0.3,
+                         noise_spread=0.1, seed=13)
+    problem = QuadraticProblem(make_quadratic(spec))
+    N, tau, Q, m = 3, 2, 1, 3
+    cfg = AggITDConfig(lam=0.5, N=N, lower=LowerStepConfig(beta=1.0 / 12.0, tau=tau))
+    aggitd(problem, np.zeros(3), np.zeros(3), cfg, range(m), RngStream(N),
+           CommLedger(), q_override=Q)
+    assert problem.audit.by_purpose == {
+        "zeta_q": N * m, "zeta": 2 * tau * m * N, "xi_r": m, "u": (N - Q) * m,
+        "xi_h": m, "chi": m}
+    assert problem.audit.total == N * m + 2 * tau * m * N + m + (N - Q) * m + 2 * m
+    problem.audit.reset()
+    one_round_upper(problem, np.ones(3), np.zeros(3), np.zeros(3), 0.1, tau, range(m),
+                    RngStream(2), CommLedger())
+    assert problem.audit.by_purpose == {"xi_up": 2 * tau * m}
+
+
 def test_sample_audit_scales_linearly_in_k():
     cfg2, cfg4 = _quad_cfg(K=2), _quad_cfg(K=4)
     problem = build_problem(cfg2)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from fedbilevel import (ClientData, ContractViolation, Point, QuadraticInstance,
+from fedbilevel import (ClientData, CommLedger, ContractViolation,
+                        LowerStepConfig, Point, QuadraticInstance,
                         QuadraticProblem, QuadraticSpec, RngStream,
-                        make_quadratic)
+                        make_quadratic, one_round_lower)
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
@@ -196,3 +197,27 @@ def test_error_cases():
         problem.grad_lower_y(0, Point(np.zeros(2), np.zeros(1)), None)
     with pytest.raises(ContractViolation):
         problem.hvp_lower_yy(0, Point(np.zeros(1), np.zeros(1)), np.zeros(3), None)
+
+
+def test_svrg_correction_is_exactly_q_at_the_anchor():
+    # evaluating one lane twice at one point draws one sample: the correction
+    # g(y_i) - g(y) + q is exactly q while y_i == y
+    spec = QuadraticSpec(d1=3, d2=3, m=2, hetero=0.4, noise_spread=0.3, seed=5)
+    problem = QuadraticProblem(make_quadratic(spec))
+    x, y = np.ones(3), np.array([0.5, -1.0, 2.0])
+    q = np.array([0.3, -0.2, 0.1])
+    lane = RngStream(4).child("lower", 0, 1, "zeta", 0)
+    g = problem.grad_lower_y(1, Point(x, y), lane)
+    assert np.array_equal(g - problem.grad_lower_y(1, Point(x, y), lane) + q, q)
+    cfg = LowerStepConfig(beta=0.05, tau=1)
+    got = one_round_lower(problem, x, y, q, cfg, [1], RngStream(4).child("lower", 0),
+                          CommLedger())
+    assert np.array_equal(got, y - 0.05 * q)
+
+
+def test_generator_stream_rejected():
+    problem = _problem_1d()
+    p = Point(np.zeros(1), np.zeros(1))
+    with pytest.raises(ContractViolation, match="RngStream"):
+        problem.grad_lower_y(0, p, RngStream(0).generator())
+    assert problem.audit.total == 0
