@@ -38,11 +38,20 @@ CONFIG_KEYS = {"problem", "estimator", "K", "N", "T", "lambda", "alpha", "beta",
 
 
 def _cast(key: str, value, cast):
-    """value converted by cast (int or float), or a ConfigError naming the key."""
+    """value converted by cast (int or float), or a ConfigError naming the key.
+
+    Booleans are rejected, and an int key takes a float only when it is
+    integral (3.0 gives 3; 2.5 is an error, not a silent truncation).
+    """
+    kind = "an integer" if cast is int else "a number"
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        kind = "an integer" if cast is int else "a number"
+        if isinstance(value, bool):
+            raise TypeError("booleans are not numbers here")
+        out = cast(value)
+        if cast is int and isinstance(value, float) and out != value:
+            raise ValueError("not integral")
+        return out
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from exc
 
 

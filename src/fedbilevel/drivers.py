@@ -22,11 +22,12 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         aggitd, aid_fhe, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import LowerStepConfig, one_round_lower
-from .problems import BilevelProblem, Point, ProblemConstants
+from .lower import LowerStepConfig, _local_steps, client_taus, one_round_lower
+from .problems import BilevelProblem, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
 from .rng import RngStream
-from .runtime import CommLedger, Participation, aggregate_mean, select_participants
+from .runtime import (CommLedger, Participation, aggregate_mean, client_ids,
+                      select_participants)
 
 DIVERGENCE_NORM = 1e8
 
@@ -123,9 +124,10 @@ class RunReport:
 class Evaluator:
     """Exact metrics via closed forms (quadratic) or Newton-solved oracles (hyperrep).
 
-    The hyperrep path keeps (y*(x), hypergradient) for the last x it solved, so
-    a metrics row costs one head solve, warm-started at the previous y*, and
-    the driver's est_err lookup at the previous row's x costs none.
+    It keeps (y*(x), hypergradient) for the last x it solved, so a metrics
+    row costs one solve (for hyperrep, a Newton head solve warm-started at
+    the previous y*), and the driver's est_err lookup at the previous row's x
+    costs none.
     """
 
     def __init__(self, problem: BilevelProblem):
@@ -133,27 +135,27 @@ class Evaluator:
         self.is_quadratic = isinstance(problem, QuadraticProblem)
         self._memo = (None, None, None)  # (x bytes, y*(x), hypergradient at x)
 
-    def _head_and_hypergradient(self, x: np.ndarray):
+    def _solve(self, x: np.ndarray):
         key = x.tobytes()
         if self._memo[0] != key:
-            ys = solve_head_exact(self.problem, x, y0=self._memo[1])
-            self._memo = (key, ys, hypergradient_numeric(self.problem, x, ys))
+            if self.is_quadratic:
+                ys = self.problem.inst.y_star(x)
+                grad = self.problem.inst.hypergradient(x, ys)
+            else:
+                ys = solve_head_exact(self.problem, x, y0=self._memo[1])
+                grad = hypergradient_numeric(self.problem, x, ys)
+            self._memo = (key, ys, grad)
         return self._memo[1], self._memo[2]
 
     def hypergradient(self, x: np.ndarray) -> np.ndarray:
-        if self.is_quadratic:
-            return self.problem.inst.hypergradient(x)
-        return self._head_and_hypergradient(x)[1]
+        return self._solve(x)[1]
 
     def record(self, k: int, ledger: CommLedger, x, y, est_err: float) -> MetricsRecord:
+        ys, grad = self._solve(x)
         if self.is_quadratic:
-            inst = self.problem.inst
-            ys = inst.y_star(x)
-            grad = inst.hypergradient(x)
-            obj = inst.objective(x)
+            obj = self.problem.inst.objective(x, ys)
             test = 0.0
         else:
-            ys, grad = self._head_and_hypergradient(x)
             obj = self.problem.upper_value(x, ys)
             test = self.problem.accuracy(x, y)
         gap = float(np.sum((y - ys) ** 2))
@@ -198,22 +200,22 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
 
     The anchor gradient at x is re-evaluated per local step with that step's
     own sample (shared with the local term), so a single local step reduces to
-    x - alpha*h exactly. Charges one round (the iterate aggregation).
+    x - alpha*h exactly. All participants step together, two batched oracle
+    calls per local step. Charges one round (the iterate aggregation).
     """
-    results = {}
-    for i in participants:
-        tau_i = int(tau[i]) if isinstance(tau, Sequence) else int(tau)
-        if tau_i < 1:
-            raise ParameterError("every tau_i must be >= 1")
-        alpha_i = alpha / tau_i
-        x_i = x
-        for v in range(tau_i):
-            lane = rng.child(i, "xi_up", v)
-            g_anchor = problem.grad_upper_x(i, Point(x, y_plus), lane)
-            g_local = problem.grad_upper_x(i, Point(x_i, y_plus), lane)
-            x_i = x_i - alpha_i * (h - g_anchor + g_local)
-        results[i] = x_i
-    return aggregate_mean(results, ledger)
+    ids = client_ids(participants)
+    taus = client_taus(tau, ids)
+    if np.any(taus < 1):
+        raise ParameterError("every tau_i must be >= 1")
+    alphas = (alpha / taus)[:, None]
+    X = np.repeat(x[None], ids.size, axis=0)
+    for v, rows in _local_steps(taus):
+        sub = ids[rows]
+        lanes = rng.lanes(sub, "xi_up", v)
+        g_anchor = problem.grad_upper_x_batch(sub, x, y_plus, lanes)
+        g_local = problem.grad_upper_x_batch(sub, X[rows], y_plus, lanes)
+        X[rows] = X[rows] - alphas[rows] * (h - g_anchor + g_local)
+    return aggregate_mean(X, ledger)
 
 
 def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -247,17 +249,17 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
 
         def step(x, y, parts, scope):
+            ids = client_ids(parts)
             ledger.begin_loop()
             for t in range(N):
-                point = Point(x, y)
-                q = aggregate_mean({i: problem.grad_lower_y(i, point, scope.child(i, "zeta_q", t))
-                                    for i in parts}, ledger)
-                y = one_round_lower(problem, x, y, q, lower_cfg, parts,
+                q = aggregate_mean(problem.grad_lower_y_batch(
+                    ids, x, y, scope.lanes(ids, "zeta_q", t)), ledger)
+                y = one_round_lower(problem, x, y, q, lower_cfg, ids,
                                     scope.child("lower", t), ledger)
             if estimator == ESTIMATOR_AID:
-                return aid_fhe(problem, x, y, aid_cfg, parts, scope.child("aid"), ledger), y
+                return aid_fhe(problem, x, y, aid_cfg, ids, scope.child("aid"), ledger), y
             return local_fhe(problem, x, y, aid_cfg, rng=scope.child("local"),
-                             participants=parts, ledger=ledger), y
+                             participants=ids, ledger=ledger), y
 
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]

@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
 from .lower import LowerStepConfig, one_round_lower
-from .problems import BilevelProblem, Point, ProblemConstants
+from .problems import BilevelProblem, ProblemConstants
 from .quadratic import QuadraticInstance
 from .rng import RngStream
-from .runtime import CommLedger, aggregate_mean
+from .runtime import CommLedger, aggregate_mean, client_ids
 
 _CAP_TOL = 1.0 + 1e-12
 
@@ -124,49 +124,36 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     else:
         Q = int(rng.child("Q").generator().integers(0, N + 1))
 
+    ids = client_ids(participants)
     ledger.begin_loop()
     y_t = np.asarray(y, dtype=float)
     y_iterates = [y_t]
     z = None
     for t in range(N + 1):
-        point = Point(x, y_t)
-        payloads = {}
-        for i in participants:
-            parts = []
-            if t <= N - 1:
-                parts.append(problem.grad_lower_y(i, point, rng.child(i, "zeta_q", t)))
-            if t == Q:
-                parts.append(problem.grad_upper_y(i, point, rng.child(i, "xi_r", t)))
-            elif t >= Q + 1:
-                hv = problem.hvp_lower_yy(i, point, z, rng.child(i, "u", t))
-                parts.append(z - lam * hv)
-            payloads[i] = parts
+        payloads = []
+        if t <= N - 1:
+            payloads.append(problem.grad_lower_y_batch(ids, x, y_t, rng.lanes(ids, "zeta_q", t)))
+        if t == Q:
+            payloads.append(problem.grad_upper_y_batch(ids, x, y_t, rng.lanes(ids, "xi_r", t)))
+        elif t >= Q + 1:
+            hv = problem.hvp_lower_yy_batch(ids, x, y_t, z, rng.lanes(ids, "u", t))
+            payloads.append(z - lam * hv)
         means = aggregate_mean(payloads, ledger)
-        j = 0
-        if t <= N - 1:
-            q_t = means[j]
-            j += 1
         if t >= Q:
-            z = means[j]
+            z = means[-1]
         if t <= N - 1:
-            y_t = one_round_lower(problem, x, y_t, q_t, cfg.lower,
-                                  participants, rng.child("lower", t), ledger)
+            y_t = one_round_lower(problem, x, y_t, means[0], cfg.lower,
+                                  ids, rng.child("lower", t), ledger)
             y_iterates.append(y_t)
 
     p = lam * (N + 1) * z
-    point = Point(x, y_t)
-    payloads = {}
-    indirect_clients = {}
-    for i in participants:
-        direct = problem.grad_upper_x(i, point, rng.child(i, "xi_h"))
-        indirect = problem.jvp_lower_xy(i, point, p, rng.child(i, "chi"))
-        indirect_clients[i] = indirect
-        payloads[i] = [direct, indirect]
-    h_direct, h_indirect = aggregate_mean(payloads, ledger)
+    direct = problem.grad_upper_x_batch(ids, x, y_t, rng.lanes(ids, "xi_h"))
+    indirect = problem.jvp_lower_xy_batch(ids, x, y_t, p, rng.lanes(ids, "chi"))
+    h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
 
     trace = EstimatorTrace(Q=Q, y_iterates=y_iterates, z_final=z, p=p,
                            h_direct=h_direct, h_indirect=h_indirect,
-                           h_indirect_clients=indirect_clients)
+                           h_indirect_clients=dict(zip(ids.tolist(), indirect)))
     return h_direct - h_indirect, y_t, trace
 
 
@@ -189,24 +176,21 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
     else:
         T_prime = int(rng.child("T_prime").generator().integers(0, T))
 
+    ids = client_ids(participants)
     ledger.begin_loop()
-    point = Point(x, np.asarray(y_N, dtype=float))
-    r = aggregate_mean({i: problem.grad_upper_y(i, point, rng.child(i, "xi0"))
-                        for i in participants}, ledger)
+    y_N = np.asarray(y_N, dtype=float)
+    r = aggregate_mean(problem.grad_upper_y_batch(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
     p = lam * T * r
     chain = [p]
     for t in range(1, T + 1):
-        p = aggregate_mean({i: p - lam * problem.hvp_lower_yy(i, point, p, rng.child(i, "zeta_h", t))
-                            for i in participants}, ledger)
+        hv = problem.hvp_lower_yy_batch(ids, x, y_N, p, rng.lanes(ids, "zeta_h", t))
+        p = aggregate_mean(p - lam * hv, ledger)
         chain.append(p)
     p_sel = chain[T_prime]
 
-    payloads = {}
-    for i in participants:
-        direct = problem.grad_upper_x(i, point, rng.child(i, "xi_h"))
-        indirect = problem.jvp_lower_xy(i, point, p_sel, rng.child(i, "chi"))
-        payloads[i] = [direct, indirect]
-    h_direct, h_indirect = aggregate_mean(payloads, ledger)
+    direct = problem.grad_upper_x_batch(ids, x, y_N, rng.lanes(ids, "xi_h"))
+    indirect = problem.jvp_lower_xy_batch(ids, x, y_N, p_sel, rng.lanes(ids, "chi"))
+    h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
     return h_direct - h_indirect
 
 
@@ -222,25 +206,22 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
-    if participants is None:
-        participants = range(problem.m)
+    ids = client_ids(range(problem.m) if participants is None else participants)
     if ledger is None:
         ledger = CommLedger()
-    point = Point(x, np.asarray(y_N, dtype=float))
-    payloads = {}
-    for i in participants:
-        def stream(tag, *idx):
-            return None if rng is None else rng.child(i, tag, *idx)
-        r = problem.grad_upper_y(i, point, stream("xi0"))
-        s = r.copy()
-        acc = r.copy()
-        for j in range(1, T):
-            s = s - lam * problem.hvp_lower_yy(i, point, s, stream("zeta_h", j))
-            acc += s
-        p_i = lam * acc
-        payloads[i] = problem.grad_upper_x(i, point, stream("xi_h")) \
-            - problem.jvp_lower_xy(i, point, p_i, stream("chi"))
-    return aggregate_mean(payloads, ledger)
+    y_N = np.asarray(y_N, dtype=float)
+
+    def lanes(tag, *idx):
+        return None if rng is None else rng.lanes(ids, tag, *idx)
+    r = problem.grad_upper_y_batch(ids, x, y_N, lanes("xi0"))
+    s = r.copy()
+    acc = r.copy()
+    for j in range(1, T):
+        s = s - lam * problem.hvp_lower_yy_batch(ids, x, y_N, s, lanes("zeta_h", j))
+        acc += s
+    p = lam * acc
+    return aggregate_mean(problem.grad_upper_x_batch(ids, x, y_N, lanes("xi_h"))
+                          - problem.jvp_lower_xy_batch(ids, x, y_N, p, lanes("chi")), ledger)
 
 
 def dense_hessiv(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,

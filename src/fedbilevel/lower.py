@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .problems import BilevelProblem, Point
+from .problems import BilevelProblem
 from .quadratic import QuadraticInstance
 from .rng import RngStream
-from .runtime import CommLedger, aggregate_mean
+from .runtime import CommLedger, aggregate_mean, client_ids
 
 VARIANT_SVRG = "svrg"
 VARIANT_SGD = "sgd"
@@ -51,10 +51,21 @@ class LowerStepConfig:
         if any(t < 1 for t in taus):
             raise ParameterError("every tau_i must be >= 1")
 
-    def tau_for(self, client: int) -> int:
-        if isinstance(self.tau, Sequence):
-            return int(self.tau[client])
-        return int(self.tau)
+
+def client_taus(tau: int | Sequence[int], ids: np.ndarray) -> np.ndarray:
+    """tau_i for each client id: its entry of a per-client list, or the shared count."""
+    if isinstance(tau, Sequence):
+        return np.asarray(tau, dtype=int)[ids]
+    return np.full(ids.shape, int(tau))
+
+
+def _local_steps(taus: np.ndarray):
+    """(v, rows) for each local step v: the rows of the clients with tau_i > v
+    (a full slice while every client is still stepping)."""
+    counts = taus.tolist()
+    full = min(counts)
+    for v in range(max(counts)):
+        yield v, slice(None) if v < full else np.flatnonzero(taus > v)
 
 
 def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
@@ -64,21 +75,22 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     """One composed local phase; returns the participant mean of y_tau^i.
 
     q must be the aggregated global lower gradient at (x, y) from the same
-    outer step. Charges exactly one round (the iterate aggregation).
+    outer step. All participants step together, one batched oracle call per
+    local step (two for svrg, on the same lanes). Charges exactly one round
+    (the iterate aggregation).
     """
-    results = {}
-    for i in participants:
-        tau_i = cfg.tau_for(i)
-        beta_i = cfg.beta / tau_i
-        y_i = y
-        for v in range(tau_i):
-            lane = rng.child(i, "zeta", v)
-            step = problem.grad_lower_y(i, Point(x, y_i), lane)
-            if cfg.variant == VARIANT_SVRG:
-                step = step - problem.grad_lower_y(i, Point(x, y), lane) + q
-            y_i = y_i - beta_i * step
-        results[i] = y_i
-    return aggregate_mean(results, ledger)
+    ids = client_ids(participants)
+    taus = client_taus(cfg.tau, ids)
+    betas = (cfg.beta / taus)[:, None]
+    Y = np.repeat(y[None], ids.size, axis=0)
+    for v, rows in _local_steps(taus):
+        sub = ids[rows]
+        lanes = rng.lanes(sub, "zeta", v)
+        step = problem.grad_lower_y_batch(sub, x, Y[rows], lanes)
+        if cfg.variant == VARIANT_SVRG:
+            step = step - problem.grad_lower_y_batch(sub, x, y, lanes) + q
+        Y[rows] = Y[rows] - betas[rows] * step
+    return aggregate_mean(Y, ledger)
 
 
 def lower_gap(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray) -> float:

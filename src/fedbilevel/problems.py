@@ -14,6 +14,20 @@ Every estimator and solver in the library consumes only this contract:
 Passing ``stream=None`` evaluates the exact (noise-off) client-level quantity.
 Oracles are pure functions of (problem, point, stream): evaluating clients in
 parallel must give results bit-identical to sequential evaluation.
+
+Each oracle also has a batched form, ``grad_lower_y_batch(ids, x, y, lanes)``
+and so on, which evaluates a whole participant set in one call:
+
+* ``ids`` is a strictly increasing int array of client ids;
+* x, y (and v) are either shared vectors or stacks with one row per id;
+* ``lanes`` is ``rng.lanes(ids, *tags)`` (or None for the exact oracle), so
+  row r uses the lane ``rng.child(ids[r], *tags)``;
+* the result is a ``(len(ids), dim)`` stack in id order whose row r equals
+  the single-client oracle on that client, point and lane, bit for bit.
+
+The base class implements the batched forms by looping over per-client
+kernels; a subclass may override them with stacked kernels instead. A
+single-client call is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClientLookupError, ContractViolation
-from .rng import RngStream
+from .errors import ClientLookupError, ContractViolation, ProtocolError
+from .rng import Lanes, RngStream
 
 NOISE_FINITE_SUM = "finite-sum"
 NOISE_GAUSSIAN = "additive-gaussian"
@@ -92,12 +106,15 @@ class SampleAudit:
 
 
 class BilevelProblem:
-    """Base class: dimension checks, client lookup and the sample audit.
+    """Base class: id and dimension checks, the sample audit, and the
+    per-client fallback of the batched oracles.
 
-    Subclasses implement the per-client oracle kernels ``_grad_lower_y`` etc.,
-    each taking (client, x, y, [v,] lane) where ``lane`` is the call's
-    RngStream, whose counter-based draws pick the sample, or None for the
-    exact evaluation.
+    A subclass implements either the batched kernels ``_grad_lower_y_batch``
+    etc., taking (ids, x, y, [v,] lanes), or the per-client kernels
+    ``_grad_lower_y`` etc., taking (client, x, y, [v,] lane) where ``lane`` is
+    the RngStream whose counter-based draws pick the sample, or None for the
+    exact evaluation; the default batched kernels loop over the per-client
+    ones. A single-client oracle call is a batch of one.
     """
 
     def __init__(self, m: int, d1: int, d2: int, constants: ProblemConstants,
@@ -110,92 +127,127 @@ class BilevelProblem:
         self.constants = constants
         self.batch_size = batch_size
         self.audit = SampleAudit()
+        self._all_ids = np.arange(m)
 
     # -- contract plumbing -------------------------------------------------
 
-    def _check_client(self, client: int) -> None:
-        if not 0 <= client < self.m:
-            raise ClientLookupError(f"client {client} not in [0, {self.m})")
-
-    def _check_point(self, p: Point) -> None:
-        if p.x.shape != (self.d1,) or p.y.shape != (self.d2,):
+    def _check_batch(self, ids, lanes, **arrays) -> None:
+        """ids sorted, distinct and in range; each array a shared vector or one
+        row per id; lanes one per id; then audit the batch's samples."""
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
+            raise ContractViolation("ids must be a 1-D integer array")
+        id_list = ids.tolist()
+        if not id_list:
+            raise ProtocolError("empty participant set")
+        if id_list[0] < 0 or id_list[-1] >= self.m:
+            raise ClientLookupError(f"client ids {id_list} not in [0, {self.m})")
+        if sorted(set(id_list)) != id_list:
+            raise ContractViolation(f"ids must be strictly increasing, got {id_list}")
+        k = len(id_list)
+        for name, a in arrays.items():
+            dim = self.d1 if name == "x" else self.d2
+            if a.shape != (dim,) and a.shape != (k, dim):
+                raise ContractViolation(
+                    f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
+        if "v" in arrays and not np.isfinite(arrays["v"]).all():
+            raise ContractViolation("v contains non-finite entries")
+        if lanes is None:
+            return
+        if not isinstance(lanes, Lanes):
             raise ContractViolation(
-                f"point dims {p.x.shape}/{p.y.shape} do not match problem ({self.d1},)/({self.d2},)")
+                f"batched oracle lanes must be Lanes or None, got {type(lanes).__name__}")
+        if len(lanes.hashes) != k:
+            raise ContractViolation(f"{len(lanes.hashes)} lanes for {k} clients")
+        self.audit.record(lanes.purpose, self.batch_size * k)
 
-    def _check_vec(self, v: np.ndarray, dim: int, name: str) -> None:
-        if v.shape != (dim,):
-            raise ContractViolation(f"{name} has shape {v.shape}, expected ({dim},)")
-        if not np.all(np.isfinite(v)):
-            raise ContractViolation(f"{name} contains non-finite entries")
-
-    def _audited_lane(self, stream):
+    @staticmethod
+    def _single(client: int, stream) -> tuple[np.ndarray, Lanes | None]:
+        """(ids, lanes) of a single-client call."""
         if stream is None:
-            return None
+            return np.array([client]), None
         if not isinstance(stream, RngStream):
             raise ContractViolation(
                 f"oracle stream must be an RngStream or None, got {type(stream).__name__}")
-        purpose = next((c for c in reversed(stream.key) if isinstance(c, str)), "unkeyed")
-        self.audit.record(purpose, self.batch_size)
-        return stream
+        return np.array([client]), Lanes.of(stream)
 
     def initial_point(self) -> tuple[np.ndarray, np.ndarray]:
         """Default (x0, y0) for solvers; the origin unless a subclass overrides."""
         return np.zeros(self.d1), np.zeros(self.d2)
 
-    # -- oracle surface ----------------------------------------------------
+    # -- single-client oracles ---------------------------------------------
 
     def grad_lower_y(self, client: int, p: Point, stream: RngStream | None) -> np.ndarray:
         """Stochastic gradient of the client lower objective in y."""
-        self._check_client(client)
-        self._check_point(p)
-        return self._grad_lower_y(client, p.x, p.y, self._audited_lane(stream))
+        ids, lanes = self._single(client, stream)
+        return self.grad_lower_y_batch(ids, p.x, p.y, lanes)[0]
 
     def grad_upper_x(self, client: int, p: Point, stream: RngStream | None) -> np.ndarray:
         """Stochastic gradient of the client upper objective in x."""
-        self._check_client(client)
-        self._check_point(p)
-        return self._grad_upper_x(client, p.x, p.y, self._audited_lane(stream))
+        ids, lanes = self._single(client, stream)
+        return self.grad_upper_x_batch(ids, p.x, p.y, lanes)[0]
 
     def grad_upper_y(self, client: int, p: Point, stream: RngStream | None) -> np.ndarray:
         """Stochastic gradient of the client upper objective in y."""
-        self._check_client(client)
-        self._check_point(p)
-        return self._grad_upper_y(client, p.x, p.y, self._audited_lane(stream))
+        ids, lanes = self._single(client, stream)
+        return self.grad_upper_y_batch(ids, p.x, p.y, lanes)[0]
 
     def hvp_lower_yy(self, client: int, p: Point, v: np.ndarray,
                      stream: RngStream | None) -> np.ndarray:
         """Sampled lower Hessian times v; linear in v, eigenvalues in [mu, L_g]."""
-        self._check_client(client)
-        self._check_point(p)
-        self._check_vec(v, self.d2, "v")
-        return self._hvp_lower_yy(client, p.x, p.y, v, self._audited_lane(stream))
+        ids, lanes = self._single(client, stream)
+        return self.hvp_lower_yy_batch(ids, p.x, p.y, v, lanes)[0]
 
     def jvp_lower_xy(self, client: int, p: Point, v: np.ndarray,
                      stream: RngStream | None) -> np.ndarray:
         """Sampled mixed partial of G_i applied to a y-direction, result in x-space."""
-        self._check_client(client)
-        self._check_point(p)
-        self._check_vec(v, self.d2, "v")
-        return self._jvp_lower_xy(client, p.x, p.y, v, self._audited_lane(stream))
+        ids, lanes = self._single(client, stream)
+        return self.jvp_lower_xy_batch(ids, p.x, p.y, v, lanes)[0]
+
+    # -- batched oracles: one row per client id ------------------------------
+
+    def grad_lower_y_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
+                           lanes: Lanes | None) -> np.ndarray:
+        self._check_batch(ids, lanes, x=x, y=y)
+        return self._grad_lower_y_batch(ids, x, y, lanes)
+
+    def grad_upper_x_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
+                           lanes: Lanes | None) -> np.ndarray:
+        self._check_batch(ids, lanes, x=x, y=y)
+        return self._grad_upper_x_batch(ids, x, y, lanes)
+
+    def grad_upper_y_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
+                           lanes: Lanes | None) -> np.ndarray:
+        self._check_batch(ids, lanes, x=x, y=y)
+        return self._grad_upper_y_batch(ids, x, y, lanes)
+
+    def hvp_lower_yy_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
+                           v: np.ndarray, lanes: Lanes | None) -> np.ndarray:
+        self._check_batch(ids, lanes, x=x, y=y, v=v)
+        return self._hvp_lower_yy_batch(ids, x, y, v, lanes)
+
+    def jvp_lower_xy_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
+                           v: np.ndarray, lanes: Lanes | None) -> np.ndarray:
+        self._check_batch(ids, lanes, x=x, y=y, v=v)
+        return self._jvp_lower_xy_batch(ids, x, y, v, lanes)
 
     # -- exact full-participation aggregates (diagnostics / evaluation) ----
 
     def agg_grad_lower_y(self, p: Point) -> np.ndarray:
-        return np.mean([self.grad_lower_y(i, p, None) for i in range(self.m)], axis=0)
+        return self.grad_lower_y_batch(self._all_ids, p.x, p.y, None).mean(axis=0)
 
     def agg_grad_upper_x(self, p: Point) -> np.ndarray:
-        return np.mean([self.grad_upper_x(i, p, None) for i in range(self.m)], axis=0)
+        return self.grad_upper_x_batch(self._all_ids, p.x, p.y, None).mean(axis=0)
 
     def agg_grad_upper_y(self, p: Point) -> np.ndarray:
-        return np.mean([self.grad_upper_y(i, p, None) for i in range(self.m)], axis=0)
+        return self.grad_upper_y_batch(self._all_ids, p.x, p.y, None).mean(axis=0)
 
     def agg_hvp_lower_yy(self, p: Point, v: np.ndarray) -> np.ndarray:
-        return np.mean([self.hvp_lower_yy(i, p, v, None) for i in range(self.m)], axis=0)
+        return self.hvp_lower_yy_batch(self._all_ids, p.x, p.y, v, None).mean(axis=0)
 
     def agg_jvp_lower_xy(self, p: Point, v: np.ndarray) -> np.ndarray:
-        return np.mean([self.jvp_lower_xy(i, p, v, None) for i in range(self.m)], axis=0)
+        return self.jvp_lower_xy_batch(self._all_ids, p.x, p.y, v, None).mean(axis=0)
 
-    # -- kernels to override -----------------------------------------------
+    # -- kernels to override: per client, or batched -----------------------
 
     def _grad_lower_y(self, client, x, y, lane):
         raise NotImplementedError
@@ -211,6 +263,28 @@ class BilevelProblem:
 
     def _jvp_lower_xy(self, client, x, y, v, lane):
         raise NotImplementedError
+
+    def _per_client(self, kernel, ids, lanes, *arrays) -> np.ndarray:
+        """Stack kernel(i, *row r of each array, lane r) over the rows r."""
+        return np.array([
+            kernel(i, *(a[r] if a.ndim == 2 else a for a in arrays),
+                   None if lanes is None else lanes.stream(r))
+            for r, i in enumerate(ids.tolist())])
+
+    def _grad_lower_y_batch(self, ids, x, y, lanes):
+        return self._per_client(self._grad_lower_y, ids, lanes, x, y)
+
+    def _grad_upper_x_batch(self, ids, x, y, lanes):
+        return self._per_client(self._grad_upper_x, ids, lanes, x, y)
+
+    def _grad_upper_y_batch(self, ids, x, y, lanes):
+        return self._per_client(self._grad_upper_y, ids, lanes, x, y)
+
+    def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
+        return self._per_client(self._hvp_lower_yy, ids, lanes, x, y, v)
+
+    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
+        return self._per_client(self._jvp_lower_xy, ids, lanes, x, y, v)
 
 
 @dataclass

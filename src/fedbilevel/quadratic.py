@@ -75,14 +75,17 @@ class QuadraticInstance:
         self.c_bar = np.mean([cd.c for cd in self.clients], axis=0)
         self.d_bar = np.mean([cd.d for cd in self.clients], axis=0)
         self.e_bar = np.mean([cd.e for cd in self.clients], axis=0)
-        self._cho = cho_factor(self.A_bar)
+        self._cho = cho_factor(self.A_bar, check_finite=False)
+        self._D = _stack(self.clients, "d")
+        self._E = _stack(self.clients, "e")
+        self._rho = _stack(self.clients, "rho_x")
 
     @property
     def rho_x(self) -> float:
         return self.clients[0].rho_x
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, v)
+        return cho_solve(self._cho, v, check_finite=False)
 
     def y_star(self, x: np.ndarray) -> np.ndarray:
         return -self.solve_A_bar(self.B_bar @ x + self.c_bar)
@@ -93,16 +96,18 @@ class QuadraticInstance:
     def grad_upper_x_exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.rho_x * x + self.e_bar
 
-    def hypergradient(self, x: np.ndarray) -> np.ndarray:
-        ys = self.y_star(x)
+    def hypergradient(self, x: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+        """grad f(x); ys is y*(x) when the caller has already solved it."""
+        if ys is None:
+            ys = self.y_star(x)
         return self.rho_x * x + self.e_bar - self.B_bar.T @ self.solve_A_bar(ys - self.d_bar)
 
     def objective(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
         """f(x, y) averaged over clients; defaults to y = y*(x)."""
         if y is None:
             y = self.y_star(x)
-        vals = [0.5 * float(np.sum((y - cd.d) ** 2)) + 0.5 * cd.rho_x * float(x @ x)
-                + float(cd.e @ x) for cd in self.clients]
+        vals = (0.5 * np.sum((y - self._D) ** 2, axis=1) + 0.5 * self._rho * float(x @ x)
+                + (self._E[:, None, :] @ x)[:, 0])
         return float(np.mean(vals))
 
     # -- serialization -------------------------------------------------------
@@ -156,7 +161,20 @@ def _random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _stack(clients: list[ClientData], name: str) -> np.ndarray:
+    return np.array([getattr(cd, name) for cd in clients])
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise products M[r] @ v for a shared v, or M[r] @ v[r] for a stack.
+
+    Both forms run one BLAS gemv per row, so each row matches the
+    single-matrix product bit for bit (einsum does not)."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
 def _pm_pairs(gen: np.random.Generator, n: int, shape: tuple, scale: float,
@@ -256,7 +274,12 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
 
 
 class QuadraticProblem(BilevelProblem):
-    """Stochastic oracle bundle over a QuadraticInstance."""
+    """Stochastic oracle bundle over a QuadraticInstance.
+
+    The client data is stacked into (m, ...) tensors when the problem is
+    built, and every oracle is a stacked kernel over a participant id array.
+    Stacking needs every client to share the noise mode and the sample count.
+    """
 
     def __init__(self, inst: QuadraticInstance, batch_size: int = 1,
                  constants: ProblemConstants | None = None):
@@ -266,72 +289,92 @@ class QuadraticProblem(BilevelProblem):
         super().__init__(m=inst.m, d1=inst.d1, d2=inst.d2, constants=constants,
                          batch_size=batch_size)
         self.inst = inst
+        clients = inst.clients
+        if len({(cd.noise_mode, cd.n_samples) for cd in clients}) != 1:
+            raise ParameterError("every client needs the same noise mode and sample count")
+        self.finite_sum = clients[0].noise_mode == NOISE_FINITE_SUM
+        self.n_samples = clients[0].n_samples
+        self.A, self.B = _stack(clients, "A"), _stack(clients, "B")
+        self.c, self.d, self.e = _stack(clients, "c"), _stack(clients, "d"), _stack(clients, "e")
+        self.rho = _stack(clients, "rho_x")[:, None]
+        self.std_g, self.std_f = _stack(clients, "gauss_std_g"), _stack(clients, "gauss_std_f")
+        self.margin = _stack(clients, "hess_margin")
+        self._offset = {n: _stack(clients, n)                   # (m, n_samples, ...)
+                        for n in ("dA", "dB", "dc", "dd", "de")}
 
-    def _mean_offsets(self, cd, lane, *arrays):
-        """Batch-mean of per-sample offset arrays; sorted indices keep the
-        full-batch mean exactly equal to the population mean."""
-        n = cd.n_samples
+    def _rows(self, ids):
+        """Index of the clients' rows in the stacked tensors: a full slice
+        (no copy) when every client takes part."""
+        return slice(None) if ids.shape[0] == self.m else ids
+
+    def _offsets(self, ids, lanes, *names):
+        """Per-row batch means of the named per-sample offsets; sorted indices
+        keep the full-batch mean exactly equal to the population mean."""
+        n = self.n_samples
         k = min(self.batch_size, n)
         if k == 1:
-            j = lane.index(n)
-            return tuple(a[j] for a in arrays)
+            j = lanes.index(n)
+            return tuple(self._offset[a][ids, j] for a in names)
         if k >= n:
-            return tuple(a.mean(axis=0) for a in arrays)
-        idx = lane.subset(np.arange(n), k)
-        return tuple(a[idx].mean(axis=0) for a in arrays)
+            return tuple(self._offset[a][self._rows(ids)].mean(axis=1) for a in names)
+        idx = lanes.subset(np.arange(n), k)
+        return tuple(self._offset[a][ids[:, None], idx].mean(axis=1) for a in names)
 
-    def _grad_lower_y(self, client, x, y, lane):
-        cd = self.inst.clients[client]
-        g = cd.A @ y + cd.B @ x + cd.c
-        if lane is None:
+    def _grad_lower_y_batch(self, ids, x, y, lanes):
+        r = self._rows(ids)
+        g = _mv(self.A[r], y) + _mv(self.B[r], x) + self.c[r]
+        if lanes is None:
             return g
-        if cd.noise_mode == NOISE_FINITE_SUM:
-            mA, mB, mc = self._mean_offsets(cd, lane, cd.dA, cd.dB, cd.dc)
-            return g + mA @ y + mB @ x + mc
-        return g + lane.normal(cd.gauss_std_g, g.shape)
+        if self.finite_sum:
+            mA, mB, mc = self._offsets(ids, lanes, "dA", "dB", "dc")
+            return g + _mv(mA, y) + _mv(mB, x) + mc
+        return g + lanes.normal(self.std_g[r], (self.d2,))
 
-    def _grad_upper_x(self, client, x, y, lane):
-        cd = self.inst.clients[client]
-        g = cd.rho_x * x + cd.e
-        if lane is None:
+    def _grad_upper_x_batch(self, ids, x, y, lanes):
+        r = self._rows(ids)
+        g = self.rho[r] * x + self.e[r]
+        if lanes is None:
             return g
-        if cd.noise_mode == NOISE_FINITE_SUM:
-            (me,) = self._mean_offsets(cd, lane, cd.de)
+        if self.finite_sum:
+            (me,) = self._offsets(ids, lanes, "de")
             return g + me
-        return g + lane.normal(cd.gauss_std_f, g.shape)
+        return g + lanes.normal(self.std_f[r], (self.d1,))
 
-    def _grad_upper_y(self, client, x, y, lane):
-        cd = self.inst.clients[client]
-        g = y - cd.d
-        if lane is None:
+    def _grad_upper_y_batch(self, ids, x, y, lanes):
+        r = self._rows(ids)
+        g = y - self.d[r]
+        if lanes is None:
             return g
-        if cd.noise_mode == NOISE_FINITE_SUM:
-            (md,) = self._mean_offsets(cd, lane, cd.dd)
+        if self.finite_sum:
+            (md,) = self._offsets(ids, lanes, "dd")
             return g - md
-        return g + lane.normal(cd.gauss_std_f, g.shape)
+        return g + lanes.normal(self.std_f[r], (self.d2,))
 
-    def _hvp_lower_yy(self, client, x, y, v, lane):
-        cd = self.inst.clients[client]
-        if lane is None:
-            return cd.A @ v
-        if cd.noise_mode == NOISE_FINITE_SUM:
-            (mA,) = self._mean_offsets(cd, lane, cd.dA)
-            return cd.A @ v + mA @ v
-        S = _sym(lane.normal(cd.gauss_std_g, cd.A.shape))
-        nrm = np.linalg.norm(S, 2)
-        if nrm > cd.hess_margin:  # keep sampled eigenvalues inside [mu, L_g]
-            S *= cd.hess_margin / nrm if nrm > 0 else 0.0
-        return (cd.A + S) @ v
+    def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
+        r = self._rows(ids)
+        A = self.A[r]
+        if lanes is None:
+            return _mv(A, v)
+        if self.finite_sum:
+            (mA,) = self._offsets(ids, lanes, "dA")
+            return _mv(A, v) + _mv(mA, v)
+        S = _sym(lanes.normal(self.std_g[r], (self.d2, self.d2)))
+        nrm = np.linalg.norm(S, 2, axis=(1, 2))
+        margin = self.margin[r]
+        over = nrm > margin   # shrink to keep sampled eigenvalues inside [mu, L_g]
+        S[over] *= (margin[over] / nrm[over])[:, None, None]
+        return _mv(A + S, v)
 
-    def _jvp_lower_xy(self, client, x, y, v, lane):
-        cd = self.inst.clients[client]
-        if lane is None:
-            return cd.B.T @ v
-        if cd.noise_mode == NOISE_FINITE_SUM:
-            (mB,) = self._mean_offsets(cd, lane, cd.dB)
-            return cd.B.T @ v + mB.T @ v
-        W = lane.normal(cd.gauss_std_g, cd.B.shape)
-        return (cd.B + W).T @ v
+    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
+        r = self._rows(ids)
+        B = self.B[r]
+        if lanes is None:
+            return _mv(np.swapaxes(B, 1, 2), v)
+        if self.finite_sum:
+            (mB,) = self._offsets(ids, lanes, "dB")
+            return _mv(np.swapaxes(B, 1, 2), v) + _mv(np.swapaxes(mB, 1, 2), v)
+        W = lanes.normal(self.std_g[r], (self.d2, self.d1))
+        return _mv(np.swapaxes(B + W, 1, 2), v)
 
 
 def make_problem(spec: QuadraticSpec, batch_size: int = 1) -> QuadraticProblem:

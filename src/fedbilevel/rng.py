@@ -10,7 +10,9 @@ algorithms consume, without any shared mutable RNG state.
 Oracle samples are counter-based, as in Philox (Salmon et al., SC'11): they
 hash the lane's splitmix64 key with a counter. ``index`` and ``subset`` are
 pure integer arithmetic, the same on every platform; ``normal`` adds numpy's
-log/cos/sin. Set-up draws use ``generator()``.
+log/cos/sin. Set-up draws use ``generator()``. ``RngStream.lanes`` hashes the
+lanes ``child(i, *tags)`` of a whole participant set at once, for the batched
+oracles.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def _component_to_int(c) -> int:
     raise TypeError(f"lane key components must be int or str, got {type(c).__name__}")
 
 
+def _innermost_tag(key: tuple) -> str:
+    for c in reversed(key):
+        if isinstance(c, str):
+            return c
+    return "unkeyed"
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A derivable random lane: seed plus a tuple key path.
@@ -86,6 +95,22 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(self._entropy())
 
+    def lanes(self, ids, *tags) -> "Lanes":
+        """The lanes ``child(i, *tags)`` for every client id i in ``ids``."""
+        ids = tuple(ids.tolist() if isinstance(ids, np.ndarray) else map(int, ids))
+        # _mix64 inlined: this loop runs once per client and key part
+        tail = [_component_to_int(c) + _GOLDEN for c in tags]
+        hashes = []
+        for i in ids:
+            h = self._hash
+            for v in ((i & _MASK64) + _GOLDEN, *tail):
+                h = (h + v) & _MASK64
+                h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+                h ^= h >> 31
+            hashes.append(h)
+        return Lanes(self.seed, self.key, ids, tags, tuple(hashes))
+
     def index(self, n: int) -> int:
         """Uniform draw from {0..n-1}: multiply-high of the hashed counter 0."""
         return (_mix64(self._hash, 0) * n) >> 64
@@ -102,3 +127,47 @@ class RngStream:
         u = 1.0 - (_mix64_counters(self._hash, n + n % 2) >> np.uint64(11)) * 2.0 ** -53
         r, theta = std * np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
         return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n].reshape(shape)
+
+
+@dataclass(frozen=True)
+class Lanes:
+    """The lanes of one batched oracle call, one per client row.
+
+    Row r is the lane ``RngStream(seed, prefix).child(ids[r], *tags)``:
+    ``hashes[r]`` is its running hash, so ``index``, ``subset`` and ``normal``
+    draw row r exactly as that stream would. ``Lanes.of(lane)`` wraps one
+    existing stream as a batch of one.
+    """
+
+    seed: int
+    prefix: tuple
+    ids: tuple
+    tags: tuple
+    hashes: tuple
+
+    @classmethod
+    def of(cls, lane: RngStream) -> "Lanes":
+        return cls(lane.seed, lane.key, (), (), (lane._hash,))
+
+    @property
+    def purpose(self) -> str:
+        """The innermost string tag of the rows' key paths (what the samples
+        are for, the same for every row), or "unkeyed"."""
+        return _innermost_tag(self.prefix + self.tags)
+
+    def stream(self, r: int) -> RngStream:
+        return RngStream(self.seed, self.prefix + self.ids[r:r + 1] + self.tags,
+                         self.hashes[r])
+
+    def index(self, n: int) -> np.ndarray:
+        """``stream(r).index(n)`` for every row r."""
+        return np.array([(_mix64(h, 0) * n) >> 64 for h in self.hashes], dtype=np.intp)
+
+    def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
+        """``stream(r).subset(pool, k)`` for every row r, stacked (rows, k)."""
+        return np.array([self.stream(r).subset(pool, k) for r in range(len(self.hashes))])
+
+    def normal(self, std, shape: tuple) -> np.ndarray:
+        """``stream(r).normal(std[r], shape)`` for every row r, stacked (rows, *shape);
+        std is one value per row."""
+        return np.array([self.stream(r).normal(float(s), shape) for r, s in enumerate(std)])

@@ -10,7 +10,7 @@ per-outer-iteration total come out to 2N+3 against the baseline's 2N+T+3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,31 +77,35 @@ def select_participants(participation: Participation, m: int,
     return sorted(int(i) for i in gen.choice(m, size=k, replace=False))
 
 
-def aggregate_mean(payloads: Mapping[int, np.ndarray | Sequence[np.ndarray]],
-                   ledger: CommLedger):
-    """One aggregate-and-broadcast round over a client-id-keyed payload map.
-
-    Each client may upload a single vector or a tuple of vectors (piggybacked:
-    still one round). Returns the exact arithmetic mean with summation in
-    sorted-client-id order, so the result is invariant to dict insertion order.
-    """
-    if not payloads:
+def client_ids(participants: Iterable[int]) -> np.ndarray:
+    """The participant set as a sorted array of distinct client ids: the row
+    order of every batched oracle call and aggregation round."""
+    if isinstance(participants, np.ndarray):
+        participants = participants.tolist()
+    ids = np.array(sorted(set(participants)))
+    if not ids.size:
         raise ProtocolError("empty participant set")
-    ids = sorted(payloads)
-    first = payloads[ids[0]]
-    grouped = isinstance(first, (tuple, list))
-    groups = [payloads[i] if grouped else (payloads[i],) for i in ids]
+    if ids.dtype.kind not in "iu":
+        raise ProtocolError(f"participant ids must be integers, got {ids.tolist()}")
+    return ids.astype(np.intp, copy=False)
 
-    n_parts = len(groups[0])
-    if any(len(g) != n_parts for g in groups):
-        raise ProtocolError("all clients must upload the same payload structure")
-    means = []
-    scalars = 0
-    for j in range(n_parts):
-        stack = np.stack([np.asarray(g[j], dtype=float) for g in groups])
-        if stack.ndim != 2:
-            raise ProtocolError("payload vectors must be 1-D")
-        means.append(stack.mean(axis=0))
-        scalars += stack.size
-    ledger.record_round(scalars)
+
+def aggregate_mean(payloads: np.ndarray | Sequence[np.ndarray], ledger: CommLedger):
+    """One aggregate-and-broadcast round over stacked client uploads.
+
+    ``payloads`` is a (k, d) stack holding one row per participant, in
+    sorted-client-id order, or a list of such stacks uploaded together
+    (piggybacked: still one round). Returns the exact arithmetic mean over
+    the rows of each stack; because rows come in id order, the result does
+    not depend on the order in which the participants were listed.
+    """
+    grouped = isinstance(payloads, (tuple, list))
+    stacks = [np.asarray(p, dtype=float) for p in (payloads if grouped else (payloads,))]
+    k = stacks[0].shape[0] if stacks and stacks[0].ndim == 2 else -1
+    if k < 0 or any(s.ndim != 2 or s.shape[0] != k for s in stacks):
+        raise ProtocolError("payloads must be (clients, dim) stacks with one row per client")
+    if not k:
+        raise ProtocolError("empty participant set")
+    ledger.record_round(sum(s.size for s in stacks))
+    means = [np.add.reduce(s, axis=0) / k for s in stacks]   # the bits of s.mean(axis=0)
     return means if grouped else means[0]

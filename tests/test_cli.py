@@ -70,6 +70,14 @@ BAD_CONFIGS = [
     (['noise={"spread": "x"}'], 2),
     (['problem={"type": "quadratic", "d1": "x"}'], 2),
     (['problem={"type": "quadratic", "mystery": 1}'], 2),
+    (['K=2.5'], 2),
+    (['tau=1.7'], 2),
+    (['seed=3.9'], 2),
+    (['tau=[1, 2.5]'], 2),
+    (['K=true'], 2),
+    (['alpha=true'], 2),
+    (['problem={"type": "quadratic", "m": 2.5}'], 2),
+    (['K=1e400'], 2),
 ]
 
 
@@ -82,6 +90,17 @@ def test_bad_config_table(tmp_path, capsys, sets, code):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_integral_floats_accepted_for_integer_keys(tmp_path):
+    # JSON writers may emit 3.0 for 3: an integral float is taken as the integer
+    from fedbilevel.config import config_from_dict
+    cfg = config_from_dict({"K": 3.0, "tau": [1.0, 2.0], "seed": 4.0,
+                            "problem": {"type": "quadratic", "m": 2.0}})
+    assert (cfg.K, cfg.tau, cfg.seed, cfg.problem.m) == (3, [1, 2], 4, 2)
+    assert all(type(v) is int for v in (cfg.K, *cfg.tau, cfg.seed, cfg.problem.m))
+    assert main(["run", "--config", _cfg(tmp_path, {"K": 2.0}),
+                 "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_divergence_exit_code(tmp_path):

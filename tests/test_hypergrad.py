@@ -39,6 +39,23 @@ def test_aggitd_n_zero_closed_form():
     np.testing.assert_allclose(h, expect, rtol=1e-13)
 
 
+def test_aggitd_bits_independent_of_participant_order():
+    # rows are evaluated and averaged in sorted-id order, whatever order the
+    # participants are listed in; heterogeneous tau exercises the masked steps
+    inst, problem = _deterministic_setup(m=5, hetero=0.5, spread=0.2)
+    lam = 1.0 / inst.L_g
+    cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=_beta(inst, lam),
+                                                           tau=[1, 3, 2, 1, 2]))
+    x, y = np.ones(5), np.zeros(5)
+    outs = []
+    for parts in ([0, 2, 3, 4], [4, 3, 0, 2], (3, 0, 4, 2), np.array([2, 4, 0, 3])):
+        h, y_N, tr = aggitd(problem, x, y, cfg, parts, RngStream(3), CommLedger())
+        outs.append((h.tobytes(), y_N.tobytes(), tr.Q, tr.p.tobytes(),
+                     [(i, v.tobytes()) for i, v in tr.h_indirect_clients.items()]))
+    assert all(out == outs[0] for out in outs[1:])
+    assert [i for i, _ in outs[0][4]] == [0, 2, 3, 4]
+
+
 def test_aggitd_round_and_loop_accounting():
     inst, problem = _deterministic_setup()
     lam = 1.0 / inst.L_g

@@ -5,26 +5,26 @@ import pytest
 
 from fedbilevel import (CommLedger, Participation, ProtocolError, RngStream,
                         aggregate_mean, select_participants)
+from fedbilevel.runtime import client_ids
 
 
 def test_aggregate_identical_payloads_idempotent():
     ledger = CommLedger()
     v = np.array([1.0, 2.0, 3.0])
-    out = aggregate_mean({0: v, 1: v, 2: v}, ledger)
+    out = aggregate_mean(np.stack([v, v, v]), ledger)
     np.testing.assert_array_equal(out, v)
     assert ledger.rounds_total == 1
 
 
 def test_aggregate_mean_example():
-    out = aggregate_mean({0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])},
-                         CommLedger())
+    out = aggregate_mean(np.array([[1.0, 0.0], [0.0, 1.0]]), CommLedger())
     np.testing.assert_array_equal(out, [0.5, 0.5])
 
 
 def test_piggybacked_payloads_count_one_round():
     ledger = CommLedger()
-    outs = aggregate_mean({0: [np.ones(2), np.zeros(3)],
-                           1: [np.zeros(2), np.ones(3)]}, ledger)
+    outs = aggregate_mean([np.array([[1.0, 1.0], [0.0, 0.0]]),
+                           np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])], ledger)
     assert ledger.rounds_total == 1
     assert ledger.scalars_sent == 2 * (2 + 3)
     np.testing.assert_array_equal(outs[0], [0.5, 0.5])
@@ -32,16 +32,33 @@ def test_piggybacked_payloads_count_one_round():
 
 
 def test_aggregate_mean_permutation_invariant():
+    # rows are stacked in sorted-id order, whatever order the participants came in
     gen = RngStream(3).child("perm").generator()
     payloads = {i: gen.normal(size=5) for i in range(7)}
-    a = aggregate_mean(dict(sorted(payloads.items())), CommLedger())
-    b = aggregate_mean(dict(sorted(payloads.items(), reverse=True)), CommLedger())
+    order = [3, 0, 6, 1, 5, 2, 4]
+    np.testing.assert_array_equal(client_ids(order), np.arange(7))
+    a = aggregate_mean(np.stack([payloads[i] for i in client_ids(order)]), CommLedger())
+    b = aggregate_mean(np.stack([payloads[i] for i in client_ids(order[::-1])]),
+                       CommLedger())
     assert np.array_equal(a, b)
 
 
 def test_aggregate_empty_is_protocol_error():
     with pytest.raises(ProtocolError):
-        aggregate_mean({}, CommLedger())
+        aggregate_mean(np.empty((0, 3)), CommLedger())
+    with pytest.raises(ProtocolError):
+        aggregate_mean([np.ones((2, 3)), np.ones((3, 3))], CommLedger())
+    with pytest.raises(ProtocolError):
+        aggregate_mean([], CommLedger())
+    with pytest.raises(ProtocolError):
+        client_ids([])
+
+
+def test_client_ids_sorted_distinct_integers():
+    assert client_ids(np.array([4, 0, 4, 2])).tolist() == [0, 2, 4]
+    assert client_ids(range(3)).tolist() == [0, 1, 2]
+    with pytest.raises(ProtocolError, match="integers"):
+        client_ids([0, 1.5])
 
 
 def test_ledger_outer_accounting():
