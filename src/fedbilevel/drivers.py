@@ -205,8 +205,6 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     """
     ids = client_ids(participants)
     taus = client_taus(tau, ids)
-    if np.any(taus < 1):
-        raise ParameterError("every tau_i must be >= 1")
     alphas = (alpha / taus)[:, None]
     X = np.repeat(x[None], ids.size, axis=0)
     for v, rows in _local_steps(taus):

@@ -64,9 +64,35 @@ def partition(labels: np.ndarray, mode: str, m: int, seed: int,
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _index_table(splits: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client index lists as an (m, w) table, padded with 0, and their lengths."""
+    sizes = np.array([len(s) for s in splits])
+    table = np.zeros((len(splits), sizes.max()), dtype=np.intp)
+    for i, s in enumerate(splits):
+        table[i, :len(s)] = s
+    return table, sizes
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _minibatch_mean(A: np.ndarray, B: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per-row mean of the outer products a_j b_j^T over n points, flattened."""
+    return (_swap(A) @ B / n).reshape(n.shape[0], -1)
+
+
+def _directional(Z: np.ndarray, P: np.ndarray, H: np.ndarray, v: np.ndarray):
+    """The head direction V of v, and the rows D_j (V z_j)."""
+    V = v.reshape(*v.shape[:-1], *H.shape[-2:])
+    W = Z @ _swap(V)
+    return V, P * W - P * (P * W).sum(axis=-1, keepdims=True)
 
 
 class HyperRepProblem(BilevelProblem):
@@ -74,7 +100,9 @@ class HyperRepProblem(BilevelProblem):
 
     Stochasticity is finite-sum only: each oracle call draws batch indices
     from the relevant split (training split for lower-level quantities,
-    held-out split for upper-level ones).
+    held-out split for upper-level ones). Each split is stored as a padded
+    (m, w) index table, so clients may hold splits of unequal size; padded
+    entries get weight 0.
     """
 
     def __init__(self, U: np.ndarray, labels: np.ndarray,
@@ -95,6 +123,7 @@ class HyperRepProblem(BilevelProblem):
         self.test_idx = test_idx
         self.spec = spec
         self.seed = seed
+        self._tables = {"train": _index_table(train_idx), "val": _index_table(val_idx)}
 
     def initial_point(self):
         # the origin is a stationary saddle of the bilinear embedding/head pair,
@@ -104,62 +133,57 @@ class HyperRepProblem(BilevelProblem):
         x0 = (0.5 / np.sqrt(f)) * gen.normal(size=p * f)
         return x0, np.zeros(self.d2)
 
-    # vec conventions: y -> H (C, p) row-major, x -> E (p, f) row-major
+    # vec conventions: y -> H (C, p) row-major, x -> E (p, f) row-major; a
+    # stacked x or y unpacks to one matrix per row
     def _unpack(self, x, y):
         p, f, C = self.spec.embed_dim, self.spec.feature_dim, self.spec.classes
-        return x.reshape(p, f), y.reshape(C, p)
+        return x.reshape(*x.shape[:-1], p, f), y.reshape(*y.shape[:-1], C, p)
 
-    def _batch(self, idx_pool, lane):
-        if lane is None or self.batch_size >= idx_pool.shape[0]:
-            return idx_pool
-        return lane.subset(idx_pool, self.batch_size)
+    def _forward(self, ids, x, y, lanes, split):
+        """Stacked forward pass over each row's minibatch from a split.
 
-    def _per_point(self, E, H, idx):
-        Us = self.U[idx]                       # (b, f)
-        Z = Us @ E.T                           # (b, p)
-        P = _softmax_rows(Z @ H.T)             # (b, C)
-        R = P.copy()
-        R[np.arange(len(idx)), self.labels[idx]] -= 1.0   # residuals pi - onehot
-        return Us, Z, P, R
-
-    def _grad_lower_y(self, client, x, y, lane):
+        Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
+        split when lanes is None. Returns (H, Us, Z, P, R, n): (k, b, .) stacks
+        over the b columns of the minibatch table, and each row's point count.
+        Padded points get zero features, so they add nothing to any mean.
+        """
+        table, sizes = self._tables[split]
+        table, sizes = table[ids], sizes[ids]
+        cols = np.arange(table.shape[1])
+        if lanes is None or self.batch_size >= cols.size:
+            pos = np.broadcast_to(cols, table.shape)
+        else:
+            pos = lanes.subset(cols, self.batch_size, sizes)
+        idx = np.take_along_axis(table, pos, axis=1)
+        mask = pos < sizes[:, None]                # False on padding
         E, H = self._unpack(x, y)
-        idx = self._batch(self.train_idx[client], lane)
-        Us, Z, P, R = self._per_point(E, H, idx)
-        G = R.T @ Z / len(idx)                 # (C, p)
-        return G.reshape(-1) + self.spec.ridge * y
+        Us = self.U[idx] * mask[..., None]         # (k, b, f)
+        Z = Us @ _swap(E)                          # (k, b, p)
+        P = _softmax_rows(Z @ _swap(H))            # (k, b, C)
+        R = P - (self.labels[idx][..., None] == np.arange(P.shape[-1]))   # pi - onehot
+        return H, Us, Z, P, R, mask.sum(axis=1)[:, None, None]
 
-    def _grad_upper_y(self, client, x, y, lane):
-        E, H = self._unpack(x, y)
-        idx = self._batch(self.val_idx[client], lane)
-        Us, Z, P, R = self._per_point(E, H, idx)
-        return (R.T @ Z / len(idx)).reshape(-1)
+    def _grad_lower_y_batch(self, ids, x, y, lanes):
+        _, _, Z, _, R, n = self._forward(ids, x, y, lanes, "train")
+        return _minibatch_mean(R, Z, n) + self.spec.ridge * y
 
-    def _grad_upper_x(self, client, x, y, lane):
-        E, H = self._unpack(x, y)
-        idx = self._batch(self.val_idx[client], lane)
-        Us, Z, P, R = self._per_point(E, H, idx)
-        return ((R @ H).T @ Us / len(idx)).reshape(-1)
+    def _grad_upper_y_batch(self, ids, x, y, lanes):
+        _, _, Z, _, R, n = self._forward(ids, x, y, lanes, "val")
+        return _minibatch_mean(R, Z, n)
 
-    def _hvp_lower_yy(self, client, x, y, v, lane):
-        E, H = self._unpack(x, y)
-        V = v.reshape(H.shape)
-        idx = self._batch(self.train_idx[client], lane)
-        Us, Z, P, R = self._per_point(E, H, idx)
-        W = Z @ V.T                            # (b, C): V z_j rows
-        DW = P * W - P * (P * W).sum(axis=1, keepdims=True)   # D_j (V z_j)
-        out = DW.T @ Z / len(idx)
-        return out.reshape(-1) + self.spec.ridge * v
+    def _grad_upper_x_batch(self, ids, x, y, lanes):
+        H, Us, _, _, R, n = self._forward(ids, x, y, lanes, "val")
+        return _minibatch_mean(R @ H, Us, n)
 
-    def _jvp_lower_xy(self, client, x, y, v, lane):
-        E, H = self._unpack(x, y)
-        V = v.reshape(H.shape)
-        idx = self._batch(self.train_idx[client], lane)
-        Us, Z, P, R = self._per_point(E, H, idx)
-        W = Z @ V.T
-        DW = P * W - P * (P * W).sum(axis=1, keepdims=True)
-        term = DW @ H + R @ V                  # (b, p): H^T D V z + V^T (pi - e)
-        return (term.T @ Us / len(idx)).reshape(-1)
+    def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
+        H, _, Z, P, _, n = self._forward(ids, x, y, lanes, "train")
+        _, DW = _directional(Z, P, H, v)
+        return _minibatch_mean(DW, Z, n) + self.spec.ridge * v
+
+    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
+        H, Us, Z, P, R, n = self._forward(ids, x, y, lanes, "train")
+        V, DW = _directional(Z, P, H, v)
+        return _minibatch_mean(DW @ H + R @ V, Us, n)   # H^T D V z + V^T (pi - e)
 
     # -- evaluation helpers --------------------------------------------------
 
@@ -218,14 +242,11 @@ def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
     D_j = diag(p_j) - p_j p_j^T, H_i = (1/n_i) sum_j D_j kron z_j z_j^T;
     the result is mean_i H_i + ridge I.
     """
-    E, H = problem._unpack(x, y)
-    eye_c = np.eye(H.shape[0])
-    total = np.zeros((problem.d2, problem.d2))
-    for idx in problem.train_idx:
-        _, Z, P, _ = problem._per_point(E, H, idx)
-        D = P[:, :, None] * (eye_c - P[:, None, :])    # D_j[c, d] = p_c (delta_cd - p_d)
-        total += np.einsum("jcd,ja,jb->cadb", D, Z, Z).reshape(total.shape) / len(idx)
-    return total / problem.m + problem.spec.ridge * np.eye(problem.d2)
+    H, _, Z, P, _, n = problem._forward(problem._all_ids, x, y, None, "train")
+    D = P[..., :, None] * (np.eye(H.shape[0]) - P[..., None, :])  # p_c (delta_cd - p_d)
+    H_i = np.einsum("ijcd,ija,ijb->icadb", D, Z, Z) / n[..., None, None]
+    d2 = problem.d2
+    return H_i.mean(axis=0).reshape(d2, d2) + problem.spec.ridge * np.eye(d2)
 
 
 def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,

@@ -47,16 +47,16 @@ class LowerStepConfig:
             raise ParameterError("beta must be positive")
         if self.variant not in (VARIANT_SVRG, VARIANT_SGD):
             raise ParameterError(f"unknown lower variant {self.variant!r}")
-        taus = self.tau if isinstance(self.tau, Sequence) else (self.tau,)
-        if any(t < 1 for t in taus):
-            raise ParameterError("every tau_i must be >= 1")
+        client_taus(self.tau, np.arange(0))  # checks every tau_i >= 1
 
 
 def client_taus(tau: int | Sequence[int], ids: np.ndarray) -> np.ndarray:
-    """tau_i for each client id: its entry of a per-client list, or the shared count."""
-    if isinstance(tau, Sequence):
-        return np.asarray(tau, dtype=int)[ids]
-    return np.full(ids.shape, int(tau))
+    """tau_i for each client id: its entry of a per-client list, or the shared
+    count. Raises ParameterError if any tau_i, listed or shared, is below 1."""
+    listed = isinstance(tau, Sequence)
+    if min(tau if listed else (tau,), default=1) < 1:
+        raise ParameterError("every tau_i must be >= 1")
+    return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
 
 
 def _local_steps(taus: np.ndarray):

@@ -25,9 +25,11 @@ and so on, which evaluates a whole participant set in one call:
 * the result is a ``(len(ids), dim)`` stack in id order whose row r equals
   the single-client oracle on that client, point and lane, bit for bit.
 
-The base class implements the batched forms by looping over per-client
-kernels; a subclass may override them with stacked kernels instead. A
-single-client call is a batch of one.
+There is no per-client fallback: each problem implements the five stacked
+kernels ``_grad_lower_y_batch`` etc., and a single-client call is a batch of
+one. ``QuadraticProblem`` stacks its client tensors, which needs one sample
+count for every client; ``HyperRepProblem`` pads unequal splits into index
+tables and weights the padding 0.
 """
 
 from __future__ import annotations
@@ -106,15 +108,15 @@ class SampleAudit:
 
 
 class BilevelProblem:
-    """Base class: id and dimension checks, the sample audit, and the
-    per-client fallback of the batched oracles.
+    """Base class: id and dimension checks, the sample audit, and the public
+    single-client and batched oracles.
 
-    A subclass implements either the batched kernels ``_grad_lower_y_batch``
-    etc., taking (ids, x, y, [v,] lanes), or the per-client kernels
-    ``_grad_lower_y`` etc., taking (client, x, y, [v,] lane) where ``lane`` is
-    the RngStream whose counter-based draws pick the sample, or None for the
-    exact evaluation; the default batched kernels loop over the per-client
-    ones. A single-client oracle call is a batch of one.
+    A subclass implements the five batched kernels ``_grad_lower_y_batch``,
+    ``_grad_upper_x_batch``, ``_grad_upper_y_batch``, ``_hvp_lower_yy_batch``
+    and ``_jvp_lower_xy_batch``, taking (ids, x, y, [v,] lanes) after the
+    checks, where ``lanes`` is the Lanes whose counter-based draws pick each
+    row's sample, or None for the exact evaluation. There is no per-client
+    fallback; a single-client oracle call is a batch of one.
     """
 
     def __init__(self, m: int, d1: int, d2: int, constants: ProblemConstants,
@@ -246,45 +248,6 @@ class BilevelProblem:
 
     def agg_jvp_lower_xy(self, p: Point, v: np.ndarray) -> np.ndarray:
         return self.jvp_lower_xy_batch(self._all_ids, p.x, p.y, v, None).mean(axis=0)
-
-    # -- kernels to override: per client, or batched -----------------------
-
-    def _grad_lower_y(self, client, x, y, lane):
-        raise NotImplementedError
-
-    def _grad_upper_x(self, client, x, y, lane):
-        raise NotImplementedError
-
-    def _grad_upper_y(self, client, x, y, lane):
-        raise NotImplementedError
-
-    def _hvp_lower_yy(self, client, x, y, v, lane):
-        raise NotImplementedError
-
-    def _jvp_lower_xy(self, client, x, y, v, lane):
-        raise NotImplementedError
-
-    def _per_client(self, kernel, ids, lanes, *arrays) -> np.ndarray:
-        """Stack kernel(i, *row r of each array, lane r) over the rows r."""
-        return np.array([
-            kernel(i, *(a[r] if a.ndim == 2 else a for a in arrays),
-                   None if lanes is None else lanes.stream(r))
-            for r, i in enumerate(ids.tolist())])
-
-    def _grad_lower_y_batch(self, ids, x, y, lanes):
-        return self._per_client(self._grad_lower_y, ids, lanes, x, y)
-
-    def _grad_upper_x_batch(self, ids, x, y, lanes):
-        return self._per_client(self._grad_upper_x, ids, lanes, x, y)
-
-    def _grad_upper_y_batch(self, ids, x, y, lanes):
-        return self._per_client(self._grad_upper_y, ids, lanes, x, y)
-
-    def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
-        return self._per_client(self._hvp_lower_yy, ids, lanes, x, y, v)
-
-    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
-        return self._per_client(self._jvp_lower_xy, ids, lanes, x, y, v)
 
 
 @dataclass

@@ -20,7 +20,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
@@ -85,7 +86,12 @@ class QuadraticInstance:
         return self.clients[0].rho_x
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, v, check_finite=False)
+        # LAPACK on the stored factor: what cho_solve runs, without its checks
+        c, lower = self._cho
+        out, info = dpotrs(c, v, lower=lower)
+        if info != 0:
+            raise ValueError(f"dpotrs failed with info={info}")
+        return out
 
     def y_star(self, x: np.ndarray) -> np.ndarray:
         return -self.solve_A_bar(self.B_bar @ x + self.c_bar)

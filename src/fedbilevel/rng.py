@@ -12,7 +12,7 @@ hash the lane's splitmix64 key with a counter. ``index`` and ``subset`` are
 pure integer arithmetic, the same on every platform; ``normal`` adds numpy's
 log/cos/sin. Set-up draws use ``generator()``. ``RngStream.lanes`` hashes the
 lanes ``child(i, *tags)`` of a whole participant set at once, for the batched
-oracles.
+oracles; ``Lanes`` draws every row's samples from one (rows, n) hash block.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ def _mix64(h: int, v: int) -> int:
     return h ^ (h >> 31)
 
 
-def _mix64_counters(h: int, n: int) -> np.ndarray:
-    """``_mix64(h, c)`` for the counters c = 0..n-1, in wrapping uint64 arithmetic."""
-    z = np.arange(n, dtype=np.uint64) + np.uint64((h + _GOLDEN) & _MASK64)
+def _mix64_counters(hashes, n: int) -> np.ndarray:
+    """The (rows, n) block ``_mix64(hashes[r], c)`` for the counters c = 0..n-1,
+    in wrapping uint64 arithmetic."""
+    z = np.arange(n, dtype=np.uint64) + np.array(hashes, dtype=np.uint64)[:, None]
+    z += np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -118,15 +120,11 @@ class RngStream:
     def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
         """k members of pool without replacement, uniform, sorted: the k with
         the smallest hashed keys."""
-        keys = _mix64_counters(self._hash, len(pool))
-        return np.sort(pool[np.argsort(keys, kind="stable")[:k]])
+        return Lanes.of(self).subset(pool, k)[0]
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
         """N(0, std^2) draws by Box-Muller over 53-bit uniforms in (0, 1]."""
-        n = math.prod(shape)
-        u = 1.0 - (_mix64_counters(self._hash, n + n % 2) >> np.uint64(11)) * 2.0 ** -53
-        r, theta = std * np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
-        return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n].reshape(shape)
+        return Lanes.of(self).normal((std,), shape)[0]
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,23 @@ class Lanes:
         """``stream(r).index(n)`` for every row r."""
         return np.array([(_mix64(h, 0) * n) >> 64 for h in self.hashes], dtype=np.intp)
 
-    def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
-        """``stream(r).subset(pool, k)`` for every row r, stacked (rows, k)."""
-        return np.array([self.stream(r).subset(pool, k) for r in range(len(self.hashes))])
+    def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None) -> np.ndarray:
+        """``stream(r).subset(pool[:sizes[r]], k)`` for every row r, stacked (rows, k).
+
+        sizes defaults to the whole pool. Positions from sizes[r] on are keyed
+        2**64-1, so they sort after the row's members: a row with sizes[r] < k
+        also gets the pool entries from position sizes[r] on, k in all."""
+        keys = _mix64_counters(self.hashes, len(pool))
+        if sizes is not None:
+            keys[np.arange(len(pool)) >= sizes[:, None]] = _MASK64
+        return np.sort(pool[np.argsort(keys, axis=1, kind="stable")[:, :k]], axis=1)
 
     def normal(self, std, shape: tuple) -> np.ndarray:
         """``stream(r).normal(std[r], shape)`` for every row r, stacked (rows, *shape);
-        std is one value per row."""
-        return np.array([self.stream(r).normal(float(s), shape) for r, s in enumerate(std)])
+        std is one value per row. Box-Muller over 53-bit uniforms in (0, 1]."""
+        n = math.prod(shape)
+        u = 1.0 - (_mix64_counters(self.hashes, n + n % 2) >> np.uint64(11)) * 2.0 ** -53
+        r = np.asarray(std, dtype=float)[:, None] * np.sqrt(-2.0 * np.log(u[:, 0::2]))
+        theta = 2.0 * np.pi * u[:, 1::2]
+        z = np.concatenate((r * np.cos(theta), r * np.sin(theta)), axis=1)
+        return z[:, :n].reshape(-1, *shape)

@@ -45,7 +45,10 @@ MODES = [
     ("hyperrep-batch1", lambda: _hyperrep(1), True),
     ("hyperrep-subset", lambda: _hyperrep(3), True),
     ("hyperrep-full", lambda: _hyperrep(100), True),
+    # train splits of 5, 5, 5, 4, 4: the rows of 5 subsample, the rows of 4 take all
+    ("hyperrep-mixed", lambda: _hyperrep(4), True),
 ]
+HYPERREP_MODES = [m for m in MODES if m[0].startswith("hyperrep")]
 
 
 def _single(problem, name, i, x, y, v, lane):
@@ -156,6 +159,75 @@ def test_quadratic_batched_rows_match_per_client_reference(mode, make, stochasti
             ref = _reference(problem, name, i, x[r], y[r], v[r],
                              rng.child(i, name) if stochastic else None)
             assert np.array_equal(got[r], ref), (name, i)
+
+
+def _hyperrep_reference(problem, name, i, x, y, v, lane):
+    """The hyperrep oracles written per client, as plain numpy on the splits."""
+    spec = problem.spec
+    E = x.reshape(spec.embed_dim, spec.feature_dim)
+    H = y.reshape(spec.classes, spec.embed_dim)
+    lower = name in ("grad_lower_y", "hvp_lower_yy", "jvp_lower_xy")
+    pool = (problem.train_idx if lower else problem.val_idx)[i]
+    idx = pool if lane is None else lane.subset(pool, problem.batch_size)
+    Us = problem.U[idx]
+    Z = Us @ E.T
+    logits = Z @ H.T
+    P = np.exp(logits - logits.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    R = P - np.eye(spec.classes)[problem.labels[idx]]
+    b = len(idx)
+    if name == "grad_lower_y":
+        return (R.T @ Z / b).ravel() + spec.ridge * y
+    if name == "grad_upper_y":
+        return (R.T @ Z / b).ravel()
+    if name == "grad_upper_x":
+        return ((R @ H).T @ Us / b).ravel()
+    V = v.reshape(H.shape)
+    W = Z @ V.T
+    DW = P * W - P * (P * W).sum(axis=1, keepdims=True)
+    if name == "hvp_lower_yy":
+        return (DW.T @ Z / b).ravel() + spec.ridge * v
+    return ((DW @ H + R @ V).T @ Us / b).ravel()
+
+
+@pytest.mark.parametrize("mode,make,stochastic", HYPERREP_MODES,
+                         ids=[m[0] for m in HYPERREP_MODES])
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+def test_hyperrep_batched_rows_match_per_client_reference(mode, make, stochastic, stacked):
+    problem = make()
+    gen = RngStream(5).child("points").generator()
+    rng = RngStream(17).child("est", 2)
+    ids = np.array([0, 2, 3, 4])
+    shape = lambda d: (4, d) if stacked else (d,)  # noqa: E731
+    x, y, v = (gen.normal(size=shape(d)) for d in (problem.d1, problem.d2, problem.d2))
+    for name in ORACLES:
+        lanes = rng.lanes(ids, name) if stochastic else None
+        got = _batched(problem, name, ids, x, y, v, lanes)
+        for r, i in enumerate(ids.tolist()):
+            ref = _hyperrep_reference(problem, name, i,
+                                      *(a[r] if stacked else a for a in (x, y, v)),
+                                      rng.child(i, name) if stochastic else None)
+            np.testing.assert_allclose(got[r], ref, rtol=1e-13, err_msg=f"{name} {i}")
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4, 5, 100])
+def test_hyperrep_draws_match_stream_subsets(batch_size):
+    # the kernels draw every row's minibatch positions with one Lanes.subset
+    # over the padded split table; mapped through the table they must be the
+    # per-stream subset of the client's split, followed only by padding
+    problem = _hyperrep(batch_size)
+    rng = RngStream(23).child("est", 1)
+    ids = np.arange(problem.m)
+    lanes = rng.lanes(ids, "zeta", 0)
+    for split, pools in (("train", problem.train_idx), ("val", problem.val_idx)):
+        table, sizes = problem._tables[split]
+        assert sizes.tolist() == [len(p) for p in pools]
+        pos = lanes.subset(np.arange(table.shape[1]), batch_size, sizes)
+        for i in ids.tolist():
+            want = rng.child(i, "zeta", 0).subset(pools[i], batch_size)
+            assert np.array_equal(table[i, pos[i, :len(want)]], want), (split, i)
+            assert (pos[i, len(want):] >= sizes[i]).all(), (split, i)
+    assert problem._tables["train"][1].tolist() == [5, 5, 5, 4, 4]
 
 
 def test_lane_batch_draws_match_streams():

@@ -1,5 +1,6 @@
-"""The demo-04 race CSVs reproduce byte for byte from the library, and runs
-on paths the race does not take reproduce their pinned row digests."""
+"""The demo-04 race CSVs reproduce byte for byte from the library, the
+demo-05 hyperrep CSVs to a relative tolerance, and runs on paths the race
+does not take reproduce their pinned row digests."""
 
 import hashlib
 import os
@@ -7,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from fedbilevel import (QuadraticSpec, RunConfig, export_csv, run, run_fbo_aggitd,
-                        run_fednest_baseline)
+from fedbilevel import (HyperRepSpec, QuadraticSpec, RunConfig, export_csv, run,
+                        run_fbo_aggitd, run_fednest_baseline)
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "out")
 
@@ -22,6 +23,20 @@ def test_race_csvs_byte_identical(tmp_path):
         export_csv(driver(cfg), tmp_path / name)
         with open(os.path.join(OUT, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+def test_hyperrep_csvs_match_demo(estimator):
+    # the demo-05 configuration; hyperrep rows go through BLAS-backed stacked
+    # products, which are byte-stable only on one platform and BLAS
+    spec = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4,
+                        n_points=240, partition="label-skew", shards_per_client=1)
+    rep = run(RunConfig(problem=spec, K=60, seed=3, eval_every=5, alpha=0.5, N=8,
+                        batch_size=8, estimator=estimator))
+    want = np.loadtxt(os.path.join(OUT, f"hyperrep_{rep.label}.csv"), delimiter=",",
+                      skiprows=2)
+    np.testing.assert_allclose(np.array([r.values() for r in rep.rows], dtype=float), want,
+                               rtol=1e-12, atol=0)
 
 
 def _spec(**kw):

@@ -157,3 +157,16 @@ def test_analytic_head_hessian_matches_hvp_columns(mode):
                                for e in np.eye(problem.d2)])
         got = agg_hessian_lower_yy(problem, x, y)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_analytic_head_hessian_on_unequal_splits():
+    # train splits of 5, 5, 5, 4, 4: the padded table entries must weigh nothing
+    spec = HyperRepSpec(embed_dim=2, feature_dim=3, classes=3, ridge=0.2, m=5, n_points=60)
+    problem = make_hyperrep(spec, seed=4)
+    assert [len(t) for t in problem.train_idx] == [5, 5, 5, 4, 4]
+    gen = RngStream(4).child("hess").generator()
+    x, y = gen.normal(size=problem.d1), gen.normal(size=problem.d2)
+    ref = np.column_stack([problem.agg_hvp_lower_yy(Point(x, y), e)
+                           for e in np.eye(problem.d2)])
+    got = agg_hessian_lower_yy(problem, x, y)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
