@@ -5,6 +5,10 @@ evaluates the hypergradient two independent ways (implicit-function formula
 vs central finite differences of x -> f(x, y*(x))), and cross-checks the
 dense Hessian-inverse solve against a long Neumann series. Finally shows the
 JSON round trip used to replay instances across runs.
+
+The instance holds every client's data as stacked arrays with one row per
+client (inst.A is (m, d2, d2), inst.dA is (m, n, d2, d2), ...); the JSON
+document stores one entry per array, and the replay rebuilds the same arrays.
 """
 
 import numpy as np

@@ -22,7 +22,7 @@ from .hyperrep import (HyperRepProblem, HyperRepSpec, hypergradient_numeric,
 from .lower import LowerStepConfig, lower_gap, one_round_lower
 from .oracle import (McMoments, TestRegion, estimator_bias_mc,
                      fd_hypergradient, measure_constants)
-from .problems import (BilevelProblem, ClientData, Point, ProblemConstants)
+from .problems import BilevelProblem, Point, ProblemConstants
 from .quadratic import (QuadraticInstance, QuadraticProblem, QuadraticSpec,
                         make_problem, make_quadratic)
 from .reporting import export_csv, render_svg

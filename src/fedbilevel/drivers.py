@@ -85,6 +85,9 @@ class RunConfig:
         Participation(self.participation)
         # checks tau and variant; resolve_params checks beta
         LowerStepConfig(beta=1.0, tau=self.tau, variant=self.variant)
+        if isinstance(self.tau, Sequence) and len(self.tau) != self.problem.m:
+            raise ParameterError(f"tau lists {len(self.tau)} local step counts "
+                                 f"for {self.problem.m} clients")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedProblemError
 from .lower import LowerStepConfig, one_round_lower
 from .problems import BilevelProblem, ProblemConstants
-from .quadratic import QuadraticInstance
+from .quadratic import QuadraticInstance, _mv
 from .rng import RngStream
 from .runtime import CommLedger, aggregate_mean, client_ids
 
@@ -278,17 +278,14 @@ def expected_aid_fhe(inst: QuadraticInstance, x: np.ndarray, y_N: np.ndarray,
 def expected_local_fhe(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
                        lam: float | None = None, T: int | None = None) -> np.ndarray:
     """Exact mean of the fully local estimator; T=None gives the exact-inverse limit."""
-    vals = []
-    for cd in inst.clients:
-        gy = y - cd.d
-        if T is None:
-            hiv = np.linalg.solve(cd.A, gy)
-        else:
-            s = gy.copy()
-            acc = gy.copy()
-            for _ in range(1, T):
-                s = s - lam * (cd.A @ s)
-                acc += s
-            hiv = lam * acc
-        vals.append(cd.rho_x * x + cd.e - cd.B.T @ hiv)
-    return np.mean(vals, axis=0)
+    gy = y - inst.d
+    if T is None:
+        hiv = np.linalg.solve(inst.A, gy[..., None])[..., 0]
+    else:
+        s = gy.copy()
+        acc = gy.copy()
+        for _ in range(1, T):
+            s = s - lam * _mv(inst.A, s)
+            acc += s
+        hiv = lam * acc
+    return np.mean(inst.rho_x * x + inst.e - _mv(np.swapaxes(inst.B, 1, 2), hiv), axis=0)

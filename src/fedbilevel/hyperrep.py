@@ -37,6 +37,12 @@ class HyperRepSpec:
     def __post_init__(self):
         if self.ridge <= 0:
             raise ParameterError("ridge must be > 0 for a strongly convex head objective")
+        if min(self.embed_dim, self.feature_dim, self.classes, self.m,
+               self.shards_per_client) < 1:
+            raise ParameterError("embed_dim, feature_dim, classes, m and "
+                                 "shards_per_client must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ParameterError("test_fraction must lie in (0, 1)")
 
 
 def partition(labels: np.ndarray, mode: str, m: int, seed: int,

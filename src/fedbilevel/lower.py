@@ -47,15 +47,17 @@ class LowerStepConfig:
             raise ParameterError("beta must be positive")
         if self.variant not in (VARIANT_SVRG, VARIANT_SGD):
             raise ParameterError(f"unknown lower variant {self.variant!r}")
-        client_taus(self.tau, np.arange(0))  # checks every tau_i >= 1
+        client_taus(self.tau, np.arange(0))  # checks every tau_i is an integer >= 1
 
 
 def client_taus(tau: int | Sequence[int], ids: np.ndarray) -> np.ndarray:
     """tau_i for each client id: its entry of a per-client list, or the shared
-    count. Raises ParameterError if any tau_i, listed or shared, is below 1."""
+    count. Raises ParameterError if any tau_i, listed or shared, is not an
+    integer >= 1 (bools are not counts)."""
     listed = isinstance(tau, Sequence)
-    if min(tau if listed else (tau,), default=1) < 1:
-        raise ParameterError("every tau_i must be >= 1")
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 1
+               for t in (tau if listed else (tau,))):
+        raise ParameterError(f"every tau_i must be an integer >= 1, got {tau!r}")
     return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
 
 

@@ -66,21 +66,21 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     """
     if samples < 100:
         raise ParameterError("need at least 100 region samples")
-    lo = [np.linalg.eigvalsh(inst.A_bar)]
-    for cd in inst.clients:
-        lo.append(np.linalg.eigvalsh(cd.A))
-        for j in range(cd.n_samples):
-            lo.append(np.linalg.eigvalsh(cd.A + cd.dA[j]))
-    eigs = np.concatenate(lo)
+    eigs = np.concatenate([np.linalg.eigvalsh(inst.A_bar), np.linalg.eigvalsh(inst.A).ravel(),
+                           np.linalg.eigvalsh(inst.A[:, None] + inst.dA).ravel()])
     mu, L_g = float(eigs.min()), float(eigs.max())
 
     gen = RngStream(seed).child("measure").generator()
     pts = [region.sample(gen) for _ in range(samples)]
-    finite_sum = inst.clients[0].noise_mode == NOISE_FINITE_SUM
+    finite_sum = inst.noise_mode == NOISE_FINITE_SUM
     problem = QuadraticProblem(inst, batch_size=1)
+    n = inst.n_samples
 
     M_hat = 0.0
     var_f = 0.0
+    if finite_sum:  # the upper-gradient sample variance does not depend on the point
+        var_f = max(float(np.mean([np.sum(de[j] ** 2) + np.sum(dd[j] ** 2) for j in range(n)]))
+                    for de, dd in zip(inst.de, inst.dd))
     var_g1 = 0.0
     var_g2 = 0.0
     # additive-gaussian noise is homoscedastic by construction, so its draws
@@ -90,20 +90,18 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     pool_g = {i: [] for i in range(inst.m)}
     for k, p in enumerate(pts):
         grads_g = []
-        for i, cd in enumerate(inst.clients):
-            gx = cd.rho_x * p.x + cd.e
-            gy = p.y - cd.d
-            gl = cd.A @ p.y + cd.B @ p.x + cd.c
+        for i in range(inst.m):
+            gx = inst.rho_x * p.x + inst.e[i]
+            gy = p.y - inst.d[i]
+            gl = inst.A[i] @ p.y + inst.B[i] @ p.x + inst.c[i]
             grads_g.append(gl)
             if finite_sum:
-                for j in range(cd.n_samples):
-                    fu = np.concatenate([gx + cd.de[j], gy - cd.dd[j]])
+                dA, dB, dc, dd, de = inst.dA[i], inst.dB[i], inst.dc[i], inst.dd[i], inst.de[i]
+                for j in range(n):
+                    fu = np.concatenate([gx + de[j], gy - dd[j]])
                     M_hat = max(M_hat, float(np.linalg.norm(fu)))
-                vf = np.mean([np.sum(cd.de[j] ** 2) + np.sum(cd.dd[j] ** 2)
-                              for j in range(cd.n_samples)])
-                vg = np.mean([np.sum((cd.dA[j] @ p.y + cd.dB[j] @ p.x + cd.dc[j]) ** 2)
-                              for j in range(cd.n_samples)])
-                var_f = max(var_f, float(vf))
+                vg = np.mean([np.sum((dA[j] @ p.y + dB[j] @ p.x + dc[j]) ** 2)
+                              for j in range(n)])
                 var_g1 = max(var_g1, float(vg))
             else:
                 st = RngStream(seed).child("mc", k, i)

@@ -27,14 +27,15 @@ and so on, which evaluates a whole participant set in one call:
 
 There is no per-client fallback: each problem implements the five stacked
 kernels ``_grad_lower_y_batch`` etc., and a single-client call is a batch of
-one. ``QuadraticProblem`` stacks its client tensors, which needs one sample
-count for every client; ``HyperRepProblem`` pads unequal splits into index
-tables and weights the padding 0.
+one. ``QuadraticProblem`` reads the stacked (m, ...) client arrays of its
+``QuadraticInstance``, the only home of the quadratic client data, so every
+client has the same noise mode and sample count; ``HyperRepProblem`` pads
+unequal splits into index tables and weights the padding 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,39 +249,3 @@ class BilevelProblem:
 
     def agg_jvp_lower_xy(self, p: Point, v: np.ndarray) -> np.ndarray:
         return self.jvp_lower_xy_batch(self._all_ids, p.x, p.y, v, None).mean(axis=0)
-
-
-@dataclass
-class ClientData:
-    """Per-client sample store for the synthetic quadratic family.
-
-    The client-level lower objective is
-        g_i(x, y) = 1/2 y^T A y + y^T B x + c^T y
-    and the upper objective is
-        f_i(x, y) = 1/2 ||y - d||^2 + rho_x/2 ||x||^2 + e^T x.
-
-    Finite-sum sampling perturbs (A, B, c, d, e) with per-sample offsets whose
-    means are exactly zero, so sample means reproduce the client objectives
-    exactly. In additive-gaussian mode gradients get N(0, std^2 I) noise and
-    Hessian draws get symmetric perturbations kept inside [mu, L_g].
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    rho_x: float
-    dA: np.ndarray  # (n, d2, d2), zero-mean, spectrally safe
-    dB: np.ndarray  # (n, d2, d1), zero-mean
-    dc: np.ndarray  # (n, d2), zero-mean
-    dd: np.ndarray  # (n, d2), zero-mean
-    de: np.ndarray  # (n, d1), zero-mean
-    noise_mode: str = NOISE_FINITE_SUM
-    gauss_std_g: float = 0.0
-    gauss_std_f: float = 0.0
-    hess_margin: float = field(default=0.0)  # spectral room left for gaussian Hessian noise
-
-    @property
-    def n_samples(self) -> int:
-        return self.dA.shape[0]

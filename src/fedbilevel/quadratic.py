@@ -17,7 +17,7 @@ and finite-sum oracles stay exactly unbiased.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
-                       ClientData, ProblemConstants)
+                       ProblemConstants)
 from .rng import RngStream
 
 
@@ -55,35 +55,64 @@ class QuadraticSpec:
     lin_scale: float = 0.5
 
 
+# the axes of each stacked array: m clients, n samples per client, d2 (y) and d1 (x)
+_AXES = {"A": "myy", "B": "myx", "c": "my", "d": "my", "e": "mx",
+         "dA": "mnyy", "dB": "mnyx", "dc": "mny", "dd": "mny", "de": "mnx",
+         "hess_margin": "m"}
+_SCHEMA = "quadratic-instance-v2"
+
+
 @dataclass
 class QuadraticInstance:
-    d1: int
-    d2: int
-    m: int
+    """The client data of a quadratic instance, stacked with one row per client.
+
+    Client i has the lower objective
+        g_i(x, y) = 1/2 y^T A[i] y + y^T B[i] x + c[i]^T y
+    and the upper objective
+        f_i(x, y) = 1/2 ||y - d[i]||^2 + rho_x/2 ||x||^2 + e[i]^T x.
+
+    Finite-sum sampling perturbs (A, B, c, d, e)[i] by the per-sample offsets
+    dA[i, j] ... de[i, j], whose means over j are exactly zero, so sample means
+    reproduce the client objectives exactly. In additive-gaussian mode
+    gradients get N(0, noise_std^2 I) noise, and Hessian draws get symmetric
+    perturbations shrunk to norm hess_margin[i], which keeps them inside
+    [mu, L_g]. m, n_samples, d1 and d2 are read off the array shapes, and
+    A_bar ... e_bar are the client means.
+    """
+
+    A: np.ndarray            # (m, d2, d2)
+    B: np.ndarray            # (m, d2, d1)
+    c: np.ndarray            # (m, d2)
+    d: np.ndarray            # (m, d2)
+    e: np.ndarray            # (m, d1)
+    dA: np.ndarray           # (m, n, d2, d2), zero-mean over n, spectrally safe
+    dB: np.ndarray           # (m, n, d2, d1), zero-mean over n
+    dc: np.ndarray           # (m, n, d2)
+    dd: np.ndarray           # (m, n, d2)
+    de: np.ndarray           # (m, n, d1)
+    hess_margin: np.ndarray  # (m,), spectral room left for gaussian Hessian noise
     mu: float
     L_g: float
-    seed: int
-    clients: list[ClientData]
-    A_bar: np.ndarray = field(init=False)
-    B_bar: np.ndarray = field(init=False)
-    c_bar: np.ndarray = field(init=False)
-    d_bar: np.ndarray = field(init=False)
-    e_bar: np.ndarray = field(init=False)
+    seed: int = 0
+    rho_x: float = 1.0
+    noise_mode: str = NOISE_FINITE_SUM
+    noise_std: float = 0.0
 
     def __post_init__(self):
-        self.A_bar = np.mean([cd.A for cd in self.clients], axis=0)
-        self.B_bar = np.mean([cd.B for cd in self.clients], axis=0)
-        self.c_bar = np.mean([cd.c for cd in self.clients], axis=0)
-        self.d_bar = np.mean([cd.d for cd in self.clients], axis=0)
-        self.e_bar = np.mean([cd.e for cd in self.clients], axis=0)
+        sizes = {}
+        for name, axes in _AXES.items():
+            shape = np.shape(getattr(self, name))
+            if len(shape) != len(axes) or any(sizes.setdefault(a, s) != s or s < 1
+                                               for a, s in zip(axes, shape)):
+                raise ParameterError(f"{name} has shape {shape}; expected nonempty "
+                                     f"axes {axes!r} agreeing with {sizes}")
+        self.m, self.n_samples, self.d2, self.d1 = (sizes[a] for a in "mnyx")
+        self.A_bar = self.A.mean(axis=0)
+        self.B_bar = self.B.mean(axis=0)
+        self.c_bar = self.c.mean(axis=0)
+        self.d_bar = self.d.mean(axis=0)
+        self.e_bar = self.e.mean(axis=0)
         self._cho = cho_factor(self.A_bar, check_finite=False)
-        self._D = _stack(self.clients, "d")
-        self._E = _stack(self.clients, "e")
-        self._rho = _stack(self.clients, "rho_x")
-
-    @property
-    def rho_x(self) -> float:
-        return self.clients[0].rho_x
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
         # LAPACK on the stored factor: what cho_solve runs, without its checks
@@ -112,46 +141,27 @@ class QuadraticInstance:
         """f(x, y) averaged over clients; defaults to y = y*(x)."""
         if y is None:
             y = self.y_star(x)
-        vals = (0.5 * np.sum((y - self._D) ** 2, axis=1) + 0.5 * self._rho * float(x @ x)
-                + (self._E[:, None, :] @ x)[:, 0])
+        vals = (0.5 * np.sum((y - self.d) ** 2, axis=1) + 0.5 * self.rho_x * float(x @ x)
+                + (self.e[:, None, :] @ x)[:, 0])
         return float(np.mean(vals))
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def arr(a):
-            return np.asarray(a).tolist()  # row-major
-        return {
-            "schema": "quadratic-instance-v1",
-            "d1": self.d1, "d2": self.d2, "m": self.m,
-            "mu": self.mu, "L_g": self.L_g, "seed": self.seed,
-            "clients": [{
-                "A": arr(cd.A), "B": arr(cd.B), "c": arr(cd.c),
-                "d": arr(cd.d), "e": arr(cd.e), "rho_x": cd.rho_x,
-                "dA": arr(cd.dA), "dB": arr(cd.dB), "dc": arr(cd.dc),
-                "dd": arr(cd.dd), "de": arr(cd.de),
-                "noise_mode": cd.noise_mode,
-                "gauss_std_g": cd.gauss_std_g, "gauss_std_f": cd.gauss_std_f,
-                "hess_margin": cd.hess_margin,
-            } for cd in self.clients],
-        }
+        """The fields by name, each array as a row-major nested list."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"schema": _SCHEMA, **{k: v.tolist() if k in _AXES else v for k, v in doc.items()}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuadraticInstance":
-        if doc.get("schema") != "quadratic-instance-v1":
+        if doc.get("schema") != _SCHEMA:
             raise ParameterError(f"unknown instance schema: {doc.get('schema')!r}")
-        clients = [ClientData(
-            A=np.array(c["A"], dtype=float), B=np.array(c["B"], dtype=float),
-            c=np.array(c["c"], dtype=float), d=np.array(c["d"], dtype=float),
-            e=np.array(c["e"], dtype=float), rho_x=float(c["rho_x"]),
-            dA=np.array(c["dA"], dtype=float), dB=np.array(c["dB"], dtype=float),
-            dc=np.array(c["dc"], dtype=float), dd=np.array(c["dd"], dtype=float),
-            de=np.array(c["de"], dtype=float), noise_mode=c["noise_mode"],
-            gauss_std_g=float(c["gauss_std_g"]), gauss_std_f=float(c["gauss_std_f"]),
-            hess_margin=float(c["hess_margin"]),
-        ) for c in doc["clients"]]
-        return cls(d1=doc["d1"], d2=doc["d2"], m=doc["m"], mu=doc["mu"],
-                   L_g=doc["L_g"], seed=doc["seed"], clients=clients)
+        try:
+            kw = {f.name: np.array(doc[f.name], dtype=float) if f.name in _AXES
+                  else doc[f.name] for f in fields(cls)}
+        except (KeyError, TypeError, ValueError) as exc:  # a missing field, a ragged array
+            raise ParameterError(f"malformed instance document: {exc!r}") from exc
+        return cls(**kw)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -169,10 +179,6 @@ def _random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def _stack(clients: list[ClientData], name: str) -> np.ndarray:
-    return np.array([getattr(cd, name) for cd in clients])
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -209,8 +215,9 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
         raise ParameterError(f"infeasible eigenvalue range [{spec.mu}, {spec.L_g}]")
     if not 0.0 <= spec.hetero <= 1.0:
         raise ParameterError("hetero must lie in [0, 1]")
-    if spec.m < 1 or spec.n_per_client < 1:
-        raise ParameterError("need m >= 1 clients and n_per_client >= 1 samples")
+    if min(spec.d1, spec.d2, spec.m, spec.n_per_client) < 1:
+        raise ParameterError("need d1, d2 >= 1 dimensions, m >= 1 clients and "
+                             "n_per_client >= 1 samples")
 
     root = RngStream(spec.seed).child("make_quadratic")
     gen = root.generator()
@@ -229,7 +236,6 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     c_base = spec.lin_scale * gen.normal(size=spec.d2)
     d_base = spec.lin_scale * gen.normal(size=spec.d2)
     e_base = spec.lin_scale * gen.normal(size=spec.d1)
-    rho_x = 1.0
 
     # mean-zero client perturbations, jointly scaled by hetero
     dA_cl = np.array([_sym(gen.normal(size=(spec.d2, spec.d2))) for _ in range(spec.m)])
@@ -245,46 +251,37 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     dB_cl = demeaned((spec.d2, spec.d1), 0.3 * spec.coupling)
     dc_cl = demeaned((spec.d2,), spec.lin_scale)
     dd_cl = demeaned((spec.d2,), spec.lin_scale)
+    A = A_base + spec.hetero * dA_cl
 
-    clients = []
+    w = np.linalg.eigvalsh(A)
+    margin = np.minimum(w[:, 0] - spec.mu, spec.L_g - w[:, -1])
+    if (margin < -1e-12).any():
+        raise ParameterError("client Hessian left the eigenvalue interval")
+    margin = np.maximum(margin, 0.0)
+    spread = spec.noise_spread if spec.noise_mode == NOISE_FINITE_SUM else 0.0
+    n, shapes = spec.n_per_client, ((spec.d2, spec.d1), (spec.d2,), (spec.d2,), (spec.d1,))
+    samples = []  # per client: its dA, dB, dc, dd, de offsets, from its own stream
     for i in range(spec.m):
-        A_i = A_base + spec.hetero * dA_cl[i]
-        B_i = B_base + spec.hetero * dB_cl[i]
-        c_i = c_base + spec.hetero * dc_cl[i]
-        d_i = d_base + spec.hetero * dd_cl[i]
-
-        w = np.linalg.eigvalsh(A_i)
-        margin = min(w[0] - spec.mu, spec.L_g - w[-1])
-        if margin < -1e-12:
-            raise ParameterError("client Hessian left the eigenvalue interval")
         cg = root.child("samples", i).generator()
-        spread = spec.noise_spread if spec.noise_mode == NOISE_FINITE_SUM else 0.0
-        dA = _pm_pairs(cg, spec.n_per_client, (spec.d2, spec.d2),
-                       min(spread, 0.9 * max(margin, 0.0)), symmetric=True)
-        dB = _pm_pairs(cg, spec.n_per_client, (spec.d2, spec.d1), spread)
-        dc = _pm_pairs(cg, spec.n_per_client, (spec.d2,), spread)
-        dd = _pm_pairs(cg, spec.n_per_client, (spec.d2,), spread)
-        de = _pm_pairs(cg, spec.n_per_client, (spec.d1,), spread)
+        samples.append([_pm_pairs(cg, n, (spec.d2, spec.d2), min(spread, 0.9 * margin[i]),
+                                  symmetric=True),
+                        *(_pm_pairs(cg, n, shape, spread) for shape in shapes)])
+    dA, dB, dc, dd, de = map(np.array, zip(*samples))
 
-        clients.append(ClientData(
-            A=A_i, B=B_i, c=c_i, d=d_i, e=e_base.copy(), rho_x=rho_x,
-            dA=dA, dB=dB, dc=dc, dd=dd, de=de,
-            noise_mode=spec.noise_mode,
-            gauss_std_g=spec.noise_std if spec.noise_mode == NOISE_GAUSSIAN else 0.0,
-            gauss_std_f=spec.noise_std if spec.noise_mode == NOISE_GAUSSIAN else 0.0,
-            hess_margin=max(margin, 0.0),
-        ))
-
-    return QuadraticInstance(d1=spec.d1, d2=spec.d2, m=spec.m, mu=spec.mu,
-                             L_g=spec.L_g, seed=spec.seed, clients=clients)
+    return QuadraticInstance(
+        A=A, B=B_base + spec.hetero * dB_cl, c=c_base + spec.hetero * dc_cl,
+        d=d_base + spec.hetero * dd_cl, e=np.tile(e_base, (spec.m, 1)),
+        dA=dA, dB=dB, dc=dc, dd=dd, de=de, hess_margin=margin,
+        mu=spec.mu, L_g=spec.L_g, seed=spec.seed, noise_mode=spec.noise_mode,
+        noise_std=spec.noise_std if spec.noise_mode == NOISE_GAUSSIAN else 0.0)
 
 
 class QuadraticProblem(BilevelProblem):
     """Stochastic oracle bundle over a QuadraticInstance.
 
-    The client data is stacked into (m, ...) tensors when the problem is
-    built, and every oracle is a stacked kernel over a participant id array.
-    Stacking needs every client to share the noise mode and the sample count.
+    The problem keeps a reference to the instance's stacked (m, ...) arrays,
+    with no copy, and every oracle is a stacked kernel over a participant id
+    array: row r reads the rows ids[r] of the arrays.
     """
 
     def __init__(self, inst: QuadraticInstance, batch_size: int = 1,
@@ -295,91 +292,80 @@ class QuadraticProblem(BilevelProblem):
         super().__init__(m=inst.m, d1=inst.d1, d2=inst.d2, constants=constants,
                          batch_size=batch_size)
         self.inst = inst
-        clients = inst.clients
-        if len({(cd.noise_mode, cd.n_samples) for cd in clients}) != 1:
-            raise ParameterError("every client needs the same noise mode and sample count")
-        self.finite_sum = clients[0].noise_mode == NOISE_FINITE_SUM
-        self.n_samples = clients[0].n_samples
-        self.A, self.B = _stack(clients, "A"), _stack(clients, "B")
-        self.c, self.d, self.e = _stack(clients, "c"), _stack(clients, "d"), _stack(clients, "e")
-        self.rho = _stack(clients, "rho_x")[:, None]
-        self.std_g, self.std_f = _stack(clients, "gauss_std_g"), _stack(clients, "gauss_std_f")
-        self.margin = _stack(clients, "hess_margin")
-        self._offset = {n: _stack(clients, n)                   # (m, n_samples, ...)
-                        for n in ("dA", "dB", "dc", "dd", "de")}
+        self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
 
     def _rows(self, ids):
-        """Index of the clients' rows in the stacked tensors: a full slice
+        """Index of the clients' rows in the stacked arrays: a full slice
         (no copy) when every client takes part."""
         return slice(None) if ids.shape[0] == self.m else ids
 
-    def _offsets(self, ids, lanes, *names):
-        """Per-row batch means of the named per-sample offsets; sorted indices
-        keep the full-batch mean exactly equal to the population mean."""
-        n = self.n_samples
+    def _offsets(self, ids, lanes, *offsets):
+        """Per-row batch means of the given (m, n, ...) per-sample offsets;
+        sorted indices keep the full-batch mean exactly equal to the population mean."""
+        n = self.inst.n_samples
         k = min(self.batch_size, n)
         if k == 1:
             j = lanes.index(n)
-            return tuple(self._offset[a][ids, j] for a in names)
+            return tuple(a[ids, j] for a in offsets)
         if k >= n:
-            return tuple(self._offset[a][self._rows(ids)].mean(axis=1) for a in names)
+            return tuple(a[self._rows(ids)].mean(axis=1) for a in offsets)
         idx = lanes.subset(np.arange(n), k)
-        return tuple(self._offset[a][ids[:, None], idx].mean(axis=1) for a in names)
+        return tuple(a[ids[:, None], idx].mean(axis=1) for a in offsets)
 
     def _grad_lower_y_batch(self, ids, x, y, lanes):
-        r = self._rows(ids)
-        g = _mv(self.A[r], y) + _mv(self.B[r], x) + self.c[r]
+        q, r = self.inst, self._rows(ids)
+        g = _mv(q.A[r], y) + _mv(q.B[r], x) + q.c[r]
         if lanes is None:
             return g
         if self.finite_sum:
-            mA, mB, mc = self._offsets(ids, lanes, "dA", "dB", "dc")
+            mA, mB, mc = self._offsets(ids, lanes, q.dA, q.dB, q.dc)
             return g + _mv(mA, y) + _mv(mB, x) + mc
-        return g + lanes.normal(self.std_g[r], (self.d2,))
+        return g + lanes.normal(q.noise_std, (self.d2,))
 
     def _grad_upper_x_batch(self, ids, x, y, lanes):
-        r = self._rows(ids)
-        g = self.rho[r] * x + self.e[r]
+        q = self.inst
+        g = q.rho_x * x + q.e[self._rows(ids)]
         if lanes is None:
             return g
         if self.finite_sum:
-            (me,) = self._offsets(ids, lanes, "de")
+            (me,) = self._offsets(ids, lanes, q.de)
             return g + me
-        return g + lanes.normal(self.std_f[r], (self.d1,))
+        return g + lanes.normal(q.noise_std, (self.d1,))
 
     def _grad_upper_y_batch(self, ids, x, y, lanes):
-        r = self._rows(ids)
-        g = y - self.d[r]
+        q = self.inst
+        g = y - q.d[self._rows(ids)]
         if lanes is None:
             return g
         if self.finite_sum:
-            (md,) = self._offsets(ids, lanes, "dd")
+            (md,) = self._offsets(ids, lanes, q.dd)
             return g - md
-        return g + lanes.normal(self.std_f[r], (self.d2,))
+        return g + lanes.normal(q.noise_std, (self.d2,))
 
     def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
-        r = self._rows(ids)
-        A = self.A[r]
+        q, r = self.inst, self._rows(ids)
+        A = q.A[r]
         if lanes is None:
             return _mv(A, v)
         if self.finite_sum:
-            (mA,) = self._offsets(ids, lanes, "dA")
+            (mA,) = self._offsets(ids, lanes, q.dA)
             return _mv(A, v) + _mv(mA, v)
-        S = _sym(lanes.normal(self.std_g[r], (self.d2, self.d2)))
+        S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
         nrm = np.linalg.norm(S, 2, axis=(1, 2))
-        margin = self.margin[r]
+        margin = q.hess_margin[r]
         over = nrm > margin   # shrink to keep sampled eigenvalues inside [mu, L_g]
         S[over] *= (margin[over] / nrm[over])[:, None, None]
         return _mv(A + S, v)
 
     def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
-        r = self._rows(ids)
-        B = self.B[r]
+        q = self.inst
+        B = q.B[self._rows(ids)]
         if lanes is None:
             return _mv(np.swapaxes(B, 1, 2), v)
         if self.finite_sum:
-            (mB,) = self._offsets(ids, lanes, "dB")
+            (mB,) = self._offsets(ids, lanes, q.dB)
             return _mv(np.swapaxes(B, 1, 2), v) + _mv(np.swapaxes(mB, 1, 2), v)
-        W = lanes.normal(self.std_g[r], (self.d2, self.d1))
+        W = lanes.normal(q.noise_std, (self.d2, self.d1))
         return _mv(np.swapaxes(B + W, 1, 2), v)
 
 

@@ -124,7 +124,7 @@ class RngStream:
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
         """N(0, std^2) draws by Box-Muller over 53-bit uniforms in (0, 1]."""
-        return Lanes.of(self).normal((std,), shape)[0]
+        return Lanes.of(self).normal(std, shape)[0]
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,12 @@ class Lanes:
             keys[np.arange(len(pool)) >= sizes[:, None]] = _MASK64
         return np.sort(pool[np.argsort(keys, axis=1, kind="stable")[:, :k]], axis=1)
 
-    def normal(self, std, shape: tuple) -> np.ndarray:
-        """``stream(r).normal(std[r], shape)`` for every row r, stacked (rows, *shape);
-        std is one value per row. Box-Muller over 53-bit uniforms in (0, 1]."""
+    def normal(self, std: float, shape: tuple) -> np.ndarray:
+        """``stream(r).normal(std, shape)`` for every row r, stacked (rows, *shape).
+        Box-Muller over 53-bit uniforms in (0, 1]."""
         n = math.prod(shape)
         u = 1.0 - (_mix64_counters(self.hashes, n + n % 2) >> np.uint64(11)) * 2.0 ** -53
-        r = np.asarray(std, dtype=float)[:, None] * np.sqrt(-2.0 * np.log(u[:, 0::2]))
+        r = std * np.sqrt(-2.0 * np.log(u[:, 0::2]))
         theta = 2.0 * np.pi * u[:, 1::2]
         z = np.concatenate((r * np.cos(theta), r * np.sin(theta)), axis=1)
         return z[:, :n].reshape(-1, *shape)

@@ -16,7 +16,7 @@ from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 from fedbilevel.rng import Lanes
 
-from conftest import manual_instance, two_sample_client
+from conftest import manual_instance
 
 ORACLES = ("grad_lower_y", "grad_upper_x", "grad_upper_y", "hvp_lower_yy", "jvp_lower_xy")
 
@@ -98,49 +98,51 @@ def test_batched_rows_match_single_client(mode, make, stochastic, stacked):
 
 
 def _reference(problem, name, i, x, y, v, lane):
-    """The quadratic oracles written per client, as plain numpy on ClientData."""
-    cd = problem.inst.clients[i]
-    n = cd.n_samples
+    """The quadratic oracles written per client, as plain numpy on row i of the
+    instance arrays."""
+    q = problem.inst
+    A, B, n = q.A[i], q.B[i], q.n_samples
     k = min(problem.batch_size, n)
 
     def mean(a):
+        a = a[i]
         if k == 1:
             return a[lane.index(n)]
         return a.mean(axis=0) if k >= n else a[lane.subset(np.arange(n), k)].mean(axis=0)
-    gauss = cd.noise_mode == NOISE_GAUSSIAN
+    gauss = q.noise_mode == NOISE_GAUSSIAN
     if name == "grad_lower_y":
-        g = cd.A @ y + cd.B @ x + cd.c
+        g = A @ y + B @ x + q.c[i]
         if lane is None:
             return g
         if gauss:
-            return g + lane.normal(cd.gauss_std_g, g.shape)
-        return g + mean(cd.dA) @ y + mean(cd.dB) @ x + mean(cd.dc)
+            return g + lane.normal(q.noise_std, g.shape)
+        return g + mean(q.dA) @ y + mean(q.dB) @ x + mean(q.dc)
     if name == "grad_upper_x":
-        g = cd.rho_x * x + cd.e
+        g = q.rho_x * x + q.e[i]
         if lane is None:
             return g
-        return g + (lane.normal(cd.gauss_std_f, g.shape) if gauss else mean(cd.de))
+        return g + (lane.normal(q.noise_std, g.shape) if gauss else mean(q.de))
     if name == "grad_upper_y":
-        g = y - cd.d
+        g = y - q.d[i]
         if lane is None:
             return g
-        return g + lane.normal(cd.gauss_std_f, g.shape) if gauss else g - mean(cd.dd)
+        return g + lane.normal(q.noise_std, g.shape) if gauss else g - mean(q.dd)
     if name == "hvp_lower_yy":
         if lane is None:
-            return cd.A @ v
+            return A @ v
         if not gauss:
-            return cd.A @ v + mean(cd.dA) @ v
-        S = lane.normal(cd.gauss_std_g, cd.A.shape)
+            return A @ v + mean(q.dA) @ v
+        S = lane.normal(q.noise_std, A.shape)
         S = 0.5 * (S + S.T)
         nrm = np.linalg.norm(S, 2)
-        if nrm > cd.hess_margin:
-            S *= cd.hess_margin / nrm
-        return (cd.A + S) @ v
+        if nrm > q.hess_margin[i]:
+            S *= q.hess_margin[i] / nrm
+        return (A + S) @ v
     if lane is None:
-        return cd.B.T @ v
+        return B.T @ v
     if not gauss:
-        return cd.B.T @ v + mean(cd.dB).T @ v
-    return (cd.B + lane.normal(cd.gauss_std_g, cd.B.shape)).T @ v
+        return B.T @ v + mean(q.dB).T @ v
+    return (B + lane.normal(q.noise_std, B.shape)).T @ v
 
 
 @pytest.mark.parametrize("mode,make,stochastic",
@@ -240,9 +242,8 @@ def test_lane_batch_draws_match_streams():
     assert lanes.index(7).tolist() == [s.index(7) for s in streams]
     pool = np.arange(10, 20)
     assert np.array_equal(lanes.subset(pool, 4), np.stack([s.subset(pool, 4) for s in streams]))
-    std = np.array([0.1, 0.2, 0.3])
-    assert np.array_equal(lanes.normal(std, (2, 3)),
-                          np.stack([s.normal(sd, (2, 3)) for s, sd in zip(streams, std)]))
+    assert np.array_equal(lanes.normal(0.2, (2, 3)),
+                          np.stack([s.normal(0.2, (2, 3)) for s in streams]))
     one = Lanes.of(streams[1])
     assert one.stream(0) == streams[1] and one.purpose == "zeta"
     assert one.index(7).tolist() == [streams[1].index(7)]
@@ -273,10 +274,19 @@ def test_batched_contract_violations():
     assert problem.audit.total == 0
 
 
-def test_stacking_needs_one_sample_count():
-    # the quadratic kernels stack per-sample offsets into one (m, n, ...) tensor
-    one_sample = manual_instance([2.0], d1=1, m=1).clients[0]
-    inst = QuadraticInstance(d1=1, d2=1, m=2, mu=1.0, L_g=2.0, seed=0,
-                             clients=[one_sample, two_sample_client()])
-    with pytest.raises(ParameterError, match="sample count"):
-        QuadraticProblem(inst)
+def test_instance_rejects_disagreeing_shapes():
+    # every array is stacked with one row per client, so a ragged instance
+    # (here: clients with one and with two samples) cannot be expressed
+    good = manual_instance([2.0], d1=1, m=2)
+    fields = {f: getattr(good, f) for f in ("A", "B", "c", "d", "e", "dA", "dB", "dc",
+                                            "dd", "de", "hess_margin", "mu", "L_g")}
+    QuadraticInstance(**fields)
+    bad = [("dc", np.zeros((2, 2, 1))),       # two samples where the others have one
+           ("e", np.zeros((3, 1))),           # three clients where the others have two
+           ("hess_margin", np.zeros(1)),
+           ("B", np.zeros((2, 1, 2))),        # d1 = 2 where e has d1 = 1
+           ("A", np.zeros((2, 1))),           # missing an axis
+           ("dA", np.zeros((2, 0, 1, 1)))]    # empty sample axis
+    for name, arr in bad:
+        with pytest.raises(ParameterError):
+            QuadraticInstance(**{**fields, name: arr})

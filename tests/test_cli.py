@@ -61,6 +61,10 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", _cfg(tmp_path, {"beta": 0.9})]) == 2
 
 
+# stepsizes under the default hyperrep instance's caps, so that a hyperrep row
+# fails on its spec alone
+_HYPERREP_STEPS = ['lambda=0.005', 'beta=0.0005']
+
 # (--set overrides on the base config, expected exit code)
 BAD_CONFIGS = [
     (['beta=0.9'], 2),
@@ -78,6 +82,14 @@ BAD_CONFIGS = [
     (['alpha=true'], 2),
     (['problem={"type": "quadratic", "m": 2.5}'], 2),
     (['K=1e400'], 2),
+    (['tau=[1]'], 2),
+    (['tau=[1, 1, 1]'], 2),
+    (['problem={"type": "quadratic", "d1": 0}'], 2),
+    (['problem={"type": "quadratic", "d2": 0}'], 2),
+    *((['problem={"type": "hyperrep", %s}' % field, *_HYPERREP_STEPS], 2) for field in (
+        '"test_fraction": -0.5', '"test_fraction": 0', '"test_fraction": 1',
+        '"classes": 0', '"m": 0', '"embed_dim": 0', '"feature_dim": 0',
+        '"partition": "label-skew", "shards_per_client": 0')),
 ]
 
 

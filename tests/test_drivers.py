@@ -59,11 +59,11 @@ def test_one_round_upper_matches_sequential_oracle():
     alpha, tau = 0.12, 5
     got = one_round_upper(problem, x, y, h, alpha, tau, range(3), RngStream(5),
                           CommLedger())
-    cd = inst.clients[0]
+    e = inst.e[0]
     x_seq = x.copy()
     for _ in range(tau):
-        anchor = cd.rho_x * x + cd.e
-        local = cd.rho_x * x_seq + cd.e
+        anchor = inst.rho_x * x + e
+        local = inst.rho_x * x_seq + e
         x_seq = x_seq - alpha / tau * (h - anchor + local)
     np.testing.assert_allclose(got, x_seq, rtol=1e-13)
 

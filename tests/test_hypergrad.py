@@ -256,8 +256,8 @@ def test_local_bias_formula_under_heterogeneity():
     T = 2000
     cfg = AidConfig(lam=lam, N=1, T=T, lower=LowerStepConfig(beta=_beta(inst, lam)))
     h_local = local_fhe(problem, x, y_N, cfg)
-    per_client = [cd.rho_x * x + cd.e - cd.B.T @ np.linalg.solve(cd.A, y_N - cd.d)
-                  for cd in inst.clients]
+    per_client = [inst.rho_x * x + e - B.T @ np.linalg.solve(A, y_N - d)
+                  for A, B, d, e in zip(inst.A, inst.B, inst.d, inst.e)]
     np.testing.assert_allclose(h_local, np.mean(per_client, axis=0), atol=1e-9)
     bias = np.linalg.norm(np.mean(per_client, axis=0) - inst.hypergradient(x))
     assert bias > 1e-4  # genuinely biased under joint heterogeneity
@@ -269,7 +269,7 @@ def test_local_zero_upper_y_gradient_gives_direct_part():
     problem = QuadraticProblem(inst)
     lam = 0.25
     x = np.ones(2)
-    y_N = inst.clients[0].d.copy()  # grad_y f_i = y - d_i = 0 for every client
+    y_N = inst.d[0].copy()  # grad_y f_i = y - d_i = 0 for every client
     cfg = AidConfig(lam=lam, N=1, T=30, lower=LowerStepConfig(beta=0.05))
     ledger = CommLedger()
     h = local_fhe(problem, x, y_N, cfg, ledger=ledger)
@@ -319,8 +319,8 @@ def test_homogeneous_per_client_local_estimates_all_equal_aggregate():
     x = np.full(3, 0.4)
     ys = inst.y_star(x)
     truth = inst.hypergradient(x)
-    for cd in inst.clients:
-        h_i = cd.rho_x * x + cd.e - cd.B.T @ np.linalg.solve(cd.A, ys - cd.d)
+    for A, B, d, e in zip(inst.A, inst.B, inst.d, inst.e):
+        h_i = inst.rho_x * x + e - B.T @ np.linalg.solve(A, ys - d)
         np.testing.assert_allclose(h_i, truth, atol=1e-10)
 
 

@@ -1,12 +1,14 @@
 """One-Round-Lower: reductions, fixed point, contraction against direct iteration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedbilevel import (CommLedger, LowerStepConfig, ParameterError, Point,
                         QuadraticProblem, QuadraticSpec, RngStream, lower_gap,
                         make_quadratic, one_round_lower)
-from fedbilevel.lower import VARIANT_SGD, VARIANT_SVRG
+from fedbilevel.lower import VARIANT_SGD, VARIANT_SVRG, client_taus
 from fedbilevel.oracle import TestRegion, measure_constants
 
 from conftest import manual_instance
@@ -77,8 +79,7 @@ def test_composed_round_contracts_noise_off():
 
 def test_lower_gap_examples():
     inst = manual_instance([1.0, 1.0], d1=2, m=1, lin_scale=0.0, B_norm=1e-300)
-    for cd in inst.clients:
-        cd.B[:] = 0.0
+    inst = replace(inst, B=np.zeros_like(inst.B))
     x = np.zeros(2)
     assert lower_gap(inst, x, inst.y_star(x)) == pytest.approx(0.0, abs=1e-20)
     assert lower_gap(inst, x, np.array([3.0, 4.0])) == pytest.approx(25.0)
@@ -150,3 +151,18 @@ def test_bad_tau_rejected():
         LowerStepConfig(beta=-0.1, tau=1)
     with pytest.raises(ParameterError):
         LowerStepConfig(beta=0.1, tau=1, variant="adam")
+
+
+@pytest.mark.parametrize("tau", [1.7, 2.0, True, [1, 2.9], [1, False], [np.float64(2.0)]])
+def test_non_integral_tau_rejected(tau):
+    # a count is an int: neither truncated (1.7 -> 1) nor read off a bool
+    with pytest.raises(ParameterError, match="integer"):
+        LowerStepConfig(beta=0.1, tau=tau)
+    with pytest.raises(ParameterError, match="integer"):
+        client_taus(tau, np.arange(2))
+
+
+def test_integer_taus_accepted():
+    assert client_taus(np.int64(3), np.arange(2)).tolist() == [3, 3]
+    assert client_taus([1, np.int32(4)], np.array([1])).tolist() == [4]
+    assert client_taus((2, 5), np.arange(2)).tolist() == [2, 5]

@@ -1,5 +1,7 @@
 """Verification machinery: finite differences, constant measurement, MC moments."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,7 @@ from conftest import manual_instance
 
 def test_fd_decoupled_instance_exact():
     inst = manual_instance([2.0, 5.0], d1=2, m=2)
-    for cd in inst.clients:
-        cd.B[:] = 0.0
-    inst = QuadraticInstance(d1=2, d2=2, m=2, mu=2.0, L_g=5.0, seed=0,
-                             clients=inst.clients)
+    inst = replace(inst, B=np.zeros_like(inst.B))
     x = np.array([0.4, -0.9])
     expect = inst.rho_x * x + inst.e_bar
     got = fd_hypergradient(inst, x, step=1e-5)
@@ -47,8 +46,7 @@ class _CubicInstance(QuadraticInstance):
 def test_fd_second_order_convergence():
     # halving the step shrinks the error by about 4 (Richardson check)
     base = make_quadratic(QuadraticSpec(d1=3, d2=3, m=2, hetero=0.3, seed=2))
-    inst = _CubicInstance(d1=3, d2=3, m=2, mu=base.mu, L_g=base.L_g,
-                          seed=base.seed, clients=base.clients)
+    inst = _CubicInstance(**{f.name: getattr(base, f.name) for f in fields(base)})
     x = np.array([1.3, -0.7, 0.2])
     truth = inst.hypergradient(x)
     e1 = np.linalg.norm(fd_hypergradient(inst, x, step=2e-3) - truth)
@@ -90,6 +88,34 @@ def test_measure_constants_dissimilarity_only():
                                         noise_spread=0.0, seed=4))
     c0 = measure_constants(homo, region, samples=100)
     assert c0.sigma_g == 0.0
+
+
+# (mu, L_g, L_f, M, rho, sigma_f, sigma_g), exact: seed 11 is the criterion-4
+# instance, seed 17 the first mc_estimate benchmark instance
+PINNED_CONSTANTS = {
+    11: (1.1797667706252137, 1.7791431298433251, 1.0, 3.80526972426812, 0.0,
+         0.14142135623730953, 0.3608457586329694),
+    17: (1.4749166464629748, 1.8187066320748506, 1.0, 3.8556194607499443, 0.0,
+         0.14142135623730953, 0.3216343062326172),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_CONSTANTS))
+def test_measure_constants_pinned(seed):
+    inst = make_quadratic(QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0,
+                                        hetero=0.3, noise_spread=0.1, seed=seed))
+    x = np.ones(3)
+    c = measure_constants(inst, TestRegion(Point(x, inst.y_star(x) + 0.3), 1.5), samples=100)
+    assert (c.mu, c.L_g, c.L_f, c.M, c.rho, c.sigma_f, c.sigma_g) == PINNED_CONSTANTS[seed]
+
+
+def test_measure_constants_gaussian_pinned():
+    inst = make_quadratic(QuadraticSpec(d1=2, d2=3, m=3, hetero=0.5, seed=0,
+                                        noise_mode=NOISE_GAUSSIAN, noise_std=0.3))
+    c = measure_constants(inst, TestRegion(Point(np.zeros(2), np.zeros(3)), 1.0), samples=100)
+    assert (c.mu, c.L_g, c.L_f, c.M, c.rho, c.sigma_f, c.sigma_g) == (
+        3.423758305636161, 5.733712380083724, 1.0, 2.822198326498933, 0.0,
+        0.6933790418603676, 0.6326723380096937)
 
 
 def test_measure_constants_requires_samples():

@@ -1,25 +1,25 @@
 """Oracle contract: hand-checked values, unbiasedness, linearity, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fedbilevel import (ClientData, CommLedger, ContractViolation,
+from fedbilevel import (CommLedger, ContractViolation,
                         LowerStepConfig, Point, QuadraticInstance,
                         QuadraticProblem, QuadraticSpec, RngStream,
                         make_quadratic, one_round_lower)
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
-from conftest import manual_instance, two_sample_client
+from conftest import manual_instance, two_sample_instance, zero_offsets
 
 
 def _problem_1d():
     # g = 1/2 * 2 y^2 + 1 * x y  (a=2, b=1, c=0)
-    cd = ClientData(A=np.array([[2.0]]), B=np.array([[1.0]]), c=np.zeros(1),
-                    d=np.zeros(1), e=np.zeros(1), rho_x=1.0,
-                    dA=np.zeros((1, 1, 1)), dB=np.zeros((1, 1, 1)),
-                    dc=np.zeros((1, 1)), dd=np.zeros((1, 1)), de=np.zeros((1, 1)))
-    inst = QuadraticInstance(d1=1, d2=1, m=1, mu=1.0, L_g=2.0, seed=0, clients=[cd])
+    inst = QuadraticInstance(A=np.array([[[2.0]]]), B=np.array([[[1.0]]]), c=np.zeros((1, 1)),
+                             d=np.zeros((1, 1)), e=np.zeros((1, 1)),
+                             **zero_offsets(1, 1, 1, 1), mu=1.0, L_g=2.0)
     return QuadraticProblem(inst)
 
 
@@ -39,8 +39,7 @@ def test_grad_lower_y_zero_at_optimum():
 
 
 def test_finite_sum_two_samples_mean_zero_offset():
-    cd = two_sample_client((1.0, -1.0))
-    inst = QuadraticInstance(d1=1, d2=1, m=1, mu=1.0, L_g=2.0, seed=0, clients=[cd])
+    inst = two_sample_instance((1.0, -1.0))
     problem = QuadraticProblem(inst, batch_size=2)  # full batch covers both samples
     p = Point(np.zeros(1), np.zeros(1))
     exact = problem.grad_lower_y(0, p, None)
@@ -64,8 +63,7 @@ def test_grad_upper_x_examples():
 
 def test_grad_upper_x_symmetric_cancellation():
     inst = manual_instance([2.0], d1=1, m=2, lin_scale=0.0, rho_x=0.0)
-    inst.clients[0].e[:] = 1.0
-    inst.clients[1].e[:] = -1.0
+    inst = replace(inst, e=np.array([[1.0], [-1.0]]))
     problem = QuadraticProblem(inst)
     for xv in (0.0, 2.5, -3.0):
         agg = problem.agg_grad_upper_x(Point(np.array([xv]), np.zeros(1)))
@@ -74,9 +72,7 @@ def test_grad_upper_x_symmetric_cancellation():
 
 def test_grad_upper_y_examples():
     inst = manual_instance([1.0, 1.0], d1=2, m=1, lin_scale=0.0)
-    inst.clients[0].d[:] = [1.0, 1.0]
-    problem = QuadraticProblem(QuadraticInstance(
-        d1=2, d2=2, m=1, mu=1.0, L_g=1.0, seed=0, clients=inst.clients))
+    problem = QuadraticProblem(replace(inst, d=np.ones((1, 2))))
     g = problem.grad_upper_y(0, Point(np.zeros(2), np.zeros(2)), None)
     np.testing.assert_allclose(g, [-1.0, -1.0])
     g0 = problem.grad_upper_y(0, Point(np.zeros(2), np.array([1.0, 1.0])), None)
@@ -121,11 +117,9 @@ def test_hvp_examples_and_fd_oracle():
 
 def test_jvp_examples_and_fd_oracle():
     # coupling B = [[1, 2]] so grad_y g = A y + B x: jvp v -> B^T v
-    cd = ClientData(A=np.array([[2.0]]), B=np.array([[1.0, 2.0]]), c=np.zeros(1),
-                    d=np.zeros(1), e=np.zeros(2), rho_x=1.0,
-                    dA=np.zeros((1, 1, 1)), dB=np.zeros((1, 1, 2)),
-                    dc=np.zeros((1, 1)), dd=np.zeros((1, 1)), de=np.zeros((1, 2)))
-    inst = QuadraticInstance(d1=2, d2=1, m=1, mu=1.0, L_g=2.0, seed=0, clients=[cd])
+    inst = QuadraticInstance(A=np.array([[[2.0]]]), B=np.array([[[1.0, 2.0]]]),
+                             c=np.zeros((1, 1)), d=np.zeros((1, 1)), e=np.zeros((1, 2)),
+                             **zero_offsets(1, 1, 2, 1), mu=1.0, L_g=2.0)
     problem = QuadraticProblem(inst)
     p = Point(np.zeros(2), np.zeros(1))
     np.testing.assert_allclose(problem.jvp_lower_xy(0, p, np.array([1.0]), None),
@@ -164,11 +158,10 @@ def test_hessian_sample_safety():
     spec = QuadraticSpec(d1=3, d2=5, m=4, n_per_client=8, mu=1.0, L_g=10.0,
                          hetero=1.0, noise_spread=0.5, seed=12)
     inst = make_quadratic(spec)
-    for cd in inst.clients:
-        for j in range(cd.n_samples):
-            w = np.linalg.eigvalsh(cd.A + cd.dA[j])
-            assert w[0] >= 1.0 - 1e-12
-            assert w[-1] <= 10.0 + 1e-12
+    w = np.linalg.eigvalsh(inst.A[:, None] + inst.dA)  # (m, n, d2): every sampled Hessian
+    assert w.shape == (4, 8, 5)
+    assert w[..., 0].min() >= 1.0 - 1e-12
+    assert w[..., -1].max() <= 10.0 + 1e-12
 
 
 def test_oracle_determinism_and_linearity():
