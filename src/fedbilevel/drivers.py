@@ -19,15 +19,15 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
-                        aggitd, aid_fhe, local_fhe)
+                        aggitd, aggitd_lanes, aid_fhe, chain_lanes, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import LowerStepConfig, _local_steps, client_taus, one_round_lower
+from .lower import (LowerStepConfig, _local_steps, client_taus, lower_lanes,
+                    one_round_lower)
 from .problems import BilevelProblem, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
-from .rng import RngStream
-from .runtime import (CommLedger, Participation, aggregate_mean, client_ids,
-                      select_participants)
+from .rng import CLIENT, LaneTable, RngStream, TableStream, lane_steps
+from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
 
@@ -83,11 +83,8 @@ class RunConfig:
         if self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
         Participation(self.participation)
-        # checks tau and variant; resolve_params checks beta
-        LowerStepConfig(beta=1.0, tau=self.tau, variant=self.variant)
-        if isinstance(self.tau, Sequence) and len(self.tau) != self.problem.m:
-            raise ParameterError(f"tau lists {len(self.tau)} local step counts "
-                                 f"for {self.problem.m} clients")
+        LowerStepConfig(beta=1.0, variant=self.variant)  # resolve_params checks beta
+        client_taus(self.tau, np.arange(0), self.problem.m)
 
 
 @dataclass(frozen=True)
@@ -195,26 +192,36 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     return N, T, lam, alpha, beta
 
 
+def upper_lanes(max_tau: int) -> list:
+    """The lane family of One-Round-Upper: ``child(i, "xi_up", v)`` for v < max_tau."""
+    return [(CLIENT, "xi_up", range(max_tau))]
+
+
 def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
                     h: np.ndarray, alpha: float, tau: int | Sequence[int],
-                    participants: Sequence[int], rng: RngStream,
+                    participants: Sequence[int], rng: RngStream | TableStream,
                     ledger: CommLedger) -> np.ndarray:
     """Local SVRG-type upper phase: tau_i corrected steps per client from x.
 
     The anchor gradient at x is re-evaluated per local step with that step's
     own sample (shared with the local term), so a single local step reduces to
     x - alpha*h exactly. All participants step together, two batched oracle
-    calls per local step. Charges one round (the iterate aggregation).
+    calls per local step on the same draws. rng is the scope stream or its
+    step of a lane table with the family of ``upper_lanes``. Charges one round
+    (the iterate aggregation).
     """
-    ids = client_ids(participants)
-    taus = client_taus(tau, ids)
+    oracles = problem.checked(participants, x, y_plus)
+    ids = oracles.ids
+    taus = client_taus(tau, ids, problem.m)
+    if isinstance(rng, RngStream):
+        rng = LaneTable.of(rng, upper_lanes(int(taus.max())), np.arange(problem.m)).step(0)
     alphas = (alpha / taus)[:, None]
     X = np.repeat(x[None], ids.size, axis=0)
     for v, rows in _local_steps(taus):
         sub = ids[rows]
         lanes = rng.lanes(sub, "xi_up", v)
-        g_anchor = problem.grad_upper_x_batch(sub, x, y_plus, lanes)
-        g_local = problem.grad_upper_x_batch(sub, X[rows], y_plus, lanes)
+        g_anchor = oracles.grad_upper_x(sub, x, y_plus, lanes)
+        g_local = oracles.grad_upper_x(sub, X[rows], y_plus, lanes)
         X[rows] = X[rows] - alphas[rows] * (h - g_anchor + g_local)
     return aggregate_mean(X, ledger)
 
@@ -230,7 +237,9 @@ def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
 def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) -> RunReport:
     """K outer iterations with warm start; the estimator step maps
     (x, y, participants, scope) to (h, y). The AID and local steps run the
-    2N-round lower phase, then estimate h in a second loop."""
+    2N-round lower phase, then estimate h in a second loop. The scopes
+    ``root.child("est", k)`` and ``root.child("upper", k)`` are steps of lane
+    tables over the whole run."""
     if problem is None:
         problem = build_problem(cfg)
     N, T, lam, alpha, beta = resolve_params(cfg, problem.constants)
@@ -239,21 +248,26 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     root = RngStream(cfg.seed)
     ledger = CommLedger()
     evaluator = Evaluator(problem)
+    max_tau = int(client_taus(cfg.tau, np.arange(problem.m), problem.m).max())
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
+        families = aggitd_lanes(acfg, problem.m)
 
         def step(x, y, parts, scope):
             h, y, _ = aggitd(problem, x, y, acfg, parts, scope, ledger)
             return h, y
     else:
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
+        families = [(CLIENT, "zeta_q", range(N)), *lower_lanes(max_tau, "lower", range(N)),
+                    *chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local")]
 
         def step(x, y, parts, scope):
-            ids = client_ids(parts)
+            oracles = problem.checked(parts, x, y)
+            ids = oracles.ids
             ledger.begin_loop()
             for t in range(N):
-                q = aggregate_mean(problem.grad_lower_y_batch(
+                q = aggregate_mean(oracles.grad_lower_y(
                     ids, x, y, scope.lanes(ids, "zeta_q", t)), ledger)
                 y = one_round_lower(problem, x, y, q, lower_cfg, ids,
                                     scope.child("lower", t), ledger)
@@ -264,13 +278,14 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
 
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
-    for k in range(cfg.K):
+    scopes = zip(lane_steps(root, "est", cfg.K, problem.m, families),
+                 lane_steps(root, "upper", cfg.K, problem.m, upper_lanes(max_tau)))
+    for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()
         parts = select_participants(part, problem.m, root.child("part", k))
-        h, y = step(x, y, parts, root.child("est", k))
+        h, y = step(x, y, parts, est)
         x_prev = x
-        x = one_round_upper(problem, x, y, h, alpha, cfg.tau, parts,
-                            root.child("upper", k), ledger)
+        x = one_round_upper(problem, x, y, h, alpha, cfg.tau, parts, upper, ledger)
         ledger.finish_outer()
         _guard(k, x, y)
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:

@@ -26,11 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .lower import LowerStepConfig, one_round_lower
+from .lower import LowerStepConfig, client_taus, lower_lanes, one_round_lower
 from .problems import BilevelProblem, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
-from .rng import RngStream
-from .runtime import CommLedger, aggregate_mean, client_ids
+from .rng import CLIENT, LaneTable, RngStream, TableStream
+from .runtime import CommLedger, aggregate_mean
 
 _CAP_TOL = 1.0 + 1e-12
 
@@ -76,6 +76,22 @@ class AidConfig:
             raise ParameterError("N must be >= 0")
 
 
+def aggitd_lanes(cfg: AggITDConfig, m: int) -> list:
+    """The lane families of one fused-estimator call under its scope stream."""
+    N = cfg.N
+    max_tau = int(client_taus(cfg.lower.tau, np.arange(m), m).max())
+    return [(CLIENT, "zeta_q", range(N)), (CLIENT, "xi_r", range(N + 1)),
+            (CLIENT, "u", range(N + 1)), *lower_lanes(max_tau, "lower", range(N)),
+            (CLIENT, "xi_h"), (CLIENT, "chi")]
+
+
+def chain_lanes(T: int, *prefix) -> list:
+    """The lane families of one aid_fhe or local_fhe call under the key parts
+    prefix of its scope stream."""
+    return [(*prefix, CLIENT, "xi0"), (*prefix, CLIENT, "zeta_h", range(T + 1)),
+            (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi")]
+
+
 @dataclass
 class EstimatorTrace:
     """Diagnostic record of one fused-estimator evaluation.
@@ -105,7 +121,7 @@ class EstimatorTrace:
 
 
 def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
-           cfg: AggITDConfig, participants: Sequence[int], rng: RngStream,
+           cfg: AggITDConfig, participants: Sequence[int], rng: RngStream | TableStream,
            ledger: CommLedger, q_override: int | None = None):
     """Fused lower-level optimization + hypergradient estimation (one loop).
 
@@ -113,6 +129,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     gradient round with the chain payloads piggybacked, a One-Round-Lower
     iterate round for t <= N-1, and one final round aggregating the per-client
     estimates. q_override pins the chain-seeding index Q for enumeration tests.
+    rng is the scope stream, or its step of a lane table with the families of
+    ``aggitd_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
     _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
@@ -124,19 +142,22 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     else:
         Q = int(rng.child("Q").generator().integers(0, N + 1))
 
-    ids = client_ids(participants)
-    ledger.begin_loop()
     y_t = np.asarray(y, dtype=float)
+    oracles = problem.checked(participants, x, y_t)
+    ids = oracles.ids
+    if isinstance(rng, RngStream):
+        rng = LaneTable.of(rng, aggitd_lanes(cfg, problem.m), np.arange(problem.m)).step(0)
+    ledger.begin_loop()
     y_iterates = [y_t]
     z = None
     for t in range(N + 1):
         payloads = []
         if t <= N - 1:
-            payloads.append(problem.grad_lower_y_batch(ids, x, y_t, rng.lanes(ids, "zeta_q", t)))
+            payloads.append(oracles.grad_lower_y(ids, x, y_t, rng.lanes(ids, "zeta_q", t)))
         if t == Q:
-            payloads.append(problem.grad_upper_y_batch(ids, x, y_t, rng.lanes(ids, "xi_r", t)))
+            payloads.append(oracles.grad_upper_y(ids, x, y_t, rng.lanes(ids, "xi_r", t)))
         elif t >= Q + 1:
-            hv = problem.hvp_lower_yy_batch(ids, x, y_t, z, rng.lanes(ids, "u", t))
+            hv = oracles.hvp_lower_yy(ids, x, y_t, z, rng.lanes(ids, "u", t))
             payloads.append(z - lam * hv)
         means = aggregate_mean(payloads, ledger)
         if t >= Q:
@@ -147,8 +168,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
             y_iterates.append(y_t)
 
     p = lam * (N + 1) * z
-    direct = problem.grad_upper_x_batch(ids, x, y_t, rng.lanes(ids, "xi_h"))
-    indirect = problem.jvp_lower_xy_batch(ids, x, y_t, p, rng.lanes(ids, "chi"))
+    direct = oracles.grad_upper_x(ids, x, y_t, rng.lanes(ids, "xi_h"))
+    indirect = oracles.jvp_lower_xy(ids, x, y_t, p, rng.lanes(ids, "chi"))
     h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
 
     trace = EstimatorTrace(Q=Q, y_iterates=y_iterates, z_final=z, p=p,
@@ -158,14 +179,15 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
 
 
 def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
-            cfg: AidConfig, participants: Sequence[int], rng: RngStream,
+            cfg: AidConfig, participants: Sequence[int], rng: RngStream | TableStream,
             ledger: CommLedger, t_prime_override: int | None = None) -> np.ndarray:
     """Two-loop baseline estimator evaluated at the finished lower iterate.
 
     Builds p_0 = lambda*T * mean_i grad_y F_i, then the full T-round chain
     p_t = (I - lambda * mean_i H_i) p_{t-1}; the estimate uses p_{T'} with
     T' uniform in {0..T-1}. The full chain is always executed so the round
-    bill is the deterministic T+2 this call charges.
+    bill is the deterministic T+2 this call charges. rng is the scope stream,
+    or its step of a lane table with the families of ``chain_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
@@ -176,52 +198,59 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
     else:
         T_prime = int(rng.child("T_prime").generator().integers(0, T))
 
-    ids = client_ids(participants)
-    ledger.begin_loop()
     y_N = np.asarray(y_N, dtype=float)
-    r = aggregate_mean(problem.grad_upper_y_batch(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
+    oracles = problem.checked(participants, x, y_N)
+    ids = oracles.ids
+    if isinstance(rng, RngStream):
+        rng = LaneTable.of(rng, chain_lanes(T), np.arange(problem.m)).step(0)
+    ledger.begin_loop()
+    r = aggregate_mean(oracles.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
     p = lam * T * r
     chain = [p]
     for t in range(1, T + 1):
-        hv = problem.hvp_lower_yy_batch(ids, x, y_N, p, rng.lanes(ids, "zeta_h", t))
+        hv = oracles.hvp_lower_yy(ids, x, y_N, p, rng.lanes(ids, "zeta_h", t))
         p = aggregate_mean(p - lam * hv, ledger)
         chain.append(p)
     p_sel = chain[T_prime]
 
-    direct = problem.grad_upper_x_batch(ids, x, y_N, rng.lanes(ids, "xi_h"))
-    indirect = problem.jvp_lower_xy_batch(ids, x, y_N, p_sel, rng.lanes(ids, "chi"))
+    direct = oracles.grad_upper_x(ids, x, y_N, rng.lanes(ids, "xi_h"))
+    indirect = oracles.jvp_lower_xy(ids, x, y_N, p_sel, rng.lanes(ids, "chi"))
     h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
     return h_direct - h_indirect
 
 
 def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
-              cfg: AidConfig, rng: RngStream | None = None,
+              cfg: AidConfig, rng: RngStream | TableStream | None = None,
               participants: Sequence[int] | None = None,
               ledger: CommLedger | None = None) -> np.ndarray:
     """Fully local estimator: per-client Neumann chain from local curvature only.
 
     With rng=None the exact truncated recursion on noise-off oracles is used.
     No cross-client second-order aggregation happens; only the final average
-    costs a round.
+    costs a round. rng may also be a lane table's step, as for ``aid_fhe``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
-    ids = client_ids(range(problem.m) if participants is None else participants)
     if ledger is None:
         ledger = CommLedger()
     y_N = np.asarray(y_N, dtype=float)
+    oracles = problem.checked(range(problem.m) if participants is None else participants,
+                              x, y_N)
+    ids = oracles.ids
+    if isinstance(rng, RngStream):
+        rng = LaneTable.of(rng, chain_lanes(T), np.arange(problem.m)).step(0)
 
     def lanes(tag, *idx):
         return None if rng is None else rng.lanes(ids, tag, *idx)
-    r = problem.grad_upper_y_batch(ids, x, y_N, lanes("xi0"))
+    r = oracles.grad_upper_y(ids, x, y_N, lanes("xi0"))
     s = r.copy()
     acc = r.copy()
     for j in range(1, T):
-        s = s - lam * problem.hvp_lower_yy_batch(ids, x, y_N, s, lanes("zeta_h", j))
+        s = s - lam * oracles.hvp_lower_yy(ids, x, y_N, s, lanes("zeta_h", j))
         acc += s
     p = lam * acc
-    return aggregate_mean(problem.grad_upper_x_batch(ids, x, y_N, lanes("xi_h"))
-                          - problem.jvp_lower_xy_batch(ids, x, y_N, p, lanes("chi")), ledger)
+    return aggregate_mean(oracles.grad_upper_x(ids, x, y_N, lanes("xi_h"))
+                          - oracles.jvp_lower_xy(ids, x, y_N, p, lanes("chi")), ledger)
 
 
 def dense_hessiv(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ParameterError, UnsupportedProblemError
 from .problems import BilevelProblem
 from .quadratic import QuadraticInstance
-from .rng import RngStream
-from .runtime import CommLedger, aggregate_mean, client_ids
+from .rng import CLIENT, LaneTable, RngStream, TableStream
+from .runtime import CommLedger, aggregate_mean
 
 VARIANT_SVRG = "svrg"
 VARIANT_SGD = "sgd"
@@ -50,15 +50,24 @@ class LowerStepConfig:
         client_taus(self.tau, np.arange(0))  # checks every tau_i is an integer >= 1
 
 
-def client_taus(tau: int | Sequence[int], ids: np.ndarray) -> np.ndarray:
+def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None) -> np.ndarray:
     """tau_i for each client id: its entry of a per-client list, or the shared
     count. Raises ParameterError if any tau_i, listed or shared, is not an
-    integer >= 1 (bools are not counts)."""
+    integer >= 1 (bools are not counts), or if m, the problem's client count,
+    is given and a list does not hold m entries."""
     listed = isinstance(tau, Sequence)
     if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 1
                for t in (tau if listed else (tau,))):
         raise ParameterError(f"every tau_i must be an integer >= 1, got {tau!r}")
+    if listed and m is not None and len(tau) != m:
+        raise ParameterError(f"tau lists {len(tau)} local step counts for {m} clients")
     return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
+
+
+def lower_lanes(max_tau: int, *prefix) -> list:
+    """The lane family of One-Round-Lower under the key parts prefix: the
+    lanes ``child(*prefix, i, "zeta", v)`` for every local step v < max_tau."""
+    return [(*prefix, CLIENT, "zeta", range(max_tau))]
 
 
 def _local_steps(taus: np.ndarray):
@@ -72,25 +81,29 @@ def _local_steps(taus: np.ndarray):
 
 def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
                     q: np.ndarray, cfg: LowerStepConfig,
-                    participants: Sequence[int], rng: RngStream,
+                    participants: Sequence[int], rng: RngStream | TableStream,
                     ledger: CommLedger) -> np.ndarray:
     """One composed local phase; returns the participant mean of y_tau^i.
 
     q must be the aggregated global lower gradient at (x, y) from the same
     outer step. All participants step together, one batched oracle call per
-    local step (two for svrg, on the same lanes). Charges exactly one round
+    local step (two for svrg, on the same lanes and so on the same draws).
+    rng is a scope stream or a lane table's step. Charges exactly one round
     (the iterate aggregation).
     """
-    ids = client_ids(participants)
-    taus = client_taus(cfg.tau, ids)
+    oracles = problem.checked(participants, x, y)
+    ids = oracles.ids
+    taus = client_taus(cfg.tau, ids, problem.m)
+    if isinstance(rng, RngStream):
+        rng = LaneTable.of(rng, lower_lanes(int(taus.max())), np.arange(problem.m)).step(0)
     betas = (cfg.beta / taus)[:, None]
     Y = np.repeat(y[None], ids.size, axis=0)
     for v, rows in _local_steps(taus):
         sub = ids[rows]
         lanes = rng.lanes(sub, "zeta", v)
-        step = problem.grad_lower_y_batch(sub, x, Y[rows], lanes)
+        step = oracles.grad_lower_y(sub, x, Y[rows], lanes)
         if cfg.variant == VARIANT_SVRG:
-            step = step - problem.grad_lower_y_batch(sub, x, y, lanes) + q
+            step = step - oracles.grad_lower_y(sub, x, y, lanes) + q
         Y[rows] = Y[rows] - betas[rows] * step
     return aggregate_mean(Y, ledger)
 

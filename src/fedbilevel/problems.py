@@ -20,10 +20,17 @@ and so on, which evaluates a whole participant set in one call:
 
 * ``ids`` is a strictly increasing int array of client ids;
 * x, y (and v) are either shared vectors or stacks with one row per id;
-* ``lanes`` is ``rng.lanes(ids, *tags)`` (or None for the exact oracle), so
-  row r uses the lane ``rng.child(ids[r], *tags)``;
+* ``lanes`` is ``rng.lanes(ids, *tags)`` or the same rows of a lane table
+  (or None for the exact oracle), so row r uses the lane
+  ``rng.child(ids[r], *tags)``;
 * the result is a ``(len(ids), dim)`` stack in id order whose row r equals
   the single-client oracle on that client, point and lane, bit for bit.
+
+A public batched call checks its ids, shapes and lanes on every call. The
+internal calls of the estimators, One-Round-Lower and One-Round-Upper check
+once per call of theirs instead: ``problem.checked(participants, x, y)``
+checks the participants' ids and the points once, and its oracles skip those
+checks but still audit every call's samples by purpose.
 
 There is no per-client fallback: each problem implements the five stacked
 kernels ``_grad_lower_y_batch`` etc., and a single-client call is a batch of
@@ -41,6 +48,7 @@ import numpy as np
 
 from .errors import ClientLookupError, ContractViolation, ProtocolError
 from .rng import Lanes, RngStream
+from .runtime import client_ids
 
 NOISE_FINITE_SUM = "finite-sum"
 NOISE_GAUSSIAN = "additive-gaussian"
@@ -118,6 +126,9 @@ class BilevelProblem:
     checks, where ``lanes`` is the Lanes whose counter-based draws pick each
     row's sample, or None for the exact evaluation. There is no per-client
     fallback; a single-client oracle call is a batch of one.
+
+    The public ``*_batch`` methods check every call. ``checked(participants,
+    x, y)`` checks once for the internal oracle calls of one estimator call.
     """
 
     def __init__(self, m: int, d1: int, d2: int, constants: ProblemConstants,
@@ -134,25 +145,19 @@ class BilevelProblem:
 
     # -- contract plumbing -------------------------------------------------
 
-    def _check_batch(self, ids, lanes, **arrays) -> None:
-        """ids sorted, distinct and in range; each array a shared vector or one
-        row per id; lanes one per id; then audit the batch's samples."""
+    def _check_batch(self, ids, lanes, x, y, v=None) -> None:
+        """ids sorted, distinct and in range; x, y and v each a shared vector or
+        one row per id; lanes one per id; then audit the batch's samples."""
         if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
             raise ContractViolation("ids must be a 1-D integer array")
         id_list = ids.tolist()
         if not id_list:
             raise ProtocolError("empty participant set")
-        if id_list[0] < 0 or id_list[-1] >= self.m:
-            raise ClientLookupError(f"client ids {id_list} not in [0, {self.m})")
+        self._check_rows(id_list, x, y, v)
         if sorted(set(id_list)) != id_list:
             raise ContractViolation(f"ids must be strictly increasing, got {id_list}")
         k = len(id_list)
-        for name, a in arrays.items():
-            dim = self.d1 if name == "x" else self.d2
-            if a.shape != (dim,) and a.shape != (k, dim):
-                raise ContractViolation(
-                    f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
-        if "v" in arrays and not np.isfinite(arrays["v"]).all():
+        if v is not None and not np.isfinite(v).all():
             raise ContractViolation("v contains non-finite entries")
         if lanes is None:
             return
@@ -172,6 +177,23 @@ class BilevelProblem:
             raise ContractViolation(
                 f"oracle stream must be an RngStream or None, got {type(stream).__name__}")
         return np.array([client]), Lanes.of(stream)
+
+    def _check_rows(self, id_list: list, x, y, v=None) -> None:
+        """ids in range; x, y and v each a shared vector or one row per id."""
+        if id_list[0] < 0 or id_list[-1] >= self.m:
+            raise ClientLookupError(f"client ids {id_list} not in [0, {self.m})")
+        k = len(id_list)
+        for name, a, dim in (("x", x, self.d1), ("y", y, self.d2), ("v", v, self.d2)):
+            if a is not None and a.shape != (dim,) and a.shape != (k, dim):
+                raise ContractViolation(
+                    f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
+
+    def checked(self, participants, x: np.ndarray, y: np.ndarray) -> "CheckedOracles":
+        """The batched oracles of one estimator call on the participants'
+        ``client_ids``, checked once against the problem and the points."""
+        ids = client_ids(participants)
+        self._check_rows(ids.tolist(), x, y)
+        return CheckedOracles(self, ids)
 
     def initial_point(self) -> tuple[np.ndarray, np.ndarray]:
         """Default (x0, y0) for solvers; the origin unless a subclass overrides."""
@@ -210,27 +232,27 @@ class BilevelProblem:
 
     def grad_lower_y_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                            lanes: Lanes | None) -> np.ndarray:
-        self._check_batch(ids, lanes, x=x, y=y)
+        self._check_batch(ids, lanes, x, y)
         return self._grad_lower_y_batch(ids, x, y, lanes)
 
     def grad_upper_x_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                            lanes: Lanes | None) -> np.ndarray:
-        self._check_batch(ids, lanes, x=x, y=y)
+        self._check_batch(ids, lanes, x, y)
         return self._grad_upper_x_batch(ids, x, y, lanes)
 
     def grad_upper_y_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                            lanes: Lanes | None) -> np.ndarray:
-        self._check_batch(ids, lanes, x=x, y=y)
+        self._check_batch(ids, lanes, x, y)
         return self._grad_upper_y_batch(ids, x, y, lanes)
 
     def hvp_lower_yy_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                            v: np.ndarray, lanes: Lanes | None) -> np.ndarray:
-        self._check_batch(ids, lanes, x=x, y=y, v=v)
+        self._check_batch(ids, lanes, x, y, v)
         return self._hvp_lower_yy_batch(ids, x, y, v, lanes)
 
     def jvp_lower_xy_batch(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                            v: np.ndarray, lanes: Lanes | None) -> np.ndarray:
-        self._check_batch(ids, lanes, x=x, y=y, v=v)
+        self._check_batch(ids, lanes, x, y, v)
         return self._jvp_lower_xy_batch(ids, x, y, v, lanes)
 
     # -- exact full-participation aggregates (diagnostics / evaluation) ----
@@ -249,3 +271,41 @@ class BilevelProblem:
 
     def agg_jvp_lower_xy(self, p: Point, v: np.ndarray) -> np.ndarray:
         return self.jvp_lower_xy_batch(self._all_ids, p.x, p.y, v, None).mean(axis=0)
+
+
+class CheckedOracles:
+    """The batched oracles of one estimator call, on ids its problem checked once.
+
+    Each call takes the checked ``ids`` or a row subset of them, points of
+    the checked shapes, and the call's Lanes. It skips the per-call checks of
+    the public ``*_batch`` methods but audits its samples by purpose, as they do.
+    """
+
+    __slots__ = ("problem", "ids")
+
+    def __init__(self, problem: BilevelProblem, ids: np.ndarray):
+        self.problem, self.ids = problem, ids
+
+    def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:
+        if lanes is not None:
+            self.problem.audit.record(lanes.purpose, self.problem.batch_size * ids.shape[0])
+
+    def grad_lower_y(self, ids, x, y, lanes):
+        self._audit(ids, lanes)
+        return self.problem._grad_lower_y_batch(ids, x, y, lanes)
+
+    def grad_upper_x(self, ids, x, y, lanes):
+        self._audit(ids, lanes)
+        return self.problem._grad_upper_x_batch(ids, x, y, lanes)
+
+    def grad_upper_y(self, ids, x, y, lanes):
+        self._audit(ids, lanes)
+        return self.problem._grad_upper_y_batch(ids, x, y, lanes)
+
+    def hvp_lower_yy(self, ids, x, y, v, lanes):
+        self._audit(ids, lanes)
+        return self.problem._hvp_lower_yy_batch(ids, x, y, v, lanes)
+
+    def jvp_lower_xy(self, ids, x, y, v, lanes):
+        self._audit(ids, lanes)
+        return self.problem._jvp_lower_xy_batch(ids, x, y, v, lanes)

@@ -77,7 +77,9 @@ class QuadraticInstance:
     gradients get N(0, noise_std^2 I) noise, and Hessian draws get symmetric
     perturbations shrunk to norm hess_margin[i], which keeps them inside
     [mu, L_g]. m, n_samples, d1 and d2 are read off the array shapes, and
-    A_bar ... e_bar are the client means.
+    A_bar ... e_bar are the client means. The arrays are made read-only, so
+    the means and the factor of A_bar cannot go stale; ``dataclasses.replace``
+    builds a changed instance.
     """
 
     A: np.ndarray            # (m, d2, d2)
@@ -107,6 +109,8 @@ class QuadraticInstance:
                 raise ParameterError(f"{name} has shape {shape}; expected nonempty "
                                      f"axes {axes!r} agreeing with {sizes}")
         self.m, self.n_samples, self.d2, self.d1 = (sizes[a] for a in "mnyx")
+        for name in _AXES:
+            getattr(self, name).setflags(write=False)
         self.A_bar = self.A.mean(axis=0)
         self.B_bar = self.B.mean(axis=0)
         self.c_bar = self.c.mean(axis=0)

@@ -282,3 +282,57 @@ def test_bad_stepsizes_rejected_before_any_round():
     with pytest.raises(ParameterError, match="beta"):
         run_fednest_baseline(cfg, problem=problem)
     assert problem.audit.total == 0
+
+
+# SampleAudit.by_purpose of whole runs, pinned at the commit before the lane
+# tables: hashing the lanes ahead must neither add nor drop an oracle call
+PINNED_AUDITS = {
+    "aggitd": {"chi": 12, "u": 10, "xi_h": 12, "xi_r": 12, "xi_up": 44, "zeta": 88,
+               "zeta_q": 24},
+    "aid": {"chi": 12, "xi0": 12, "xi_h": 12, "xi_up": 44, "zeta": 88, "zeta_h": 36,
+            "zeta_q": 24},
+    "local": {"chi": 12, "xi0": 12, "xi_h": 12, "xi_up": 44, "zeta": 88, "zeta_h": 24,
+              "zeta_q": 24},
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(PINNED_AUDITS))
+def test_run_audit_by_purpose_pinned(estimator):
+    spec = QuadraticSpec(d1=3, d2=3, m=4, mu=1.0, L_g=2.0, hetero=0.3,
+                         noise_spread=0.1, seed=7)
+    cfg = RunConfig(problem=spec, K=6, N=2, T=3, seed=7, eval_every=1, estimator=estimator,
+                    tau=[1, 3, 2, 1], participation=0.5)
+    problem = build_problem(cfg)
+    driver = run_fbo_aggitd if estimator == "aggitd" else run_fednest_baseline
+    driver(cfg, problem=problem)
+    assert problem.audit.by_purpose == PINNED_AUDITS[estimator]
+
+
+@pytest.mark.parametrize("kind", ["hyperrep", "gaussian"])
+def test_svrg_pairs_draw_each_lane_set_once(monkeypatch, kind):
+    # both evaluations of a variance-reduction pair read one draw: one
+    # counter block per lane set (local step), not one per oracle call
+    from fedbilevel import HyperRepSpec, LowerStepConfig, make_hyperrep, one_round_lower
+    from fedbilevel import rng as rng_mod
+    if kind == "hyperrep":
+        problem = make_hyperrep(HyperRepSpec(m=3, n_points=120), 0, batch_size=4)
+    else:
+        problem = QuadraticProblem(make_quadratic(QuadraticSpec(
+            d1=3, d2=3, m=3, noise_mode="additive-gaussian", noise_std=0.2, seed=3)))
+    blocks = []
+    original = rng_mod._mix64_counters
+
+    def counted(hashes, n):
+        blocks.append(len(hashes))
+        return original(hashes, n)
+    monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
+    x, y = problem.initial_point()
+    tau = 2
+    one_round_lower(problem, x, y, np.zeros(problem.d2), LowerStepConfig(beta=0.01, tau=tau),
+                    range(3), RngStream(4), CommLedger())
+    assert blocks == [3] * tau
+    assert problem.audit.by_purpose == {"zeta": 2 * tau * 3 * problem.batch_size}
+    blocks.clear()
+    one_round_upper(problem, x, y, np.zeros(problem.d1), 0.01, tau, range(3), RngStream(5),
+                    CommLedger())
+    assert blocks == [3] * tau

@@ -166,3 +166,24 @@ def test_integer_taus_accepted():
     assert client_taus(np.int64(3), np.arange(2)).tolist() == [3, 3]
     assert client_taus([1, np.int32(4)], np.array([1])).tolist() == [4]
     assert client_taus((2, 5), np.arange(2)).tolist() == [2, 5]
+
+
+@pytest.mark.parametrize("tau", [[1, 1], [1] * 6])
+def test_tau_list_length_checked_on_library_path(tau):
+    # a per-client list must hold one count per client of the problem: a short
+    # list used to end in an IndexError, a long one ran with entries ignored
+    from fedbilevel import RunConfig, one_round_upper
+    inst, problem = _noise_off_problem(m=4)
+    x, y = np.zeros(3), np.zeros(3)
+    cfg = LowerStepConfig(beta=0.01, tau=tau)
+    msg = f"tau lists {len(tau)} local step counts for 4 clients"
+    with pytest.raises(ParameterError, match=msg):
+        one_round_lower(problem, x, y, np.zeros(3), cfg, range(4), RngStream(1), CommLedger())
+    with pytest.raises(ParameterError, match=msg):
+        one_round_upper(problem, x, y, np.zeros(3), 0.1, tau, range(2), RngStream(1),
+                        CommLedger())
+    with pytest.raises(ParameterError, match=msg):
+        RunConfig(problem=QuadraticSpec(d1=3, d2=3, m=4), tau=tau)
+    with pytest.raises(ParameterError, match=msg):
+        client_taus(tau, np.arange(2), 4)
+    assert client_taus([1, 3, 2, 1], np.array([1, 2]), 4).tolist() == [3, 2]

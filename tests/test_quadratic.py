@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedbilevel import (ParameterError, QuadraticInstance, QuadraticSpec,
-                        RngStream, make_quadratic)
+from fedbilevel import (ParameterError, Point, QuadraticInstance, QuadraticProblem,
+                        QuadraticSpec, RngStream, make_quadratic)
 from fedbilevel.oracle import fd_hypergradient
 
 from conftest import manual_instance
@@ -139,3 +139,19 @@ def test_json_rejects_other_schemas_and_disagreeing_arrays():
         QuadraticInstance.from_json_dict({**doc, "dc": ragged})
     with pytest.raises(ParameterError, match="malformed"):
         QuadraticInstance.from_json_dict({k: v for k, v in doc.items() if k != "noise_std"})
+
+
+def test_instance_arrays_read_only():
+    # the means and the Cholesky factor are computed once, so writing into an
+    # array would leave y_star and the hypergradient on the old values
+    inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=3, hetero=0.5, seed=4))
+    for name in ("A", "B", "c", "d", "e", "dA", "dB", "dc", "dd", "de", "hess_margin"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[...] = 0.0
+    other = replace(inst, B=np.zeros_like(inst.B))
+    x = np.ones(2)
+    np.testing.assert_allclose(other.y_star(x), -np.linalg.solve(inst.A_bar, inst.c_bar))
+    problem = QuadraticProblem(other)
+    g = problem.agg_grad_lower_y(Point(x, other.y_star(x)))
+    np.testing.assert_allclose(g, 0.0, atol=1e-12)
+    assert not other.B.flags.writeable

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fedbilevel import RngStream
 
@@ -96,3 +97,73 @@ def test_normal_moments_and_lane_independence():
     assert z.shape == (40_001,)
     assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.03
     assert abs(np.corrcoef(z[:20_000], z[20_001:])[0, 1]) < 0.03
+
+
+def _table_cases():
+    # the families of every driver, with a per-client tau list
+    from fedbilevel import AggITDConfig, LowerStepConfig
+    from fedbilevel.drivers import upper_lanes
+    from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
+    from fedbilevel.lower import lower_lanes
+    from fedbilevel.rng import CLIENT
+    m, N, T, taus = 4, 2, 3, [1, 3, 2, 1]
+    cfg = AggITDConfig(lam=0.5, N=N, lower=LowerStepConfig(beta=0.1, tau=taus))
+    lower = [(CLIENT, "zeta_q", range(N)), *lower_lanes(3, "lower", range(N))]
+    return m, N, T, taus, {"est": aggitd_lanes(cfg, m),
+                           "aid": lower + chain_lanes(T, "aid"),
+                           "local": lower + chain_lanes(T, "local"),
+                           "upper": upper_lanes(3)}
+
+
+def _lane_calls(N, T, taus, ids, name):
+    """(path, tags) of every lanes call a step of this table makes for ids."""
+    tau = max(taus[i] for i in ids.tolist())
+    if name == "upper":
+        return [((), ("xi_up", v)) for v in range(tau)]
+    calls = [((), ("zeta_q", t)) for t in range(N)]
+    calls += [(("lower", t), ("zeta", v)) for t in range(N) for v in range(tau)]
+    if name == "est":
+        calls += [((), (tag, t)) for tag in ("xi_r", "u") for t in range(N + 1)]
+        return calls + [((), ("xi_h",)), ((), ("chi",))]
+    return calls + [((name,), tag) for tag in (("xi0",), ("xi_h",), ("chi",))] + [
+        ((name,), ("zeta_h", t)) for t in range(T + 1)]
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 50])
+def test_table_rows_equal_stream_hashes(monkeypatch, budget):
+    # every row of every family, at several k, for full and half participation;
+    # a budget of 50 rows hashes one outer step per table
+    from fedbilevel import Participation, select_participants
+    from fedbilevel import rng as rng_mod
+    monkeypatch.setattr(rng_mod, "ROW_BUDGET", budget)
+    m, N, T, taus, tables = _table_cases()
+    root = RngStream(21)
+    for name, families in tables.items():
+        tag = "upper" if name == "upper" else "est"
+        steps = list(rng_mod.lane_steps(root, tag, 5, m, families))
+        assert len(steps) == 5
+        for k in (0, 2, 4):
+            for ratio in (1.0, 0.5):
+                ids = np.array(select_participants(Participation(ratio), m,
+                                                   root.child("part", k)))
+                for path, tags in _lane_calls(N, T, taus, ids, name):
+                    lanes = steps[k].child(*path).lanes(ids, *tags)
+                    scope = root.child(tag, k).child(*path)
+                    want = [scope.child(i, *tags) for i in ids.tolist()]
+                    assert [int(h) for h in lanes.hashes] == [s._hash for s in want]
+                    assert lanes.index(8).tolist() == [s.index(8) for s in want]
+                    assert lanes.purpose == tags[0]
+                    assert lanes.stream(0) == want[0]
+
+
+def test_vectorised_index_equals_python_multiply_high():
+    from fedbilevel.rng import _index, _mix64
+    gen = np.random.default_rng(5)
+    hashes = np.concatenate([gen.integers(0, 2 ** 64, size=4000, dtype=np.uint64),
+                             np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)])
+    for n in (1, 2, 3, 8, 24, 2 ** 31 - 1, 2 ** 32 - 1):
+        want = [(_mix64(h, 0) * n) >> 64 for h in hashes.tolist()]
+        assert _index(hashes, n).tolist() == want, n
+    for n in (0, 2 ** 32):
+        with pytest.raises(ValueError):
+            _index(hashes, n)
