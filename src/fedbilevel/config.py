@@ -10,7 +10,7 @@ Schema (every key is optional; unknown keys are rejected):
     tau            local step count (int or per-client list)
     participation  ratio in (0, 1]
     hetero         heterogeneity scale in [0, 1] (quadratic)
-    noise          {"mode": "finite-sum"|"additive-gaussian", "spread": s, "std": s}
+    noise          {"mode": "finite-sum"|"additive-gaussian", "spread": s, "std": s}, s >= 0
     seed, eval_every, out_dir
 
 Unset N, T and stepsizes are filled by ``drivers.resolve_params`` at parse

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
-                        aggitd, aggitd_lanes, aid_fhe, chain_lanes, local_fhe)
+                        aggitd, aggitd_lanes, aid_fhe, beta_cap, chain_lanes,
+                        lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
 from .lower import (LowerStepConfig, _local_steps, client_taus, lower_lanes,
@@ -42,16 +43,11 @@ def default_N(constants: ProblemConstants) -> int:
     return max(1, math.ceil(constants.kappa_g))
 
 
-def default_stepsizes(constants: ProblemConstants, K: int,
-                      alpha_bar: float | None = None) -> tuple[float, float, float]:
-    """Condition-number-guided defaults: lam = min{10, 1/L_g}, beta at its cap,
-    alpha = alpha_bar / sqrt(K) with alpha_bar defaulting to kappa_g^-4."""
-    lam = min(10.0, 1.0 / constants.L_g)
-    beta = min(1.0, lam, 1.0 / (6.0 * constants.L_g))
-    if alpha_bar is None:
-        alpha_bar = constants.kappa_g ** -4
-    alpha = alpha_bar / math.sqrt(max(K, 1))
-    return lam, alpha, beta
+def default_stepsizes(constants: ProblemConstants, K: int) -> tuple[float, float, float]:
+    """Condition-number-guided defaults: lam and beta at their caps,
+    alpha = kappa_g^-4 / sqrt(K)."""
+    lam = lambda_cap(constants)
+    return lam, constants.kappa_g ** -4 / math.sqrt(max(K, 1)), beta_cap(lam, constants)
 
 
 @dataclass
@@ -66,7 +62,6 @@ class RunConfig:
     lam: float | None = None
     alpha: float | None = None
     beta: float | None = None
-    alpha_bar: float | None = None
     tau: int | Sequence[int] = 1
     variant: str = "svrg"
     participation: float = 1.0
@@ -179,10 +174,10 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     T = cfg.T if cfg.T is not None else max(1, N)
     if N < 0 or T < 1:
         raise ParameterError("need N >= 0 and T >= 1")
-    lam0, alpha0, beta0 = default_stepsizes(constants, cfg.K, cfg.alpha_bar)
+    lam0, alpha0, _ = default_stepsizes(constants, cfg.K)
     lam = cfg.lam if cfg.lam is not None else lam0
     alpha = cfg.alpha if cfg.alpha is not None else alpha0
-    beta = cfg.beta if cfg.beta is not None else beta0
+    beta = cfg.beta if cfg.beta is not None else beta_cap(lam, constants)
     _check_lambda(lam, constants)
     if beta <= 0:
         raise ParameterError("beta must be positive")

@@ -35,14 +35,24 @@ from .runtime import CommLedger, aggregate_mean
 _CAP_TOL = 1.0 + 1e-12
 
 
+def lambda_cap(constants: ProblemConstants) -> float:
+    """The Neumann stepsize cap min{10, 1/L_g}, also the default lambda."""
+    return min(10.0, 1.0 / constants.L_g)
+
+
+def beta_cap(lam: float, constants: ProblemConstants) -> float:
+    """The lower stepsize cap min{1, lambda, 1/(6 L_g)}, also the default beta."""
+    return min(1.0, lam, 1.0 / (6.0 * constants.L_g))
+
+
 def _check_lambda(lam: float, constants: ProblemConstants) -> None:
-    cap = min(10.0, 1.0 / constants.L_g)
+    cap = lambda_cap(constants)
     if lam <= 0 or lam > cap * _CAP_TOL:
         raise ParameterError(f"lambda={lam} violates cap min{{10, 1/L_g}}={cap}")
 
 
 def _check_beta(beta: float, lam: float, constants: ProblemConstants) -> None:
-    cap = min(1.0, lam, 1.0 / (6.0 * constants.L_g))
+    cap = beta_cap(lam, constants)
     if beta > cap * _CAP_TOL:
         raise ParameterError(f"beta={beta} violates cap min{{1, lambda, 1/(6 L_g)}}={cap}")
 

@@ -4,7 +4,10 @@ Everything here is algorithmically independent of the code paths it checks:
 finite differences against the implicit-function formula, dense factorization
 against Neumann chains, Monte-Carlo moments against analytic bounds, and
 constant measurement (eigenvalue extremes, gradient bounds, noise levels) on
-a declared compact region, since quadratics are not globally Lipschitz.
+a declared compact region, since quadratics are not globally Lipschitz. Each
+region point is one stacked pass over the instance's (m, ...) and (m, n, ...)
+arrays, with exact gradients from this module's own closed forms, not from
+the oracle kernels it checks.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
 from .problems import NOISE_FINITE_SUM, Point, ProblemConstants
-from .quadratic import QuadraticInstance, QuadraticProblem
-from .rng import RngStream
+from .quadratic import QuadraticInstance, QuadraticProblem, _norms
+from .rng import CLIENT, RngStream, lane_steps
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,11 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     region (per-sample members enumerated in finite-sum mode). sigma_f and
     sigma_g are sqrt(E||.||^2) noise levels, with sigma_g the max of the
     gradient-noise and client-dissimilarity components.
+
+    Each region point is one stacked pass over every client and, in
+    finite-sum mode, every sample; the exact gradients are closed forms,
+    independent of the oracle kernels. Additive-gaussian noise takes one
+    batched oracle call per purpose on the lanes ``child("mc", k, i, tag)``.
     """
     if samples < 100:
         raise ParameterError("need at least 100 region samples")
@@ -73,50 +81,38 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     gen = RngStream(seed).child("measure").generator()
     pts = [region.sample(gen) for _ in range(samples)]
     finite_sum = inst.noise_mode == NOISE_FINITE_SUM
-    problem = QuadraticProblem(inst, batch_size=1)
-    n = inst.n_samples
-
-    M_hat = 0.0
-    var_f = 0.0
     if finite_sum:  # the upper-gradient sample variance does not depend on the point
-        var_f = max(float(np.mean([np.sum(de[j] ** 2) + np.sum(dd[j] ** 2) for j in range(n)]))
-                    for de, dd in zip(inst.de, inst.dd))
-    var_g1 = 0.0
-    var_g2 = 0.0
-    # additive-gaussian noise is homoscedastic by construction, so its draws
-    # are pooled across points; finite-sum variances are enumerated exactly
-    # per point and maximized over the region.
-    pool_f = {i: [] for i in range(inst.m)}
-    pool_g = {i: [] for i in range(inst.m)}
-    for k, p in enumerate(pts):
-        grads_g = []
-        for i in range(inst.m):
-            gx = inst.rho_x * p.x + inst.e[i]
-            gy = p.y - inst.d[i]
-            gl = inst.A[i] @ p.y + inst.B[i] @ p.x + inst.c[i]
-            grads_g.append(gl)
-            if finite_sum:
-                dA, dB, dc, dd, de = inst.dA[i], inst.dB[i], inst.dc[i], inst.dd[i], inst.de[i]
-                for j in range(n):
-                    fu = np.concatenate([gx + de[j], gy - dd[j]])
-                    M_hat = max(M_hat, float(np.linalg.norm(fu)))
-                vg = np.mean([np.sum((dA[j] @ p.y + dB[j] @ p.x + dc[j]) ** 2)
-                              for j in range(n)])
-                var_g1 = max(var_g1, float(vg))
-            else:
-                st = RngStream(seed).child("mc", k, i)
-                fx = problem.grad_upper_x(i, p, st.child("fx"))
-                fy = problem.grad_upper_y(i, p, st.child("fy"))
-                gg = problem.grad_lower_y(i, p, st.child("gg"))
-                fu = np.concatenate([fx, fy])
-                M_hat = max(M_hat, float(np.linalg.norm(fu)))
-                pool_f[i].append(np.sum((fu - np.concatenate([gx, gy])) ** 2))
-                pool_g[i].append(np.sum((gg - gl) ** 2))
-        gbar = np.mean(grads_g, axis=0)
-        var_g2 = max(var_g2, float(np.mean([np.sum((g - gbar) ** 2) for g in grads_g])))
+        var_f = float(((inst.de ** 2).sum(axis=2) + (inst.dd ** 2).sum(axis=2))
+                      .mean(axis=1).max())
+        steps = [None] * samples
+    else:
+        # additive-gaussian noise is homoscedastic by construction, so its
+        # squared draws are pooled per client across points; one contiguous
+        # row per client and purpose, so each mean is a pairwise sum over a row
+        noise = np.empty((2, inst.m, samples))
+        problem, ids = QuadraticProblem(inst), np.arange(inst.m)
+        steps = lane_steps(RngStream(seed), "mc", samples, inst.m,
+                           [(CLIENT, "fx"), (CLIENT, "fy"), (CLIENT, "gg")])
+    M_hat = var_g1 = var_g2 = 0.0
+    for k, (p, step) in enumerate(zip(pts, steps)):
+        gx = inst.rho_x * p.x + inst.e
+        gy = p.y - inst.d
+        gl = inst.A @ p.y + inst.B @ p.x + inst.c
+        if finite_sum:  # every sample's gradients, enumerated exactly per point
+            fu = np.concatenate([gx[:, None] + inst.de, gy[:, None] - inst.dd], axis=2)
+            dg = inst.dA @ p.y + inst.dB @ p.x + inst.dc
+            var_g1 = max(var_g1, float((dg ** 2).sum(axis=2).mean(axis=1).max()))
+        else:
+            fu = np.concatenate([problem.grad_upper_x_batch(ids, p.x, p.y, step.lanes(ids, "fx")),
+                                 problem.grad_upper_y_batch(ids, p.x, p.y, step.lanes(ids, "fy"))],
+                                axis=1)
+            gg = problem.grad_lower_y_batch(ids, p.x, p.y, step.lanes(ids, "gg"))
+            noise[0, :, k] = ((fu - np.concatenate([gx, gy], axis=1)) ** 2).sum(axis=1)
+            noise[1, :, k] = ((gg - gl) ** 2).sum(axis=1)
+        M_hat = max(M_hat, float(_norms(fu).max()))
+        var_g2 = max(var_g2, float(((gl - gl.mean(axis=0)) ** 2).sum(axis=1).mean()))
     if not finite_sum:
-        var_f = max(float(np.mean(pool_f[i])) for i in range(inst.m))
-        var_g1 = max(float(np.mean(pool_g[i])) for i in range(inst.m))
+        var_f, var_g1 = noise.mean(axis=2).max(axis=1).tolist()
 
     return ProblemConstants(
         mu=mu, L_g=L_g, L_f=max(1.0, inst.rho_x), M=M_hat,

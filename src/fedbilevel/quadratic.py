@@ -34,9 +34,9 @@ class QuadraticSpec:
     """Generator knobs for a synthetic instance.
 
     hetero in [0, 1] scales mean-zero client perturbations of (A, B, c, d)
-    jointly; hetero=0 gives identical clients. noise_spread sets the size of
-    the zero-mean per-sample offsets (finite-sum mode); noise_std is the
-    additive-gaussian alternative. coupling and lin_scale shape the cross
+    jointly; hetero=0 gives identical clients. noise_spread >= 0 sets the size
+    of the zero-mean per-sample offsets (finite-sum mode); noise_std >= 0 is
+    the additive-gaussian alternative. coupling and lin_scale shape the cross
     block and the linear terms.
     """
 
@@ -193,23 +193,30 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each the 1-D ``np.linalg.norm`` of
+    its row bit for bit: one BLAS dot per row (``axis=-1`` sums pairwise)."""
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+
+
 def _pm_pairs(gen: np.random.Generator, n: int, shape: tuple, scale: float,
               symmetric: bool = False) -> np.ndarray:
-    """n zero-mean offsets arranged as +/- pairs (odd n leaves one zero slot)."""
+    """n zero-mean offsets arranged as +/- pairs (odd n leaves one zero slot),
+    each of norm scale (spectral when symmetric). The n // 2 raw offsets are
+    one draw, which consumes gen as n // 2 draws of one offset would."""
     out = np.zeros((n, *shape))
-    if scale <= 0.0:
+    if scale <= 0.0 or n < 2:
         return out
-    for j in range(n // 2):
-        raw = gen.normal(size=shape)
-        if symmetric:
-            raw = _sym(raw)
-            nrm = np.linalg.norm(raw, 2)
-        else:
-            nrm = np.linalg.norm(raw)
-        if nrm > 0:
-            raw *= scale / nrm
-        out[2 * j] = raw
-        out[2 * j + 1] = -raw
+    raw = gen.normal(size=(n // 2, *shape))
+    if symmetric:
+        raw = _sym(raw)
+        nrm = np.linalg.norm(raw, 2, axis=(1, 2))
+    else:
+        nrm = _norms(raw.reshape(n // 2, -1))
+    nrm = np.where(nrm > 0, nrm, scale)  # a zero draw stays zero
+    raw *= (scale / nrm).reshape(-1, *(1,) * len(shape))
+    out[0:n - 1:2] = raw
+    out[1:n:2] = -raw
     return out
 
 
@@ -222,6 +229,9 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     if min(spec.d1, spec.d2, spec.m, spec.n_per_client) < 1:
         raise ParameterError("need d1, d2 >= 1 dimensions, m >= 1 clients and "
                              "n_per_client >= 1 samples")
+    for name in ("noise_spread", "noise_std"):
+        if not getattr(spec, name) >= 0.0:
+            raise ParameterError(f"{name} must be >= 0, got {getattr(spec, name)}")
 
     root = RngStream(spec.seed).child("make_quadratic")
     gen = root.generator()
@@ -242,9 +252,9 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     e_base = spec.lin_scale * gen.normal(size=spec.d1)
 
     # mean-zero client perturbations, jointly scaled by hetero
-    dA_cl = np.array([_sym(gen.normal(size=(spec.d2, spec.d2))) for _ in range(spec.m)])
+    dA_cl = _sym(gen.normal(size=(spec.m, spec.d2, spec.d2)))
     dA_cl -= dA_cl.mean(axis=0)
-    max_norm = max(np.linalg.norm(p, 2) for p in dA_cl) or 1.0
+    max_norm = np.linalg.norm(dA_cl, 2, axis=(1, 2)).max() or 1.0
     dA_cl *= 0.15 * span / max_norm
 
     def demeaned(shape, scale):

@@ -90,6 +90,8 @@ BAD_CONFIGS = [
         '"test_fraction": -0.5', '"test_fraction": 0', '"test_fraction": 1',
         '"classes": 0', '"m": 0', '"embed_dim": 0', '"feature_dim": 0',
         '"partition": "label-skew", "shards_per_client": 0')),
+    (['noise={"spread": -0.5}'], 2),
+    (['noise={"mode": "additive-gaussian", "std": -1}'], 2),
 ]
 
 

@@ -49,6 +49,14 @@ def test_lambda_cap_rejection(tmp_path):
         parse_config(_write(tmp_path, doc))
 
 
+def test_default_beta_capped_at_explicit_lambda(tmp_path):
+    # beta defaults to its cap at the lambda in use: lambda alone, set below
+    # 1/(6 L_g), must not make the default beta violate its own cap
+    doc = {"problem": {"type": "quadratic", "L_g": 10.0}, "K": 5, "lambda": 0.01}
+    cfg = parse_config(_write(tmp_path, doc))
+    assert (cfg.lam, cfg.beta) == (0.01, 0.01)
+
+
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown config keys"):
         parse_config(_write(tmp_path, {"K": 5, "momentum": 0.9}))

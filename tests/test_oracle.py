@@ -90,23 +90,37 @@ def test_measure_constants_dissimilarity_only():
     assert c0.sigma_g == 0.0
 
 
-# (mu, L_g, L_f, M, rho, sigma_f, sigma_g), exact: seed 11 is the criterion-4
-# instance, seed 17 the first mc_estimate benchmark instance
+# spec fields over the criterion-4 spec -> (mu, L_g, L_f, M, rho, sigma_f,
+# sigma_g), exact: seed 11 is the criterion-4 instance, seed 17 the first
+# mc_estimate benchmark instance; the other shapes cover d1 != d2, odd n, m = 1
+# and additive-gaussian noise with d2 = 1
+_PINNED_BASE = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.3,
+                             noise_spread=0.1)
 PINNED_CONSTANTS = {
-    11: (1.1797667706252137, 1.7791431298433251, 1.0, 3.80526972426812, 0.0,
-         0.14142135623730953, 0.3608457586329694),
-    17: (1.4749166464629748, 1.8187066320748506, 1.0, 3.8556194607499443, 0.0,
-         0.14142135623730953, 0.3216343062326172),
+    "11": (dict(seed=11), (1.1797667706252137, 1.7791431298433251, 1.0, 3.80526972426812,
+                           0.0, 0.14142135623730953, 0.3608457586329694)),
+    "17": (dict(seed=17), (1.4749166464629748, 1.8187066320748506, 1.0, 3.8556194607499443,
+                           0.0, 0.14142135623730953, 0.3216343062326172)),
+    "d6x2-m5-n3": (dict(d1=6, d2=2, m=5, n_per_client=3, seed=11),
+                   (1.2134937754138924, 1.5990682011402972, 1.0, 3.3089205192234092, 0.0,
+                    0.11547005383792516, 0.37505270970084265)),
+    "m1": (dict(m=1, seed=11), (1.2307780578156167, 1.7824598035365895, 1.0,
+                                3.6733908910662603, 0.0, 0.1414213562373095,
+                                0.24494776706330457)),
+    "gaussian-d4x1-m2": (dict(d1=4, d2=1, m=2, noise_mode=NOISE_GAUSSIAN, noise_std=0.3,
+                              seed=11),
+                         (1.2582260332051458, 1.3482260332051457, 1.0, 4.29827760648848, 0.0,
+                          0.7116910054458784, 0.311607366818383)),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED_CONSTANTS))
-def test_measure_constants_pinned(seed):
-    inst = make_quadratic(QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0,
-                                        hetero=0.3, noise_spread=0.1, seed=seed))
-    x = np.ones(3)
+@pytest.mark.parametrize("case", PINNED_CONSTANTS)
+def test_measure_constants_pinned(case):
+    spec_fields, expected = PINNED_CONSTANTS[case]
+    inst = make_quadratic(replace(_PINNED_BASE, **spec_fields))
+    x = np.ones(inst.d1)
     c = measure_constants(inst, TestRegion(Point(x, inst.y_star(x) + 0.3), 1.5), samples=100)
-    assert (c.mu, c.L_g, c.L_f, c.M, c.rho, c.sigma_f, c.sigma_g) == PINNED_CONSTANTS[seed]
+    assert (c.mu, c.L_g, c.L_f, c.M, c.rho, c.sigma_f, c.sigma_g) == expected
 
 
 def test_measure_constants_gaussian_pinned():

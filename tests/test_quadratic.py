@@ -1,5 +1,6 @@
 """Synthetic instance generation and closed-form ground truth."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,10 @@ def test_infeasible_spec_rejected():
         make_quadratic(QuadraticSpec(mu=-1.0))
     with pytest.raises(ParameterError):
         make_quadratic(QuadraticSpec(hetero=1.5))
+    for field in ("noise_spread", "noise_std"):
+        with pytest.raises(ParameterError, match=field):
+            make_quadratic(QuadraticSpec(**{field: -0.5}))
+        make_quadratic(QuadraticSpec(**{field: 0.0}))
 
 
 def test_closed_form_lower_opt_examples():
@@ -123,6 +128,15 @@ def test_json_round_trip():
     np.testing.assert_array_equal(inst.de, back.de)
     x = np.ones(3)
     np.testing.assert_array_equal(inst.hypergradient(x), back.hypergradient(x))
+
+
+def test_instance_json_digest_pinned():
+    # odd n_per_client and d1 != d2 cover the +/- offset pairs' zero slot and
+    # their symmetric (spectral-norm) branch; pinned on x86_64 with OpenBLAS
+    inst = make_quadratic(QuadraticSpec(d1=4, d2=3, m=3, n_per_client=5, hetero=0.5,
+                                        noise_spread=0.2, seed=7))
+    assert hashlib.sha256(inst.to_json().encode()).hexdigest() == (
+        "3f5f7b344d5633065cc94dcfc7741f07e6c3c90d80f0d34baaa97ce78671adac")
 
 
 def test_json_rejects_other_schemas_and_disagreeing_arrays():
