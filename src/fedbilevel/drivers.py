@@ -200,10 +200,11 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
 
     The anchor gradient at x is re-evaluated per local step with that step's
     own sample (shared with the local term), so a single local step reduces to
-    x - alpha*h exactly. All participants step together, two batched oracle
-    calls per local step on the same draws. rng is the scope stream or its
-    step of a lane table with the family of ``upper_lanes``. Charges one round
-    (the iterate aggregation).
+    x - alpha*h up to rounding. All participants step together, two batched
+    oracle calls per local step on the same draws; unlike One-Round-Lower's,
+    the pair at v = 0 is evaluated, since (h - g) + g is not h in floating
+    point. rng is the scope stream or its step of a lane table with the family
+    of ``upper_lanes``. Charges one round (the iterate aggregation).
     """
     oracles = problem.checked(participants, x, y_plus)
     ids = oracles.ids

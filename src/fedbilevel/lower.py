@@ -10,6 +10,13 @@ using the SAME sample zeta_v for both evaluations of the correction; that
 shared sample is what makes the correction variance-reducing. The server then
 averages the client iterates, which costs one communication round. The
 gradient aggregation that produced q is charged by the caller.
+
+Every client starts at y_0 = y, so at v = 0 the svrg pair evaluates one point
+on one sample and cancels exactly: a batched oracle gives the same rows, bit
+for bit, on a stacked copy of y as on y itself, so (g - g) + q is q. The first
+svrg step is therefore y - (beta/tau_i) q with no oracle call. The sample
+audit still charges the pair's samples, since it reports the algorithm's
+sample bill, as the ledger reports its round bill.
 """
 
 from __future__ import annotations
@@ -88,8 +95,10 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     q must be the aggregated global lower gradient at (x, y) from the same
     outer step. All participants step together, one batched oracle call per
     local step (two for svrg, on the same lanes and so on the same draws).
-    rng is a scope stream or a lane table's step. Charges exactly one round
-    (the iterate aggregation).
+    The svrg step v = 0 is y - (beta/tau_i) q with no oracle call, since its
+    pair cancels exactly; the audit still charges that pair's 2 * batch_size
+    "zeta" samples per participant. rng is a scope stream or a lane table's
+    step. Charges exactly one round (the iterate aggregation).
     """
     oracles = problem.checked(participants, x, y)
     ids = oracles.ids
@@ -97,8 +106,14 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     if isinstance(rng, RngStream):
         rng = LaneTable.of(rng, lower_lanes(int(taus.max())), np.arange(problem.m)).step(0)
     betas = (cfg.beta / taus)[:, None]
-    Y = np.repeat(y[None], ids.size, axis=0)
-    for v, rows in _local_steps(taus):
+    steps = _local_steps(taus)
+    if cfg.variant == VARIANT_SVRG:
+        next(steps)  # v = 0: every client steps, and its pair cancels
+        problem.audit.record("zeta", 2 * problem.batch_size * ids.size)
+        Y = y - betas * q
+    else:
+        Y = np.repeat(y[None], ids.size, axis=0)
+    for v, rows in steps:
         sub = ids[rows]
         lanes = rng.lanes(sub, "zeta", v)
         step = oracles.grad_lower_y(sub, x, Y[rows], lanes)

@@ -101,6 +101,8 @@ class QuadraticInstance:
     noise_std: float = 0.0
 
     def __post_init__(self):
+        if self.noise_mode not in (NOISE_FINITE_SUM, NOISE_GAUSSIAN):
+            raise ParameterError(f"unknown noise mode {self.noise_mode!r}")
         sizes = {}
         for name, axes in _AXES.items():
             shape = np.shape(getattr(self, name))

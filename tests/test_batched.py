@@ -97,6 +97,22 @@ def test_batched_rows_match_single_client(mode, make, stochastic, stacked):
                 assert batched_audit == {name: problem.batch_size * k}
 
 
+@pytest.mark.parametrize("mode,make,stochastic", MODES, ids=[m[0] for m in MODES])
+def test_grad_lower_y_stacked_copy_of_shared_y(mode, make, stochastic):
+    # One-Round-Lower skips its first svrg pair, grad(Y) - grad(y) on the same
+    # lanes with Y a stacked copy of y, because this difference is exactly zero
+    problem = make()
+    gen = RngStream(3).child("points").generator()
+    rng = RngStream(32).child("est", 2)
+    for ids in (np.array([0, 2, 3]), np.arange(problem.m), np.array([4])):
+        x = 0.5 * gen.normal(size=problem.d1)
+        y = 0.5 * gen.normal(size=problem.d2)
+        lanes = rng.lanes(ids, "zeta", 0) if stochastic else None
+        shared = problem.grad_lower_y_batch(ids, x, y, lanes)
+        stacked = problem.grad_lower_y_batch(ids, x, np.repeat(y[None], ids.size, 0), lanes)
+        assert np.array_equal(stacked, shared), ids
+
+
 def _reference(problem, name, i, x, y, v, lane):
     """The quadratic oracles written per client, as plain numpy on row i of the
     instance arrays."""

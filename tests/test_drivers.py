@@ -330,7 +330,7 @@ def test_svrg_pairs_draw_each_lane_set_once(monkeypatch, kind):
     tau = 2
     one_round_lower(problem, x, y, np.zeros(problem.d2), LowerStepConfig(beta=0.01, tau=tau),
                     range(3), RngStream(4), CommLedger())
-    assert blocks == [3] * tau
+    assert blocks == [3] * (tau - 1)  # the v = 0 pair cancels and draws nothing
     assert problem.audit.by_purpose == {"zeta": 2 * tau * 3 * problem.batch_size}
     blocks.clear()
     one_round_upper(problem, x, y, np.zeros(problem.d1), 0.01, tau, range(3), RngStream(5),

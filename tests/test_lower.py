@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedbilevel import (CommLedger, LowerStepConfig, ParameterError, Point,
+from fedbilevel import (CommLedger, HyperRepSpec, LowerStepConfig, ParameterError, Point,
                         QuadraticProblem, QuadraticSpec, RngStream, lower_gap,
-                        make_quadratic, one_round_lower)
+                        make_hyperrep, make_quadratic, one_round_lower)
 from fedbilevel.lower import VARIANT_SGD, VARIANT_SVRG, client_taus
 from fedbilevel.oracle import TestRegion, measure_constants
 
@@ -187,3 +187,87 @@ def test_tau_list_length_checked_on_library_path(tau):
     with pytest.raises(ParameterError, match=msg):
         client_taus(tau, np.arange(2), 4)
     assert client_taus([1, 3, 2, 1], np.array([1, 2]), 4).tolist() == [3, 2]
+
+
+def _noisy_problem(kind, m=4):
+    if kind == "hyperrep":
+        return make_hyperrep(HyperRepSpec(m=m, n_points=120), 0, batch_size=4)
+    batch = 4 if kind == "finite-sum-b4" else 1
+    spec = QuadraticSpec(d1=3, d2=4, m=m, hetero=0.5, noise_spread=0.3, noise_std=0.2,
+                         seed=5, noise_mode="additive-gaussian" if kind == "gaussian"
+                         else "finite-sum")
+    return QuadraticProblem(make_quadratic(spec), batch_size=batch)
+
+
+def _random_inputs(problem, seed):
+    gen = RngStream(seed).child("inputs").generator()
+    return (0.3 * gen.normal(size=problem.d1), 0.3 * gen.normal(size=problem.d2),
+            0.1 * gen.normal(size=problem.d2))
+
+
+def _count_kernel_calls(monkeypatch, problem):
+    calls = []
+    kernel = problem._grad_lower_y_batch
+
+    def counted(ids, x, y, lanes):
+        calls.append(ids.size)
+        return kernel(ids, x, y, lanes)
+    monkeypatch.setattr(problem, "_grad_lower_y_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["finite-sum-b4", "hyperrep"])
+def test_svrg_first_step_makes_no_oracle_call(monkeypatch, kind):
+    # at v = 0 every client is at y, so the pair cancels: no kernel call, but
+    # the audit still charges both evaluations' samples
+    problem = _noisy_problem(kind)
+    calls = _count_kernel_calls(monkeypatch, problem)
+    x, y, q = _random_inputs(problem, 1)
+    cfg = LowerStepConfig(beta=0.05, tau=1)
+    got = one_round_lower(problem, x, y, q, cfg, [3, 0, 2], RngStream(2), CommLedger())
+    assert calls == []
+    assert problem.audit.by_purpose == {"zeta": 2 * problem.batch_size * 3}
+    assert np.array_equal(got, np.stack([y - 0.05 * q] * 3).mean(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["finite-sum-b4", "hyperrep"])
+def test_sgd_first_step_still_evaluates(monkeypatch, kind):
+    problem = _noisy_problem(kind)
+    calls = _count_kernel_calls(monkeypatch, problem)
+    x, y, q = _random_inputs(problem, 1)
+    cfg = LowerStepConfig(beta=0.05, tau=1, variant=VARIANT_SGD)
+    one_round_lower(problem, x, y, q, cfg, [3, 0, 2], RngStream(2), CommLedger())
+    assert calls == [3]
+    assert problem.audit.by_purpose == {"zeta": problem.batch_size * 3}
+
+
+def _explicit_pair_reference(problem, x, y, q, beta, tau, participants, rng):
+    """One-Round-Lower written per client, evaluating every svrg pair, the
+    self-cancelling one at v = 0 included."""
+    rows = []
+    for i in sorted(set(participants)):
+        y_v = y.copy()
+        for v in range(tau[i]):
+            lane = rng.child(i, "zeta", v)
+            step = (problem.grad_lower_y(i, Point(x, y_v), lane)
+                    - problem.grad_lower_y(i, Point(x, y), lane) + q)
+            y_v = y_v - (beta / tau[i]) * step
+        rows.append(y_v)
+    return np.stack(rows).mean(axis=0)
+
+
+@pytest.mark.parametrize("kind", ["finite-sum-b1", "finite-sum-b4", "gaussian", "hyperrep"])
+def test_svrg_equals_explicit_pair_reference(kind):
+    problem = _noisy_problem(kind)
+    tau = [1, 3, 2, 1]
+    cfg = LowerStepConfig(beta=0.05, tau=tau)
+    for seed, participants in enumerate(([3, 1, 2], range(4), [0])):
+        x, y, q = _random_inputs(problem, seed)
+        rng = RngStream(40).child("lower", seed)
+        problem.audit.reset()
+        got = one_round_lower(problem, x, y, q, cfg, participants, rng, CommLedger())
+        audit = dict(problem.audit.by_purpose)
+        problem.audit.reset()
+        want = _explicit_pair_reference(problem, x, y, q, 0.05, tau, participants, rng)
+        assert np.array_equal(got, want), participants
+        assert audit == problem.audit.by_purpose

@@ -64,6 +64,15 @@ def test_infeasible_spec_rejected():
         make_quadratic(QuadraticSpec(**{field: 0.0}))
 
 
+def test_unknown_noise_mode_rejected():
+    # an unknown mode used to build an instance whose oracles ran noise-free
+    with pytest.raises(ParameterError, match="unknown noise mode 'bogus'"):
+        make_quadratic(QuadraticSpec(noise_mode="bogus"))
+    doc = make_quadratic(QuadraticSpec(d1=2, d2=2, m=2, n_per_client=2)).to_json_dict()
+    with pytest.raises(ParameterError, match="unknown noise mode 'Finite-Sum'"):
+        QuadraticInstance.from_json_dict({**doc, "noise_mode": "Finite-Sum"})
+
+
 def test_closed_form_lower_opt_examples():
     inst = manual_instance([1.0, 1.0], d1=2, m=1, lin_scale=0.0, B_norm=1e-12)
     inst = replace(inst, c=np.array([[-1.0, -2.0]]))
