@@ -23,9 +23,9 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _local_steps, client_taus, lower_lanes,
-                    one_round_lower)
-from .problems import BilevelProblem, ProblemConstants
+from .lower import (LowerStepConfig, _local_steps, _one_round_lower, client_taus,
+                    lower_lanes)
+from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
 from .rng import CLIENT, LaneTable, RngStream, TableStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
@@ -122,7 +122,10 @@ class Evaluator:
     It keeps (y*(x), hypergradient) for the last x it solved, so a metrics
     row costs one solve (for hyperrep, a Newton head solve warm-started at
     the previous y*), and the driver's est_err lookup at the previous row's x
-    costs none.
+    costs none. A hyperrep solve runs one full-batch train forward pass per
+    Newton iterate (``solve_head_exact``), then ``hypergradient_numeric``
+    runs one val pass for both upper gradients and one train pass for the
+    HessIV Hessian and the mixed partial.
     """
 
     def __init__(self, problem: BilevelProblem):
@@ -206,9 +209,17 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     point. rng is the scope stream or its step of a lane table with the family
     of ``upper_lanes``. Charges one round (the iterate aggregation).
     """
-    oracles = problem.checked(participants, x, y_plus)
-    ids = oracles.ids
-    taus = client_taus(tau, ids, problem.m)
+    return _one_round_upper(problem.checked(participants, x, y_plus), x, y_plus, h, alpha,
+                            client_taus(tau, problem._all_ids, problem.m), rng, ledger)
+
+
+def _one_round_upper(oracles: CheckedOracles, x: np.ndarray, y_plus: np.ndarray,
+                     h: np.ndarray, alpha: float, tau_all: np.ndarray,
+                     rng: RngStream | TableStream, ledger: CommLedger) -> np.ndarray:
+    """``one_round_upper`` on oracles its caller checked against x and y_plus's
+    shape, with tau_all the resolved tau_i of every client."""
+    problem, ids = oracles.problem, oracles.ids
+    taus = tau_all[ids]
     if isinstance(rng, RngStream):
         rng = LaneTable.of(rng, upper_lanes(int(taus.max())), np.arange(problem.m)).step(0)
     alphas = (alpha / taus)[:, None]
@@ -244,29 +255,30 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     root = RngStream(cfg.seed)
     ledger = CommLedger()
     evaluator = Evaluator(problem)
-    max_tau = int(client_taus(cfg.tau, np.arange(problem.m), problem.m).max())
+    tau_all = lower_cfg.taus(problem.m)
+    max_tau = int(tau_all.max())
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
         families = aggitd_lanes(acfg, problem.m)
 
-        def step(x, y, parts, scope):
-            h, y, _ = aggitd(problem, x, y, acfg, parts, scope, ledger)
+        def step(x, y, oracles, scope):
+            h, y, _ = aggitd(problem, x, y, acfg, oracles.ids, scope, ledger)
             return h, y
     else:
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
-        families = [(CLIENT, "zeta_q", range(N)), *lower_lanes(max_tau, "lower", range(N)),
+        families = [(CLIENT, "zeta_q", range(N)),
+                    *lower_lanes(max_tau, "lower", range(N), variant=cfg.variant),
                     *chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local")]
 
-        def step(x, y, parts, scope):
-            oracles = problem.checked(parts, x, y)
+        def step(x, y, oracles, scope):
             ids = oracles.ids
             ledger.begin_loop()
             for t in range(N):
                 q = aggregate_mean(oracles.grad_lower_y(
                     ids, x, y, scope.lanes(ids, "zeta_q", t)), ledger)
-                y = one_round_lower(problem, x, y, q, lower_cfg, ids,
-                                    scope.child("lower", t), ledger)
+                y = _one_round_lower(oracles, x, y, q, lower_cfg, scope.child("lower", t),
+                                     ledger)
             if estimator == ESTIMATOR_AID:
                 return aid_fhe(problem, x, y, aid_cfg, ids, scope.child("aid"), ledger), y
             return local_fhe(problem, x, y, aid_cfg, rng=scope.child("local"),
@@ -278,10 +290,11 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
                  lane_steps(root, "upper", cfg.K, problem.m, upper_lanes(max_tau)))
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()
-        parts = select_participants(part, problem.m, root.child("part", k))
-        h, y = step(x, y, parts, est)
+        oracles = problem.checked(select_participants(part, problem.m, root.child("part", k)),
+                                  x, y)
+        h, y = step(x, y, oracles, est)
         x_prev = x
-        x = one_round_upper(problem, x, y, h, alpha, cfg.tau, parts, upper, ledger)
+        x = _one_round_upper(oracles, x, y, h, alpha, tau_all, upper, ledger)
         ledger.finish_outer()
         _guard(k, x, y)
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .lower import LowerStepConfig, client_taus, lower_lanes, one_round_lower
+from .lower import LowerStepConfig, _one_round_lower, lower_lanes
 from .problems import BilevelProblem, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, LaneTable, RngStream, TableStream
@@ -87,18 +87,20 @@ class AidConfig:
 
 
 def aggitd_lanes(cfg: AggITDConfig, m: int) -> list:
-    """The lane families of one fused-estimator call under its scope stream."""
+    """The lane families of one fused-estimator call under its scope stream.
+    The chain's Hessian lanes "u" start at t = 1, the first step that reads one."""
     N = cfg.N
-    max_tau = int(client_taus(cfg.lower.tau, np.arange(m), m).max())
+    max_tau = int(cfg.lower.taus(m).max())
     return [(CLIENT, "zeta_q", range(N)), (CLIENT, "xi_r", range(N + 1)),
-            (CLIENT, "u", range(N + 1)), *lower_lanes(max_tau, "lower", range(N)),
+            (CLIENT, "u", range(1, N + 1)),
+            *lower_lanes(max_tau, "lower", range(N), variant=cfg.lower.variant),
             (CLIENT, "xi_h"), (CLIENT, "chi")]
 
 
 def chain_lanes(T: int, *prefix) -> list:
     """The lane families of one aid_fhe or local_fhe call under the key parts
-    prefix of its scope stream."""
-    return [(*prefix, CLIENT, "xi0"), (*prefix, CLIENT, "zeta_h", range(T + 1)),
+    prefix of its scope stream. Both chains read "zeta_h" from t = 1 on."""
+    return [(*prefix, CLIENT, "xi0"), (*prefix, CLIENT, "zeta_h", range(1, T + 1)),
             (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi")]
 
 
@@ -173,8 +175,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
         if t >= Q:
             z = means[-1]
         if t <= N - 1:
-            y_t = one_round_lower(problem, x, y_t, means[0], cfg.lower,
-                                  ids, rng.child("lower", t), ledger)
+            y_t = _one_round_lower(oracles, x, y_t, means[0], cfg.lower,
+                                   rng.child("lower", t), ledger)
             y_iterates.append(y_t)
 
     p = lam * (N + 1) * z

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .problems import BilevelProblem, Point, ProblemConstants
+from .problems import BilevelProblem, ProblemConstants
 from .rng import RngStream
 
 PARTITION_IID = "iid"
@@ -130,6 +130,7 @@ class HyperRepProblem(BilevelProblem):
         self.spec = spec
         self.seed = seed
         self._tables = {"train": _index_table(train_idx), "val": _index_table(val_idx)}
+        self._full = {}     # split -> its whole-split arrays, built on first use
 
     def initial_point(self):
         # the origin is a stationary saddle of the bilinear embedding/head pair,
@@ -145,6 +146,21 @@ class HyperRepProblem(BilevelProblem):
         p, f, C = self.spec.embed_dim, self.spec.feature_dim, self.spec.classes
         return x.reshape(*x.shape[:-1], p, f), y.reshape(*y.shape[:-1], C, p)
 
+    def _whole_split(self, split):
+        """(Us, onehot, n) of every client's whole split: the padded features,
+        zeroed on padding, the one-hot labels and the point counts."""
+        got = self._full.get(split)
+        if got is None:
+            table, sizes = self._tables[split]
+            mask = np.arange(table.shape[1]) < sizes[:, None]
+            got = self._full[split] = (
+                self.U[table] * mask[..., None],
+                self.labels[table][..., None] == np.arange(self.spec.classes),
+                sizes[:, None, None])
+            for a in got:
+                a.flags.writeable = False
+        return got
+
     def _forward(self, ids, x, y, lanes, split):
         """Stacked forward pass over each row's minibatch from a split.
 
@@ -154,20 +170,22 @@ class HyperRepProblem(BilevelProblem):
         Padded points get zero features, so they add nothing to any mean.
         """
         table, sizes = self._tables[split]
-        table, sizes = table[ids], sizes[ids]
-        cols = np.arange(table.shape[1])
-        if lanes is None or self.batch_size >= cols.size:
-            pos = np.broadcast_to(cols, table.shape)
+        if lanes is None or self.batch_size >= table.shape[1]:
+            Us, onehot, n = self._whole_split(split)
+            if ids.shape[0] < self.m:
+                Us, onehot, n = Us[ids], onehot[ids], n[ids]
         else:
-            pos = lanes.subset(cols, self.batch_size, sizes)
-        idx = np.take_along_axis(table, pos, axis=1)
-        mask = pos < sizes[:, None]                # False on padding
+            sizes = sizes[ids]
+            pos = lanes.subset(np.arange(table.shape[1]), self.batch_size, sizes)
+            idx = table[ids[:, None], pos]
+            mask = pos < sizes[:, None]            # False on padding
+            Us = self.U[idx] * mask[..., None]     # (k, b, f)
+            onehot = self.labels[idx][..., None] == np.arange(self.spec.classes)
+            n = mask.sum(axis=1)[:, None, None]
         E, H = self._unpack(x, y)
-        Us = self.U[idx] * mask[..., None]         # (k, b, f)
         Z = Us @ _swap(E)                          # (k, b, p)
         P = _softmax_rows(Z @ _swap(H))            # (k, b, C)
-        R = P - (self.labels[idx][..., None] == np.arange(P.shape[-1]))   # pi - onehot
-        return H, Us, Z, P, R, mask.sum(axis=1)[:, None, None]
+        return H, Us, Z, P, P - onehot, n          # R = pi - onehot
 
     def _grad_lower_y_batch(self, ids, x, y, lanes):
         _, _, Z, _, R, n = self._forward(ids, x, y, lanes, "train")
@@ -240,32 +258,50 @@ def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 8) -> HyperRe
                            batch_size=batch_size, seed=seed)
 
 
-def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
-                         y: np.ndarray) -> np.ndarray:
-    """Dense aggregate head Hessian: the matrix that agg_hvp_lower_yy applies.
+def _head_hessian(H: np.ndarray, Z: np.ndarray, P: np.ndarray, n: np.ndarray,
+                  ridge: float) -> np.ndarray:
+    """The dense aggregate head Hessian from a full-batch train forward pass.
 
     Per client over its full training split, with z_j = E u_j and
     D_j = diag(p_j) - p_j p_j^T, H_i = (1/n_i) sum_j D_j kron z_j z_j^T;
     the result is mean_i H_i + ridge I.
     """
-    H, _, Z, P, _, n = problem._forward(problem._all_ids, x, y, None, "train")
     D = P[..., :, None] * (np.eye(H.shape[0]) - P[..., None, :])  # p_c (delta_cd - p_d)
     H_i = np.einsum("ijcd,ija,ijb->icadb", D, Z, Z) / n[..., None, None]
-    d2 = problem.d2
-    return H_i.mean(axis=0).reshape(d2, d2) + problem.spec.ridge * np.eye(d2)
+    d2 = H.size
+    return H_i.mean(axis=0).reshape(d2, d2) + ridge * np.eye(d2)
+
+
+def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
+                         y: np.ndarray) -> np.ndarray:
+    """Dense aggregate head Hessian: the matrix that agg_hvp_lower_yy applies.
+
+    One full-batch train forward pass at (x, y) serves it.
+    """
+    H, _, Z, P, _, n = problem._forward(problem._all_ids, x, y, None, "train")
+    return _head_hessian(H, Z, P, n, problem.spec.ridge)
 
 
 def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
                      tol: float = 1e-12, max_iter: int = 60,
                      y0: np.ndarray | None = None) -> np.ndarray:
     """Newton solve of the aggregate (full participation, full batch) head
-    problem, started at y0 (the origin when omitted)."""
+    problem, started at y0 (the origin when omitted).
+
+    Each iterate runs one full-batch train forward pass. It serves the
+    gradient (agg_grad_lower_y) and, when the iterate steps, the Hessian
+    (agg_hessian_lower_yy), so the last iterate, at the solution, costs one
+    pass and no Hessian.
+    """
     y = np.zeros(problem.d2) if y0 is None else y0
+    ids, ridge = problem._all_ids, problem.spec.ridge
+    problem._check_rows(ids.tolist(), x, y)
     for _ in range(max_iter):
-        g = problem.agg_grad_lower_y(Point(x, y))
+        H, _, Z, P, R, n = problem._forward(ids, x, y, None, "train")
+        g = (_minibatch_mean(R, Z, n) + ridge * y).mean(axis=0)
         if np.linalg.norm(g) <= tol:
             break
-        y = y - np.linalg.solve(agg_hessian_lower_yy(problem, x, y), g)
+        y = y - np.linalg.solve(_head_hessian(H, Z, P, n, ridge), g)
     return y
 
 
@@ -274,9 +310,20 @@ def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
     """Implicit-function hypergradient with a dense HessIV at the exact head.
 
     y is the already-solved head y*(x); it is Newton-solved when omitted.
+    Equals agg_grad_upper_x - agg_jvp_lower_xy(w) with
+    w = solve(agg_hessian_lower_yy, agg_grad_upper_y), all at (x, y), bit for
+    bit, from two forward passes: one full-batch val pass serves both upper
+    gradients, and one full-batch train pass serves the Hessian and the
+    mixed-partial product.
     """
     if y is None:
         y = solve_head_exact(problem, x)
-    pt = Point(x, y)
-    w = np.linalg.solve(agg_hessian_lower_yy(problem, x, y), problem.agg_grad_upper_y(pt))
-    return problem.agg_grad_upper_x(pt) - problem.agg_jvp_lower_xy(pt, w)
+    ids = problem._all_ids
+    problem._check_rows(ids.tolist(), x, y)
+    H, Us, Z, _, R, n = problem._forward(ids, x, y, None, "val")
+    grad_y = _minibatch_mean(R, Z, n).mean(axis=0)
+    grad_x = _minibatch_mean(R @ H, Us, n).mean(axis=0)
+    H, Us, Z, P, R, n = problem._forward(ids, x, y, None, "train")
+    w = np.linalg.solve(_head_hessian(H, Z, P, n, problem.spec.ridge), grad_y)
+    V, DW = _directional(Z, P, H, w)
+    return grad_x - _minibatch_mean(DW @ H + R @ V, Us, n).mean(axis=0)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .problems import BilevelProblem
+from .problems import BilevelProblem, CheckedOracles
 from .quadratic import QuadraticInstance
 from .rng import CLIENT, LaneTable, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
@@ -55,6 +55,17 @@ class LowerStepConfig:
         if self.variant not in (VARIANT_SVRG, VARIANT_SGD):
             raise ParameterError(f"unknown lower variant {self.variant!r}")
         client_taus(self.tau, np.arange(0))  # checks every tau_i is an integer >= 1
+        object.__setattr__(self, "_taus", {})  # m -> taus(m)
+
+    def taus(self, m: int) -> np.ndarray:
+        """tau_i for every client of an m-client problem, as a read-only array.
+        The first call for m checks a per-client list against m; later calls
+        read the array back, so a per-call lookup is an index into it."""
+        got = self._taus.get(m)
+        if got is None:
+            got = self._taus[m] = client_taus(self.tau, np.arange(m), m)
+            got.flags.writeable = False
+        return got
 
 
 def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -71,10 +82,12 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
     return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
 
 
-def lower_lanes(max_tau: int, *prefix) -> list:
+def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> list:
     """The lane family of One-Round-Lower under the key parts prefix: the
-    lanes ``child(*prefix, i, "zeta", v)`` for every local step v < max_tau."""
-    return [(*prefix, CLIENT, "zeta", range(max_tau))]
+    lanes ``child(*prefix, i, "zeta", v)`` for every local step v < max_tau
+    that draws a sample. The svrg variant draws none at v = 0 (its pair
+    cancels), so its family starts at v = 1."""
+    return [(*prefix, CLIENT, "zeta", range(1 if variant == VARIANT_SVRG else 0, max_tau))]
 
 
 def _local_steps(taus: np.ndarray):
@@ -100,11 +113,18 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     "zeta" samples per participant. rng is a scope stream or a lane table's
     step. Charges exactly one round (the iterate aggregation).
     """
-    oracles = problem.checked(participants, x, y)
-    ids = oracles.ids
-    taus = client_taus(cfg.tau, ids, problem.m)
+    return _one_round_lower(problem.checked(participants, x, y), x, y, q, cfg, rng, ledger)
+
+
+def _one_round_lower(oracles: CheckedOracles, x: np.ndarray, y: np.ndarray,
+                     q: np.ndarray, cfg: LowerStepConfig, rng: RngStream | TableStream,
+                     ledger: CommLedger) -> np.ndarray:
+    """``one_round_lower`` on oracles its caller checked against x and y's shape."""
+    problem, ids = oracles.problem, oracles.ids
+    taus = cfg.taus(problem.m)[ids]
     if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, lower_lanes(int(taus.max())), np.arange(problem.m)).step(0)
+        rng = LaneTable.of(rng, lower_lanes(int(taus.max()), variant=cfg.variant),
+                           np.arange(problem.m)).step(0)
     betas = (cfg.beta / taus)[:, None]
     steps = _local_steps(taus)
     if cfg.variant == VARIANT_SVRG:

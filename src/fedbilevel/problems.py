@@ -30,7 +30,9 @@ A public batched call checks its ids, shapes and lanes on every call. The
 internal calls of the estimators, One-Round-Lower and One-Round-Upper check
 once per call of theirs instead: ``problem.checked(participants, x, y)``
 checks the participants' ids and the points once, and its oracles skip those
-checks but still audit every call's samples by purpose.
+checks but still audit every call's samples by purpose. Inside a run,
+One-Round-Lower and One-Round-Upper reuse the checked oracles of the
+estimator call or outer step that calls them.
 
 There is no per-client fallback: each problem implements the five stacked
 kernels ``_grad_lower_y_batch`` etc., and a single-client call is a batch of

@@ -169,7 +169,7 @@ class _Layout:
         rows, comps = 0, []
         for f in sorted(range(len(families)), key=lambda f: -len(families[f])):
             parts = families[f]
-            axes = [np.array(clients) if p is CLIENT else np.arange(p.stop)
+            axes = [np.array(clients) if p is CLIENT else np.arange(p.start, p.stop)
                     for p in parts if _is_axis(p)]
             grid = iter(np.meshgrid(*axes, indexing="ij"))
             size = math.prod(a.size for a in axes)
@@ -186,6 +186,7 @@ class _Layout:
         self.purposes = [t[-1] if t else None for t in tags]
         self.clients = [[p for p in parts if _is_axis(p)].index(CLIENT)
                         if CLIENT in parts else None for parts in families]
+        self.starts = [[p.start for p in parts if isinstance(p, range)] for parts in families]
         self.lookup = {}        # (path, tags) of a TableStream.lanes call -> family, axes
 
 
@@ -199,8 +200,9 @@ class LaneTable:
 
     Step s has the scope stream ``RngStream(seed, keys[s])`` with running
     hash ``scopes[s]``. A family is a tuple of key parts: str and int parts
-    are key components, each ``range(n)`` part is an axis over 0..n-1, and
-    ``CLIENT`` is an axis over ``clients``. Its block holds the hashes of
+    are key components, each ``range(a, n)`` part is an axis over a..n-1
+    (a family leaves out the indices below a that its callers never read),
+    and ``CLIENT`` is an axis over ``clients``. Its block holds the hashes of
     ``scope.child(*parts)`` for every step and every index of its axes,
     shaped (steps, *axes). The blocks are views of one (steps, rows) array,
     hashed one key level at a time over all its rows, and ``index(n)`` draws
@@ -264,7 +266,9 @@ class TableStream:
     extends the key path, ``lanes(ids, *tags)`` reads the lanes
     ``child(i, *tags)`` out of the table (the family named by the path's string
     parts, at the path's int parts) for checked client ids, sorted and
-    distinct, and ``generator()`` hashes the stream."""
+    distinct, and ``generator()`` hashes the stream. A lane that its family
+    leaves out, below the start of one of its ranges, is hashed on demand
+    from the scope stream, so it is the lane the table would have held."""
 
     __slots__ = ("table", "s", "path")
 
@@ -287,9 +291,13 @@ class TableStream:
         if hit is None:
             parts = self.path + tags
             family = layout.names["/".join(p for p in parts if isinstance(p, str))]
-            idx = tuple(p for p in parts if not isinstance(p, str))
+            idx = tuple(p - start for p, start in zip(
+                (p for p in parts if not isinstance(p, str)), layout.starts[family]))
             c = layout.clients[family]
-            hit = layout.lookup[self.path, tags] = (family, idx[:c], idx[c:])
+            hit = layout.lookup[self.path, tags] = (
+                (family, idx[:c], idx[c:]) if min(idx, default=0) >= 0 else ())
+        if not hit:     # before its family's first index, so not in the table
+            return self.stream().lanes(ids, *tags)
         family, before, after = hit
         rows = slice(None) if ids.shape[0] == t.m else ids
         return Lanes(self, family, (self.s, *before, rows, *after), ids, tags)

@@ -336,3 +336,71 @@ def test_svrg_pairs_draw_each_lane_set_once(monkeypatch, kind):
     one_round_upper(problem, x, y, np.zeros(problem.d1), 0.01, tau, range(3), RngStream(5),
                     CommLedger())
     assert blocks == [3] * tau
+
+
+def test_hyperrep_metrics_row_forward_passes(monkeypatch):
+    # a metrics row runs one full-batch train pass per Newton iterate, then one
+    # val pass for both upper gradients and one train pass for the HessIV and
+    # the mixed partial: at most (Newton steps + 2) train passes and one val
+    # pass, where the Newton steps and the HessIV build one dense Hessian each
+    from fedbilevel import hyperrep
+    from fedbilevel.drivers import Evaluator
+    log, rows = [], []
+    forward, hessian, record = (hyperrep.HyperRepProblem._forward, hyperrep._head_hessian,
+                                Evaluator.record)
+
+    def counted_forward(self, ids, x, y, lanes, split):
+        log.append(split)
+        return forward(self, ids, x, y, lanes, split)
+
+    def counted_hessian(*args):
+        log.append("hessian")
+        return hessian(*args)
+
+    def counted_record(self, *args, **kwargs):
+        log.clear()
+        out = record(self, *args, **kwargs)
+        rows.append(list(log))
+        return out
+    monkeypatch.setattr(hyperrep.HyperRepProblem, "_forward", counted_forward)
+    monkeypatch.setattr(hyperrep, "_head_hessian", counted_hessian)
+    monkeypatch.setattr(Evaluator, "record", counted_record)
+    rep = _small_hyperrep_run()
+    assert len(rows) == len(rep.rows) == 7
+    steps = [row.count("hessian") - 1 for row in rows]
+    assert min(steps) >= 0 and sum(steps) > len(rows)
+    for row, newton_steps in zip(rows, steps):
+        assert row.count("train") <= newton_steps + 2
+        assert row.count("val") <= 1
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+def test_run_checks_participants_and_tau_once_per_step(monkeypatch, estimator):
+    # the outer step checks its participants once, the estimator call once
+    # more (a public entry), and One-Round-Lower/Upper reuse those checks;
+    # the tau setting is resolved once per run, whatever K is
+    from fedbilevel import drivers, lower
+    from fedbilevel.problems import BilevelProblem
+    checks, taus = [], []
+    checked, client_taus = BilevelProblem.checked, lower.client_taus
+
+    def counted_checked(self, *args):
+        checks.append(1)
+        return checked(self, *args)
+
+    def counted_taus(*args):
+        taus.append(1)
+        return client_taus(*args)
+    monkeypatch.setattr(BilevelProblem, "checked", counted_checked)
+    monkeypatch.setattr(lower, "client_taus", counted_taus)
+    monkeypatch.setattr(drivers, "client_taus", counted_taus)
+    counts = []
+    for K in (2, 5):
+        cfg = _quad_cfg(K=K, N=3, T=2, estimator=estimator, tau=[1, 3, 2],
+                        participation=0.7)
+        checks.clear()
+        taus.clear()
+        run(cfg)
+        assert len(checks) == 2 * K
+        counts.append(len(taus))
+    assert counts[0] == counts[1] <= 2

@@ -170,3 +170,93 @@ def test_analytic_head_hessian_on_unequal_splits():
                            for e in np.eye(problem.d2)])
     got = agg_hessian_lower_yy(problem, x, y)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# -- shared forward passes: the fused helpers equal the aggregate oracles ------
+
+SHARED_CASES = {
+    "iid": (dict(embed_dim=3, feature_dim=5, classes=3, ridge=0.2, m=4, n_points=160,
+                 partition="iid"), 9),
+    "label-skew": (dict(embed_dim=3, feature_dim=5, classes=3, ridge=0.2, m=4,
+                        n_points=160, partition="label-skew"), 9),
+    # train splits of 5, 5, 5, 4, 4 and val splits of 5, 5, 5, 5, 4
+    "unequal": (dict(embed_dim=2, feature_dim=3, classes=3, ridge=0.2, m=5, n_points=60), 4),
+}
+
+
+def _shared_case(name, batch_size=8):
+    kwargs, seed = SHARED_CASES[name]
+    problem = make_hyperrep(HyperRepSpec(**kwargs), seed=seed, batch_size=batch_size)
+    gen = RngStream(seed).child("shared", name).generator()
+    return problem, gen.normal(size=problem.d1), gen.normal(size=problem.d2)
+
+
+def _newton_reference(problem, x, y, tol=1e-12, max_iter=60):
+    # Newton over the public aggregate oracles: two forward passes per step
+    for _ in range(max_iter):
+        g = problem.agg_grad_lower_y(Point(x, y))
+        if np.linalg.norm(g) <= tol:
+            break
+        y = y - np.linalg.solve(agg_hessian_lower_yy(problem, x, y), g)
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CASES))
+def test_solve_head_exact_equals_aggregate_newton(name):
+    problem, x, y0 = _shared_case(name)
+    np.testing.assert_array_equal(solve_head_exact(problem, x),
+                                  _newton_reference(problem, x, np.zeros(problem.d2)))
+    np.testing.assert_array_equal(solve_head_exact(problem, x, y0=y0),
+                                  _newton_reference(problem, x, y0))
+    for max_iter in (1, 2):  # iterate by iterate, before convergence
+        np.testing.assert_array_equal(solve_head_exact(problem, x, max_iter=max_iter, y0=y0),
+                                      _newton_reference(problem, x, y0, max_iter=max_iter))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CASES))
+def test_hypergradient_numeric_equals_aggregate_oracles(name):
+    problem, x, y = _shared_case(name)
+    for head in (solve_head_exact(problem, x), y):
+        pt = Point(x, head)
+        w = np.linalg.solve(agg_hessian_lower_yy(problem, x, head),
+                            problem.agg_grad_upper_y(pt))
+        ref = problem.agg_grad_upper_x(pt) - problem.agg_jvp_lower_xy(pt, w)
+        np.testing.assert_array_equal(hypergradient_numeric(problem, x, head), ref)
+
+
+def _forward_reference(problem, ids, x, y, lanes, split):
+    """The forward pass with its minibatch gathered by take_along_axis over
+    the participants' rows of the split's index table."""
+    table, sizes = problem._tables[split]
+    table, sizes = table[ids], sizes[ids]
+    cols = np.arange(table.shape[1])
+    if lanes is None or problem.batch_size >= cols.size:
+        pos = np.broadcast_to(cols, table.shape)
+    else:
+        pos = lanes.subset(cols, problem.batch_size, sizes)
+    idx = np.take_along_axis(table, pos, axis=1)
+    mask = pos < sizes[:, None]
+    E, H = problem._unpack(x, y)
+    Us = problem.U[idx] * mask[..., None]
+    Z = Us @ np.swapaxes(E, -1, -2)
+    logits = Z @ np.swapaxes(H, -1, -2)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    P = e / e.sum(axis=-1, keepdims=True)
+    R = P - (problem.labels[idx][..., None] == np.arange(P.shape[-1]))
+    return H, Us, Z, P, R, mask.sum(axis=1)[:, None, None]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CASES))
+@pytest.mark.parametrize("batch_size", [1, 4, 64])
+def test_forward_equals_take_along_axis_reference(name, batch_size):
+    # 64 exceeds every split, so even drawn lanes take the whole split
+    problem, x, y = _shared_case(name, batch_size)
+    for ids in (np.arange(problem.m), np.array([0, 2]), np.array([problem.m - 1])):
+        stacked_y = y + np.arange(ids.size)[:, None]
+        for split in ("train", "val"):
+            for lanes in (None, RngStream(1).lanes(ids, split, 0)):
+                for yy in (y, stacked_y):
+                    got = problem._forward(ids, x, yy, lanes, split)
+                    want = _forward_reference(problem, ids, x, yy, lanes, split)
+                    for a, b in zip(got, want):
+                        np.testing.assert_array_equal(a, b)

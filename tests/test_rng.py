@@ -167,3 +167,19 @@ def test_vectorised_index_equals_python_multiply_high():
     for n in (0, 2 ** 32):
         with pytest.raises(ValueError):
             _index(hashes, n)
+
+
+def test_lane_tables_leave_out_unread_lanes():
+    # svrg One-Round-Lower reads no "zeta" lane at v = 0, and neither chain
+    # reads "u" or "zeta_h" at t = 0; sgd reads "zeta" at every v
+    from fedbilevel import AggITDConfig, LowerStepConfig
+    from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
+    from fedbilevel.lower import lower_lanes
+    from fedbilevel.rng import CLIENT, _layout
+    m, N, T = 8, 2, 2     # the race configuration, tau = 1
+    for variant, fused, aid in (("svrg", 72, 56), ("sgd", 88, 72)):
+        cfg = AggITDConfig(lam=0.1, N=N, lower=LowerStepConfig(beta=0.01, variant=variant))
+        families = [(CLIENT, "zeta_q", range(N)),
+                    *lower_lanes(1, "lower", range(N), variant=variant), *chain_lanes(T, "aid")]
+        assert _layout(tuple(aggitd_lanes(cfg, m)), tuple(range(m))).rows == fused
+        assert _layout(tuple(families), tuple(range(m))).rows == aid
