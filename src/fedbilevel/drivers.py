@@ -124,8 +124,8 @@ class Evaluator:
     the previous y*), and the driver's est_err lookup at the previous row's x
     costs none. A hyperrep solve runs one full-batch train forward pass per
     Newton iterate (``solve_head_exact``), then ``hypergradient_numeric``
-    runs one val pass for both upper gradients and one train pass for the
-    HessIV Hessian and the mixed partial.
+    runs one val pass for both upper gradients and takes the HessIV Hessian
+    and the mixed partial from the solve's last train pass, at y*.
     """
 
     def __init__(self, problem: BilevelProblem):

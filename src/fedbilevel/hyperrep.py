@@ -130,7 +130,10 @@ class HyperRepProblem(BilevelProblem):
         self.spec = spec
         self.seed = seed
         self._tables = {"train": _index_table(train_idx), "val": _index_table(val_idx)}
+        # per split, the minibatch draws' pool: the columns of its index table
+        self._pools = {split: np.arange(t.shape[1]) for split, (t, _) in self._tables.items()}
         self._full = {}     # split -> its whole-split arrays, built on first use
+        self._last_train = (None, None)     # (x, y) bytes -> its full-batch train pass
 
     def initial_point(self):
         # the origin is a stationary saddle of the bilinear embedding/head pair,
@@ -161,13 +164,28 @@ class HyperRepProblem(BilevelProblem):
                 a.flags.writeable = False
         return got
 
+    def _train_pass(self, x, y):
+        """The full-batch train ``_forward`` at (x, y) over every client. The
+        last one is kept, so the Newton solve's converged iterate also serves
+        ``hypergradient_numeric``'s pass at y*(x)."""
+        key = (x.tobytes(), y.tobytes())
+        if self._last_train[0] != key:
+            _, *rest = self._forward(self._all_ids, x, y, None, "train")
+            for a in rest:
+                a.flags.writeable = False
+            self._last_train = (key, rest)
+        return (self._unpack(x, y)[1], *self._last_train[1])
+
     def _forward(self, ids, x, y, lanes, split):
         """Stacked forward pass over each row's minibatch from a split.
 
         Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
-        split when lanes is None. Returns (H, Us, Z, P, R, n): (k, b, .) stacks
-        over the b columns of the minibatch table, and each row's point count.
-        Padded points get zero features, so they add nothing to any mean.
+        split when lanes is None. The draw is ``lanes.subset`` over the split's
+        one pool of table columns, so a call on every client reads its rows out
+        of its lane set's block in the lane table. Returns (H, Us, Z, P, R, n):
+        (k, b, .) stacks over the b columns of the minibatch table, and each
+        row's point count. Padded points get zero features, so they add nothing
+        to any mean.
         """
         table, sizes = self._tables[split]
         if lanes is None or self.batch_size >= table.shape[1]:
@@ -176,7 +194,7 @@ class HyperRepProblem(BilevelProblem):
                 Us, onehot, n = Us[ids], onehot[ids], n[ids]
         else:
             sizes = sizes[ids]
-            pos = lanes.subset(np.arange(table.shape[1]), self.batch_size, sizes)
+            pos = lanes.subset(self._pools[split], self.batch_size, sizes)
             idx = table[ids[:, None], pos]
             mask = pos < sizes[:, None]            # False on padding
             Us = self.U[idx] * mask[..., None]     # (k, b, f)
@@ -278,7 +296,7 @@ def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
 
     One full-batch train forward pass at (x, y) serves it.
     """
-    H, _, Z, P, _, n = problem._forward(problem._all_ids, x, y, None, "train")
+    H, _, Z, P, _, n = problem._train_pass(x, y)
     return _head_hessian(H, Z, P, n, problem.spec.ridge)
 
 
@@ -291,13 +309,14 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
     Each iterate runs one full-batch train forward pass. It serves the
     gradient (agg_grad_lower_y) and, when the iterate steps, the Hessian
     (agg_hessian_lower_yy), so the last iterate, at the solution, costs one
-    pass and no Hessian.
+    pass and no Hessian; ``hypergradient_numeric`` at the solution reuses
+    that pass.
     """
     y = np.zeros(problem.d2) if y0 is None else y0
-    ids, ridge = problem._all_ids, problem.spec.ridge
-    problem._check_rows(ids.tolist(), x, y)
+    ridge = problem.spec.ridge
+    problem._check_rows(problem._all_ids.tolist(), x, y)
     for _ in range(max_iter):
-        H, _, Z, P, R, n = problem._forward(ids, x, y, None, "train")
+        H, _, Z, P, R, n = problem._train_pass(x, y)
         g = (_minibatch_mean(R, Z, n) + ridge * y).mean(axis=0)
         if np.linalg.norm(g) <= tol:
             break
@@ -314,7 +333,8 @@ def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
     w = solve(agg_hessian_lower_yy, agg_grad_upper_y), all at (x, y), bit for
     bit, from two forward passes: one full-batch val pass serves both upper
     gradients, and one full-batch train pass serves the Hessian and the
-    mixed-partial product.
+    mixed-partial product. At a y just returned by ``solve_head_exact`` the
+    train pass is the solve's last one, so it is not run again.
     """
     if y is None:
         y = solve_head_exact(problem, x)
@@ -323,7 +343,7 @@ def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
     H, Us, Z, _, R, n = problem._forward(ids, x, y, None, "val")
     grad_y = _minibatch_mean(R, Z, n).mean(axis=0)
     grad_x = _minibatch_mean(R @ H, Us, n).mean(axis=0)
-    H, Us, Z, P, R, n = problem._forward(ids, x, y, None, "train")
+    H, Us, Z, P, R, n = problem._train_pass(x, y)
     w = np.linalg.solve(_head_hessian(H, Z, P, n, problem.spec.ridge), grad_y)
     V, DW = _directional(Z, P, H, w)
     return grad_x - _minibatch_mean(DW @ H + R @ V, Us, n).mean(axis=0)

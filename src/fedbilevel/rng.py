@@ -21,8 +21,16 @@ rows, and the counter-0 ``index`` draws of the whole table are one
 multiply-high pass over it (in 32-bit halves, so no product overflows).
 ``TableStream`` stands in for a step's scope stream and reads its
 ``lanes(ids, *tags)`` out of the table. A table of one step serves a direct
-estimator call and ``RngStream.lanes``; ``Lanes`` draws every row's samples
-from its hashes.
+estimator call, ``RngStream.lanes`` and ``Lanes.of``; ``Lanes`` draws every
+row's samples from its hashes.
+
+Which draws are table-wide: ``index(n)`` is one pass over every row of the
+table. ``subset`` is one pass per lane set (one family at one set of loop
+indices, say "zeta_q" at t = 3) over every step and client of the table,
+when the call's rows cover every client; a call on a client subset
+(partial participation, or the clients still stepping at a local step v)
+draws its own rows. A lane set's block is hashed in slices of steps of at
+most KEY_BUDGET counter keys. ``normal`` is drawn per call.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
 
 # a run's lane table is hashed in chunks of outer steps of at most this many rows
 ROW_BUDGET = 1 << 12
+# a lane set's subset block is hashed in slices of steps of at most this many keys
+KEY_BUDGET = 1 << 20
 CLIENT = None   # the client id's place in a lane family's key parts
 
 
@@ -69,6 +79,14 @@ def _mix64_array(h: np.ndarray, v) -> np.ndarray:
 def _mix64_counters(hashes: np.ndarray, n: int) -> np.ndarray:
     """The (rows, n) block ``_mix64(hashes[r], c)`` for the counters c = 0..n-1."""
     return _mix64_array(hashes[:, None], np.arange(n, dtype=np.uint64))
+
+
+def _subset(hashes: np.ndarray, pool: np.ndarray, k: int, sizes: np.ndarray | None):
+    """The ``Lanes.subset`` draws of the lanes with these (rows,) hashes."""
+    keys = _mix64_counters(hashes, len(pool))
+    if sizes is not None:
+        keys[np.arange(len(pool)) >= sizes[:, None]] = _MASK64
+    return np.sort(pool[np.argsort(keys, axis=1, kind="stable")[:, :k]], axis=1)
 
 
 def _index(hashes: np.ndarray, n: int) -> np.ndarray:
@@ -166,7 +184,7 @@ class _Layout:
 
     def __init__(self, families: tuple, clients: tuple):
         self.blocks = [None] * len(families)   # per family: (first row, axis sizes)
-        rows, comps = 0, []
+        rows, comps, depth = 0, [], 0
         for f in sorted(range(len(families)), key=lambda f: -len(families[f])):
             parts = families[f]
             axes = [np.array(clients) if p is CLIENT else np.arange(p.start, p.stop)
@@ -178,9 +196,11 @@ class _Layout:
                           for p in parts])
             self.blocks[f] = (rows, tuple(a.size for a in axes))
             rows += size
+            depth = max(depth, len(parts) if size else 0)
         self.rows = rows
+        # a family without rows (an empty range) adds no key level
         self.columns = [np.concatenate([c[d] for c in comps if len(c) > d])
-                        for d in range(max(map(len, families), default=0))]
+                        for d in range(depth)]
         tags = [tuple(p for p in parts if isinstance(p, str)) for parts in families]
         self.names = {"/".join(t): f for f, t in enumerate(tags)}
         self.purposes = [t[-1] if t else None for t in tags]
@@ -205,8 +225,10 @@ class LaneTable:
     and ``CLIENT`` is an axis over ``clients``. Its block holds the hashes of
     ``scope.child(*parts)`` for every step and every index of its axes,
     shaped (steps, *axes). The blocks are views of one (steps, rows) array,
-    hashed one key level at a time over all its rows, and ``index(n)`` draws
-    the counter-0 index of every row of the table at once.
+    hashed one key level at a time over all its rows, as deep as its deepest
+    family with rows. ``index(n)`` draws the counter-0 index of every row of
+    the table at once, and ``subset`` the minibatch draws of one lane set at
+    every step and client; both are cached on the table and read-only.
     """
 
     def __init__(self, seed: int, keys: list, scopes: np.ndarray, families: list,
@@ -221,6 +243,7 @@ class LaneTable:
         self._block = h
         self.hashes = self._views(h)
         self._index = {}        # n -> the index draws, in the layout of the blocks
+        self._subsets = {}      # (family, lane set, k, pool, sizes) -> a subset block
 
     @classmethod
     def of(cls, stream: RngStream, families: list, clients: np.ndarray) -> "LaneTable":
@@ -243,6 +266,29 @@ class LaneTable:
             flat = _index(self._block, n)
             flat.flags.writeable = False
             got = self._index[n] = self._views(flat)
+        return got
+
+    def subset(self, family: int, lane_set: tuple, pool: np.ndarray, k: int,
+               sizes: np.ndarray | None) -> np.ndarray:
+        """The ``subset(pool[:sizes[i]], k)`` draws of one lane set at every step
+        and client i, shaped (steps, *clients, k): the rows
+        ``hashes[family][:, *lane_set]``, where lane_set holds the family's loop
+        indices and takes every client, and sizes (one per client) are the same
+        at every step. Hashed in slices of steps of at most KEY_BUDGET keys,
+        drawn once per table and read-only."""
+        key = (family, tuple(None if isinstance(p, slice) else int(p) for p in lane_set), k,
+               pool.tobytes(), None if sizes is None else sizes.tobytes())
+        got = self._subsets.get(key)
+        if got is None:
+            rows = self.hashes[family][(slice(None), *lane_set)]
+            per = max(1, KEY_BUDGET // max(1, math.prod(rows.shape[1:]) * len(pool)))
+            parts = [_subset(r.reshape(-1), pool, k, None if sizes is None
+                             else np.broadcast_to(sizes, r.shape).reshape(-1))
+                     for r in (rows[a:a + per] for a in range(0, len(rows), per))]
+            got = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(
+                *rows.shape, parts[0].shape[1])
+            got.flags.writeable = False
+            self._subsets[key] = got
         return got
 
     def step(self, s: int) -> "TableStream":
@@ -310,9 +356,12 @@ class Lanes:
     the rows ``sel`` of the block of a family. ``hashes[r]`` is its running
     hash, so ``index``, ``subset`` and ``normal`` draw row r exactly as that
     stream would. ``index`` reads the draws the table made for all its rows
-    at once; ``subset`` and ``normal`` are drawn once per Lanes and returned
-    read-only, so the two evaluations of a variance-reduction pair share
-    every draw.
+    at once. ``subset`` reads its rows out of the table's block for the lane
+    set when the rows cover every client of the table (always so for
+    ``RngStream.lanes`` and ``Lanes.of``, whose one-step table's clients are
+    the call's ids); on a client subset it, like ``normal``, is drawn once
+    per Lanes. Every draw is returned read-only, so the two evaluations of a
+    variance-reduction pair share it.
     ``Lanes.of(lane)`` wraps one existing stream as a batch of one.
     """
 
@@ -360,14 +409,15 @@ class Lanes:
 
         sizes defaults to the whole pool. Positions from sizes[r] on are keyed
         2**64-1, so they sort after the row's members: a row with sizes[r] < k
-        also gets the pool entries from position sizes[r] on, k in all."""
-        def draw():
-            keys = _mix64_counters(self.hashes, len(pool))
-            if sizes is not None:
-                keys[np.arange(len(pool)) >= sizes[:, None]] = _MASK64
-            return np.sort(pool[np.argsort(keys, axis=1, kind="stable")[:, :k]], axis=1)
+        also gets the pool entries from position sizes[r] on, k in all. When
+        the rows cover every client of the table, they are read out of the
+        table's block for their lane set; otherwise they are drawn here."""
+        s, *lane_set = self.sel
+        if not any(isinstance(p, np.ndarray) for p in lane_set):
+            return self.step.table.subset(self.family, lane_set, pool, k, sizes)[s]
         return self._drawn(("subset", k, pool.tobytes(),
-                            None if sizes is None else sizes.tobytes()), draw)
+                            None if sizes is None else sizes.tobytes()),
+                           lambda: _subset(self.hashes, pool, k, sizes))
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
         """``stream(r).normal(std, shape)`` for every row r, stacked (rows, *shape).

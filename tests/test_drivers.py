@@ -374,6 +374,61 @@ def test_hyperrep_metrics_row_forward_passes(monkeypatch):
         assert row.count("val") <= 1
 
 
+def test_hyperrep_metrics_row_shares_the_y_star_train_pass(monkeypatch):
+    # the Newton solve's converged iterate and the HessIV/mixed-partial pass of
+    # hypergradient_numeric are one train pass at (x, y*): a row runs one train
+    # pass per Newton iterate and no more
+    from fedbilevel import hyperrep
+    from fedbilevel.drivers import Evaluator
+    log, rows = [], []
+    forward, hessian, record = (hyperrep.HyperRepProblem._forward, hyperrep._head_hessian,
+                                Evaluator.record)
+
+    def counted_forward(self, ids, x, y, lanes, split):
+        log.append(split)
+        return forward(self, ids, x, y, lanes, split)
+
+    def counted_hessian(*args):
+        log.append("hessian")
+        return hessian(*args)
+
+    def counted_record(self, *args, **kwargs):
+        log.clear()
+        out = record(self, *args, **kwargs)
+        rows.append(list(log))
+        return out
+    monkeypatch.setattr(hyperrep.HyperRepProblem, "_forward", counted_forward)
+    monkeypatch.setattr(hyperrep, "_head_hessian", counted_hessian)
+    monkeypatch.setattr(Evaluator, "record", counted_record)
+    _small_hyperrep_run()
+    for row in rows:
+        newton_iterates = row.count("hessian")     # the steps, plus the HessIV's
+        assert row.count("train") <= newton_iterates
+
+
+def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):
+    # a K = 20 fused run reads its minibatch draws out of one block per lane
+    # set and pool per lane table, not one counter pass per oracle call
+    from fedbilevel import rng as rng_mod
+    passes, keys, tables = [], set(), []     # tables: one per subset call
+    original, subset = rng_mod._mix64_counters, rng_mod.Lanes.subset
+
+    def counted(hashes, n):
+        passes.append(n)
+        return original(hashes, n)
+
+    def keyed(self, pool, k, sizes=None):
+        table = self.step.table
+        tables.append(table)     # keeps every id below distinct
+        keys.add((id(table), self.family, repr(self.sel[1:]), pool.tobytes()))
+        return subset(self, pool, k, sizes)
+    monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
+    monkeypatch.setattr(rng_mod.Lanes, "subset", keyed)
+    rep = _small_hyperrep_run(K=20)
+    assert len(rep.rows) == 21
+    assert 0 < len(passes) <= len(keys) < len(tables) / 10
+
+
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
 def test_run_checks_participants_and_tau_once_per_step(monkeypatch, estimator):
     # the outer step checks its participants once, the estimator call once

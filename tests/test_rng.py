@@ -183,3 +183,107 @@ def test_lane_tables_leave_out_unread_lanes():
                     *lower_lanes(1, "lower", range(N), variant=variant), *chain_lanes(T, "aid")]
         assert _layout(tuple(aggitd_lanes(cfg, m)), tuple(range(m))).rows == fused
         assert _layout(tuple(families), tuple(range(m))).rows == aid
+
+
+def _subset_rows_want(stream, pool, k, size):
+    # a row keyed past its size takes the pool entries from position size on, k in all
+    return np.concatenate([stream.subset(pool[:size], k), pool[size:k]])
+
+
+@pytest.mark.parametrize("key_budget", [1 << 20, 70])
+@pytest.mark.parametrize("k", [3, 12])
+def test_subset_blocks_equal_stream_draws(monkeypatch, key_budget, k):
+    # tables of several steps over two ROW_BUDGET chunks; full and partial
+    # participation; unequal sizes below k; k >= pool; a key budget of 70
+    # hashes each block in slices of one step
+    from fedbilevel import rng as rng_mod
+    monkeypatch.setattr(rng_mod, "ROW_BUDGET", 50)
+    monkeypatch.setattr(rng_mod, "KEY_BUDGET", key_budget)
+    m, pool = 4, np.arange(100, 110)
+    families = [(rng_mod.CLIENT, "zeta_q", range(2)),
+                ("lower", range(2), rng_mod.CLIENT, "zeta", range(1, 3))]
+    root = RngStream(31)
+    steps = list(rng_mod.lane_steps(root, "est", 5, m, families))
+    assert len({id(s.table) for s in steps}) == 3 and steps[0].table is steps[1].table
+    for sizes in (None, np.array([10, 2, 7, 5])):
+        for ids in (np.arange(m), np.array([1, 3])):
+            for k_step, step in enumerate(steps):
+                scope = root.child("est", k_step)
+                for path, tags in [((), ("zeta_q", t)) for t in range(2)] + [
+                        (("lower", t), ("zeta", v)) for t in range(2) for v in (1, 2)]:
+                    rows = None if sizes is None else sizes[ids]
+                    got = step.child(*path).lanes(ids, *tags).subset(pool, k, rows)
+                    assert not got.flags.writeable
+                    for r, i in enumerate(ids.tolist()):
+                        size = len(pool) if sizes is None else sizes[i]
+                        want = _subset_rows_want(scope.child(*path, i, *tags), pool, k, size)
+                        assert got[r].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("key_budget", [1 << 20, 5])
+def test_subset_one_step_tables_equal_stream_draws(monkeypatch, key_budget):
+    # RngStream.lanes (any ids, in any order) and Lanes.of read a one-step
+    # table whose clients are the call's ids
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.rng import Lanes
+    monkeypatch.setattr(rng_mod, "KEY_BUDGET", key_budget)
+    base, pool = RngStream(32).child("scope"), np.arange(7)
+    ids, sizes = np.array([5, 0, 3]), np.array([7, 1, 4])
+    for k in (2, 7, 9):
+        got = base.lanes(ids, "xi", 4).subset(pool, k, sizes)
+        assert not got.flags.writeable
+        for r, i in enumerate(ids.tolist()):
+            want = _subset_rows_want(base.child(i, "xi", 4), pool, k, sizes[r])
+            assert got[r].tolist() == want.tolist()
+        lane = base.child(2, "chi")
+        one = Lanes.of(lane).subset(pool, k, np.array([3]))
+        assert not one.flags.writeable
+        assert one[0].tolist() == _subset_rows_want(lane, pool, k, 3).tolist()
+        assert Lanes.of(lane).subset(pool, k)[0].tolist() == lane.subset(pool, k).tolist()
+
+
+def test_subset_blocks_hash_each_lane_set_once(monkeypatch):
+    # one counter pass per lane set, pool, k and sizes per table, shared by
+    # every step and by both evaluations of a pair; a client subset draws
+    # per call
+    from fedbilevel import rng as rng_mod
+    passes = []
+    original = rng_mod._mix64_counters
+
+    def counted(hashes, n):
+        passes.append(len(hashes))
+        return original(hashes, n)
+    monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
+    steps = list(rng_mod.lane_steps(RngStream(33), "est", 6, 3,
+                                    [(rng_mod.CLIENT, "u", range(4))]))
+    assert len({id(s.table) for s in steps}) == 1
+    ids, pool = np.arange(3), np.arange(20)
+    for step in steps:
+        for t in range(4):
+            for _ in range(2):
+                step.lanes(ids, "u", t).subset(pool, 4)
+    assert passes == [6 * 3] * 4
+    passes.clear()
+    lanes = steps[0].lanes(np.array([0, 2]), "u", 1)
+    lanes.subset(pool, 4)
+    lanes.subset(pool, 4)
+    assert passes == [2]
+
+
+def test_empty_lane_family_adds_no_key_level():
+    # tau = 1 svrg: the "lower/zeta" family starts at v = 1 and has no rows, so
+    # the table is as deep as "zeta_q" (3 key parts), not 5
+    from fedbilevel.rng import CLIENT, LaneTable, _layout
+    m, N = 3, 2
+    families = [(CLIENT, "zeta_q", range(N)), ("lower", range(N), CLIENT, "zeta", range(1, 1)),
+                (CLIENT, "chi")]
+    assert len(_layout(tuple(families), tuple(range(m))).columns) == 3
+    assert len(_layout(tuple(families[:1] + [families[1][:-1] + (range(1, 2),)]),
+                       tuple(range(m))).columns) == 5
+    scope = RngStream(34).child("est", 0)
+    step = LaneTable.of(scope, families, np.arange(m)).step(0)
+    ids = np.arange(m)
+    for tags in [("zeta_q", t) for t in range(N)] + [("chi",)]:
+        assert [int(h) for h in step.lanes(ids, *tags).hashes] == [
+            scope.child(i, *tags)._hash for i in range(m)]
+    assert step.table.hashes[1].shape == (1, N, m, 0)
