@@ -6,7 +6,9 @@ warm-starting the next iteration's lower variable at the step's final lower
 iterate. Communication per outer iteration: 2N+3 rounds / 1 loop for the fused
 driver, 2N+T+3 rounds / 2 loops for the baseline. Metrics rows use exact
 noise-off oracles over the full client set regardless of the participation
-ratio.
+ratio. A participant set's checked oracles and local-step schedules (tau_i,
+beta/tau_i, alpha/tau_i) are built once per set: once per run under full
+participation, at each outer step under partial participation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _local_steps, _one_round_lower, client_taus,
+from .lower import (LowerStepConfig, _one_round_lower, _schedule, client_taus,
                     lower_lanes)
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
@@ -122,10 +124,10 @@ class Evaluator:
     It keeps (y*(x), hypergradient) for the last x it solved, so a metrics
     row costs one solve (for hyperrep, a Newton head solve warm-started at
     the previous y*), and the driver's est_err lookup at the previous row's x
-    costs none. A hyperrep solve runs one full-batch train forward pass per
-    Newton iterate (``solve_head_exact``), then ``hypergradient_numeric``
-    runs one val pass for both upper gradients and takes the HessIV Hessian
-    and the mixed partial from the solve's last train pass, at y*.
+    costs none. A quadratic row is closed forms and ufunc reductions; a hyperrep
+    solve runs a train forward pass per Newton iterate (``solve_head_exact``),
+    and ``hypergradient_numeric`` one val pass, taking the HessIV Hessian and
+    the mixed partial from the solve's last train pass, at y*.
     """
 
     def __init__(self, problem: BilevelProblem):
@@ -156,7 +158,7 @@ class Evaluator:
         else:
             obj = self.problem.upper_value(x, ys)
             test = self.problem.accuracy(x, y)
-        gap = float(np.sum((y - ys) ** 2))
+        gap = float(np.add.reduce((y - ys) ** 2))
         return MetricsRecord(k=k, rounds_cum=ledger.rounds_total,
                              grad_norm_sq=float(grad @ grad), lower_gap=gap,
                              est_err=est_err, objective=obj, test_metric=test)
@@ -197,8 +199,8 @@ def upper_lanes(max_tau: int) -> list:
 
 def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
                     h: np.ndarray, alpha: float, tau: int | Sequence[int],
-                    participants: Sequence[int], rng: RngStream | TableStream,
-                    ledger: CommLedger) -> np.ndarray:
+                    participants: Sequence[int] | CheckedOracles,
+                    rng: RngStream | TableStream, ledger: CommLedger) -> np.ndarray:
     """Local SVRG-type upper phase: tau_i corrected steps per client from x.
 
     The anchor gradient at x is re-evaluated per local step with that step's
@@ -206,10 +208,10 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     x - alpha*h up to rounding. All participants step together, two batched
     oracle calls per local step on the same draws; unlike One-Round-Lower's,
     the pair at v = 0 is evaluated, since (h - g) + g is not h in floating
-    point. rng is the scope stream or its step of a lane table with the family
-    of ``upper_lanes``. Charges one round (the iterate aggregation).
+    point. participants may be checked oracles. rng is the scope stream or its
+    step of a lane table with the family of ``upper_lanes``. Charges one round.
     """
-    return _one_round_upper(problem.checked(participants, x, y_plus), x, y_plus, h, alpha,
+    return _one_round_upper(problem.oracles(participants, x, y_plus), x, y_plus, h, alpha,
                             client_taus(tau, problem._all_ids, problem.m), rng, ledger)
 
 
@@ -219,13 +221,11 @@ def _one_round_upper(oracles: CheckedOracles, x: np.ndarray, y_plus: np.ndarray,
     """``one_round_upper`` on oracles its caller checked against x and y_plus's
     shape, with tau_all the resolved tau_i of every client."""
     problem, ids = oracles.problem, oracles.ids
-    taus = tau_all[ids]
+    alphas, steps = _schedule(oracles, tau_all, alpha)
     if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, upper_lanes(int(taus.max())), np.arange(problem.m)).step(0)
-    alphas = (alpha / taus)[:, None]
+        rng = LaneTable.of(rng, upper_lanes(len(steps)), np.arange(problem.m)).step(0)
     X = np.repeat(x[None], ids.size, axis=0)
-    for v, rows in _local_steps(taus):
-        sub = ids[rows]
+    for v, rows, sub in steps:
         lanes = rng.lanes(sub, "xi_up", v)
         g_anchor = oracles.grad_upper_x(sub, x, y_plus, lanes)
         g_local = oracles.grad_upper_x(sub, X[rows], y_plus, lanes)
@@ -234,8 +234,8 @@ def _one_round_upper(oracles: CheckedOracles, x: np.ndarray, y_plus: np.ndarray,
 
 
 def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
-    xn, yn = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    if not (np.isfinite(xn) and np.isfinite(yn)) or xn > DIVERGENCE_NORM or yn > DIVERGENCE_NORM:
+    xn, yn = math.sqrt(x @ x), math.sqrt(y @ y)   # the bits of np.linalg.norm
+    if not (math.isfinite(xn) and math.isfinite(yn)) or max(xn, yn) > DIVERGENCE_NORM:
         raise DivergenceError(
             f"iterate diverged at outer iteration {k}: ||x||={xn:.3e}, ||y||={yn:.3e}",
             k=k, x_norm=xn, y_norm=yn)
@@ -263,7 +263,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
         families = aggitd_lanes(acfg, problem.m)
 
         def step(x, y, oracles, scope):
-            h, y, _ = aggitd(problem, x, y, acfg, oracles.ids, scope, ledger)
+            h, y, _ = aggitd(problem, x, y, acfg, oracles, scope, ledger)
             return h, y
     else:
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
@@ -280,25 +280,27 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
                 y = _one_round_lower(oracles, x, y, q, lower_cfg, scope.child("lower", t),
                                      ledger)
             if estimator == ESTIMATOR_AID:
-                return aid_fhe(problem, x, y, aid_cfg, ids, scope.child("aid"), ledger), y
-            return local_fhe(problem, x, y, aid_cfg, rng=scope.child("local"),
-                             participants=ids, ledger=ledger), y
+                return aid_fhe(problem, x, y, aid_cfg, oracles, scope.child("aid"), ledger), y
+            return local_fhe(problem, x, y, aid_cfg, scope.child("local"), oracles, ledger), y
 
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, families),
                  lane_steps(root, "upper", cfg.K, problem.m, upper_lanes(max_tau)))
+    oracles, redraw = None, part.size(problem.m) < problem.m
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()
-        oracles = problem.checked(select_participants(part, problem.m, root.child("part", k)),
-                                  x, y)
+        if redraw or oracles is None:
+            oracles = problem.checked(
+                select_participants(part, problem.m, root.child("part", k)), x, y)
         h, y = step(x, y, oracles, est)
         x_prev = x
         x = _one_round_upper(oracles, x, y, h, alpha, tau_all, upper, ledger)
         ledger.finish_outer()
         _guard(k, x, y)
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:
-            err = float(np.linalg.norm(h - evaluator.hypergradient(x_prev)))
+            r = h - evaluator.hypergradient(x_prev)
+            err = math.sqrt(r @ r)   # the bits of np.linalg.norm
             rows.append(evaluator.record(k + 1, ledger, x, y, err))
     return RunReport(label=_LABELS[estimator], rows=rows, final_x=x, final_y=y,
                      rounds_total=ledger.rounds_total, loops_total=ledger.loops_total,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
 from .lower import LowerStepConfig, _one_round_lower, lower_lanes
-from .problems import BilevelProblem, ProblemConstants
+from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, LaneTable, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
@@ -132,8 +132,8 @@ class EstimatorTrace:
         }
 
 
-def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
-           cfg: AggITDConfig, participants: Sequence[int], rng: RngStream | TableStream,
+def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDConfig,
+           participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
            ledger: CommLedger, q_override: int | None = None):
     """Fused lower-level optimization + hypergradient estimation (one loop).
 
@@ -141,8 +141,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     gradient round with the chain payloads piggybacked, a One-Round-Lower
     iterate round for t <= N-1, and one final round aggregating the per-client
     estimates. q_override pins the chain-seeding index Q for enumeration tests.
-    rng is the scope stream, or its step of a lane table with the families of
-    ``aggitd_lanes``.
+    participants are client ids or checked oracles (``BilevelProblem.oracles``);
+    rng is the scope stream or a lane table's step (``aggitd_lanes``).
     """
     _check_lambda(cfg.lam, problem.constants)
     _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
@@ -155,7 +155,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
         Q = int(rng.child("Q").generator().integers(0, N + 1))
 
     y_t = np.asarray(y, dtype=float)
-    oracles = problem.checked(participants, x, y_t)
+    oracles = problem.oracles(participants, x, y_t)
     ids = oracles.ids
     if isinstance(rng, RngStream):
         rng = LaneTable.of(rng, aggitd_lanes(cfg, problem.m), np.arange(problem.m)).step(0)
@@ -190,16 +190,16 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     return h_direct - h_indirect, y_t, trace
 
 
-def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
-            cfg: AidConfig, participants: Sequence[int], rng: RngStream | TableStream,
+def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidConfig,
+            participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
             ledger: CommLedger, t_prime_override: int | None = None) -> np.ndarray:
     """Two-loop baseline estimator evaluated at the finished lower iterate.
 
     Builds p_0 = lambda*T * mean_i grad_y F_i, then the full T-round chain
     p_t = (I - lambda * mean_i H_i) p_{t-1}; the estimate uses p_{T'} with
     T' uniform in {0..T-1}. The full chain is always executed so the round
-    bill is the deterministic T+2 this call charges. rng is the scope stream,
-    or its step of a lane table with the families of ``chain_lanes``.
+    bill is the deterministic T+2 this call charges. participants are as for
+    ``aggitd``; rng is the scope stream or a lane table's step (``chain_lanes``).
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
@@ -211,7 +211,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
         T_prime = int(rng.child("T_prime").generator().integers(0, T))
 
     y_N = np.asarray(y_N, dtype=float)
-    oracles = problem.checked(participants, x, y_N)
+    oracles = problem.oracles(participants, x, y_N)
     ids = oracles.ids
     if isinstance(rng, RngStream):
         rng = LaneTable.of(rng, chain_lanes(T), np.arange(problem.m)).step(0)
@@ -233,20 +233,20 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
 
 def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
               cfg: AidConfig, rng: RngStream | TableStream | None = None,
-              participants: Sequence[int] | None = None,
+              participants: Sequence[int] | CheckedOracles | None = None,
               ledger: CommLedger | None = None) -> np.ndarray:
     """Fully local estimator: per-client Neumann chain from local curvature only.
 
     With rng=None the exact truncated recursion on noise-off oracles is used.
     No cross-client second-order aggregation happens; only the final average
-    costs a round. rng may also be a lane table's step, as for ``aid_fhe``.
+    costs a round. rng and participants may also be as for ``aid_fhe``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
     if ledger is None:
         ledger = CommLedger()
     y_N = np.asarray(y_N, dtype=float)
-    oracles = problem.checked(range(problem.m) if participants is None else participants,
+    oracles = problem.oracles(range(problem.m) if participants is None else participants,
                               x, y_N)
     ids = oracles.ids
     if isinstance(rng, RngStream):

@@ -86,7 +86,7 @@ def _index_table(splits: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _swap(a: np.ndarray) -> np.ndarray:
     """Transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _minibatch_mean(A: np.ndarray, B: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -90,18 +90,23 @@ def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> list:
     return [(*prefix, CLIENT, "zeta", range(1 if variant == VARIANT_SVRG else 0, max_tau))]
 
 
-def _local_steps(taus: np.ndarray):
-    """(v, rows) for each local step v: the rows of the clients with tau_i > v
-    (a full slice while every client is still stepping)."""
-    counts = taus.tolist()
-    full = min(counts)
-    for v in range(max(counts)):
-        yield v, slice(None) if v < full else np.flatnonzero(taus > v)
+def _schedule(oracles: CheckedOracles, tau_all: np.ndarray, stepsize: float) -> tuple:
+    """(stepsize / tau_i column, [(v, rows, ids[rows]) per local step v]) of the
+    participants with tau_i > v (rows a full slice while all step), kept on oracles."""
+    key = (tau_all.tobytes(), stepsize)
+    got = oracles.schedules.get(key)
+    if got is None:
+        ids, taus = oracles.ids, tau_all[oracles.ids]
+        rows = [slice(None) if v < taus.min() else np.flatnonzero(taus > v)
+                for v in range(taus.max())]
+        got = oracles.schedules[key] = ((stepsize / taus)[:, None],
+                                        [(v, r, ids[r]) for v, r in enumerate(rows)])
+    return got
 
 
 def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
                     q: np.ndarray, cfg: LowerStepConfig,
-                    participants: Sequence[int], rng: RngStream | TableStream,
+                    participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
                     ledger: CommLedger) -> np.ndarray:
     """One composed local phase; returns the participant mean of y_tau^i.
 
@@ -110,10 +115,10 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     local step (two for svrg, on the same lanes and so on the same draws).
     The svrg step v = 0 is y - (beta/tau_i) q with no oracle call, since its
     pair cancels exactly; the audit still charges that pair's 2 * batch_size
-    "zeta" samples per participant. rng is a scope stream or a lane table's
-    step. Charges exactly one round (the iterate aggregation).
+    "zeta" samples per participant. participants may be checked oracles. rng
+    is a scope stream or a lane table's step. Charges exactly one round.
     """
-    return _one_round_lower(problem.checked(participants, x, y), x, y, q, cfg, rng, ledger)
+    return _one_round_lower(problem.oracles(participants, x, y), x, y, q, cfg, rng, ledger)
 
 
 def _one_round_lower(oracles: CheckedOracles, x: np.ndarray, y: np.ndarray,
@@ -121,20 +126,17 @@ def _one_round_lower(oracles: CheckedOracles, x: np.ndarray, y: np.ndarray,
                      ledger: CommLedger) -> np.ndarray:
     """``one_round_lower`` on oracles its caller checked against x and y's shape."""
     problem, ids = oracles.problem, oracles.ids
-    taus = cfg.taus(problem.m)[ids]
+    betas, steps = _schedule(oracles, cfg.taus(problem.m), cfg.beta)
     if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, lower_lanes(int(taus.max()), variant=cfg.variant),
+        rng = LaneTable.of(rng, lower_lanes(len(steps), variant=cfg.variant),
                            np.arange(problem.m)).step(0)
-    betas = (cfg.beta / taus)[:, None]
-    steps = _local_steps(taus)
-    if cfg.variant == VARIANT_SVRG:
-        next(steps)  # v = 0: every client steps, and its pair cancels
+    if cfg.variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record("zeta", 2 * problem.batch_size * ids.size)
         Y = y - betas * q
+        steps = steps[1:]
     else:
         Y = np.repeat(y[None], ids.size, axis=0)
-    for v, rows in steps:
-        sub = ids[rows]
+    for v, rows, sub in steps:
         lanes = rng.lanes(sub, "zeta", v)
         step = oracles.grad_lower_y(sub, x, Y[rows], lanes)
         if cfg.variant == VARIANT_SVRG:

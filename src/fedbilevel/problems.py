@@ -28,11 +28,11 @@ and so on, which evaluates a whole participant set in one call:
 
 A public batched call checks its ids, shapes and lanes on every call. The
 internal calls of the estimators, One-Round-Lower and One-Round-Upper check
-once per call of theirs instead: ``problem.checked(participants, x, y)``
+once per participant set instead: ``problem.checked(participants, x, y)``
 checks the participants' ids and the points once, and its oracles skip those
-checks but still audit every call's samples by purpose. Inside a run,
-One-Round-Lower and One-Round-Upper reuse the checked oracles of the
-estimator call or outer step that calls them.
+checks but still audit every call's samples by purpose. A run checks one set
+per run (full participation) or outer step and passes its oracles, which keep
+the set's local-step schedules, as the estimators' ``participants``.
 
 There is no per-client fallback: each problem implements the five stacked
 kernels ``_grad_lower_y_batch`` etc., and a single-client call is a batch of
@@ -191,11 +191,19 @@ class BilevelProblem:
                     f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
 
     def checked(self, participants, x: np.ndarray, y: np.ndarray) -> "CheckedOracles":
-        """The batched oracles of one estimator call on the participants'
-        ``client_ids``, checked once against the problem and the points."""
+        """The batched oracles of one participant set, its ``client_ids``,
+        checked once against the problem and the points' shapes."""
         ids = client_ids(participants)
         self._check_rows(ids.tolist(), x, y)
         return CheckedOracles(self, ids)
+
+    def oracles(self, participants, x: np.ndarray, y: np.ndarray) -> "CheckedOracles":
+        """``checked(participants, x, y)``, or this problem's CheckedOracles as they are."""
+        if not isinstance(participants, CheckedOracles):
+            return self.checked(participants, x, y)
+        if participants.problem is not self:
+            raise ContractViolation("the checked oracles belong to another problem")
+        return participants
 
     def initial_point(self) -> tuple[np.ndarray, np.ndarray]:
         """Default (x0, y0) for solvers; the origin unless a subclass overrides."""
@@ -276,17 +284,18 @@ class BilevelProblem:
 
 
 class CheckedOracles:
-    """The batched oracles of one estimator call, on ids its problem checked once.
+    """The batched oracles of one participant set, on ids its problem checked once.
 
     Each call takes the checked ``ids`` or a row subset of them, points of
     the checked shapes, and the call's Lanes. It skips the per-call checks of
     the public ``*_batch`` methods but audits its samples by purpose, as they do.
     """
 
-    __slots__ = ("problem", "ids")
+    __slots__ = ("problem", "ids", "schedules")
 
     def __init__(self, problem: BilevelProblem, ids: np.ndarray):
         self.problem, self.ids = problem, ids
+        self.schedules = {}
 
     def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:
         if lanes is not None:

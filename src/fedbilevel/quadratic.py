@@ -147,9 +147,9 @@ class QuadraticInstance:
         """f(x, y) averaged over clients; defaults to y = y*(x)."""
         if y is None:
             y = self.y_star(x)
-        vals = (0.5 * np.sum((y - self.d) ** 2, axis=1) + 0.5 * self.rho_x * float(x @ x)
+        vals = (0.5 * np.add.reduce((y - self.d) ** 2, 1) + 0.5 * self.rho_x * float(x @ x)
                 + (self.e[:, None, :] @ x)[:, 0])
-        return float(np.mean(vals))
+        return float(np.add.reduce(vals) / self.m)   # the bits of np.mean
 
     # -- serialization -------------------------------------------------------
 
@@ -184,7 +184,7 @@ def _random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -377,12 +377,12 @@ class QuadraticProblem(BilevelProblem):
         q = self.inst
         B = q.B[self._rows(ids)]
         if lanes is None:
-            return _mv(np.swapaxes(B, 1, 2), v)
+            return _mv(B.swapaxes(-1, -2), v)
         if self.finite_sum:
             (mB,) = self._offsets(ids, lanes, q.dB)
-            return _mv(np.swapaxes(B, 1, 2), v) + _mv(np.swapaxes(mB, 1, 2), v)
+            return _mv(B.swapaxes(-1, -2), v) + _mv(mB.swapaxes(-1, -2), v)
         W = lanes.normal(q.noise_std, (self.d2, self.d1))
-        return _mv(np.swapaxes(B + W, 1, 2), v)
+        return _mv((B + W).swapaxes(-1, -2), v)
 
 
 def make_problem(spec: QuadraticSpec, batch_size: int = 1) -> QuadraticProblem:

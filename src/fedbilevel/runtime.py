@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ProtocolError
 from .rng import RngStream
 
+_FLOAT = np.dtype(float)
+_NOT_STACKS = "payloads must be (clients, dim) stacks with one row per client"
+
 
 @dataclass
 class CommLedger:
@@ -100,12 +103,16 @@ def aggregate_mean(payloads: np.ndarray | Sequence[np.ndarray], ledger: CommLedg
     not depend on the order in which the participants were listed.
     """
     grouped = isinstance(payloads, (tuple, list))
-    stacks = [np.asarray(p, dtype=float) for p in (payloads if grouped else (payloads,))]
-    k = stacks[0].shape[0] if stacks and stacks[0].ndim == 2 else -1
-    if k < 0 or any(s.ndim != 2 or s.shape[0] != k for s in stacks):
-        raise ProtocolError("payloads must be (clients, dim) stacks with one row per client")
-    if not k:
-        raise ProtocolError("empty participant set")
-    ledger.record_round(sum(s.size for s in stacks))
-    means = [np.add.reduce(s, axis=0) / k for s in stacks]   # the bits of s.mean(axis=0)
+    stacks, k, scalars = [], -1, 0
+    for s in (payloads if grouped else (payloads,)):
+        if type(s) is not np.ndarray or s.dtype is not _FLOAT:
+            s = np.asarray(s, dtype=float)
+        if s.ndim != 2 or (stacks and s.shape[0] != k):
+            raise ProtocolError(_NOT_STACKS)
+        k, scalars = s.shape[0], scalars + s.size
+        stacks.append(s)
+    if k < 1:   # no stacks, or empty ones
+        raise ProtocolError("empty participant set" if k == 0 else _NOT_STACKS)
+    ledger.record_round(scalars)
+    means = [np.add.reduce(s, 0) / k for s in stacks]   # the bits of s.mean(axis=0)
     return means if grouped else means[0]

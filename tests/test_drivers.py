@@ -1,14 +1,18 @@
 """Outer-loop drivers: upper phase, round accounting, warm start, defaults."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fedbilevel import (CommLedger, DivergenceError, ParameterError,
+from fedbilevel import (AggITDConfig, AidConfig, CommLedger, DivergenceError,
+                        LowerStepConfig, ParameterError, Participation,
                         ProblemConstants, QuadraticProblem, QuadraticSpec,
-                        RngStream, RunConfig, default_N, default_stepsizes,
-                        make_quadratic, one_round_upper, run, run_fbo_aggitd,
-                        run_fednest_baseline)
-from fedbilevel.drivers import build_problem
+                        RngStream, RunConfig, aggitd, aggregate_mean, aid_fhe,
+                        default_N, default_stepsizes, local_fhe, make_quadratic,
+                        one_round_lower, one_round_upper, run, run_fbo_aggitd,
+                        run_fednest_baseline, select_participants)
+from fedbilevel.drivers import build_problem, resolve_params
 
 
 def test_default_stepsizes_examples():
@@ -431,9 +435,10 @@ def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
 def test_run_checks_participants_and_tau_once_per_step(monkeypatch, estimator):
-    # the outer step checks its participants once, the estimator call once
-    # more (a public entry), and One-Round-Lower/Upper reuse those checks;
-    # the tau setting is resolved once per run, whatever K is
+    # under partial participation each outer step checks its participants
+    # once, and the estimator call and One-Round-Lower/Upper take those
+    # checked oracles; under full participation one check serves the run.
+    # The tau setting is resolved once per run, whatever K is
     from fedbilevel import drivers, lower
     from fedbilevel.problems import BilevelProblem
     checks, taus = [], []
@@ -451,11 +456,70 @@ def test_run_checks_participants_and_tau_once_per_step(monkeypatch, estimator):
     monkeypatch.setattr(drivers, "client_taus", counted_taus)
     counts = []
     for K in (2, 5):
-        cfg = _quad_cfg(K=K, N=3, T=2, estimator=estimator, tau=[1, 3, 2],
-                        participation=0.7)
-        checks.clear()
-        taus.clear()
-        run(cfg)
-        assert len(checks) == 2 * K
-        counts.append(len(taus))
-    assert counts[0] == counts[1] <= 2
+        for participation, per_run in ((0.7, K), (1.0, 1)):
+            cfg = _quad_cfg(K=K, N=3, T=2, estimator=estimator, tau=[1, 3, 2],
+                            participation=participation)
+            checks.clear()
+            taus.clear()
+            run(cfg)
+            assert len(checks) == per_run
+            counts.append(len(taus))
+    assert len(set(counts)) == 1 and counts[0] <= 2
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+@pytest.mark.parametrize("participation,tau", [(1.0, 1), (0.7, [1, 3, 2])])
+def test_run_first_step_equals_the_public_calls(estimator, participation, tau):
+    # a K = 1 run, whose one outer step reuses checked oracles and local-step
+    # schedules, gives the bits of the public calls on the scope streams
+    # root.child("est", 0) and root.child("upper", 0): the Q and T' draws,
+    # the participant set and every lane are where a public call puts them
+    cfg = _quad_cfg(K=1, N=3, T=2, estimator=estimator, tau=tau,
+                    participation=participation, variant="svrg")
+    rep = run(cfg)
+    problem = build_problem(cfg)
+    N, T, lam, alpha, beta = resolve_params(cfg, problem.constants)
+    lower_cfg = LowerStepConfig(beta=beta, tau=tau)
+    root, ledger = RngStream(cfg.seed), CommLedger()
+    ids = select_participants(Participation(participation), problem.m, root.child("part", 0))
+    scope = root.child("est", 0)
+    x, y = problem.initial_point()
+    if estimator == "aggitd":
+        h, y_new, _ = aggitd(problem, x, y, AggITDConfig(lam=lam, N=N, lower=lower_cfg),
+                             ids, scope, ledger)
+    else:
+        y_new = y
+        for t in range(N):
+            q = aggregate_mean(problem.grad_lower_y_batch(
+                np.array(ids), x, y_new, scope.lanes(ids, "zeta_q", t)), ledger)
+            y_new = one_round_lower(problem, x, y_new, q, lower_cfg, ids,
+                                    scope.child("lower", t), ledger)
+        aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
+        if estimator == "aid":
+            h = aid_fhe(problem, x, y_new, aid_cfg, ids, scope.child("aid"), ledger)
+        else:
+            h = local_fhe(problem, x, y_new, aid_cfg, scope.child("local"), ids, ledger)
+    x_new = one_round_upper(problem, x, y_new, h, alpha, tau, ids, root.child("upper", 0),
+                            ledger)
+    assert rep.final_y.tobytes() == y_new.tobytes()
+    assert rep.final_x.tobytes() == x_new.tobytes()
+    assert rep.rounds_total == ledger.rounds_total
+    assert rep.rows[1].est_err == float(np.linalg.norm(h - problem.inst.hypergradient(x)))
+    assert rep.rows[1].lower_gap == float(np.sum((y_new - problem.inst.y_star(x_new)) ** 2))
+
+
+def test_metrics_row_reductions_keep_numpy_bits():
+    # the divergence guard, est_err and the metrics row reduce with
+    # np.add.reduce and math.sqrt(v @ v): the bits of np.sum, np.mean and
+    # np.linalg.norm on contiguous vectors of every length the runs use
+    gen = RngStream(5).child("norms").generator()
+    for d in (1, 2, 3, 4, 5, 7, 8, 10, 16, 17, 33, 64, 129):
+        for scale in (1e-6, 1.0, 1e6):
+            v = scale * gen.normal(size=d)
+            assert math.sqrt(v @ v) == float(np.linalg.norm(v))
+            assert np.add.reduce(v ** 2) == np.sum(v ** 2)
+    inst = make_quadratic(QuadraticSpec(d1=6, d2=5, m=7, hetero=0.5, seed=2))
+    x, y = gen.normal(size=6), gen.normal(size=5)
+    vals = (0.5 * np.sum((y - inst.d) ** 2, axis=1) + 0.5 * inst.rho_x * float(x @ x)
+            + (inst.e[:, None, :] @ x)[:, 0])
+    assert inst.objective(x, y) == float(np.mean(vals))

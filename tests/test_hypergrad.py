@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
-                        ParameterError, QuadraticProblem, QuadraticSpec,
+from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
+                        LowerStepConfig, ParameterError, QuadraticProblem, QuadraticSpec,
                         RngStream, aggitd, aid_fhe, dense_hessiv,
                         expected_aggitd_indirect, expected_aid_fhe,
                         expected_aid_hessiv, expected_local_fhe, local_fhe,
@@ -342,3 +342,27 @@ def test_config_validation():
         aggitd(problem, np.ones(5), np.zeros(5),
                AggITDConfig(lam=good_lam, N=2, lower=LowerStepConfig(beta=0.001)),
                range(3), RngStream(0), CommLedger(), q_override=5)
+
+
+def test_estimators_take_checked_oracles_of_their_problem_only():
+    # an outer step's checked oracles stand in for the participant ids, bit
+    # for bit; another problem's checked oracles are a contract violation
+    inst, problem = _deterministic_setup(m=4, spread=0.2)
+    _, other = _deterministic_setup(m=4, spread=0.2, seed=16)
+    lam = 1.0 / inst.L_g
+    lower = LowerStepConfig(beta=_beta(inst, lam), tau=[1, 2, 3, 1])
+    cfg, aid_cfg = AggITDConfig(lam=lam, N=2, lower=lower), AidConfig(lam=lam, N=2, T=3,
+                                                                     lower=lower)
+    x, y, ids = np.ones(5), np.zeros(5), [0, 2, 3]
+    calls = {
+        "aggitd": lambda parts: aggitd(problem, x, y, cfg, parts, RngStream(4),
+                                       CommLedger())[0],
+        "aid_fhe": lambda parts: aid_fhe(problem, x, y, aid_cfg, parts, RngStream(4),
+                                         CommLedger()),
+        "local_fhe": lambda parts: local_fhe(problem, x, y, aid_cfg, RngStream(4), parts),
+    }
+    for name, call in calls.items():
+        checked = problem.checked(ids, x, y)
+        assert call(checked).tobytes() == call(ids).tobytes(), name
+        with pytest.raises(ContractViolation):
+            call(other.checked(ids, x, y))

@@ -271,3 +271,21 @@ def test_svrg_equals_explicit_pair_reference(kind):
         want = _explicit_pair_reference(problem, x, y, q, 0.05, tau, participants, rng)
         assert np.array_equal(got, want), participants
         assert audit == problem.audit.by_purpose
+
+
+def test_checked_oracles_keep_one_schedule_per_tau_setting_and_stepsize():
+    # one participant set's checked oracles serve calls with other tau
+    # settings, stepsizes and variants: each call equals one on plain ids
+    problem = _noisy_problem("finite-sum-b1")
+    x, y, q = _random_inputs(problem, 3)
+    checked = problem.checked([0, 1, 3], x, y)
+    cases = ((0.05, 1, VARIANT_SVRG), (0.05, [1, 3, 2, 2], VARIANT_SVRG),
+             (0.02, [1, 3, 2, 2], VARIANT_SVRG), (0.05, 2, VARIANT_SGD),
+             (0.05, [2, 1, 1, 3], VARIANT_SVRG))
+    for t, (beta, tau, variant) in enumerate(cases):
+        cfg = LowerStepConfig(beta=beta, tau=tau, variant=variant)
+        rng = RngStream(8).child("lower", t)
+        got = one_round_lower(problem, x, y, q, cfg, checked, rng, CommLedger())
+        want = one_round_lower(problem, x, y, q, cfg, [3, 0, 1], rng, CommLedger())
+        assert got.tobytes() == want.tobytes(), (beta, tau, variant)
+    assert len(checked.schedules) == len(cases)

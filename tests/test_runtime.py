@@ -101,3 +101,43 @@ def test_participation_size_rule():
         Participation(0.0)
     with pytest.raises(ProtocolError):
         Participation(1.2)
+
+
+def test_aggregate_rejects_malformed_stacks_before_charging_a_round():
+    ledger = CommLedger()
+    for bad in (np.ones(3), [np.ones((2, 3)), np.ones(3)], [np.ones(3), np.ones((2, 3))],
+                np.ones((2, 3, 1)), [[1.0, 2.0]]):
+        with pytest.raises(ProtocolError, match="stacks"):
+            aggregate_mean(bad, ledger)
+    assert (ledger.rounds_total, ledger.scalars_sent) == (0, 0)
+
+
+def test_aggregate_converts_non_float_payloads():
+    ledger = CommLedger()
+    (nested,) = aggregate_mean([[[1, 2], [4, 7]]], ledger)   # one list-of-lists stack
+    ints = aggregate_mean(np.array([[1, 2], [4, 7]]), ledger)
+    single = aggregate_mean(np.array([[1, 2], [4, 7]], dtype=np.float32), ledger)
+    for out in (nested, ints, single):
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [2.5, 4.5])
+    assert (ledger.rounds_total, ledger.scalars_sent) == (3, 12)
+
+
+def test_aggregate_strided_stacks_match_numpy_mean_bits():
+    gen = RngStream(11).child("strided").generator()
+    base = gen.normal(size=(9, 12))
+    for s in (base[[7, 1, 4, 0, 3]][:, ::3], base[::2], base.T, base[1:, 2:7]):
+        assert not s.flags.c_contiguous
+        assert aggregate_mean(s, CommLedger()).tobytes() == s.mean(axis=0).tobytes()
+        pair = aggregate_mean([s, s[:, ::-1]], CommLedger())
+        assert pair[0].tobytes() == s.mean(axis=0).tobytes()
+        assert pair[1].tobytes() == s[:, ::-1].mean(axis=0).tobytes()
+
+
+def test_aggregate_counts_each_group_once():
+    ledger = CommLedger()
+    aggregate_mean([np.ones((3, 2)), np.ones((3, 5)), np.ones((3, 1))], ledger)
+    assert (ledger.rounds_total, ledger.scalars_sent) == (1, 3 * (2 + 5 + 1))
+    aggregate_mean((np.ones((4, 3)),), ledger)
+    aggregate_mean(np.ones((4, 3)), ledger)
+    assert (ledger.rounds_total, ledger.scalars_sent) == (3, 24 + 12 + 12)
