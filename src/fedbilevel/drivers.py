@@ -25,8 +25,8 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _one_round_lower, _schedule, client_taus,
-                    lower_lanes)
+from .lower import (LowerStepConfig, _schedule, client_taus, lower_lanes,
+                    one_round_lower)
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
 from .rng import CLIENT, LaneTable, RngStream, TableStream, lane_steps
@@ -227,8 +227,8 @@ def _one_round_upper(oracles: CheckedOracles, x: np.ndarray, y_plus: np.ndarray,
     X = np.repeat(x[None], ids.size, axis=0)
     for v, rows, sub in steps:
         lanes = rng.lanes(sub, "xi_up", v)
-        g_anchor = oracles.grad_upper_x(sub, x, y_plus, lanes)
-        g_local = oracles.grad_upper_x(sub, X[rows], y_plus, lanes)
+        g_anchor = problem.grad_upper_x(sub, x, y_plus, lanes)
+        g_local = problem.grad_upper_x(sub, X[rows], y_plus, lanes)
         X[rows] = X[rows] - alphas[rows] * (h - g_anchor + g_local)
     return aggregate_mean(X, ledger)
 
@@ -275,10 +275,10 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
             ids = oracles.ids
             ledger.begin_loop()
             for t in range(N):
-                q = aggregate_mean(oracles.grad_lower_y(
+                q = aggregate_mean(problem.grad_lower_y(
                     ids, x, y, scope.lanes(ids, "zeta_q", t)), ledger)
-                y = _one_round_lower(oracles, x, y, q, lower_cfg, scope.child("lower", t),
-                                     ledger)
+                y = one_round_lower(problem, x, y, q, lower_cfg, oracles,
+                                    scope.child("lower", t), ledger)
             if estimator == ESTIMATOR_AID:
                 return aid_fhe(problem, x, y, aid_cfg, oracles, scope.child("aid"), ledger), y
             return local_fhe(problem, x, y, aid_cfg, scope.child("local"), oracles, ledger), y

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .lower import LowerStepConfig, _one_round_lower, lower_lanes
+from .lower import LowerStepConfig, lower_lanes, one_round_lower
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, LaneTable, RngStream, TableStream
@@ -165,23 +165,23 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     for t in range(N + 1):
         payloads = []
         if t <= N - 1:
-            payloads.append(oracles.grad_lower_y(ids, x, y_t, rng.lanes(ids, "zeta_q", t)))
+            payloads.append(problem.grad_lower_y(ids, x, y_t, rng.lanes(ids, "zeta_q", t)))
         if t == Q:
-            payloads.append(oracles.grad_upper_y(ids, x, y_t, rng.lanes(ids, "xi_r", t)))
+            payloads.append(problem.grad_upper_y(ids, x, y_t, rng.lanes(ids, "xi_r", t)))
         elif t >= Q + 1:
-            hv = oracles.hvp_lower_yy(ids, x, y_t, z, rng.lanes(ids, "u", t))
+            hv = problem.hvp_lower_yy(ids, x, y_t, z, rng.lanes(ids, "u", t))
             payloads.append(z - lam * hv)
         means = aggregate_mean(payloads, ledger)
         if t >= Q:
             z = means[-1]
         if t <= N - 1:
-            y_t = _one_round_lower(oracles, x, y_t, means[0], cfg.lower,
-                                   rng.child("lower", t), ledger)
+            y_t = one_round_lower(problem, x, y_t, means[0], cfg.lower, oracles,
+                                  rng.child("lower", t), ledger)
             y_iterates.append(y_t)
 
     p = lam * (N + 1) * z
-    direct = oracles.grad_upper_x(ids, x, y_t, rng.lanes(ids, "xi_h"))
-    indirect = oracles.jvp_lower_xy(ids, x, y_t, p, rng.lanes(ids, "chi"))
+    direct = problem.grad_upper_x(ids, x, y_t, rng.lanes(ids, "xi_h"))
+    indirect = problem.jvp_lower_xy(ids, x, y_t, p, rng.lanes(ids, "chi"))
     h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
 
     trace = EstimatorTrace(Q=Q, y_iterates=y_iterates, z_final=z, p=p,
@@ -216,17 +216,17 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     if isinstance(rng, RngStream):
         rng = LaneTable.of(rng, chain_lanes(T), np.arange(problem.m)).step(0)
     ledger.begin_loop()
-    r = aggregate_mean(oracles.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
+    r = aggregate_mean(problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
     p = lam * T * r
     chain = [p]
     for t in range(1, T + 1):
-        hv = oracles.hvp_lower_yy(ids, x, y_N, p, rng.lanes(ids, "zeta_h", t))
+        hv = problem.hvp_lower_yy(ids, x, y_N, p, rng.lanes(ids, "zeta_h", t))
         p = aggregate_mean(p - lam * hv, ledger)
         chain.append(p)
     p_sel = chain[T_prime]
 
-    direct = oracles.grad_upper_x(ids, x, y_N, rng.lanes(ids, "xi_h"))
-    indirect = oracles.jvp_lower_xy(ids, x, y_N, p_sel, rng.lanes(ids, "chi"))
+    direct = problem.grad_upper_x(ids, x, y_N, rng.lanes(ids, "xi_h"))
+    indirect = problem.jvp_lower_xy(ids, x, y_N, p_sel, rng.lanes(ids, "chi"))
     h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
     return h_direct - h_indirect
 
@@ -254,15 +254,15 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
 
     def lanes(tag, *idx):
         return None if rng is None else rng.lanes(ids, tag, *idx)
-    r = oracles.grad_upper_y(ids, x, y_N, lanes("xi0"))
+    r = problem.grad_upper_y(ids, x, y_N, lanes("xi0"))
     s = r.copy()
     acc = r.copy()
     for j in range(1, T):
-        s = s - lam * oracles.hvp_lower_yy(ids, x, y_N, s, lanes("zeta_h", j))
+        s = s - lam * problem.hvp_lower_yy(ids, x, y_N, s, lanes("zeta_h", j))
         acc += s
     p = lam * acc
-    return aggregate_mean(oracles.grad_upper_x(ids, x, y_N, lanes("xi_h"))
-                          - oracles.jvp_lower_xy(ids, x, y_N, p, lanes("chi")), ledger)
+    return aggregate_mean(problem.grad_upper_x(ids, x, y_N, lanes("xi_h"))
+                          - problem.jvp_lower_xy(ids, x, y_N, p, lanes("chi")), ledger)
 
 
 def dense_hessiv(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,

@@ -314,7 +314,7 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
     """
     y = np.zeros(problem.d2) if y0 is None else y0
     ridge = problem.spec.ridge
-    problem._check_rows(problem._all_ids.tolist(), x, y)
+    problem.checked(problem._all_ids, x, y)
     for _ in range(max_iter):
         H, _, Z, P, R, n = problem._train_pass(x, y)
         g = (_minibatch_mean(R, Z, n) + ridge * y).mean(axis=0)
@@ -339,7 +339,7 @@ def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
     if y is None:
         y = solve_head_exact(problem, x)
     ids = problem._all_ids
-    problem._check_rows(ids.tolist(), x, y)
+    problem.checked(ids, x, y)
     H, Us, Z, _, R, n = problem._forward(ids, x, y, None, "val")
     grad_y = _minibatch_mean(R, Z, n).mean(axis=0)
     grad_x = _minibatch_mean(R @ H, Us, n).mean(axis=0)

@@ -115,17 +115,12 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     local step (two for svrg, on the same lanes and so on the same draws).
     The svrg step v = 0 is y - (beta/tau_i) q with no oracle call, since its
     pair cancels exactly; the audit still charges that pair's 2 * batch_size
-    "zeta" samples per participant. participants may be checked oracles. rng
-    is a scope stream or a lane table's step. Charges exactly one round.
+    "zeta" samples per participant. participants may be checked oracles
+    (``BilevelProblem.oracles``), taken without a second check. rng is a
+    scope stream or a lane table's step. Charges exactly one round.
     """
-    return _one_round_lower(problem.oracles(participants, x, y), x, y, q, cfg, rng, ledger)
-
-
-def _one_round_lower(oracles: CheckedOracles, x: np.ndarray, y: np.ndarray,
-                     q: np.ndarray, cfg: LowerStepConfig, rng: RngStream | TableStream,
-                     ledger: CommLedger) -> np.ndarray:
-    """``one_round_lower`` on oracles its caller checked against x and y's shape."""
-    problem, ids = oracles.problem, oracles.ids
+    oracles = problem.oracles(participants, x, y)
+    ids = oracles.ids
     betas, steps = _schedule(oracles, cfg.taus(problem.m), cfg.beta)
     if isinstance(rng, RngStream):
         rng = LaneTable.of(rng, lower_lanes(len(steps), variant=cfg.variant),
@@ -138,9 +133,9 @@ def _one_round_lower(oracles: CheckedOracles, x: np.ndarray, y: np.ndarray,
         Y = np.repeat(y[None], ids.size, axis=0)
     for v, rows, sub in steps:
         lanes = rng.lanes(sub, "zeta", v)
-        step = oracles.grad_lower_y(sub, x, Y[rows], lanes)
+        step = problem.grad_lower_y(sub, x, Y[rows], lanes)
         if cfg.variant == VARIANT_SVRG:
-            step = step - oracles.grad_lower_y(sub, x, y, lanes) + q
+            step = step - problem.grad_lower_y(sub, x, y, lanes) + q
         Y[rows] = Y[rows] - betas[rows] * step
     return aggregate_mean(Y, ledger)
 

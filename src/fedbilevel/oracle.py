@@ -103,10 +103,10 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
             dg = inst.dA @ p.y + inst.dB @ p.x + inst.dc
             var_g1 = max(var_g1, float((dg ** 2).sum(axis=2).mean(axis=1).max()))
         else:
-            fu = np.concatenate([problem.grad_upper_x_batch(ids, p.x, p.y, step.lanes(ids, "fx")),
-                                 problem.grad_upper_y_batch(ids, p.x, p.y, step.lanes(ids, "fy"))],
+            fu = np.concatenate([problem.grad_upper_x(ids, p.x, p.y, step.lanes(ids, "fx")),
+                                 problem.grad_upper_y(ids, p.x, p.y, step.lanes(ids, "fy"))],
                                 axis=1)
-            gg = problem.grad_lower_y_batch(ids, p.x, p.y, step.lanes(ids, "gg"))
+            gg = problem.grad_lower_y(ids, p.x, p.y, step.lanes(ids, "gg"))
             noise[0, :, k] = ((fu - np.concatenate([gx, gy], axis=1)) ** 2).sum(axis=1)
             noise[1, :, k] = ((gg - gl) ** 2).sum(axis=1)
         M_hat = max(M_hat, float(_norms(fu).max()))

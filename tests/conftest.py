@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedbilevel import QuadraticInstance, RngStream
+from fedbilevel.rng import Lanes
 
 
 def zero_offsets(m, n, d1, d2):
@@ -40,6 +41,14 @@ def two_sample_instance(grads=(1.0, -1.0)):
         d=np.zeros((1, 1)), e=np.zeros((1, 1)),
         **{**zero_offsets(1, 2, 1, 1), "dc": np.array([[[off], [-off]]])},
         mu=1.0, L_g=2.0)
+
+
+def batch_of_one(problem, name, i, p, *args):
+    """Client i's oracle ``name`` at the Point p, as a batch of one: args are
+    ([v,] stream), and the stream (None: the exact oracle) is the one lane."""
+    *v, stream = args
+    lanes = None if stream is None else Lanes.of(stream)
+    return getattr(problem, name)(np.array([i]), p.x, p.y, *v, lanes)[0]
 
 
 @pytest.fixture

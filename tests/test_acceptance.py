@@ -16,7 +16,7 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
                         run_fednest_baseline)
 from fedbilevel.cli import main as cli_main
 
-from conftest import manual_instance
+from conftest import batch_of_one, manual_instance
 
 
 def _report(name, ok, detail, elapsed, budget=None):
@@ -156,7 +156,7 @@ def test_criterion_5_lower_solver_contraction():
         dists[r, 0] = np.sum((y - ys) ** 2)
         for t in range(steps):
             pt = Point(x, y)
-            q = np.mean([problem.grad_lower_y(i, pt, root.child("q", r, t, i))
+            q = np.mean([batch_of_one(problem, "grad_lower_y", i, pt, root.child("q", r, t, i))
                          for i in range(6)], axis=0)
             y = one_round_lower(problem, x, y, q, lcfg, range(6),
                                 root.child("low", r, t), CommLedger())

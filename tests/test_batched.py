@@ -1,8 +1,8 @@
-"""Batched oracles: each row equals the single-client oracle bit for bit.
+"""Batched oracles: each row equals the client's batch of one bit for bit.
 
 For every oracle and sampling mode, on quadratic and hyper-representation
-problems, a batched call over a participant id array must give, row for row,
-the single-client result on the same client, point and lane; its lanes must
+problems, a call over a participant id array must give, row for row, the
+result of a batch of one on the same client, point and lane; its lanes must
 hash like ``rng.child(i, *tags)``; and it must audit the same samples.
 """
 
@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from fedbilevel import (ContractViolation, HyperRepSpec, ParameterError, Point,
-                        ProtocolError, QuadraticInstance, QuadraticProblem,
-                        QuadraticSpec, RngStream, make_hyperrep, make_quadratic)
-from fedbilevel.errors import ClientLookupError
+                        QuadraticInstance, QuadraticProblem, QuadraticSpec,
+                        RngStream, make_hyperrep, make_quadratic)
 from fedbilevel.problems import NOISE_GAUSSIAN
-from fedbilevel.rng import Lanes
+from fedbilevel.rng import CLIENT, Lanes, lane_steps
 
-from conftest import manual_instance
+from conftest import batch_of_one, manual_instance
 
 ORACLES = ("grad_lower_y", "grad_upper_x", "grad_upper_y", "hvp_lower_yy", "jvp_lower_xy")
 
@@ -52,16 +51,15 @@ HYPERREP_MODES = [m for m in MODES if m[0].startswith("hyperrep")]
 
 
 def _single(problem, name, i, x, y, v, lane):
-    p = Point(x, y)
     if name in ("hvp_lower_yy", "jvp_lower_xy"):
-        return getattr(problem, name)(i, p, v, lane)
-    return getattr(problem, name)(i, p, lane)
+        return batch_of_one(problem, name, i, Point(x, y), v, lane)
+    return batch_of_one(problem, name, i, Point(x, y), lane)
 
 
 def _batched(problem, name, ids, x, y, v, lanes):
     if name in ("hvp_lower_yy", "jvp_lower_xy"):
-        return getattr(problem, name + "_batch")(ids, x, y, v, lanes)
-    return getattr(problem, name + "_batch")(ids, x, y, lanes)
+        return getattr(problem, name)(ids, x, y, v, lanes)
+    return getattr(problem, name)(ids, x, y, lanes)
 
 
 @pytest.mark.parametrize("mode,make,stochastic", MODES, ids=[m[0] for m in MODES])
@@ -108,8 +106,8 @@ def test_grad_lower_y_stacked_copy_of_shared_y(mode, make, stochastic):
         x = 0.5 * gen.normal(size=problem.d1)
         y = 0.5 * gen.normal(size=problem.d2)
         lanes = rng.lanes(ids, "zeta", 0) if stochastic else None
-        shared = problem.grad_lower_y_batch(ids, x, y, lanes)
-        stacked = problem.grad_lower_y_batch(ids, x, np.repeat(y[None], ids.size, 0), lanes)
+        shared = problem.grad_lower_y(ids, x, y, lanes)
+        stacked = problem.grad_lower_y(ids, x, np.repeat(y[None], ids.size, 0), lanes)
         assert np.array_equal(stacked, shared), ids
 
 
@@ -266,27 +264,25 @@ def test_lane_batch_draws_match_streams():
 
 
 def test_batched_contract_violations():
+    # checked() owns the id and shape checks (test_problems::test_error_cases);
+    # per call an oracle checks only its lanes, None or Lanes with one row per
+    # id, and raises ContractViolation before it audits anything
     problem = _quadratic(1)
-    x, y = np.zeros(3), np.zeros(4)
-    rng = RngStream(0)
-    with pytest.raises(ContractViolation, match="increasing"):
-        problem.grad_lower_y_batch(np.array([2, 1]), x, y, None)
-    with pytest.raises(ContractViolation, match="increasing"):
-        problem.grad_lower_y_batch(np.array([1, 1]), x, y, None)
-    with pytest.raises(ClientLookupError):
-        problem.grad_lower_y_batch(np.array([0, 5]), x, y, None)
-    with pytest.raises(ProtocolError):
-        problem.grad_lower_y_batch(np.array([], dtype=int), x, y, None)
-    with pytest.raises(ContractViolation, match="integer array"):
-        problem.grad_lower_y_batch([0, 1], x, y, None)
-    with pytest.raises(ContractViolation, match="shape"):
-        problem.grad_lower_y_batch(np.array([0, 1]), x, np.zeros((3, 4)), None)
-    with pytest.raises(ContractViolation, match="non-finite"):
-        problem.hvp_lower_yy_batch(np.array([0]), x, y, np.array([np.nan, 0, 0, 0]), None)
-    with pytest.raises(ContractViolation, match="lanes"):
-        problem.grad_lower_y_batch(np.array([0, 1]), x, y, rng.lanes([0], "zeta"))
-    with pytest.raises(ContractViolation, match="Lanes"):
-        problem.grad_lower_y_batch(np.array([0]), x, y, rng.child(0, "zeta"))
+    x, y, v = np.zeros(3), np.zeros(4), np.zeros(4)
+    full = problem.checked(range(problem.m), x, y).ids
+    sub = problem.checked([3, 1], x, y).ids
+    step = next(lane_steps(RngStream(0), "est", 1, problem.m, [(CLIENT, "zeta")]))
+    miscounted = ((full, step.lanes(sub, "zeta")), (sub, step.lanes(full, "zeta")),
+                  (full, RngStream(0).lanes(full[1:], "zeta")),
+                  (sub, Lanes.of(RngStream(0).child(1, "zeta"))))
+    for ids, lanes in miscounted:
+        for name in ORACLES:
+            with pytest.raises(ContractViolation, match="lanes for"):
+                _batched(problem, name, ids, x, y, v, lanes)
+    for lanes in (RngStream(0).child(1, "zeta"), RngStream(0).generator()):
+        for name in ORACLES:
+            with pytest.raises(ContractViolation, match="Lanes or None"):
+                _batched(problem, name, sub, x, y, v, lanes)
     assert problem.audit.total == 0
 
 

@@ -1,10 +1,15 @@
 """Outer-loop drivers: upper phase, round accounting, warm start, defaults."""
 
+import contextlib
+import importlib
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import fedbilevel
 from fedbilevel import (AggITDConfig, AidConfig, CommLedger, DivergenceError,
                         LowerStepConfig, ParameterError, Participation,
                         ProblemConstants, QuadraticProblem, QuadraticSpec,
@@ -490,7 +495,7 @@ def test_run_first_step_equals_the_public_calls(estimator, participation, tau):
     else:
         y_new = y
         for t in range(N):
-            q = aggregate_mean(problem.grad_lower_y_batch(
+            q = aggregate_mean(problem.grad_lower_y(
                 np.array(ids), x, y_new, scope.lanes(ids, "zeta_q", t)), ledger)
             y_new = one_round_lower(problem, x, y_new, q, lower_cfg, ids,
                                     scope.child("lower", t), ledger)
@@ -523,3 +528,42 @@ def test_metrics_row_reductions_keep_numpy_bits():
     vals = (0.5 * np.sum((y - inst.d) ** 2, axis=1) + 0.5 * inst.rho_x * float(x @ x)
             + (inst.e[:, None, :] @ x)[:, 0])
     assert inst.objective(x, y) == float(np.mean(vals))
+
+
+def _bench_tracer():
+    """The benchmark's span tracer, perfbench/tracer.py, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_methods_are_defined_on_their_classes():
+    # the tracer patches each traced method where its class defines it
+    for short, cls_name, attr, _ in _bench_tracer().TRACED_METHODS:
+        cls = getattr(importlib.import_module(f"fedbilevel.{short}"), cls_name)
+        assert attr in cls.__dict__, (short, cls_name, attr)
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+def test_bench_tracer_counts_the_oracles_every_run_calls(estimator):
+    # the five traced BilevelProblem oracles are the calls every estimator and
+    # One-Round-Lower/Upper make: a traced run counts each of them, and its
+    # rows and sample audit equal the untraced run's
+    tracer_mod = _bench_tracer()
+    cfg = _quad_cfg(K=2, N=2, T=2, estimator=estimator, tau=[1, 3, 2])
+    runs = []
+    for traced in (False, True):
+        problem = build_problem(cfg)
+        tracer = tracer_mod.Tracer(fedbilevel, "test") if traced else None
+        with tracer or contextlib.nullcontext():
+            rep = (run_fbo_aggitd if estimator == "aggitd" else run_fednest_baseline)(
+                cfg, problem)
+        runs.append((rep.rows, dict(problem.audit.by_purpose)))
+    assert runs[1] == runs[0]
+    table = tracer.table()
+    for name in ("grad_lower_y", "grad_upper_x", "grad_upper_y", "hvp_lower_yy",
+                 "jvp_lower_xy"):
+        assert table.get(f"problems.{name}", {}).get("calls", 0) > 0, name
+    assert table["lower.one_round_lower"]["calls"] == 2 * 2

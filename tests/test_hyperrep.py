@@ -8,6 +8,8 @@ from fedbilevel import (HyperRepSpec, ParameterError, Point, RngStream,
 from fedbilevel.hyperrep import (agg_hessian_lower_yy, hypergradient_numeric,
                                  solve_head_exact)
 
+from conftest import batch_of_one
+
 
 def test_partition_iid_even_split():
     labels = np.arange(100) % 4
@@ -64,18 +66,18 @@ def test_ridge_rejected_nonpositive():
 
 def _fd_check(problem, x, y, v, eps=1e-6):
     """Finite-difference oracles for hvp and jvp of the head objective."""
-    gp = problem.grad_lower_y(0, Point(x, y + eps * v), None)
-    gm = problem.grad_lower_y(0, Point(x, y - eps * v), None)
+    gp = batch_of_one(problem, "grad_lower_y", 0, Point(x, y + eps * v), None)
+    gm = batch_of_one(problem, "grad_lower_y", 0, Point(x, y - eps * v), None)
     hvp_fd = (gp - gm) / (2 * eps)
-    hvp = problem.hvp_lower_yy(0, Point(x, y), v, None)
+    hvp = batch_of_one(problem, "hvp_lower_yy", 0, Point(x, y), v, None)
     jvp_fd = np.zeros(problem.d1)
     for j in range(problem.d1):
         e = np.zeros(problem.d1)
         e[j] = eps
-        gp = problem.grad_lower_y(0, Point(x + e, y), None)
-        gm = problem.grad_lower_y(0, Point(x - e, y), None)
+        gp = batch_of_one(problem, "grad_lower_y", 0, Point(x + e, y), None)
+        gm = batch_of_one(problem, "grad_lower_y", 0, Point(x - e, y), None)
         jvp_fd[j] = ((gp - gm) / (2 * eps)) @ v
-    jvp = problem.jvp_lower_xy(0, Point(x, y), v, None)
+    jvp = batch_of_one(problem, "jvp_lower_xy", 0, Point(x, y), v, None)
     return (np.linalg.norm(hvp - hvp_fd) / np.linalg.norm(hvp_fd),
             np.linalg.norm(jvp - jvp_fd) / max(np.linalg.norm(jvp_fd), 1e-12))
 
@@ -113,7 +115,7 @@ def test_grad_upper_x_matches_finite_differences():
             lse = np.log(np.exp(z).sum(axis=1))
             return float(np.mean(lse - z[np.arange(len(idx)), problem.labels[idx]]))
         fd[j] = (val(x + e) - val(x - e)) / (2 * eps)
-    g = problem.grad_upper_x(0, Point(x, y), None)
+    g = batch_of_one(problem, "grad_upper_x", 0, Point(x, y), None)
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-6
 
 

@@ -11,7 +11,7 @@ from fedbilevel import (CommLedger, HyperRepSpec, LowerStepConfig, ParameterErro
 from fedbilevel.lower import VARIANT_SGD, VARIANT_SVRG, client_taus
 from fedbilevel.oracle import TestRegion, measure_constants
 
-from conftest import manual_instance
+from conftest import batch_of_one, manual_instance
 
 
 def _noise_off_problem(hetero=0.5, seed=3, d=3, m=3):
@@ -131,7 +131,7 @@ def test_stochastic_contraction_recursion():
         dists[r, 0] = np.sum((y - ys) ** 2)
         for t in range(steps):
             pt = Point(x, y)
-            q = np.mean([problem.grad_lower_y(i, pt, root.child("q", r, t, i))
+            q = np.mean([batch_of_one(problem, "grad_lower_y", i, pt, root.child("q", r, t, i))
                          for i in range(4)], axis=0)
             y = one_round_lower(problem, x, y, q, cfg, range(4),
                                 root.child("low", r, t), CommLedger())
@@ -249,8 +249,8 @@ def _explicit_pair_reference(problem, x, y, q, beta, tau, participants, rng):
         y_v = y.copy()
         for v in range(tau[i]):
             lane = rng.child(i, "zeta", v)
-            step = (problem.grad_lower_y(i, Point(x, y_v), lane)
-                    - problem.grad_lower_y(i, Point(x, y), lane) + q)
+            step = (batch_of_one(problem, "grad_lower_y", i, Point(x, y_v), lane)
+                    - batch_of_one(problem, "grad_lower_y", i, Point(x, y), lane) + q)
             y_v = y_v - (beta / tau[i]) * step
         rows.append(y_v)
     return np.stack(rows).mean(axis=0)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from fedbilevel import (CommLedger, ContractViolation,
-                        LowerStepConfig, Point, QuadraticInstance,
+                        LowerStepConfig, Point, ProtocolError, QuadraticInstance,
                         QuadraticProblem, QuadraticSpec, RngStream,
                         make_quadratic, one_round_lower)
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
-from conftest import manual_instance, two_sample_instance, zero_offsets
+from conftest import batch_of_one, manual_instance, two_sample_instance, zero_offsets
 
 
 def _problem_1d():
@@ -25,7 +25,8 @@ def _problem_1d():
 
 def test_grad_lower_y_hand_value():
     problem = _problem_1d()
-    g = problem.grad_lower_y(0, Point(np.array([1.0]), np.array([3.0])), None)
+    p = Point(np.array([1.0]), np.array([3.0]))
+    g = batch_of_one(problem, "grad_lower_y", 0, p, None)
     assert g == pytest.approx(7.0)
 
 
@@ -42,12 +43,13 @@ def test_finite_sum_two_samples_mean_zero_offset():
     inst = two_sample_instance((1.0, -1.0))
     problem = QuadraticProblem(inst, batch_size=2)  # full batch covers both samples
     p = Point(np.zeros(1), np.zeros(1))
-    exact = problem.grad_lower_y(0, p, None)
-    batched = problem.grad_lower_y(0, p, RngStream(0).child(0, "zeta", 0))
+    exact = batch_of_one(problem, "grad_lower_y", 0, p, None)
+    batched = batch_of_one(problem, "grad_lower_y", 0, p, RngStream(0).child(0, "zeta", 0))
     assert np.array_equal(batched, exact)
     # single-sample draws land exactly on the +/- offsets
     one = QuadraticProblem(inst, batch_size=1)
-    draws = {float(one.grad_lower_y(0, p, RngStream(0).child(0, "zeta", t))[0])
+    draws = {float(batch_of_one(one, "grad_lower_y", 0, p,
+                                RngStream(0).child(0, "zeta", t))[0])
              for t in range(30)}
     assert draws == {1.0, -1.0}
 
@@ -55,9 +57,10 @@ def test_finite_sum_two_samples_mean_zero_offset():
 def test_grad_upper_x_examples():
     inst = manual_instance([2.0, 3.0], d1=2, m=1, lin_scale=0.0)
     problem = QuadraticProblem(inst)
-    g = problem.grad_upper_x(0, Point(np.array([2.0, 0.0]), np.zeros(2)), None)
+    g = batch_of_one(problem, "grad_upper_x", 0, Point(np.array([2.0, 0.0]), np.zeros(2)),
+                     None)
     np.testing.assert_allclose(g, [2.0, 0.0])
-    g0 = problem.grad_upper_x(0, Point(np.zeros(2), np.zeros(2)), None)
+    g0 = batch_of_one(problem, "grad_upper_x", 0, Point(np.zeros(2), np.zeros(2)), None)
     np.testing.assert_allclose(g0, [0.0, 0.0])
 
 
@@ -73,9 +76,10 @@ def test_grad_upper_x_symmetric_cancellation():
 def test_grad_upper_y_examples():
     inst = manual_instance([1.0, 1.0], d1=2, m=1, lin_scale=0.0)
     problem = QuadraticProblem(replace(inst, d=np.ones((1, 2))))
-    g = problem.grad_upper_y(0, Point(np.zeros(2), np.zeros(2)), None)
+    g = batch_of_one(problem, "grad_upper_y", 0, Point(np.zeros(2), np.zeros(2)), None)
     np.testing.assert_allclose(g, [-1.0, -1.0])
-    g0 = problem.grad_upper_y(0, Point(np.zeros(2), np.array([1.0, 1.0])), None)
+    g0 = batch_of_one(problem, "grad_upper_y", 0, Point(np.zeros(2), np.array([1.0, 1.0])),
+                      None)
     np.testing.assert_allclose(g0, [0.0, 0.0])
 
 
@@ -86,10 +90,10 @@ def test_gaussian_noise_monte_carlo_mean():
                          noise_std=std, seed=4)
     problem = QuadraticProblem(make_quadratic(spec))
     p = Point(np.array([0.5, -0.5]), np.array([1.0, 2.0]))
-    exact = problem.grad_upper_y(0, p, None)
+    exact = batch_of_one(problem, "grad_upper_y", 0, p, None)
     root = RngStream(10)
     n = 40_000
-    mean = np.mean([problem.grad_upper_y(0, p, root.child(0, "mc", t))
+    mean = np.mean([batch_of_one(problem, "grad_upper_y", 0, p, root.child(0, "mc", t))
                     for t in range(n)], axis=0)
     se_norm = std * np.sqrt(2.0 / n)
     assert np.linalg.norm(mean - exact) <= 3.5 * se_norm
@@ -99,19 +103,19 @@ def test_hvp_examples_and_fd_oracle():
     inst = manual_instance([2.0, 3.0], d1=2, m=1)
     problem = QuadraticProblem(inst)
     p = Point(np.zeros(2), np.zeros(2))
-    np.testing.assert_allclose(problem.hvp_lower_yy(0, p, np.array([1.0, 1.0]), None),
-                               [2.0, 3.0])
-    np.testing.assert_allclose(problem.hvp_lower_yy(0, p, np.zeros(2), None), 0.0)
+    hvp = lambda v: batch_of_one(problem, "hvp_lower_yy", 0, p, v, None)  # noqa: E731
+    np.testing.assert_allclose(hvp(np.array([1.0, 1.0])), [2.0, 3.0])
+    np.testing.assert_allclose(hvp(np.zeros(2)), 0.0)
     # central finite difference of grad_lower_y along v
     gen = RngStream(2).child("fd").generator()
     v = gen.normal(size=2)
     eps = 1e-6
     y = gen.normal(size=2)
     x = gen.normal(size=2)
-    gp = problem.grad_lower_y(0, Point(x, y + eps * v), None)
-    gm = problem.grad_lower_y(0, Point(x, y - eps * v), None)
+    gp = batch_of_one(problem, "grad_lower_y", 0, Point(x, y + eps * v), None)
+    gm = batch_of_one(problem, "grad_lower_y", 0, Point(x, y - eps * v), None)
     fd = (gp - gm) / (2 * eps)
-    hv = problem.hvp_lower_yy(0, Point(x, y), v, None)
+    hv = batch_of_one(problem, "hvp_lower_yy", 0, Point(x, y), v, None)
     assert np.linalg.norm(hv - fd) / np.linalg.norm(fd) <= 1e-6
 
 
@@ -122,9 +126,9 @@ def test_jvp_examples_and_fd_oracle():
                              **zero_offsets(1, 1, 2, 1), mu=1.0, L_g=2.0)
     problem = QuadraticProblem(inst)
     p = Point(np.zeros(2), np.zeros(1))
-    np.testing.assert_allclose(problem.jvp_lower_xy(0, p, np.array([1.0]), None),
-                               [1.0, 2.0])
-    np.testing.assert_allclose(problem.jvp_lower_xy(0, p, np.zeros(1), None), 0.0)
+    jvp = lambda v: batch_of_one(problem, "jvp_lower_xy", 0, p, v, None)  # noqa: E731
+    np.testing.assert_allclose(jvp(np.array([1.0])), [1.0, 2.0])
+    np.testing.assert_allclose(jvp(np.zeros(1)), 0.0)
     # finite difference of grad_lower_y in x, contracted with v
     gen = RngStream(6).child("fd").generator()
     x, y = gen.normal(size=2), gen.normal(size=1)
@@ -134,10 +138,10 @@ def test_jvp_examples_and_fd_oracle():
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        gp = problem.grad_lower_y(0, Point(x + e, y), None)
-        gm = problem.grad_lower_y(0, Point(x - e, y), None)
+        gp = batch_of_one(problem, "grad_lower_y", 0, Point(x + e, y), None)
+        gm = batch_of_one(problem, "grad_lower_y", 0, Point(x - e, y), None)
         fd[j] = ((gp - gm) / (2 * eps)) @ v
-    jv = problem.jvp_lower_xy(0, Point(x, y), v, None)
+    jv = batch_of_one(problem, "jvp_lower_xy", 0, Point(x, y), v, None)
     assert np.linalg.norm(jv - fd) / np.linalg.norm(fd) <= 1e-6
 
 
@@ -149,8 +153,8 @@ def test_unbiasedness_full_finite_sum_mean_exact():
     p = Point(np.ones(3), np.ones(3))
     stream = RngStream(1).child(0, "zeta", 0)
     for name in ("grad_lower_y", "grad_upper_x", "grad_upper_y"):
-        exact = getattr(problem, name)(0, p, None)
-        full = getattr(problem, name)(0, p, stream)
+        exact = batch_of_one(problem, name, 0, p, None)
+        full = batch_of_one(problem, name, 0, p, stream)
         assert np.array_equal(full, exact), name
 
 
@@ -169,27 +173,37 @@ def test_oracle_determinism_and_linearity():
     problem = QuadraticProblem(make_quadratic(spec))
     p = Point(np.ones(3), np.ones(3))
     s = RngStream(77).child(1, "u", 4)
-    a = problem.hvp_lower_yy(1, p, np.array([1.0, 0.0, 0.0]), s)
-    b = problem.hvp_lower_yy(1, p, np.array([1.0, 0.0, 0.0]), s)
+    hvp = lambda v: batch_of_one(problem, "hvp_lower_yy", 1, p, v, s)  # noqa: E731
+    jvp = lambda v: batch_of_one(problem, "jvp_lower_xy", 1, p, v, s)  # noqa: E731
+    a = hvp(np.array([1.0, 0.0, 0.0]))
+    b = hvp(np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(a, b)
     u = np.array([0.3, -1.0, 2.0])
     v = np.array([1.5, 0.2, -0.7])
-    lin = problem.hvp_lower_yy(1, p, 2.0 * u + 3.0 * v, s)
-    parts = 2.0 * problem.hvp_lower_yy(1, p, u, s) + 3.0 * problem.hvp_lower_yy(1, p, v, s)
+    lin = hvp(2.0 * u + 3.0 * v)
+    parts = 2.0 * hvp(u) + 3.0 * hvp(v)
     np.testing.assert_allclose(lin, parts, rtol=1e-12)
-    jl = problem.jvp_lower_xy(1, p, 2.0 * u + 3.0 * v, s)
-    jp = 2.0 * problem.jvp_lower_xy(1, p, u, s) + 3.0 * problem.jvp_lower_xy(1, p, v, s)
+    jl = jvp(2.0 * u + 3.0 * v)
+    jp = 2.0 * jvp(u) + 3.0 * jvp(v)
     np.testing.assert_allclose(jl, jp, rtol=1e-12)
 
 
 def test_error_cases():
-    problem = _problem_1d()
-    with pytest.raises(ClientLookupError):
-        problem.grad_lower_y(5, Point(np.zeros(1), np.zeros(1)), None)
-    with pytest.raises(ContractViolation):
-        problem.grad_lower_y(0, Point(np.zeros(2), np.zeros(1)), None)
-    with pytest.raises(ContractViolation):
-        problem.hvp_lower_yy(0, Point(np.zeros(1), np.zeros(1)), np.zeros(3), None)
+    # checked() checks the participant set and the points once, before any
+    # oracle call: ids sorted and deduplicated, in [0, m), not empty, integers
+    problem = QuadraticProblem(make_quadratic(QuadraticSpec(d1=1, d2=1, m=5, seed=2)))
+    x, y = np.zeros(1), np.zeros(1)
+    for ids in ([0, 5], [-1, 0]):
+        with pytest.raises(ClientLookupError):
+            problem.checked(ids, x, y)
+    for ids in ([], [0.5, 1.0]):
+        with pytest.raises(ProtocolError):
+            problem.checked(ids, x, y)
+    for xx, yy in ((np.zeros(2), y), (x, np.zeros((2, 1))), (np.zeros((4, 1)), y)):
+        with pytest.raises(ContractViolation, match="shape"):
+            problem.checked([0, 1, 4], xx, yy)
+    assert problem.checked([4, 1, 1, 0], x, y).ids.tolist() == [0, 1, 4]
+    assert problem.audit.total == 0
 
 
 def test_svrg_correction_is_exactly_q_at_the_anchor():
@@ -200,8 +214,9 @@ def test_svrg_correction_is_exactly_q_at_the_anchor():
     x, y = np.ones(3), np.array([0.5, -1.0, 2.0])
     q = np.array([0.3, -0.2, 0.1])
     lane = RngStream(4).child("lower", 0, 1, "zeta", 0)
-    g = problem.grad_lower_y(1, Point(x, y), lane)
-    assert np.array_equal(g - problem.grad_lower_y(1, Point(x, y), lane) + q, q)
+    g = batch_of_one(problem, "grad_lower_y", 1, Point(x, y), lane)
+    assert np.array_equal(g - batch_of_one(problem, "grad_lower_y", 1, Point(x, y), lane) + q,
+                          q)
     cfg = LowerStepConfig(beta=0.05, tau=1)
     got = one_round_lower(problem, x, y, q, cfg, [1], RngStream(4).child("lower", 0),
                           CommLedger())
@@ -209,8 +224,11 @@ def test_svrg_correction_is_exactly_q_at_the_anchor():
 
 
 def test_generator_stream_rejected():
+    # an oracle's lanes are Lanes or None: a stream or a Generator is rejected
+    # per call, before anything is audited
     problem = _problem_1d()
-    p = Point(np.zeros(1), np.zeros(1))
-    with pytest.raises(ContractViolation, match="RngStream"):
-        problem.grad_lower_y(0, p, RngStream(0).generator())
+    ids = problem.checked([0], np.zeros(1), np.zeros(1)).ids
+    for lanes in (RngStream(0).child(0, "zeta"), RngStream(0).generator()):
+        with pytest.raises(ContractViolation, match="Lanes"):
+            problem.grad_lower_y(ids, np.zeros(1), np.zeros(1), lanes)
     assert problem.audit.total == 0
