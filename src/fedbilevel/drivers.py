@@ -25,7 +25,7 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _schedule, client_taus, lower_lanes,
+from .lower import (LowerStepConfig, _schedule, client_taus, lower_phase_lanes,
                     one_round_lower)
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
@@ -193,8 +193,8 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
 
 
 def upper_lanes(max_tau: int) -> list:
-    """The lane family of One-Round-Upper: ``child(i, "xi_up", v)`` for v < max_tau."""
-    return [(CLIENT, "xi_up", range(max_tau))]
+    """The lane sets of One-Round-Upper: ``child(i, "xi_up", v)`` for v < max_tau."""
+    return [(CLIENT, "xi_up", v) for v in range(max_tau)]
 
 
 def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
@@ -209,7 +209,7 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     oracle calls per local step on the same draws; unlike One-Round-Lower's,
     the pair at v = 0 is evaluated, since (h - g) + g is not h in floating
     point. participants may be checked oracles. rng is the scope stream or its
-    step of a lane table with the family of ``upper_lanes``. Charges one round.
+    step of a lane table with the lane sets of ``upper_lanes``. Charges one round.
     """
     return _one_round_upper(problem.oracles(participants, x, y_plus), x, y_plus, h, alpha,
                             client_taus(tau, problem._all_ids, problem.m), rng, ledger)
@@ -256,20 +256,18 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     ledger = CommLedger()
     evaluator = Evaluator(problem)
     tau_all = lower_cfg.taus(problem.m)
-    max_tau = int(tau_all.max())
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
-        families = aggitd_lanes(acfg, problem.m)
+        lane_sets = aggitd_lanes(acfg, problem.m)
 
         def step(x, y, oracles, scope):
             h, y, _ = aggitd(problem, x, y, acfg, oracles, scope, ledger)
             return h, y
     else:
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
-        families = [(CLIENT, "zeta_q", range(N)),
-                    *lower_lanes(max_tau, "lower", range(N), variant=cfg.variant),
-                    *chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local")]
+        lane_sets = [*lower_phase_lanes(lower_cfg, N, problem.m),
+                     *chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local")]
 
         def step(x, y, oracles, scope):
             ids = oracles.ids
@@ -285,8 +283,8 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
 
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
-    scopes = zip(lane_steps(root, "est", cfg.K, problem.m, families),
-                 lane_steps(root, "upper", cfg.K, problem.m, upper_lanes(max_tau)))
+    scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
+                 lane_steps(root, "upper", cfg.K, problem.m, upper_lanes(int(tau_all.max()))))
     oracles, redraw = None, part.size(problem.m) < problem.m
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()

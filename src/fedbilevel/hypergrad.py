@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .lower import LowerStepConfig, lower_lanes, one_round_lower
+from .lower import LowerStepConfig, lower_phase_lanes, one_round_lower
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, LaneTable, RngStream, TableStream
@@ -87,20 +87,19 @@ class AidConfig:
 
 
 def aggitd_lanes(cfg: AggITDConfig, m: int) -> list:
-    """The lane families of one fused-estimator call under its scope stream.
-    The chain's Hessian lanes "u" start at t = 1, the first step that reads one."""
-    N = cfg.N
-    max_tau = int(cfg.lower.taus(m).max())
-    return [(CLIENT, "zeta_q", range(N)), (CLIENT, "xi_r", range(N + 1)),
-            (CLIENT, "u", range(1, N + 1)),
-            *lower_lanes(max_tau, "lower", range(N), variant=cfg.lower.variant),
+    """The lane sets of one fused-estimator call under its scope stream. The
+    chain's Hessian lanes "u" start at t = 1, the first step that reads one."""
+    return [*lower_phase_lanes(cfg.lower, cfg.N, m),
+            *[(CLIENT, "xi_r", t) for t in range(cfg.N + 1)],
+            *[(CLIENT, "u", t) for t in range(1, cfg.N + 1)],
             (CLIENT, "xi_h"), (CLIENT, "chi")]
 
 
 def chain_lanes(T: int, *prefix) -> list:
-    """The lane families of one aid_fhe or local_fhe call under the key parts
+    """The lane sets of one aid_fhe or local_fhe call under the key parts
     prefix of its scope stream. Both chains read "zeta_h" from t = 1 on."""
-    return [(*prefix, CLIENT, "xi0"), (*prefix, CLIENT, "zeta_h", range(1, T + 1)),
+    return [(*prefix, CLIENT, "xi0"),
+            *[(*prefix, CLIENT, "zeta_h", t) for t in range(1, T + 1)],
             (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi")]
 
 

@@ -229,11 +229,10 @@ class HyperRepProblem(BilevelProblem):
 
     # -- evaluation helpers --------------------------------------------------
 
-    def upper_value(self, x, y, idx=None) -> float:
+    def upper_value(self, x, y) -> float:
         """Mean cross-entropy of the head on the pooled held-out split."""
         E, H = self._unpack(x, y)
-        if idx is None:
-            idx = np.concatenate(self.val_idx)
+        idx = np.concatenate(self.val_idx)
         Us = self.U[idx]
         logits = (Us @ E.T) @ H.T
         z = logits - logits.max(axis=1, keepdims=True)

@@ -83,11 +83,20 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
 
 
 def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> list:
-    """The lane family of One-Round-Lower under the key parts prefix: the
-    lanes ``child(*prefix, i, "zeta", v)`` for every local step v < max_tau
+    """The lane sets of One-Round-Lower under the key parts prefix: the
+    lanes ``child(*prefix, i, "zeta", v)`` of every local step v < max_tau
     that draws a sample. The svrg variant draws none at v = 0 (its pair
-    cancels), so its family starts at v = 1."""
-    return [(*prefix, CLIENT, "zeta", range(1 if variant == VARIANT_SVRG else 0, max_tau))]
+    cancels), so its sets start at v = 1."""
+    return [(*prefix, CLIENT, "zeta", v)
+            for v in range(1 if variant == VARIANT_SVRG else 0, max_tau)]
+
+
+def lower_phase_lanes(cfg: LowerStepConfig, N: int, m: int) -> list:
+    """The lane sets of the fused and two-loop estimators' N-step lower phase on
+    m clients: "zeta_q" at each t < N, and One-Round-Lower's under ("lower", t)."""
+    tau = int(cfg.taus(m).max())
+    return [(CLIENT, "zeta_q", t) for t in range(N)] + [
+        s for t in range(N) for s in lower_lanes(tau, "lower", t, variant=cfg.variant)]
 
 
 def _schedule(oracles: CheckedOracles, tau_all: np.ndarray, stepsize: float) -> tuple:

@@ -218,12 +218,19 @@ class BilevelProblem:
         return self.grad_upper_y(ids, p.x, p.y, None).mean(axis=0)
 
     def agg_hvp_lower_yy(self, p: Point, v: np.ndarray) -> np.ndarray:
-        ids = self.checked(self._all_ids, p.x, p.y).ids
+        ids = self._checked_direction(p, v)
         return self.hvp_lower_yy(ids, p.x, p.y, v, None).mean(axis=0)
 
     def agg_jvp_lower_xy(self, p: Point, v: np.ndarray) -> np.ndarray:
-        ids = self.checked(self._all_ids, p.x, p.y).ids
+        ids = self._checked_direction(p, v)
         return self.jvp_lower_xy(ids, p.x, p.y, v, None).mean(axis=0)
+
+    def _checked_direction(self, p: Point, v: np.ndarray) -> np.ndarray:
+        """Every client's id, with p checked and v a y-direction, (d2,) or (m, d2)."""
+        if np.shape(v) not in ((self.d2,), (self.m, self.d2)):
+            raise ContractViolation(f"v has shape {np.shape(v)}, expected ({self.d2},) or "
+                                    f"({self.m}, {self.d2})")
+        return self.checked(self._all_ids, p.x, p.y).ids
 
 
 class CheckedOracles:

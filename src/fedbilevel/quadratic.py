@@ -300,11 +300,8 @@ class QuadraticProblem(BilevelProblem):
     array: row r reads the rows ids[r] of the arrays.
     """
 
-    def __init__(self, inst: QuadraticInstance, batch_size: int = 1,
-                 constants: ProblemConstants | None = None):
-        if constants is None:
-            constants = ProblemConstants(mu=inst.mu, L_g=inst.L_g,
-                                         L_f=max(1.0, inst.rho_x))
+    def __init__(self, inst: QuadraticInstance, batch_size: int = 1):
+        constants = ProblemConstants(mu=inst.mu, L_g=inst.L_g, L_f=max(1.0, inst.rho_x))
         super().__init__(m=inst.m, d1=inst.d1, d2=inst.d2, constants=constants,
                          batch_size=batch_size)
         self.inst = inst

@@ -14,20 +14,23 @@ log/cos/sin. Set-up draws use ``generator()``.
 
 Because a lane's hash depends only on its key path, the lanes of many calls
 can be hashed ahead, in any order and in bulk, without moving a draw. A
-``LaneTable`` does that for consecutive outer steps: each family of lanes
-(one purpose, over every client and every index of its loops) is a block of
-one (steps, rows) uint64 array, hashed one key level at a time over all its
-rows, and the counter-0 ``index`` draws of the whole table are one
-multiply-high pass over it (in 32-bit halves, so no product overflows).
-``TableStream`` stands in for a step's scope stream and reads its
-``lanes(ids, *tags)`` out of the table. A table of one step serves a direct
-estimator call, ``RngStream.lanes`` and ``Lanes.of``; ``Lanes`` draws every
-row's samples from its hashes.
+``LaneTable`` does that for consecutive outer steps. It holds a declared list
+of lane sets: a lane set, such as ``(CLIENT, "zeta_q", 3)`` or
+``("lower", 0, CLIENT, "zeta", 2)``, is a tuple of key parts with ``CLIENT``
+at the client id's place, and stands for the lanes one oracle call reads,
+one per client. Each set owns a contiguous run of rows of one (steps, rows)
+uint64 array; the sets sit deepest first, so the array is hashed one key
+level at a time over a prefix of its rows, and the counter-0 ``index`` draws
+of the whole table are one multiply-high pass over it (in 32-bit halves, so
+no product overflows). ``TableStream`` stands in for a step's scope stream:
+its ``lanes(ids, *tags)`` is the lane set ``(*path, CLIENT, *tags)``, one
+dict lookup. A table of one step serves a direct estimator call,
+``RngStream.lanes`` and ``Lanes.of``; ``Lanes`` draws every row's samples
+from its hashes.
 
 Which draws are table-wide: ``index(n)`` is one pass over every row of the
-table. ``subset`` is one pass per lane set (one family at one set of loop
-indices, say "zeta_q" at t = 3) over every step and client of the table,
-when the call's rows cover every client; a call on a client subset
+table. ``subset`` is one pass per lane set over every step and client of the
+table, when the call's rows cover every client; a call on a client subset
 (partial participation, or the clients still stepping at a local step v)
 draws its own rows. A lane set's block is hashed in slices of steps of at
 most KEY_BUDGET counter keys. ``normal`` is drawn per call.
@@ -52,7 +55,7 @@ _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
 ROW_BUDGET = 1 << 12
 # a lane set's subset block is hashed in slices of steps of at most this many keys
 KEY_BUDGET = 1 << 20
-CLIENT = None   # the client id's place in a lane family's key parts
+CLIENT = None   # the client id's place in a lane set's key parts
 
 
 def _mix64(h: int, v: int) -> int:
@@ -107,11 +110,10 @@ def _component_to_int(c) -> int:
     raise TypeError(f"lane key components must be int or str, got {type(c).__name__}")
 
 
-def _innermost_tag(key: tuple) -> str:
+def _innermost_tag(key: tuple) -> str | None:
     for c in reversed(key):
         if isinstance(c, str):
             return c
-    return "unkeyed"
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,7 @@ class RngStream:
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ``ids``."""
         ids = np.array(ids, dtype=np.intp).reshape(-1)
-        return Lanes(LaneTable.of(self, [(CLIENT, *tags)], ids).step(0), 0,
-                     (0, slice(None)), ids, tags)
+        return LaneTable.of(self, [(CLIENT, *tags)], ids).step(0).lanes(ids, *tags)
 
     def index(self, n: int) -> int:
         """Uniform draw from {0..n-1}: multiply-high of the hashed counter 0."""
@@ -169,119 +170,87 @@ class RngStream:
         return Lanes.of(self).normal(std, shape)[0]
 
 
-def _is_axis(part) -> bool:
-    return part is CLIENT or isinstance(part, range)
-
-
 class _Layout:
-    """Where a list of lane families puts its rows in one step of a lane table.
+    """Where a list of lane sets puts its rows in one step of a lane table.
 
-    A step's rows hold the families one after another, the deepest key paths
-    first, so the rows deeper than d are a prefix of them: ``columns[d]``
-    holds their key components of depth d. A layout depends only on the
-    families and the clients, so tables of one kind share it.
+    A lane set is a tuple of key parts: str and int key components, with
+    ``CLIENT`` at the client id's place. It owns one row per client, the
+    contiguous run ``at[lane set]``. The sets sit deepest first, so the rows
+    deeper than d are a prefix of them: ``columns[d]`` holds their key
+    components of depth d. A layout depends only on the lane sets and the
+    clients, so tables of one kind share it.
     """
 
-    def __init__(self, families: tuple, clients: tuple):
-        self.blocks = [None] * len(families)   # per family: (first row, axis sizes)
-        rows, comps, depth = 0, [], 0
-        for f in sorted(range(len(families)), key=lambda f: -len(families[f])):
-            parts = families[f]
-            axes = [np.array(clients) if p is CLIENT else np.arange(p.start, p.stop)
-                    for p in parts if _is_axis(p)]
-            grid = iter(np.meshgrid(*axes, indexing="ij"))
-            size = math.prod(a.size for a in axes)
-            comps.append([next(grid).reshape(-1).astype(np.uint64) if _is_axis(p)
-                          else np.full(size, _component_to_int(p), dtype=np.uint64)
+    def __init__(self, sets: tuple, clients: tuple):
+        ids = np.array(clients, dtype=np.intp).astype(np.uint64)
+        self.at, comps = {}, []
+        for parts in sorted(sets, key=len, reverse=True):
+            self.at[parts] = slice(len(comps) * ids.size, (len(comps) + 1) * ids.size)
+            comps.append([ids if p is CLIENT else
+                          np.full(ids.size, _component_to_int(p), dtype=np.uint64)
                           for p in parts])
-            self.blocks[f] = (rows, tuple(a.size for a in axes))
-            rows += size
-            depth = max(depth, len(parts) if size else 0)
-        self.rows = rows
-        # a family without rows (an empty range) adds no key level
+        self.rows = len(comps) * ids.size
         self.columns = [np.concatenate([c[d] for c in comps if len(c) > d])
-                        for d in range(depth)]
-        tags = [tuple(p for p in parts if isinstance(p, str)) for parts in families]
-        self.names = {"/".join(t): f for f, t in enumerate(tags)}
-        self.purposes = [t[-1] if t else None for t in tags]
-        self.clients = [[p for p in parts if _is_axis(p)].index(CLIENT)
-                        if CLIENT in parts else None for parts in families]
-        self.starts = [[p.start for p in parts if isinstance(p, range)] for parts in families]
-        self.lookup = {}        # (path, tags) of a TableStream.lanes call -> family, axes
+                        for d in range(len(comps[0]) if comps else 0)]
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(families: tuple, clients: tuple) -> _Layout:
-    return _Layout(families, clients)
+def _layout(sets: tuple, clients: tuple) -> _Layout:
+    return _Layout(sets, clients)
 
 
 class LaneTable:
     """The lanes of consecutive outer steps, hashed ahead in one uint64 block.
 
     Step s has the scope stream ``RngStream(seed, keys[s])`` with running
-    hash ``scopes[s]``. A family is a tuple of key parts: str and int parts
-    are key components, each ``range(a, n)`` part is an axis over a..n-1
-    (a family leaves out the indices below a that its callers never read),
-    and ``CLIENT`` is an axis over ``clients``. Its block holds the hashes of
-    ``scope.child(*parts)`` for every step and every index of its axes,
-    shaped (steps, *axes). The blocks are views of one (steps, rows) array,
-    hashed one key level at a time over all its rows, as deep as its deepest
-    family with rows. ``index(n)`` draws the counter-0 index of every row of
-    the table at once, and ``subset`` the minibatch draws of one lane set at
-    every step and client; both are cached on the table and read-only.
+    hash ``scopes[s]``. For each of its lane sets, ``hashes[s, at]`` (at the
+    set's rows in the layout) holds the running hashes of
+    ``scope.child(*parts)`` with each client id in place of ``CLIENT``. The
+    (steps, rows) array is hashed one key level at a time, each level over
+    the prefix of rows that deep. ``index(n)`` draws the counter-0 index of
+    every row of the table at once, and ``subset`` the minibatch draws of
+    one lane set at every step and client; both are cached on the table and
+    read-only.
     """
 
-    def __init__(self, seed: int, keys: list, scopes: np.ndarray, families: list,
+    def __init__(self, seed: int, keys: list, scopes: np.ndarray, sets: list,
                  clients: np.ndarray):
         self.seed, self.keys, self.scopes, self.m = seed, keys, scopes, clients.size
-        self.layout = _layout(tuple(families), tuple(clients.tolist()))
+        self.layout = _layout(tuple(sets), tuple(clients.tolist()))
         h = np.empty((scopes.size, self.layout.rows), dtype=np.uint64)
         h[:] = scopes[:, None]
         for col in self.layout.columns:
             h[:, :col.size] = _mix64_array(h[:, :col.size], col)
         h.flags.writeable = False
-        self._block = h
-        self.hashes = self._views(h)
-        self._index = {}        # n -> the index draws, in the layout of the blocks
-        self._subsets = {}      # (family, lane set, k, pool, sizes) -> a subset block
+        self.hashes = h
+        self._index = {}        # n -> the (steps, rows) index draws
+        self._subsets = {}      # (lane set, k, pool, sizes) -> a subset block
 
     @classmethod
-    def of(cls, stream: RngStream, families: list, clients: np.ndarray) -> "LaneTable":
+    def of(cls, stream: RngStream, sets: list, clients: np.ndarray) -> "LaneTable":
         """The table of one step whose scope is ``stream``."""
         return cls(stream.seed, [stream.key], np.array([stream._hash], dtype=np.uint64),
-                   families, clients)
+                   sets, clients)
 
-    def _views(self, flat: np.ndarray) -> list:
-        return [flat[:, at:at + math.prod(shape)].reshape(flat.shape[0], *shape)
-                for at, shape in self.layout.blocks]
-
-    def purpose(self, family: int) -> str:
-        """The innermost str tag of the family's key paths, or "unkeyed"."""
-        return self.layout.purposes[family] or _innermost_tag(self.keys[0])
-
-    def index(self, n: int) -> list:
-        """Every row's ``index(n)`` draw, one block per family."""
+    def index(self, n: int) -> np.ndarray:
+        """Every row's ``index(n)`` draw, shaped (steps, rows)."""
         got = self._index.get(n)
         if got is None:
-            flat = _index(self._block, n)
-            flat.flags.writeable = False
-            got = self._index[n] = self._views(flat)
+            got = self._index[n] = _index(self.hashes, n)
+            got.flags.writeable = False
         return got
 
-    def subset(self, family: int, lane_set: tuple, pool: np.ndarray, k: int,
+    def subset(self, lane_set: tuple, pool: np.ndarray, k: int,
                sizes: np.ndarray | None) -> np.ndarray:
         """The ``subset(pool[:sizes[i]], k)`` draws of one lane set at every step
-        and client i, shaped (steps, *clients, k): the rows
-        ``hashes[family][:, *lane_set]``, where lane_set holds the family's loop
-        indices and takes every client, and sizes (one per client) are the same
-        at every step. Hashed in slices of steps of at most KEY_BUDGET keys,
-        drawn once per table and read-only."""
-        key = (family, tuple(None if isinstance(p, slice) else int(p) for p in lane_set), k,
-               pool.tobytes(), None if sizes is None else sizes.tobytes())
+        and client i, shaped (steps, clients, k), where sizes (one per client)
+        are the same at every step. Hashed in slices of steps of at most
+        KEY_BUDGET keys, drawn once per table and read-only."""
+        key = (lane_set, k, pool.tobytes(), None if sizes is None else sizes.tobytes())
         got = self._subsets.get(key)
         if got is None:
-            rows = self.hashes[family][(slice(None), *lane_set)]
-            per = max(1, KEY_BUDGET // max(1, math.prod(rows.shape[1:]) * len(pool)))
+            rows = self.hashes[:, self.layout.at[lane_set]]
+            per = max(1, KEY_BUDGET // max(1, rows.shape[1] * len(pool)))
             parts = [_subset(r.reshape(-1), pool, k, None if sizes is None
                              else np.broadcast_to(sizes, r.shape).reshape(-1))
                      for r in (rows[a:a + per] for a in range(0, len(rows), per))]
@@ -295,26 +264,26 @@ class LaneTable:
         return TableStream(self, s, ())
 
 
-def lane_steps(root: RngStream, tag: str, K: int, m: int, families: list):
-    """``TableStream``s for the scopes ``root.child(tag, k)``, k = 0..K-1, over
-    clients 0..m-1, from tables of at most ROW_BUDGET rows (at least one step)."""
-    chunk = max(1, ROW_BUDGET // max(_layout(tuple(families), tuple(range(m))).rows, 1))
+def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
+    """``TableStream``s for the scopes ``root.child(tag, k)``, k = 0..K-1, from
+    tables of the lane sets over clients 0..m-1, each of at most ROW_BUDGET
+    rows (at least one step)."""
+    chunk = max(1, ROW_BUDGET // max(_layout(tuple(sets), tuple(range(m))).rows, 1))
     base = np.array([root.child(tag)._hash], dtype=np.uint64)
     for k0 in range(0, K, chunk):
         ks = np.arange(k0, min(K, k0 + chunk))
         table = LaneTable(root.seed, [root.key + (tag, k) for k in ks.tolist()],
-                          _mix64_array(base, ks.astype(np.uint64)), families, np.arange(m))
+                          _mix64_array(base, ks.astype(np.uint64)), sets, np.arange(m))
         yield from (table.step(s) for s in range(ks.size))
 
 
 class TableStream:
     """Step s of a lane table standing in for its scope stream: ``child``
-    extends the key path, ``lanes(ids, *tags)`` reads the lanes
-    ``child(i, *tags)`` out of the table (the family named by the path's string
-    parts, at the path's int parts) for checked client ids, sorted and
-    distinct, and ``generator()`` hashes the stream. A lane that its family
-    leaves out, below the start of one of its ranges, is hashed on demand
-    from the scope stream, so it is the lane the table would have held."""
+    extends the key path, ``lanes(ids, *tags)`` reads the lane set
+    ``(*path, CLIENT, *tags)`` out of the table for checked client ids,
+    sorted and distinct, and ``generator()`` hashes the stream. A lane set
+    the table does not hold is hashed on demand from the scope stream, so it
+    is the lane set the table would have held."""
 
     __slots__ = ("table", "s", "path")
 
@@ -332,60 +301,51 @@ class TableStream:
         return self.stream().generator()
 
     def lanes(self, ids: np.ndarray, *tags) -> "Lanes":
-        t, layout = self.table, self.table.layout
-        hit = layout.lookup.get((self.path, tags))
-        if hit is None:
-            parts = self.path + tags
-            family = layout.names["/".join(p for p in parts if isinstance(p, str))]
-            idx = tuple(p - start for p, start in zip(
-                (p for p in parts if not isinstance(p, str)), layout.starts[family]))
-            c = layout.clients[family]
-            hit = layout.lookup[self.path, tags] = (
-                (family, idx[:c], idx[c:]) if min(idx, default=0) >= 0 else ())
-        if not hit:     # before its family's first index, so not in the table
+        t, lane_set = self.table, (*self.path, CLIENT, *tags)
+        at = t.layout.at.get(lane_set)
+        if at is None:
             return self.stream().lanes(ids, *tags)
-        family, before, after = hit
-        rows = slice(None) if ids.shape[0] == t.m else ids
-        return Lanes(self, family, (self.s, *before, rows, *after), ids, tags)
+        return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
 
 
 class Lanes:
     """The lanes of one batched oracle call, one per client row.
 
-    Row r is the lane ``step.child(ids[r], *tags)`` of a lane table's step:
-    the rows ``sel`` of the block of a family. ``hashes[r]`` is its running
-    hash, so ``index``, ``subset`` and ``normal`` draw row r exactly as that
-    stream would. ``index`` reads the draws the table made for all its rows
-    at once. ``subset`` reads its rows out of the table's block for the lane
-    set when the rows cover every client of the table (always so for
-    ``RngStream.lanes`` and ``Lanes.of``, whose one-step table's clients are
-    the call's ids); on a client subset it, like ``normal``, is drawn once
-    per Lanes. Every draw is returned read-only, so the two evaluations of a
-    variance-reduction pair share it.
-    ``Lanes.of(lane)`` wraps one existing stream as a batch of one.
+    Row r is the lane ``step.child(ids[r], *tags)`` of a lane table's step,
+    table row ``rows[r]`` of the lane set ``lane_set``: ``rows`` is the set's
+    whole run, a slice, when the call covers every client of the table
+    (always so for ``RngStream.lanes`` and ``Lanes.of``, whose one-step
+    table's clients are the call's ids), else an index array. ``hashes[r]``
+    is row r's running hash, so ``index``, ``subset`` and ``normal`` draw row
+    r exactly as that stream would. ``index`` reads the table's draws for
+    all its rows; ``subset`` reads the set's block when ``rows`` is a slice,
+    and is otherwise, like ``normal``, drawn once per Lanes. Every draw is
+    read-only, so the two evaluations of a variance-reduction pair share it.
+    ``Lanes.of(lane)`` wraps one stream as the set ``()`` of a one-client table.
     """
 
-    __slots__ = ("step", "family", "sel", "ids", "tags", "_draws")
+    __slots__ = ("step", "lane_set", "rows", "ids", "tags", "_draws")
 
-    def __init__(self, step: TableStream, family: int, sel: tuple, ids: np.ndarray,
-                 tags: tuple):
-        self.step, self.family, self.sel, self.ids, self.tags = step, family, sel, ids, tags
+    def __init__(self, step: TableStream, lane_set: tuple, rows: slice | np.ndarray,
+                 ids: np.ndarray, tags: tuple):
+        self.step, self.lane_set, self.rows, self.ids, self.tags = step, lane_set, rows, ids, tags
         self._draws = None
 
     @classmethod
     def of(cls, lane: RngStream) -> "Lanes":
-        return cls(LaneTable.of(lane, [()], np.arange(1)).step(0), 0, (slice(None),),
+        return cls(LaneTable.of(lane, [()], np.arange(1)).step(0), (), slice(0, 1),
                    np.arange(0), ())
 
     @property
     def hashes(self) -> np.ndarray:
-        return self.step.table.hashes[self.family][self.sel]
+        return self.step.table.hashes[self.step.s, self.rows]
 
     @property
     def purpose(self) -> str:
         """The innermost string tag of the rows' key paths (what the samples
         are for, the same for every row), or "unkeyed"."""
-        return self.step.table.purpose(self.family)
+        return (_innermost_tag(self.lane_set) or _innermost_tag(self.step.table.keys[0])
+                or "unkeyed")
 
     def stream(self, r: int) -> RngStream:
         return self.step.child(*self.ids[r:r + 1].tolist(), *self.tags).stream()
@@ -402,7 +362,8 @@ class Lanes:
     def index(self, n: int) -> np.ndarray:
         """``stream(r).index(n)`` for every row r, for 1 <= n < 2**32."""
         table = self.step.table
-        return (table._index.get(n) or table.index(n))[self.family][self.sel]
+        got = table._index.get(n)
+        return (table.index(n) if got is None else got)[self.step.s, self.rows]
 
     def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None) -> np.ndarray:
         """``stream(r).subset(pool[:sizes[r]], k)`` for every row r, stacked (rows, k).
@@ -412,9 +373,8 @@ class Lanes:
         also gets the pool entries from position sizes[r] on, k in all. When
         the rows cover every client of the table, they are read out of the
         table's block for their lane set; otherwise they are drawn here."""
-        s, *lane_set = self.sel
-        if not any(isinstance(p, np.ndarray) for p in lane_set):
-            return self.step.table.subset(self.family, lane_set, pool, k, sizes)[s]
+        if isinstance(self.rows, slice):
+            return self.step.table.subset(self.lane_set, pool, k, sizes)[self.step.s]
         return self._drawn(("subset", k, pool.tobytes(),
                             None if sizes is None else sizes.tobytes()),
                            lambda: _subset(self.hashes, pool, k, sizes))

@@ -429,13 +429,48 @@ def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):
     def keyed(self, pool, k, sizes=None):
         table = self.step.table
         tables.append(table)     # keeps every id below distinct
-        keys.add((id(table), self.family, repr(self.sel[1:]), pool.tobytes()))
+        keys.add((id(table), self.lane_set, repr(self.rows), pool.tobytes()))
         return subset(self, pool, k, sizes)
     monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
     monkeypatch.setattr(rng_mod.Lanes, "subset", keyed)
     rep = _small_hyperrep_run(K=20)
     assert len(rep.rows) == 21
     assert 0 < len(passes) <= len(keys) < len(tables) / 10
+
+
+def _count_stream_lanes(monkeypatch) -> list:
+    """Patch ``RngStream.lanes`` to log its calls: inside a run only the
+    on-demand fallback of ``TableStream.lanes`` makes one, for a lane set its
+    table does not hold."""
+    from fedbilevel.rng import lane_steps
+    calls, original = [], RngStream.lanes
+
+    def counted(self, ids, *tags):
+        calls.append(tags)
+        return original(self, ids, *tags)
+    monkeypatch.setattr(RngStream, "lanes", counted)
+    next(lane_steps(RngStream(0), "est", 1, 3, [])).lanes(np.arange(3), "zeta")
+    assert calls == [("zeta",)]     # the fallback is counted
+    calls.clear()
+    return calls
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+@pytest.mark.parametrize("setting", [{}, {"participation": 0.7, "tau": [1, 3, 2]},
+                                     {"variant": "sgd"}])
+def test_run_reads_only_declared_lane_sets(monkeypatch, estimator, setting):
+    # the lane sets each driver declares for its tables (aggitd_lanes,
+    # lower_phase_lanes, chain_lanes, upper_lanes) list their loop indices
+    # by hand; every lane set a run reads must be among them
+    calls = _count_stream_lanes(monkeypatch)
+    run(_quad_cfg(K=2, estimator=estimator, **setting))
+    assert calls == []
+
+
+def test_hyperrep_run_reads_only_declared_lane_sets(monkeypatch):
+    calls = _count_stream_lanes(monkeypatch)
+    _small_hyperrep_run(K=2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])

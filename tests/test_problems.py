@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedbilevel import (CommLedger, ContractViolation,
+from fedbilevel import (CommLedger, ContractViolation, HyperRepSpec,
                         LowerStepConfig, Point, ProtocolError, QuadraticInstance,
                         QuadraticProblem, QuadraticSpec, RngStream,
-                        make_quadratic, one_round_lower)
+                        make_hyperrep, make_quadratic, one_round_lower)
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
@@ -204,6 +204,20 @@ def test_error_cases():
             problem.checked([0, 1, 4], xx, yy)
     assert problem.checked([4, 1, 1, 0], x, y).ids.tolist() == [0, 1, 4]
     assert problem.audit.total == 0
+    # the aggregate second-order helpers check their direction v: a shared
+    # (d2,) vector or one row per client
+    quad = QuadraticProblem(make_quadratic(QuadraticSpec(d1=3, d2=4, m=3, seed=2)))
+    rep = make_hyperrep(HyperRepSpec(m=3, n_points=120), 0)
+    for prob in (quad, rep):
+        p, d2 = Point(*prob.initial_point()), prob.d2
+        for v in (np.ones(d2 - 1), np.ones(d2 + 1), np.ones((prob.m, d2 + 1)),
+                  np.ones((prob.m + 1, d2)), np.ones((1, d2))):
+            for name in ("agg_hvp_lower_yy", "agg_jvp_lower_xy"):
+                with pytest.raises(ContractViolation, match="v has shape"):
+                    getattr(prob, name)(p, v)
+        for v in (np.ones(d2), np.ones((prob.m, d2))):
+            assert prob.agg_hvp_lower_yy(p, v).shape == (d2,)
+            assert prob.agg_jvp_lower_xy(p, v).shape == (prob.d1,)
 
 
 def test_svrg_correction_is_exactly_q_at_the_anchor():

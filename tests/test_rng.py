@@ -100,15 +100,14 @@ def test_normal_moments_and_lane_independence():
 
 
 def _table_cases():
-    # the families of every driver, with a per-client tau list
+    # the lane sets of every driver, with a per-client tau list
     from fedbilevel import AggITDConfig, LowerStepConfig
     from fedbilevel.drivers import upper_lanes
     from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
-    from fedbilevel.lower import lower_lanes
-    from fedbilevel.rng import CLIENT
+    from fedbilevel.lower import lower_phase_lanes
     m, N, T, taus = 4, 2, 3, [1, 3, 2, 1]
     cfg = AggITDConfig(lam=0.5, N=N, lower=LowerStepConfig(beta=0.1, tau=taus))
-    lower = [(CLIENT, "zeta_q", range(N)), *lower_lanes(3, "lower", range(N))]
+    lower = lower_phase_lanes(cfg.lower, N, m)
     return m, N, T, taus, {"est": aggitd_lanes(cfg, m),
                            "aid": lower + chain_lanes(T, "aid"),
                            "local": lower + chain_lanes(T, "local"),
@@ -131,16 +130,16 @@ def _lane_calls(N, T, taus, ids, name):
 
 @pytest.mark.parametrize("budget", [1 << 16, 50])
 def test_table_rows_equal_stream_hashes(monkeypatch, budget):
-    # every row of every family, at several k, for full and half participation;
+    # every row of every lane set, at several k, for full and half participation;
     # a budget of 50 rows hashes one outer step per table
     from fedbilevel import Participation, select_participants
     from fedbilevel import rng as rng_mod
     monkeypatch.setattr(rng_mod, "ROW_BUDGET", budget)
     m, N, T, taus, tables = _table_cases()
     root = RngStream(21)
-    for name, families in tables.items():
+    for name, sets in tables.items():
         tag = "upper" if name == "upper" else "est"
-        steps = list(rng_mod.lane_steps(root, tag, 5, m, families))
+        steps = list(rng_mod.lane_steps(root, tag, 5, m, sets))
         assert len(steps) == 5
         for k in (0, 2, 4):
             for ratio in (1.0, 0.5):
@@ -174,15 +173,14 @@ def test_lane_tables_leave_out_unread_lanes():
     # reads "u" or "zeta_h" at t = 0; sgd reads "zeta" at every v
     from fedbilevel import AggITDConfig, LowerStepConfig
     from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
-    from fedbilevel.lower import lower_lanes
-    from fedbilevel.rng import CLIENT, _layout
+    from fedbilevel.lower import lower_phase_lanes
+    from fedbilevel.rng import _layout
     m, N, T = 8, 2, 2     # the race configuration, tau = 1
     for variant, fused, aid in (("svrg", 72, 56), ("sgd", 88, 72)):
         cfg = AggITDConfig(lam=0.1, N=N, lower=LowerStepConfig(beta=0.01, variant=variant))
-        families = [(CLIENT, "zeta_q", range(N)),
-                    *lower_lanes(1, "lower", range(N), variant=variant), *chain_lanes(T, "aid")]
+        sets = [*lower_phase_lanes(cfg.lower, N, m), *chain_lanes(T, "aid")]
         assert _layout(tuple(aggitd_lanes(cfg, m)), tuple(range(m))).rows == fused
-        assert _layout(tuple(families), tuple(range(m))).rows == aid
+        assert _layout(tuple(sets), tuple(range(m))).rows == aid
 
 
 def _subset_rows_want(stream, pool, k, size):
@@ -200,10 +198,10 @@ def test_subset_blocks_equal_stream_draws(monkeypatch, key_budget, k):
     monkeypatch.setattr(rng_mod, "ROW_BUDGET", 50)
     monkeypatch.setattr(rng_mod, "KEY_BUDGET", key_budget)
     m, pool = 4, np.arange(100, 110)
-    families = [(rng_mod.CLIENT, "zeta_q", range(2)),
-                ("lower", range(2), rng_mod.CLIENT, "zeta", range(1, 3))]
+    sets = [(rng_mod.CLIENT, "zeta_q", t) for t in range(2)] + [
+        ("lower", t, rng_mod.CLIENT, "zeta", v) for t in range(2) for v in (1, 2)]
     root = RngStream(31)
-    steps = list(rng_mod.lane_steps(root, "est", 5, m, families))
+    steps = list(rng_mod.lane_steps(root, "est", 5, m, sets))
     assert len({id(s.table) for s in steps}) == 3 and steps[0].table is steps[1].table
     for sizes in (None, np.array([10, 2, 7, 5])):
         for ids in (np.arange(m), np.array([1, 3])):
@@ -255,7 +253,7 @@ def test_subset_blocks_hash_each_lane_set_once(monkeypatch):
         return original(hashes, n)
     monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
     steps = list(rng_mod.lane_steps(RngStream(33), "est", 6, 3,
-                                    [(rng_mod.CLIENT, "u", range(4))]))
+                                    [(rng_mod.CLIENT, "u", t) for t in range(4)]))
     assert len({id(s.table) for s in steps}) == 1
     ids, pool = np.arange(3), np.arange(20)
     for step in steps:
@@ -270,20 +268,22 @@ def test_subset_blocks_hash_each_lane_set_once(monkeypatch):
     assert passes == [2]
 
 
-def test_empty_lane_family_adds_no_key_level():
-    # tau = 1 svrg: the "lower/zeta" family starts at v = 1 and has no rows, so
-    # the table is as deep as "zeta_q" (3 key parts), not 5
+def test_layout_depth_is_its_deepest_lane_set():
+    # tau = 1 svrg: the lower phase declares no "lower/zeta" lane set, so the
+    # table is as deep as "zeta_q" (3 key parts), not 5
+    from fedbilevel import LowerStepConfig
+    from fedbilevel.lower import lower_phase_lanes
     from fedbilevel.rng import CLIENT, LaneTable, _layout
     m, N = 3, 2
-    families = [(CLIENT, "zeta_q", range(N)), ("lower", range(N), CLIENT, "zeta", range(1, 1)),
-                (CLIENT, "chi")]
-    assert len(_layout(tuple(families), tuple(range(m))).columns) == 3
-    assert len(_layout(tuple(families[:1] + [families[1][:-1] + (range(1, 2),)]),
+    sets = [*lower_phase_lanes(LowerStepConfig(beta=0.1), N, m), (CLIENT, "chi")]
+    assert sets == [(CLIENT, "zeta_q", 0), (CLIENT, "zeta_q", 1), (CLIENT, "chi")]
+    assert len(_layout(tuple(sets), tuple(range(m))).columns) == 3
+    assert len(_layout(tuple(sets + [("lower", 0, CLIENT, "zeta", 1)]),
                        tuple(range(m))).columns) == 5
     scope = RngStream(34).child("est", 0)
-    step = LaneTable.of(scope, families, np.arange(m)).step(0)
+    step = LaneTable.of(scope, sets, np.arange(m)).step(0)
     ids = np.arange(m)
     for tags in [("zeta_q", t) for t in range(N)] + [("chi",)]:
         assert [int(h) for h in step.lanes(ids, *tags).hashes] == [
             scope.child(i, *tags)._hash for i in range(m)]
-    assert step.table.hashes[1].shape == (1, N, m, 0)
+    assert step.table.hashes.shape == (1, len(sets) * m)
