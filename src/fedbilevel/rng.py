@@ -175,17 +175,19 @@ class _Layout:
 
     A lane set is a tuple of key parts: str and int key components, with
     ``CLIENT`` at the client id's place. It owns one row per client, the
-    contiguous run ``at[lane set]``. The sets sit deepest first, so the rows
-    deeper than d are a prefix of them: ``columns[d]`` holds their key
-    components of depth d. A layout depends only on the lane sets and the
-    clients, so tables of one kind share it.
+    contiguous run ``at[lane set]``, and its innermost string tag is
+    ``tag[lane set]`` (None if it has none). The sets sit deepest first, so
+    the rows deeper than d are a prefix of them: ``columns[d]`` holds their
+    key components of depth d. A layout depends only on the lane sets and
+    the clients, so tables of one kind share it.
     """
 
     def __init__(self, sets: tuple, clients: tuple):
         ids = np.array(clients, dtype=np.intp).astype(np.uint64)
-        self.at, comps = {}, []
+        self.at, self.tag, comps = {}, {}, []
         for parts in sorted(sets, key=len, reverse=True):
             self.at[parts] = slice(len(comps) * ids.size, (len(comps) + 1) * ids.size)
+            self.tag[parts] = _innermost_tag(parts)
             comps.append([ids if p is CLIENT else
                           np.full(ids.size, _component_to_int(p), dtype=np.uint64)
                           for p in parts])
@@ -344,8 +346,8 @@ class Lanes:
     def purpose(self) -> str:
         """The innermost string tag of the rows' key paths (what the samples
         are for, the same for every row), or "unkeyed"."""
-        return (_innermost_tag(self.lane_set) or _innermost_tag(self.step.table.keys[0])
-                or "unkeyed")
+        table = self.step.table
+        return table.layout.tag[self.lane_set] or _innermost_tag(table.keys[0]) or "unkeyed"
 
     def stream(self, r: int) -> RngStream:
         return self.step.child(*self.ids[r:r + 1].tolist(), *self.tags).stream()
