@@ -139,7 +139,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     Returns (h_tilde, y_N, trace). Charges exactly 2N+2 rounds: per t a single
     gradient round with the chain payloads piggybacked, a One-Round-Lower
     iterate round for t <= N-1, and one final round aggregating the per-client
-    estimates. q_override pins the chain-seeding index Q for enumeration tests.
+    estimates. Q is uniform on {0..N}, the counter-based draw
+    ``rng.child("Q").index(N + 1)``; q_override pins it for enumeration tests.
     participants are client ids or checked oracles (``BilevelProblem.oracles``);
     rng is the scope stream or a lane table's step (``aggitd_lanes``).
     """
@@ -151,7 +152,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
             raise ParameterError(f"q_override={q_override} outside {{0..{N}}}")
         Q = int(q_override)
     else:
-        Q = int(rng.child("Q").generator().integers(0, N + 1))
+        Q = rng.child("Q").index(N + 1)
 
     y_t = np.asarray(y, dtype=float)
     oracles = problem.oracles(participants, x, y_t)
@@ -196,9 +197,10 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
 
     Builds p_0 = lambda*T * mean_i grad_y F_i, then the full T-round chain
     p_t = (I - lambda * mean_i H_i) p_{t-1}; the estimate uses p_{T'} with
-    T' uniform in {0..T-1}. The full chain is always executed so the round
-    bill is the deterministic T+2 this call charges. participants are as for
-    ``aggitd``; rng is the scope stream or a lane table's step (``chain_lanes``).
+    T' uniform in {0..T-1}, the counter-based draw ``rng.child("T_prime").index(T)``.
+    The full chain is always executed so the round bill is the deterministic
+    T+2 this call charges. participants are as for ``aggitd``; rng is the
+    scope stream or a lane table's step (``chain_lanes``).
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
@@ -207,7 +209,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
             raise ParameterError(f"t_prime_override={t_prime_override} outside {{0..{T - 1}}}")
         T_prime = int(t_prime_override)
     else:
-        T_prime = int(rng.child("T_prime").generator().integers(0, T))
+        T_prime = rng.child("T_prime").index(T)
 
     y_N = np.asarray(y_N, dtype=float)
     oracles = problem.oracles(participants, x, y_N)

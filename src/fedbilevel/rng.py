@@ -7,10 +7,14 @@ statistically independent. This realizes the mutually independent samples
 (lower/upper gradient draws, Hessian draws, mixed-partial draws) that the
 algorithms consume, without any shared mutable RNG state.
 
-Oracle samples are counter-based, as in Philox (Salmon et al., SC'11): they
-hash the lane's splitmix64 key with a counter. ``index`` and ``subset`` are
-pure integer arithmetic, the same on every platform; ``normal`` adds numpy's
-log/cos/sin. Set-up draws use ``generator()``.
+Every per-step draw is counter-based, as in Philox (Salmon et al., SC'11):
+it hashes the lane's splitmix64 key with a counter. That covers the oracle
+samples and the three scalar draws of a run: the fused chain's seeding index
+Q (lane ``child("Q")``), the baseline's truncation T' (``child("T_prime")``)
+and each outer step's participant set (``subset``). ``index`` and ``subset``
+are pure integer arithmetic, the same on every platform; ``normal`` adds
+numpy's log/cos/sin. ``generator()`` serves set-up only: instances, data
+splits, initial points and measured constants.
 
 Because a lane's hash depends only on its key path, the lanes of many calls
 can be hashed ahead, in any order and in bulk, without moving a draw. A
@@ -28,8 +32,9 @@ dict lookup. A table of one step serves a direct estimator call,
 ``RngStream.lanes`` and ``Lanes.of``; ``Lanes`` draws every row's samples
 from its hashes.
 
-Which draws are table-wide: ``index(n)`` is one pass over every row of the
-table. ``subset`` is one pass per lane set over every step and client of the
+Which draws are table-wide: a ``Lanes.index(n)`` is one pass over every row
+of the table, and a step's own scalar ``index(n)`` hashes its path alone.
+``subset`` is one pass per lane set over every step and client of the
 table, when the call's rows cover every client; a call on a client subset
 (partial participation, or the clients still stepping at a local step v)
 draws its own rows. A lane set's block is hashed in slices of steps of at
@@ -110,6 +115,13 @@ def _component_to_int(c) -> int:
     raise TypeError(f"lane key components must be int or str, got {type(c).__name__}")
 
 
+def _extend(h: int, parts) -> int:
+    """The running hash h extended by the key components parts."""
+    for c in parts:
+        h = _mix64(h, _component_to_int(c))
+    return h
+
+
 def _innermost_tag(key: tuple) -> str | None:
     for c in reversed(key):
         if isinstance(c, str):
@@ -124,7 +136,8 @@ class RngStream:
     ``subset`` and ``normal`` are pure functions of the lane, so evaluating
     the same lane twice draws the same sample, which is exactly what the
     variance-reduction corrections rely on when they evaluate two gradients
-    on one sample. ``generator()`` materializes a ``numpy.random.Generator``.
+    on one sample. ``generator()`` materializes a ``numpy.random.Generator``
+    for set-up draws.
     """
 
     seed: int
@@ -134,15 +147,10 @@ class RngStream:
     def __post_init__(self):
         if self._hash is None:
             h = _mix64(0x243F6A8885A308D3, int(self.seed) & _MASK64)
-            for c in self.key:
-                h = _mix64(h, _component_to_int(c))
-            object.__setattr__(self, "_hash", h)
+            object.__setattr__(self, "_hash", _extend(h, self.key))
 
     def child(self, *parts) -> "RngStream":
-        h = self._hash
-        for c in parts:
-            h = _mix64(h, _component_to_int(c))
-        return RngStream(self.seed, self.key + parts, h)
+        return RngStream(self.seed, self.key + parts, _extend(self._hash, parts))
 
     def _entropy(self) -> int:
         # keep the raw seed in the high word so distinct seeds can never collide
@@ -163,7 +171,7 @@ class RngStream:
     def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
         """k members of pool without replacement, uniform, sorted: the k with
         the smallest hashed keys."""
-        return Lanes.of(self).subset(pool, k)[0]
+        return _subset(np.array([self._hash], dtype=np.uint64), pool, k, None)[0]
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
         """N(0, std^2) draws by Box-Muller over 53-bit uniforms in (0, 1]."""
@@ -283,9 +291,10 @@ class TableStream:
     """Step s of a lane table standing in for its scope stream: ``child``
     extends the key path, ``lanes(ids, *tags)`` reads the lane set
     ``(*path, CLIENT, *tags)`` out of the table for checked client ids,
-    sorted and distinct, and ``generator()`` hashes the stream. A lane set
-    the table does not hold is hashed on demand from the scope stream, so it
-    is the lane set the table would have held."""
+    sorted and distinct, and ``index(n)`` is the scalar draw of the path's
+    own lane, such as ``child("Q").index(N + 1)``. A lane set the table does
+    not hold is hashed on demand from the scope stream, so it is the lane set
+    the table would have held."""
 
     __slots__ = ("table", "s", "path")
 
@@ -299,8 +308,10 @@ class TableStream:
         t = self.table
         return RngStream(t.seed, t.keys[self.s], int(t.scopes[self.s])).child(*self.path)
 
-    def generator(self) -> np.random.Generator:
-        return self.stream().generator()
+    def index(self, n: int) -> int:
+        """``stream().index(n)``, hashed from the scope without building the stream."""
+        h = _extend(int(self.table.scopes[self.s]), self.path)
+        return (_mix64(h, 0) * n) >> 64
 
     def lanes(self, ids: np.ndarray, *tags) -> "Lanes":
         t, lane_set = self.table, (*self.path, CLIENT, *tags)

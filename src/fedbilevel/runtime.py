@@ -70,14 +70,16 @@ class Participation:
 
 def select_participants(participation: Participation, m: int,
                         rng: RngStream) -> list[int]:
-    """Sample the participant set for one outer iteration; sorted client ids."""
+    """Sample the participant set for one outer iteration; sorted client ids.
+
+    k of the m clients, uniform without replacement: the counter-based
+    ``rng.subset(arange(m), k)``, or every client when k >= m."""
     if m < 1:
         raise ProtocolError("need at least one client")
     k = participation.size(m)
     if k >= m:
         return list(range(m))
-    gen = rng.generator()
-    return sorted(int(i) for i in gen.choice(m, size=k, replace=False))
+    return rng.subset(np.arange(m), k).tolist()
 
 
 def client_ids(participants: Iterable[int]) -> np.ndarray:

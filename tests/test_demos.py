@@ -15,7 +15,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 @pytest.mark.parametrize("name,expect", [
     ("01_closed_forms_and_oracles", "hypergradient bit-identical = True"),
     ("02_estimator_anatomy", "rounds used: 14 (= 2N+2"),
-    ("03_round_accounting", "fused:       2688 scalars in 130 rounds"),
+    ("03_round_accounting", "fused:       2560 scalars in 130 rounds"),
 ])
 def test_demo_prints(name, expect, capsys):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")

@@ -294,9 +294,11 @@ def test_bad_stepsizes_rejected_before_any_round():
 
 
 # SampleAudit.by_purpose of whole runs, pinned at the commit before the lane
-# tables: hashing the lanes ahead must neither add nor drop an oracle call
+# tables: hashing the lanes ahead must neither add nor drop an oracle call.
+# The fused run's "u" count follows its Q draws; re-pinned when Q became a
+# counter-based draw
 PINNED_AUDITS = {
-    "aggitd": {"chi": 12, "u": 10, "xi_h": 12, "xi_r": 12, "xi_up": 44, "zeta": 88,
+    "aggitd": {"chi": 12, "u": 8, "xi_h": 12, "xi_r": 12, "xi_up": 44, "zeta": 88,
                "zeta_q": 24},
     "aid": {"chi": 12, "xi0": 12, "xi_h": 12, "xi_up": 44, "zeta": 88, "zeta_h": 36,
             "zeta_q": 24},

@@ -46,19 +46,20 @@ def _spec(**kw):
 
 
 # sha256 of the float64 metrics rows and the final x, pinned on x86_64 with
-# OpenBLAS before the oracles were batched across clients
+# OpenBLAS; all but "local" re-pinned when Q, T' and the participant sets
+# became counter-based draws
 GOLDEN_RUNS = {
     "tau_list": (dict(problem=_spec(), tau=[1, 3, 2, 1]),
-                 "906f95b89e3f9941ac13c0e1ddecd28fa78152427fea741f63366b1493de850e"),
+                 "458378276afd25b3c64e75c07c3e6594c92e4747520e0104cfa792b45df25947"),
     "participation": (dict(problem=_spec(m=6), estimator="aid", participation=0.5),
-                      "fc8d0d63e221e055c33a5abb88e9d6b2378bb6d510a9e015654db51c865627b0"),
+                      "76dc6e10f3b15d9beb80d103dc61024a731553028762b729a7a1545d6f4a7cc2"),
     "local": (dict(problem=_spec(), estimator="local", tau=2),
               "8284dd00f377194e232748af61eb6287e44db8840777d2dd7f20ea2aa30c4a9f"),
     "batch_size": (dict(problem=_spec(), batch_size=4),
-                   "939d574d271d73ec8e1dc961af6a4b081704193eca4581a986d5b63bd14a0725"),
+                   "b3c72f7bde98ec03129bf333144a4d49f0e9f308b34c33230b1f6c7afdb587a9"),
     "gaussian": (dict(problem=_spec(noise_mode="additive-gaussian", noise_std=0.15),
                       estimator="aid", tau=2),
-                 "5789d07a72239f96607c968dfd9d1a6c91689a7e8a1c26f5fd783294f7304248"),
+                 "783b0e3c52c5e124068488b5a4c38348adde23345a4ca820faba2979f8c99141"),
 }
 
 

@@ -151,6 +151,16 @@ def test_stochastic_indirect_conditionally_unbiased():
     assert np.linalg.norm(mean) <= 4 * se
 
 
+def _assert_uniform_draws(root, tag, n):
+    # each of n values within 5 SE of 1/n over the estimator's draw lanes
+    # child("mc", t).child(tag), the same lanes as child("mc", t, tag)
+    draws = np.array([root.child("mc", t, tag).index(n) for t in range(100_000)])
+    p = 1.0 / n
+    se = np.sqrt(p * (1 - p) / len(draws))
+    for q in range(n):
+        assert abs(np.mean(draws == q) - p) <= 5 * se
+
+
 def test_q_frequencies_uniform():
     inst, problem = _deterministic_setup(d=2, m=2, seed=37)
     lam = 1.0 / inst.L_g
@@ -158,16 +168,16 @@ def test_q_frequencies_uniform():
     cfg = AggITDConfig(lam=lam, N=N, lower=LowerStepConfig(beta=_beta(inst, lam)))
     root = RngStream(43)
     # the estimator's own Q-draw lane, sampled at scale
-    qs = np.array([int(root.child("mc", t).child("Q").generator().integers(0, N + 1))
-                   for t in range(100_000)])
-    p = 1.0 / (N + 1)
-    se = np.sqrt(p * (1 - p) / len(qs))
-    for q in range(N + 1):
-        assert abs(np.mean(qs == q) - p) <= 5 * se
+    _assert_uniform_draws(root, "Q", N + 1)
     # spot check through the full estimator
     seen = {aggitd(problem, np.ones(2), np.zeros(2), cfg, range(2),
                    root.child("mc", t), CommLedger())[2].Q for t in range(200)}
     assert seen == set(range(N + 1))
+
+
+def test_t_prime_frequencies_uniform():
+    # the AID estimator's own T'-draw lane, sampled at scale
+    _assert_uniform_draws(RngStream(43), "T_prime", 6)
 
 
 def test_aid_enumeration_matches_expected():

@@ -155,6 +155,24 @@ def test_table_rows_equal_stream_hashes(monkeypatch, budget):
                     assert lanes.stream(0) == want[0]
 
 
+@pytest.mark.parametrize("budget", [1 << 16, 50])
+def test_table_step_index_equals_stream_index(monkeypatch, budget):
+    # Q and T' are drawn on a table step's own path, with no stream built: the
+    # draw the scope stream makes; a budget of 50 rows hashes one step per table
+    from fedbilevel import rng as rng_mod
+    monkeypatch.setattr(rng_mod, "ROW_BUDGET", budget)
+    m, _, _, _, tables = _table_cases()
+    for name in ("est", "aid"):
+        steps = list(rng_mod.lane_steps(RngStream(21), "est", 5, m, tables[name]))
+        assert len(steps) == 5
+        for k, step in enumerate(steps):
+            for n in (1, 4, 9, 2 ** 32 - 1, 2 ** 40):
+                assert step.child("Q").index(n) == RngStream(21).child("est", k, "Q").index(n)
+                assert step.child("aid").child("T_prime").index(n) == \
+                    RngStream(21).child("est", k, "aid", "T_prime").index(n)
+                assert step.index(n) == RngStream(21).child("est", k).index(n)
+
+
 def test_vectorised_index_equals_python_multiply_high():
     from fedbilevel.rng import _index, _mix64
     gen = np.random.default_rng(5)
