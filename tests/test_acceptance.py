@@ -15,6 +15,7 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
                         measure_constants, one_round_lower, run_fbo_aggitd,
                         run_fednest_baseline)
 from fedbilevel.cli import main as cli_main
+from fedbilevel.hypergrad import beta_cap, lambda_cap
 
 from conftest import batch_of_one, manual_instance
 
@@ -112,11 +113,10 @@ def test_criterion_4_variance_bound():
     x = np.ones(3)
     y0 = inst.y_star(x) + 0.3
     consts = measure_constants(inst, TestRegion(Point(x, y0), 1.5), samples=100)
-    lam = min(10.0, 1.0 / max(consts.L_g, inst.L_g))
+    lam = min(lambda_cap(consts), lambda_cap(problem.constants))
     N = 3
     cfg = AggITDConfig(lam=lam, N=N,
-                       lower=LowerStepConfig(beta=min(1.0, lam, 1 / (6 * inst.L_g)),
-                                             tau=1))
+                       lower=LowerStepConfig(beta=beta_cap(lam, problem.constants), tau=1))
     root = RngStream(123)
     vals = []
     for t in range(10_000):
