@@ -319,8 +319,6 @@ class QuadraticProblem(BilevelProblem):
         k = min(self.batch_size, n)
         if k == 1:
             j = lanes.index(n)
-            if len(offsets) == 1:   # one gather, no loop: four of the five oracles
-                return (offsets[0][ids, j],)
             return tuple([a[ids, j] for a in offsets])
         if k >= n:
             return tuple(a[self._rows(ids)].mean(axis=1) for a in offsets)

@@ -122,6 +122,12 @@ def _extend(h: int, parts) -> int:
     return h
 
 
+def _scalar_index(h: int, n: int) -> int:
+    """Uniform draw from {0..n-1} on the lane hashed to h: multiply-high of
+    the hashed counter 0."""
+    return (_mix64(h, 0) * n) >> 64
+
+
 def _innermost_tag(key: tuple) -> str | None:
     for c in reversed(key):
         if isinstance(c, str):
@@ -166,7 +172,7 @@ class RngStream:
 
     def index(self, n: int) -> int:
         """Uniform draw from {0..n-1}: multiply-high of the hashed counter 0."""
-        return (_mix64(self._hash, 0) * n) >> 64
+        return _scalar_index(self._hash, n)
 
     def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
         """k members of pool without replacement, uniform, sorted: the k with
@@ -310,8 +316,7 @@ class TableStream:
 
     def index(self, n: int) -> int:
         """``stream().index(n)``, hashed from the scope without building the stream."""
-        h = _extend(int(self.table.scopes[self.s]), self.path)
-        return (_mix64(h, 0) * n) >> 64
+        return _scalar_index(_extend(int(self.table.scopes[self.s]), self.path), n)
 
     def lanes(self, ids: np.ndarray, *tags) -> "Lanes":
         t, lane_set = self.table, (*self.path, CLIENT, *tags)

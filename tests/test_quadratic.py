@@ -154,12 +154,15 @@ def test_instance_json_digest_pinned():
 
 
 # sha256 of every field of make_quadratic(d1=d2=d, m=4, seed=7), the bytes its
-# JSON document serializes, for each d; one process per BLAS thread count
+# JSON document serializes, for each d, after the name of the BLAS numpy was
+# built against; one process per BLAS thread count
 _DIGEST_SCRIPT = """
 import hashlib, sys
 from dataclasses import fields
 import numpy as np
 from fedbilevel import QuadraticSpec, make_quadratic
+blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+print("blas", blas.get("name") or "unknown")
 for d in map(int, sys.argv[1:]):
     inst = make_quadratic(QuadraticSpec(d1=d, d2=d, m=4, seed=7))
     h = hashlib.sha256()
@@ -185,12 +188,17 @@ def _instance_digests(threads: int) -> dict:
 @pytest.mark.parametrize("d", [10, 40, pytest.param(120, marks=[
     pytest.mark.skipif(_CPUS < 2, reason="two BLAS threads need two CPUs"),
     pytest.mark.xfail(strict=True, raises=AssertionError,
-                      reason="OpenBLAS splits the d=120 products by thread count, "
-                      "so the instance's last bits move")])])
+                      reason="observed with OpenBLAS: the d=120 instance's last bits "
+                      "differ between 1 and 2 threads (suspected: the batched "
+                      "spectral norm of the offsets)")])])
 def test_instance_bytes_blas_thread_boundary(d):
     # instances, and so runs, are byte-identical under 1 and 2 BLAS threads
-    # only up to a size; the d=120 case pins where that stops holding
-    assert _instance_digests(1)[str(d)] == _instance_digests(2)[str(d)]
+    # only up to a size; the d=120 case pins where that stops holding, which
+    # was seen with OpenBLAS only, so other BLAS builds skip it
+    one, two = _instance_digests(1), _instance_digests(2)
+    if d == 120 and "openblas" not in one["blas"].lower():
+        pytest.skip(f"the d=120 boundary was observed with OpenBLAS, numpy uses {one['blas']}")
+    assert one[str(d)] == two[str(d)]
 
 
 def test_json_rejects_other_schemas_and_disagreeing_arrays():
