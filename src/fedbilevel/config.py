@@ -13,9 +13,10 @@ Schema (every key is optional; unknown keys are rejected):
     noise          {"mode": "finite-sum"|"additive-gaussian", "spread": s, "std": s}, s >= 0
     seed, eval_every, out_dir
 
-Unset N, T and stepsizes are filled by ``drivers.resolve_params`` at parse
-time, against the constants the problem spec declares, so a parsed config is
-fully concrete and round-trips exactly. ``sweep`` resolves them per cell.
+Unset N, T and stepsizes stay None in the parsed config and round-trip as
+null. A run fills them, and checks explicit ones, with ``drivers.resolve_params``
+against the built problem's constants before its first step, so ``sweep``
+resolves them per cell.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import itertools
 import json
 import os
 
-from .drivers import ESTIMATOR_AGGITD, RunConfig, resolve_params, run
+from .drivers import ESTIMATOR_AGGITD, RunConfig, run
 from .errors import ConfigError, ParameterError, ProtocolError
 from .hyperrep import HyperRepSpec
-from .problems import NOISE_FINITE_SUM, NOISE_GAUSSIAN, ProblemConstants
+from .problems import NOISE_FINITE_SUM, NOISE_GAUSSIAN
 from .quadratic import QuadraticSpec
 from .reporting import export_csv
 
@@ -91,13 +92,6 @@ def _problem_spec(doc: dict):
     return _build_spec(QuadraticSpec, kind, fields)
 
 
-def _declared_constants(spec) -> ProblemConstants:
-    if isinstance(spec, QuadraticSpec):
-        return ProblemConstants(mu=spec.mu, L_g=spec.L_g)
-    # nominal hyperrep bound; exact instance constants depend on the data draw
-    return ProblemConstants(mu=spec.ridge, L_g=spec.ridge + 8.0)
-
-
 def _opt(doc: dict, key: str, cast, default=None):
     return _cast(key, doc[key], cast) if doc.get(key) is not None else default
 
@@ -110,19 +104,16 @@ def config_from_dict(doc: dict) -> RunConfig:
     tau = doc.get("tau", 1)
     tau = [_cast("tau", t, int) for t in tau] if isinstance(tau, list) else _opt(doc, "tau", int, 1)
     try:
-        cfg = RunConfig(problem=spec, estimator=doc.get("estimator", ESTIMATOR_AGGITD),
-                        K=_opt(doc, "K", int, 100), N=_opt(doc, "N", int),
-                        T=_opt(doc, "T", int), lam=_opt(doc, "lambda", float),
-                        alpha=_opt(doc, "alpha", float), beta=_opt(doc, "beta", float),
-                        tau=tau, participation=_opt(doc, "participation", float, 1.0),
-                        seed=_opt(doc, "seed", int, 0),
-                        eval_every=_opt(doc, "eval_every", int, 1),
-                        out_dir=doc.get("out_dir"))
-        cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta = resolve_params(
-            cfg, _declared_constants(spec))
+        return RunConfig(problem=spec, estimator=doc.get("estimator", ESTIMATOR_AGGITD),
+                         K=_opt(doc, "K", int, 100), N=_opt(doc, "N", int),
+                         T=_opt(doc, "T", int), lam=_opt(doc, "lambda", float),
+                         alpha=_opt(doc, "alpha", float), beta=_opt(doc, "beta", float),
+                         tau=tau, participation=_opt(doc, "participation", float, 1.0),
+                         seed=_opt(doc, "seed", int, 0),
+                         eval_every=_opt(doc, "eval_every", int, 1),
+                         out_dir=doc.get("out_dir"))
     except (ParameterError, ProtocolError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_doc(path) -> dict:
@@ -147,7 +138,7 @@ def parse_config(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> dict:
-    """Concrete JSON document; parse(serialize(cfg)) == cfg."""
+    """JSON document of cfg as written, unset fields as null; parse(serialize(cfg)) == cfg."""
     if isinstance(cfg.problem, QuadraticSpec):
         pf = dataclasses.asdict(cfg.problem)
         noise = {"mode": pf.pop("noise_mode"), "spread": pf.pop("noise_spread"),

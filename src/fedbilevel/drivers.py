@@ -174,7 +174,8 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
 
 def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     """Fill unset (N, T, lam, alpha, beta) from the condition-number defaults
-    and check them against the caps; config parsing and every run call this."""
+    and check them against the caps; every run and ``estimate`` call this on
+    the built problem's constants."""
     N = cfg.N if cfg.N is not None else default_N(constants)
     T = cfg.T if cfg.T is not None else max(1, N)
     if N < 0 or T < 1:
@@ -184,11 +185,9 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     alpha = cfg.alpha if cfg.alpha is not None else alpha0
     beta = cfg.beta if cfg.beta is not None else beta_cap(lam, constants)
     _check_lambda(lam, constants)
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
     _check_beta(beta, lam, constants)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     return N, T, lam, alpha, beta
 
 

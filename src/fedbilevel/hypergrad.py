@@ -47,13 +47,13 @@ def beta_cap(lam: float, constants: ProblemConstants) -> float:
 
 def _check_lambda(lam: float, constants: ProblemConstants) -> None:
     cap = lambda_cap(constants)
-    if lam <= 0 or lam > cap * _CAP_TOL:
+    if not 0 < lam <= cap * _CAP_TOL:
         raise ParameterError(f"lambda={lam} violates cap min{{10, 1/L_g}}={cap}")
 
 
 def _check_beta(beta: float, lam: float, constants: ProblemConstants) -> None:
     cap = beta_cap(lam, constants)
-    if beta > cap * _CAP_TOL:
+    if not 0 < beta <= cap * _CAP_TOL:
         raise ParameterError(f"beta={beta} violates cap min{{1, lambda, 1/(6 L_g)}}={cap}")
 
 

@@ -35,8 +35,8 @@ class HyperRepSpec:
     test_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.ridge <= 0:
-            raise ParameterError("ridge must be > 0 for a strongly convex head objective")
+        if not 0 < self.ridge < np.inf:
+            raise ParameterError("ridge must be finite and > 0 for a strongly convex head")
         if min(self.embed_dim, self.feature_dim, self.classes, self.m,
                self.shards_per_client) < 1:
             raise ParameterError("embed_dim, feature_dim, classes, m and "

@@ -50,7 +50,7 @@ class LowerStepConfig:
     variant: str = VARIANT_SVRG
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ParameterError("beta must be positive")
         if self.variant not in (VARIANT_SVRG, VARIANT_SGD):
             raise ParameterError(f"unknown lower variant {self.variant!r}")

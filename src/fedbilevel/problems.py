@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClientLookupError, ContractViolation, ProtocolError
+from .errors import ClientLookupError, ContractViolation, ParameterError, ProtocolError
 from .rng import Lanes
 from .runtime import client_ids
 
@@ -85,9 +85,9 @@ class ProblemConstants:
 
     def __post_init__(self):
         if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if self.L_g < self.mu:
-            raise ValueError("L_g must be >= mu")
+            raise ParameterError("mu must be positive")
+        if not self.L_g >= self.mu:
+            raise ParameterError("L_g must be >= mu")
 
     @property
     def kappa_g(self) -> float:

@@ -224,7 +224,7 @@ def _pm_pairs(gen: np.random.Generator, n: int, shape: tuple, scale: float,
 
 def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     """Generate a heterogeneous instance satisfying the eigenvalue invariants."""
-    if spec.mu <= 0 or spec.L_g < spec.mu:
+    if not 0 < spec.mu <= spec.L_g < np.inf:
         raise ParameterError(f"infeasible eigenvalue range [{spec.mu}, {spec.L_g}]")
     if not 0.0 <= spec.hetero <= 1.0:
         raise ParameterError("hetero must lie in [0, 1]")
@@ -232,8 +232,11 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
         raise ParameterError("need d1, d2 >= 1 dimensions, m >= 1 clients and "
                              "n_per_client >= 1 samples")
     for name in ("noise_spread", "noise_std"):
-        if not getattr(spec, name) >= 0.0:
-            raise ParameterError(f"{name} must be >= 0, got {getattr(spec, name)}")
+        if not 0.0 <= getattr(spec, name) < np.inf:
+            raise ParameterError(f"{name} must be finite and >= 0, got {getattr(spec, name)}")
+    for name in ("coupling", "lin_scale"):
+        if not np.isfinite(getattr(spec, name)):
+            raise ParameterError(f"{name} must be finite, got {getattr(spec, name)}")
 
     root = RngStream(spec.seed).child("make_quadratic")
     gen = root.generator()

@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, byte-determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from fedbilevel.cli import main
+
+DEMO_OUT = Path(__file__).resolve().parent.parent / "demos" / "out"
 
 
 def _cfg(tmp_path, extra=None):
@@ -61,9 +64,7 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", _cfg(tmp_path, {"beta": 0.9})]) == 2
 
 
-# stepsizes under the default hyperrep instance's caps, so that a hyperrep row
-# fails on its spec alone
-_HYPERREP_STEPS = ['lambda=0.005', 'beta=0.0005']
+_NONFINITE = ("NaN", "Infinity", "-Infinity")
 
 # (--set overrides on the base config, expected exit code)
 BAD_CONFIGS = [
@@ -86,12 +87,27 @@ BAD_CONFIGS = [
     (['tau=[1, 1, 1]'], 2),
     (['problem={"type": "quadratic", "d1": 0}'], 2),
     (['problem={"type": "quadratic", "d2": 0}'], 2),
-    *((['problem={"type": "hyperrep", %s}' % field, *_HYPERREP_STEPS], 2) for field in (
+    *((['problem={"type": "hyperrep", %s}' % field], 2) for field in (
         '"test_fraction": -0.5', '"test_fraction": 0', '"test_fraction": 1',
         '"classes": 0', '"m": 0', '"embed_dim": 0', '"feature_dim": 0',
         '"partition": "label-skew", "shards_per_client": 0')),
     (['noise={"spread": -0.5}'], 2),
     (['noise={"mode": "additive-gaussian", "std": -1}'], 2),
+    # every float key at each non-finite JSON number
+    *(([f"{key}={v}"], 2) for v in _NONFINITE
+      for key in ("lambda", "alpha", "beta", "participation", "hetero")),
+    *(([f'noise={{"{key}": {v}}}'], 2) for v in _NONFINITE for key in ("spread", "std")),
+    *(([f'problem={{"type": "quadratic", "{key}": {v}}}'], 2) for v in _NONFINITE
+      for key in ("mu", "L_g", "coupling", "lin_scale", "noise_spread", "noise_std",
+                  "hetero")),
+    *(([f'problem={{"type": "hyperrep", "{key}": {v}}}'], 2) for v in _NONFINITE
+      for key in ("ridge", "test_fraction")),
+    (['problem={"type": "quadratic", "mu": -1, "L_g": -0.5}'], 2),
+    # these parse and fail when the run resolves them
+    (['N=-1'], 2),
+    (['T=0'], 2),
+    (['alpha=0'], 2),
+    (['lambda=0'], 2),
 ]
 
 
@@ -164,12 +180,41 @@ def test_malformed_sweep_config_exit_code(tmp_path, capsys):
 
 
 def test_library_error_exit_code(tmp_path, capsys):
-    # the default hyperrep stepsizes break the built instance's lambda cap
-    assert main(["run", "--set", 'problem="hyperrep"',
+    # lambda=0.01 breaks the built default hyperrep instance's cap of 0.00655
+    assert main(["run", "--set", 'problem="hyperrep"', "--set", "lambda=0.01",
                  "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "lambda" in err
     assert "Traceback" not in err
+
+
+def test_default_hyperrep_run_learns(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--set", 'problem="hyperrep"', "--set", "K=2",
+                 "--out-dir", str(out)]) == 0
+    last = (out / "fbo-aggitd_metrics.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[-1]) > 1 / 3  # test accuracy over 3 classes
+
+
+def test_default_hyperrep_estimate(tmp_path, capsys):
+    assert main(["estimate", "--set", 'problem="hyperrep"', "--out-dir", str(tmp_path)]) == 0
+    assert float(capsys.readouterr().out.split("||h||=")[1].split()[0]) > 0
+
+
+@pytest.mark.parametrize("estimator,label,golden", [
+    ("aggitd", "fbo-aggitd", "race_fused.csv"),
+    ("aid", "fednest", "race_baseline.csv")])
+def test_cli_reproduces_race_csvs(tmp_path, estimator, label, golden):
+    # demo 04's config through parse -> run; N, T, lambda and beta left unset
+    doc = {"problem": {"type": "quadratic", "d1": 10, "d2": 10, "m": 8, "n_per_client": 8,
+                       "mu": 1.0, "L_g": 1.5, "seed": 0},
+           "hetero": 0.5, "noise": {"spread": 0.05}, "K": 400, "seed": 0,
+           "eval_every": 1, "alpha": 0.02, "estimator": estimator}
+    path = tmp_path / "race.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert ((tmp_path / "o" / f"{label}_metrics.csv").read_bytes()
+            == (DEMO_OUT / golden).read_bytes())
 
 
 def test_estimate_starts_from_initial_point(tmp_path, capsys):

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from fedbilevel import ConfigError, ParameterError, RunConfig
+from fedbilevel import ConfigError, ParameterError
 from fedbilevel.config import (config_from_dict, parse_config, serialize_config,
                                sweep)
-from fedbilevel.drivers import build_problem, resolve_params
+from fedbilevel.drivers import build_problem, resolve_params, run
 from fedbilevel.hyperrep import HyperRepSpec
 from fedbilevel.quadratic import QuadraticSpec
 
@@ -20,33 +20,34 @@ def _write(tmp_path, doc):
 
 def test_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, {"problem": "quadratic", "K": 10}))
-    spec = cfg.problem
-    assert isinstance(spec, QuadraticSpec)
-    assert cfg.lam == pytest.approx(min(10.0, 1.0 / spec.L_g))
-    assert cfg.beta == pytest.approx(min(1.0, cfg.lam, 1.0 / (6 * spec.L_g)))
-    assert cfg.N == 10  # ceil(kappa) for the default mu=1, L_g=10
-    assert cfg.T == cfg.N
+    assert isinstance(cfg.problem, QuadraticSpec)
+    assert (cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta) == (None,) * 5
+    N, T, lam, _, beta = resolve_params(cfg, build_problem(cfg).constants)
+    assert (N, T) == (10, 10)  # ceil(kappa) for the default mu=1, L_g=10
+    assert lam == pytest.approx(0.1)
+    assert beta == pytest.approx(1 / 60)
 
 
-def test_parse_time_resolution_matches_run_time():
+def test_unset_fields_parse_to_none_and_round_trip():
     doc = {"problem": {"type": "quadratic", "d1": 3, "d2": 3, "m": 2, "mu": 0.5,
                        "L_g": 4.0}, "K": 9, "T": 3}
     cfg = config_from_dict(doc)
-    bare = RunConfig(problem=cfg.problem, K=9, T=3)
-    resolved = resolve_params(bare, build_problem(bare).constants)
-    assert (cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta) == resolved
+    assert (cfg.N, cfg.T, cfg.lam, cfg.alpha, cfg.beta) == (None, 3, None, None, None)
+    again = serialize_config(cfg)
+    assert (again["N"], again["lambda"], again["alpha"], again["beta"]) == (None,) * 4
+    assert config_from_dict(json.loads(json.dumps(again))) == cfg
 
 
 def test_beta_cap_rejection_names_cap(tmp_path):
     doc = {"problem": {"type": "quadratic", "L_g": 10.0}, "K": 5, "beta": 0.2}
-    with pytest.raises(ConfigError, match="1/\\(6 L_g\\)"):
-        parse_config(_write(tmp_path, doc))
+    with pytest.raises(ParameterError, match="1/\\(6 L_g\\)"):
+        run(parse_config(_write(tmp_path, doc)))
 
 
 def test_lambda_cap_rejection(tmp_path):
     doc = {"problem": {"type": "quadratic", "L_g": 10.0}, "K": 5, "lambda": 0.5}
-    with pytest.raises(ConfigError, match="lambda"):
-        parse_config(_write(tmp_path, doc))
+    with pytest.raises(ParameterError, match="lambda"):
+        run(parse_config(_write(tmp_path, doc)))
 
 
 def test_default_beta_capped_at_explicit_lambda(tmp_path):
@@ -54,7 +55,8 @@ def test_default_beta_capped_at_explicit_lambda(tmp_path):
     # 1/(6 L_g), must not make the default beta violate its own cap
     doc = {"problem": {"type": "quadratic", "L_g": 10.0}, "K": 5, "lambda": 0.01}
     cfg = parse_config(_write(tmp_path, doc))
-    assert (cfg.lam, cfg.beta) == (0.01, 0.01)
+    _, _, lam, _, beta = resolve_params(cfg, build_problem(cfg).constants)
+    assert (lam, beta) == (0.01, 0.01)
 
 
 def test_unknown_keys_rejected(tmp_path):
