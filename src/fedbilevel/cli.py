@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import (apply_overrides, config_from_dict, load_doc,
                      parse_set_args, sweep)
-from .drivers import build_problem, resolve_params, run
+from .drivers import ESTIMATOR_AGGITD, build_problem, resolve_params, run
 from .errors import ConfigError, DivergenceError, FedBilevelError
 from .hypergrad import AggITDConfig, aggitd
 from .lower import LowerStepConfig
@@ -53,6 +53,8 @@ def cmd_run(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = config_from_dict(_load_doc(args))
+    if cfg.estimator != ESTIMATOR_AGGITD:
+        raise ConfigError(f"estimate runs estimator 'aggitd' only, got {cfg.estimator!r}")
     problem = build_problem(cfg)
     N, _, lam, _, beta = resolve_params(cfg, problem.constants)
     acfg = AggITDConfig(lam=lam, N=N,

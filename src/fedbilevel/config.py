@@ -9,8 +9,9 @@ Schema (every key is optional; unknown keys are rejected):
     alpha, beta    stepsizes; beta must satisfy beta <= min{1, lambda, 1/(6 L_g)}
     tau            local step count (int or per-client list)
     participation  ratio in (0, 1]
-    hetero         heterogeneity scale in [0, 1] (quadratic)
+    hetero         heterogeneity scale in [0, 1] (quadratic only)
     noise          {"mode": "finite-sum"|"additive-gaussian", "spread": s, "std": s}, s >= 0
+                   (quadratic only)
     seed, eval_every, out_dir
 
 Unset N, T and stepsizes stay None in the parsed config and round-trip as
@@ -73,16 +74,18 @@ def _problem_spec(doc: dict):
         raise ConfigError("problem must be a string or an object")
     kind = raw.get("type", "quadratic")
     fields = {k: v for k, v in raw.items() if k != "type"}
+    if kind == "hyperrep":
+        for key in sorted({"hetero", "noise"} & set(doc)):
+            raise ConfigError(f"{key} does not apply to a hyperrep problem")
+        return _build_spec(HyperRepSpec, kind, fields)
+    if kind != "quadratic":
+        raise ConfigError(f"unknown problem type {kind!r}")
     noise = doc.get("noise", {})
     if not isinstance(noise, dict):
         raise ConfigError("noise must be an object with mode/spread/std")
     mode = noise.get("mode", NOISE_FINITE_SUM)
     if mode not in (NOISE_FINITE_SUM, NOISE_GAUSSIAN):
         raise ConfigError(f"unknown noise mode {mode!r}")
-    if kind == "hyperrep":
-        return _build_spec(HyperRepSpec, kind, fields)
-    if kind != "quadratic":
-        raise ConfigError(f"unknown problem type {kind!r}")
     if "hetero" in doc:
         fields["hetero"] = doc["hetero"]
     if "noise" in doc:

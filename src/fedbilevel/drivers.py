@@ -4,11 +4,12 @@ Each outer iteration runs an estimator step (fused AggITD, or the two-loop AID
 or fully local baseline), then a local SVRG-type upper phase (One-Round-Upper),
 warm-starting the next iteration's lower variable at the step's final lower
 iterate. Communication per outer iteration: 2N+3 rounds / 1 loop for the fused
-driver, 2N+T+3 rounds / 2 loops for the baseline. Metrics rows use exact
-noise-off oracles over the full client set regardless of the participation
-ratio. A participant set's checked oracles and local-step schedules (tau_i,
-beta/tau_i, alpha/tau_i) are built once per set: once per run under full
-participation, at each outer step under partial participation.
+driver, 2N+T+3 / 2 for the AID baseline, 2N+2 / 1 for the local one. Metrics
+rows use exact noise-off oracles over the full client set regardless of the
+participation ratio. Each phase is its public function, called on the run's
+checked oracles and lane-table steps. A participant set's checked oracles and
+local-step schedules (beta/tau_i, alpha/tau_i) are built once per set: once per
+run under full participation, at each outer step under partial participation.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _schedule, client_taus, lower_phase_lanes,
+from .lower import (LowerStepConfig, _schedule, _taus, client_taus, lower_phase_lanes,
                     one_round_lower)
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
-from .rng import CLIENT, LaneTable, RngStream, TableStream, lane_steps
+from .rng import CLIENT, RngStream, TableStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
@@ -210,19 +211,10 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     point. participants may be checked oracles. rng is the scope stream or its
     step of a lane table with the lane sets of ``upper_lanes``. Charges one round.
     """
-    return _one_round_upper(problem.oracles(participants, x, y_plus), x, y_plus, h, alpha,
-                            client_taus(tau, problem._all_ids, problem.m), rng, ledger)
-
-
-def _one_round_upper(oracles: CheckedOracles, x: np.ndarray, y_plus: np.ndarray,
-                     h: np.ndarray, alpha: float, tau_all: np.ndarray,
-                     rng: RngStream | TableStream, ledger: CommLedger) -> np.ndarray:
-    """``one_round_upper`` on oracles its caller checked against x and y_plus's
-    shape, with tau_all the resolved tau_i of every client."""
-    problem, ids = oracles.problem, oracles.ids
-    alphas, steps = _schedule(oracles, tau_all, alpha)
-    if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, upper_lanes(len(steps)), np.arange(problem.m)).step(0)
+    oracles, rng = problem.entry(participants, x, y_plus, rng,
+                                 lambda: upper_lanes(int(_taus(problem, tau).max())))
+    ids = oracles.ids
+    alphas, steps = _schedule(oracles, tau, alpha)
     X = np.repeat(x[None], ids.size, axis=0)
     for v, rows, sub in steps:
         lanes = rng.lanes(sub, "xi_up", v)
@@ -254,18 +246,17 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     root = RngStream(cfg.seed)
     ledger = CommLedger()
     evaluator = Evaluator(problem)
-    tau_all = lower_cfg.taus(problem.m)
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
-        lane_sets = aggitd_lanes(acfg, problem.m)
+        lane_sets = aggitd_lanes(acfg)
 
         def step(x, y, oracles, scope):
             h, y, _ = aggitd(problem, x, y, acfg, oracles, scope, ledger)
             return h, y
     else:
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
-        lane_sets = [*lower_phase_lanes(lower_cfg, N, problem.m),
+        lane_sets = [*lower_phase_lanes(lower_cfg, N),
                      *chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local")]
 
         def step(x, y, oracles, scope):
@@ -283,7 +274,8 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
-                 lane_steps(root, "upper", cfg.K, problem.m, upper_lanes(int(tau_all.max()))))
+                 lane_steps(root, "upper", cfg.K, problem.m,
+                            upper_lanes(int(_taus(problem, cfg.tau).max()))))
     oracles, redraw = None, part.size(problem.m) < problem.m
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()
@@ -292,7 +284,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
                 select_participants(part, problem.m, root.child("part", k)), x, y)
         h, y = step(x, y, oracles, est)
         x_prev = x
-        x = _one_round_upper(oracles, x, y, h, alpha, tau_all, upper, ledger)
+        x = one_round_upper(problem, x, y, h, alpha, cfg.tau, oracles, upper, ledger)
         ledger.finish_outer()
         _guard(k, x, y)
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:

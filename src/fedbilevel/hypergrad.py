@@ -29,7 +29,7 @@ from .errors import ParameterError, UnsupportedProblemError
 from .lower import LowerStepConfig, lower_phase_lanes, one_round_lower
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
-from .rng import CLIENT, LaneTable, RngStream, TableStream
+from .rng import CLIENT, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
 
 _CAP_TOL = 1.0 + 1e-12
@@ -86,10 +86,10 @@ class AidConfig:
             raise ParameterError("N must be >= 0")
 
 
-def aggitd_lanes(cfg: AggITDConfig, m: int) -> list:
+def aggitd_lanes(cfg: AggITDConfig) -> list:
     """The lane sets of one fused-estimator call under its scope stream. The
     chain's Hessian lanes "u" start at t = 1, the first step that reads one."""
-    return [*lower_phase_lanes(cfg.lower, cfg.N, m),
+    return [*lower_phase_lanes(cfg.lower, cfg.N),
             *[(CLIENT, "xi_r", t) for t in range(cfg.N + 1)],
             *[(CLIENT, "u", t) for t in range(1, cfg.N + 1)],
             (CLIENT, "xi_h"), (CLIENT, "chi")]
@@ -141,7 +141,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     iterate round for t <= N-1, and one final round aggregating the per-client
     estimates. Q is uniform on {0..N}, the counter-based draw
     ``rng.child("Q").index(N + 1)``; q_override pins it for enumeration tests.
-    participants are client ids or checked oracles (``BilevelProblem.oracles``);
+    participants are client ids or checked oracles (``BilevelProblem.checked``);
     rng is the scope stream or a lane table's step (``aggitd_lanes``).
     """
     _check_lambda(cfg.lam, problem.constants)
@@ -155,10 +155,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
         Q = rng.child("Q").index(N + 1)
 
     y_t = np.asarray(y, dtype=float)
-    oracles = problem.oracles(participants, x, y_t)
+    oracles, rng = problem.entry(participants, x, y_t, rng, lambda: aggitd_lanes(cfg))
     ids = oracles.ids
-    if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, aggitd_lanes(cfg, problem.m), np.arange(problem.m)).step(0)
     ledger.begin_loop()
     y_iterates = [y_t]
     z = None
@@ -212,10 +210,8 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
         T_prime = rng.child("T_prime").index(T)
 
     y_N = np.asarray(y_N, dtype=float)
-    oracles = problem.oracles(participants, x, y_N)
+    oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))
     ids = oracles.ids
-    if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, chain_lanes(T), np.arange(problem.m)).step(0)
     ledger.begin_loop()
     r = aggregate_mean(problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
     p = lam * T * r
@@ -247,11 +243,9 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
     if ledger is None:
         ledger = CommLedger()
     y_N = np.asarray(y_N, dtype=float)
-    oracles = problem.oracles(range(problem.m) if participants is None else participants,
-                              x, y_N)
+    oracles, rng = problem.entry(range(problem.m) if participants is None else participants,
+                                 x, y_N, rng, lambda: chain_lanes(T))
     ids = oracles.ids
-    if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, chain_lanes(T), np.arange(problem.m)).step(0)
 
     def lanes(tag, *idx):
         return None if rng is None else rng.lanes(ids, tag, *idx)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedProblemError
 from .problems import BilevelProblem, CheckedOracles
 from .quadratic import QuadraticInstance
-from .rng import CLIENT, LaneTable, RngStream, TableStream
+from .rng import CLIENT, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
 
 VARIANT_SVRG = "svrg"
@@ -42,7 +42,8 @@ class LowerStepConfig:
 
     The effective local stepsize is beta/tau_i. When used inside the fused
     estimator, beta must also satisfy beta <= min{1, lambda, 1/(6 L_g)}; that
-    cap is enforced at the estimator boundary where lambda is known.
+    cap is enforced at the estimator boundary where lambda is known. tau is
+    checked here; ``_taus`` resolves it to every client's tau_i once per problem.
     """
 
     beta: float
@@ -55,17 +56,6 @@ class LowerStepConfig:
         if self.variant not in (VARIANT_SVRG, VARIANT_SGD):
             raise ParameterError(f"unknown lower variant {self.variant!r}")
         client_taus(self.tau, np.arange(0))  # checks every tau_i is an integer >= 1
-        object.__setattr__(self, "_taus", {})  # m -> taus(m)
-
-    def taus(self, m: int) -> np.ndarray:
-        """tau_i for every client of an m-client problem, as a read-only array.
-        The first call for m checks a per-client list against m; later calls
-        read the array back, so a per-call lookup is an index into it."""
-        got = self._taus.get(m)
-        if got is None:
-            got = self._taus[m] = client_taus(self.tau, np.arange(m), m)
-            got.flags.writeable = False
-        return got
 
 
 def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -91,21 +81,32 @@ def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> list:
             for v in range(1 if variant == VARIANT_SVRG else 0, max_tau)]
 
 
-def lower_phase_lanes(cfg: LowerStepConfig, N: int, m: int) -> list:
-    """The lane sets of the fused and two-loop estimators' N-step lower phase on
-    m clients: "zeta_q" at each t < N, and One-Round-Lower's under ("lower", t)."""
-    tau = int(cfg.taus(m).max())
+def lower_phase_lanes(cfg: LowerStepConfig, N: int) -> list:
+    """The lane sets of the fused and two-loop estimators' N-step lower phase:
+    "zeta_q" at each t < N, and One-Round-Lower's under ("lower", t)."""
+    tau = max(cfg.tau) if isinstance(cfg.tau, Sequence) else cfg.tau
     return [(CLIENT, "zeta_q", t) for t in range(N)] + [
         s for t in range(N) for s in lower_lanes(tau, "lower", t, variant=cfg.variant)]
 
 
-def _schedule(oracles: CheckedOracles, tau_all: np.ndarray, stepsize: float) -> tuple:
+def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
+    """tau_i of every client of problem under the tau setting, read-only:
+    resolved by ``client_taus`` once per problem and setting, then read back."""
+    key = repr(tau)   # a list is unhashable, and repr tells 1 from True and 1.0
+    got = problem.taus.get(key)
+    if got is None:
+        got = problem.taus[key] = client_taus(tau, problem._all_ids, problem.m)
+        got.flags.writeable = False
+    return got
+
+
+def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float) -> tuple:
     """(stepsize / tau_i column, [(v, rows, ids[rows]) per local step v]) of the
     participants with tau_i > v (rows a full slice while all step), kept on oracles."""
-    key = (tau_all.tobytes(), stepsize)
+    key = (repr(tau), stepsize)
     got = oracles.schedules.get(key)
     if got is None:
-        ids, taus = oracles.ids, tau_all[oracles.ids]
+        ids, taus = oracles.ids, _taus(oracles.problem, tau)[oracles.ids]
         rows = [slice(None) if v < taus.min() else np.flatnonzero(taus > v)
                 for v in range(taus.max())]
         got = oracles.schedules[key] = ((stepsize / taus)[:, None],
@@ -125,15 +126,13 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     The svrg step v = 0 is y - (beta/tau_i) q with no oracle call, since its
     pair cancels exactly; the audit still charges that pair's 2 * batch_size
     "zeta" samples per participant. participants may be checked oracles
-    (``BilevelProblem.oracles``), taken without a second check. rng is a
+    (``BilevelProblem.checked``), taken without a second check. rng is a
     scope stream or a lane table's step. Charges exactly one round.
     """
-    oracles = problem.oracles(participants, x, y)
+    oracles, rng = problem.entry(participants, x, y, rng, lambda: lower_lanes(
+        int(_taus(problem, cfg.tau).max()), variant=cfg.variant))
     ids = oracles.ids
-    betas, steps = _schedule(oracles, cfg.taus(problem.m), cfg.beta)
-    if isinstance(rng, RngStream):
-        rng = LaneTable.of(rng, lower_lanes(len(steps), variant=cfg.variant),
-                           np.arange(problem.m)).step(0)
+    betas, steps = _schedule(oracles, cfg.tau, cfg.beta)
     if cfg.variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record("zeta", 2 * problem.batch_size * ids.size)
         Y = y - betas * q

@@ -25,7 +25,9 @@ returns them as ``CheckedOracles``. The oracles take those ids or a row
 subset of them and check per call only that ``lanes`` is None or Lanes with
 one row per id; then they audit the call's samples by purpose and call the
 problem's stacked kernel. A run checks one set per run (full participation)
-or per outer step.
+or per outer step. Each estimator and local phase opens with
+``problem.entry``, which takes client ids or checked oracles as its
+participants and a scope stream or lane-table step as its rng.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClientLookupError, ContractViolation, ParameterError, ProtocolError
-from .rng import Lanes
+from .errors import ClientLookupError, ContractViolation, ParameterError
+from .rng import Lanes, LaneTable, RngStream
 from .runtime import client_ids
 
 NOISE_FINITE_SUM = "finite-sum"
@@ -131,6 +133,7 @@ class BilevelProblem:
         self.batch_size = batch_size
         self.audit = SampleAudit()
         self._all_ids = np.arange(m)
+        self.taus = {}   # repr(tau setting) -> tau_i of every client (lower._taus)
 
     # -- contract plumbing -------------------------------------------------
 
@@ -147,13 +150,20 @@ class BilevelProblem:
                     f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
         return CheckedOracles(self, ids)
 
-    def oracles(self, participants, x: np.ndarray, y: np.ndarray) -> "CheckedOracles":
-        """``checked(participants, x, y)``, or this problem's CheckedOracles as they are."""
+    def entry(self, participants, x: np.ndarray, y: np.ndarray, rng, lane_sets) -> tuple:
+        """The prologue of every estimator and local phase: (oracles, rng).
+        oracles is ``checked(participants, x, y)``, or participants as they
+        are if they are this problem's CheckedOracles. A scope RngStream
+        becomes step 0 of the one-step lane table of the phase's declared
+        lane sets ``lane_sets()`` over every client; a table step, or None
+        (exact oracles), is returned as it is."""
         if not isinstance(participants, CheckedOracles):
-            return self.checked(participants, x, y)
-        if participants.problem is not self:
+            participants = self.checked(participants, x, y)
+        elif participants.problem is not self:
             raise ContractViolation("the checked oracles belong to another problem")
-        return participants
+        if isinstance(rng, RngStream):
+            rng = LaneTable.of(rng, lane_sets(), self._all_ids).step(0)
+        return participants, rng
 
     def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:
         """lanes None or one Lanes row per id; then audit the call's samples."""
@@ -238,7 +248,7 @@ class CheckedOracles:
     sorted distinct ``ids``, and the local-step ``schedules`` that
     One-Round-Lower/Upper build for it (``lower._schedule``).
 
-    ``BilevelProblem.checked`` and ``oracles`` return it. The estimators and
+    ``BilevelProblem.checked`` and ``entry`` return it. The estimators and
     One-Round-Lower/Upper take it as their ``participants`` and call the
     problem's oracles on its ids or a row subset of them.
     """

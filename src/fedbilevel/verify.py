@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from .drivers import RunConfig, run_fbo_aggitd, run_fednest_baseline
+from .drivers import RunConfig, run, run_fbo_aggitd
 from .hypergrad import (AggITDConfig, aggitd, dense_hessiv,
                         expected_aggitd_indirect)
 from .lower import LowerStepConfig, one_round_lower
@@ -86,14 +86,12 @@ def _check_q_identity(seed):
 
 
 def _check_rounds(seed):
-    spec = QuadraticSpec(d1=3, d2=3, m=3, seed=seed)
-    cfg = RunConfig(problem=spec, K=2, N=4, T=3, eval_every=1, seed=seed)
-    rep_a = run_fbo_aggitd(cfg)
-    rep_b = run_fednest_baseline(cfg)
-    ok_a = all(r == 2 * 4 + 3 and l == 1 for r, l in rep_a.outer_history)
-    ok_b = all(r == 2 * 4 + 3 + 3 and l == 2 for r, l in rep_b.outer_history)
-    return ok_a and ok_b, (f"per-outer rounds/loops: fused {rep_a.outer_history[0]}, "
-                           f"baseline {rep_b.outer_history[0]}")
+    spec, N, T = QuadraticSpec(d1=3, d2=3, m=3, seed=seed), 4, 3
+    bills = {"aggitd": (2 * N + 3, 1), "aid": (2 * N + T + 3, 2), "local": (2 * N + 2, 1)}
+    got = {est: run(RunConfig(problem=spec, estimator=est, K=2, N=N, T=T, seed=seed))
+           .outer_history for est in bills}
+    ok = all(h == [bills[est]] * 2 for est, h in got.items())
+    return ok, "per-outer rounds/loops: " + ", ".join(f"{est} {h[0]}" for est, h in got.items())
 
 
 def _check_determinism(seed):

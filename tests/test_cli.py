@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, byte-determinism."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedbilevel.cli import main
@@ -108,6 +110,9 @@ BAD_CONFIGS = [
     (['T=0'], 2),
     (['alpha=0'], 2),
     (['lambda=0'], 2),
+    # top-level quadratic keys have no effect on a hyperrep problem
+    (['problem="hyperrep"', 'hetero=0.9'], 2),
+    (['problem="hyperrep"', 'noise={"mode": "additive-gaussian", "std": 5}'], 2),
 ]
 
 
@@ -143,6 +148,24 @@ def test_verify_battery(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+def test_round_accounting_check_covers_every_estimator(monkeypatch):
+    # 2N+3 / 1 fused, 2N+T+3 / 2 AID, 2N+2 / 1 local at N = 4, T = 3; a local
+    # run billed one extra round fails the check
+    from fedbilevel import verify
+    ok, detail = verify._check_rounds(0)
+    assert ok, detail
+    assert "aggitd (11, 1), aid (14, 2), local (10, 1)" in detail
+    real = verify.run
+
+    def one_more_round(cfg):
+        rep = real(cfg)
+        if cfg.estimator == "local":
+            rep.outer_history[-1] = (rep.outer_history[-1][0] + 1, 1)
+        return rep
+    monkeypatch.setattr(verify, "run", one_more_round)
+    assert not verify._check_rounds(0)[0]
 
 
 def test_sweep_cli(tmp_path):
@@ -224,3 +247,50 @@ def test_estimate_starts_from_initial_point(tmp_path, capsys):
     assert rc == 0
     norm = float(capsys.readouterr().out.split("||h||=")[1].split()[0])
     assert norm > 0
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"problem": "hyperrep", "hetero": 0.9}, "hetero"),
+    ({"problem": "hyperrep", "noise": {"mode": "additive-gaussian", "std": 5}}, "noise"),
+    ({"problem": {"type": "hyperrep"}, "hetero": "x", "noise": {"std": "y"}}, "hetero")])
+def test_hyperrep_rejects_quadratic_keys_by_name(doc, key):
+    from fedbilevel.config import config_from_dict
+    from fedbilevel.errors import ConfigError
+    with pytest.raises(ConfigError, match=f"^{key} does not apply to a hyperrep problem"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("estimator", ["aid", "local"])
+def test_estimate_rejects_other_estimators(tmp_path, capsys, estimator):
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", _cfg(tmp_path), "--set", f'estimator="{estimator}"',
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "estimator" in err and estimator in err
+    assert "Traceback" not in err
+    assert not (out / "estimate_trace.json").exists()
+
+
+@pytest.mark.parametrize("participation", [1.0, 0.7])
+def test_estimate_is_the_first_step_of_a_fused_run(tmp_path, participation):
+    # the trace's h = h_direct - h_indirect gives rows[1].est_err of a K = 1
+    # fused run on the same config, bit for bit: estimate draws the same
+    # participants, Q and lanes as the run's first outer step
+    from fedbilevel import run
+    from fedbilevel.config import config_from_dict
+    from fedbilevel.drivers import Evaluator, build_problem
+    doc = {"problem": {"type": "quadratic", "d1": 3, "d2": 3, "m": 5, "mu": 1.0,
+                       "L_g": 2.0, "seed": 4},
+           "hetero": 0.4, "noise": {"spread": 0.1}, "K": 1, "N": 3, "seed": 9,
+           "tau": [1, 3, 2, 1, 2], "participation": participation}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    trace = json.loads((tmp_path / "estimate_trace.json").read_text())
+    h = np.array(trace["h_direct"]) - np.array(trace["h_indirect"])
+    cfg = config_from_dict(doc)
+    problem = build_problem(cfg)
+    r = h - Evaluator(problem).hypergradient(problem.initial_point()[0])
+    rep = run(cfg)
+    assert math.sqrt(r @ r) == rep.rows[1].est_err
+    assert len(trace["h_indirect_clients"]) == (5 if participation == 1.0 else 4)

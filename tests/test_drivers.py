@@ -604,3 +604,4 @@ def test_bench_tracer_counts_the_oracles_every_run_calls(estimator):
                  "jvp_lower_xy"):
         assert table.get(f"problems.{name}", {}).get("calls", 0) > 0, name
     assert table["lower.one_round_lower"]["calls"] == 2 * 2
+    assert table["drivers.one_round_upper"]["calls"] == 2   # once per outer step

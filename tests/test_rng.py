@@ -107,8 +107,8 @@ def _table_cases():
     from fedbilevel.lower import lower_phase_lanes
     m, N, T, taus = 4, 2, 3, [1, 3, 2, 1]
     cfg = AggITDConfig(lam=0.5, N=N, lower=LowerStepConfig(beta=0.1, tau=taus))
-    lower = lower_phase_lanes(cfg.lower, N, m)
-    return m, N, T, taus, {"est": aggitd_lanes(cfg, m),
+    lower = lower_phase_lanes(cfg.lower, N)
+    return m, N, T, taus, {"est": aggitd_lanes(cfg),
                            "aid": lower + chain_lanes(T, "aid"),
                            "local": lower + chain_lanes(T, "local"),
                            "upper": upper_lanes(3)}
@@ -196,8 +196,8 @@ def test_lane_tables_leave_out_unread_lanes():
     m, N, T = 8, 2, 2     # the race configuration, tau = 1
     for variant, fused, aid in (("svrg", 72, 56), ("sgd", 88, 72)):
         cfg = AggITDConfig(lam=0.1, N=N, lower=LowerStepConfig(beta=0.01, variant=variant))
-        sets = [*lower_phase_lanes(cfg.lower, N, m), *chain_lanes(T, "aid")]
-        assert _layout(tuple(aggitd_lanes(cfg, m)), tuple(range(m))).rows == fused
+        sets = [*lower_phase_lanes(cfg.lower, N), *chain_lanes(T, "aid")]
+        assert _layout(tuple(aggitd_lanes(cfg)), tuple(range(m))).rows == fused
         assert _layout(tuple(sets), tuple(range(m))).rows == aid
 
 
@@ -293,7 +293,7 @@ def test_layout_depth_is_its_deepest_lane_set():
     from fedbilevel.lower import lower_phase_lanes
     from fedbilevel.rng import CLIENT, LaneTable, _layout
     m, N = 3, 2
-    sets = [*lower_phase_lanes(LowerStepConfig(beta=0.1), N, m), (CLIENT, "chi")]
+    sets = [*lower_phase_lanes(LowerStepConfig(beta=0.1), N), (CLIENT, "chi")]
     assert sets == [(CLIENT, "zeta_q", 0), (CLIENT, "zeta_q", 1), (CLIENT, "chi")]
     assert len(_layout(tuple(sets), tuple(range(m))).columns) == 3
     assert len(_layout(tuple(sets + [("lower", 0, CLIENT, "zeta", 1)]),
