@@ -128,7 +128,9 @@ class Evaluator:
     costs none. A quadratic row is closed forms and ufunc reductions; a hyperrep
     solve runs a train forward pass per Newton iterate (``solve_head_exact``),
     and ``hypergradient_numeric`` one val pass, taking the HessIV Hessian and
-    the mixed partial from the solve's last train pass, at y*.
+    the mixed partial from the solve's last train pass, at y*. Each dense head
+    Hessian is two BLAS products (``hyperrep._head_hessian``), and the row's
+    objective (``upper_value``) and accuracy read arrays built once per problem.
     """
 
     def __init__(self, problem: BilevelProblem):
@@ -206,10 +208,12 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     The anchor gradient at x is re-evaluated per local step with that step's
     own sample (shared with the local term), so a single local step reduces to
     x - alpha*h up to rounding. All participants step together, two batched
-    oracle calls per local step on the same draws; unlike One-Round-Lower's,
-    the pair at v = 0 is evaluated, since (h - g) + g is not h in floating
-    point. participants may be checked oracles. rng is the scope stream or its
-    step of a lane table with the lane sets of ``upper_lanes``. Charges one round.
+    oracle calls per local step on the same draws. At v = 0 every client is at
+    x, so the pair is one call, g_local = g_anchor; the step still computes
+    (h - g) + g, which is not h in floating point, and the audit still charges
+    both evaluations' "xi_up" samples. participants may be checked oracles.
+    rng is the scope stream or its step of a lane table with the lane sets of
+    ``upper_lanes``. Charges one round.
     """
     oracles, rng = problem.entry(participants, x, y_plus, rng,
                                  lambda: upper_lanes(int(_taus(problem, tau).max())))
@@ -219,7 +223,11 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     for v, rows, sub in steps:
         lanes = rng.lanes(sub, "xi_up", v)
         g_anchor = problem.grad_upper_x(sub, x, y_plus, lanes)
-        g_local = problem.grad_upper_x(sub, X[rows], y_plus, lanes)
+        if v == 0:
+            problem.audit.record("xi_up", problem.batch_size * sub.size)
+            g_local = g_anchor
+        else:
+            g_local = problem.grad_upper_x(sub, X[rows], y_plus, lanes)
         X[rows] = X[rows] - alphas[rows] * (h - g_anchor + g_local)
     return aggregate_mean(X, ledger)
 

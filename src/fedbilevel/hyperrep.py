@@ -133,6 +133,7 @@ class HyperRepProblem(BilevelProblem):
         # per split, the minibatch draws' pool: the columns of its index table
         self._pools = {split: np.arange(t.shape[1]) for split, (t, _) in self._tables.items()}
         self._full = {}     # split -> its whole-split arrays, built on first use
+        self._test = (U[test_idx], labels[test_idx])     # accuracy's points
         self._last_train = (None, None)     # (x, y) bytes -> its full-batch train pass
 
     def initial_point(self):
@@ -182,24 +183,21 @@ class HyperRepProblem(BilevelProblem):
         Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
         split when lanes is None. The draw is ``lanes.subset`` over the split's
         one pool of table columns, so a call on every client reads its rows out
-        of its lane set's block in the lane table. Returns (H, Us, Z, P, R, n):
+        of its lane set's block in the lane table, and the minibatch is gathered
+        at the drawn positions from ``_whole_split``. Returns (H, Us, Z, P, R, n):
         (k, b, .) stacks over the b columns of the minibatch table, and each
         row's point count. Padded points get zero features, so they add nothing
         to any mean.
         """
-        table, sizes = self._tables[split]
-        if lanes is None or self.batch_size >= table.shape[1]:
-            Us, onehot, n = self._whole_split(split)
-            if ids.shape[0] < self.m:
-                Us, onehot, n = Us[ids], onehot[ids], n[ids]
-        else:
-            sizes = sizes[ids]
-            pos = lanes.subset(self._pools[split], self.batch_size, sizes)
-            idx = table[ids[:, None], pos]
-            mask = pos < sizes[:, None]            # False on padding
-            Us = self.U[idx] * mask[..., None]     # (k, b, f)
-            onehot = self.labels[idx][..., None] == np.arange(self.spec.classes)
-            n = mask.sum(axis=1)[:, None, None]
+        Us, onehot, n = self._whole_split(split)
+        pool = self._pools[split]
+        if lanes is not None and self.batch_size < pool.size:
+            n = n[ids]
+            pos = lanes.subset(pool, self.batch_size, n[:, 0, 0])
+            Us, onehot = Us[ids[:, None], pos], onehot[ids[:, None], pos]   # (k, b, .)
+            n = np.minimum(n, self.batch_size)     # a short split pads its draw
+        elif ids.shape[0] < self.m:
+            Us, onehot, n = Us[ids], onehot[ids], n[ids]
         E, H = self._unpack(x, y)
         Z = Us @ _swap(E)                          # (k, b, p)
         P = _softmax_rows(Z @ _swap(H))            # (k, b, C)
@@ -230,20 +228,21 @@ class HyperRepProblem(BilevelProblem):
     # -- evaluation helpers --------------------------------------------------
 
     def upper_value(self, x, y) -> float:
-        """Mean cross-entropy of the head on the pooled held-out split."""
+        """The upper objective: the mean over clients of each client's mean
+        cross-entropy on its held-out split, the function that ``grad_upper_x``
+        and ``hypergradient_numeric`` differentiate."""
+        Us, onehot, n = self._whole_split("val")
         E, H = self._unpack(x, y)
-        idx = np.concatenate(self.val_idx)
-        Us = self.U[idx]
-        logits = (Us @ E.T) @ H.T
-        z = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1))
-        return float(np.mean(lse - z[np.arange(len(idx)), self.labels[idx]]))
+        z = (Us @ E.T) @ H.T
+        z = z - z.max(axis=-1, keepdims=True)
+        loss = np.log(np.exp(z).sum(axis=-1)) - (z * onehot).sum(axis=-1)   # (m, w)
+        loss = loss * (np.arange(loss.shape[1]) < n[:, :, 0])   # padding weighs nothing
+        return float(np.mean(loss.sum(axis=1) / n[:, 0, 0]))
 
     def accuracy(self, x, y) -> float:
         E, H = self._unpack(x, y)
-        Us = self.U[self.test_idx]
-        pred = ((Us @ E.T) @ H.T).argmax(axis=1)
-        return float(np.mean(pred == self.labels[self.test_idx]))
+        Us, labels = self._test
+        return float(np.mean(((Us @ E.T) @ H.T).argmax(axis=1) == labels))
 
 
 def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 8) -> HyperRepProblem:
@@ -281,12 +280,20 @@ def _head_hessian(H: np.ndarray, Z: np.ndarray, P: np.ndarray, n: np.ndarray,
 
     Per client over its full training split, with z_j = E u_j and
     D_j = diag(p_j) - p_j p_j^T, H_i = (1/n_i) sum_j D_j kron z_j z_j^T;
-    the result is mean_i H_i + ridge I.
+    the result is mean_i H_i + ridge I. Every client's points are stacked,
+    point j of client i weighted w_j = 1/(k n_i) over the k clients (padded
+    points have z = 0), and x_j = p_j kron z_j: the -p p^T part is the Gram
+    product -X^T W X, and the diag(p) part is X^T W Z, added into the C
+    diagonal (p, p) blocks.
     """
-    D = P[..., :, None] * (np.eye(H.shape[0]) - P[..., None, :])  # p_c (delta_cd - p_d)
-    H_i = np.einsum("ijcd,ija,ijb->icadb", D, Z, Z) / n[..., None, None]
-    d2 = H.size
-    return H_i.mean(axis=0).reshape(d2, d2) + ridge * np.eye(d2)
+    C, p = H.shape
+    X = P[..., :, None] * Z[..., None, :]                  # (k, b, C, p)
+    XtW = _swap((X / (Z.shape[0] * n)[..., None]).reshape(-1, C * p))
+    hess = -(XtW @ X.reshape(-1, C * p))
+    blocks = hess.reshape(C, p, C, p)
+    blocks[np.arange(C), :, np.arange(C)] += (XtW @ Z.reshape(-1, p)).reshape(C, p, p)
+    hess[np.diag_indices(C * p)] += ridge
+    return hess
 
 
 def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,

@@ -195,6 +195,38 @@ def test_sample_audit_tags_shared_samples_by_purpose():
     assert problem.audit.by_purpose == {"xi_up": 2 * tau * m}
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "hyperrep"])
+def test_one_round_upper_evaluates_its_v0_pair_once(monkeypatch, kind):
+    # every client starts at x, so the v = 0 local gradient is the anchor's:
+    # one call fewer than the two-call loop, the same bits, the same audit
+    from fedbilevel import HyperRepSpec, make_hyperrep
+    from fedbilevel.drivers import upper_lanes
+    from fedbilevel.rng import LaneTable
+    if kind == "hyperrep":
+        problem = make_hyperrep(HyperRepSpec(m=3, n_points=120), 0, batch_size=4)
+    else:
+        problem = QuadraticProblem(make_quadratic(QuadraticSpec(
+            d1=3, d2=3, m=3, hetero=0.3, noise_spread=0.1, seed=13)))
+    gen = RngStream(5).child("upper").generator()
+    x, y, h = (gen.normal(size=d) for d in (problem.d1, problem.d2, problem.d1))
+    tau, alpha, ids = 3, 0.1, np.arange(3)
+    table = LaneTable.of(RngStream(2), upper_lanes(tau), ids).step(0)
+    X = np.repeat(x[None], ids.size, axis=0)
+    for v in range(tau):
+        lanes = table.lanes(ids, "xi_up", v)
+        g_anchor = problem.grad_upper_x(ids, x, y, lanes)
+        X = X - alpha / tau * (h - g_anchor + problem.grad_upper_x(ids, X, y, lanes))
+    want = aggregate_mean(X, CommLedger())
+    problem.audit.reset()
+    calls = []
+    oracle = problem.grad_upper_x
+    monkeypatch.setattr(problem, "grad_upper_x", lambda *a: calls.append(a) or oracle(*a))
+    got = one_round_upper(problem, x, y, h, alpha, tau, ids, RngStream(2), CommLedger())
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == 2 * tau - 1
+    assert problem.audit.by_purpose == {"xi_up": 2 * tau * ids.size * problem.batch_size}
+
+
 def test_sample_audit_scales_linearly_in_k():
     cfg2, cfg4 = _quad_cfg(K=2), _quad_cfg(K=4)
     problem = build_problem(cfg2)

@@ -1,8 +1,10 @@
 """The demo-04 race CSVs reproduce byte for byte from the library, the
-demo-05 hyperrep CSVs to a relative tolerance, and runs on paths the race
-does not take reproduce their pinned row digests."""
+demo-05 hyperrep CSVs to a relative tolerance and its iterates to their pinned
+digests, and runs on paths the race does not take reproduce their pinned row
+digests."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from fedbilevel import (HyperRepSpec, QuadraticSpec, RunConfig, export_csv, run,
                         run_fbo_aggitd, run_fednest_baseline)
+from fedbilevel.drivers import build_problem
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "out")
 
@@ -25,18 +28,51 @@ def test_race_csvs_byte_identical(tmp_path):
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
-def test_hyperrep_csvs_match_demo(estimator):
-    # the demo-05 configuration; hyperrep rows go through BLAS-backed stacked
-    # products, which are byte-stable only on one platform and BLAS
+def _demo05(estimator):
+    """The demo-05 run configuration."""
     spec = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4,
                         n_points=240, partition="label-skew", shards_per_client=1)
-    rep = run(RunConfig(problem=spec, K=60, seed=3, eval_every=5, alpha=0.5, N=8,
-                        batch_size=8, estimator=estimator))
+    return RunConfig(problem=spec, K=60, seed=3, eval_every=5, alpha=0.5, N=8,
+                     batch_size=8, estimator=estimator)
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+def test_hyperrep_csvs_match_demo(estimator):
+    # hyperrep rows go through BLAS-backed stacked products, which are
+    # byte-stable only on one platform and BLAS
+    rep = run(_demo05(estimator))
     want = np.loadtxt(os.path.join(OUT, f"hyperrep_{rep.label}.csv"), delimiter=",",
                       skiprows=2)
     np.testing.assert_allclose(np.array([r.values() for r in rep.rows], dtype=float), want,
                                rtol=1e-12, atol=0)
+
+
+# sha256 of final_x, final_y and the sorted SampleAudit.by_purpose JSON of the
+# demo-05 runs, pinned on x86_64 with OpenBLAS: the metrics rows may move in
+# their last digits, the iterates and the sample bill may not
+HYPERREP_ITERATES = {
+    "aggitd": ("6e762465b006bbe47cc96bb36d6f13b3a4dd34534493ccaa03e6899cb417f04d",
+               "d924c1dbeba3f2ab62e690a85ec26d5c72aa125ca098b6d524ac93d09bf79542",
+               "6cf68df27b0e65b709311d0e2dbca040899846b4fc88742a3faabe275576afb1"),
+    "aid": ("f0ae50405d00a84658d7d91670bc7cbdf0d07aaaf80afadcaaeb4f6a92736509",
+            "79b2e0ec1c180337d5bd03335e4d9e2f2abff68ed281d692d2c76f486f035f16",
+            "50c5a85447925a55c36660db0d9e0a15f6922ab8c11f00700d57818595abf59b"),
+    "local": ("a07c0f4305c7affe18999bf1f958fde22ca13055a664b3c7a69f2eaf533b3cc8",
+              "eedf4cb01eae215524e440034b84db2d975c209f8a6be2f3aa5ddea50001e683",
+              "d66aa50d0f327dddeaeb6a6a8510e795df6b998a49ef0bd5ea40b4cd4084db6a"),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(HYPERREP_ITERATES))
+def test_hyperrep_iterates_pinned(estimator):
+    cfg = _demo05(estimator)
+    problem = build_problem(cfg)
+    driver = run_fbo_aggitd if estimator == "aggitd" else run_fednest_baseline
+    rep = driver(cfg, problem)
+    audit = json.dumps(problem.audit.by_purpose, sort_keys=True).encode()
+    got = tuple(hashlib.sha256(b).hexdigest()
+                for b in (rep.final_x.tobytes(), rep.final_y.tobytes(), audit))
+    assert got == HYPERREP_ITERATES[estimator]
 
 
 def _spec(**kw):

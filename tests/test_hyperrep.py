@@ -5,8 +5,8 @@ import pytest
 
 from fedbilevel import (HyperRepSpec, ParameterError, Point, RngStream,
                         make_hyperrep, partition)
-from fedbilevel.hyperrep import (agg_hessian_lower_yy, hypergradient_numeric,
-                                 solve_head_exact)
+from fedbilevel.hyperrep import (_head_hessian, agg_hessian_lower_yy,
+                                 hypergradient_numeric, solve_head_exact)
 
 from conftest import batch_of_one
 
@@ -135,7 +135,12 @@ def test_hypergradient_numeric_matches_finite_differences():
     hg = hypergradient_numeric(problem, x)
     np.testing.assert_array_equal(
         hypergradient_numeric(problem, x, solve_head_exact(problem, x)), hg)
-    eps = 1e-5
+    fd = _upper_value_fd(problem, x)
+    assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
+
+
+def _upper_value_fd(problem, x, eps=1e-5):
+    """Central differences of x -> upper_value(x, y*(x))."""
     fd = np.zeros(problem.d1)
     for j in range(problem.d1):
         e = np.zeros(problem.d1)
@@ -143,7 +148,7 @@ def test_hypergradient_numeric_matches_finite_differences():
         up = problem.upper_value(x + e, solve_head_exact(problem, x + e))
         dn = problem.upper_value(x - e, solve_head_exact(problem, x - e))
         fd[j] = (up - dn) / (2 * eps)
-    assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
+    return fd
 
 
 @pytest.mark.parametrize("mode", ["iid", "label-skew"])
@@ -262,3 +267,33 @@ def test_forward_equals_take_along_axis_reference(name, batch_size):
                     want = _forward_reference(problem, ids, x, yy, lanes, split)
                     for a, b in zip(got, want):
                         np.testing.assert_array_equal(a, b)
+
+
+def test_upper_value_is_the_client_mean_on_unequal_val_splits():
+    # val splits of 8, 8, 7, 7: a pooled mean weighs the clients unequally and
+    # so is not the objective that hypergradient_numeric differentiates
+    spec = HyperRepSpec(embed_dim=2, feature_dim=3, classes=3, ridge=0.2, m=4, n_points=72)
+    problem = make_hyperrep(spec, seed=4)
+    assert [len(v) for v in problem.val_idx] == [8, 8, 7, 7]
+    x = RngStream(4).child("fd").generator().normal(size=problem.d1)
+    fd = _upper_value_fd(problem, x)
+    hg = hypergradient_numeric(problem, x)
+    assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
+
+
+def _einsum_head_hessian(H, Z, P, n, ridge):
+    # the head Hessian as one three-operand einsum over each client's points
+    D = P[..., :, None] * (np.eye(H.shape[0]) - P[..., None, :])
+    H_i = np.einsum("ijcd,ija,ijb->icadb", D, Z, Z) / n[..., None, None]
+    d2 = H.size
+    return H_i.mean(axis=0).reshape(d2, d2) + ridge * np.eye(d2)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CASES))
+def test_head_hessian_equals_einsum_reference(name):
+    problem, x, y = _shared_case(name)
+    for ids in (problem._all_ids, np.array([0, 2])):
+        H, _, Z, P, _, n = problem._forward(ids, x, y, None, "train")
+        got = _head_hessian(H, Z, P, n, problem.spec.ridge)
+        want = _einsum_head_hessian(H, Z, P, n, problem.spec.ridge)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
