@@ -14,6 +14,7 @@ run under full participation, at each outer step under partial participation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,9 +27,9 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _schedule, _taus, client_taus, lower_phase_lanes,
+from .lower import (LowerStepConfig, _schedule, client_taus, lower_phase_lanes, max_tau,
                     one_round_lower)
-from .problems import BilevelProblem, CheckedOracles, ProblemConstants
+from .problems import BilevelProblem, CheckedOracles, ProblemConstants, check_batch_size
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
 from .rng import CLIENT, RngStream, TableStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
@@ -81,6 +82,7 @@ class RunConfig:
         if self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
         Participation(self.participation)
+        check_batch_size(self.batch_size)
         LowerStepConfig(beta=1.0, variant=self.variant)  # resolve_params checks beta
         client_taus(self.tau, np.arange(0), self.problem.m)
 
@@ -194,9 +196,10 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     return N, T, lam, alpha, beta
 
 
-def upper_lanes(max_tau: int) -> list:
+@functools.lru_cache(maxsize=256)
+def upper_lanes(max_tau: int) -> tuple:
     """The lane sets of One-Round-Upper: ``child(i, "xi_up", v)`` for v < max_tau."""
-    return [(CLIENT, "xi_up", v) for v in range(max_tau)]
+    return tuple((CLIENT, "xi_up", v) for v in range(max_tau))
 
 
 def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
@@ -216,7 +219,7 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     ``upper_lanes``. Charges one round.
     """
     oracles, rng = problem.entry(participants, x, y_plus, rng,
-                                 lambda: upper_lanes(int(_taus(problem, tau).max())))
+                                 lambda: upper_lanes(max_tau(tau)))
     ids = oracles.ids
     alphas, steps = _schedule(oracles, tau, alpha)
     X = np.repeat(x[None], ids.size, axis=0)
@@ -257,15 +260,15 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
-        lane_sets = aggitd_lanes(acfg)
+        lane_sets = aggitd_lanes(N, max_tau(cfg.tau), cfg.variant)
 
         def step(x, y, oracles, scope):
             h, y, _ = aggitd(problem, x, y, acfg, oracles, scope, ledger)
             return h, y
     else:
         aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
-        lane_sets = [*lower_phase_lanes(lower_cfg, N),
-                     *chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local")]
+        lane_sets = (lower_phase_lanes(N, max_tau(cfg.tau), cfg.variant)
+                     + chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local"))
 
         def step(x, y, oracles, scope):
             ids = oracles.ids
@@ -283,7 +286,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
                  lane_steps(root, "upper", cfg.K, problem.m,
-                            upper_lanes(int(_taus(problem, cfg.tau).max()))))
+                            upper_lanes(max_tau(cfg.tau))))
     oracles, redraw = None, part.size(problem.m) < problem.m
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()

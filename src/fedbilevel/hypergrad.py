@@ -20,13 +20,15 @@ conditional means of these estimators on quadratic instances, for tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .lower import LowerStepConfig, lower_phase_lanes, one_round_lower
+from .lower import (VARIANT_SVRG, LowerStepConfig, lower_phase_lanes, max_tau,
+                    one_round_lower)
 from .problems import BilevelProblem, CheckedOracles, ProblemConstants
 from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, RngStream, TableStream
@@ -86,21 +88,25 @@ class AidConfig:
             raise ParameterError("N must be >= 0")
 
 
-def aggitd_lanes(cfg: AggITDConfig) -> list:
-    """The lane sets of one fused-estimator call under its scope stream. The
-    chain's Hessian lanes "u" start at t = 1, the first step that reads one."""
-    return [*lower_phase_lanes(cfg.lower, cfg.N),
-            *[(CLIENT, "xi_r", t) for t in range(cfg.N + 1)],
-            *[(CLIENT, "u", t) for t in range(1, cfg.N + 1)],
-            (CLIENT, "xi_h"), (CLIENT, "chi")]
+@functools.lru_cache(maxsize=256)
+def aggitd_lanes(N: int, max_tau: int, variant: str = VARIANT_SVRG) -> tuple:
+    """The lane sets of one fused-estimator call under its scope stream, for
+    N lower steps of at most max_tau local steps. The chain's Hessian lanes
+    "u" start at t = 1, the first step that reads one. Cached, like every
+    lane-set declaration, on its resolved parameters."""
+    return (*lower_phase_lanes(N, max_tau, variant),
+            *[(CLIENT, "xi_r", t) for t in range(N + 1)],
+            *[(CLIENT, "u", t) for t in range(1, N + 1)],
+            (CLIENT, "xi_h"), (CLIENT, "chi"))
 
 
-def chain_lanes(T: int, *prefix) -> list:
+@functools.lru_cache(maxsize=256)
+def chain_lanes(T: int, *prefix) -> tuple:
     """The lane sets of one aid_fhe or local_fhe call under the key parts
     prefix of its scope stream. Both chains read "zeta_h" from t = 1 on."""
-    return [(*prefix, CLIENT, "xi0"),
+    return ((*prefix, CLIENT, "xi0"),
             *[(*prefix, CLIENT, "zeta_h", t) for t in range(1, T + 1)],
-            (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi")]
+            (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi"))
 
 
 @dataclass
@@ -146,7 +152,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     """
     _check_lambda(cfg.lam, problem.constants)
     _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
-    N, lam = cfg.N, cfg.lam
+    N, lam, lower = cfg.N, cfg.lam, cfg.lower
     if q_override is not None:
         if not 0 <= q_override <= N:
             raise ParameterError(f"q_override={q_override} outside {{0..{N}}}")
@@ -155,7 +161,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
         Q = rng.child("Q").index(N + 1)
 
     y_t = np.asarray(y, dtype=float)
-    oracles, rng = problem.entry(participants, x, y_t, rng, lambda: aggitd_lanes(cfg))
+    oracles, rng = problem.entry(participants, x, y_t, rng,
+                                 lambda: aggitd_lanes(N, max_tau(lower.tau), lower.variant))
     ids = oracles.ids
     ledger.begin_loop()
     y_iterates = [y_t]
@@ -173,7 +180,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
         if t >= Q:
             z = means[-1]
         if t <= N - 1:
-            y_t = one_round_lower(problem, x, y_t, means[0], cfg.lower, oracles,
+            y_t = one_round_lower(problem, x, y_t, means[0], lower, oracles,
                                   rng.child("lower", t), ledger)
             y_iterates.append(y_t)
 

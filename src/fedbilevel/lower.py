@@ -21,6 +21,7 @@ sample bill, as the ledger reports its round bill.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .runtime import CommLedger, aggregate_mean
 
 VARIANT_SVRG = "svrg"
 VARIANT_SGD = "sgd"
+SCHEDULES_KEPT = 16   # local-step schedules one CheckedOracles keeps (_schedule)
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,29 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
     return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
 
 
-def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> list:
+def max_tau(tau: int | Sequence[int]) -> int:
+    """The largest tau_i of a checked tau setting: the local steps a lane-set
+    declaration covers."""
+    return int(max(tau) if isinstance(tau, Sequence) else tau)
+
+
+@functools.lru_cache(maxsize=256)
+def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> tuple:
     """The lane sets of One-Round-Lower under the key parts prefix: the
     lanes ``child(*prefix, i, "zeta", v)`` of every local step v < max_tau
     that draws a sample. The svrg variant draws none at v = 0 (its pair
-    cancels), so its sets start at v = 1."""
-    return [(*prefix, CLIENT, "zeta", v)
-            for v in range(1 if variant == VARIANT_SVRG else 0, max_tau)]
+    cancels), so its sets start at v = 1. Like every lane-set declaration,
+    a cached tuple, keyed on the resolved parameters."""
+    return tuple((*prefix, CLIENT, "zeta", v)
+                 for v in range(1 if variant == VARIANT_SVRG else 0, max_tau))
 
 
-def lower_phase_lanes(cfg: LowerStepConfig, N: int) -> list:
+@functools.lru_cache(maxsize=256)
+def lower_phase_lanes(N: int, max_tau: int, variant: str = VARIANT_SVRG) -> tuple:
     """The lane sets of the fused and two-loop estimators' N-step lower phase:
     "zeta_q" at each t < N, and One-Round-Lower's under ("lower", t)."""
-    tau = max(cfg.tau) if isinstance(cfg.tau, Sequence) else cfg.tau
-    return [(CLIENT, "zeta_q", t) for t in range(N)] + [
-        s for t in range(N) for s in lower_lanes(tau, "lower", t, variant=cfg.variant)]
+    return tuple((CLIENT, "zeta_q", t) for t in range(N)) + tuple(
+        s for t in range(N) for s in lower_lanes(max_tau, "lower", t, variant=variant))
 
 
 def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
@@ -102,15 +112,18 @@ def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
 
 def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float) -> tuple:
     """(stepsize / tau_i column, [(v, rows, ids[rows]) per local step v]) of the
-    participants with tau_i > v (rows a full slice while all step), kept on oracles."""
-    key = (repr(tau), stepsize)
-    got = oracles.schedules.get(key)
+    participants with tau_i > v (rows a full slice while all step), kept on
+    oracles; past SCHEDULES_KEPT settings the oldest is dropped."""
+    key, memo = (repr(tau), stepsize), oracles.schedules
+    got = memo.get(key)
     if got is None:
         ids, taus = oracles.ids, _taus(oracles.problem, tau)[oracles.ids]
         rows = [slice(None) if v < taus.min() else np.flatnonzero(taus > v)
                 for v in range(taus.max())]
-        got = oracles.schedules[key] = ((stepsize / taus)[:, None],
-                                        [(v, r, ids[r]) for v, r in enumerate(rows)])
+        if len(memo) >= SCHEDULES_KEPT:
+            del memo[next(iter(memo))]
+        got = memo[key] = ((stepsize / taus)[:, None],
+                           [(v, r, ids[r]) for v, r in enumerate(rows)])
     return got
 
 
@@ -129,8 +142,8 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     (``BilevelProblem.checked``), taken without a second check. rng is a
     scope stream or a lane table's step. Charges exactly one round.
     """
-    oracles, rng = problem.entry(participants, x, y, rng, lambda: lower_lanes(
-        int(_taus(problem, cfg.tau).max()), variant=cfg.variant))
+    oracles, rng = problem.entry(participants, x, y, rng,
+                                 lambda: lower_lanes(max_tau(cfg.tau), variant=cfg.variant))
     ids = oracles.ids
     betas, steps = _schedule(oracles, cfg.tau, cfg.beta)
     if cfg.variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels

@@ -19,15 +19,17 @@ the same rows of a lane table (``Lanes.of(stream)`` is one stream as a batch
 of one); ``lanes=None`` evaluates the exact (noise-off) quantities. A row
 does not depend on the other rows of its call.
 
-``problem.checked(participants, x, y)`` checks a participant set once: it
-sorts and deduplicates the ids, checks them and the points' shapes, and
-returns them as ``CheckedOracles``. The oracles take those ids or a row
-subset of them and check per call only that ``lanes`` is None or Lanes with
-one row per id; then they audit the call's samples by purpose and call the
-problem's stacked kernel. A run checks one set per run (full participation)
-or per outer step. Each estimator and local phase opens with
-``problem.entry``, which takes client ids or checked oracles as its
-participants and a scope stream or lane-table step as its rng.
+``problem.checked(participants, x, y)`` checks a participant set: it sorts
+and deduplicates the ids, checks them and the points' shapes, and returns
+them as ``CheckedOracles``. The full client set has one ``CheckedOracles``
+per problem, so the local-step schedules kept on it serve every direct call
+and every run on that problem; a partial set gets its own. The oracles take
+those ids or a row subset of them and check per call only that ``lanes`` is
+None or Lanes with one row per id; then they audit the call's samples by
+purpose and call the problem's stacked kernel. A run checks one set per run
+(full participation) or per outer step. Each estimator and local phase
+opens with ``problem.entry``, which takes client ids or checked oracles as
+its participants and a scope stream or lane-table step as its rng.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -112,6 +114,14 @@ class SampleAudit:
         self.total = 0
 
 
+def check_batch_size(batch_size) -> None:
+    """Raise ParameterError unless batch_size, the samples one oracle row
+    draws, is an integer >= 1 (bools are not counts)."""
+    if not (isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
+            and batch_size >= 1):
+        raise ParameterError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+
+
 class BilevelProblem:
     """Base class: the five oracles, the participant-set check and the sample audit.
 
@@ -126,6 +136,7 @@ class BilevelProblem:
                  batch_size: int = 1):
         if m < 1:
             raise ValueError("need at least one client")
+        check_batch_size(batch_size)
         self.m = m
         self.d1 = d1
         self.d2 = d2
@@ -133,13 +144,17 @@ class BilevelProblem:
         self.batch_size = batch_size
         self.audit = SampleAudit()
         self._all_ids = np.arange(m)
+        self._all_ids.flags.writeable = False
+        self._everyone = CheckedOracles(self, self._all_ids)
         self.taus = {}   # repr(tau setting) -> tau_i of every client (lower._taus)
 
     # -- contract plumbing -------------------------------------------------
 
     def checked(self, participants, x: np.ndarray, y: np.ndarray) -> "CheckedOracles":
-        """The participant set, its ``client_ids``, checked once: ids in [0, m),
-        and x and y each a shared vector or one row per id."""
+        """The participant set, its ``client_ids``, checked on every call: ids in
+        [0, m), and x and y each a shared vector or one row per id. The full
+        client set is the problem's one ``CheckedOracles`` for it, so its
+        schedules outlive the call; a partial set gets a new one."""
         ids = client_ids(participants)
         if ids[0] < 0 or ids[-1] >= self.m:
             raise ClientLookupError(f"client ids {ids.tolist()} not in [0, {self.m})")
@@ -148,7 +163,7 @@ class BilevelProblem:
             if a.shape != (dim,) and a.shape != (k, dim):
                 raise ContractViolation(
                     f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
-        return CheckedOracles(self, ids)
+        return self._everyone if k == self.m else CheckedOracles(self, ids)
 
     def entry(self, participants, x: np.ndarray, y: np.ndarray, rng, lane_sets) -> tuple:
         """The prologue of every estimator and local phase: (oracles, rng).
@@ -244,13 +259,16 @@ class BilevelProblem:
 
 
 class CheckedOracles:
-    """A participant set its problem checked once: the ``problem``, the set's
+    """A participant set its problem checked: the ``problem``, the set's
     sorted distinct ``ids``, and the local-step ``schedules`` that
-    One-Round-Lower/Upper build for it (``lower._schedule``).
+    One-Round-Lower/Upper build for it (``lower._schedule``, a bounded memo).
 
-    ``BilevelProblem.checked`` and ``entry`` return it. The estimators and
-    One-Round-Lower/Upper take it as their ``participants`` and call the
-    problem's oracles on its ids or a row subset of them.
+    ``BilevelProblem.checked`` and ``entry`` return it: for the full client
+    set, always the problem's one instance, whose schedules persist across
+    direct estimator calls and runs; for a partial set, a new one per check.
+    The estimators and One-Round-Lower/Upper take it as their
+    ``participants`` and call the problem's oracles on its ids or a row
+    subset of them.
     """
 
     __slots__ = ("problem", "ids", "schedules")

@@ -77,7 +77,11 @@ class QuadraticInstance:
     gradients get N(0, noise_std^2 I) noise, and Hessian draws get symmetric
     perturbations shrunk to norm hess_margin[i], which keeps them inside
     [mu, L_g]. m, n_samples, d1 and d2 are read off the array shapes, and
-    A_bar ... e_bar are the client means. The arrays are made read-only, so
+    A_bar ... e_bar are the client means. The lower offsets are kept once,
+    packed per sample as the (m, n, d2 (d2 + d1 + 1)) array ``lower_offsets``
+    = [dA | dB | dc] (``_split_lower`` reads it back); dA, dB and dc are views
+    into it, each of whose matrices is C-contiguous, so every product on one
+    of them rounds as on a separate array. The arrays are made read-only, so
     the means and the factor of A_bar cannot go stale; ``dataclasses.replace``
     builds a changed instance.
     """
@@ -111,6 +115,11 @@ class QuadraticInstance:
                 raise ParameterError(f"{name} has shape {shape}; expected nonempty "
                                      f"axes {axes!r} agreeing with {sizes}")
         self.m, self.n_samples, self.d2, self.d1 = (sizes[a] for a in "mnyx")
+        lead = (self.m, self.n_samples, -1)
+        P = self.lower_offsets = np.concatenate(
+            (self.dA.reshape(lead), self.dB.reshape(lead), self.dc), axis=-1)
+        self.dA, self.dB, self.dc = _split_lower(P, self.d2, self.d1)
+        P.setflags(write=False)
         for name in _AXES:
             getattr(self, name).setflags(write=False)
         self.A_bar = self.A.mean(axis=0)
@@ -180,6 +189,13 @@ class QuadraticInstance:
 def _random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(gen.normal(size=(d, d)))
     return q * np.sign(np.diag(r))
+
+
+def _split_lower(P: np.ndarray, d2: int, d1: int) -> tuple:
+    """The views (dA, dB, dc) of packed lower offsets P of shape
+    (..., d2 (d2 + d1 + 1)), as ``QuadraticInstance.lower_offsets`` holds them."""
+    a, b, lead = d2 * d2, d2 * (d2 + d1), P.shape[:-1]
+    return P[..., :a].reshape(*lead, d2, d2), P[..., a:b].reshape(*lead, d2, d1), P[..., b:]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -286,6 +302,7 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
                                   symmetric=True),
                         *(_pm_pairs(cg, n, shape, spread) for shape in shapes)])
     dA, dB, dc, dd, de = map(np.array, zip(*samples))
+    del samples   # freed first, so packing dA, dB and dc does not raise the peak
 
     return QuadraticInstance(
         A=A, B=B_base + spec.hetero * dB_cl, c=c_base + spec.hetero * dc_cl,
@@ -300,7 +317,10 @@ class QuadraticProblem(BilevelProblem):
 
     The problem keeps a reference to the instance's stacked (m, ...) arrays,
     with no copy, and every oracle is a stacked kernel over a participant id
-    array: row r reads the rows ids[r] of the arrays.
+    array: row r reads the rows ids[r] of the arrays. A finite-sum
+    lower-gradient call gathers the instance's packed ``lower_offsets`` once
+    and reads dA, dB and dc as views of the gather. Each row's products are
+    still one gemv per matrix, so the bits are those of separate arrays.
     """
 
     def __init__(self, inst: QuadraticInstance, batch_size: int = 1):
@@ -315,18 +335,16 @@ class QuadraticProblem(BilevelProblem):
         (no copy) when every client takes part."""
         return slice(None) if ids.shape[0] == self.m else ids
 
-    def _offsets(self, ids, lanes, *offsets):
-        """Per-row batch means of the given (m, n, ...) per-sample offsets;
-        sorted indices keep the full-batch mean exactly equal to the population mean."""
+    def _offsets(self, ids, lanes, a):
+        """Per-row batch means of the (m, n, ...) per-sample offsets a; sorted
+        indices keep the full-batch mean exactly equal to the population mean."""
         n = self.inst.n_samples
         k = min(self.batch_size, n)
         if k == 1:
-            j = lanes.index(n)
-            return tuple([a[ids, j] for a in offsets])
+            return a[ids, lanes.index(n)]
         if k >= n:
-            return tuple(a[self._rows(ids)].mean(axis=1) for a in offsets)
-        idx = lanes.subset(np.arange(n), k)
-        return tuple(a[ids[:, None], idx].mean(axis=1) for a in offsets)
+            return a[self._rows(ids)].mean(axis=1)
+        return a[ids[:, None], lanes.subset(np.arange(n), k)].mean(axis=1)
 
     def _grad_lower_y_batch(self, ids, x, y, lanes):
         q, r = self.inst, self._rows(ids)
@@ -334,7 +352,8 @@ class QuadraticProblem(BilevelProblem):
         if lanes is None:
             return g
         if self.finite_sum:
-            mA, mB, mc = self._offsets(ids, lanes, q.dA, q.dB, q.dc)
+            mA, mB, mc = _split_lower(self._offsets(ids, lanes, q.lower_offsets),
+                                     self.d2, self.d1)
             return g + _mv(mA, y) + _mv(mB, x) + mc
         return g + lanes.normal(q.noise_std, (self.d2,))
 
@@ -344,8 +363,7 @@ class QuadraticProblem(BilevelProblem):
         if lanes is None:
             return g
         if self.finite_sum:
-            (me,) = self._offsets(ids, lanes, q.de)
-            return g + me
+            return g + self._offsets(ids, lanes, q.de)
         return g + lanes.normal(q.noise_std, (self.d1,))
 
     def _grad_upper_y_batch(self, ids, x, y, lanes):
@@ -354,8 +372,7 @@ class QuadraticProblem(BilevelProblem):
         if lanes is None:
             return g
         if self.finite_sum:
-            (md,) = self._offsets(ids, lanes, q.dd)
-            return g - md
+            return g - self._offsets(ids, lanes, q.dd)
         return g + lanes.normal(q.noise_std, (self.d2,))
 
     def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
@@ -364,7 +381,7 @@ class QuadraticProblem(BilevelProblem):
         if lanes is None:
             return _mv(A, v)
         if self.finite_sum:
-            (mA,) = self._offsets(ids, lanes, q.dA)
+            mA = self._offsets(ids, lanes, q.dA)
             return _mv(A, v) + _mv(mA, v)
         S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
         nrm = np.linalg.norm(S, 2, axis=(1, 2))
@@ -379,7 +396,7 @@ class QuadraticProblem(BilevelProblem):
         if lanes is None:
             return _mv(B.swapaxes(-1, -2), v)
         if self.finite_sum:
-            (mB,) = self._offsets(ids, lanes, q.dB)
+            mB = self._offsets(ids, lanes, q.dB)
             return _mv(B.swapaxes(-1, -2), v) + _mv(mB.swapaxes(-1, -2), v)
         W = lanes.normal(q.noise_std, (self.d2, self.d1))
         return _mv((B + W).swapaxes(-1, -2), v)

@@ -102,19 +102,22 @@ def aggregate_mean(payloads: np.ndarray | Sequence[np.ndarray], ledger: CommLedg
     sorted-client-id order, or a list of such stacks uploaded together
     (piggybacked: still one round). Returns the exact arithmetic mean over
     the rows of each stack; because rows come in id order, the result does
-    not depend on the order in which the participants were listed.
+    not depend on the order in which the participants were listed. A single
+    stack is a group of one, so both forms run one loop that checks, counts
+    and averages each stack; the round is charged only after every stack
+    passed its checks.
     """
     grouped = isinstance(payloads, (tuple, list))
-    stacks, k, scalars = [], -1, 0
+    means, k, scalars = [], -1, 0
     for s in (payloads if grouped else (payloads,)):
         if type(s) is not np.ndarray or s.dtype is not _FLOAT:
             s = np.asarray(s, dtype=float)
-        if s.ndim != 2 or (stacks and s.shape[0] != k):
+        if s.ndim != 2 or (means and s.shape[0] != k):
             raise ProtocolError(_NOT_STACKS)
         k, scalars = s.shape[0], scalars + s.size
-        stacks.append(s)
+        # the bits of s.mean(axis=0); an empty stack is rejected below, unaveraged
+        means.append(np.add.reduce(s, 0) / k if k else None)
     if k < 1:   # no stacks, or empty ones
         raise ProtocolError("empty participant set" if k == 0 else _NOT_STACKS)
     ledger.record_round(scalars)
-    means = [np.add.reduce(s, 0) / k for s in stacks]   # the bits of s.mean(axis=0)
     return means if grouped else means[0]

@@ -11,10 +11,12 @@ import tempfile
 
 import numpy as np
 
-from .drivers import RunConfig, run, run_fbo_aggitd
+from .drivers import (RunConfig, build_problem, run, run_fbo_aggitd,
+                      run_fednest_baseline)
+from .errors import ParameterError
 from .hypergrad import (AggITDConfig, aggitd, dense_hessiv,
                         expected_aggitd_indirect)
-from .lower import LowerStepConfig, one_round_lower
+from .lower import VARIANT_SVRG, LowerStepConfig, one_round_lower
 from .oracle import fd_hypergradient
 from .quadratic import QuadraticProblem, QuadraticSpec, make_quadratic
 from .reporting import export_csv
@@ -94,6 +96,49 @@ def _check_rounds(seed):
     return ok, "per-outer rounds/loops: " + ", ".join(f"{est} {h[0]}" for est, h in got.items())
 
 
+def expected_sample_bill(estimator: str, N: int, T: int, taus, batch_size: int,
+                         Q: int | None = None, variant: str = VARIANT_SVRG) -> dict:
+    """The oracle samples one outer step draws, by purpose: what the problem's
+    ``SampleAudit`` records for it, as ``_check_rounds`` bills its rounds.
+
+    taus holds tau_i of each of the step's k participants and batch_size is
+    the problem's samples per oracle row (b). Every driver charges "zeta_q"
+    k b N, "xi_h" and "chi" k b each, One-Round-Lower's "zeta" 2 b sum(tau_i)
+    per lower step (b sum(tau_i) for sgd) and One-Round-Upper's "xi_up"
+    2 b sum(tau_i). The fused chain charges "xi_r" k b and "u" k b (N - Q)
+    for its seeding index Q; the AID chain "xi0" k b and "zeta_h" k b T,
+    whatever T' is; the local chain "xi0" k b and "zeta_h" k b (T - 1).
+    Purposes that draw nothing are left out. The fused chain's bill needs Q,
+    so aggitd without it raises ParameterError.
+    """
+    if estimator == "aggitd" and Q is None:
+        raise ParameterError("the aggitd sample bill needs the seeding index Q")
+    k, b, steps = len(taus), batch_size, int(sum(taus))
+    bill = {"zeta_q": k * b * N, "zeta": (2 if variant == VARIANT_SVRG else 1) * b * steps * N,
+            "xi_h": k * b, "chi": k * b, "xi_up": 2 * b * steps}
+    if estimator == "aggitd":
+        bill.update(xi_r=k * b, u=k * b * (N - Q))
+    else:
+        bill.update(xi0=k * b, zeta_h=k * b * (T if estimator == "aid" else T - 1))
+    return {purpose: n for purpose, n in bill.items() if n}
+
+
+def _check_samples(seed):
+    spec, N, T, tau, b = QuadraticSpec(d1=3, d2=3, m=3, seed=seed), 4, 3, [1, 3, 2], 2
+    Q = RngStream(seed).child("est", 0, "Q").index(N + 1)
+    bad = []
+    for est, driver in (("aggitd", run_fbo_aggitd), ("aid", run_fednest_baseline),
+                        ("local", run_fednest_baseline)):
+        cfg = RunConfig(problem=spec, estimator=est, K=1, N=N, T=T, tau=tau, batch_size=b,
+                        seed=seed)
+        problem = build_problem(cfg)
+        driver(cfg, problem)
+        if problem.audit.by_purpose != expected_sample_bill(est, N, T, tau, b, Q):
+            bad.append(est)
+    return not bad, f"one-step sample bills (Q={Q}) " + (
+        f"differ for {', '.join(bad)}" if bad else "match for aggitd, aid, local")
+
+
 def _check_determinism(seed):
     spec = QuadraticSpec(d1=3, d2=3, m=2, seed=seed)
     cfg = RunConfig(problem=spec, K=3, seed=seed)
@@ -113,6 +158,7 @@ CHECKS = [
     ("lower-solver-fixed-point", _check_fixed_point),
     ("chain-seed-enumeration-identity", _check_q_identity),
     ("communication-round-accounting", _check_rounds),
+    ("oracle-sample-accounting", _check_samples),
     ("run-determinism", _check_determinism),
 ]
 

@@ -637,3 +637,38 @@ def test_bench_tracer_counts_the_oracles_every_run_calls(estimator):
         assert table.get(f"problems.{name}", {}).get("calls", 0) > 0, name
     assert table["lower.one_round_lower"]["calls"] == 2 * 2
     assert table["drivers.one_round_upper"]["calls"] == 2   # once per outer step
+
+
+@pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
+@pytest.mark.parametrize("variant", ["svrg", "sgd"])
+@pytest.mark.parametrize("noise", ["finite-sum", "additive-gaussian"])
+def test_sample_audit_matches_the_closed_form_bill_every_step(monkeypatch, estimator,
+                                                              variant, noise):
+    # each outer step's audited samples, by purpose, equal verify's
+    # expected_sample_bill for that step's participants, tau_i and Q, under
+    # partial participation, a tau list and batch_size 2
+    from fedbilevel.verify import expected_sample_bill
+    with pytest.raises(ParameterError, match="Q"):   # the fused bill is undefined without Q
+        expected_sample_bill("aggitd", 3, 2, [1, 3], 2)
+    spec = QuadraticSpec(d1=3, d2=4, m=5, mu=1.0, L_g=2.0, hetero=0.3, noise_mode=noise,
+                         seed=4)
+    tau, N, T, K, seed = [1, 3, 2, 1, 2], 3, 2, 6, 11
+    cfg = RunConfig(problem=spec, estimator=estimator, K=K, N=N, T=T, tau=tau,
+                    variant=variant, participation=0.6, batch_size=2, seed=seed)
+    problem = build_problem(cfg)
+    steps, finish = [], CommLedger.finish_outer
+
+    def snapshot(ledger):
+        steps.append(dict(problem.audit.by_purpose))
+        finish(ledger)
+    monkeypatch.setattr(CommLedger, "finish_outer", snapshot)
+    (run_fbo_aggitd if estimator == "aggitd" else run_fednest_baseline)(cfg, problem)
+    assert len(steps) == K
+    root, before = RngStream(seed), {}
+    for k, after in enumerate(steps):
+        ids = select_participants(Participation(0.6), spec.m, root.child("part", k))
+        Q = root.child("est", k, "Q").index(N + 1)
+        got = {p: n - before.get(p, 0) for p, n in after.items() if n != before.get(p, 0)}
+        want = expected_sample_bill(estimator, N, T, [tau[i] for i in ids], 2, Q, variant)
+        assert got == want, (k, ids, Q)
+        before = after

@@ -289,3 +289,44 @@ def test_checked_oracles_keep_one_schedule_per_tau_setting_and_stepsize():
         want = one_round_lower(problem, x, y, q, cfg, [3, 0, 1], rng, CommLedger())
         assert got.tobytes() == want.tobytes(), (beta, tau, variant)
     assert len(checked.schedules) == len(cases)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
+    # at tau = [1, 3, 2, 1] the One-Round-Lower and One-Round-Upper pairs,
+    # both evaluations on the pair's one Lanes, give the bits of the two
+    # evaluations on separate Lanes; the audit charges both evaluations
+    from fedbilevel import one_round_upper
+    from fedbilevel.drivers import upper_lanes
+    from fedbilevel.lower import lower_lanes
+    from fedbilevel.rng import LaneTable
+    problem = _noisy_problem("finite-sum-b4" if batch == 4 else "finite-sum-b1")
+    x, y, q = _random_inputs(problem, 7)
+    tau, beta, alpha, ids = [1, 3, 2, 1], 0.05, 0.1, np.arange(4)
+    got = one_round_lower(problem, x, y, q, LowerStepConfig(beta=beta, tau=tau), range(4),
+                          RngStream(3), CommLedger())
+    assert problem.audit.by_purpose == {"zeta": 2 * batch * sum(tau)}
+    h = 0.2 * q[:problem.d1]
+    got_x = one_round_upper(problem, x, got, h, alpha, tau, range(4), RngStream(4),
+                            CommLedger())
+    assert problem.audit.by_purpose["xi_up"] == 2 * batch * sum(tau)
+
+    def separate_lanes_reference(sets, scope, tag, start, step):
+        # every evaluation on its own Lanes, so no gather is shared
+        table, t = LaneTable.of(RngStream(scope), sets, ids).step(0), np.array(tau)
+        Z = np.repeat(start[None], 4, axis=0)
+        for v in range(max(tau)):
+            sub = np.flatnonzero(t > v)
+            if tag == "zeta" and v == 0:   # the cancelling pair
+                Z[sub] = Z[sub] - beta / t[sub, None] * q
+            else:
+                Z[sub] = step(sub, Z[sub], t[sub, None], lambda: table.lanes(sub, tag, v))
+        return Z.mean(axis=0)
+    want = separate_lanes_reference(lower_lanes(3), 3, "zeta", y, lambda sub, Y, ts, lanes: (
+        Y - beta / ts * (problem.grad_lower_y(sub, x, Y, lanes())
+                         - problem.grad_lower_y(sub, x, y, lanes()) + q)))
+    want_x = separate_lanes_reference(upper_lanes(3), 4, "xi_up", x, lambda sub, X, ts, lanes: (
+        X - alpha / ts * (h - problem.grad_upper_x(sub, x, got, lanes())
+                          + problem.grad_upper_x(sub, X, got, lanes()))))
+    assert got.tobytes() == want.tobytes()
+    assert got_x.tobytes() == want_x.tobytes()

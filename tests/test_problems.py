@@ -246,3 +246,74 @@ def test_generator_stream_rejected():
         with pytest.raises(ContractViolation, match="Lanes"):
             problem.grad_lower_y(ids, np.zeros(1), np.zeros(1), lanes)
     assert problem.audit.total == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 2.5, True, False, "2", None])
+def test_batch_size_must_be_a_positive_integer(bad):
+    # checked once where a problem is built and once where a run is configured,
+    # before any oracle could audit a negative or empty batch
+    from fedbilevel import ParameterError, RunConfig, make_problem
+    for build in (lambda: make_problem(QuadraticSpec(), batch_size=bad),
+                  lambda: make_hyperrep(HyperRepSpec(m=3, n_points=120), 0, batch_size=bad),
+                  lambda: RunConfig(batch_size=bad)):
+        with pytest.raises(ParameterError, match="batch_size"):
+            build()
+    assert make_problem(QuadraticSpec(), batch_size=np.int64(3)).batch_size == 3
+    assert RunConfig(batch_size=np.int32(2)).batch_size == 2
+
+
+def _persistent_case(m=4):
+    spec = QuadraticSpec(d1=3, d2=4, m=m, hetero=0.5, noise_spread=0.3, seed=6)
+    problem = QuadraticProblem(make_quadratic(spec))
+    gen = RngStream(6).child("inputs").generator()
+    return problem, gen.normal(size=3), gen.normal(size=4), gen.normal(size=4)
+
+
+def test_full_set_has_one_checked_oracles_per_problem():
+    # every check of the full client set, however the ids are listed, returns
+    # the problem's one CheckedOracles; each check still checks the points
+    problem, x, y, _ = _persistent_case()
+    full = problem.checked(range(4), x, y)
+    assert problem.checked([3, 1, 0, 2, 2], x, y) is full
+    assert problem.checked(np.arange(4), np.tile(x, (4, 1)), y) is full
+    assert full.ids.tolist() == [0, 1, 2, 3] and not full.ids.flags.writeable
+    other, *_ = _persistent_case()
+    assert other.checked(range(4), x, y) is not full
+    for xx, yy in ((np.zeros(2), y), (x, np.zeros(5)), (x, np.zeros((3, 4)))):
+        with pytest.raises(ContractViolation, match="shape"):
+            problem.checked(range(4), xx, yy)
+
+
+def test_partial_set_gets_its_own_checked_oracles():
+    # a partial set's schedules live on its own CheckedOracles, one per check,
+    # and never on the full set's
+    problem, x, y, q = _persistent_case()
+    full = problem.checked(range(4), x, y)
+    cfg = LowerStepConfig(beta=0.05, tau=[1, 3, 2, 1])
+    part = problem.checked([2, 0], x, y)
+    assert part is not problem.checked([0, 2], x, y) and part is not full
+    one_round_lower(problem, x, y, q, cfg, part, RngStream(1), CommLedger())
+    one_round_lower(problem, x, y, q, cfg, [0, 2], RngStream(1), CommLedger())
+    assert len(part.schedules) == 1 and full.schedules == {}
+    one_round_lower(problem, x, y, q, cfg, range(4), RngStream(1), CommLedger())
+    assert len(full.schedules) == 1
+
+
+def test_schedule_memo_stays_bounded_over_a_stepsize_sweep():
+    # direct calls on the full set share its CheckedOracles, so a sweep over
+    # 1,000 stepsizes keeps at most SCHEDULES_KEPT schedules; a setting dropped
+    # from the memo is rebuilt with the same bits
+    from fedbilevel.lower import SCHEDULES_KEPT
+    problem, x, y, q = _persistent_case()
+    tau = [1, 3, 2, 1]
+    first = one_round_lower(problem, x, y, q, LowerStepConfig(beta=1e-3, tau=tau), range(4),
+                            RngStream(2), CommLedger())
+    for beta in np.linspace(1e-3, 0.1, 1000)[1:]:
+        one_round_lower(problem, x, y, q, LowerStepConfig(beta=float(beta), tau=tau),
+                        range(4), RngStream(2), CommLedger())
+    schedules = problem.checked(range(4), x, y).schedules
+    assert len(schedules) == SCHEDULES_KEPT
+    assert (repr(tau), 1e-3) not in schedules
+    again = one_round_lower(problem, x, y, q, LowerStepConfig(beta=1e-3, tau=tau), range(4),
+                            RngStream(2), CommLedger())
+    assert again.tobytes() == first.tobytes()

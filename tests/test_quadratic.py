@@ -144,6 +144,23 @@ def test_json_round_trip():
     np.testing.assert_array_equal(inst.hypergradient(x), back.hypergradient(x))
 
 
+def test_lower_offsets_are_kept_once():
+    # dA, dB and dc are read-only views of the instance's one packed array,
+    # which every problem built on it reads with no copy of its own
+    inst = make_quadratic(QuadraticSpec(d1=3, d2=2, m=2, n_per_client=4, seed=8))
+    P = inst.lower_offsets
+    assert P.shape == (2, 4, 2 * (2 + 3 + 1)) and not P.flags.writeable
+    for part, cols in ((inst.dA, np.s_[:4]), (inst.dB, np.s_[4:10]), (inst.dc, np.s_[10:])):
+        assert np.shares_memory(part, P) and not part.flags.writeable
+        assert part.reshape(2, 4, -1).tobytes() == np.ascontiguousarray(P[..., cols]).tobytes()
+        assert all(part[i, j].flags.c_contiguous for i in range(2) for j in range(4))
+    one, two = QuadraticProblem(inst), QuadraticProblem(inst, batch_size=2)
+    assert one.inst.lower_offsets is two.inst.lower_offsets is P
+    back = replace(inst, dc=np.zeros_like(inst.dc))
+    assert back.lower_offsets is not P and not np.shares_memory(back.dA, P)
+    assert back.dA.tobytes() == inst.dA.tobytes() and not back.dc.any()
+
+
 def test_instance_json_digest_pinned():
     # odd n_per_client and d1 != d2 cover the +/- offset pairs' zero slot and
     # their symmetric (spectral-norm) branch; pinned on x86_64 with OpenBLAS

@@ -101,14 +101,12 @@ def test_normal_moments_and_lane_independence():
 
 def _table_cases():
     # the lane sets of every driver, with a per-client tau list
-    from fedbilevel import AggITDConfig, LowerStepConfig
     from fedbilevel.drivers import upper_lanes
     from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
     from fedbilevel.lower import lower_phase_lanes
     m, N, T, taus = 4, 2, 3, [1, 3, 2, 1]
-    cfg = AggITDConfig(lam=0.5, N=N, lower=LowerStepConfig(beta=0.1, tau=taus))
-    lower = lower_phase_lanes(cfg.lower, N)
-    return m, N, T, taus, {"est": aggitd_lanes(cfg),
+    lower = lower_phase_lanes(N, max(taus))
+    return m, N, T, taus, {"est": aggitd_lanes(N, max(taus)),
                            "aid": lower + chain_lanes(T, "aid"),
                            "local": lower + chain_lanes(T, "local"),
                            "upper": upper_lanes(3)}
@@ -189,15 +187,14 @@ def test_vectorised_index_equals_python_multiply_high():
 def test_lane_tables_leave_out_unread_lanes():
     # svrg One-Round-Lower reads no "zeta" lane at v = 0, and neither chain
     # reads "u" or "zeta_h" at t = 0; sgd reads "zeta" at every v
-    from fedbilevel import AggITDConfig, LowerStepConfig
     from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
     from fedbilevel.lower import lower_phase_lanes
     from fedbilevel.rng import _layout
     m, N, T = 8, 2, 2     # the race configuration, tau = 1
     for variant, fused, aid in (("svrg", 72, 56), ("sgd", 88, 72)):
-        cfg = AggITDConfig(lam=0.1, N=N, lower=LowerStepConfig(beta=0.01, variant=variant))
-        sets = [*lower_phase_lanes(cfg.lower, N), *chain_lanes(T, "aid")]
-        assert _layout(tuple(aggitd_lanes(cfg)), tuple(range(m))).rows == fused
+        sets = [*lower_phase_lanes(N, 1, variant), *chain_lanes(T, "aid")]
+        assert _layout(aggitd_lanes(N, 1, variant), tuple(range(m))).rows == fused
+        assert aggitd_lanes(N, 1, variant) is aggitd_lanes(N, 1, variant)   # cached
         assert _layout(tuple(sets), tuple(range(m))).rows == aid
 
 
@@ -289,11 +286,10 @@ def test_subset_blocks_hash_each_lane_set_once(monkeypatch):
 def test_layout_depth_is_its_deepest_lane_set():
     # tau = 1 svrg: the lower phase declares no "lower/zeta" lane set, so the
     # table is as deep as "zeta_q" (3 key parts), not 5
-    from fedbilevel import LowerStepConfig
     from fedbilevel.lower import lower_phase_lanes
     from fedbilevel.rng import CLIENT, LaneTable, _layout
     m, N = 3, 2
-    sets = [*lower_phase_lanes(LowerStepConfig(beta=0.1), N), (CLIENT, "chi")]
+    sets = [*lower_phase_lanes(N, 1), (CLIENT, "chi")]
     assert sets == [(CLIENT, "zeta_q", 0), (CLIENT, "zeta_q", 1), (CLIENT, "chi")]
     assert len(_layout(tuple(sets), tuple(range(m))).columns) == 3
     assert len(_layout(tuple(sets + [("lower", 0, CLIENT, "zeta", 1)]),
