@@ -8,15 +8,19 @@ Schema (every key is optional; unknown keys are rejected):
     lambda         Neumann stepsize; must satisfy lambda <= min{10, 1/L_g}
     alpha, beta    stepsizes; beta must satisfy beta <= min{1, lambda, 1/(6 L_g)}
     tau            local step count (int or per-client list)
+    variant        One-Round-Lower's local steps: "svrg" | "sgd"
     participation  ratio in (0, 1]
+    batch_size     samples per oracle row, integer >= 1 (unset: 1 quadratic, 4 hyperrep)
     hetero         heterogeneity scale in [0, 1] (quadratic only)
     noise          {"mode": "finite-sum"|"additive-gaussian", "spread": s, "std": s}, s >= 0
                    (quadratic only)
     seed, eval_every, out_dir
 
-Unset N, T and stepsizes stay None in the parsed config and round-trip as
-null. A run fills them, and checks explicit ones, with ``drivers.resolve_params``
-against the built problem's constants before its first step, so ``sweep``
+Each key but hetero and noise is a ``RunConfig`` field, listed once in
+``FIELDS``; a null value is the field's default. Unset N, T, stepsizes and
+batch_size stay None in the parsed config and round-trip as null. A run fills
+them, and checks explicit ones, against the built problem before its first
+step (``drivers.build_problem`` and ``drivers.resolve_params``), so ``sweep``
 resolves them per cell.
 """
 
@@ -27,24 +31,35 @@ import itertools
 import json
 import os
 
-from .drivers import ESTIMATOR_AGGITD, RunConfig, run
+from .drivers import RunConfig, run
 from .errors import ConfigError, ParameterError, ProtocolError
 from .hyperrep import HyperRepSpec
 from .problems import NOISE_FINITE_SUM, NOISE_GAUSSIAN
 from .quadratic import QuadraticSpec
 from .reporting import export_csv
 
-CONFIG_KEYS = {"problem", "estimator", "K", "N", "T", "lambda", "alpha", "beta",
-               "tau", "participation", "hetero", "noise", "seed", "eval_every",
-               "out_dir"}
+# RunConfig field -> (its JSON key, its cast): the one list of run settings
+# that parsing, writing and the key checks read; the problem has its own parser
+FIELDS = {"problem": ("problem", None), "estimator": ("estimator", str),
+          "K": ("K", int), "N": ("N", int), "T": ("T", int), "lam": ("lambda", float),
+          "alpha": ("alpha", float), "beta": ("beta", float), "tau": ("tau", int),
+          "variant": ("variant", str), "participation": ("participation", float),
+          "seed": ("seed", int), "eval_every": ("eval_every", int),
+          "batch_size": ("batch_size", int), "out_dir": ("out_dir", str)}
+CONFIG_KEYS = {key for key, _ in FIELDS.values()} | {"hetero", "noise"}
 
 
 def _cast(key: str, value, cast):
-    """value converted by cast (int or float), or a ConfigError naming the key.
+    """value converted by cast (int, float or str), or a ConfigError naming the key.
 
-    Booleans are rejected, and an int key takes a float only when it is
-    integral (3.0 gives 3; 2.5 is an error, not a silent truncation).
+    Booleans are rejected, an int key takes a float only when it is integral
+    (3.0 gives 3; 2.5 is an error, not a silent truncation), and a str key
+    takes only a string.
     """
+    if cast is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
     kind = "an integer" if cast is int else "a number"
     try:
         if isinstance(value, bool):
@@ -62,8 +77,7 @@ def _build_spec(cls, kind: str, fields: dict):
     unknown = sorted(set(fields) - set(types))
     if unknown:
         raise ConfigError(f"bad {kind} problem field(s): {unknown}")
-    return cls(**{k: _cast(k, v, types[k]) if types[k] in (int, float) else v
-                  for k, v in fields.items()})
+    return cls(**{k: _cast(k, v, types[k]) for k, v in fields.items()})
 
 
 def _problem_spec(doc: dict):
@@ -91,30 +105,25 @@ def _problem_spec(doc: dict):
     if "noise" in doc:
         fields["noise_mode"] = mode
         fields.update({f"noise_{k}": v for k, v in noise.items() if k in ("spread", "std")})
-    fields.setdefault("seed", doc.get("seed", 0))
+    seed = doc.get("seed")
+    fields.setdefault("seed", 0 if seed is None else seed)
     return _build_spec(QuadraticSpec, kind, fields)
 
 
-def _opt(doc: dict, key: str, cast, default=None):
-    return _cast(key, doc[key], cast) if doc.get(key) is not None else default
+def _value(key: str, value, cast):
+    if key == "tau" and isinstance(value, list):
+        return [_cast(key, t, cast) for t in value]
+    return _cast(key, value, cast)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    spec = _problem_spec(doc)
-    tau = doc.get("tau", 1)
-    tau = [_cast("tau", t, int) for t in tau] if isinstance(tau, list) else _opt(doc, "tau", int, 1)
+    given = {name: _value(key, doc[key], cast) for name, (key, cast) in FIELDS.items()
+             if name != "problem" and doc.get(key) is not None}
     try:
-        return RunConfig(problem=spec, estimator=doc.get("estimator", ESTIMATOR_AGGITD),
-                         K=_opt(doc, "K", int, 100), N=_opt(doc, "N", int),
-                         T=_opt(doc, "T", int), lam=_opt(doc, "lambda", float),
-                         alpha=_opt(doc, "alpha", float), beta=_opt(doc, "beta", float),
-                         tau=tau, participation=_opt(doc, "participation", float, 1.0),
-                         seed=_opt(doc, "seed", int, 0),
-                         eval_every=_opt(doc, "eval_every", int, 1),
-                         out_dir=doc.get("out_dir"))
+        return RunConfig(problem=_problem_spec(doc), **given)
     except (ParameterError, ProtocolError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -141,34 +150,15 @@ def parse_config(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> dict:
-    """JSON document of cfg as written, unset fields as null; parse(serialize(cfg)) == cfg."""
-    if isinstance(cfg.problem, QuadraticSpec):
-        pf = dataclasses.asdict(cfg.problem)
-        noise = {"mode": pf.pop("noise_mode"), "spread": pf.pop("noise_spread"),
-                 "std": pf.pop("noise_std")}
-        hetero = pf.pop("hetero")
-        # the instance seed stays inside the problem object: it may legitimately
-        # differ from the run seed when set explicitly
-        doc_problem = {"type": "quadratic", **pf}
-    else:
-        doc_problem = {"type": "hyperrep", **dataclasses.asdict(cfg.problem)}
-        noise = None
-        hetero = None
-    doc = {
-        "problem": doc_problem,
-        "estimator": cfg.estimator,
-        "K": cfg.K, "N": cfg.N, "T": cfg.T,
-        "lambda": cfg.lam, "alpha": cfg.alpha, "beta": cfg.beta,
-        "tau": cfg.tau if isinstance(cfg.tau, int) else list(cfg.tau),
-        "participation": cfg.participation,
-        "seed": cfg.seed, "eval_every": cfg.eval_every,
-    }
-    if hetero is not None:
-        doc["hetero"] = hetero
-    if noise is not None:
-        doc["noise"] = noise
-    if cfg.out_dir is not None:
-        doc["out_dir"] = cfg.out_dir
+    """JSON document of cfg as written, unset fields as null; parse(serialize(cfg)) == cfg.
+
+    The problem object holds every spec field, so a quadratic's hetero, noise
+    and instance seed (which may differ from the run seed) stay inside it."""
+    doc = {key: getattr(cfg, name) for name, (key, _) in FIELDS.items()}
+    kind = "quadratic" if isinstance(cfg.problem, QuadraticSpec) else "hyperrep"
+    doc["problem"] = {"type": kind, **dataclasses.asdict(cfg.problem)}
+    if not isinstance(cfg.tau, int):
+        doc["tau"] = list(cfg.tau)
     return doc
 
 

@@ -71,7 +71,7 @@ class RunConfig:
     participation: float = 1.0
     seed: int = 0
     eval_every: int = 1
-    batch_size: int = 1
+    batch_size: int | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -82,7 +82,8 @@ class RunConfig:
         if self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
         Participation(self.participation)
-        check_batch_size(self.batch_size)
+        if self.batch_size is not None:
+            check_batch_size(self.batch_size)
         LowerStepConfig(beta=1.0, variant=self.variant)  # resolve_params checks beta
         client_taus(self.tau, np.arange(0), self.problem.m)
 
@@ -170,10 +171,13 @@ class Evaluator:
 
 
 def build_problem(cfg: RunConfig) -> BilevelProblem:
+    """The problem of cfg's spec, drawing cfg.batch_size samples per oracle
+    row; unset, 1 for a quadratic and 4 for hyperrep."""
+    b = cfg.batch_size
     if isinstance(cfg.problem, QuadraticSpec):
-        return make_problem(cfg.problem, batch_size=cfg.batch_size)
+        return make_problem(cfg.problem, batch_size=1 if b is None else b)
     if isinstance(cfg.problem, HyperRepSpec):
-        return make_hyperrep(cfg.problem, cfg.seed, batch_size=max(cfg.batch_size, 4))
+        return make_hyperrep(cfg.problem, cfg.seed, batch_size=4 if b is None else b)
     raise ParameterError(f"unknown problem spec type {type(cfg.problem).__name__}")
 
 

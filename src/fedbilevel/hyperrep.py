@@ -43,6 +43,8 @@ class HyperRepSpec:
                                  "shards_per_client must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError("test_fraction must lie in (0, 1)")
+        if int(self.test_fraction * self.n_points) < 1:
+            raise ParameterError("test_fraction * n_points must leave at least one test point")
 
 
 def partition(labels: np.ndarray, mode: str, m: int, seed: int,

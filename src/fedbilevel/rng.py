@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ContractViolation
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -298,9 +300,8 @@ class TableStream:
     extends the key path, ``lanes(ids, *tags)`` reads the lane set
     ``(*path, CLIENT, *tags)`` out of the table for checked client ids,
     sorted and distinct, and ``index(n)`` is the scalar draw of the path's
-    own lane, such as ``child("Q").index(N + 1)``. A lane set the table does
-    not hold is hashed on demand from the scope stream, so it is the lane set
-    the table would have held."""
+    own lane, such as ``child("Q").index(N + 1)``. Reading a lane set the
+    table does not hold raises ContractViolation naming the set."""
 
     __slots__ = ("table", "s", "path")
 
@@ -322,7 +323,7 @@ class TableStream:
         t, lane_set = self.table, (*self.path, CLIENT, *tags)
         at = t.layout.at.get(lane_set)
         if at is None:
-            return self.stream().lanes(ids, *tags)
+            raise ContractViolation(f"lane set {lane_set} is not declared by its table")
         return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
 
 

@@ -49,6 +49,13 @@ def test_set_overrides(tmp_path):
     assert (out / "fednest_metrics.csv").exists()
 
 
+def test_set_batch_size_and_variant(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _cfg(tmp_path), "--set", "batch_size=2",
+                 "--set", "variant=sgd", "--out-dir", str(out)]) == 0
+    assert (out / "fbo-aggitd_metrics.csv").exists()
+
+
 def test_estimate_dumps_trace(tmp_path):
     out = tmp_path / "out"
     rc = main(["estimate", "--config", _cfg(tmp_path), "--out-dir", str(out)])

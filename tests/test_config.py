@@ -7,7 +7,7 @@ import pytest
 from fedbilevel import ConfigError, ParameterError
 from fedbilevel.config import (config_from_dict, parse_config, serialize_config,
                                sweep)
-from fedbilevel.drivers import build_problem, resolve_params, run
+from fedbilevel.drivers import RunConfig, build_problem, resolve_params, run
 from fedbilevel.hyperrep import HyperRepSpec
 from fedbilevel.quadratic import QuadraticSpec
 
@@ -36,6 +36,31 @@ def test_unset_fields_parse_to_none_and_round_trip():
     again = serialize_config(cfg)
     assert (again["N"], again["lambda"], again["alpha"], again["beta"]) == (None,) * 4
     assert config_from_dict(json.loads(json.dumps(again))) == cfg
+
+
+@pytest.mark.parametrize("problem,unset", [("quadratic", 1), ("hyperrep", 4)])
+def test_batch_size_is_unset_or_taken_as_given(problem, unset):
+    # an unset batch_size resolves against the problem being built; a set one,
+    # below hyperrep's unset 4 too, is the one the problem draws
+    cfg = config_from_dict({"problem": problem})
+    assert cfg.batch_size is None and build_problem(cfg).batch_size == unset
+    cfg = config_from_dict({"problem": problem, "batch_size": 2, "variant": "sgd"})
+    assert (cfg.batch_size, cfg.variant) == (2, "sgd")
+    assert build_problem(cfg).batch_size == 2
+    assert config_from_dict(serialize_config(cfg)) == cfg
+
+
+def test_null_is_the_default():
+    from fedbilevel.config import FIELDS
+    doc = {key: None for name, (key, _) in FIELDS.items() if name != "problem"}
+    assert config_from_dict(doc) == RunConfig()
+
+
+def test_string_keys_take_only_strings():
+    for doc in ({"estimator": ["aid"]}, {"variant": {"x": 1}}, {"out_dir": 3},
+                {"problem": {"type": "hyperrep", "partition": [1]}}):
+        with pytest.raises(ConfigError, match="must be a string"):
+            config_from_dict(doc)
 
 
 def test_beta_cap_rejection_names_cap(tmp_path):

@@ -472,39 +472,29 @@ def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):
     assert 0 < len(passes) <= len(keys) < len(tables) / 10
 
 
-def _count_stream_lanes(monkeypatch) -> list:
-    """Patch ``RngStream.lanes`` to log its calls: inside a run only the
-    on-demand fallback of ``TableStream.lanes`` makes one, for a lane set its
-    table does not hold."""
-    from fedbilevel.rng import lane_steps
-    calls, original = [], RngStream.lanes
-
-    def counted(self, ids, *tags):
-        calls.append(tags)
-        return original(self, ids, *tags)
-    monkeypatch.setattr(RngStream, "lanes", counted)
-    next(lane_steps(RngStream(0), "est", 1, 3, [])).lanes(np.arange(3), "zeta")
-    assert calls == [("zeta",)]     # the fallback is counted
-    calls.clear()
-    return calls
+def test_undeclared_lane_set_raises():
+    # a table step reads only the lane sets its table declares
+    from fedbilevel import ContractViolation
+    from fedbilevel.rng import CLIENT, lane_steps
+    step = next(lane_steps(RngStream(0), "est", 1, 3, [(CLIENT, "zeta_q", 0)]))
+    assert step.lanes(np.arange(3), "zeta_q", 0).ids.tolist() == [0, 1, 2]
+    for path, tags in (((), ("zeta",)), ((), ("zeta_q", 1)), (("lower", 0), ("zeta_q", 0))):
+        with pytest.raises(ContractViolation, match=r"lane set .* is not declared"):
+            step.child(*path).lanes(np.arange(3), *tags)
 
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
 @pytest.mark.parametrize("setting", [{}, {"participation": 0.7, "tau": [1, 3, 2]},
                                      {"variant": "sgd"}])
-def test_run_reads_only_declared_lane_sets(monkeypatch, estimator, setting):
+def test_run_reads_only_declared_lane_sets(estimator, setting):
     # the lane sets each driver declares for its tables (aggitd_lanes,
     # lower_phase_lanes, chain_lanes, upper_lanes) list their loop indices
-    # by hand; every lane set a run reads must be among them
-    calls = _count_stream_lanes(monkeypatch)
-    run(_quad_cfg(K=2, estimator=estimator, **setting))
-    assert calls == []
+    # by hand; a run that read any other set would raise ContractViolation
+    assert len(run(_quad_cfg(K=2, estimator=estimator, **setting)).rows) == 3
 
 
-def test_hyperrep_run_reads_only_declared_lane_sets(monkeypatch):
-    calls = _count_stream_lanes(monkeypatch)
-    _small_hyperrep_run(K=2)
-    assert calls == []
+def test_hyperrep_run_reads_only_declared_lane_sets():
+    assert len(_small_hyperrep_run(K=2).rows) == 3
 
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])

@@ -64,6 +64,14 @@ def test_ridge_rejected_nonpositive():
         HyperRepSpec(ridge=0.0)
 
 
+@pytest.mark.parametrize("n_points", [-1, 0, 4])
+def test_spec_needs_a_test_point(n_points):
+    # at the default test_fraction 0.2, 4 points leave none to test on
+    with pytest.raises(ParameterError, match="test point"):
+        HyperRepSpec(n_points=n_points)
+    assert HyperRepSpec(n_points=5).n_points == 5
+
+
 def _fd_check(problem, x, y, v, eps=1e-6):
     """Finite-difference oracles for hvp and jvp of the head objective."""
     gp = batch_of_one(problem, "grad_lower_y", 0, Point(x, y + eps * v), None)

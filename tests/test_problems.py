@@ -251,11 +251,16 @@ def test_generator_stream_rejected():
 @pytest.mark.parametrize("bad", [-1, 0, 2.5, True, False, "2", None])
 def test_batch_size_must_be_a_positive_integer(bad):
     # checked once where a problem is built and once where a run is configured,
-    # before any oracle could audit a negative or empty batch
+    # before any oracle could audit a negative or empty batch; a run config's
+    # None is unset, resolved when the run builds its problem
     from fedbilevel import ParameterError, RunConfig, make_problem
-    for build in (lambda: make_problem(QuadraticSpec(), batch_size=bad),
-                  lambda: make_hyperrep(HyperRepSpec(m=3, n_points=120), 0, batch_size=bad),
-                  lambda: RunConfig(batch_size=bad)):
+    builds = [lambda: make_problem(QuadraticSpec(), batch_size=bad),
+              lambda: make_hyperrep(HyperRepSpec(m=3, n_points=120), 0, batch_size=bad)]
+    if bad is None:
+        assert RunConfig(batch_size=bad).batch_size is None
+    else:
+        builds.append(lambda: RunConfig(batch_size=bad))
+    for build in builds:
         with pytest.raises(ParameterError, match="batch_size"):
             build()
     assert make_problem(QuadraticSpec(), batch_size=np.int64(3)).batch_size == 3

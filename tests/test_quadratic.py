@@ -206,8 +206,9 @@ def _instance_digests(threads: int) -> dict:
     pytest.mark.skipif(_CPUS < 2, reason="two BLAS threads need two CPUs"),
     pytest.mark.xfail(strict=True, raises=AssertionError,
                       reason="observed with OpenBLAS: the d=120 instance's last bits "
-                      "differ between 1 and 2 threads (suspected: the batched "
-                      "spectral norm of the offsets)")])])
+                      "differ between 1 and 2 threads, because quadratic._norms' "
+                      "one ddot per row of the dB offsets (d2*d1 entries) is "
+                      "threaded above about 10,000 entries")])])
 def test_instance_bytes_blas_thread_boundary(d):
     # instances, and so runs, are byte-identical under 1 and 2 BLAS threads
     # only up to a size; the d=120 case pins where that stops holding, which

@@ -113,17 +113,20 @@ def _table_cases():
 
 
 def _lane_calls(N, T, taus, ids, name):
-    """(path, tags) of every lanes call a step of this table makes for ids."""
+    """(path, tags) of every lanes call a step of this table makes for ids:
+    the svrg lower steps read "zeta" from v = 1, the fused chain "u" and the
+    two-loop chains "zeta_h" from t = 1."""
     tau = max(taus[i] for i in ids.tolist())
     if name == "upper":
         return [((), ("xi_up", v)) for v in range(tau)]
     calls = [((), ("zeta_q", t)) for t in range(N)]
-    calls += [(("lower", t), ("zeta", v)) for t in range(N) for v in range(tau)]
+    calls += [(("lower", t), ("zeta", v)) for t in range(N) for v in range(1, tau)]
     if name == "est":
-        calls += [((), (tag, t)) for tag in ("xi_r", "u") for t in range(N + 1)]
+        calls += [((), ("xi_r", t)) for t in range(N + 1)]
+        calls += [((), ("u", t)) for t in range(1, N + 1)]
         return calls + [((), ("xi_h",)), ((), ("chi",))]
     return calls + [((name,), tag) for tag in (("xi0",), ("xi_h",), ("chi",))] + [
-        ((name,), ("zeta_h", t)) for t in range(T + 1)]
+        ((name,), ("zeta_h", t)) for t in range(1, T + 1)]
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 50])
