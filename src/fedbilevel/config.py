@@ -52,9 +52,10 @@ CONFIG_KEYS = {key for key, _ in FIELDS.values()} | {"hetero", "noise"}
 def _cast(key: str, value, cast):
     """value converted by cast (int, float or str), or a ConfigError naming the key.
 
-    Booleans are rejected, an int key takes a float only when it is integral
-    (3.0 gives 3; 2.5 is an error, not a silent truncation), and a str key
-    takes only a string.
+    A number key takes only a JSON number: booleans and strings ("3") are
+    rejected, and an int key takes a float only when it is integral (3.0
+    gives 3; 2.5 is an error, not a silent truncation). A str key takes only
+    a string.
     """
     if cast is str:
         if not isinstance(value, str):
@@ -62,8 +63,8 @@ def _cast(key: str, value, cast):
         return value
     kind = "an integer" if cast is int else "a number"
     try:
-        if isinstance(value, bool):
-            raise TypeError("booleans are not numbers here")
+        if isinstance(value, (bool, str)):
+            raise TypeError("booleans and strings are not numbers here")
         out = cast(value)
         if cast is int and isinstance(value, float) and out != value:
             raise ValueError("not integral")

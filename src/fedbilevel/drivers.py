@@ -1,20 +1,20 @@
 """Outer-loop solver: one loop over K outer iterations, three estimator steps.
 
 Each outer iteration runs an estimator step (fused AggITD, or the two-loop AID
-or fully local baseline), then a local SVRG-type upper phase (One-Round-Upper),
-warm-starting the next iteration's lower variable at the step's final lower
-iterate. Communication per outer iteration: 2N+3 rounds / 1 loop for the fused
-driver, 2N+T+3 / 2 for the AID baseline, 2N+2 / 1 for the local one. Metrics
-rows use exact noise-off oracles over the full client set regardless of the
-participation ratio. Each phase is its public function, called on the run's
-checked oracles and lane-table steps. A participant set's checked oracles and
-local-step schedules (beta/tau_i, alpha/tau_i) are built once per set: once per
-run under full participation, at each outer step under partial participation.
+or fully local baseline), then One-Round-Upper, the local SVRG-type phase of
+``lower`` applied to x (one body for both levels), warm-starting the next
+iteration's lower variable at the step's final lower iterate. Communication
+per outer iteration: 2N+3 rounds / 1 loop for the fused driver, 2N+T+3 / 2 for
+the AID baseline, 2N+2 / 1 for the local one. Metrics rows use exact noise-off
+oracles over the full client set regardless of the participation ratio. Each
+phase is its public function, called on the run's checked oracles and
+lane-table steps. A participant set's checked oracles and local-step schedules
+(beta/tau_i, alpha/tau_i) are built once per set: once per run under full
+participation, at each outer step under partial participation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,11 +27,11 @@ from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         lambda_cap, local_fhe)
 from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
                        solve_head_exact)
-from .lower import (LowerStepConfig, _schedule, client_taus, lower_phase_lanes, max_tau,
-                    one_round_lower)
-from .problems import BilevelProblem, CheckedOracles, ProblemConstants, check_batch_size
+from .lower import (VARIANT_SVRG, LowerStepConfig, _local_phase, client_taus, local_lanes,
+                    lower_phase_lanes, max_tau, one_round_lower)
+from .problems import BilevelProblem, CheckedOracles, ProblemConstants, check_count
 from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
-from .rng import CLIENT, RngStream, TableStream, lane_steps
+from .rng import RngStream, TableStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
@@ -75,15 +75,13 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ParameterError("K must be >= 0")
-        if self.eval_every < 1:
-            raise ParameterError("eval_every must be >= 1")
-        if self.estimator not in _LABELS:
+        check_count("K", self.K, 0)
+        check_count("eval_every", self.eval_every)
+        if not isinstance(self.estimator, str) or self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
         Participation(self.participation)
         if self.batch_size is not None:
-            check_batch_size(self.batch_size)
+            check_count("batch_size", self.batch_size)
         LowerStepConfig(beta=1.0, variant=self.variant)  # resolve_params checks beta
         client_taus(self.tau, np.arange(0), self.problem.m)
 
@@ -186,9 +184,9 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     and check them against the caps; every run and ``estimate`` call this on
     the built problem's constants."""
     N = cfg.N if cfg.N is not None else default_N(constants)
+    check_count("N", N, 0)
     T = cfg.T if cfg.T is not None else max(1, N)
-    if N < 0 or T < 1:
-        raise ParameterError("need N >= 0 and T >= 1")
+    check_count("T", T)
     lam0, alpha0, _ = default_stepsizes(constants, cfg.K)
     lam = cfg.lam if cfg.lam is not None else lam0
     alpha = cfg.alpha if cfg.alpha is not None else alpha0
@@ -200,43 +198,23 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     return N, T, lam, alpha, beta
 
 
-@functools.lru_cache(maxsize=256)
-def upper_lanes(max_tau: int) -> tuple:
-    """The lane sets of One-Round-Upper: ``child(i, "xi_up", v)`` for v < max_tau."""
-    return tuple((CLIENT, "xi_up", v) for v in range(max_tau))
-
-
 def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
                     h: np.ndarray, alpha: float, tau: int | Sequence[int],
                     participants: Sequence[int] | CheckedOracles,
                     rng: RngStream | TableStream, ledger: CommLedger) -> np.ndarray:
-    """Local SVRG-type upper phase: tau_i corrected steps per client from x.
+    """The upper local phase from x with correction h and stepsize alpha, on
+    the "xi_up" lanes at y_plus; returns the participant mean of x_tau^i.
 
-    The anchor gradient at x is re-evaluated per local step with that step's
-    own sample (shared with the local term), so a single local step reduces to
-    x - alpha*h up to rounding. All participants step together, two batched
-    oracle calls per local step on the same draws. At v = 0 every client is at
-    x, so the pair is one call, g_local = g_anchor; the step still computes
-    (h - g) + g, which is not h in floating point, and the audit still charges
-    both evaluations' "xi_up" samples. participants may be checked oracles.
-    rng is the scope stream or its step of a lane table with the lane sets of
-    ``upper_lanes``. Charges one round.
+    Always the svrg variant, so a single local step is x - alpha*h.
+    participants may be checked oracles. rng is the scope stream or its step
+    of a lane table with the lane sets of ``local_lanes("xi_up", ...)``.
+    Charges one round.
     """
     oracles, rng = problem.entry(participants, x, y_plus, rng,
-                                 lambda: upper_lanes(max_tau(tau)))
-    ids = oracles.ids
-    alphas, steps = _schedule(oracles, tau, alpha)
-    X = np.repeat(x[None], ids.size, axis=0)
-    for v, rows, sub in steps:
-        lanes = rng.lanes(sub, "xi_up", v)
-        g_anchor = problem.grad_upper_x(sub, x, y_plus, lanes)
-        if v == 0:
-            problem.audit.record("xi_up", problem.batch_size * sub.size)
-            g_local = g_anchor
-        else:
-            g_local = problem.grad_upper_x(sub, X[rows], y_plus, lanes)
-        X[rows] = X[rows] - alphas[rows] * (h - g_anchor + g_local)
-    return aggregate_mean(X, ledger)
+                                 lambda: local_lanes("xi_up", max_tau(tau)))
+    return _local_phase(problem, oracles, rng,
+                        lambda ids, X, lanes: problem.grad_upper_x(ids, X, y_plus, lanes),
+                        x, h, alpha, tau, "xi_up", VARIANT_SVRG, ledger)
 
 
 def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -290,7 +268,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
                  lane_steps(root, "upper", cfg.K, problem.m,
-                            upper_lanes(max_tau(cfg.tau))))
+                            local_lanes("xi_up", max_tau(cfg.tau))))
     oracles, redraw = None, part.size(problem.m) < problem.m
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()

@@ -1,20 +1,23 @@
-"""Variance-reduced federated lower-level step (One-Round-Lower).
+"""The local SVRG-type phase of both levels (One-Round-Lower and One-Round-Upper).
 
-Given the aggregated global lower gradient q at (x, y), each participating
-client runs tau_i corrected local steps from y with stepsize beta/tau_i:
+Given an aggregated correction c (the global lower gradient q at (x, y), or
+the hypergradient estimate h at x), each participating client runs tau_i
+local steps from the start point z with stepsize stepsize/tau_i:
 
-    q_v = grad G_i(x, y_v; zeta_v) - grad G_i(x, y; zeta_v) + q      (svrg)
-    q_v = grad G_i(x, y_v; zeta_v)                                   (sgd)
+    z_{v+1} = z_v - (stepsize/tau_i) ((g_i(z_v; s_v) - g_i(z; s_v)) + c)   (svrg)
+    z_{v+1} = z_v - (stepsize/tau_i) g_i(z_v; s_v)                         (sgd)
 
-using the SAME sample zeta_v for both evaluations of the correction; that
-shared sample is what makes the correction variance-reducing. The server then
-averages the client iterates, which costs one communication round. The
-gradient aggregation that produced q is charged by the caller.
+where g_i is the client's gradient in the stepped variable (grad G_i in y for
+One-Round-Lower, grad F_i in x for One-Round-Upper), with the same sample s_v
+for both evaluations of the correction; that shared sample is what makes the
+correction variance-reducing. The server then averages the client iterates,
+which costs one communication round. The aggregation that produced c is
+charged by the caller.
 
-Every client starts at y_0 = y, so at v = 0 the svrg pair evaluates one point
+Every client starts at z_0 = z, so at v = 0 the svrg pair evaluates one point
 on one sample and cancels exactly: a batched oracle gives the same rows, bit
-for bit, on a stacked copy of y as on y itself, so (g - g) + q is q. The first
-svrg step is therefore y - (beta/tau_i) q with no oracle call. The sample
+for bit, on a stacked copy of z as on z itself, so (g - g) + c is c. The first
+svrg step is therefore z - (stepsize/tau_i) c with no oracle call. The sample
 audit still charges the pair's samples, since it reports the algorithm's
 sample bill, as the ledger reports its round bill.
 """
@@ -28,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedProblemError
-from .problems import BilevelProblem, CheckedOracles
+from .problems import BilevelProblem, CheckedOracles, check_count
 from .quadratic import QuadraticInstance
 from .rng import CLIENT, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
@@ -66,9 +69,8 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
     integer >= 1 (bools are not counts), or if m, the problem's client count,
     is given and a list does not hold m entries."""
     listed = isinstance(tau, Sequence)
-    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 1
-               for t in (tau if listed else (tau,))):
-        raise ParameterError(f"every tau_i must be an integer >= 1, got {tau!r}")
+    for t in (tau if listed else (tau,)):
+        check_count("every tau_i", t)
     if listed and m is not None and len(tau) != m:
         raise ParameterError(f"tau lists {len(tau)} local step counts for {m} clients")
     return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
@@ -81,13 +83,14 @@ def max_tau(tau: int | Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def lower_lanes(max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> tuple:
-    """The lane sets of One-Round-Lower under the key parts prefix: the
-    lanes ``child(*prefix, i, "zeta", v)`` of every local step v < max_tau
-    that draws a sample. The svrg variant draws none at v = 0 (its pair
-    cancels), so its sets start at v = 1. Like every lane-set declaration,
-    a cached tuple, keyed on the resolved parameters."""
-    return tuple((*prefix, CLIENT, "zeta", v)
+def local_lanes(tag: str, max_tau: int, *prefix, variant: str = VARIANT_SVRG) -> tuple:
+    """The lane sets of a local phase drawing its samples under tag ("zeta"
+    for One-Round-Lower, "xi_up" for One-Round-Upper) and the key parts
+    prefix: the lanes ``child(*prefix, i, tag, v)`` of every local step
+    v < max_tau that draws a sample. The svrg variant draws none at v = 0
+    (its pair cancels), so its sets start at v = 1. Like every lane-set
+    declaration, a cached tuple, keyed on the resolved parameters."""
+    return tuple((*prefix, CLIENT, tag, v)
                  for v in range(1 if variant == VARIANT_SVRG else 0, max_tau))
 
 
@@ -96,7 +99,7 @@ def lower_phase_lanes(N: int, max_tau: int, variant: str = VARIANT_SVRG) -> tupl
     """The lane sets of the fused and two-loop estimators' N-step lower phase:
     "zeta_q" at each t < N, and One-Round-Lower's under ("lower", t)."""
     return tuple((CLIENT, "zeta_q", t) for t in range(N)) + tuple(
-        s for t in range(N) for s in lower_lanes(max_tau, "lower", t, variant=variant))
+        s for t in range(N) for s in local_lanes("zeta", max_tau, "lower", t, variant=variant))
 
 
 def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
@@ -127,38 +130,51 @@ def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float
     return got
 
 
+def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: TableStream,
+                 grad, z: np.ndarray, correction: np.ndarray, stepsize: float,
+                 tau: int | Sequence[int], tag: str, variant: str,
+                 ledger: CommLedger) -> np.ndarray:
+    """The participant mean of z_tau^i after the local phase from z (module
+    docstring); grad(ids, Z, lanes) is the oracle in the stepped variable,
+    the other one bound. All participants step together, one batched call of
+    grad per local step (two for svrg, on the same lanes and so on the same
+    draws); the svrg step v = 0 makes none, and the audit charges its pair's
+    2 * batch_size tag samples per participant. Charges one round."""
+    ids = oracles.ids
+    rates, steps = _schedule(oracles, tau, stepsize)
+    if variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
+        problem.audit.record(tag, 2 * problem.batch_size * ids.size)
+        Z = z - rates * correction
+        steps = steps[1:]
+    else:
+        Z = np.repeat(z[None], ids.size, axis=0)
+    for v, rows, sub in steps:
+        lanes = rng.lanes(sub, tag, v)
+        step = grad(sub, Z[rows], lanes)
+        if variant == VARIANT_SVRG:
+            step = step - grad(sub, z, lanes) + correction
+        Z[rows] = Z[rows] - rates[rows] * step
+    return aggregate_mean(Z, ledger)
+
+
 def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
                     q: np.ndarray, cfg: LowerStepConfig,
                     participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
                     ledger: CommLedger) -> np.ndarray:
-    """One composed local phase; returns the participant mean of y_tau^i.
+    """The lower local phase from y with correction q and stepsize beta, on
+    the "zeta" lanes; returns the participant mean of y_tau^i.
 
     q must be the aggregated global lower gradient at (x, y) from the same
-    outer step. All participants step together, one batched oracle call per
-    local step (two for svrg, on the same lanes and so on the same draws).
-    The svrg step v = 0 is y - (beta/tau_i) q with no oracle call, since its
-    pair cancels exactly; the audit still charges that pair's 2 * batch_size
-    "zeta" samples per participant. participants may be checked oracles
-    (``BilevelProblem.checked``), taken without a second check. rng is a
-    scope stream or a lane table's step. Charges exactly one round.
+    outer step. participants may be checked oracles (``BilevelProblem.checked``),
+    taken without a second check. rng is a scope stream or a lane table's
+    step. Charges exactly one round.
     """
     oracles, rng = problem.entry(participants, x, y, rng,
-                                 lambda: lower_lanes(max_tau(cfg.tau), variant=cfg.variant))
-    ids = oracles.ids
-    betas, steps = _schedule(oracles, cfg.tau, cfg.beta)
-    if cfg.variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
-        problem.audit.record("zeta", 2 * problem.batch_size * ids.size)
-        Y = y - betas * q
-        steps = steps[1:]
-    else:
-        Y = np.repeat(y[None], ids.size, axis=0)
-    for v, rows, sub in steps:
-        lanes = rng.lanes(sub, "zeta", v)
-        step = problem.grad_lower_y(sub, x, Y[rows], lanes)
-        if cfg.variant == VARIANT_SVRG:
-            step = step - problem.grad_lower_y(sub, x, y, lanes) + q
-        Y[rows] = Y[rows] - betas[rows] * step
-    return aggregate_mean(Y, ledger)
+                                 lambda: local_lanes("zeta", max_tau(cfg.tau),
+                                                     variant=cfg.variant))
+    return _local_phase(problem, oracles, rng,
+                        lambda ids, Y, lanes: problem.grad_lower_y(ids, x, Y, lanes),
+                        y, q, cfg.beta, cfg.tau, "zeta", cfg.variant, ledger)
 
 
 def lower_gap(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray) -> float:

@@ -114,12 +114,13 @@ class SampleAudit:
         self.total = 0
 
 
-def check_batch_size(batch_size) -> None:
-    """Raise ParameterError unless batch_size, the samples one oracle row
-    draws, is an integer >= 1 (bools are not counts)."""
-    if not (isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
-            and batch_size >= 1):
-        raise ParameterError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ParameterError naming the setting unless value is an integer
+    >= least (bools are not counts), such as batch_size, the samples one
+    oracle row draws."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class BilevelProblem:
@@ -136,7 +137,7 @@ class BilevelProblem:
                  batch_size: int = 1):
         if m < 1:
             raise ValueError("need at least one client")
-        check_batch_size(batch_size)
+        check_count("batch_size", batch_size)
         self.m = m
         self.d1 = d1
         self.d2 = d2

@@ -9,6 +9,7 @@ per-outer-iteration total come out to 2N+3 against the baseline's 2N+T+3.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,8 +62,9 @@ class Participation:
     ratio: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.ratio <= 1.0:
-            raise ProtocolError(f"participation ratio must be in (0, 1], got {self.ratio}")
+        r = self.ratio
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r <= 1.0:
+            raise ProtocolError(f"participation ratio must be in (0, 1], got {r!r}")
 
     def size(self, m: int) -> int:
         return max(1, round(self.ratio * m))

@@ -14,8 +14,8 @@ import numpy as np
 from .drivers import (RunConfig, build_problem, run, run_fbo_aggitd,
                       run_fednest_baseline)
 from .errors import ParameterError
-from .hypergrad import (AggITDConfig, aggitd, dense_hessiv,
-                        expected_aggitd_indirect)
+from .hypergrad import (AggITDConfig, aggitd, beta_cap, dense_hessiv,
+                        expected_aggitd_indirect, lambda_cap)
 from .lower import VARIANT_SVRG, LowerStepConfig, one_round_lower
 from .oracle import fd_hypergradient
 from .quadratic import QuadraticProblem, QuadraticSpec, make_quadratic
@@ -41,7 +41,7 @@ def _check_dense_vs_neumann(seed):
     inst = make_quadratic(QuadraticSpec(d2=6, d1=3, m=2, seed=seed))
     gen = RngStream(seed).child("neumann").generator()
     v = gen.normal(size=6)
-    lam = 1.0 / inst.L_g
+    lam = lambda_cap(QuadraticProblem(inst).constants)
     s = v.copy()
     acc = v.copy()
     for _ in range(1, 500):
@@ -59,7 +59,7 @@ def _check_fixed_point(seed):
     problem = QuadraticProblem(inst)
     x = np.ones(3)
     ys = inst.y_star(x)
-    cfg = LowerStepConfig(beta=1.0 / (6 * inst.L_g), tau=3)
+    cfg = LowerStepConfig(beta=beta_cap(lambda_cap(problem.constants), problem.constants), tau=3)
     y1 = one_round_lower(problem, x, ys, np.zeros(3), cfg, range(3),
                          RngStream(seed).child("fp"), CommLedger())
     err = float(np.linalg.norm(y1 - ys))
@@ -71,8 +71,9 @@ def _check_q_identity(seed):
     inst = make_quadratic(spec)
     problem = QuadraticProblem(inst)
     N = 6
-    lam = 1.0 / inst.L_g
-    cfg = AggITDConfig(lam=lam, N=N, lower=LowerStepConfig(beta=1 / (6 * inst.L_g), tau=2))
+    lam = lambda_cap(problem.constants)
+    cfg = AggITDConfig(lam=lam, N=N,
+                       lower=LowerStepConfig(beta=beta_cap(lam, problem.constants), tau=2))
     x = np.ones(4)
     y0 = np.zeros(4)
     acc = None

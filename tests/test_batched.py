@@ -97,8 +97,10 @@ def test_batched_rows_match_single_client(mode, make, stochastic, stacked):
 
 @pytest.mark.parametrize("mode,make,stochastic", MODES, ids=[m[0] for m in MODES])
 def test_grad_lower_y_stacked_copy_of_shared_y(mode, make, stochastic):
-    # One-Round-Lower skips its first svrg pair, grad(Y) - grad(y) on the same
-    # lanes with Y a stacked copy of y, because this difference is exactly zero
+    # One-Round-Lower and One-Round-Upper skip their first svrg pair,
+    # grad(Z) - grad(z) on the same lanes with Z a stacked copy of the start
+    # point z (y, or x for the upper phase), because this difference is
+    # exactly zero
     problem = make()
     gen = RngStream(3).child("points").generator()
     rng = RngStream(32).child("est", 2)
@@ -108,6 +110,10 @@ def test_grad_lower_y_stacked_copy_of_shared_y(mode, make, stochastic):
         lanes = rng.lanes(ids, "zeta", 0) if stochastic else None
         shared = problem.grad_lower_y(ids, x, y, lanes)
         stacked = problem.grad_lower_y(ids, x, np.repeat(y[None], ids.size, 0), lanes)
+        assert np.array_equal(stacked, shared), ids
+        lanes = rng.lanes(ids, "xi_up", 0) if stochastic else None
+        shared = problem.grad_upper_x(ids, x, y, lanes)
+        stacked = problem.grad_upper_x(ids, np.repeat(x[None], ids.size, 0), y, lanes)
         assert np.array_equal(stacked, shared), ids
 
 

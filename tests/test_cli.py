@@ -120,6 +120,12 @@ BAD_CONFIGS = [
     # top-level quadratic keys have no effect on a hyperrep problem
     (['problem="hyperrep"', 'hetero=0.9'], 2),
     (['problem="hyperrep"', 'noise={"mode": "additive-gaussian", "std": 5}'], 2),
+    # a number key takes a JSON number, not a string holding one
+    (['K="3"'], 2),
+    (['lambda="1e-3"'], 2),
+    (['problem={"type": "quadratic", "m": 4}', 'tau=["2","2","2","2"]'], 2),
+    (['problem={"type": "quadratic", "d1": "3"}'], 2),
+    (['noise={"spread": "0.1"}'], 2),
 ]
 
 

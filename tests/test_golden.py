@@ -49,16 +49,17 @@ def test_hyperrep_csvs_match_demo(estimator):
 
 # sha256 of final_x, final_y and the sorted SampleAudit.by_purpose JSON of the
 # demo-05 runs, pinned on x86_64 with OpenBLAS: the metrics rows may move in
-# their last digits, the iterates and the sample bill may not
+# their last digits, the iterates and the sample bill may not. The iterates
+# re-pinned when One-Round-Upper took One-Round-Lower's association
 HYPERREP_ITERATES = {
-    "aggitd": ("6e762465b006bbe47cc96bb36d6f13b3a4dd34534493ccaa03e6899cb417f04d",
-               "d924c1dbeba3f2ab62e690a85ec26d5c72aa125ca098b6d524ac93d09bf79542",
+    "aggitd": ("afbe05ff74ed1f219afa2f4d04ddb9f569fa65d0a0b98cc17cf0e6d188d18222",
+               "dd013d7ee7f95f5ec81d8796dd864fee42f917105d6db40da2b223b4ddcbeea8",
                "6cf68df27b0e65b709311d0e2dbca040899846b4fc88742a3faabe275576afb1"),
-    "aid": ("f0ae50405d00a84658d7d91670bc7cbdf0d07aaaf80afadcaaeb4f6a92736509",
-            "79b2e0ec1c180337d5bd03335e4d9e2f2abff68ed281d692d2c76f486f035f16",
+    "aid": ("91406e02248d31347a7d80495a366e68d7b4d1a4341e9e9ec1632c6b7ed5ab43",
+            "f1a9299a3b07f2c96081f7bc26725fcfe912f8256bdc60fd61c89d1e4970986b",
             "50c5a85447925a55c36660db0d9e0a15f6922ab8c11f00700d57818595abf59b"),
-    "local": ("a07c0f4305c7affe18999bf1f958fde22ca13055a664b3c7a69f2eaf533b3cc8",
-              "eedf4cb01eae215524e440034b84db2d975c209f8a6be2f3aa5ddea50001e683",
+    "local": ("0b16cd4793cb90a62cda04489f665c8207d8a838f75c5fe280581982203dea95",
+              "663f2ece9424cd3edc659a741d58f848e24a68bd4462953600a597cbabf1b423",
               "d66aa50d0f327dddeaeb6a6a8510e795df6b998a49ef0bd5ea40b4cd4084db6a"),
 }
 
@@ -83,10 +84,11 @@ def _spec(**kw):
 
 # sha256 of the float64 metrics rows and the final x, pinned on x86_64 with
 # OpenBLAS; all but "local" re-pinned when Q, T' and the participant sets
-# became counter-based draws
+# became counter-based draws, and "tau_list" and "gaussian" when One-Round-Upper
+# took One-Round-Lower's association
 GOLDEN_RUNS = {
     "tau_list": (dict(problem=_spec(), tau=[1, 3, 2, 1]),
-                 "458378276afd25b3c64e75c07c3e6594c92e4747520e0104cfa792b45df25947"),
+                 "7a6921f486c398a7ec873baac40ae8bd484d14af838b499c69d619d0f0527fa5"),
     "participation": (dict(problem=_spec(m=6), estimator="aid", participation=0.5),
                       "76dc6e10f3b15d9beb80d103dc61024a731553028762b729a7a1545d6f4a7cc2"),
     "local": (dict(problem=_spec(), estimator="local", tau=2),
@@ -95,7 +97,7 @@ GOLDEN_RUNS = {
                    "b3c72f7bde98ec03129bf333144a4d49f0e9f308b34c33230b1f6c7afdb587a9"),
     "gaussian": (dict(problem=_spec(noise_mode="additive-gaussian", noise_std=0.15),
                       estimator="aid", tau=2),
-                 "783b0e3c52c5e124068488b5a4c38348adde23345a4ca820faba2979f8c99141"),
+                 "dfe46ae3e80958e33fcae95786418ca65efe469748749bef60ad4cecc27b0b62"),
 }
 
 

@@ -205,29 +205,41 @@ def _random_inputs(problem, seed):
             0.1 * gen.normal(size=problem.d2))
 
 
-def _count_kernel_calls(monkeypatch, problem):
+def _count_kernel_calls(monkeypatch, problem, name="_grad_lower_y_batch"):
     calls = []
-    kernel = problem._grad_lower_y_batch
+    kernel = getattr(problem, name)
 
     def counted(ids, x, y, lanes):
         calls.append(ids.size)
         return kernel(ids, x, y, lanes)
-    monkeypatch.setattr(problem, "_grad_lower_y_batch", counted)
+    monkeypatch.setattr(problem, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("kind", ["finite-sum-b4", "hyperrep"])
-def test_svrg_first_step_makes_no_oracle_call(monkeypatch, kind):
-    # at v = 0 every client is at y, so the pair cancels: no kernel call, but
-    # the audit still charges both evaluations' samples
+@pytest.mark.parametrize("kind,phase", [
+    ("finite-sum-b4", "lower"), ("hyperrep", "lower"),
+    ("finite-sum-b4", "upper"), ("hyperrep", "upper")],
+    ids=["finite-sum-b4", "hyperrep", "finite-sum-b4-upper", "hyperrep-upper"])
+def test_svrg_first_step_makes_no_oracle_call(monkeypatch, kind, phase):
+    # at v = 0 every client is at the start point, so the pair cancels at
+    # both levels: no kernel call, but the audit still charges both
+    # evaluations' samples
+    from fedbilevel import one_round_upper
     problem = _noisy_problem(kind)
-    calls = _count_kernel_calls(monkeypatch, problem)
     x, y, q = _random_inputs(problem, 1)
-    cfg = LowerStepConfig(beta=0.05, tau=1)
-    got = one_round_lower(problem, x, y, q, cfg, [3, 0, 2], RngStream(2), CommLedger())
+    if phase == "lower":
+        calls = _count_kernel_calls(monkeypatch, problem)
+        got = one_round_lower(problem, x, y, q, LowerStepConfig(beta=0.05, tau=1), [3, 0, 2],
+                              RngStream(2), CommLedger())
+        start, c, tag = y, q, "zeta"
+    else:
+        calls = _count_kernel_calls(monkeypatch, problem, "_grad_upper_x_batch")
+        h = _random_inputs(problem, 2)[0]
+        got = one_round_upper(problem, x, y, h, 0.05, 1, [3, 0, 2], RngStream(2), CommLedger())
+        start, c, tag = x, h, "xi_up"
     assert calls == []
-    assert problem.audit.by_purpose == {"zeta": 2 * problem.batch_size * 3}
-    assert np.array_equal(got, np.stack([y - 0.05 * q] * 3).mean(axis=0))
+    assert problem.audit.by_purpose == {tag: 2 * problem.batch_size * 3}
+    assert np.array_equal(got, np.stack([start - 0.05 * c] * 3).mean(axis=0))
 
 
 @pytest.mark.parametrize("kind", ["finite-sum-b4", "hyperrep"])
@@ -273,6 +285,39 @@ def test_svrg_equals_explicit_pair_reference(kind):
         assert audit == problem.audit.by_purpose
 
 
+def _explicit_upper_reference(problem, x, y, h, alpha, tau, participants, rng):
+    """One-Round-Upper written per client in One-Round-Lower's association,
+    (g_local - g_anchor) + h, evaluating every pair, v = 0 included."""
+    rows = []
+    for i in sorted(set(participants)):
+        x_v = x.copy()
+        for v in range(tau[i]):
+            lane = rng.child(i, "xi_up", v)
+            step = (batch_of_one(problem, "grad_upper_x", i, Point(x_v, y), lane)
+                    - batch_of_one(problem, "grad_upper_x", i, Point(x, y), lane) + h)
+            x_v = x_v - (alpha / tau[i]) * step
+        rows.append(x_v)
+    return np.stack(rows).mean(axis=0)
+
+
+@pytest.mark.parametrize("kind", ["finite-sum-b1", "finite-sum-b4", "gaussian", "hyperrep"])
+def test_upper_equals_explicit_pair_reference(kind):
+    from fedbilevel import one_round_upper
+    problem = _noisy_problem(kind)
+    tau = [1, 3, 2, 1]
+    for seed, participants in enumerate(([3, 1, 2], range(4), [0])):
+        x, y, _ = _random_inputs(problem, seed)
+        h = _random_inputs(problem, seed + 10)[0]
+        rng = RngStream(41).child("upper", seed)
+        problem.audit.reset()
+        got = one_round_upper(problem, x, y, h, 0.1, tau, participants, rng, CommLedger())
+        audit = dict(problem.audit.by_purpose)
+        problem.audit.reset()
+        want = _explicit_upper_reference(problem, x, y, h, 0.1, tau, participants, rng)
+        assert np.array_equal(got, want), participants
+        assert audit == problem.audit.by_purpose
+
+
 def test_checked_oracles_keep_one_schedule_per_tau_setting_and_stepsize():
     # one participant set's checked oracles serve calls with other tau
     # settings, stepsizes and variants: each call equals one on plain ids
@@ -295,10 +340,10 @@ def test_checked_oracles_keep_one_schedule_per_tau_setting_and_stepsize():
 def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
     # at tau = [1, 3, 2, 1] the One-Round-Lower and One-Round-Upper pairs,
     # both evaluations on the pair's one Lanes, give the bits of the two
-    # evaluations on separate Lanes; the audit charges both evaluations
+    # evaluations on separate Lanes, and both levels skip the cancelling
+    # v = 0 pair by one rule; the audit charges both evaluations
     from fedbilevel import one_round_upper
-    from fedbilevel.drivers import upper_lanes
-    from fedbilevel.lower import lower_lanes
+    from fedbilevel.lower import local_lanes
     from fedbilevel.rng import LaneTable
     problem = _noisy_problem("finite-sum-b4" if batch == 4 else "finite-sum-b1")
     x, y, q = _random_inputs(problem, 7)
@@ -311,22 +356,22 @@ def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
                             CommLedger())
     assert problem.audit.by_purpose["xi_up"] == 2 * batch * sum(tau)
 
-    def separate_lanes_reference(sets, scope, tag, start, step):
+    def separate_lanes_reference(scope, tag, start, stepsize, c, grad):
         # every evaluation on its own Lanes, so no gather is shared
-        table, t = LaneTable.of(RngStream(scope), sets, ids).step(0), np.array(tau)
-        Z = np.repeat(start[None], 4, axis=0)
+        table = LaneTable.of(RngStream(scope), local_lanes(tag, 3), ids).step(0)
+        t, Z = np.array(tau), np.repeat(start[None], 4, axis=0)
         for v in range(max(tau)):
             sub = np.flatnonzero(t > v)
-            if tag == "zeta" and v == 0:   # the cancelling pair
-                Z[sub] = Z[sub] - beta / t[sub, None] * q
+            if v == 0:   # the cancelling pair
+                Z[sub] = Z[sub] - stepsize / t[sub, None] * c
             else:
-                Z[sub] = step(sub, Z[sub], t[sub, None], lambda: table.lanes(sub, tag, v))
+                Z[sub] = Z[sub] - stepsize / t[sub, None] * (
+                    grad(sub, Z[sub], table.lanes(sub, tag, v))
+                    - grad(sub, start, table.lanes(sub, tag, v)) + c)
         return Z.mean(axis=0)
-    want = separate_lanes_reference(lower_lanes(3), 3, "zeta", y, lambda sub, Y, ts, lanes: (
-        Y - beta / ts * (problem.grad_lower_y(sub, x, Y, lanes())
-                         - problem.grad_lower_y(sub, x, y, lanes()) + q)))
-    want_x = separate_lanes_reference(upper_lanes(3), 4, "xi_up", x, lambda sub, X, ts, lanes: (
-        X - alpha / ts * (h - problem.grad_upper_x(sub, x, got, lanes())
-                          + problem.grad_upper_x(sub, X, got, lanes()))))
+    want = separate_lanes_reference(3, "zeta", y, beta, q, lambda sub, Y, lanes: (
+        problem.grad_lower_y(sub, x, Y, lanes)))
+    want_x = separate_lanes_reference(4, "xi_up", x, alpha, h, lambda sub, X, lanes: (
+        problem.grad_upper_x(sub, X, got, lanes)))
     assert got.tobytes() == want.tobytes()
     assert got_x.tobytes() == want_x.tobytes()

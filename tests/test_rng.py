@@ -101,24 +101,23 @@ def test_normal_moments_and_lane_independence():
 
 def _table_cases():
     # the lane sets of every driver, with a per-client tau list
-    from fedbilevel.drivers import upper_lanes
     from fedbilevel.hypergrad import aggitd_lanes, chain_lanes
-    from fedbilevel.lower import lower_phase_lanes
+    from fedbilevel.lower import local_lanes, lower_phase_lanes
     m, N, T, taus = 4, 2, 3, [1, 3, 2, 1]
     lower = lower_phase_lanes(N, max(taus))
     return m, N, T, taus, {"est": aggitd_lanes(N, max(taus)),
                            "aid": lower + chain_lanes(T, "aid"),
                            "local": lower + chain_lanes(T, "local"),
-                           "upper": upper_lanes(3)}
+                           "upper": local_lanes("xi_up", 3)}
 
 
 def _lane_calls(N, T, taus, ids, name):
     """(path, tags) of every lanes call a step of this table makes for ids:
-    the svrg lower steps read "zeta" from v = 1, the fused chain "u" and the
-    two-loop chains "zeta_h" from t = 1."""
+    the svrg lower and upper steps read "zeta" and "xi_up" from v = 1, the
+    fused chain "u" and the two-loop chains "zeta_h" from t = 1."""
     tau = max(taus[i] for i in ids.tolist())
     if name == "upper":
-        return [((), ("xi_up", v)) for v in range(tau)]
+        return [((), ("xi_up", v)) for v in range(1, tau)]
     calls = [((), ("zeta_q", t)) for t in range(N)]
     calls += [(("lower", t), ("zeta", v)) for t in range(N) for v in range(1, tau)]
     if name == "est":
