@@ -14,7 +14,7 @@ document stores one entry per array, and the replay rebuilds the same arrays.
 import numpy as np
 
 from fedbilevel import (QuadraticInstance, QuadraticSpec, RngStream,
-                        dense_hessiv, fd_hypergradient, make_quadratic)
+                        fd_hypergradient, make_quadratic)
 
 spec = QuadraticSpec(d1=5, d2=5, m=4, n_per_client=8, mu=1.0, L_g=10.0,
                      hetero=0.6, noise_spread=0.2, seed=2024)
@@ -36,7 +36,7 @@ print(f"hypergradient: implicit formula vs finite differences, rel err {rel:.2e}
 
 # dense factorization vs truncated Neumann series for the Hessian-inverse product
 v = inst.grad_upper_y_exact(x, ys)
-direct = dense_hessiv(inst, x, ys, v)
+direct = inst.solve_A_bar(v)
 lam = 1.0 / inst.L_g
 s, acc = v.copy(), v.copy()
 for _ in range(1, 500):

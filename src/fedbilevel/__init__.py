@@ -14,12 +14,11 @@ from .errors import (ConfigError, ContractViolation, DivergenceError,
                      FedBilevelError, ParameterError, ProtocolError,
                      UnsupportedProblemError)
 from .hypergrad import (AggITDConfig, AidConfig, EstimatorTrace, aggitd,
-                        aid_fhe, dense_hessiv, expected_aggitd_indirect,
-                        expected_aid_fhe, expected_aid_hessiv,
-                        expected_local_fhe, local_fhe)
+                        aid_fhe, expected_aggitd_indirect, expected_aid_fhe,
+                        expected_aid_hessiv, expected_local_fhe, local_fhe)
 from .hyperrep import (HyperRepProblem, HyperRepSpec, hypergradient_numeric,
                        make_hyperrep, partition, solve_head_exact)
-from .lower import LowerStepConfig, lower_gap, one_round_lower
+from .lower import LowerStepConfig, one_round_lower
 from .oracle import (McMoments, TestRegion, estimator_bias_mc,
                      fd_hypergradient, measure_constants)
 from .problems import BilevelProblem, Point, ProblemConstants

@@ -19,7 +19,6 @@ from .drivers import ESTIMATOR_AGGITD, build_problem, resolve_params, run
 from .errors import ConfigError, DivergenceError, FedBilevelError
 from .hypergrad import AggITDConfig, aggitd
 from .lower import LowerStepConfig
-from .quadratic import QuadraticProblem
 from .reporting import export_csv, render_svg
 from .rng import RngStream
 from .runtime import CommLedger, Participation, select_participants
@@ -69,11 +68,9 @@ def cmd_estimate(args) -> int:
     trace_path = os.path.join(out, "estimate_trace.json")
     with open(trace_path, "w", encoding="utf-8") as fh:
         json.dump(trace.to_json_dict(), fh, indent=2)
-    msg = f"||h||={np.linalg.norm(h):.6e} Q={trace.Q} rounds={ledger.rounds_total}"
-    if isinstance(problem, QuadraticProblem):
-        err = np.linalg.norm(h - problem.inst.hypergradient(x))
-        msg += f" est_err={err:.6e}"
-    print(msg + f" -> {trace_path}")
+    err = np.linalg.norm(h - problem.hypergradient(x, problem.y_star(x)))
+    print(f"||h||={np.linalg.norm(h):.6e} Q={trace.Q} rounds={ledger.rounds_total} "
+          f"est_err={err:.6e} -> {trace_path}")
     return 0
 
 

@@ -25,12 +25,12 @@ from .errors import DivergenceError, ParameterError
 from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
                         aggitd, aggitd_lanes, aid_fhe, beta_cap, chain_lanes,
                         lambda_cap, local_fhe)
-from .hyperrep import (HyperRepSpec, hypergradient_numeric, make_hyperrep,
-                       solve_head_exact)
+from .hyperrep import HyperRepSpec, make_hyperrep
 from .lower import (VARIANT_SVRG, LowerStepConfig, _local_phase, client_taus, local_lanes,
                     lower_phase_lanes, max_tau, one_round_lower)
-from .problems import BilevelProblem, CheckedOracles, ProblemConstants, check_count
-from .quadratic import QuadraticProblem, QuadraticSpec, make_problem
+from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
+                       check_positive)
+from .quadratic import QuadraticSpec, make_problem
 from .rng import RngStream, TableStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
@@ -75,7 +75,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.problem, (QuadraticSpec, HyperRepSpec)):
+            raise ParameterError("problem must be a QuadraticSpec or HyperRepSpec, "
+                                 f"got {self.problem!r}")
         check_count("K", self.K, 0)
+        check_count("seed", self.seed, 0)
         check_count("eval_every", self.eval_every)
         if not isinstance(self.estimator, str) or self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
@@ -121,34 +125,27 @@ class RunReport:
 
 
 class Evaluator:
-    """Exact metrics via closed forms (quadratic) or Newton-solved oracles (hyperrep).
+    """Exact metrics rows from the problem's exact truth (``BilevelProblem``).
 
     It keeps (y*(x), hypergradient) for the last x it solved, so a metrics
-    row costs one solve (for hyperrep, a Newton head solve warm-started at
-    the previous y*), and the driver's est_err lookup at the previous row's x
-    costs none. A quadratic row is closed forms and ufunc reductions; a hyperrep
-    solve runs a train forward pass per Newton iterate (``solve_head_exact``),
-    and ``hypergradient_numeric`` one val pass, taking the HessIV Hessian and
-    the mixed partial from the solve's last train pass, at y*. Each dense head
-    Hessian is two BLAS products (``hyperrep._head_hessian``), and the row's
-    objective (``upper_value``) and accuracy read arrays built once per problem.
+    row costs one solve, warm-started at the previous y*, and the driver's
+    est_err lookup at the previous row's x costs none. A quadratic row is
+    closed forms and ufunc reductions; a hyperrep solve runs a train forward
+    pass per Newton iterate (``hyperrep.solve_head_exact``), and the
+    hypergradient one val pass, taking the HessIV Hessian and the mixed
+    partial from the solve's last train pass, at y*. The row's objective and
+    test_metric read arrays built once per problem.
     """
 
     def __init__(self, problem: BilevelProblem):
         self.problem = problem
-        self.is_quadratic = isinstance(problem, QuadraticProblem)
         self._memo = (None, None, None)  # (x bytes, y*(x), hypergradient at x)
 
     def _solve(self, x: np.ndarray):
         key = x.tobytes()
         if self._memo[0] != key:
-            if self.is_quadratic:
-                ys = self.problem.inst.y_star(x)
-                grad = self.problem.inst.hypergradient(x, ys)
-            else:
-                ys = solve_head_exact(self.problem, x, y0=self._memo[1])
-                grad = hypergradient_numeric(self.problem, x, ys)
-            self._memo = (key, ys, grad)
+            ys = self.problem.y_star(x, y0=self._memo[1])
+            self._memo = (key, ys, self.problem.hypergradient(x, ys))
         return self._memo[1], self._memo[2]
 
     def hypergradient(self, x: np.ndarray) -> np.ndarray:
@@ -156,16 +153,11 @@ class Evaluator:
 
     def record(self, k: int, ledger: CommLedger, x, y, est_err: float) -> MetricsRecord:
         ys, grad = self._solve(x)
-        if self.is_quadratic:
-            obj = self.problem.inst.objective(x, ys)
-            test = 0.0
-        else:
-            obj = self.problem.upper_value(x, ys)
-            test = self.problem.accuracy(x, y)
         gap = float(np.add.reduce((y - ys) ** 2))
         return MetricsRecord(k=k, rounds_cum=ledger.rounds_total,
                              grad_norm_sq=float(grad @ grad), lower_gap=gap,
-                             est_err=est_err, objective=obj, test_metric=test)
+                             est_err=est_err, objective=self.problem.objective(x, ys),
+                             test_metric=self.problem.test_metric(x, y))
 
 
 def build_problem(cfg: RunConfig) -> BilevelProblem:
@@ -174,9 +166,7 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
     b = cfg.batch_size
     if isinstance(cfg.problem, QuadraticSpec):
         return make_problem(cfg.problem, batch_size=1 if b is None else b)
-    if isinstance(cfg.problem, HyperRepSpec):
-        return make_hyperrep(cfg.problem, cfg.seed, batch_size=4 if b is None else b)
-    raise ParameterError(f"unknown problem spec type {type(cfg.problem).__name__}")
+    return make_hyperrep(cfg.problem, cfg.seed, batch_size=4 if b is None else b)
 
 
 def resolve_params(cfg: RunConfig, constants: ProblemConstants):
@@ -189,12 +179,11 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     check_count("T", T)
     lam0, alpha0, _ = default_stepsizes(constants, cfg.K)
     lam = cfg.lam if cfg.lam is not None else lam0
+    _check_lambda(lam, constants)   # before beta's default reads it
     alpha = cfg.alpha if cfg.alpha is not None else alpha0
     beta = cfg.beta if cfg.beta is not None else beta_cap(lam, constants)
-    _check_lambda(lam, constants)
     _check_beta(beta, lam, constants)
-    if not 0 < alpha < math.inf:
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    check_positive("alpha", alpha)
     return N, T, lam, alpha, beta
 
 

@@ -26,10 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedProblemError
+from .errors import ParameterError
 from .lower import (VARIANT_SVRG, LowerStepConfig, lower_phase_lanes, max_tau,
                     one_round_lower)
-from .problems import BilevelProblem, CheckedOracles, ProblemConstants
+from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
+                       check_positive)
 from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
@@ -48,14 +49,16 @@ def beta_cap(lam: float, constants: ProblemConstants) -> float:
 
 
 def _check_lambda(lam: float, constants: ProblemConstants) -> None:
+    check_positive("lam", lam)
     cap = lambda_cap(constants)
-    if not 0 < lam <= cap * _CAP_TOL:
+    if not lam <= cap * _CAP_TOL:
         raise ParameterError(f"lambda={lam} violates cap min{{10, 1/L_g}}={cap}")
 
 
 def _check_beta(beta: float, lam: float, constants: ProblemConstants) -> None:
+    check_positive("beta", beta)
     cap = beta_cap(lam, constants)
-    if not 0 < beta <= cap * _CAP_TOL:
+    if not beta <= cap * _CAP_TOL:
         raise ParameterError(f"beta={beta} violates cap min{{1, lambda, 1/(6 L_g)}}={cap}")
 
 
@@ -68,8 +71,7 @@ class AggITDConfig:
     lower: LowerStepConfig
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ParameterError("N must be >= 0")
+        check_count("N", self.N, 0)
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,8 @@ class AidConfig:
     lower: LowerStepConfig
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ParameterError("T must be >= 1")
-        if self.N < 0:
-            raise ParameterError("N must be >= 0")
+        check_count("T", self.T)
+        check_count("N", self.N, 0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -265,14 +265,6 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
     p = lam * acc
     return aggregate_mean(problem.grad_upper_x(ids, x, y_N, lanes("xi_h"))
                           - problem.jvp_lower_xy(ids, x, y_N, p, lanes("chi")), ledger)
-
-
-def dense_hessiv(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
-                 v: np.ndarray) -> np.ndarray:
-    """Reference Hessian-inverse-vector solve by direct symmetric factorization."""
-    if not isinstance(inst, QuadraticInstance):
-        raise UnsupportedProblemError("dense_hessiv needs a quadratic instance")
-    return inst.solve_A_bar(np.asarray(v, dtype=float))
 
 
 # -- deterministic expectation helpers (testing oracles) ----------------------

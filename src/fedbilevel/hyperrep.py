@@ -135,7 +135,7 @@ class HyperRepProblem(BilevelProblem):
         # per split, the minibatch draws' pool: the columns of its index table
         self._pools = {split: np.arange(t.shape[1]) for split, (t, _) in self._tables.items()}
         self._full = {}     # split -> its whole-split arrays, built on first use
-        self._test = (U[test_idx], labels[test_idx])     # accuracy's points
+        self._test = (U[test_idx], labels[test_idx])     # test_metric's points
         self._last_train = (None, None)     # (x, y) bytes -> its full-batch train pass
 
     def initial_point(self):
@@ -227,9 +227,16 @@ class HyperRepProblem(BilevelProblem):
         V, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW @ H + R @ V, Us, n)   # H^T D V z + V^T (pi - e)
 
-    # -- evaluation helpers --------------------------------------------------
+    # -- the exact truth over every client -----------------------------------
 
-    def upper_value(self, x, y) -> float:
+    def y_star(self, x, y0=None):
+        """The aggregate head solve ``solve_head_exact``, warm-started at y0."""
+        return solve_head_exact(self, x, y0=y0)
+
+    def hypergradient(self, x, ys):
+        return hypergradient_numeric(self, x, ys)
+
+    def objective(self, x, y) -> float:
         """The upper objective: the mean over clients of each client's mean
         cross-entropy on its held-out split, the function that ``grad_upper_x``
         and ``hypergradient_numeric`` differentiate."""
@@ -241,7 +248,8 @@ class HyperRepProblem(BilevelProblem):
         loss = loss * (np.arange(loss.shape[1]) < n[:, :, 0])   # padding weighs nothing
         return float(np.mean(loss.sum(axis=1) / n[:, 0, 0]))
 
-    def accuracy(self, x, y) -> float:
+    def test_metric(self, x, y) -> float:
+        """Accuracy of the head on the test split."""
         E, H = self._unpack(x, y)
         Us, labels = self._test
         return float(np.mean(((Us @ E.T) @ H.T).argmax(axis=1) == labels))
@@ -300,7 +308,8 @@ def _head_hessian(H: np.ndarray, Z: np.ndarray, P: np.ndarray, n: np.ndarray,
 
 def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
                          y: np.ndarray) -> np.ndarray:
-    """Dense aggregate head Hessian: the matrix that agg_hvp_lower_yy applies.
+    """Dense aggregate head Hessian: the matrix that ``hvp_lower_yy`` with
+    lanes=None over every client applies, averaged over the clients.
 
     One full-batch train forward pass at (x, y) serves it.
     """
@@ -315,10 +324,10 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
     problem, started at y0 (the origin when omitted).
 
     Each iterate runs one full-batch train forward pass. It serves the
-    gradient (agg_grad_lower_y) and, when the iterate steps, the Hessian
-    (agg_hessian_lower_yy), so the last iterate, at the solution, costs one
-    pass and no Hessian; ``hypergradient_numeric`` at the solution reuses
-    that pass.
+    aggregate gradient (the client mean of exact ``grad_lower_y``) and, when
+    the iterate steps, the Hessian (``agg_hessian_lower_yy``), so the last
+    iterate, at the solution, costs one pass and no Hessian;
+    ``hypergradient_numeric`` at the solution reuses that pass.
     """
     y = np.zeros(problem.d2) if y0 is None else y0
     ridge = problem.spec.ridge
@@ -333,19 +342,17 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
 
 
 def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
-                          y: np.ndarray | None = None) -> np.ndarray:
+                          y: np.ndarray) -> np.ndarray:
     """Implicit-function hypergradient with a dense HessIV at the exact head.
 
-    y is the already-solved head y*(x); it is Newton-solved when omitted.
-    Equals agg_grad_upper_x - agg_jvp_lower_xy(w) with
-    w = solve(agg_hessian_lower_yy, agg_grad_upper_y), all at (x, y), bit for
+    y is the solved head y*(x). With each oracle exact (lanes=None) over every
+    client and averaged over them, it equals grad_upper_x - jvp_lower_xy(w) with
+    w = solve(agg_hessian_lower_yy, grad_upper_y), all at (x, y), bit for
     bit, from two forward passes: one full-batch val pass serves both upper
     gradients, and one full-batch train pass serves the Hessian and the
     mixed-partial product. At a y just returned by ``solve_head_exact`` the
     train pass is the solve's last one, so it is not run again.
     """
-    if y is None:
-        y = solve_head_exact(problem, x)
     ids = problem._all_ids
     problem.checked(ids, x, y)
     H, Us, Z, _, R, n = problem._forward(ids, x, y, None, "val")

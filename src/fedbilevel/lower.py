@@ -30,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedProblemError
-from .problems import BilevelProblem, CheckedOracles, check_count
-from .quadratic import QuadraticInstance
+from .errors import ParameterError
+from .problems import BilevelProblem, CheckedOracles, check_count, check_positive
 from .rng import CLIENT, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
 
@@ -56,8 +55,7 @@ class LowerStepConfig:
     variant: str = VARIANT_SVRG
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ParameterError("beta must be positive")
+        check_positive("beta", self.beta)
         if self.variant not in (VARIANT_SVRG, VARIANT_SGD):
             raise ParameterError(f"unknown lower variant {self.variant!r}")
         client_taus(self.tau, np.arange(0))  # checks every tau_i is an integer >= 1
@@ -175,11 +173,3 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     return _local_phase(problem, oracles, rng,
                         lambda ids, Y, lanes: problem.grad_lower_y(ids, x, Y, lanes),
                         y, q, cfg.beta, cfg.tau, "zeta", cfg.variant, ledger)
-
-
-def lower_gap(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray) -> float:
-    """Squared distance ||y - y*(x)||^2 against the closed-form minimizer."""
-    if not isinstance(inst, QuadraticInstance):
-        raise UnsupportedProblemError("lower_gap needs a quadratic instance")
-    r = y - inst.y_star(x)
-    return float(r @ r)

@@ -35,11 +35,13 @@ There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
 client arrays of its ``QuadraticInstance``, so every client has the same
 noise mode and sample count; ``HyperRepProblem`` pads unequal splits into
-index tables and weights the padding 0.
+index tables and weights the padding 0. Each problem also gives the exact
+truth over every client that metrics rows are judged against (``BilevelProblem``).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +125,13 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise ParameterError naming the setting unless value is a finite real > 0 (no bool)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < np.inf):
+        raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 class BilevelProblem:
     """Base class: the five oracles, the participant-set check and the sample audit.
 
@@ -130,7 +139,10 @@ class BilevelProblem:
     ``_grad_upper_x_batch``, ``_grad_upper_y_batch``, ``_hvp_lower_yy_batch``
     and ``_jvp_lower_xy_batch``, taking (ids, x, y, [v,] lanes) after the
     checks: ``lanes`` is the Lanes whose draws pick each row's sample, or None
-    for the exact evaluation.
+    for the exact evaluation. It also implements the exact truth over every
+    client that ``drivers.Evaluator`` and ``estimate`` read: ``y_star(x, y0=None)``
+    (y0 a warm start), ``hypergradient(x, ys)`` and ``objective(x, ys)`` at
+    ys = y*(x), and the task metric ``test_metric(x, y)`` of an iterate.
     """
 
     def __init__(self, m: int, d1: int, d2: int, constants: ProblemConstants,
@@ -228,35 +240,6 @@ class BilevelProblem:
         """Sampled mixed partials of G_i applied to y-directions, results in x-space."""
         self._audit(ids, lanes)
         return self._jvp_lower_xy_batch(ids, x, y, v, lanes)
-
-    # -- exact full-participation aggregates (diagnostics / evaluation) ----
-
-    def agg_grad_lower_y(self, p: Point) -> np.ndarray:
-        ids = self.checked(self._all_ids, p.x, p.y).ids
-        return self.grad_lower_y(ids, p.x, p.y, None).mean(axis=0)
-
-    def agg_grad_upper_x(self, p: Point) -> np.ndarray:
-        ids = self.checked(self._all_ids, p.x, p.y).ids
-        return self.grad_upper_x(ids, p.x, p.y, None).mean(axis=0)
-
-    def agg_grad_upper_y(self, p: Point) -> np.ndarray:
-        ids = self.checked(self._all_ids, p.x, p.y).ids
-        return self.grad_upper_y(ids, p.x, p.y, None).mean(axis=0)
-
-    def agg_hvp_lower_yy(self, p: Point, v: np.ndarray) -> np.ndarray:
-        ids = self._checked_direction(p, v)
-        return self.hvp_lower_yy(ids, p.x, p.y, v, None).mean(axis=0)
-
-    def agg_jvp_lower_xy(self, p: Point, v: np.ndarray) -> np.ndarray:
-        ids = self._checked_direction(p, v)
-        return self.jvp_lower_xy(ids, p.x, p.y, v, None).mean(axis=0)
-
-    def _checked_direction(self, p: Point, v: np.ndarray) -> np.ndarray:
-        """Every client's id, with p checked and v a y-direction, (d2,) or (m, d2)."""
-        if np.shape(v) not in ((self.d2,), (self.m, self.d2)):
-            raise ContractViolation(f"v has shape {np.shape(v)}, expected ({self.d2},) or "
-                                    f"({self.m}, {self.d2})")
-        return self.checked(self._all_ids, p.x, p.y).ids
 
 
 class CheckedOracles:

@@ -330,6 +330,19 @@ class QuadraticProblem(BilevelProblem):
         self.inst = inst
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
 
+    # the exact truth: the instance's closed forms, with no task metric
+    def y_star(self, x, y0=None):
+        return self.inst.y_star(x)
+
+    def hypergradient(self, x, ys):
+        return self.inst.hypergradient(x, ys)
+
+    def objective(self, x, ys):
+        return self.inst.objective(x, ys)
+
+    def test_metric(self, x, y):
+        return 0.0
+
     def _rows(self, ids):
         """Index of the clients' rows in the stacked arrays: a full slice
         (no copy) when every client takes part."""

@@ -51,6 +51,12 @@ def batch_of_one(problem, name, i, p, *args):
     return getattr(problem, name)(np.array([i]), p.x, p.y, *v, lanes)[0]
 
 
+def exact_mean(problem, name, x, y, *v):
+    """The client mean of the exact oracle ``name`` over every client at
+    (x, y) [, v]: the full-participation, noise-off aggregate."""
+    return getattr(problem, name)(problem._all_ids, x, y, *v, None).mean(axis=0)
+
+
 @pytest.fixture
 def rng_root():
     return RngStream(1234)

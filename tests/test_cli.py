@@ -254,12 +254,22 @@ def test_cli_reproduces_race_csvs(tmp_path, estimator, label, golden):
 
 
 def test_estimate_starts_from_initial_point(tmp_path, capsys):
-    # the hyperrep origin is a saddle where the hypergradient vanishes
-    rc = main(["estimate", "--set", 'problem="hyperrep"', "--set", "lambda=0.005",
-               "--set", "beta=0.0005", "--set", "N=2", "--out-dir", str(tmp_path)])
+    # the hyperrep origin is a saddle where the hypergradient vanishes; est_err
+    # is printed for every problem, against the problem's exact hypergradient
+    from fedbilevel.config import apply_overrides, config_from_dict, parse_set_args
+    from fedbilevel.drivers import build_problem
+    sets = ['problem="hyperrep"', "lambda=0.005", "beta=0.0005", "N=2"]
+    rc = main(["estimate", *[a for s in sets for a in ("--set", s)], "--out-dir", str(tmp_path)])
     assert rc == 0
-    norm = float(capsys.readouterr().out.split("||h||=")[1].split()[0])
+    out = capsys.readouterr().out
+    norm = float(out.split("||h||=")[1].split()[0])
     assert norm > 0
+    trace = json.loads((tmp_path / "estimate_trace.json").read_text())
+    h = np.array(trace["h_direct"]) - np.array(trace["h_indirect"])
+    problem = build_problem(config_from_dict(apply_overrides({}, parse_set_args(sets))))
+    x0 = problem.initial_point()[0]
+    err = np.linalg.norm(h - problem.hypergradient(x0, problem.y_star(x0)))
+    assert float(out.split("est_err=")[1].split()[0]) == pytest.approx(err, rel=1e-6)
 
 
 @pytest.mark.parametrize("doc,key", [

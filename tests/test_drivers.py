@@ -93,10 +93,16 @@ def _quad_cfg(K, seed=7, N=None, T=None, **kw):
 
 @pytest.mark.parametrize("field,value", [("estimator", ["aid"]), ("K", "3"),
                                          ("eval_every", None), ("participation", "0.5"),
-                                         ("N", "2"), ("T", 2.5)])
+                                         ("N", "2"), ("T", 2.5),
+                                         ("seed", "3"), ("seed", 3.7),
+                                         ("problem", "quadratic"), ("problem", None),
+                                         ("problem", {"d1": 2}),
+                                         ("lam", "0.1"), ("alpha", "0.1"), ("beta", "0.1"),
+                                         ("alpha", True), ("alpha", float("nan"))])
 def test_run_config_names_a_mistyped_field(field, value):
     # a library caller's wrong type is a named library error, not a raw
-    # TypeError; N and T are checked where a run resolves them
+    # TypeError or a silent cast; N, T and the stepsizes are checked where a
+    # run resolves them
     with pytest.raises(fedbilevel.FedBilevelError, match=rf"\b{field}\b"):
         cfg = RunConfig(**{field: value})
         resolve_params(cfg, build_problem(cfg).constants)
@@ -267,14 +273,13 @@ def _small_hyperrep_run(K=6):
 
 
 def test_hyperrep_one_head_solve_per_metrics_row(monkeypatch):
-    from fedbilevel import drivers, hyperrep
+    from fedbilevel import hyperrep
     calls = []
     original = hyperrep.solve_head_exact
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
-    monkeypatch.setattr(drivers, "solve_head_exact", counted)
     monkeypatch.setattr(hyperrep, "solve_head_exact", counted)
     rep = _small_hyperrep_run()
     assert len(rep.rows) == 7
@@ -283,10 +288,9 @@ def test_hyperrep_one_head_solve_per_metrics_row(monkeypatch):
 
 def test_hyperrep_est_err_unchanged_without_memo(monkeypatch):
     from fedbilevel.drivers import Evaluator
-    from fedbilevel.hyperrep import hypergradient_numeric
     memo = _small_hyperrep_run().column("est_err")
     monkeypatch.setattr(Evaluator, "hypergradient",
-                        lambda self, x: hypergradient_numeric(self.problem, x))
+                        lambda self, x: self.problem.hypergradient(x, self.problem.y_star(x)))
     fresh = _small_hyperrep_run().column("est_err")
     assert np.all(memo[1:] > 0)
     np.testing.assert_allclose(memo, fresh, rtol=1e-12, atol=0)

@@ -5,10 +5,9 @@ import pytest
 
 from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
                         LowerStepConfig, ParameterError, QuadraticProblem, QuadraticSpec,
-                        RngStream, aggitd, aid_fhe, dense_hessiv,
-                        expected_aggitd_indirect, expected_aid_fhe,
-                        expected_aid_hessiv, expected_local_fhe, local_fhe,
-                        make_quadratic)
+                        RngStream, aggitd, aid_fhe, expected_aggitd_indirect,
+                        expected_aid_fhe, expected_aid_hessiv, expected_local_fhe,
+                        local_fhe, make_quadratic)
 
 from conftest import manual_instance
 
@@ -114,7 +113,7 @@ def test_expected_indirect_converges_to_dense_hessiv():
     lam = 1.0 / inst.L_g
     x = np.ones(5) * 0.4
     ys = inst.y_star(x)
-    limit = inst.B_bar.T @ dense_hessiv(inst, x, ys, inst.grad_upper_y_exact(x, ys))
+    limit = inst.B_bar.T @ inst.solve_A_bar(inst.grad_upper_y_exact(x, ys))
     Ns = (5, 10, 20)  # large N underflows to float noise on this spectrum
     errs = []
     for N in Ns:
@@ -200,7 +199,7 @@ def test_aid_hessiv_approaches_dense_solve():
     lam = 1.0 / inst.L_g
     x = np.ones(4)
     y_N = inst.y_star(x)
-    target = dense_hessiv(inst, x, y_N, inst.grad_upper_y_exact(x, y_N))
+    target = inst.solve_A_bar(inst.grad_upper_y_exact(x, y_N))
     errs = [np.linalg.norm(expected_aid_hessiv(inst, x, y_N, lam, T) - target)
             for T in (2, 5, 12, 30)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -238,8 +237,9 @@ def test_aid_round_accounting_and_errors():
     aid_fhe(problem, np.ones(5), np.zeros(5), cfg, range(3), RngStream(6), ledger)
     assert ledger.rounds_total == 5 + 2  # p0 + T chain rounds + final estimate
     assert ledger.loops_total == 1
-    with pytest.raises(ParameterError):
-        AidConfig(lam=lam, N=2, T=0, lower=LowerStepConfig(beta=0.01))
+    for T in (0, 2.5, "3", True):   # True is not a count
+        with pytest.raises(ParameterError, match=r"\bT\b"):
+            AidConfig(lam=lam, N=2, T=T, lower=LowerStepConfig(beta=0.01))
 
 
 def test_local_equals_aid_when_homogeneous():
@@ -289,11 +289,8 @@ def test_local_zero_upper_y_gradient_gives_direct_part():
 
 def test_dense_hessiv_examples():
     inst = manual_instance([2.0, 2.0], d1=2, m=1, seed=17)
-    x = np.zeros(2)
-    y = np.zeros(2)
-    np.testing.assert_allclose(dense_hessiv(inst, x, y, np.array([2.0, 4.0])),
-                               [1.0, 2.0], rtol=1e-14)
-    np.testing.assert_allclose(dense_hessiv(inst, x, y, np.zeros(2)), [0.0, 0.0])
+    np.testing.assert_allclose(inst.solve_A_bar(np.array([2.0, 4.0])), [1.0, 2.0], rtol=1e-14)
+    np.testing.assert_allclose(inst.solve_A_bar(np.zeros(2)), [0.0, 0.0])
     inst2, _ = _deterministic_setup(d=5, seed=67)
     gen = RngStream(8).child("v").generator()
     v = gen.normal(size=5)
@@ -303,7 +300,7 @@ def test_dense_hessiv_examples():
     for _ in range(1, 500):
         s = s - lam * (inst2.A_bar @ s)
         acc += s
-    direct = dense_hessiv(inst2, np.zeros(5), np.zeros(5), v)
+    direct = inst2.solve_A_bar(v)
     np.testing.assert_allclose(lam * acc, direct, rtol=1e-6)
     assert np.linalg.norm(inst2.A_bar @ direct - v) <= 1e-10 * np.linalg.norm(v)
 
@@ -337,8 +334,11 @@ def test_homogeneous_per_client_local_estimates_all_equal_aggregate():
 def test_config_validation():
     inst, problem = _deterministic_setup()
     good_lam = 1.0 / inst.L_g
-    with pytest.raises(ParameterError):
-        AggITDConfig(lam=good_lam, N=-1, lower=LowerStepConfig(beta=0.01))
+    for N in (-1, 2.5, "3", True):   # True is not a count
+        with pytest.raises(ParameterError, match=r"\bN\b"):
+            AggITDConfig(lam=good_lam, N=N, lower=LowerStepConfig(beta=0.01))
+        with pytest.raises(ParameterError, match=r"\bN\b"):
+            AidConfig(lam=good_lam, N=N, T=1, lower=LowerStepConfig(beta=0.01))
     cfg_bad_lam = AggITDConfig(lam=good_lam * 2, N=1, lower=LowerStepConfig(beta=0.001))
     with pytest.raises(ParameterError):
         aggitd(problem, np.ones(5), np.zeros(5), cfg_bad_lam, range(3),
@@ -352,6 +352,17 @@ def test_config_validation():
         aggitd(problem, np.ones(5), np.zeros(5),
                AggITDConfig(lam=good_lam, N=2, lower=LowerStepConfig(beta=0.001)),
                range(3), RngStream(0), CommLedger(), q_override=5)
+    # each estimator names a mistyped lambda before any round
+    x, y, lower = np.ones(5), np.zeros(5), LowerStepConfig(beta=0.001)
+    for lam in ("0.1", True, float("nan"), -good_lam):
+        aid_cfg = AidConfig(lam=lam, N=1, T=1, lower=lower)
+        for call in (lambda: aggitd(problem, x, y, AggITDConfig(lam=lam, N=1, lower=lower),
+                                    range(3), RngStream(0), CommLedger()),
+                     lambda: aid_fhe(problem, x, y, aid_cfg, range(3), RngStream(0),
+                                     CommLedger()),
+                     lambda: local_fhe(problem, x, y, aid_cfg)):
+            with pytest.raises(ParameterError, match=r"\blam\b"):
+                call()
 
 
 def test_estimators_take_checked_oracles_of_their_problem_only():

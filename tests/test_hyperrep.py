@@ -8,7 +8,7 @@ from fedbilevel import (HyperRepSpec, ParameterError, Point, RngStream,
 from fedbilevel.hyperrep import (_head_hessian, agg_hessian_lower_yy,
                                  hypergradient_numeric, solve_head_exact)
 
-from conftest import batch_of_one
+from conftest import batch_of_one, exact_mean
 
 
 def test_partition_iid_even_split():
@@ -132,7 +132,7 @@ def test_newton_head_solve_is_stationary():
     problem = make_hyperrep(spec, seed=7)
     x = 0.1 * RngStream(7).child("x").generator().normal(size=problem.d1)
     ys = solve_head_exact(problem, x)
-    g = problem.agg_grad_lower_y(Point(x, ys))
+    g = exact_mean(problem, "grad_lower_y", x, ys)
     assert np.linalg.norm(g) <= 1e-10
 
 
@@ -140,21 +140,21 @@ def test_hypergradient_numeric_matches_finite_differences():
     spec = HyperRepSpec(embed_dim=2, feature_dim=4, classes=3, m=2, n_points=90)
     problem = make_hyperrep(spec, seed=8)
     x = 0.1 * RngStream(8).child("x").generator().normal(size=problem.d1)
-    hg = hypergradient_numeric(problem, x)
+    hg = problem.hypergradient(x, problem.y_star(x))
     np.testing.assert_array_equal(
         hypergradient_numeric(problem, x, solve_head_exact(problem, x)), hg)
-    fd = _upper_value_fd(problem, x)
+    fd = _objective_fd(problem, x)
     assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
 
 
-def _upper_value_fd(problem, x, eps=1e-5):
-    """Central differences of x -> upper_value(x, y*(x))."""
+def _objective_fd(problem, x, eps=1e-5):
+    """Central differences of x -> objective(x, y*(x))."""
     fd = np.zeros(problem.d1)
     for j in range(problem.d1):
         e = np.zeros(problem.d1)
         e[j] = eps
-        up = problem.upper_value(x + e, solve_head_exact(problem, x + e))
-        dn = problem.upper_value(x - e, solve_head_exact(problem, x - e))
+        up = problem.objective(x + e, solve_head_exact(problem, x + e))
+        dn = problem.objective(x - e, solve_head_exact(problem, x - e))
         fd[j] = (up - dn) / (2 * eps)
     return fd
 
@@ -168,7 +168,7 @@ def test_analytic_head_hessian_matches_hvp_columns(mode):
     for _ in range(3):
         x = gen.normal(size=problem.d1)
         y = gen.normal(size=problem.d2)
-        ref = np.column_stack([problem.agg_hvp_lower_yy(Point(x, y), e)
+        ref = np.column_stack([exact_mean(problem, "hvp_lower_yy", x, y, e)
                                for e in np.eye(problem.d2)])
         got = agg_hessian_lower_yy(problem, x, y)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -181,7 +181,7 @@ def test_analytic_head_hessian_on_unequal_splits():
     assert [len(t) for t in problem.train_idx] == [5, 5, 5, 4, 4]
     gen = RngStream(4).child("hess").generator()
     x, y = gen.normal(size=problem.d1), gen.normal(size=problem.d2)
-    ref = np.column_stack([problem.agg_hvp_lower_yy(Point(x, y), e)
+    ref = np.column_stack([exact_mean(problem, "hvp_lower_yy", x, y, e)
                            for e in np.eye(problem.d2)])
     got = agg_hessian_lower_yy(problem, x, y)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -207,9 +207,9 @@ def _shared_case(name, batch_size=8):
 
 
 def _newton_reference(problem, x, y, tol=1e-12, max_iter=60):
-    # Newton over the public aggregate oracles: two forward passes per step
+    # Newton over the public exact oracles: two forward passes per step
     for _ in range(max_iter):
-        g = problem.agg_grad_lower_y(Point(x, y))
+        g = exact_mean(problem, "grad_lower_y", x, y)
         if np.linalg.norm(g) <= tol:
             break
         y = y - np.linalg.solve(agg_hessian_lower_yy(problem, x, y), g)
@@ -232,10 +232,10 @@ def test_solve_head_exact_equals_aggregate_newton(name):
 def test_hypergradient_numeric_equals_aggregate_oracles(name):
     problem, x, y = _shared_case(name)
     for head in (solve_head_exact(problem, x), y):
-        pt = Point(x, head)
         w = np.linalg.solve(agg_hessian_lower_yy(problem, x, head),
-                            problem.agg_grad_upper_y(pt))
-        ref = problem.agg_grad_upper_x(pt) - problem.agg_jvp_lower_xy(pt, w)
+                            exact_mean(problem, "grad_upper_y", x, head))
+        ref = (exact_mean(problem, "grad_upper_x", x, head)
+               - exact_mean(problem, "jvp_lower_xy", x, head, w))
         np.testing.assert_array_equal(hypergradient_numeric(problem, x, head), ref)
 
 
@@ -284,8 +284,8 @@ def test_upper_value_is_the_client_mean_on_unequal_val_splits():
     problem = make_hyperrep(spec, seed=4)
     assert [len(v) for v in problem.val_idx] == [8, 8, 7, 7]
     x = RngStream(4).child("fd").generator().normal(size=problem.d1)
-    fd = _upper_value_fd(problem, x)
-    hg = hypergradient_numeric(problem, x)
+    fd = _objective_fd(problem, x)
+    hg = problem.hypergradient(x, problem.y_star(x))
     assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from fedbilevel import (CommLedger, HyperRepSpec, LowerStepConfig, ParameterError, Point,
-                        QuadraticProblem, QuadraticSpec, RngStream, lower_gap,
-                        make_hyperrep, make_quadratic, one_round_lower)
+                        QuadraticProblem, QuadraticSpec, RngStream, make_hyperrep,
+                        make_quadratic, one_round_lower)
+from fedbilevel.drivers import Evaluator
 from fedbilevel.lower import VARIANT_SGD, VARIANT_SVRG, client_taus
 from fedbilevel.oracle import TestRegion, measure_constants
 
-from conftest import batch_of_one, manual_instance
+from conftest import batch_of_one, exact_mean, manual_instance
 
 
 def _noise_off_problem(hetero=0.5, seed=3, d=3, m=3):
@@ -32,7 +33,7 @@ def test_tau_one_reduces_to_global_step():
             np.testing.assert_allclose(got, y - 0.05 * q, rtol=1e-14)
         else:
             # sgd ignores q; with noise off it takes the exact local gradients
-            agg = problem.agg_grad_lower_y(Point(x, y))
+            agg = exact_mean(problem, "grad_lower_y", x, y)
             np.testing.assert_allclose(got, y - 0.05 * agg, rtol=1e-14)
 
 
@@ -40,7 +41,7 @@ def test_homogeneous_noise_off_svrg_equals_sgd():
     inst, problem = _noise_off_problem(hetero=0.0)
     x = np.ones(3)
     y = np.array([0.5, -1.0, 2.0])
-    q = problem.agg_grad_lower_y(Point(x, y))  # exact aggregate gradient
+    q = exact_mean(problem, "grad_lower_y", x, y)  # exact aggregate gradient
     kw = dict(beta=0.04, tau=4)
     a = one_round_lower(problem, x, y, q, LowerStepConfig(variant=VARIANT_SVRG, **kw),
                         range(3), RngStream(2), CommLedger())
@@ -69,7 +70,7 @@ def test_composed_round_contracts_noise_off():
     mu = measure_constants(inst, TestRegion(Point(x, ys), 2.0), 100).mu
     y = ys + np.array([1.0, -1.0, 0.5])
     for _ in range(10):
-        q = problem.agg_grad_lower_y(Point(x, y))
+        q = exact_mean(problem, "grad_lower_y", x, y)
         y_next = one_round_lower(problem, x, y, q, cfg, range(3),
                                  RngStream(4), CommLedger())
         ratio = np.linalg.norm(y_next - ys) / np.linalg.norm(y - ys)
@@ -77,12 +78,17 @@ def test_composed_round_contracts_noise_off():
         y = y_next
 
 
+def _lower_gap(problem, x, y):
+    """A metrics row's lower_gap, ||y - y*(x)||^2."""
+    return Evaluator(problem).record(0, CommLedger(), x, y, 0.0).lower_gap
+
+
 def test_lower_gap_examples():
     inst = manual_instance([1.0, 1.0], d1=2, m=1, lin_scale=0.0, B_norm=1e-300)
-    inst = replace(inst, B=np.zeros_like(inst.B))
+    problem = QuadraticProblem(replace(inst, B=np.zeros_like(inst.B)))
     x = np.zeros(2)
-    assert lower_gap(inst, x, inst.y_star(x)) == pytest.approx(0.0, abs=1e-20)
-    assert lower_gap(inst, x, np.array([3.0, 4.0])) == pytest.approx(25.0)
+    assert _lower_gap(problem, x, problem.y_star(x)) == pytest.approx(0.0, abs=1e-20)
+    assert _lower_gap(problem, x, np.array([3.0, 4.0])) == pytest.approx(25.0)
 
 
 def test_gap_monotone_noise_off():
@@ -90,12 +96,12 @@ def test_gap_monotone_noise_off():
     x = np.ones(3)
     cfg = LowerStepConfig(beta=1.0 / (6 * inst.L_g), tau=2)
     y = np.zeros(3)
-    gaps = [lower_gap(inst, x, y)]
+    gaps = [_lower_gap(problem, x, y)]
     for t in range(15):
-        q = problem.agg_grad_lower_y(Point(x, y))
+        q = exact_mean(problem, "grad_lower_y", x, y)
         y = one_round_lower(problem, x, y, q, cfg, range(3),
                             RngStream(5).child(t), CommLedger())
-        gaps.append(lower_gap(inst, x, y))
+        gaps.append(_lower_gap(problem, x, y))
     assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -151,6 +157,13 @@ def test_bad_tau_rejected():
         LowerStepConfig(beta=-0.1, tau=1)
     with pytest.raises(ParameterError):
         LowerStepConfig(beta=0.1, tau=1, variant="adam")
+
+
+@pytest.mark.parametrize("beta", ["0.1", True, 0.0, float("nan"), float("inf")])
+def test_bad_beta_named(beta):
+    # a stepsize is a finite real > 0: a string or a bool is not read as one
+    with pytest.raises(ParameterError, match=r"\bbeta\b"):
+        LowerStepConfig(beta=beta)
 
 
 @pytest.mark.parametrize("tau", [1.7, 2.0, True, [1, 2.9], [1, False], [np.float64(2.0)]])

@@ -12,7 +12,8 @@ from fedbilevel import (CommLedger, ContractViolation, HyperRepSpec,
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
-from conftest import batch_of_one, manual_instance, two_sample_instance, zero_offsets
+from conftest import (batch_of_one, exact_mean, manual_instance, two_sample_instance,
+                      zero_offsets)
 
 
 def _problem_1d():
@@ -30,12 +31,17 @@ def test_grad_lower_y_hand_value():
     assert g == pytest.approx(7.0)
 
 
-def test_grad_lower_y_zero_at_optimum():
-    inst = make_quadratic(QuadraticSpec(d1=4, d2=4, m=3, hetero=0.6, seed=3))
-    problem = QuadraticProblem(inst)
-    x = np.array([0.3, -1.0, 2.0, 0.0])
-    ys = inst.y_star(x)
-    agg = problem.agg_grad_lower_y(Point(x, ys))
+@pytest.mark.parametrize("kind", ["quadratic", "hyperrep"])
+def test_grad_lower_y_zero_at_optimum(kind):
+    # the exact aggregate lower gradient vanishes at the problem's own y*(x)
+    if kind == "quadratic":
+        problem = QuadraticProblem(make_quadratic(
+            QuadraticSpec(d1=4, d2=4, m=3, hetero=0.6, seed=3)))
+        x = np.array([0.3, -1.0, 2.0, 0.0])
+    else:
+        problem = make_hyperrep(HyperRepSpec(m=3, n_points=120, partition="label-skew"), 3)
+        x = problem.initial_point()[0]
+    agg = exact_mean(problem, "grad_lower_y", x, problem.y_star(x))
     assert np.linalg.norm(agg) <= 1e-10
 
 
@@ -69,7 +75,7 @@ def test_grad_upper_x_symmetric_cancellation():
     inst = replace(inst, e=np.array([[1.0], [-1.0]]))
     problem = QuadraticProblem(inst)
     for xv in (0.0, 2.5, -3.0):
-        agg = problem.agg_grad_upper_x(Point(np.array([xv]), np.zeros(1)))
+        agg = exact_mean(problem, "grad_upper_x", np.array([xv]), np.zeros(1))
         np.testing.assert_allclose(agg, [0.0], atol=1e-15)
 
 
@@ -204,20 +210,6 @@ def test_error_cases():
             problem.checked([0, 1, 4], xx, yy)
     assert problem.checked([4, 1, 1, 0], x, y).ids.tolist() == [0, 1, 4]
     assert problem.audit.total == 0
-    # the aggregate second-order helpers check their direction v: a shared
-    # (d2,) vector or one row per client
-    quad = QuadraticProblem(make_quadratic(QuadraticSpec(d1=3, d2=4, m=3, seed=2)))
-    rep = make_hyperrep(HyperRepSpec(m=3, n_points=120), 0)
-    for prob in (quad, rep):
-        p, d2 = Point(*prob.initial_point()), prob.d2
-        for v in (np.ones(d2 - 1), np.ones(d2 + 1), np.ones((prob.m, d2 + 1)),
-                  np.ones((prob.m + 1, d2)), np.ones((1, d2))):
-            for name in ("agg_hvp_lower_yy", "agg_jvp_lower_xy"):
-                with pytest.raises(ContractViolation, match="v has shape"):
-                    getattr(prob, name)(p, v)
-        for v in (np.ones(d2), np.ones((prob.m, d2))):
-            assert prob.agg_hvp_lower_yy(p, v).shape == (d2,)
-            assert prob.agg_jvp_lower_xy(p, v).shape == (prob.d1,)
 
 
 def test_svrg_correction_is_exactly_q_at_the_anchor():
