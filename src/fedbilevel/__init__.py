@@ -7,12 +7,10 @@ AID-style baseline. Synthetic strongly convex quadratics provide closed-form
 ground truth for every estimator and solver in the package.
 """
 
-from .drivers import (MetricsRecord, RunConfig, RunReport, default_N,
-                      default_stepsizes, one_round_upper, run,
+from .drivers import (MetricsRecord, RunConfig, RunReport, one_round_upper, run,
                       run_fbo_aggitd, run_fednest_baseline)
 from .errors import (ConfigError, ContractViolation, DivergenceError,
-                     FedBilevelError, ParameterError, ProtocolError,
-                     UnsupportedProblemError)
+                     FedBilevelError, ParameterError, ProtocolError)
 from .hypergrad import (AggITDConfig, AidConfig, EstimatorTrace, aggitd,
                         aid_fhe, expected_aggitd_indirect, expected_aid_fhe,
                         expected_aid_hessiv, expected_local_fhe, local_fhe)

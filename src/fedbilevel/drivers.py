@@ -43,17 +43,6 @@ _LABELS = {ESTIMATOR_AGGITD: "fbo-aggitd", ESTIMATOR_AID: "fednest",
            ESTIMATOR_LOCAL: "lfednest"}
 
 
-def default_N(constants: ProblemConstants) -> int:
-    return max(1, math.ceil(constants.kappa_g))
-
-
-def default_stepsizes(constants: ProblemConstants, K: int) -> tuple[float, float, float]:
-    """Condition-number-guided defaults: lam and beta at their caps,
-    alpha = kappa_g^-4 / sqrt(K)."""
-    lam = lambda_cap(constants)
-    return lam, constants.kappa_g ** -4 / math.sqrt(max(K, 1)), beta_cap(lam, constants)
-
-
 @dataclass
 class RunConfig:
     """All hyperparameters of a run; None fields are filled from defaults."""
@@ -162,25 +151,26 @@ class Evaluator:
 
 def build_problem(cfg: RunConfig) -> BilevelProblem:
     """The problem of cfg's spec, drawing cfg.batch_size samples per oracle
-    row; unset, 1 for a quadratic and 4 for hyperrep."""
-    b = cfg.batch_size
+    row; unset, its factory's default (1 for a quadratic, 4 for hyperrep)."""
+    kw = {} if cfg.batch_size is None else {"batch_size": cfg.batch_size}
     if isinstance(cfg.problem, QuadraticSpec):
-        return make_problem(cfg.problem, batch_size=1 if b is None else b)
-    return make_hyperrep(cfg.problem, cfg.seed, batch_size=4 if b is None else b)
+        return make_problem(cfg.problem, **kw)
+    return make_hyperrep(cfg.problem, cfg.seed, **kw)
 
 
 def resolve_params(cfg: RunConfig, constants: ProblemConstants):
-    """Fill unset (N, T, lam, alpha, beta) from the condition-number defaults
-    and check them against the caps; every run and ``estimate`` call this on
-    the built problem's constants."""
-    N = cfg.N if cfg.N is not None else default_N(constants)
+    """(N, T, lam, alpha, beta) of a run, checked against the caps; every run
+    and ``estimate`` call this on the built problem's constants. The one home
+    of the defaults of unset values: N = max(1, ceil(kappa_g)), T = N (at
+    least 1), lam and beta at their caps, alpha = kappa_g^-4 / sqrt(K)."""
+    kappa = constants.kappa_g
+    N = cfg.N if cfg.N is not None else max(1, math.ceil(kappa))
     check_count("N", N, 0)
     T = cfg.T if cfg.T is not None else max(1, N)
     check_count("T", T)
-    lam0, alpha0, _ = default_stepsizes(constants, cfg.K)
-    lam = cfg.lam if cfg.lam is not None else lam0
+    lam = cfg.lam if cfg.lam is not None else lambda_cap(constants)
     _check_lambda(lam, constants)   # before beta's default reads it
-    alpha = cfg.alpha if cfg.alpha is not None else alpha0
+    alpha = cfg.alpha if cfg.alpha is not None else kappa ** -4 / math.sqrt(max(cfg.K, 1))
     beta = cfg.beta if cfg.beta is not None else beta_cap(lam, constants)
     _check_beta(beta, lam, constants)
     check_positive("alpha", alpha)
@@ -217,7 +207,8 @@ def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
 def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) -> RunReport:
     """K outer iterations with warm start; the estimator step maps
     (x, y, participants, scope) to (h, y). The AID and local steps run the
-    2N-round lower phase, then estimate h in a second loop. The scopes
+    2N-round lower phase, then estimate h in a second loop, ``aid_fhe`` or
+    ``local_fhe`` under ``scope.child(estimator)``. The scopes
     ``root.child("est", k)`` and ``root.child("upper", k)`` are steps of lane
     tables over the whole run."""
     if problem is None:
@@ -234,12 +225,12 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
         lane_sets = aggitd_lanes(N, max_tau(cfg.tau), cfg.variant)
 
         def step(x, y, oracles, scope):
-            h, y, _ = aggitd(problem, x, y, acfg, oracles, scope, ledger)
-            return h, y
+            return aggitd(problem, x, y, acfg, oracles, scope, ledger)[:2]
     else:
-        aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
+        aid_cfg = AidConfig(lam=lam, T=T)
+        chain = aid_fhe if estimator == ESTIMATOR_AID else local_fhe
         lane_sets = (lower_phase_lanes(N, max_tau(cfg.tau), cfg.variant)
-                     + chain_lanes(T, "aid" if estimator == ESTIMATOR_AID else "local"))
+                     + chain_lanes(T, estimator))
 
         def step(x, y, oracles, scope):
             ids = oracles.ids
@@ -249,9 +240,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
                     ids, x, y, scope.lanes(ids, "zeta_q", t)), ledger)
                 y = one_round_lower(problem, x, y, q, lower_cfg, oracles,
                                     scope.child("lower", t), ledger)
-            if estimator == ESTIMATOR_AID:
-                return aid_fhe(problem, x, y, aid_cfg, oracles, scope.child("aid"), ledger), y
-            return local_fhe(problem, x, y, aid_cfg, scope.child("local"), oracles, ledger), y
+            return chain(problem, x, y, aid_cfg, oracles, scope.child(estimator), ledger), y
 
     x, y = problem.initial_point()
     rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]

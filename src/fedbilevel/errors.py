@@ -21,10 +21,6 @@ class ProtocolError(FedBilevelError):
     """The server/client exchange was driven incorrectly (e.g. empty participant set)."""
 
 
-class UnsupportedProblemError(FedBilevelError, TypeError):
-    """Operation requires a problem type it was not given (e.g. closed forms need a quadratic)."""
-
-
 class DivergenceError(FedBilevelError):
     """An iterate became non-finite or exceeded the divergence guard threshold."""
 

@@ -14,6 +14,8 @@ Three estimators of the hypergradient of f(x) = mean_i f_i(x, y*(x)):
   its own curvature and upper gradient only; one round for the final average.
   Biased under heterogeneity, which is exactly what it is here to demonstrate.
 
+All three take (problem, x, y, cfg, participants, rng, ledger), as
+``BilevelProblem.entry`` reads them; the baselines share ``AidConfig(lam, T)``.
 Deterministic expectation helpers (``expected_*``) compute the exact
 conditional means of these estimators on quadratic instances, for tests.
 """
@@ -76,16 +78,15 @@ class AggITDConfig:
 
 @dataclass(frozen=True)
 class AidConfig:
-    """Baseline knobs: Neumann budget T (chain length), lower loop length N."""
+    """The chain settings of ``aid_fhe`` and ``local_fhe``: Neumann stepsize
+    lambda and chain budget T. The lower phase before the chain is the
+    caller's, with its own N and ``LowerStepConfig``."""
 
     lam: float
-    N: int
     T: int
-    lower: LowerStepConfig
 
     def __post_init__(self):
         check_count("T", self.T)
-        check_count("N", self.N, 0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -153,16 +154,12 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     _check_lambda(cfg.lam, problem.constants)
     _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
     N, lam, lower = cfg.N, cfg.lam, cfg.lower
-    if q_override is not None:
-        if not 0 <= q_override <= N:
-            raise ParameterError(f"q_override={q_override} outside {{0..{N}}}")
-        Q = int(q_override)
-    else:
-        Q = rng.child("Q").index(N + 1)
-
+    if q_override is not None and not 0 <= q_override <= N:
+        raise ParameterError(f"q_override={q_override} outside {{0..{N}}}")
     y_t = np.asarray(y, dtype=float)
     oracles, rng = problem.entry(participants, x, y_t, rng,
                                  lambda: aggitd_lanes(N, max_tau(lower.tau), lower.variant))
+    Q = rng.child("Q").index(N + 1) if q_override is None else int(q_override)
     ids = oracles.ids
     ledger.begin_loop()
     y_iterates = [y_t]
@@ -209,15 +206,11 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
-    if t_prime_override is not None:
-        if not 0 <= t_prime_override < T:
-            raise ParameterError(f"t_prime_override={t_prime_override} outside {{0..{T - 1}}}")
-        T_prime = int(t_prime_override)
-    else:
-        T_prime = rng.child("T_prime").index(T)
-
+    if t_prime_override is not None and not 0 <= t_prime_override < T:
+        raise ParameterError(f"t_prime_override={t_prime_override} outside {{0..{T - 1}}}")
     y_N = np.asarray(y_N, dtype=float)
     oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))
+    T_prime = rng.child("T_prime").index(T) if t_prime_override is None else int(t_prime_override)
     ids = oracles.ids
     ledger.begin_loop()
     r = aggregate_mean(problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
@@ -235,36 +228,28 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     return h_direct - h_indirect
 
 
-def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray,
-              cfg: AidConfig, rng: RngStream | TableStream | None = None,
-              participants: Sequence[int] | CheckedOracles | None = None,
-              ledger: CommLedger | None = None) -> np.ndarray:
+def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidConfig,
+              participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
+              ledger: CommLedger) -> np.ndarray:
     """Fully local estimator: per-client Neumann chain from local curvature only.
 
-    With rng=None the exact truncated recursion on noise-off oracles is used.
     No cross-client second-order aggregation happens; only the final average
-    costs a round. rng and participants may also be as for ``aid_fhe``.
+    costs a round. The arguments are as for ``aid_fhe``. On a noise-off
+    problem it returns the exact truncated recursion, ``expected_local_fhe``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
-    if ledger is None:
-        ledger = CommLedger()
     y_N = np.asarray(y_N, dtype=float)
-    oracles, rng = problem.entry(range(problem.m) if participants is None else participants,
-                                 x, y_N, rng, lambda: chain_lanes(T))
+    oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))
     ids = oracles.ids
-
-    def lanes(tag, *idx):
-        return None if rng is None else rng.lanes(ids, tag, *idx)
-    r = problem.grad_upper_y(ids, x, y_N, lanes("xi0"))
-    s = r.copy()
-    acc = r.copy()
+    r = problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0"))
+    s, acc = r, r.copy()
     for j in range(1, T):
-        s = s - lam * problem.hvp_lower_yy(ids, x, y_N, s, lanes("zeta_h", j))
+        s = s - lam * problem.hvp_lower_yy(ids, x, y_N, s, rng.lanes(ids, "zeta_h", j))
         acc += s
-    p = lam * acc
-    return aggregate_mean(problem.grad_upper_x(ids, x, y_N, lanes("xi_h"))
-                          - problem.jvp_lower_xy(ids, x, y_N, p, lanes("chi")), ledger)
+    return aggregate_mean(problem.grad_upper_x(ids, x, y_N, rng.lanes(ids, "xi_h"))
+                          - problem.jvp_lower_xy(ids, x, y_N, lam * acc,
+                                                 rng.lanes(ids, "chi")), ledger)
 
 
 # -- deterministic expectation helpers (testing oracles) ----------------------
@@ -295,8 +280,7 @@ def expected_aid_hessiv(inst: QuadraticInstance, x: np.ndarray,
                         y_N: np.ndarray, lam: float, T: int) -> np.ndarray:
     """T'-marginalized baseline chain: lam * sum_{j<T} (I - lam*Abar)^j grad_y f."""
     v = inst.grad_upper_y_exact(x, y_N)
-    s = v.copy()
-    acc = v.copy()
+    s, acc = v, v.copy()
     for _ in range(1, T):
         s = s - lam * (inst.A_bar @ s)
         acc += s
@@ -317,8 +301,7 @@ def expected_local_fhe(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
     if T is None:
         hiv = np.linalg.solve(inst.A, gy[..., None])[..., 0]
     else:
-        s = gy.copy()
-        acc = gy.copy()
+        s, acc = gy, gy.copy()
         for _ in range(1, T):
             s = s - lam * _mv(inst.A, s)
             acc += s

@@ -10,12 +10,13 @@ head, mixed partial mapping head directions to embedding space) are analytic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .problems import BilevelProblem, ProblemConstants
+from .problems import BilevelProblem, ProblemConstants, check_count, check_positive
 from .rng import RngStream
 
 PARTITION_IID = "iid"
@@ -35,13 +36,13 @@ class HyperRepSpec:
     test_fraction: float = 0.2
 
     def __post_init__(self):
-        if not 0 < self.ridge < np.inf:
-            raise ParameterError("ridge must be finite and > 0 for a strongly convex head")
-        if min(self.embed_dim, self.feature_dim, self.classes, self.m,
-               self.shards_per_client) < 1:
-            raise ParameterError("embed_dim, feature_dim, classes, m and "
-                                 "shards_per_client must be >= 1")
-        if not 0.0 < self.test_fraction < 1.0:
+        for name in ("embed_dim", "feature_dim", "classes", "shards_per_client", "m"):
+            check_count(name, getattr(self, name))
+        if not isinstance(self.n_points, numbers.Integral) or isinstance(self.n_points, bool):
+            raise ParameterError(f"n_points must be an integer, got {self.n_points!r}")
+        check_positive("ridge", self.ridge)   # a strongly convex head
+        check_positive("test_fraction", self.test_fraction)
+        if not self.test_fraction < 1.0:
             raise ParameterError("test_fraction must lie in (0, 1)")
         if int(self.test_fraction * self.n_points) < 1:
             raise ParameterError("test_fraction * n_points must leave at least one test point")
@@ -115,7 +116,7 @@ class HyperRepProblem(BilevelProblem):
 
     def __init__(self, U: np.ndarray, labels: np.ndarray,
                  train_idx: list[np.ndarray], val_idx: list[np.ndarray],
-                 test_idx: np.ndarray, spec: HyperRepSpec, batch_size: int = 8,
+                 test_idx: np.ndarray, spec: HyperRepSpec, batch_size: int = 4,
                  seed: int = 0):
         p, f, C = spec.embed_dim, spec.feature_dim, spec.classes
         # declared constants on a nominal region ||E||_2 <= 2
@@ -255,7 +256,7 @@ class HyperRepProblem(BilevelProblem):
         return float(np.mean(((Us @ E.T) @ H.T).argmax(axis=1) == labels))
 
 
-def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 8) -> HyperRepProblem:
+def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 4) -> HyperRepProblem:
     """Generate the Gaussian-mixture dataset and partition it across clients."""
     root = RngStream(seed).child("make_hyperrep")
     gen = root.generator()

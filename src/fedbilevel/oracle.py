@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedProblemError
-from .problems import NOISE_FINITE_SUM, Point, ProblemConstants
+from .errors import ParameterError
+from .problems import NOISE_FINITE_SUM, Point, ProblemConstants, check_positive
 from .quadratic import QuadraticInstance, QuadraticProblem, _norms
 from .rng import CLIENT, RngStream, lane_steps
 
@@ -42,18 +42,17 @@ class TestRegion:
         return Point(self.center.x + g[:d1], self.center.y + g[d1:])
 
 
-def fd_hypergradient(inst: QuadraticInstance, x: np.ndarray,
-                     step: float = 1e-5) -> np.ndarray:
-    """Central differences of x -> f(x, y*(x)); error O(step^2)."""
-    if not isinstance(inst, QuadraticInstance):
-        raise UnsupportedProblemError("fd_hypergradient needs a quadratic instance")
-    if step <= 0:
-        raise ParameterError("step must be positive")
+def fd_hypergradient(obj, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central differences of x -> f(x, y*(x)); error O(step^2). obj is any
+    exact-truth surface: a ``BilevelProblem`` or a ``QuadraticInstance``,
+    read through its ``objective(x, y_star(x))``."""
+    check_positive("step", step)
     g = np.zeros_like(x, dtype=float)
     for j in range(x.shape[0]):
         e = np.zeros_like(g)
         e[j] = step
-        g[j] = (inst.objective(x + e) - inst.objective(x - e)) / (2 * step)
+        up, dn = x + e, x - e
+        g[j] = (obj.objective(up, obj.y_star(up)) - obj.objective(dn, obj.y_star(dn))) / (2 * step)
     return g
 
 

@@ -29,7 +29,8 @@ None or Lanes with one row per id; then they audit the call's samples by
 purpose and call the problem's stacked kernel. A run checks one set per run
 (full participation) or per outer step. Each estimator and local phase
 opens with ``problem.entry``, which takes client ids or checked oracles as
-its participants and a scope stream or lane-table step as its rng.
+its participants and a scope stream or lane-table step as its rng, and
+raises ContractViolation naming rng for anything else.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClientLookupError, ContractViolation, ParameterError
-from .rng import Lanes, LaneTable, RngStream
+from .rng import Lanes, LaneTable, RngStream, TableStream
 from .runtime import client_ids
 
 NOISE_FINITE_SUM = "finite-sum"
@@ -132,6 +133,14 @@ def check_positive(name: str, value) -> None:
         raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def check_real(name: str, value, low: float = -np.inf, high: float = np.inf) -> None:
+    """Raise ParameterError naming the setting unless value is a finite real
+    in [low, high] (no bool)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and low <= value <= high and abs(value) < np.inf):
+        raise ParameterError(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
+
+
 class BilevelProblem:
     """Base class: the five oracles, the participant-set check and the sample audit.
 
@@ -183,14 +192,17 @@ class BilevelProblem:
         oracles is ``checked(participants, x, y)``, or participants as they
         are if they are this problem's CheckedOracles. A scope RngStream
         becomes step 0 of the one-step lane table of the phase's declared
-        lane sets ``lane_sets()`` over every client; a table step, or None
-        (exact oracles), is returned as it is."""
+        lane sets ``lane_sets()`` over every client; a table step is returned
+        as it is, and any other rng raises ContractViolation naming rng."""
         if not isinstance(participants, CheckedOracles):
             participants = self.checked(participants, x, y)
         elif participants.problem is not self:
             raise ContractViolation("the checked oracles belong to another problem")
         if isinstance(rng, RngStream):
             rng = LaneTable.of(rng, lane_sets(), self._all_ids).step(0)
+        elif not isinstance(rng, TableStream):
+            raise ContractViolation(
+                f"rng must be an RngStream or a lane table's step, got {rng!r}")
         return participants, rng
 
     def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:

@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
-                       ProblemConstants)
+                       ProblemConstants, check_count, check_positive, check_real)
 from .rng import RngStream
 
 
@@ -37,7 +37,8 @@ class QuadraticSpec:
     jointly; hetero=0 gives identical clients. noise_spread >= 0 sets the size
     of the zero-mean per-sample offsets (finite-sum mode); noise_std >= 0 is
     the additive-gaussian alternative. coupling and lin_scale shape the cross
-    block and the linear terms.
+    block and the linear terms. Every field is checked here, by name: counts
+    are integers >= 1 (seed >= 0), 0 < mu <= L_g, and the rest finite reals.
     """
 
     d1: int = 5
@@ -53,6 +54,20 @@ class QuadraticSpec:
     seed: int = 0
     coupling: float = 0.5
     lin_scale: float = 0.5
+
+    def __post_init__(self):
+        for name in ("d1", "d2", "m", "n_per_client"):
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
+        check_positive("mu", self.mu)
+        check_positive("L_g", self.L_g)
+        if not self.mu <= self.L_g:
+            raise ParameterError(f"infeasible eigenvalue range [{self.mu}, {self.L_g}]")
+        check_real("hetero", self.hetero, 0.0, 1.0)
+        for name in ("noise_spread", "noise_std"):
+            check_real(name, getattr(self, name), 0.0)
+        for name in ("coupling", "lin_scale"):
+            check_real(name, getattr(self, name))
 
 
 # the axes of each stacked array: m clients, n samples per client, d2 (y) and d1 (x)
@@ -239,21 +254,8 @@ def _pm_pairs(gen: np.random.Generator, n: int, shape: tuple, scale: float,
 
 
 def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
-    """Generate a heterogeneous instance satisfying the eigenvalue invariants."""
-    if not 0 < spec.mu <= spec.L_g < np.inf:
-        raise ParameterError(f"infeasible eigenvalue range [{spec.mu}, {spec.L_g}]")
-    if not 0.0 <= spec.hetero <= 1.0:
-        raise ParameterError("hetero must lie in [0, 1]")
-    if min(spec.d1, spec.d2, spec.m, spec.n_per_client) < 1:
-        raise ParameterError("need d1, d2 >= 1 dimensions, m >= 1 clients and "
-                             "n_per_client >= 1 samples")
-    for name in ("noise_spread", "noise_std"):
-        if not 0.0 <= getattr(spec, name) < np.inf:
-            raise ParameterError(f"{name} must be finite and >= 0, got {getattr(spec, name)}")
-    for name in ("coupling", "lin_scale"):
-        if not np.isfinite(getattr(spec, name)):
-            raise ParameterError(f"{name} must be finite, got {getattr(spec, name)}")
-
+    """Generate a heterogeneous instance satisfying the eigenvalue invariants
+    (the spec checked its fields' ranges)."""
     root = RngStream(spec.seed).child("make_quadratic")
     gen = root.generator()
     span = spec.L_g - spec.mu

@@ -236,11 +236,10 @@ def test_criterion_8_heterogeneity_necessity():
         inst.grad_upper_x_exact(x, ys) - ind - truth))
     h_local_oracle = expected_local_fhe(inst, x, ys, lam, T)
     bias_local = float(np.linalg.norm(h_local_oracle - truth))
-    cfg = AidConfig(lam=lam, N=N, T=T,
-                    lower=LowerStepConfig(beta=1.0 / (6 * inst.L_g), tau=1))
+    cfg = AidConfig(lam=lam, T=T)
     root = RngStream(7)
-    draws = np.stack([local_fhe(problem, x, ys, cfg, rng=root.child("t", t))
-                      for t in range(1000)])
+    draws = np.stack([local_fhe(problem, x, ys, cfg, range(6), root.child("t", t),
+                                CommLedger()) for t in range(1000)])
     mean = draws.mean(axis=0)
     se = float(np.sqrt(np.sum(draws.var(axis=0, ddof=1)) / len(draws)))
     dev = float(np.linalg.norm(mean - h_local_oracle))

@@ -43,13 +43,14 @@ def test_fields_table_lists_every_run_config_field():
     assert CONFIG_KEYS - {key for key, _ in FIELDS.values()} == {"hetero", "noise"}
 
 
-quadratic_specs = st.builds(
+# a spec takes only a feasible eigenvalue range, mu <= L_g
+quadratic_specs = st.tuples(positive, positive).map(sorted).flatmap(lambda eigs: st.builds(
     QuadraticSpec, d1=st.integers(1, 4), d2=st.integers(1, 4), m=st.integers(1, 4),
-    n_per_client=st.integers(1, 4), mu=positive, L_g=positive,
+    n_per_client=st.integers(1, 4), mu=st.just(eigs[0]), L_g=st.just(eigs[1]),
     hetero=st.floats(0.0, 1.0), noise_mode=st.sampled_from(["finite-sum",
                                                             "additive-gaussian"]),
     noise_spread=st.floats(0.0, 1.0), noise_std=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32), coupling=finite, lin_scale=finite)
+    seed=st.integers(0, 2**32), coupling=finite, lin_scale=finite))
 hyperrep_specs = st.builds(
     HyperRepSpec, embed_dim=st.integers(1, 4), feature_dim=st.integers(1, 4),
     classes=st.integers(1, 4), ridge=positive,

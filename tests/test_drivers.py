@@ -11,27 +11,27 @@ import pytest
 
 import fedbilevel
 from fedbilevel import (AggITDConfig, AidConfig, CommLedger, DivergenceError,
-                        LowerStepConfig, ParameterError, Participation,
+                        HyperRepSpec, LowerStepConfig, ParameterError, Participation,
                         ProblemConstants, QuadraticProblem, QuadraticSpec,
                         RngStream, RunConfig, aggitd, aggregate_mean, aid_fhe,
-                        default_N, default_stepsizes, local_fhe, make_quadratic,
-                        one_round_lower, one_round_upper, run, run_fbo_aggitd,
-                        run_fednest_baseline, select_participants)
+                        local_fhe, make_hyperrep, make_quadratic, one_round_lower,
+                        one_round_upper, run, run_fbo_aggitd, run_fednest_baseline,
+                        select_participants)
 from fedbilevel.drivers import build_problem, resolve_params
 
 
 def test_default_stepsizes_examples():
+    # resolve_params is the one home of the defaults: (N, T, lam, alpha, beta)
     c = ProblemConstants(mu=1.0, L_g=10.0)
-    lam, alpha, beta = default_stepsizes(c, K=100)
+    N, _, lam, a1, beta = resolve_params(RunConfig(K=100), c)
     assert lam == pytest.approx(0.1)
     assert beta == pytest.approx(1.0 / 60.0)
     c_small = ProblemConstants(mu=0.01, L_g=0.05)
-    lam2, _, _ = default_stepsizes(c_small, K=100)
+    lam2 = resolve_params(RunConfig(K=100), c_small)[2]
     assert lam2 == pytest.approx(10.0)  # cap branch
-    _, a1, _ = default_stepsizes(c, K=100)
-    _, a4, _ = default_stepsizes(c, K=400)
+    a4 = resolve_params(RunConfig(K=400), c)[3]
     assert a4 == pytest.approx(a1 / 2.0)  # 1/sqrt(K) scaling
-    assert default_N(c) == 10
+    assert N == 10
 
 
 def test_one_round_upper_single_step_identity():
@@ -98,14 +98,38 @@ def _quad_cfg(K, seed=7, N=None, T=None, **kw):
                                          ("problem", "quadratic"), ("problem", None),
                                          ("problem", {"d1": 2}),
                                          ("lam", "0.1"), ("alpha", "0.1"), ("beta", "0.1"),
-                                         ("alpha", True), ("alpha", float("nan"))])
+                                         ("alpha", True), ("alpha", float("nan")),
+                                         # (spec class, value): a problem spec's field
+                                         ("embed_dim", (HyperRepSpec, "3")),
+                                         ("ridge", (HyperRepSpec, "0.1")),
+                                         ("m", (HyperRepSpec, True)),
+                                         ("n_points", (HyperRepSpec, 2.5)),
+                                         ("test_fraction", (HyperRepSpec, "0.2")),
+                                         ("d1", (QuadraticSpec, "3")),
+                                         ("mu", (QuadraticSpec, "1.0")),
+                                         ("L_g", (QuadraticSpec, True)),
+                                         ("hetero", (QuadraticSpec, "0.5")),
+                                         ("m", (QuadraticSpec, 2.5)),
+                                         ("noise_spread", (QuadraticSpec, "0.1")),
+                                         ("coupling", (QuadraticSpec, float("nan")))])
 def test_run_config_names_a_mistyped_field(field, value):
     # a library caller's wrong type is a named library error, not a raw
     # TypeError or a silent cast; N, T and the stepsizes are checked where a
-    # run resolves them
+    # run resolves them, a spec's fields where the spec is built
     with pytest.raises(fedbilevel.FedBilevelError, match=rf"\b{field}\b"):
-        cfg = RunConfig(**{field: value})
+        if isinstance(value, tuple):
+            cfg = RunConfig(problem=value[0](**{field: value[1]}))
+        else:
+            cfg = RunConfig(**{field: value})
         resolve_params(cfg, build_problem(cfg).constants)
+
+
+def test_hyperrep_batch_default_is_the_factory_default():
+    # a run's unset batch_size is make_hyperrep's own default, so a problem
+    # built for the run and one built directly draw the same samples per row
+    spec = HyperRepSpec(m=3, n_points=120)
+    assert (build_problem(RunConfig(problem=spec, seed=2)).batch_size
+            == make_hyperrep(spec, 2).batch_size == 4)
 
 
 def test_run_k_zero_initial_row_only():
@@ -541,11 +565,11 @@ def test_run_first_step_equals_the_public_calls(estimator, participation, tau):
                 np.array(ids), x, y_new, scope.lanes(ids, "zeta_q", t)), ledger)
             y_new = one_round_lower(problem, x, y_new, q, lower_cfg, ids,
                                     scope.child("lower", t), ledger)
-        aid_cfg = AidConfig(lam=lam, N=N, T=T, lower=lower_cfg)
+        aid_cfg = AidConfig(lam=lam, T=T)
         if estimator == "aid":
             h = aid_fhe(problem, x, y_new, aid_cfg, ids, scope.child("aid"), ledger)
         else:
-            h = local_fhe(problem, x, y_new, aid_cfg, scope.child("local"), ids, ledger)
+            h = local_fhe(problem, x, y_new, aid_cfg, ids, scope.child("local"), ledger)
     x_new = one_round_upper(problem, x, y_new, h, alpha, tau, ids, root.child("upper", 0),
                             ledger)
     assert rep.final_y.tobytes() == y_new.tobytes()

@@ -183,7 +183,7 @@ def test_aid_enumeration_matches_expected():
     inst, problem = _deterministic_setup(d=4, m=3, hetero=0.5, seed=47)
     lam = 1.0 / inst.L_g
     T = 6
-    cfg = AidConfig(lam=lam, N=2, T=T, lower=LowerStepConfig(beta=_beta(inst, lam)))
+    cfg = AidConfig(lam=lam, T=T)
     x = np.ones(4) * 0.3
     y_N = inst.y_star(x) + 0.2
     acc = np.zeros(4)
@@ -232,14 +232,14 @@ def test_aid_geometric_tail_vs_closed_form():
 def test_aid_round_accounting_and_errors():
     inst, problem = _deterministic_setup()
     lam = 1.0 / inst.L_g
-    cfg = AidConfig(lam=lam, N=2, T=5, lower=LowerStepConfig(beta=_beta(inst, lam)))
+    cfg = AidConfig(lam=lam, T=5)
     ledger = CommLedger()
     aid_fhe(problem, np.ones(5), np.zeros(5), cfg, range(3), RngStream(6), ledger)
     assert ledger.rounds_total == 5 + 2  # p0 + T chain rounds + final estimate
     assert ledger.loops_total == 1
     for T in (0, 2.5, "3", True):   # True is not a count
         with pytest.raises(ParameterError, match=r"\bT\b"):
-            AidConfig(lam=lam, N=2, T=T, lower=LowerStepConfig(beta=0.01))
+            AidConfig(lam=lam, T=T)
 
 
 def test_local_equals_aid_when_homogeneous():
@@ -248,8 +248,8 @@ def test_local_equals_aid_when_homogeneous():
     x = np.ones(4) * 0.5
     y_N = inst.y_star(x)
     T = 400
-    cfg = AidConfig(lam=lam, N=1, T=T, lower=LowerStepConfig(beta=_beta(inst, lam)))
-    h_local = local_fhe(problem, x, y_N, cfg)  # exact recursion, noise off
+    cfg = AidConfig(lam=lam, T=T)
+    h_local = local_fhe(problem, x, y_N, cfg, range(3), RngStream(0), CommLedger())  # noise off
     h_aid = expected_aid_fhe(inst, x, y_N, lam, T)
     np.testing.assert_allclose(h_local, h_aid, atol=1e-10)
     np.testing.assert_allclose(h_local, inst.hypergradient(x), atol=1e-8)
@@ -264,8 +264,8 @@ def test_local_bias_formula_under_heterogeneity():
     x = np.ones(3) * 0.7
     y_N = inst.y_star(x)
     T = 2000
-    cfg = AidConfig(lam=lam, N=1, T=T, lower=LowerStepConfig(beta=_beta(inst, lam)))
-    h_local = local_fhe(problem, x, y_N, cfg)
+    cfg = AidConfig(lam=lam, T=T)
+    h_local = local_fhe(problem, x, y_N, cfg, range(4), RngStream(0), CommLedger())
     per_client = [inst.rho_x * x + e - B.T @ np.linalg.solve(A, y_N - d)
                   for A, B, d, e in zip(inst.A, inst.B, inst.d, inst.e)]
     np.testing.assert_allclose(h_local, np.mean(per_client, axis=0), atol=1e-9)
@@ -280,9 +280,9 @@ def test_local_zero_upper_y_gradient_gives_direct_part():
     lam = 0.25
     x = np.ones(2)
     y_N = inst.d[0].copy()  # grad_y f_i = y - d_i = 0 for every client
-    cfg = AidConfig(lam=lam, N=1, T=30, lower=LowerStepConfig(beta=0.05))
+    cfg = AidConfig(lam=lam, T=30)
     ledger = CommLedger()
-    h = local_fhe(problem, x, y_N, cfg, ledger=ledger)
+    h = local_fhe(problem, x, y_N, cfg, range(3), RngStream(0), ledger)
     np.testing.assert_allclose(h, inst.grad_upper_x_exact(x, y_N), atol=1e-14)
     assert ledger.rounds_total == 1  # only the final average is a round
 
@@ -315,8 +315,8 @@ def test_estimator_family_agreement_homogeneous():
     e_aggitd = inst.grad_upper_x_exact(x, ys) \
         - expected_aggitd_indirect(inst, x, [ys] * (N + 1), lam, N)
     e_aid = expected_aid_fhe(inst, x, ys, lam, T)
-    cfg = AidConfig(lam=lam, N=N, T=T, lower=LowerStepConfig(beta=_beta(inst, lam)))
-    e_local = local_fhe(problem, x, ys, cfg)
+    cfg = AidConfig(lam=lam, T=T)
+    e_local = local_fhe(problem, x, ys, cfg, range(3), RngStream(0), CommLedger())
     for h in (e_aggitd, e_aid, e_local):
         assert np.linalg.norm(h - truth) <= 1e-4
 
@@ -337,8 +337,6 @@ def test_config_validation():
     for N in (-1, 2.5, "3", True):   # True is not a count
         with pytest.raises(ParameterError, match=r"\bN\b"):
             AggITDConfig(lam=good_lam, N=N, lower=LowerStepConfig(beta=0.01))
-        with pytest.raises(ParameterError, match=r"\bN\b"):
-            AidConfig(lam=good_lam, N=N, T=1, lower=LowerStepConfig(beta=0.01))
     cfg_bad_lam = AggITDConfig(lam=good_lam * 2, N=1, lower=LowerStepConfig(beta=0.001))
     with pytest.raises(ParameterError):
         aggitd(problem, np.ones(5), np.zeros(5), cfg_bad_lam, range(3),
@@ -355,12 +353,13 @@ def test_config_validation():
     # each estimator names a mistyped lambda before any round
     x, y, lower = np.ones(5), np.zeros(5), LowerStepConfig(beta=0.001)
     for lam in ("0.1", True, float("nan"), -good_lam):
-        aid_cfg = AidConfig(lam=lam, N=1, T=1, lower=lower)
+        aid_cfg = AidConfig(lam=lam, T=1)
         for call in (lambda: aggitd(problem, x, y, AggITDConfig(lam=lam, N=1, lower=lower),
                                     range(3), RngStream(0), CommLedger()),
                      lambda: aid_fhe(problem, x, y, aid_cfg, range(3), RngStream(0),
                                      CommLedger()),
-                     lambda: local_fhe(problem, x, y, aid_cfg)):
+                     lambda: local_fhe(problem, x, y, aid_cfg, range(3), RngStream(0),
+                                       CommLedger())):
             with pytest.raises(ParameterError, match=r"\blam\b"):
                 call()
 
@@ -372,15 +371,15 @@ def test_estimators_take_checked_oracles_of_their_problem_only():
     _, other = _deterministic_setup(m=4, spread=0.2, seed=16)
     lam = 1.0 / inst.L_g
     lower = LowerStepConfig(beta=_beta(inst, lam), tau=[1, 2, 3, 1])
-    cfg, aid_cfg = AggITDConfig(lam=lam, N=2, lower=lower), AidConfig(lam=lam, N=2, T=3,
-                                                                     lower=lower)
+    cfg, aid_cfg = AggITDConfig(lam=lam, N=2, lower=lower), AidConfig(lam=lam, T=3)
     x, y, ids = np.ones(5), np.zeros(5), [0, 2, 3]
     calls = {
         "aggitd": lambda parts: aggitd(problem, x, y, cfg, parts, RngStream(4),
                                        CommLedger())[0],
         "aid_fhe": lambda parts: aid_fhe(problem, x, y, aid_cfg, parts, RngStream(4),
                                          CommLedger()),
-        "local_fhe": lambda parts: local_fhe(problem, x, y, aid_cfg, RngStream(4), parts),
+        "local_fhe": lambda parts: local_fhe(problem, x, y, aid_cfg, parts, RngStream(4),
+                                             CommLedger()),
     }
     for name, call in calls.items():
         checked = problem.checked(ids, x, y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedbilevel import (HyperRepSpec, ParameterError, Point, RngStream,
-                        make_hyperrep, partition)
+                        fd_hypergradient, make_hyperrep, partition)
 from fedbilevel.hyperrep import (_head_hessian, agg_hessian_lower_yy,
                                  hypergradient_numeric, solve_head_exact)
 
@@ -143,20 +143,8 @@ def test_hypergradient_numeric_matches_finite_differences():
     hg = problem.hypergradient(x, problem.y_star(x))
     np.testing.assert_array_equal(
         hypergradient_numeric(problem, x, solve_head_exact(problem, x)), hg)
-    fd = _objective_fd(problem, x)
+    fd = fd_hypergradient(problem, x)
     assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
-
-
-def _objective_fd(problem, x, eps=1e-5):
-    """Central differences of x -> objective(x, y*(x))."""
-    fd = np.zeros(problem.d1)
-    for j in range(problem.d1):
-        e = np.zeros(problem.d1)
-        e[j] = eps
-        up = problem.objective(x + e, solve_head_exact(problem, x + e))
-        dn = problem.objective(x - e, solve_head_exact(problem, x - e))
-        fd[j] = (up - dn) / (2 * eps)
-    return fd
 
 
 @pytest.mark.parametrize("mode", ["iid", "label-skew"])
@@ -284,7 +272,7 @@ def test_upper_value_is_the_client_mean_on_unequal_val_splits():
     problem = make_hyperrep(spec, seed=4)
     assert [len(v) for v in problem.val_idx] == [8, 8, 7, 7]
     x = RngStream(4).child("fd").generator().normal(size=problem.d1)
-    fd = _objective_fd(problem, x)
+    fd = fd_hypergradient(problem, x)
     hg = problem.hypergradient(x, problem.y_star(x))
     assert np.linalg.norm(hg - fd) / np.linalg.norm(fd) <= 1e-5
 

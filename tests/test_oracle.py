@@ -23,6 +23,14 @@ def test_fd_decoupled_instance_exact():
     assert np.linalg.norm(got - expect) <= 1e-8
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), "1e-5", True])
+def test_fd_step_named(step):
+    # a NaN step returned NaNs and a string step raised a raw TypeError
+    inst = manual_instance([2.0, 5.0], d1=2, m=2)
+    with pytest.raises(ParameterError, match=r"\bstep\b"):
+        fd_hypergradient(inst, np.ones(2), step=step)
+
+
 def test_fd_exact_on_quadratic_objective():
     # the induced objective is quadratic in x, so truncation error vanishes
     inst = make_quadratic(QuadraticSpec(d1=3, d2=3, m=3, hetero=0.5, seed=2,

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedbilevel import (CommLedger, ContractViolation, HyperRepSpec,
-                        LowerStepConfig, Point, ProtocolError, QuadraticInstance,
-                        QuadraticProblem, QuadraticSpec, RngStream,
-                        make_hyperrep, make_quadratic, one_round_lower)
+from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
+                        HyperRepSpec, LowerStepConfig, Point, ProtocolError,
+                        QuadraticInstance, QuadraticProblem, QuadraticSpec, RngStream,
+                        aggitd, aid_fhe, local_fhe, make_hyperrep, make_quadratic,
+                        one_round_lower, one_round_upper)
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
@@ -238,6 +239,34 @@ def test_generator_stream_rejected():
         with pytest.raises(ContractViolation, match="Lanes"):
             problem.grad_lower_y(ids, np.zeros(1), np.zeros(1), lanes)
     assert problem.audit.total == 0
+
+
+@pytest.mark.parametrize("rng", [None, 5])
+@pytest.mark.parametrize("phase,tau", [("aggitd", 1), ("aid_fhe", 1), ("local_fhe", 1),
+                                       ("one_round_lower", 1), ("one_round_lower", 2),
+                                       ("one_round_upper", 1), ("one_round_upper", 2)])
+def test_phases_name_a_bad_rng(phase, tau, rng):
+    # every estimator and local phase takes a scope RngStream or a lane
+    # table's step as its rng, even where it draws nothing (tau = 1); any
+    # other rng is named before a round is charged
+    problem = QuadraticProblem(make_quadratic(QuadraticSpec(d1=2, d2=2, m=2, seed=3)))
+    x, y, v, ledger = np.zeros(2), np.zeros(2), np.ones(2), CommLedger()
+    lower = LowerStepConfig(beta=0.01, tau=tau)
+    calls = {
+        "aggitd": lambda: aggitd(problem, x, y, AggITDConfig(lam=0.1, N=1, lower=lower),
+                                 range(2), rng, ledger),
+        "aid_fhe": lambda: aid_fhe(problem, x, y, AidConfig(lam=0.1, T=2), range(2), rng,
+                                   ledger),
+        "local_fhe": lambda: local_fhe(problem, x, y, AidConfig(lam=0.1, T=2), range(2), rng,
+                                       ledger),
+        "one_round_lower": lambda: one_round_lower(problem, x, y, v, lower, range(2), rng,
+                                                   ledger),
+        "one_round_upper": lambda: one_round_upper(problem, x, y, v, 0.1, tau, range(2), rng,
+                                                   ledger),
+    }
+    with pytest.raises(ContractViolation, match=r"\brng\b"):
+        calls[phase]()
+    assert ledger.rounds_total == 0
 
 
 @pytest.mark.parametrize("bad", [-1, 0, 2.5, True, False, "2", None])
