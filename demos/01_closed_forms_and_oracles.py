@@ -34,7 +34,7 @@ h_fd = fd_hypergradient(inst, x, step=1e-5)
 rel = np.linalg.norm(h_formula - h_fd) / np.linalg.norm(h_fd)
 print(f"hypergradient: implicit formula vs finite differences, rel err {rel:.2e}")
 
-# dense factorization vs truncated Neumann series for the Hessian-inverse product
+# dense solve vs truncated Neumann series for the Hessian-inverse product
 v = inst.grad_upper_y_exact(x, ys)
 direct = inst.solve_A_bar(v)
 lam = 1.0 / inst.L_g

@@ -296,11 +296,17 @@ def expected_aid_fhe(inst: QuadraticInstance, x: np.ndarray, y_N: np.ndarray,
 
 def expected_local_fhe(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
                        lam: float | None = None, T: int | None = None) -> np.ndarray:
-    """Exact mean of the fully local estimator; T=None gives the exact-inverse limit."""
+    """Exact mean of the fully local estimator: the chain of T steps of size
+    lam, or with neither given, its exact-inverse limit."""
+    if (lam is None) != (T is None):
+        raise ParameterError(f"expected_local_fhe takes lam and T together or neither, "
+                             f"got lam={lam!r}, T={T!r}")
     gy = y - inst.d
     if T is None:
         hiv = np.linalg.solve(inst.A, gy[..., None])[..., 0]
     else:
+        check_positive("lam", lam)
+        check_count("T", T)
         s, acc = gy, gy.copy()
         for _ in range(1, T):
             s = s - lam * _mv(inst.A, s)

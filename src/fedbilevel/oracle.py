@@ -1,8 +1,8 @@
 """Independent ground-truth machinery for tests and acceptance runs.
 
 Everything here is algorithmically independent of the code paths it checks:
-finite differences against the implicit-function formula, dense factorization
-against Neumann chains, Monte-Carlo moments against analytic bounds, and
+finite differences against the implicit-function formula, dense solves against
+Neumann chains, Monte-Carlo moments against analytic bounds, and
 constant measurement (eigenvalue extremes, gradient bounds, noise levels) on
 a declared compact region, since quadratics are not globally Lipschitz. Each
 region point is one stacked pass over the instance's (m, ...) and (m, n, ...)

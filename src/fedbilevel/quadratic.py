@@ -20,8 +20,6 @@ import json
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
@@ -96,9 +94,11 @@ class QuadraticInstance:
     packed per sample as the (m, n, d2 (d2 + d1 + 1)) array ``lower_offsets``
     = [dA | dB | dc] (``_split_lower`` reads it back); dA, dB and dc are views
     into it, each of whose matrices is C-contiguous, so every product on one
-    of them rounds as on a separate array. The arrays are made read-only, so
-    the means and the factor of A_bar cannot go stale; ``dataclasses.replace``
-    builds a changed instance.
+    of them rounds as on a separate array. Every array must be finite and
+    A_bar positive definite (checked once by a Cholesky factorization), or
+    the constructor raises ParameterError. The arrays are made read-only, so
+    the means and the stored inverse of A_bar cannot go stale;
+    ``dataclasses.replace`` builds a changed instance.
     """
 
     A: np.ndarray            # (m, d2, d2)
@@ -136,21 +136,25 @@ class QuadraticInstance:
         self.dA, self.dB, self.dc = _split_lower(P, self.d2, self.d1)
         P.setflags(write=False)
         for name in _AXES:
-            getattr(self, name).setflags(write=False)
+            a = getattr(self, name)
+            if not np.isfinite(a).all():
+                raise ParameterError(f"{name} has a non-finite entry")
+            a.setflags(write=False)
         self.A_bar = self.A.mean(axis=0)
         self.B_bar = self.B.mean(axis=0)
         self.c_bar = self.c.mean(axis=0)
         self.d_bar = self.d.mean(axis=0)
         self.e_bar = self.e.mean(axis=0)
-        self._cho = cho_factor(self.A_bar, check_finite=False)
+        try:
+            np.linalg.cholesky(self.A_bar)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError("the client-mean lower Hessian A_bar is not "
+                                 "positive definite") from exc
+        self._A_bar_inv = np.linalg.inv(self.A_bar)
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
-        # LAPACK on the stored factor: what cho_solve runs, without its checks
-        c, lower = self._cho
-        out, info = dpotrs(c, v, lower=lower)
-        if info != 0:
-            raise ValueError(f"dpotrs failed with info={info}")
-        return out
+        """Abar^{-1} v, one product with the inverse stored at construction."""
+        return self._A_bar_inv @ v
 
     def y_star(self, x: np.ndarray) -> np.ndarray:
         return -self.solve_A_bar(self.B_bar @ x + self.c_bar)

@@ -50,7 +50,7 @@ def _check_dense_vs_neumann(seed):
     series = lam * acc
     direct = inst.solve_A_bar(v)
     rel = np.linalg.norm(series - direct) / np.linalg.norm(direct)
-    return rel <= 1e-6, f"series vs factorization rel err {rel:.2e} (tol 1e-6)"
+    return rel <= 1e-6, f"series vs dense solve rel err {rel:.2e} (tol 1e-6)"
 
 
 def _check_fixed_point(seed):

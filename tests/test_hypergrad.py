@@ -274,6 +274,21 @@ def test_local_bias_formula_under_heterogeneity():
     np.testing.assert_allclose(h_local, expected_local_fhe(inst, x, y_N), atol=1e-9)
 
 
+def test_expected_local_fhe_names_its_arguments():
+    # T without lam used to end in a raw TypeError (None * float)
+    inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=2, seed=5))
+    x, y = np.ones(2), np.zeros(2)
+    for kw, match in ((dict(T=5), "lam and T together"), (dict(lam=0.5), "lam and T together"),
+                      (dict(lam=0.0, T=5), r"\blam\b"), (dict(lam=0.5, T=0), r"\bT\b"),
+                      (dict(lam=0.5, T=2.0), r"\bT\b")):
+        with pytest.raises(ParameterError, match=match):
+            expected_local_fhe(inst, x, y, **kw)
+    one_step = [inst.rho_x * x + e - B.T @ (0.5 * (y - d))
+                for B, d, e in zip(inst.B, inst.d, inst.e)]
+    np.testing.assert_allclose(expected_local_fhe(inst, x, y, 0.5, 1),
+                               np.mean(one_step, axis=0), rtol=1e-14)
+
+
 def test_local_zero_upper_y_gradient_gives_direct_part():
     inst = manual_instance([2.0, 2.0], d1=2, m=3, seed=13)
     problem = QuadraticProblem(inst)

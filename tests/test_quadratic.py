@@ -235,8 +235,46 @@ def test_json_rejects_other_schemas_and_disagreeing_arrays():
         QuadraticInstance.from_json_dict({k: v for k, v in doc.items() if k != "noise_std"})
 
 
+def _one_inf(a):
+    a = a.copy()
+    a.flat[1] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("name,spoil,match", [
+    ("A", lambda a: np.full_like(a, np.nan), "A has a non-finite entry"),
+    ("de", _one_inf, "de has a non-finite entry"),
+    ("A", np.negative, "not positive definite"),
+])
+def test_bad_instance_fails_by_name(name, spoil, match):
+    # a negated A used to end in a raw LinAlgError from the factorization,
+    # and an all-NaN A was accepted; both from a library caller and a JSON
+    inst = make_quadratic(QuadraticSpec(d1=2, d2=3, m=3, n_per_client=4, seed=4))
+    bad = spoil(getattr(inst, name))
+    with pytest.raises(ParameterError, match=match):
+        replace(inst, **{name: bad})
+    with pytest.raises(ParameterError, match=match):
+        QuadraticInstance.from_json_dict({**inst.to_json_dict(), name: bad.tolist()})
+
+
+_RACE_SPEC = QuadraticSpec(d1=10, d2=10, m=8, n_per_client=8, mu=1.0, L_g=1.5,
+                           hetero=0.5, noise_spread=0.05, seed=0)
+
+
+@pytest.mark.parametrize("spec", [_RACE_SPEC, QuadraticSpec(d1=120, d2=120, m=4, seed=7)],
+                         ids=["race", "d120"])
+def test_solve_A_bar_matches_numpy_solve(spec):
+    inst = make_quadratic(spec)
+    gen = RngStream(3).child("solve").generator()
+    for v in gen.normal(size=(5, inst.d2)):
+        s = inst.solve_A_bar(v)
+        ref = np.linalg.solve(inst.A_bar, v)
+        assert np.linalg.norm(s - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(inst.A_bar @ s - v) <= 1e-13 * np.linalg.norm(v)
+
+
 def test_instance_arrays_read_only():
-    # the means and the Cholesky factor are computed once, so writing into an
+    # the means and the inverse of A_bar are computed once, so writing into an
     # array would leave y_star and the hypergradient on the old values
     inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=3, hetero=0.5, seed=4))
     for name in ("A", "B", "c", "d", "e", "dA", "dB", "dc", "dd", "de", "hess_margin"):

@@ -1,7 +1,11 @@
-"""Source hygiene of the package modules, checked with the standard ast module."""
+"""Source hygiene of the package modules, checked with the standard ast
+module, and the dependencies a run loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -22,3 +26,34 @@ def test_every_import_is_read(path):
              for a in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(bound - read) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_stdlib_numpy_or_relative(path):
+    # numpy is the one third-party dependency, so a run loads one BLAS, numpy's
+    tree = ast.parse(path.read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    top = {name.split(".")[0] for name in names}
+    assert sorted(top - sys.stdlib_module_names - {"numpy"}) == []
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from fedbilevel.cli import main
+out = sys.argv[1]
+assert main(["run", "--set", "K=2", "--out-dir", out]) == 0
+assert main(["run", "--set", 'problem="hyperrep"', "--set", "K=1", "--set", "N=4",
+             "--out-dir", out]) == 0
+assert main(["estimate", "--out-dir", out]) == 0
+print("loaded:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_load_no_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "loaded:"
