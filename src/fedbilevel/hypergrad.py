@@ -23,7 +23,7 @@ conditional means of these estimators on quadratic instances, for tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -126,16 +126,9 @@ class EstimatorTrace:
     h_indirect_clients: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "Q": self.Q,
-            "y_iterates": [np.asarray(v).tolist() for v in self.y_iterates],
-            "z_final": np.asarray(self.z_final).tolist(),
-            "p": np.asarray(self.p).tolist(),
-            "h_direct": np.asarray(self.h_direct).tolist(),
-            "h_indirect": np.asarray(self.h_indirect).tolist(),
-            "h_indirect_clients": {str(i): np.asarray(v).tolist()
-                                   for i, v in self.h_indirect_clients.items()},
-        }
+        doc = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)[:-1]}
+        return {**doc, "h_indirect_clients": {str(i): np.asarray(v).tolist()
+                                              for i, v in self.h_indirect_clients.items()}}
 
 
 def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDConfig,

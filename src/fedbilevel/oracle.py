@@ -4,10 +4,10 @@ Everything here is algorithmically independent of the code paths it checks:
 finite differences against the implicit-function formula, dense solves against
 Neumann chains, Monte-Carlo moments against analytic bounds, and
 constant measurement (eigenvalue extremes, gradient bounds, noise levels) on
-a declared compact region, since quadratics are not globally Lipschitz. Each
-region point is one stacked pass over the instance's (m, ...) and (m, n, ...)
-arrays, with exact gradients from this module's own closed forms, not from
-the oracle kernels it checks.
+a declared compact region, since quadratics are not globally Lipschitz. All
+region points are one stacked pass, sliced to MEASURE_BUDGET, over the
+instance's (m, ...) and (m, n, ...) arrays, with exact gradients from this
+module's own closed forms, not from the oracle kernels it checks.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .problems import NOISE_FINITE_SUM, Point, ProblemConstants, check_positive
-from .quadratic import QuadraticInstance, QuadraticProblem, _norms
+from .quadratic import QuadraticInstance, QuadraticProblem, _mv, _norms
 from .rng import CLIENT, RngStream, lane_steps
+
+# the most elements one of measure_constants' stacked temporaries holds
+MEASURE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -32,14 +35,19 @@ class TestRegion:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ParameterError("radius must be positive")
+        check_positive("radius", self.radius)
 
-    def sample(self, gen: np.random.Generator) -> Point:
-        d1, d2 = self.center.d1, self.center.d2
-        g = gen.normal(size=d1 + d2)
-        g *= self.radius * gen.uniform() ** (1.0 / (d1 + d2)) / np.linalg.norm(g)
-        return Point(self.center.x + g[:d1], self.center.y + g[d1:])
+    def draw(self, gen: np.random.Generator, samples: int) -> tuple:
+        """samples uniform points of the ball, stacked as X (samples, d1), Y (samples, d2).
+        Point k reads d1 + d2 normals, then one uniform, from gen, as ``normal``/``uniform``
+        do; its radius factor is a Python float ** (an array ** rounds some differently)."""
+        d1, d = self.center.d1, self.center.d1 + self.center.d2
+        g, r = np.empty((samples, d)), np.empty(samples)
+        for k, row in enumerate(g):
+            gen.standard_normal(out=row)
+            r[k] = self.radius * gen.random() ** (1.0 / d)
+        g *= (r / _norms(g))[:, None]
+        return self.center.x + g[:, :d1], self.center.y + g[:, d1:]
 
 
 def fd_hypergradient(obj, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -48,9 +56,7 @@ def fd_hypergradient(obj, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     read through its ``objective(x, y_star(x))``."""
     check_positive("step", step)
     g = np.zeros_like(x, dtype=float)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(g)
-        e[j] = step
+    for j, e in enumerate(step * np.eye(x.shape[0])):
         up, dn = x + e, x - e
         g[j] = (obj.objective(up, obj.y_star(up)) - obj.objective(dn, obj.y_star(dn))) / (2 * step)
     return g
@@ -66,10 +72,11 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     sigma_g are sqrt(E||.||^2) noise levels, with sigma_g the max of the
     gradient-noise and client-dissimilarity components.
 
-    Each region point is one stacked pass over every client and, in
-    finite-sum mode, every sample; the exact gradients are closed forms,
-    independent of the oracle kernels. Additive-gaussian noise takes one
-    batched oracle call per purpose on the lanes ``child("mc", k, i, tag)``.
+    The S region points are stacked as (S, m, ...) and (S, m, n, ...) closed
+    forms, independent of the oracle kernels, in slices of at most
+    MEASURE_BUDGET elements per temporary. Per point there remain the two
+    region draws and, for additive-gaussian noise, one batched oracle call per
+    purpose on the lanes ``child("mc", k, i, tag)``.
     """
     if samples < 100:
         raise ParameterError("need at least 100 region samples")
@@ -77,13 +84,12 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
                            np.linalg.eigvalsh(inst.A[:, None] + inst.dA).ravel()])
     mu, L_g = float(eigs.min()), float(eigs.max())
 
-    gen = RngStream(seed).child("measure").generator()
-    pts = [region.sample(gen) for _ in range(samples)]
+    X, Y = region.draw(RngStream(seed).child("measure").generator(), samples)
     finite_sum = inst.noise_mode == NOISE_FINITE_SUM
     if finite_sum:  # the upper-gradient sample variance does not depend on the point
         var_f = float(((inst.de ** 2).sum(axis=2) + (inst.dd ** 2).sum(axis=2))
                       .mean(axis=1).max())
-        steps = [None] * samples
+        offsets = np.concatenate([inst.de, -inst.dd], axis=2)
     else:
         # additive-gaussian noise is homoscedastic by construction, so its
         # squared draws are pooled per client across points; one contiguous
@@ -92,29 +98,32 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
         problem, ids = QuadraticProblem(inst), np.arange(inst.m)
         steps = lane_steps(RngStream(seed), "mc", samples, inst.m,
                            [(CLIENT, "fx"), (CLIENT, "fy"), (CLIENT, "gg")])
+    per = max(1, MEASURE_BUDGET // (inst.m * inst.n_samples * (inst.d1 + inst.d2)))
     M_hat = var_g1 = var_g2 = 0.0
-    for k, (p, step) in enumerate(zip(pts, steps)):
-        gx = inst.rho_x * p.x + inst.e
-        gy = p.y - inst.d
-        gl = inst.A @ p.y + inst.B @ p.x + inst.c
-        if finite_sum:  # every sample's gradients, enumerated exactly per point
-            fu = np.concatenate([gx[:, None] + inst.de, gy[:, None] - inst.dd], axis=2)
-            dg = inst.dA @ p.y + inst.dB @ p.x + inst.dc
-            var_g1 = max(var_g1, float((dg ** 2).sum(axis=2).mean(axis=1).max()))
+    for a in range(0, samples, per):
+        x, y = X[a:a + per, None], Y[a:a + per, None]   # (s, 1, d1) and (s, 1, d2)
+        gu = np.concatenate([inst.rho_x * x + inst.e, y - inst.d], axis=2)
+        gl = _mv(inst.A, y) + _mv(inst.B, x) + inst.c
+        if finite_sum:  # every sample's gradients, enumerated exactly
+            fu = gu[:, :, None] + offsets
+            dg = _mv(inst.dA, y[:, None]) + _mv(inst.dB, x[:, None]) + inst.dc
+            var_g1 = max(var_g1, float((dg ** 2).sum(axis=3).mean(axis=2).max()))
         else:
-            fu = np.concatenate([problem.grad_upper_x(ids, p.x, p.y, step.lanes(ids, "fx")),
-                                 problem.grad_upper_y(ids, p.x, p.y, step.lanes(ids, "fy"))],
-                                axis=1)
-            gg = problem.grad_lower_y(ids, p.x, p.y, step.lanes(ids, "gg"))
-            noise[0, :, k] = ((fu - np.concatenate([gx, gy], axis=1)) ** 2).sum(axis=1)
-            noise[1, :, k] = ((gg - gl) ** 2).sum(axis=1)
+            fu, gg = np.empty(gu.shape), np.empty(gl.shape)
+            for k, (xk, yk, step) in enumerate(zip(X[a:a + per], Y[a:a + per], steps)):
+                fu[k, :, :inst.d1] = problem.grad_upper_x(ids, xk, yk, step.lanes(ids, "fx"))
+                fu[k, :, inst.d1:] = problem.grad_upper_y(ids, xk, yk, step.lanes(ids, "fy"))
+                gg[k] = problem.grad_lower_y(ids, xk, yk, step.lanes(ids, "gg"))
+            noise[:, :, a:a + per] = [((f - g) ** 2).sum(axis=2).T
+                                      for f, g in ((fu, gu), (gg, gl))]
         M_hat = max(M_hat, float(_norms(fu).max()))
-        var_g2 = max(var_g2, float(((gl - gl.mean(axis=0)) ** 2).sum(axis=1).mean()))
+        var_g2 = max(var_g2, float(((gl - gl.mean(axis=1, keepdims=True)) ** 2).sum(axis=2)
+                                   .mean(axis=1).max()))
     if not finite_sum:
         var_f, var_g1 = noise.mean(axis=2).max(axis=1).tolist()
 
     return ProblemConstants(
-        mu=mu, L_g=L_g, L_f=max(1.0, inst.rho_x), M=M_hat,
+        mu=mu, L_g=L_g, L_f=inst.constants.L_f, M=M_hat,
         rho=0.0,  # all second derivatives of a quadratic are constant
         sigma_f=float(np.sqrt(var_f)),
         sigma_g=float(np.sqrt(max(var_g1, var_g2))))

@@ -91,10 +91,10 @@ class ProblemConstants:
     sigma_g: float = 0.0
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ParameterError("mu must be positive")
+        check_positive("mu", self.mu)
+        check_positive("L_g", self.L_g)
         if not self.L_g >= self.mu:
-            raise ParameterError("L_g must be >= mu")
+            raise ParameterError(f"L_g={self.L_g} must be >= mu={self.mu}")
 
     @property
     def kappa_g(self) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
-                       ProblemConstants, check_count, check_positive, check_real)
+                       ProblemConstants, check_count, check_real)
 from .rng import RngStream
 
 
@@ -57,10 +57,7 @@ class QuadraticSpec:
         for name in ("d1", "d2", "m", "n_per_client"):
             check_count(name, getattr(self, name))
         check_count("seed", self.seed, 0)
-        check_positive("mu", self.mu)
-        check_positive("L_g", self.L_g)
-        if not self.mu <= self.L_g:
-            raise ParameterError(f"infeasible eigenvalue range [{self.mu}, {self.L_g}]")
+        ProblemConstants(mu=self.mu, L_g=self.L_g)   # 0 < mu <= L_g
         check_real("hetero", self.hetero, 0.0, 1.0)
         for name in ("noise_spread", "noise_std"):
             check_real(name, getattr(self, name), 0.0)
@@ -94,11 +91,12 @@ class QuadraticInstance:
     packed per sample as the (m, n, d2 (d2 + d1 + 1)) array ``lower_offsets``
     = [dA | dB | dc] (``_split_lower`` reads it back); dA, dB and dc are views
     into it, each of whose matrices is C-contiguous, so every product on one
-    of them rounds as on a separate array. Every array must be finite and
-    A_bar positive definite (checked once by a Cholesky factorization), or
-    the constructor raises ParameterError. The arrays are made read-only, so
-    the means and the stored inverse of A_bar cannot go stale;
-    ``dataclasses.replace`` builds a changed instance.
+    of them rounds as on a separate array. Every array must be finite, A_bar
+    positive definite with no eigenvalue below mu - 1e-12 (one eigvalsh), rho_x
+    and noise_std >= 0 finite, seed an integer >= 0 and ``constants`` valid, or
+    the constructor raises ParameterError naming the field. The arrays are
+    made read-only, so the means and the stored inverse of A_bar cannot go
+    stale; ``dataclasses.replace`` builds a changed instance.
     """
 
     A: np.ndarray            # (m, d2, d2)
@@ -122,6 +120,10 @@ class QuadraticInstance:
     def __post_init__(self):
         if self.noise_mode not in (NOISE_FINITE_SUM, NOISE_GAUSSIAN):
             raise ParameterError(f"unknown noise mode {self.noise_mode!r}")
+        check_real("rho_x", self.rho_x)
+        self.constants = ProblemConstants(mu=self.mu, L_g=self.L_g, L_f=max(1.0, self.rho_x))
+        check_real("noise_std", self.noise_std, 0.0)
+        check_count("seed", self.seed, 0)
         sizes = {}
         for name, axes in _AXES.items():
             shape = np.shape(getattr(self, name))
@@ -145,11 +147,11 @@ class QuadraticInstance:
         self.c_bar = self.c.mean(axis=0)
         self.d_bar = self.d.mean(axis=0)
         self.e_bar = self.e.mean(axis=0)
-        try:
-            np.linalg.cholesky(self.A_bar)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError("the client-mean lower Hessian A_bar is not "
-                                 "positive definite") from exc
+        low = np.linalg.eigvalsh(self.A_bar)[0]
+        if not low > 0:
+            raise ParameterError("the client-mean lower Hessian A_bar is not positive definite")
+        if self.mu > low + 1e-12:   # the slack of make_quadratic's interval check
+            raise ParameterError(f"mu={self.mu} exceeds the smallest eigenvalue {low} of A_bar")
         self._A_bar_inv = np.linalg.inv(self.A_bar)
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
@@ -330,8 +332,7 @@ class QuadraticProblem(BilevelProblem):
     """
 
     def __init__(self, inst: QuadraticInstance, batch_size: int = 1):
-        constants = ProblemConstants(mu=inst.mu, L_g=inst.L_g, L_f=max(1.0, inst.rho_x))
-        super().__init__(m=inst.m, d1=inst.d1, d2=inst.d2, constants=constants,
+        super().__init__(m=inst.m, d1=inst.d1, d2=inst.d2, constants=inst.constants,
                          batch_size=batch_size)
         self.inst = inst
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM

@@ -33,12 +33,10 @@ def export_csv(report: RunReport, path) -> None:
     """Write one row per metrics record; identical reports give identical bytes."""
     if not report.rows:
         raise ParameterError("cannot export an empty report")
-    lines = [CSV_SCHEMA_LINE, CSV_HEADER]
-    for row in report.rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
-    data = ("\n".join(lines) + "\n").encode("ascii")
+    lines = [CSV_SCHEMA_LINE, CSV_HEADER,
+             *(",".join(_fmt(v) for v in row.values()) for row in report.rows)]
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def render_svg(reports: list[RunReport], x_axis: str, y_axis: str, path,
@@ -57,8 +55,7 @@ def render_svg(reports: list[RunReport], x_axis: str, y_axis: str, path,
 
     series = []
     for rep in reports:
-        xs = rep.column(x_axis)
-        ys = rep.column(y_axis)
+        xs, ys = rep.column(x_axis), rep.column(y_axis)
         if log_y:
             if np.any(ys < LOG_FLOOR):
                 warnings.warn(f"log-scale clamped {int(np.sum(ys < LOG_FLOOR))} "

@@ -41,7 +41,7 @@ def _check_dense_vs_neumann(seed):
     inst = make_quadratic(QuadraticSpec(d2=6, d1=3, m=2, seed=seed))
     gen = RngStream(seed).child("neumann").generator()
     v = gen.normal(size=6)
-    lam = lambda_cap(QuadraticProblem(inst).constants)
+    lam = lambda_cap(inst.constants)
     s = v.copy()
     acc = v.copy()
     for _ in range(1, 500):

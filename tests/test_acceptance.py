@@ -55,10 +55,10 @@ def test_criterion_2_conditional_expectation_identity():
     spec = QuadraticSpec(d1=5, d2=5, m=3, hetero=0.4, noise_spread=0.0, seed=23)
     inst = make_quadratic(spec)
     problem = QuadraticProblem(inst)
-    lam = 1.0 / inst.L_g
+    lam = lambda_cap(problem.constants)
     N = 6
     cfg = AggITDConfig(lam=lam, N=N,
-                       lower=LowerStepConfig(beta=1.0 / (6 * inst.L_g), tau=2))
+                       lower=LowerStepConfig(beta=beta_cap(lam, problem.constants), tau=2))
     x = np.full(5, 0.6)
     y0 = np.zeros(5)
     acc = None
@@ -145,8 +145,8 @@ def test_criterion_5_lower_solver_contraction():
     ys = inst.y_star(x)
     y_start = ys + 1.0
     consts = measure_constants(inst, TestRegion(Point(x, y_start), 2.0), samples=100)
-    lam = 1.0 / inst.L_g
-    beta = min(1.0, lam, 1.0 / (6 * inst.L_g))
+    lam = lambda_cap(problem.constants)
+    beta = beta_cap(lam, problem.constants)
     lcfg = LowerStepConfig(beta=beta, tau=3)
     R, steps = 50, 20
     dists = np.zeros((R, steps + 1))

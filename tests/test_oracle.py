@@ -9,6 +9,7 @@ from fedbilevel import (ParameterError, Point, QuadraticInstance,
                         QuadraticSpec, RngStream, TestRegion,
                         estimator_bias_mc, fd_hypergradient, make_quadratic,
                         measure_constants)
+from fedbilevel import oracle
 from fedbilevel.problems import NOISE_GAUSSIAN
 
 from conftest import manual_instance
@@ -131,6 +132,41 @@ def test_measure_constants_pinned(case):
     x = np.ones(inst.d1)
     c = measure_constants(inst, TestRegion(Point(x, inst.y_star(x) + 0.3), 1.5), samples=100)
     assert (c.mu, c.L_g, c.L_f, c.M, c.rho, c.sigma_f, c.sigma_g) == expected
+
+
+# a finite-sum case whose 100 default points take more than one slice
+_WIDE = dict(d1=20, d2=20, m=8, n_per_client=16, seed=11)
+
+
+@pytest.mark.parametrize("case", ["11", "gaussian-d4x1-m2", "wide"])
+def test_measure_constants_slicing_changes_nothing(case, monkeypatch):
+    spec_fields = _WIDE if case == "wide" else PINNED_CONSTANTS[case][0]
+    inst = make_quadratic(replace(_PINNED_BASE, **spec_fields))
+    x = np.ones(inst.d1)
+    region = TestRegion(Point(x, inst.y_star(x) + 0.3), 1.5)
+    if case == "wide":
+        width = inst.m * inst.n_samples * (inst.d1 + inst.d2)
+        assert 100 * width > oracle.MEASURE_BUDGET
+    default = measure_constants(inst, region, samples=100)
+    monkeypatch.setattr(oracle, "MEASURE_BUDGET", 1)   # one region point per slice
+    assert measure_constants(inst, region, samples=100) == default
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 3), (1, 1), (6, 5)])
+def test_region_draw_pins_the_stream(d1, d2):
+    # the stacked draw equals the per-point formula on a fresh Generator, bit
+    # for bit; at d1 + d2 = 6 (and 11) an array ** of the radius factors
+    # would move some of these 100 points by an ulp
+    center = Point(np.linspace(-1.0, 1.0, d1), np.linspace(0.5, 2.0, d2))
+    region = TestRegion(center, 1.5)
+    X, Y = region.draw(RngStream(0).child("measure").generator(), 100)
+    assert X.shape == (100, d1) and Y.shape == (100, d2)
+    gen = RngStream(0).child("measure").generator()
+    for x, y in zip(X, Y):
+        g = gen.normal(size=d1 + d2)
+        g *= 1.5 * gen.uniform() ** (1.0 / (d1 + d2)) / np.linalg.norm(g)
+        assert x.tobytes() == (center.x + g[:d1]).tobytes()
+        assert y.tobytes() == (center.y + g[d1:]).tobytes()
 
 
 def test_measure_constants_gaussian_pinned():

@@ -245,16 +245,24 @@ def _one_inf(a):
     ("A", lambda a: np.full_like(a, np.nan), "A has a non-finite entry"),
     ("de", _one_inf, "de has a non-finite entry"),
     ("A", np.negative, "not positive definite"),
+    ("mu", lambda v: "x", r"\bmu\b"),
+    ("rho_x", lambda v: np.inf, r"\brho_x\b"),
+    ("noise_std", lambda v: -1.0, r"\bnoise_std\b"),
+    ("seed", lambda v: "a", r"\bseed\b"),
+    ("mu", lambda v: 5.0, r"mu=5\.0 exceeds the smallest eigenvalue"),  # lambda_min is 4.135
 ])
 def test_bad_instance_fails_by_name(name, spoil, match):
     # a negated A used to end in a raw LinAlgError from the factorization,
-    # and an all-NaN A was accepted; both from a library caller and a JSON
+    # and an all-NaN A was accepted; the scalar fields went unchecked (a string
+    # mu ended in a raw TypeError, the other rows were accepted); both from a
+    # library caller and a JSON
     inst = make_quadratic(QuadraticSpec(d1=2, d2=3, m=3, n_per_client=4, seed=4))
     bad = spoil(getattr(inst, name))
     with pytest.raises(ParameterError, match=match):
         replace(inst, **{name: bad})
+    doc_value = bad.tolist() if isinstance(bad, np.ndarray) else bad
     with pytest.raises(ParameterError, match=match):
-        QuadraticInstance.from_json_dict({**inst.to_json_dict(), name: bad.tolist()})
+        QuadraticInstance.from_json_dict({**inst.to_json_dict(), name: doc_value})
 
 
 _RACE_SPEC = QuadraticSpec(d1=10, d2=10, m=8, n_per_client=8, mu=1.0, L_g=1.5,
