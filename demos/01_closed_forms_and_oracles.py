@@ -24,7 +24,7 @@ print(f"instance: {spec.m} clients, dims ({spec.d1}, {spec.d2}), "
 w = np.linalg.eigvalsh(inst.A_bar)
 print(f"aggregate lower Hessian spectrum: [{w[0]:.3f}, {w[-1]:.3f}]")
 
-x = RngStream(1).child("x").generator().normal(size=spec.d1)
+x = RngStream(1).child("x").normal(1.0, (spec.d1,))
 ys = inst.y_star(x)
 residual = np.linalg.norm(inst.A_bar @ ys + inst.B_bar @ x + inst.c_bar)
 print(f"\nlower-level optimum: aggregate gradient norm at y*(x) = {residual:.2e}")

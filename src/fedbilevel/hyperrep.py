@@ -55,9 +55,9 @@ def partition(labels: np.ndarray, mode: str, m: int, seed: int,
     n = labels.shape[0]
     if m > n:
         raise ParameterError(f"cannot split {n} points across {m} clients")
-    gen = RngStream(seed).child("partition", mode).generator()
+    stream = RngStream(seed).child("partition", mode)
     if mode == PARTITION_IID:
-        perm = gen.permutation(n)
+        perm = stream.child("perm").permutation(np.arange(n))
         return [np.sort(part) for part in np.array_split(perm, m)]
     if mode == PARTITION_LABEL_SKEW:
         k = shards_per_client
@@ -66,7 +66,7 @@ def partition(labels: np.ndarray, mode: str, m: int, seed: int,
             raise ParameterError(f"{m} clients x {k} shards exceed {n} points")
         order = np.lexsort((np.arange(n), labels))  # by label, ties by index
         shards = np.array_split(order, n_shards)
-        assignment = gen.permutation(n_shards)
+        assignment = stream.child("assignment").permutation(np.arange(n_shards))
         return [np.sort(np.concatenate([shards[s] for s in assignment[i * k:(i + 1) * k]]))
                 for i in range(m)]
     raise ParameterError(f"unknown partition mode {mode!r}")
@@ -142,9 +142,8 @@ class HyperRepProblem(BilevelProblem):
     def initial_point(self):
         # the origin is a stationary saddle of the bilinear embedding/head pair,
         # so start from a small seeded embedding with a zero head
-        gen = RngStream(self.seed).child("init").generator()
         p, f = self.spec.embed_dim, self.spec.feature_dim
-        x0 = (0.5 / np.sqrt(f)) * gen.normal(size=p * f)
+        x0 = (0.5 / np.sqrt(f)) * RngStream(self.seed).child("init", "x0").normal(1.0, (p * f,))
         return x0, np.zeros(self.d2)
 
     # vec conventions: y -> H (C, p) row-major, x -> E (p, f) row-major; a
@@ -259,12 +258,10 @@ class HyperRepProblem(BilevelProblem):
 def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 4) -> HyperRepProblem:
     """Generate the Gaussian-mixture dataset and partition it across clients."""
     root = RngStream(seed).child("make_hyperrep")
-    gen = root.generator()
     C, f = spec.classes, spec.feature_dim
-    centers = 2.0 * gen.normal(size=(C, f))
-    labels = np.arange(spec.n_points) % C
-    labels = labels[gen.permutation(spec.n_points)]
-    U = centers[labels] + gen.normal(size=(spec.n_points, f))
+    centers = 2.0 * root.child("centers").normal(1.0, (C, f))
+    labels = root.child("labels").permutation(np.arange(spec.n_points) % C)
+    U = centers[labels] + root.child("U").normal(1.0, (spec.n_points, f))
 
     n_test = int(spec.test_fraction * spec.n_points)
     test_idx = np.arange(spec.n_points - n_test, spec.n_points)
@@ -276,8 +273,7 @@ def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 4) -> HyperRe
     for i, idx in enumerate(client_idx):
         if idx.size < 2:
             raise ParameterError("each client needs at least 2 points for train/val halves")
-        cg = root.child("split", i).generator()
-        perm = cg.permutation(idx)
+        perm = root.child(i, "split").permutation(idx)
         half = idx.size // 2
         train_idx.append(np.sort(pool[perm[:half]]))
         val_idx.append(np.sort(pool[perm[half:]]))

@@ -37,16 +37,14 @@ class TestRegion:
     def __post_init__(self):
         check_positive("radius", self.radius)
 
-    def draw(self, gen: np.random.Generator, samples: int) -> tuple:
-        """samples uniform points of the ball, stacked as X (samples, d1), Y (samples, d2).
-        Point k reads d1 + d2 normals, then one uniform, from gen, as ``normal``/``uniform``
-        do; its radius factor is a Python float ** (an array ** rounds some differently)."""
+    def draw(self, stream: RngStream, samples: int) -> tuple:
+        """samples uniform points of the ball, stacked as X (samples, d1), Y (samples, d2):
+        the rows of a normal block on ``stream.child("direction")``, each scaled to norm
+        radius * u ** (1 / (d1 + d2)) by its uniform u on ``stream.child("radius")``."""
         d1, d = self.center.d1, self.center.d1 + self.center.d2
-        g, r = np.empty((samples, d)), np.empty(samples)
-        for k, row in enumerate(g):
-            gen.standard_normal(out=row)
-            r[k] = self.radius * gen.random() ** (1.0 / d)
-        g *= (r / _norms(g))[:, None]
+        g = stream.child("direction").normal(1.0, (samples, d))
+        u = stream.child("radius").uniform((samples,))
+        g *= (self.radius * u ** (1.0 / d) / _norms(g))[:, None]
         return self.center.x + g[:, :d1], self.center.y + g[:, d1:]
 
 
@@ -72,11 +70,11 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     sigma_g are sqrt(E||.||^2) noise levels, with sigma_g the max of the
     gradient-noise and client-dissimilarity components.
 
-    The S region points are stacked as (S, m, ...) and (S, m, n, ...) closed
-    forms, independent of the oracle kernels, in slices of at most
-    MEASURE_BUDGET elements per temporary. Per point there remain the two
-    region draws and, for additive-gaussian noise, one batched oracle call per
-    purpose on the lanes ``child("mc", k, i, tag)``.
+    The S region points, two stacked draws on the stream ``child("measure")``,
+    are stacked as (S, m, ...) and (S, m, n, ...) closed forms, independent of
+    the oracle kernels, in slices of at most MEASURE_BUDGET elements per
+    temporary. Per point there remains, for additive-gaussian noise only, one
+    batched oracle call per purpose on the lanes ``child("mc", k, i, tag)``.
     """
     if samples < 100:
         raise ParameterError("need at least 100 region samples")
@@ -84,7 +82,7 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
                            np.linalg.eigvalsh(inst.A[:, None] + inst.dA).ravel()])
     mu, L_g = float(eigs.min()), float(eigs.max())
 
-    X, Y = region.draw(RngStream(seed).child("measure").generator(), samples)
+    X, Y = region.draw(RngStream(seed).child("measure"), samples)
     finite_sum = inst.noise_mode == NOISE_FINITE_SUM
     if finite_sum:  # the upper-gradient sample variance does not depend on the point
         var_f = float(((inst.de ** 2).sum(axis=2) + (inst.dd ** 2).sum(axis=2))

@@ -12,6 +12,9 @@ and the hypergradient of f(x) = mean_i f_i(x, y*(x)) is
 Every sampled lower Hessian A_i + dA_{i,j} keeps its eigenvalues inside
 [mu, L_g]; per-sample offsets come in +/- pairs so their mean is exactly zero
 and finite-sum oracles stay exactly unbiased.
+
+make_quadratic calls no BLAS routine itself, so an instance's bytes depend on the seed,
+numpy's log, sqrt, cos and sin, and LAPACK (at the sizes tested, not on BLAS threads).
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import numpy as np
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
                        ProblemConstants, check_count, check_real)
-from .rng import RngStream
+from .rng import Lanes, RngStream
 
 
 @dataclass(frozen=True)
 class QuadraticSpec:
-    """Generator knobs for a synthetic instance.
+    """The knobs of a generated synthetic instance.
 
     hetero in [0, 1] scales mean-zero client perturbations of (A, B, c, d)
     jointly; hetero=0 gives identical clients. noise_spread >= 0 sets the size
@@ -207,11 +210,6 @@ class QuadraticInstance:
         return cls.from_json_dict(json.loads(text))
 
 
-def _random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(gen.normal(size=(d, d)))
-    return q * np.sign(np.diag(r))
-
-
 def _split_lower(P: np.ndarray, d2: int, d1: int) -> tuple:
     """The views (dA, dB, dc) of packed lower offsets P of shape
     (..., d2 (d2 + d1 + 1)), as ``QuadraticInstance.lower_offsets`` holds them."""
@@ -233,67 +231,62 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, each the 1-D ``np.linalg.norm`` of
-    its row bit for bit: one BLAS dot per row (``axis=-1`` sums pairwise)."""
-    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+    """Euclidean norms over the last axis: pairwise sums of each row's squares,
+    no BLAS call, so the bits do not depend on the BLAS thread count."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
-def _pm_pairs(gen: np.random.Generator, n: int, shape: tuple, scale: float,
-              symmetric: bool = False) -> np.ndarray:
-    """n zero-mean offsets arranged as +/- pairs (odd n leaves one zero slot),
-    each of norm scale (spectral when symmetric). The n // 2 raw offsets are
-    one draw, which consumes gen as n // 2 draws of one offset would."""
-    out = np.zeros((n, *shape))
-    if scale <= 0.0 or n < 2:
+def _pm_pairs(lanes: Lanes, n: int, shape: tuple, scale, symmetric: bool = False):
+    """Per lane row (client), n zero-mean offsets as +/- pairs (odd n leaves one
+    zero slot), each of norm scale (one, or one per client; spectral when
+    symmetric), stacked (clients, n, *shape): one ``lanes.normal`` draw."""
+    m = lanes.hashes.shape[0]
+    out = np.zeros((m, n, *shape))
+    if n < 2 or not np.any(scale):
         return out
-    raw = gen.normal(size=(n // 2, *shape))
+    raw = lanes.normal(1.0, (n // 2, *shape))
     if symmetric:
         raw = _sym(raw)
-        nrm = np.linalg.norm(raw, 2, axis=(1, 2))
-    else:
-        nrm = _norms(raw.reshape(n // 2, -1))
-    nrm = np.where(nrm > 0, nrm, scale)  # a zero draw stays zero
-    raw *= (scale / nrm).reshape(-1, *(1,) * len(shape))
-    out[0:n - 1:2] = raw
-    out[1:n:2] = -raw
+    nrm = np.linalg.norm(raw, 2, axis=(2, 3)) if symmetric else _norms(raw.reshape(m, n // 2, -1))
+    factor = np.reshape(scale, (-1, 1)) / np.where(nrm > 0, nrm, 1.0)  # a zero draw stays zero
+    out[:, 0:n - 1:2] = raw * factor.reshape(*nrm.shape, *(1,) * len(shape))
+    out[:, 1:n:2] = -out[:, 0:n - 1:2]
     return out
 
 
 def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     """Generate a heterogeneous instance satisfying the eigenvalue invariants
-    (the spec checked its fields' ranges)."""
+    (the spec checked its fields' ranges). Each array is one draw on its lane
+    ``child("make_quadratic", name)``, or per client i on ``(..., i, name)``."""
     root = RngStream(spec.seed).child("make_quadratic")
-    gen = root.generator()
+    d1, d2, m = spec.d1, spec.d2, spec.m
     span = spec.L_g - spec.mu
 
     # base lower Hessian: eigenvalues in the middle of [mu, L_g] so that client
     # and sample perturbations cannot leave the interval
-    eigs = spec.mu + span * (0.3 + 0.4 * gen.uniform(size=spec.d2))
-    U = _random_orthogonal(gen, spec.d2)
-    A_base = _sym(U @ np.diag(eigs) @ U.T)
+    eigs = spec.mu + span * (0.3 + 0.4 * root.child("eigs").uniform((d2,)))
+    q, r = np.linalg.qr(root.child("U").normal(1.0, (d2, d2)))
+    U = q * np.sign(np.diag(r))   # Haar-random orthogonal
+    A_base = _sym(np.einsum("ik,jk->ij", U * eigs, U))   # U diag(eigs) U^T, no BLAS
 
-    B_base = gen.normal(size=(spec.d2, spec.d1))
+    B_base = root.child("B").normal(1.0, (d2, d1))
     nB = np.linalg.norm(B_base, 2)
     if nB > 0:
         B_base *= spec.coupling / nB
-    c_base = spec.lin_scale * gen.normal(size=spec.d2)
-    d_base = spec.lin_scale * gen.normal(size=spec.d2)
-    e_base = spec.lin_scale * gen.normal(size=spec.d1)
+    c_base, d_base, e_base = (spec.lin_scale * root.child(name).normal(1.0, (size,))
+                              for name, size in (("c", d2), ("d", d2), ("e", d1)))
 
     # mean-zero client perturbations, jointly scaled by hetero
-    dA_cl = _sym(gen.normal(size=(spec.m, spec.d2, spec.d2)))
+    def demeaned(name, shape, scale):
+        p = root.child(name).normal(1.0, (m, *shape))
+        return scale * (p - p.mean(axis=0))
+
+    dA_cl = _sym(root.child("dA_cl").normal(1.0, (m, d2, d2)))
     dA_cl -= dA_cl.mean(axis=0)
-    max_norm = np.linalg.norm(dA_cl, 2, axis=(1, 2)).max() or 1.0
-    dA_cl *= 0.15 * span / max_norm
-
-    def demeaned(shape, scale):
-        p = gen.normal(size=(spec.m, *shape))
-        p -= p.mean(axis=0)
-        return scale * p
-
-    dB_cl = demeaned((spec.d2, spec.d1), 0.3 * spec.coupling)
-    dc_cl = demeaned((spec.d2,), spec.lin_scale)
-    dd_cl = demeaned((spec.d2,), spec.lin_scale)
+    dA_cl *= 0.15 * span / (np.linalg.norm(dA_cl, 2, axis=(1, 2)).max() or 1.0)
+    dB_cl = demeaned("dB_cl", (d2, d1), 0.3 * spec.coupling)
+    dc_cl = demeaned("dc_cl", (d2,), spec.lin_scale)
+    dd_cl = demeaned("dd_cl", (d2,), spec.lin_scale)
     A = A_base + spec.hetero * dA_cl
 
     w = np.linalg.eigvalsh(A)
@@ -302,15 +295,12 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
         raise ParameterError("client Hessian left the eigenvalue interval")
     margin = np.maximum(margin, 0.0)
     spread = spec.noise_spread if spec.noise_mode == NOISE_FINITE_SUM else 0.0
-    n, shapes = spec.n_per_client, ((spec.d2, spec.d1), (spec.d2,), (spec.d2,), (spec.d1,))
-    samples = []  # per client: its dA, dB, dc, dd, de offsets, from its own stream
-    for i in range(spec.m):
-        cg = root.child("samples", i).generator()
-        samples.append([_pm_pairs(cg, n, (spec.d2, spec.d2), min(spread, 0.9 * margin[i]),
-                                  symmetric=True),
-                        *(_pm_pairs(cg, n, shape, spread) for shape in shapes)])
-    dA, dB, dc, dd, de = map(np.array, zip(*samples))
-    del samples   # freed first, so packing dA, dB and dc does not raise the peak
+    n, clients = spec.n_per_client, np.arange(m)
+    dA = _pm_pairs(root.lanes(clients, "dA"), n, (d2, d2), np.minimum(spread, 0.9 * margin),
+                   symmetric=True)
+    dB, dc, dd, de = (_pm_pairs(root.lanes(clients, name), n, shape, spread)
+                      for name, shape in (("dB", (d2, d1)), ("dc", (d2,)), ("dd", (d2,)),
+                                          ("de", (d1,))))
 
     return QuadraticInstance(
         A=A, B=B_base + spec.hetero * dB_cl, c=c_base + spec.hetero * dc_cl,

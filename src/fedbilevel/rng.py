@@ -7,14 +7,14 @@ statistically independent. This realizes the mutually independent samples
 (lower/upper gradient draws, Hessian draws, mixed-partial draws) that the
 algorithms consume, without any shared mutable RNG state.
 
-Every per-step draw is counter-based, as in Philox (Salmon et al., SC'11):
-it hashes the lane's splitmix64 key with a counter. That covers the oracle
-samples and the three scalar draws of a run: the fused chain's seeding index
-Q (lane ``child("Q")``), the baseline's truncation T' (``child("T_prime")``)
-and each outer step's participant set (``subset``). ``index`` and ``subset``
-are pure integer arithmetic, the same on every platform; ``normal`` adds
-numpy's log/cos/sin. ``generator()`` serves set-up only: instances, data
-splits, initial points and measured constants.
+Every draw is counter-based, as in Philox (Salmon et al., SC'11): it hashes
+the lane's splitmix64 key with a counter. That covers the oracle samples, a
+run's scalar draws (the seeding index Q on ``child("Q")``, the truncation T'
+on ``child("T_prime")``, the participant sets) and set-up: each set-up array
+is drawn on the lane of its stage and name, e.g. ``child("make_quadratic",
+"U")``. ``index``, ``subset`` and ``permutation`` are pure integer arithmetic,
+``uniform`` the hash's top 53 bits, and ``normal`` adds numpy's log, sqrt, cos
+and sin. ``generator()``, a numpy Generator on the lane, has no library caller.
 
 Because a lane's hash depends only on its key path, the lanes of many calls
 can be hashed ahead, in any order and in bulk, without moving a draw. A
@@ -91,12 +91,32 @@ def _mix64_counters(hashes: np.ndarray, n: int) -> np.ndarray:
     return _mix64_array(hashes[:, None], np.arange(n, dtype=np.uint64))
 
 
-def _subset(hashes: np.ndarray, pool: np.ndarray, k: int, sizes: np.ndarray | None):
-    """The ``Lanes.subset`` draws of the lanes with these (rows,) hashes."""
+def _uniform(hashes: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) 53-bit uniforms in (0, 1] of the counters 0..n-1."""
+    return 1.0 - (_mix64_counters(hashes, n) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _normal(hashes: np.ndarray, std: float, shape: tuple) -> np.ndarray:
+    """The (rows, *shape) N(0, std^2) draws: Box-Muller over pairs of ``_uniform``s."""
+    n = math.prod(shape)
+    u = _uniform(hashes, n + n % 2)
+    r, theta = std * np.sqrt(-2.0 * np.log(u[:, 0::2])), 2.0 * np.pi * u[:, 1::2]
+    z = np.concatenate((r * np.cos(theta), r * np.sin(theta)), axis=1)
+    return z[:, :n].reshape(-1, *shape)
+
+
+def _permutation(hashes: np.ndarray, pool: np.ndarray, sizes: np.ndarray | None):
+    """Each row's pool ordered by its hashed keys (a stable argsort), stacked
+    (rows, len(pool)); positions from sizes[r] on are keyed 2**64-1."""
     keys = _mix64_counters(hashes, len(pool))
     if sizes is not None:
         keys[np.arange(len(pool)) >= sizes[:, None]] = _MASK64
-    return np.sort(pool[np.argsort(keys, axis=1, kind="stable")[:, :k]], axis=1)
+    return pool[np.argsort(keys, axis=1, kind="stable")]
+
+
+def _subset(hashes: np.ndarray, pool: np.ndarray, k: int, sizes: np.ndarray | None):
+    """The ``Lanes.subset`` draws: the sorted length-k prefixes of ``_permutation``."""
+    return np.sort(_permutation(hashes, pool, sizes)[:, :k], axis=1)
 
 
 def _index(hashes: np.ndarray, n: int) -> np.ndarray:
@@ -140,12 +160,12 @@ def _innermost_tag(key: tuple) -> str | None:
 class RngStream:
     """A derivable random lane: seed plus a tuple key path.
 
-    ``child(*parts)`` extends the key path and its running hash. ``index``,
-    ``subset`` and ``normal`` are pure functions of the lane, so evaluating
+    ``child(*parts)`` extends the key path and its running hash. Every draw
+    (``index``, ``subset``, ``normal``, ...) is a pure function of the lane, so evaluating
     the same lane twice draws the same sample, which is exactly what the
     variance-reduction corrections rely on when they evaluate two gradients
     on one sample. ``generator()`` materializes a ``numpy.random.Generator``
-    for set-up draws.
+    on the lane; the library draws nothing from it.
     """
 
     seed: int
@@ -177,13 +197,20 @@ class RngStream:
         return _scalar_index(self._hash, n)
 
     def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
-        """k members of pool without replacement, uniform, sorted: the k with
-        the smallest hashed keys."""
+        """k members of pool without replacement, uniform: the sorted ``permutation[:k]``."""
         return _subset(np.array([self._hash], dtype=np.uint64), pool, k, None)[0]
 
+    def permutation(self, pool: np.ndarray) -> np.ndarray:
+        """pool in a uniform random order: ordered by the hashed counters 0..len-1."""
+        return _permutation(np.array([self._hash], dtype=np.uint64), pool, None)[0]
+
+    def uniform(self, shape: tuple) -> np.ndarray:
+        """53-bit uniforms in (0, 1]: ``1 - (hashed counter >> 11) * 2**-53``."""
+        return _uniform(np.array([self._hash], dtype=np.uint64), math.prod(shape)).reshape(shape)
+
     def normal(self, std: float, shape: tuple) -> np.ndarray:
-        """N(0, std^2) draws by Box-Muller over 53-bit uniforms in (0, 1]."""
-        return Lanes.of(self).normal(std, shape)[0]
+        """N(0, std^2) draws by Box-Muller over the ``uniform`` values."""
+        return _normal(np.array([self._hash], dtype=np.uint64), std, shape)[0]
 
 
 class _Layout:
@@ -399,13 +426,5 @@ class Lanes:
                            lambda: _subset(self.hashes, pool, k, sizes))
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
-        """``stream(r).normal(std, shape)`` for every row r, stacked (rows, *shape).
-        Box-Muller over 53-bit uniforms in (0, 1]."""
-        def draw():
-            n = math.prod(shape)
-            u = 1.0 - (_mix64_counters(self.hashes, n + n % 2) >> np.uint64(11)) * 2.0 ** -53
-            r = std * np.sqrt(-2.0 * np.log(u[:, 0::2]))
-            theta = 2.0 * np.pi * u[:, 1::2]
-            z = np.concatenate((r * np.cos(theta), r * np.sin(theta)), axis=1)
-            return z[:, :n].reshape(-1, *shape)
-        return self._drawn(("normal", std, shape), draw)
+        """``stream(r).normal(std, shape)`` for every row r, stacked (rows, *shape)."""
+        return self._drawn(("normal", std, shape), lambda: _normal(self.hashes, std, shape))

@@ -27,10 +27,8 @@ from .runtime import CommLedger
 def _check_fd(seed):
     spec = QuadraticSpec(d1=4, d2=4, m=3, hetero=0.4, seed=seed)
     inst = make_quadratic(spec)
-    gen = RngStream(seed).child("fd").generator()
     worst = 0.0
-    for _ in range(20):
-        x = gen.normal(size=spec.d1)
+    for x in RngStream(seed).child("fd", "x").normal(1.0, (20, spec.d1)):
         a = inst.hypergradient(x)
         b = fd_hypergradient(inst, x)
         worst = max(worst, np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
@@ -39,8 +37,7 @@ def _check_fd(seed):
 
 def _check_dense_vs_neumann(seed):
     inst = make_quadratic(QuadraticSpec(d2=6, d1=3, m=2, seed=seed))
-    gen = RngStream(seed).child("neumann").generator()
-    v = gen.normal(size=6)
+    v = RngStream(seed).child("neumann", "v").normal(1.0, (6,))
     lam = lambda_cap(inst.constants)
     s = v.copy()
     acc = v.copy()

@@ -369,6 +369,7 @@ def test_svrg_pairs_draw_each_lane_set_once(monkeypatch, kind):
     else:
         problem = QuadraticProblem(make_quadratic(QuadraticSpec(
             d1=3, d2=3, m=3, noise_mode="additive-gaussian", noise_std=0.2, seed=3)))
+    x, y = problem.initial_point()   # a set-up draw, made before counting
     blocks = []
     original = rng_mod._mix64_counters
 
@@ -376,7 +377,6 @@ def test_svrg_pairs_draw_each_lane_set_once(monkeypatch, kind):
         blocks.append(len(hashes))
         return original(hashes, n)
     monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
-    x, y = problem.initial_point()
     tau = 2
     one_round_lower(problem, x, y, np.zeros(problem.d2), LowerStepConfig(beta=0.01, tau=tau),
                     range(3), RngStream(4), CommLedger())
@@ -458,21 +458,22 @@ def test_hyperrep_metrics_row_shares_the_y_star_train_pass(monkeypatch):
 
 def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):
     # a K = 20 fused run reads its minibatch draws out of one block per lane
-    # set and pool per lane table, not one counter pass per oracle call
+    # set and pool per lane table, not one counter pass per oracle call; the
+    # passes are counted at _subset, which the run's set-up draws do not call
     from fedbilevel import rng as rng_mod
     passes, keys, tables = [], set(), []     # tables: one per subset call
-    original, subset = rng_mod._mix64_counters, rng_mod.Lanes.subset
+    original, subset = rng_mod._subset, rng_mod.Lanes.subset
 
-    def counted(hashes, n):
-        passes.append(n)
-        return original(hashes, n)
+    def counted(hashes, pool, k, sizes):
+        passes.append(len(pool))
+        return original(hashes, pool, k, sizes)
 
     def keyed(self, pool, k, sizes=None):
         table = self.step.table
         tables.append(table)     # keeps every id below distinct
         keys.add((id(table), self.lane_set, repr(self.rows), pool.tobytes()))
         return subset(self, pool, k, sizes)
-    monkeypatch.setattr(rng_mod, "_mix64_counters", counted)
+    monkeypatch.setattr(rng_mod, "_subset", counted)
     monkeypatch.setattr(rng_mod.Lanes, "subset", keyed)
     rep = _small_hyperrep_run(K=20)
     assert len(rep.rows) == 21

@@ -50,16 +50,17 @@ def test_hyperrep_csvs_match_demo(estimator):
 # sha256 of final_x, final_y and the sorted SampleAudit.by_purpose JSON of the
 # demo-05 runs, pinned on x86_64 with OpenBLAS: the metrics rows may move in
 # their last digits, the iterates and the sample bill may not. The iterates
-# re-pinned when One-Round-Upper took One-Round-Lower's association
+# re-pinned when One-Round-Upper took One-Round-Lower's association, and when
+# the dataset, the splits and the initial point became keyed lane draws
 HYPERREP_ITERATES = {
-    "aggitd": ("afbe05ff74ed1f219afa2f4d04ddb9f569fa65d0a0b98cc17cf0e6d188d18222",
-               "dd013d7ee7f95f5ec81d8796dd864fee42f917105d6db40da2b223b4ddcbeea8",
+    "aggitd": ("b604337c1243d35c8d9c140fa638f2d4dba57c3a439bd8202281760e59021a7a",
+               "7b92d58b80ee6e481d12072d6dcd17c8fa133acdc02c571e22e04265e4b42583",
                "6cf68df27b0e65b709311d0e2dbca040899846b4fc88742a3faabe275576afb1"),
-    "aid": ("91406e02248d31347a7d80495a366e68d7b4d1a4341e9e9ec1632c6b7ed5ab43",
-            "f1a9299a3b07f2c96081f7bc26725fcfe912f8256bdc60fd61c89d1e4970986b",
+    "aid": ("0e337f3fc5675adcf7910eda8e759de86a19dea64a29045b19440fd0ce826f8d",
+            "71ae4a963da61a5f7bd1e0b81129c6c701dbb9a6236c4968019931ab65d99e17",
             "50c5a85447925a55c36660db0d9e0a15f6922ab8c11f00700d57818595abf59b"),
-    "local": ("0b16cd4793cb90a62cda04489f665c8207d8a838f75c5fe280581982203dea95",
-              "663f2ece9424cd3edc659a741d58f848e24a68bd4462953600a597cbabf1b423",
+    "local": ("87624ab689bdbf94a18808c817f593b152637c35d0f867207059f9de1f4915d9",
+              "bb1b6542c1416d4e7ef396c61ae3bc0133684b61e9f0c9719fb1c2474ba8181f",
               "d66aa50d0f327dddeaeb6a6a8510e795df6b998a49ef0bd5ea40b4cd4084db6a"),
 }
 
@@ -87,19 +88,20 @@ def _spec(**kw):
 # became counter-based draws, "tau_list" and "gaussian" when One-Round-Upper
 # took One-Round-Lower's association, and all five when the closed forms began
 # solving with a stored inverse of A_bar (final_x kept its bits; the metrics
-# moved by at most 4.3e-14 relative)
+# moved by at most 4.3e-14 relative), and all five when the instances became
+# keyed lane draws
 GOLDEN_RUNS = {
     "tau_list": (dict(problem=_spec(), tau=[1, 3, 2, 1]),
-                 "ac9f57c0019b3d31d0bf380a4f50b1be45b3064348041df8438fa6f39fa6fe08"),
+                 "accf82309272c6822aa24e248bd5546abe0bc0e45638832e943a46f3c25ce752"),
     "participation": (dict(problem=_spec(m=6), estimator="aid", participation=0.5),
-                      "5ae67ed2c32d869f3c5799b80f8877d74e1c6b4a96c66cb97bb4e04691728e7b"),
+                      "77bcbbe38950815339bc58b2830344b906ed4dea966ec637e98a8377d16af8d8"),
     "local": (dict(problem=_spec(), estimator="local", tau=2),
-              "39a139615fe2dd093111dc481c3ec0fe3c212322f64ddad53599a57e87bd3f78"),
+              "c48c742dc64f15b07360f4c5f6a0ac8270a060ffd091f118f3c35d764418d993"),
     "batch_size": (dict(problem=_spec(), batch_size=4),
-                   "250cd1d5f6ee440eda54d3a52c2019166e90c69f9ec826f5d928eedb88255ceb"),
+                   "e690f6b668ca065c96df8cbc3d56febdecb806b4733f6319a088cc0d310e2771"),
     "gaussian": (dict(problem=_spec(noise_mode="additive-gaussian", noise_std=0.15),
                       estimator="aid", tau=2),
-                 "32a0e108353975d20b06f7d7cca4fc692f0e7e8ed6e390502e8eae799dab5a45"),
+                 "c6376c2220ac53305e82e902fcfa4237b7e6cf5359a1cf51b6baf0c77b0c33cf"),
 }
 
 

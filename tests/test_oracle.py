@@ -104,24 +104,25 @@ def test_measure_constants_dissimilarity_only():
 # mc_estimate benchmark instance; the other shapes cover d1 != d2, odd n, m = 1
 # and additive-gaussian noise with d2 = 1. "11" and "m1" re-pinned by one ulp
 # of sigma_g and M when y*(x), the region's centre, began solving with a stored
-# inverse of A_bar
+# inverse of A_bar, and all five when the instances and the region points
+# became keyed lane draws
 _PINNED_BASE = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.3,
                              noise_spread=0.1)
 PINNED_CONSTANTS = {
-    "11": (dict(seed=11), (1.1797667706252137, 1.7791431298433251, 1.0, 3.80526972426812,
-                           0.0, 0.14142135623730953, 0.36084575863296947)),
-    "17": (dict(seed=17), (1.4749166464629748, 1.8187066320748506, 1.0, 3.8556194607499443,
-                           0.0, 0.14142135623730953, 0.3216343062326172)),
+    "11": (dict(seed=11), (1.301745759913298, 1.7439275831297558, 1.0, 4.0467671257890485,
+                           0.0, 0.14142135623730953, 0.301117976166942)),
+    "17": (dict(seed=17), (1.2106306680587848, 1.711929499087924, 1.0, 3.468778869672277,
+                           0.0, 0.14142135623730953, 0.2426836158175241)),
     "d6x2-m5-n3": (dict(d1=6, d2=2, m=5, n_per_client=3, seed=11),
-                   (1.2134937754138924, 1.5990682011402972, 1.0, 3.3089205192234092, 0.0,
-                    0.11547005383792516, 0.37505270970084265)),
-    "m1": (dict(m=1, seed=11), (1.2307780578156167, 1.7824598035365895, 1.0,
-                                3.67339089106626, 0.0, 0.1414213562373095,
-                                0.24494776706330457)),
+                   (1.3147632853805644, 1.658217768532123, 1.0, 4.227665756031586, 0.0,
+                    0.11547005383792516, 0.27370593873585947)),
+    "m1": (dict(m=1, seed=11), (1.3432125669781496, 1.740360664363866, 1.0,
+                                3.9202916452716563, 0.0, 0.14142135623730953,
+                                0.26455465454360605)),
     "gaussian-d4x1-m2": (dict(d1=4, d2=1, m=2, noise_mode=NOISE_GAUSSIAN, noise_std=0.3,
                               seed=11),
-                         (1.2582260332051458, 1.3482260332051457, 1.0, 4.29827760648848, 0.0,
-                          0.7116910054458784, 0.311607366818383)),
+                         (1.5253690087307186, 1.6153690087307184, 1.0, 4.144267101102636, 0.0,
+                          0.7116910054458784, 0.3352684057074504)),
 }
 
 
@@ -154,19 +155,20 @@ def test_measure_constants_slicing_changes_nothing(case, monkeypatch):
 
 @pytest.mark.parametrize("d1,d2", [(3, 3), (1, 1), (6, 5)])
 def test_region_draw_pins_the_stream(d1, d2):
-    # the stacked draw equals the per-point formula on a fresh Generator, bit
-    # for bit; at d1 + d2 = 6 (and 11) an array ** of the radius factors
-    # would move some of these 100 points by an ulp
+    # X and Y are the centre plus the rows of the stream's "direction" normal
+    # block, each scaled to norm 1.5 u ** (1 / (d1 + d2)) by its "radius"
+    # uniform, bit for bit, at d1 + d2 = 6, 2 and 11
     center = Point(np.linspace(-1.0, 1.0, d1), np.linspace(0.5, 2.0, d2))
-    region = TestRegion(center, 1.5)
-    X, Y = region.draw(RngStream(0).child("measure").generator(), 100)
+    stream = RngStream(0).child("measure")
+    X, Y = TestRegion(center, 1.5).draw(stream, 100)
     assert X.shape == (100, d1) and Y.shape == (100, d2)
-    gen = RngStream(0).child("measure").generator()
-    for x, y in zip(X, Y):
-        g = gen.normal(size=d1 + d2)
-        g *= 1.5 * gen.uniform() ** (1.0 / (d1 + d2)) / np.linalg.norm(g)
-        assert x.tobytes() == (center.x + g[:d1]).tobytes()
-        assert y.tobytes() == (center.y + g[d1:]).tobytes()
+    g = stream.child("direction").normal(1.0, (100, d1 + d2))
+    u = stream.child("radius").uniform((100,))
+    g = g * (1.5 * u ** (1.0 / (d1 + d2)) / np.sqrt(np.add.reduce(g * g, axis=1)))[:, None]
+    assert X.tobytes() == (center.x + g[:, :d1]).tobytes()
+    assert Y.tobytes() == (center.y + g[:, d1:]).tobytes()
+    assert np.allclose(np.linalg.norm(np.hstack([X - center.x, Y - center.y]), axis=1),
+                       1.5 * u ** (1.0 / (d1 + d2)), rtol=1e-12, atol=0)
 
 
 def test_measure_constants_gaussian_pinned():
@@ -174,8 +176,8 @@ def test_measure_constants_gaussian_pinned():
                                         noise_mode=NOISE_GAUSSIAN, noise_std=0.3))
     c = measure_constants(inst, TestRegion(Point(np.zeros(2), np.zeros(3)), 1.0), samples=100)
     assert (c.mu, c.L_g, c.L_f, c.M, c.rho, c.sigma_f, c.sigma_g) == (
-        3.423758305636161, 5.733712380083724, 1.0, 2.822198326498933, 0.0,
-        0.6933790418603676, 0.6326723380096937)
+        3.537457895434615, 6.352461303189557, 1.0, 2.670247023981597, 0.0,
+        0.6933790418603676, 0.6847970446410504)
 
 
 def test_measure_constants_requires_samples():

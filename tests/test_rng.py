@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbilevel import RngStream
+from fedbilevel.rng import _mix64
 
 
 def test_same_lane_bit_identical():
@@ -97,6 +100,62 @@ def test_normal_moments_and_lane_independence():
     assert z.shape == (40_001,)
     assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.03
     assert abs(np.corrcoef(z[:20_000], z[20_001:])[0, 1]) < 0.03
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 4)])
+def test_uniform_equals_integer_formula(shape):
+    # the 53-bit uniform of counter c is 1 - (_mix64(h, c) >> 11) * 2**-53, an
+    # exact double: checked on Python ints, bit for bit
+    lane = RngStream(41).child("make_quadratic", "eigs")
+    got = lane.uniform(shape)
+    assert got.shape == shape
+    want = [1.0 - (_mix64(lane._hash, c) >> 11) * 2.0 ** -53 for c in range(got.size)]
+    assert got.ravel().tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 240])
+def test_permutation_equals_sorted_keys(n):
+    # the pool ordered by the lane's hashed counters, sorted on Python ints
+    pool = np.arange(n) * 3 + 5
+    lane = RngStream(42).child("make_hyperrep", "labels")
+    order = sorted(range(n), key=lambda c: _mix64(lane._hash, c))
+    assert lane.permutation(pool).tolist() == pool[order].tolist()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 40), st.data())
+def test_subset_is_sorted_prefix_of_permutation(seed, n, data):
+    k = data.draw(st.integers(1, n))
+    pool = np.arange(n) * 7 - 11
+    lane = RngStream(seed).child("sub", n)
+    assert lane.subset(pool, k).tolist() == np.sort(lane.permutation(pool)[:k]).tolist()
+
+
+def test_setup_uniform_moments_and_lane_independence():
+    # the set-up uniforms, one per lane and a block within a lane: inside
+    # (0, 1], mean 1/2, variance 1/12, no lag-1 correlation, flat over 10 bins
+    base = RngStream(14)
+    xs = np.array([base.child("lane", k).uniform((1,))[0] for k in range(20_000)])
+    z = base.child("big").uniform((200, 201))
+    for u in (xs, z.ravel()):
+        assert 0.0 < u.min() and u.max() <= 1.0
+        assert abs(u.mean() - 0.5) < 4 * np.sqrt(1 / 12 / u.size)
+        assert abs(u.var() * 12.0 - 1.0) < 0.05
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 0.03
+        counts = np.bincount(np.minimum((u * 10).astype(int), 9), minlength=10)
+        chi2 = float(np.sum((counts - u.size / 10) ** 2 / (u.size / 10)))
+        assert chi2 < 27.88  # 9 dof, p = 0.001
+
+
+def test_setup_normal_block_moments():
+    # a set-up normal block, as make_quadratic draws one: every column and the
+    # whole block are N(0, 1), and neighbouring columns are uncorrelated
+    z = RngStream(15).child("make_quadratic", "dA_cl").normal(1.0, (20_000, 6))
+    assert abs(z.mean()) < 4 / np.sqrt(z.size) and abs(z.var() - 1.0) < 0.03
+    assert np.all(np.abs(z.mean(axis=0)) < 4 / np.sqrt(z.shape[0]))
+    assert np.all(np.abs(z.var(axis=0) - 1.0) < 0.06)
+    corr = np.corrcoef(z.T)
+    assert np.all(np.abs(corr[np.triu_indices(6, 1)]) < 0.03)
 
 
 def _table_cases():

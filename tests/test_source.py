@@ -40,6 +40,45 @@ def test_imports_stdlib_numpy_or_relative(path):
     assert sorted(top - sys.stdlib_module_names - {"numpy"}) == []
 
 
+def _dotted(node) -> str:
+    """The dotted name of a Name/Attribute/Call chain, such as "np.random.normal"
+    or "RngStream().child().generator"."""
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    if isinstance(node, ast.Call):
+        return f"{_dotted(node.func)}()"
+    return node.id if isinstance(node, ast.Name) else "?"
+
+
+def _generator_uses(tree) -> list:
+    """(line, name) of each call to default_rng, to np.random.* or to a
+    .generator() method, and of each import from numpy.random, outside the
+    body of RngStream.generator."""
+    exempt = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "RngStream"
+              for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "generator"
+              for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            if (name.split(".")[-1] in ("default_rng", "generator")
+                    or name.startswith(("np.random.", "numpy.random."))):
+                found.append((node.lineno, name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            found += [(node.lineno, n) for n in names if n.startswith("numpy.random")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_generator_on_library_paths(path):
+    # every library draw is a keyed lane draw (rng's hash), so no module calls
+    # a numpy Generator; RngStream.generator is kept for callers outside src
+    assert _generator_uses(ast.parse(path.read_text())) == []
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 from fedbilevel.cli import main
