@@ -95,6 +95,8 @@ class ProblemConstants:
         check_positive("L_g", self.L_g)
         if not self.L_g >= self.mu:
             raise ParameterError(f"L_g={self.L_g} must be >= mu={self.mu}")
+        if not self.kappa_g < np.inf:
+            raise ParameterError(f"kappa_g = L_g/mu = {self.L_g}/{self.mu} is not finite")
 
     @property
     def kappa_g(self) -> float:
@@ -212,7 +214,8 @@ class BilevelProblem:
         if not isinstance(lanes, Lanes):
             raise ContractViolation(
                 f"oracle lanes must be Lanes or None, got {type(lanes).__name__}")
-        rows, k = lanes.ids.shape[0] or 1, ids.shape[0]   # Lanes.of: one row, no ids
+        # Lanes.of is the one lane set () and has one row but no ids
+        rows, k = lanes.ids.shape[0] if lanes.lane_set else 1, ids.shape[0]
         if rows != k:
             raise ContractViolation(f"{rows} lanes for {k} clients")
         self.audit.record(lanes.purpose, self.batch_size * k)

@@ -10,11 +10,12 @@ and the hypergradient of f(x) = mean_i f_i(x, y*(x)) is
     rho_x x + ebar - Bbar^T Abar^{-1} (y*(x) - dbar).
 
 Every sampled lower Hessian A_i + dA_{i,j} keeps its eigenvalues inside
-[mu, L_g]; per-sample offsets come in +/- pairs so their mean is exactly zero
-and finite-sum oracles stay exactly unbiased.
+[mu, L_g] (the instance checks each A_i); per-sample offsets come in +/- pairs
+so their mean is exactly zero and finite-sum oracles stay exactly unbiased.
 
-make_quadratic calls no BLAS routine itself, so an instance's bytes depend on the seed,
-numpy's log, sqrt, cos and sin, and LAPACK (at the sizes tested, not on BLAS threads).
+Neither make_quadratic nor the inverse of A_bar (one eigh and an einsum) calls
+BLAS, so an instance's bytes depend on the seed, numpy's log, sqrt, cos and
+sin, and LAPACK (at the sizes tested, not on BLAS threads).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
                        ProblemConstants, check_count, check_real)
-from .rng import Lanes, RngStream
+from .rng import CLIENT, Lanes, LaneTable, RngStream
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,21 @@ class QuadraticSpec:
 
 # the axes of each stacked array: m clients, n samples per client, d2 (y) and d1 (x)
 _AXES = {"A": "myy", "B": "myx", "c": "my", "d": "my", "e": "mx",
-         "dA": "mnyy", "dB": "mnyx", "dc": "mny", "dd": "mny", "de": "mnx",
-         "hess_margin": "m"}
-_SCHEMA = "quadratic-instance-v2"
+         "dA": "mnyy", "dB": "mnyx", "dc": "mny", "dd": "mny", "de": "mnx"}
+_SCHEMA = "quadratic-instance-v3"
+
+
+def _client_margins(A: np.ndarray, mu: float, L_g: float) -> np.ndarray:
+    """Each client's room inside [mu, L_g], by one eigvalsh of the stack A;
+    ParameterError names the first client outside it by more than 1e-12."""
+    w = np.linalg.eigvalsh(A)
+    margin = np.minimum(w[:, 0] - mu, L_g - w[:, -1])
+    bad = np.flatnonzero(margin < -1e-12)
+    if bad.size:
+        i = bad[0]
+        raise ParameterError(f"client {i}'s lower Hessian has eigenvalues in "
+                             f"[{w[i, 0]}, {w[i, -1]}], outside [mu={mu}, L_g={L_g}]")
+    return np.maximum(margin, 0.0)
 
 
 @dataclass
@@ -88,18 +101,19 @@ class QuadraticInstance:
     dA[i, j] ... de[i, j], whose means over j are exactly zero, so sample means
     reproduce the client objectives exactly. In additive-gaussian mode
     gradients get N(0, noise_std^2 I) noise, and Hessian draws get symmetric
-    perturbations shrunk to norm hess_margin[i], which keeps them inside
-    [mu, L_g]. m, n_samples, d1 and d2 are read off the array shapes, and
-    A_bar ... e_bar are the client means. The lower offsets are kept once,
-    packed per sample as the (m, n, d2 (d2 + d1 + 1)) array ``lower_offsets``
+    perturbations shrunk to norm hess_margin[i], each client's room inside
+    [mu, L_g], derived from A (not a field). m, n_samples, d1 and d2 are read
+    off the array shapes, and A_bar ... e_bar are the client means. The lower
+    offsets are kept once, packed per sample as the (m, n, d2 (d2 + d1 + 1)) array ``lower_offsets``
     = [dA | dB | dc] (``_split_lower`` reads it back); dA, dB and dc are views
     into it, each of whose matrices is C-contiguous, so every product on one
     of them rounds as on a separate array. Every array must be finite, A_bar
-    positive definite with no eigenvalue below mu - 1e-12 (one eigvalsh), rho_x
-    and noise_std >= 0 finite, seed an integer >= 0 and ``constants`` valid, or
-    the constructor raises ParameterError naming the field. The arrays are
-    made read-only, so the means and the stored inverse of A_bar cannot go
-    stale; ``dataclasses.replace`` builds a changed instance.
+    positive definite, every client Hessian inside [mu, L_g] (1e-12 slack),
+    rho_x and noise_std >= 0 finite, seed an integer >= 0 and ``constants``
+    valid, or the constructor raises ParameterError naming the field (or the
+    client). The arrays are made read-only, so the means, the margins and the
+    stored inverse of A_bar cannot go stale; ``dataclasses.replace`` builds a
+    changed instance.
     """
 
     A: np.ndarray            # (m, d2, d2)
@@ -112,7 +126,6 @@ class QuadraticInstance:
     dc: np.ndarray           # (m, n, d2)
     dd: np.ndarray           # (m, n, d2)
     de: np.ndarray           # (m, n, d1)
-    hess_margin: np.ndarray  # (m,), spectral room left for gaussian Hessian noise
     mu: float
     L_g: float
     seed: int = 0
@@ -150,12 +163,14 @@ class QuadraticInstance:
         self.c_bar = self.c.mean(axis=0)
         self.d_bar = self.d.mean(axis=0)
         self.e_bar = self.e.mean(axis=0)
-        low = np.linalg.eigvalsh(self.A_bar)[0]
-        if not low > 0:
+        w, V = np.linalg.eigh(self.A_bar)
+        if not w[0] > 0:
             raise ParameterError("the client-mean lower Hessian A_bar is not positive definite")
-        if self.mu > low + 1e-12:   # the slack of make_quadratic's interval check
-            raise ParameterError(f"mu={self.mu} exceeds the smallest eigenvalue {low} of A_bar")
-        self._A_bar_inv = np.linalg.inv(self.A_bar)
+        # A_bar's smallest eigenvalue is at least the smallest client's, so the
+        # client check also keeps A_bar inside [mu, L_g]
+        self.hess_margin = _client_margins(self.A, self.mu, self.L_g)
+        self.hess_margin.setflags(write=False)
+        self._A_bar_inv = np.einsum("ik,jk->ij", V / w, V)   # V diag(1/w) V^T, no BLAS
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
         """Abar^{-1} v, one product with the inverse stored at construction."""
@@ -195,6 +210,9 @@ class QuadraticInstance:
     def from_json_dict(cls, doc: dict) -> "QuadraticInstance":
         if doc.get("schema") != _SCHEMA:
             raise ParameterError(f"unknown instance schema: {doc.get('schema')!r}")
+        unknown = sorted(set(doc) - {"schema", *(f.name for f in fields(cls))})
+        if unknown:   # such as a derived value, hess_margin
+            raise ParameterError(f"unknown instance keys: {unknown}")
         try:
             kw = {f.name: np.array(doc[f.name], dtype=float) if f.name in _AXES
                   else doc[f.name] for f in fields(cls)}
@@ -257,7 +275,8 @@ def _pm_pairs(lanes: Lanes, n: int, shape: tuple, scale, symmetric: bool = False
 def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     """Generate a heterogeneous instance satisfying the eigenvalue invariants
     (the spec checked its fields' ranges). Each array is one draw on its lane
-    ``child("make_quadratic", name)``, or per client i on ``(..., i, name)``."""
+    ``child("make_quadratic", name)``, or per client i on ``(..., i, name)``;
+    the five per-sample offset arrays read their lanes from one lane table."""
     root = RngStream(spec.seed).child("make_quadratic")
     d1, d2, m = spec.d1, spec.d2, spec.m
     span = spec.L_g - spec.mu
@@ -289,23 +308,19 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     dd_cl = demeaned("dd_cl", (d2,), spec.lin_scale)
     A = A_base + spec.hetero * dA_cl
 
-    w = np.linalg.eigvalsh(A)
-    margin = np.minimum(w[:, 0] - spec.mu, spec.L_g - w[:, -1])
-    if (margin < -1e-12).any():
-        raise ParameterError("client Hessian left the eigenvalue interval")
-    margin = np.maximum(margin, 0.0)
+    margin = _client_margins(A, spec.mu, spec.L_g)
     spread = spec.noise_spread if spec.noise_mode == NOISE_FINITE_SUM else 0.0
     n, clients = spec.n_per_client, np.arange(m)
-    dA = _pm_pairs(root.lanes(clients, "dA"), n, (d2, d2), np.minimum(spread, 0.9 * margin),
-                   symmetric=True)
-    dB, dc, dd, de = (_pm_pairs(root.lanes(clients, name), n, shape, spread)
-                      for name, shape in (("dB", (d2, d1)), ("dc", (d2,)), ("dd", (d2,)),
-                                          ("de", (d1,))))
+    shapes = {"dA": (d2, d2), "dB": (d2, d1), "dc": (d2,), "dd": (d2,), "de": (d1,)}
+    step = LaneTable.of(root, [(CLIENT, name) for name in shapes], clients).step(0)
+    offsets = {name: _pm_pairs(step.lanes(clients, name), n, shape,
+                               np.minimum(spread, 0.9 * margin) if name == "dA" else spread,
+                               symmetric=name == "dA")
+               for name, shape in shapes.items()}
 
     return QuadraticInstance(
         A=A, B=B_base + spec.hetero * dB_cl, c=c_base + spec.hetero * dc_cl,
-        d=d_base + spec.hetero * dd_cl, e=np.tile(e_base, (spec.m, 1)),
-        dA=dA, dB=dB, dc=dc, dd=dd, de=de, hess_margin=margin,
+        d=d_base + spec.hetero * dd_cl, e=np.tile(e_base, (spec.m, 1)), **offsets,
         mu=spec.mu, L_g=spec.L_g, seed=spec.seed, noise_mode=spec.noise_mode,
         noise_std=spec.noise_std if spec.noise_mode == NOISE_GAUSSIAN else 0.0)
 

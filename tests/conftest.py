@@ -8,8 +8,7 @@ from fedbilevel.rng import Lanes
 def zero_offsets(m, n, d1, d2):
     """The per-sample offset arrays of a noise-free instance: n zero samples per client."""
     return dict(dA=np.zeros((m, n, d2, d2)), dB=np.zeros((m, n, d2, d1)),
-                dc=np.zeros((m, n, d2)), dd=np.zeros((m, n, d2)), de=np.zeros((m, n, d1)),
-                hess_margin=np.zeros(m))
+                dc=np.zeros((m, n, d2)), dd=np.zeros((m, n, d2)), de=np.zeros((m, n, d1)))
 
 
 def manual_instance(eigs, d1, m, seed=0, hetero_B=0.0, rho_x=1.0,

@@ -280,7 +280,8 @@ def test_batched_contract_violations():
     step = next(lane_steps(RngStream(0), "est", 1, problem.m, [(CLIENT, "zeta")]))
     miscounted = ((full, step.lanes(sub, "zeta")), (sub, step.lanes(full, "zeta")),
                   (full, RngStream(0).lanes(full[1:], "zeta")),
-                  (sub, Lanes.of(RngStream(0).child(1, "zeta"))))
+                  (sub, Lanes.of(RngStream(0).child(1, "zeta"))),
+                  (sub[:1], RngStream(0).lanes(np.array([], dtype=int), "zeta")))
     for ids, lanes in miscounted:
         for name in ORACLES:
             with pytest.raises(ContractViolation, match="lanes for"):
@@ -297,11 +298,10 @@ def test_instance_rejects_disagreeing_shapes():
     # (here: clients with one and with two samples) cannot be expressed
     good = manual_instance([2.0], d1=1, m=2)
     fields = {f: getattr(good, f) for f in ("A", "B", "c", "d", "e", "dA", "dB", "dc",
-                                            "dd", "de", "hess_margin", "mu", "L_g")}
+                                            "dd", "de", "mu", "L_g")}
     QuadraticInstance(**fields)
     bad = [("dc", np.zeros((2, 2, 1))),       # two samples where the others have one
            ("e", np.zeros((3, 1))),           # three clients where the others have two
-           ("hess_margin", np.zeros(1)),
            ("B", np.zeros((2, 1, 2))),        # d1 = 2 where e has d1 = 1
            ("A", np.zeros((2, 1))),           # missing an axis
            ("dA", np.zeros((2, 0, 1, 1)))]    # empty sample axis

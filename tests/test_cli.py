@@ -112,6 +112,7 @@ BAD_CONFIGS = [
     *(([f'problem={{"type": "hyperrep", "{key}": {v}}}'], 2) for v in _NONFINITE
       for key in ("ridge", "test_fraction")),
     (['problem={"type": "quadratic", "mu": -1, "L_g": -0.5}'], 2),
+    (['problem={"type": "quadratic", "mu": 1e-300, "L_g": 1e300}'], 2),   # kappa_g = inf
     # these parse and fail when the run resolves them
     (['N=-1'], 2),
     (['T=0'], 2),

@@ -104,14 +104,15 @@ def test_measure_constants_dissimilarity_only():
 # mc_estimate benchmark instance; the other shapes cover d1 != d2, odd n, m = 1
 # and additive-gaussian noise with d2 = 1. "11" and "m1" re-pinned by one ulp
 # of sigma_g and M when y*(x), the region's centre, began solving with a stored
-# inverse of A_bar, and all five when the instances and the region points
-# became keyed lane draws
+# inverse of A_bar, all five when the instances and the region points
+# became keyed lane draws, and "11" and "17" by one ulp of M (and of sigma_g
+# for "11") when that inverse came from one eigh instead of LAPACK inv
 _PINNED_BASE = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.3,
                              noise_spread=0.1)
 PINNED_CONSTANTS = {
-    "11": (dict(seed=11), (1.301745759913298, 1.7439275831297558, 1.0, 4.0467671257890485,
-                           0.0, 0.14142135623730953, 0.301117976166942)),
-    "17": (dict(seed=17), (1.2106306680587848, 1.711929499087924, 1.0, 3.468778869672277,
+    "11": (dict(seed=11), (1.301745759913298, 1.7439275831297558, 1.0, 4.046767125789049,
+                           0.0, 0.14142135623730953, 0.3011179761669421)),
+    "17": (dict(seed=17), (1.2106306680587848, 1.711929499087924, 1.0, 3.4687788696722768,
                            0.0, 0.14142135623730953, 0.2426836158175241)),
     "d6x2-m5-n3": (dict(d1=6, d2=2, m=5, n_per_client=3, seed=11),
                    (1.3147632853805644, 1.658217768532123, 1.0, 4.227665756031586, 0.0,

@@ -164,24 +164,23 @@ def test_lower_offsets_are_kept_once():
 def test_instance_json_digest_pinned():
     # odd n_per_client and d1 != d2 cover the +/- offset pairs' zero slot and
     # their symmetric (spectral-norm) branch; pinned on x86_64 with OpenBLAS,
-    # re-pinned when the set-up draws became keyed lane draws
+    # re-pinned when the set-up draws became keyed lane draws, and when the
+    # document dropped the derived hess_margin (schema v3)
     inst = make_quadratic(QuadraticSpec(d1=4, d2=3, m=3, n_per_client=5, hetero=0.5,
                                         noise_spread=0.2, seed=7))
     assert hashlib.sha256(inst.to_json().encode()).hexdigest() == (
-        "29c3de79dcd57316fc4f43f2c39fa0ffc1aef16580462157516a3ab56472f8f2")
+        "146afe3fafa6eac664beb63b298d84993a4652d6b5b0ac429985d22b30214640")
 
 
 # sha256 of every field of make_quadratic(d1=d2=d, m=4, seed=7), the bytes its
 # JSON document serializes, for each d, and of the iterates and the metrics rows
-# of a K = 3 fused and AID run on the d = 120 instance, after the name of the
-# BLAS numpy was built against; one process per BLAS thread count
+# of a K = 3 fused and AID run on the d = 120 instance; one process per BLAS
+# thread count
 _DIGEST_SCRIPT = """
 import hashlib, sys
 from dataclasses import fields
 import numpy as np
 from fedbilevel import QuadraticSpec, RunConfig, make_quadratic, run
-blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-print("blas", blas.get("name") or "unknown")
 for d in map(int, sys.argv[1:]):
     inst = make_quadratic(QuadraticSpec(d1=d, d2=d, m=4, seed=7))
     h = hashlib.sha256()
@@ -198,8 +197,6 @@ for est in ("aggitd", "aid"):
     print(est + "-rows", hashlib.sha256(rows.tobytes()).hexdigest())
 """
 _BLAS_DIMS = (10, 40, 101, 120)
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,36 +218,25 @@ def test_instance_bytes_blas_thread_boundary(d):
     assert _thread_digests(1)[str(d)] == _thread_digests(2)[str(d)]
 
 
-_INVERSE_XFAIL = [
-    pytest.mark.skipif(_CPUS < 2, reason="two BLAS threads need two CPUs"),
-    pytest.mark.xfail(strict=True, raises=AssertionError,
-                      reason="observed with OpenBLAS: at d=120 np.linalg.inv(A_bar), "
-                      "LAPACK over threaded level-3 BLAS, stores an inverse whose last "
-                      "bits differ between 1 and 2 threads, so solve_A_bar, and every "
-                      "metrics column read through y*(x), moves")]
-
-
-@pytest.mark.parametrize("name", ["aggitd-iterates", "aid-iterates",
-                                  pytest.param("aggitd-rows", marks=_INVERSE_XFAIL),
-                                  pytest.param("aid-rows", marks=_INVERSE_XFAIL)])
+@pytest.mark.parametrize("name", ["aggitd-iterates", "aid-iterates", "aggitd-rows",
+                                  "aid-rows"])
 def test_run_blas_thread_boundary(name):
     # a run's iterates go through gemv kernels only (the stacked and packed
-    # oracle products), which agree under 1 and 2 threads at d = 120; its
-    # metrics rows also read the stored inverse of A_bar, which does not.
-    # That boundary was seen with OpenBLAS only, so other BLAS builds skip it
-    one, two = _thread_digests(1), _thread_digests(2)
-    if name.endswith("rows") and "openblas" not in one["blas"].lower():
-        pytest.skip(f"the inverse boundary was observed with OpenBLAS, numpy uses {one['blas']}")
-    assert one[name] == two[name]
+    # oracle products), and its metrics rows also read the stored inverse of
+    # A_bar, V diag(1/w) V^T from one eigh formed by einsum; both agree under
+    # 1 and 2 threads at d = 120. The rows used to differ through
+    # np.linalg.inv, LAPACK over threaded level-3 BLAS
+    assert _thread_digests(1)[name] == _thread_digests(2)[name]
 
 
 def test_json_rejects_other_schemas_and_disagreeing_arrays():
     inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=3, n_per_client=2, seed=9))
     doc = inst.to_json_dict()
-    assert doc["schema"] == "quadratic-instance-v2"
-    assert np.shape(doc["dA"]) == (3, 2, 2, 2) and np.shape(doc["hess_margin"]) == (3,)
-    with pytest.raises(ParameterError, match="schema"):
-        QuadraticInstance.from_json_dict({**doc, "schema": "quadratic-instance-v1"})
+    assert doc["schema"] == "quadratic-instance-v3"
+    assert np.shape(doc["dA"]) == (3, 2, 2, 2) and "hess_margin" not in doc
+    for old in ("quadratic-instance-v1", "quadratic-instance-v2"):
+        with pytest.raises(ParameterError, match="schema"):
+            QuadraticInstance.from_json_dict({**doc, "schema": old})
     with pytest.raises(ParameterError, match="de has shape"):
         QuadraticInstance.from_json_dict({**doc, "de": doc["de"][:2]})
     ragged = [doc["dc"][0], doc["dc"][1][:1], doc["dc"][2]]  # one client with one sample
@@ -266,6 +252,11 @@ def _one_inf(a):
     return a
 
 
+def _shift_two_clients(A):
+    # clients 0 and 1 move by +/- 8 I, outside [mu, L_g] = [1, 10]; A_bar keeps its value
+    return A + np.array([8.0, -8.0, 0.0])[:, None, None] * np.eye(A.shape[-1])
+
+
 @pytest.mark.parametrize("name,spoil,match", [
     ("A", lambda a: np.full_like(a, np.nan), "A has a non-finite entry"),
     ("de", _one_inf, "de has a non-finite entry"),
@@ -274,17 +265,23 @@ def _one_inf(a):
     ("rho_x", lambda v: np.inf, r"\brho_x\b"),
     ("noise_std", lambda v: -1.0, r"\bnoise_std\b"),
     ("seed", lambda v: "a", r"\bseed\b"),
-    ("mu", lambda v: 6.0, r"mu=6\.0 exceeds the smallest eigenvalue"),  # lambda_min is 5.533
+    ("mu", lambda v: 6.0, r"client 0's .*\[mu=6\.0, "),   # lambda_min(A[i]) is 5.533
+    ("A", _shift_two_clients, r"client 0's .*\[mu=1\.0, L_g=10\.0\]"),
+    ("hess_margin", lambda v: np.full_like(v, 50.0), r"unknown instance keys: \['hess_margin'\]"),
 ])
 def test_bad_instance_fails_by_name(name, spoil, match):
     # a negated A used to end in a raw LinAlgError from the factorization,
     # and an all-NaN A was accepted; the scalar fields went unchecked (a string
-    # mu ended in a raw TypeError, the other rows were accepted); both from a
-    # library caller and a JSON
+    # mu ended in a raw TypeError, the other rows were accepted); client
+    # Hessians outside [mu, L_g] whose mean is inside, and a declared
+    # hess_margin that A does not have, were accepted; both from a library
+    # caller and a JSON, but hess_margin is derived, so only a document can
+    # declare it
     inst = make_quadratic(QuadraticSpec(d1=2, d2=3, m=3, n_per_client=4, seed=4))
     bad = spoil(getattr(inst, name))
-    with pytest.raises(ParameterError, match=match):
-        replace(inst, **{name: bad})
+    if name != "hess_margin":
+        with pytest.raises(ParameterError, match=match):
+            replace(inst, **{name: bad})
     doc_value = bad.tolist() if isinstance(bad, np.ndarray) else bad
     with pytest.raises(ParameterError, match=match):
         QuadraticInstance.from_json_dict({**inst.to_json_dict(), name: doc_value})

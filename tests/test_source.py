@@ -79,6 +79,15 @@ def test_no_numpy_generator_on_library_paths(path):
     assert _generator_uses(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_matrix_inverse_on_library_paths(path):
+    # LAPACK inv runs over threaded level-3 BLAS, so its last bits depend on
+    # the BLAS thread count; the inverse of A_bar is built from one eigh
+    calls = [(node.lineno, _dotted(node.func)) for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    assert [c for c in calls if c[1] in ("np.linalg.inv", "numpy.linalg.inv")] == []
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 from fedbilevel.cli import main
