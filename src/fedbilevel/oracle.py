@@ -79,7 +79,7 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     if samples < 100:
         raise ParameterError("need at least 100 region samples")
     eigs = np.concatenate([np.linalg.eigvalsh(inst.A_bar), np.linalg.eigvalsh(inst.A).ravel(),
-                           np.linalg.eigvalsh(inst.A[:, None] + inst.dA).ravel()])
+                           np.linalg.eigvalsh(inst.lower_samples[..., :inst.d2]).ravel()])
     mu, L_g = float(eigs.min()), float(eigs.max())
 
     X, Y = region.draw(RngStream(seed).child("measure"), samples)

@@ -10,8 +10,8 @@ and the hypergradient of f(x) = mean_i f_i(x, y*(x)) is
     rho_x x + ebar - Bbar^T Abar^{-1} (y*(x) - dbar).
 
 Every sampled lower Hessian A_i + dA_{i,j} keeps its eigenvalues inside
-[mu, L_g] (the instance checks each A_i); per-sample offsets come in +/- pairs
-so their mean is exactly zero and finite-sum oracles stay exactly unbiased.
+[mu, L_g] (the instance checks each A_i). Offsets come in +/- pairs of mean
+zero; an oracle reads each sample folded once, unbiased up to that rounding.
 
 Neither make_quadratic nor the inverse of A_bar (one eigh and an einsum) calls
 BLAS, so an instance's bytes depend on the seed, numpy's log, sqrt, cos and
@@ -98,22 +98,22 @@ class QuadraticInstance:
         f_i(x, y) = 1/2 ||y - d[i]||^2 + rho_x/2 ||x||^2 + e[i]^T x.
 
     Finite-sum sampling perturbs (A, B, c, d, e)[i] by the per-sample offsets
-    dA[i, j] ... de[i, j], whose means over j are exactly zero, so sample means
-    reproduce the client objectives exactly. In additive-gaussian mode
-    gradients get N(0, noise_std^2 I) noise, and Hessian draws get symmetric
-    perturbations shrunk to norm hess_margin[i], each client's room inside
-    [mu, L_g], derived from A (not a field). m, n_samples, d1 and d2 are read
-    off the array shapes, and A_bar ... e_bar are the client means. The lower
-    offsets are kept once, packed per sample as the (m, n, d2 (d2 + d1 + 1)) array ``lower_offsets``
-    = [dA | dB | dc] (``_split_lower`` reads it back); dA, dB and dc are views
-    into it, each of whose matrices is C-contiguous, so every product on one
-    of them rounds as on a separate array. Every array must be finite, A_bar
-    positive definite, every client Hessian inside [mu, L_g] (1e-12 slack),
-    rho_x and noise_std >= 0 finite, seed an integer >= 0 and ``constants``
-    valid, or the constructor raises ParameterError naming the field (or the
-    client). The arrays are made read-only, so the means, the margins and the
-    stored inverse of A_bar cannot go stale; ``dataclasses.replace`` builds a
-    changed instance.
+    dA[i, j] ... de[i, j], whose means over j are zero, so a full batch is the
+    client's own data. The oracles read each sample folded once: the
+    read-only ``lower_samples`` (m, n, d2, d2 + d1 + 1) packs
+    [A + dA | B + dB | c + dc] per sample, and ``d_samples`` and
+    ``e_samples`` are d + dd and e + de (derived, not fields). In
+    additive-gaussian mode gradients get N(0, noise_std^2 I) noise, and
+    Hessian draws get symmetric perturbations shrunk to norm hess_margin[i],
+    each client's room inside [mu, L_g], derived from A. m, n_samples, d1 and
+    d2 are read off the shapes, and A_bar ... e_bar are the client means. A
+    non-finite array, an A or dA not exactly symmetric, offsets whose mean
+    exceeds 1e-12 of their largest entry, A_bar not positive definite, a
+    client Hessian outside [mu, L_g] (1e-12 slack), a non-finite rho_x,
+    noise_std < 0, a seed not an integer >= 0 or bad ``constants`` raise
+    ParameterError naming the field (or the client). The instance keeps
+    read-only copies of the arrays, so nothing it derives can go stale;
+    ``dataclasses.replace`` builds a changed instance.
     """
 
     A: np.ndarray            # (m, d2, d2)
@@ -142,35 +142,36 @@ class QuadraticInstance:
         check_count("seed", self.seed, 0)
         sizes = {}
         for name, axes in _AXES.items():
-            shape = np.shape(getattr(self, name))
-            if len(shape) != len(axes) or any(sizes.setdefault(a, s) != s or s < 1
-                                               for a, s in zip(axes, shape)):
-                raise ParameterError(f"{name} has shape {shape}; expected nonempty "
+            a = np.array(getattr(self, name))   # a copy: the caller's stays writable
+            if a.ndim != len(axes) or any(sizes.setdefault(k, s) != s or s < 1
+                                          for k, s in zip(axes, a.shape)):
+                raise ParameterError(f"{name} has shape {a.shape}; expected nonempty "
                                      f"axes {axes!r} agreeing with {sizes}")
-        self.m, self.n_samples, self.d2, self.d1 = (sizes[a] for a in "mnyx")
-        lead = (self.m, self.n_samples, -1)
-        P = self.lower_offsets = np.concatenate(
-            (self.dA.reshape(lead), self.dB.reshape(lead), self.dc), axis=-1)
-        self.dA, self.dB, self.dc = _split_lower(P, self.d2, self.d1)
-        P.setflags(write=False)
-        for name in _AXES:
-            a = getattr(self, name)
             if not np.isfinite(a).all():
                 raise ParameterError(f"{name} has a non-finite entry")
+            if name in ("A", "dA") and not np.array_equal(a, a.swapaxes(-1, -2)):
+                raise ParameterError(f"{name} is not symmetric")   # eigvalsh reads one triangle
+            if axes[1] == "n" and np.abs(a.mean(axis=1)).max() > 1e-12 * np.abs(a).max():
+                raise ParameterError(f"{name} does not average to zero over the samples")
             a.setflags(write=False)
-        self.A_bar = self.A.mean(axis=0)
-        self.B_bar = self.B.mean(axis=0)
-        self.c_bar = self.c.mean(axis=0)
-        self.d_bar = self.d.mean(axis=0)
-        self.e_bar = self.e.mean(axis=0)
+            setattr(self, name, a)
+        self.m, self.n_samples, self.d2, self.d1 = (sizes[k] for k in "mnyx")
+        self.A_bar, self.B_bar, self.c_bar, self.d_bar, self.e_bar = (
+            getattr(self, k).mean(axis=0) for k in "ABcde")
         w, V = np.linalg.eigh(self.A_bar)
         if not w[0] > 0:
             raise ParameterError("the client-mean lower Hessian A_bar is not positive definite")
         # A_bar's smallest eigenvalue is at least the smallest client's, so the
         # client check also keeps A_bar inside [mu, L_g]
         self.hess_margin = _client_margins(self.A, self.mu, self.L_g)
-        self.hess_margin.setflags(write=False)
         self._A_bar_inv = np.einsum("ik,jk->ij", V / w, V)   # V diag(1/w) V^T, no BLAS
+        self.lower_samples = np.concatenate(
+            (self.A[:, None] + self.dA, self.B[:, None] + self.dB,
+             (self.c[:, None] + self.dc)[..., None]), axis=-1)
+        self.d_samples = self.d[:, None] + self.dd
+        self.e_samples = self.e[:, None] + self.de
+        for a in (self.hess_margin, self.lower_samples, self.d_samples, self.e_samples):
+            a.setflags(write=False)
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
         """Abar^{-1} v, one product with the inverse stored at construction."""
@@ -228,13 +229,6 @@ class QuadraticInstance:
         return cls.from_json_dict(json.loads(text))
 
 
-def _split_lower(P: np.ndarray, d2: int, d1: int) -> tuple:
-    """The views (dA, dB, dc) of packed lower offsets P of shape
-    (..., d2 (d2 + d1 + 1)), as ``QuadraticInstance.lower_offsets`` holds them."""
-    a, b, lead = d2 * d2, d2 * (d2 + d1), P.shape[:-1]
-    return P[..., :a].reshape(*lead, d2, d2), P[..., a:b].reshape(*lead, d2, d1), P[..., b:]
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (a + a.swapaxes(-1, -2))
@@ -246,6 +240,20 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     Both forms run one BLAS gemv per row, so each row matches the
     single-matrix product bit for bit (einsum does not)."""
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
+_ONE = np.ones(1)
+
+
+def _affine(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[y; x; 1], one row per id when y or x is a stack: packed lower data
+    [A | B | c] times it is A y + B x + c."""
+    if y.ndim == x.ndim == 1:
+        return np.concatenate((y, x, _ONE))
+    d2 = y.shape[-1]
+    u = np.ones(((y if y.ndim == 2 else x).shape[0], d2 + x.shape[-1] + 1))
+    u[:, :d2], u[:, d2:-1] = y, x
+    return u
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -330,10 +338,12 @@ class QuadraticProblem(BilevelProblem):
 
     The problem keeps a reference to the instance's stacked (m, ...) arrays,
     with no copy, and every oracle is a stacked kernel over a participant id
-    array: row r reads the rows ids[r] of the arrays. A finite-sum
-    lower-gradient call gathers the instance's packed ``lower_offsets`` once
-    and reads dA, dB and dc as views of the gather. Each row's products are
-    still one gemv per matrix, so the bits are those of separate arrays.
+    array: row r reads the rows ids[r] of the arrays. A finite-sum row of
+    batch 1 gathers its folded sample once: a lower gradient is one gemv of
+    [A + dA | B + dB | c + dc] with [y; x; 1], a Hessian- or Jacobian-vector
+    product one gemv on its A or B block. A minibatch of 1 < k < n averages
+    the folded samples, so it is unbiased up to the rounding of each fold; a
+    full batch and lanes=None read the client arrays and are exact.
     """
 
     def __init__(self, inst: QuadraticInstance, batch_size: int = 1):
@@ -341,6 +351,8 @@ class QuadraticProblem(BilevelProblem):
                          batch_size=batch_size)
         self.inst = inst
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
+        S = inst.lower_samples
+        self._A_samples, self._B_samples = S[..., :inst.d2], S[..., inst.d2:-1]
 
     # the exact truth: the instance's closed forms, with no task metric
     def y_star(self, x, y0=None):
@@ -360,71 +372,59 @@ class QuadraticProblem(BilevelProblem):
         (no copy) when every client takes part."""
         return slice(None) if ids.shape[0] == self.m else ids
 
-    def _offsets(self, ids, lanes, a):
-        """Per-row batch means of the (m, n, ...) per-sample offsets a; sorted
-        indices keep the full-batch mean exactly equal to the population mean."""
+    def _sample(self, ids, lanes, folded, client=None):
+        """Each row's sample from the folded (m, n, ...) data: the drawn one
+        (batch 1) or the mean over the drawn subset. With no draw (lanes None,
+        additive-gaussian noise, or all n samples, whose offsets average to
+        zero) the rows of ``client`` instead, or None without it."""
         n = self.inst.n_samples
         k = min(self.batch_size, n)
+        if lanes is None or not self.finite_sum or k == n:
+            return None if client is None else client[self._rows(ids)]
         if k == 1:
-            return a[ids, lanes.index(n)]
-        if k >= n:
-            return a[self._rows(ids)].mean(axis=1)
-        return a[ids[:, None], lanes.subset(np.arange(n), k)].mean(axis=1)
+            return folded[ids, lanes.index(n)]
+        return folded[ids[:, None], lanes.subset(np.arange(n), k)].mean(axis=1)
+
+    def _gaussian(self, lanes):
+        return lanes is not None and not self.finite_sum
 
     def _grad_lower_y_batch(self, ids, x, y, lanes):
-        q, r = self.inst, self._rows(ids)
+        q = self.inst
+        S = self._sample(ids, lanes, q.lower_samples)
+        if S is not None:
+            return _mv(S, _affine(y, x))
+        r = self._rows(ids)
         g = _mv(q.A[r], y) + _mv(q.B[r], x) + q.c[r]
-        if lanes is None:
-            return g
-        if self.finite_sum:
-            mA, mB, mc = _split_lower(self._offsets(ids, lanes, q.lower_offsets),
-                                     self.d2, self.d1)
-            return g + _mv(mA, y) + _mv(mB, x) + mc
-        return g + lanes.normal(q.noise_std, (self.d2,))
+        return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
 
     def _grad_upper_x_batch(self, ids, x, y, lanes):
         q = self.inst
-        g = q.rho_x * x + q.e[self._rows(ids)]
-        if lanes is None:
-            return g
-        if self.finite_sum:
-            return g + self._offsets(ids, lanes, q.de)
-        return g + lanes.normal(q.noise_std, (self.d1,))
+        g = q.rho_x * x + self._sample(ids, lanes, q.e_samples, q.e)
+        return g + lanes.normal(q.noise_std, (self.d1,)) if self._gaussian(lanes) else g
 
     def _grad_upper_y_batch(self, ids, x, y, lanes):
         q = self.inst
-        g = y - q.d[self._rows(ids)]
-        if lanes is None:
-            return g
-        if self.finite_sum:
-            return g - self._offsets(ids, lanes, q.dd)
-        return g + lanes.normal(q.noise_std, (self.d2,))
+        g = y - self._sample(ids, lanes, q.d_samples, q.d)
+        return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
 
     def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
-        q, r = self.inst, self._rows(ids)
-        A = q.A[r]
-        if lanes is None:
-            return _mv(A, v)
-        if self.finite_sum:
-            mA = self._offsets(ids, lanes, q.dA)
-            return _mv(A, v) + _mv(mA, v)
-        S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
-        nrm = np.linalg.norm(S, 2, axis=(1, 2))
-        margin = q.hess_margin[r]
-        over = nrm > margin   # shrink to keep sampled eigenvalues inside [mu, L_g]
-        S[over] *= (margin[over] / nrm[over])[:, None, None]
-        return _mv(A + S, v)
+        q = self.inst
+        A = self._sample(ids, lanes, self._A_samples, q.A)
+        if self._gaussian(lanes):
+            S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
+            nrm = np.linalg.norm(S, 2, axis=(1, 2))
+            margin = q.hess_margin[self._rows(ids)]
+            over = nrm > margin   # shrink to keep sampled eigenvalues inside [mu, L_g]
+            S[over] *= (margin[over] / nrm[over])[:, None, None]
+            A = A + S
+        return _mv(A, v)
 
     def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
         q = self.inst
-        B = q.B[self._rows(ids)]
-        if lanes is None:
-            return _mv(B.swapaxes(-1, -2), v)
-        if self.finite_sum:
-            mB = self._offsets(ids, lanes, q.dB)
-            return _mv(B.swapaxes(-1, -2), v) + _mv(mB.swapaxes(-1, -2), v)
-        W = lanes.normal(q.noise_std, (self.d2, self.d1))
-        return _mv((B + W).swapaxes(-1, -2), v)
+        B = self._sample(ids, lanes, self._B_samples, q.B)
+        if self._gaussian(lanes):
+            B = B + lanes.normal(q.noise_std, (self.d2, self.d1))
+        return _mv(B.swapaxes(-1, -2), v)
 
 
 def make_problem(spec: QuadraticSpec, batch_size: int = 1) -> QuadraticProblem:

@@ -119,49 +119,45 @@ def test_grad_lower_y_stacked_copy_of_shared_y(mode, make, stochastic):
 
 def _reference(problem, name, i, x, y, v, lane):
     """The quadratic oracles written per client, as plain numpy on row i of the
-    instance arrays."""
+    instance arrays. A finite-sum sample folds its offsets into the client
+    data (a minibatch averages the folded samples), and its lower gradient is
+    one product with [y; x; 1]; a full batch reads the client data."""
     q = problem.inst
-    A, B, n = q.A[i], q.B[i], q.n_samples
+    n = q.n_samples
     k = min(problem.batch_size, n)
-
-    def mean(a):
-        a = a[i]
-        if k == 1:
-            return a[lane.index(n)]
-        return a.mean(axis=0) if k >= n else a[lane.subset(np.arange(n), k)].mean(axis=0)
     gauss = q.noise_mode == NOISE_GAUSSIAN
+    folded = lane is not None and not gauss and k < n
+
+    def sample(a, da):
+        if not folded:
+            return a[i]
+        s = a[i] + da[i]
+        return s[lane.index(n)] if k == 1 else s[lane.subset(np.arange(n), k)].mean(axis=0)
+    A, B, c, d, e = (sample(a, da) for a, da in ((q.A, q.dA), (q.B, q.dB), (q.c, q.dc),
+                                                   (q.d, q.dd), (q.e, q.de)))
+    noisy = lane is not None and gauss
     if name == "grad_lower_y":
-        g = A @ y + B @ x + q.c[i]
-        if lane is None:
-            return g
-        if gauss:
-            return g + lane.normal(q.noise_std, g.shape)
-        return g + mean(q.dA) @ y + mean(q.dB) @ x + mean(q.dc)
+        if folded:
+            return np.hstack((A, B, c[:, None])) @ np.concatenate((y, x, [1.0]))
+        g = A @ y + B @ x + c
+        return g + lane.normal(q.noise_std, g.shape) if noisy else g
     if name == "grad_upper_x":
-        g = q.rho_x * x + q.e[i]
-        if lane is None:
-            return g
-        return g + (lane.normal(q.noise_std, g.shape) if gauss else mean(q.de))
+        g = q.rho_x * x + e
+        return g + lane.normal(q.noise_std, g.shape) if noisy else g
     if name == "grad_upper_y":
-        g = y - q.d[i]
-        if lane is None:
-            return g
-        return g + lane.normal(q.noise_std, g.shape) if gauss else g - mean(q.dd)
+        g = y - d
+        return g + lane.normal(q.noise_std, g.shape) if noisy else g
     if name == "hvp_lower_yy":
-        if lane is None:
+        if not noisy:
             return A @ v
-        if not gauss:
-            return A @ v + mean(q.dA) @ v
         S = lane.normal(q.noise_std, A.shape)
         S = 0.5 * (S + S.T)
         nrm = np.linalg.norm(S, 2)
         if nrm > q.hess_margin[i]:
             S *= q.hess_margin[i] / nrm
         return (A + S) @ v
-    if lane is None:
+    if not noisy:
         return B.T @ v
-    if not gauss:
-        return B.T @ v + mean(q.dB).T @ v
     return (B + lane.normal(q.noise_std, B.shape)).T @ v
 
 

@@ -144,21 +144,71 @@ def test_json_round_trip():
     np.testing.assert_array_equal(inst.hypergradient(x), back.hypergradient(x))
 
 
-def test_lower_offsets_are_kept_once():
-    # dA, dB and dc are read-only views of the instance's one packed array,
-    # which every problem built on it reads with no copy of its own
-    inst = make_quadratic(QuadraticSpec(d1=3, d2=2, m=2, n_per_client=4, seed=8))
-    P = inst.lower_offsets
-    assert P.shape == (2, 4, 2 * (2 + 3 + 1)) and not P.flags.writeable
-    for part, cols in ((inst.dA, np.s_[:4]), (inst.dB, np.s_[4:10]), (inst.dc, np.s_[10:])):
-        assert np.shares_memory(part, P) and not part.flags.writeable
-        assert part.reshape(2, 4, -1).tobytes() == np.ascontiguousarray(P[..., cols]).tobytes()
-        assert all(part[i, j].flags.c_contiguous for i in range(2) for j in range(4))
+def test_lower_samples_fold_each_sample_once():
+    # the oracles read each sample's data folded once at construction, packed
+    # per sample as [A + dA | B + dB | c + dc], read-only and shared by every
+    # problem on the instance; the instance keeps its own copies of the
+    # caller's arrays, which stay writable
+    inst = make_quadratic(QuadraticSpec(d1=3, d2=2, m=2, n_per_client=4, hetero=0.5, seed=8))
+    S = inst.lower_samples
+    assert S.shape == (2, 4, 2, 2 + 3 + 1) and not S.flags.writeable
+    for block, a, da in ((S[..., :2], inst.A, inst.dA), (S[..., 2:5], inst.B, inst.dB),
+                         (S[..., 5], inst.c, inst.dc), (inst.d_samples, inst.d, inst.dd),
+                         (inst.e_samples, inst.e, inst.de)):
+        assert np.ascontiguousarray(block).tobytes() == (a[:, None] + da).tobytes()
     one, two = QuadraticProblem(inst), QuadraticProblem(inst, batch_size=2)
-    assert one.inst.lower_offsets is two.inst.lower_offsets is P
-    back = replace(inst, dc=np.zeros_like(inst.dc))
-    assert back.lower_offsets is not P and not np.shares_memory(back.dA, P)
-    assert back.dA.tobytes() == inst.dA.tobytes() and not back.dc.any()
+    assert one.inst.lower_samples is two.inst.lower_samples is S
+    dc = -inst.dc   # still mean zero
+    back = replace(inst, dc=dc)
+    assert back.lower_samples is not S and not np.shares_memory(back.lower_samples, S)
+    assert dc.flags.writeable and not np.shares_memory(back.dc, dc)
+    assert back.lower_samples[..., :5].tobytes() == S[..., :5].tobytes()
+    assert np.ascontiguousarray(back.lower_samples[..., 5]).tobytes() == (
+        inst.c[:, None] + dc).tobytes()
+
+
+_RACE_SPEC = QuadraticSpec(d1=10, d2=10, m=8, n_per_client=8, mu=1.0, L_g=1.5,
+                           hetero=0.5, noise_spread=0.05, seed=0)
+_MC_SPEC = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.3,
+                         noise_spread=0.1, seed=17)
+
+
+@pytest.mark.parametrize("batch", [1, 3], ids=["batch1", "subset"])
+@pytest.mark.parametrize("spec", [replace(_RACE_SPEC, seed=17), _MC_SPEC],
+                         ids=["race", "mc_estimate"])
+def test_folded_rows_match_client_plus_offset(spec, batch):
+    # a finite-sum row reads its folded sample A_i + dA_ij etc.; the client
+    # term plus the mean offset term, the form the oracles used before, agrees
+    # to rounding
+    inst = make_quadratic(spec)
+    problem = QuadraticProblem(inst, batch_size=batch)
+    gen = RngStream(6).child("points").generator()
+    rng = RngStream(23).child("est", 1)
+    n, d1, d2 = inst.n_samples, inst.d1, inst.d2
+    for ids in (np.arange(inst.m), np.array([0, 2])):
+        k = ids.size
+        x, v = gen.normal(size=d1), gen.normal(size=(k, d2))
+        y = gen.normal(size=(k, d2))
+        for name in ("grad_lower_y", "grad_upper_x", "grad_upper_y", "hvp_lower_yy",
+                     "jvp_lower_xy"):
+            lanes = rng.lanes(ids, name)
+            J = lanes.index(n)[:, None] if batch == 1 else lanes.subset(np.arange(n), batch)
+            mean = lambda a: a[ids[:, None], J].mean(axis=1)   # noqa: E731
+            mv = lambda M, u: (M @ u[..., None])[..., 0]   # noqa: E731
+            ref = {
+                "grad_lower_y": lambda: (mv(inst.A[ids], y) + inst.B[ids] @ x + inst.c[ids]
+                                         + mv(mean(inst.dA), y) + mean(inst.dB) @ x
+                                         + mean(inst.dc)),
+                "grad_upper_x": lambda: inst.rho_x * x + inst.e[ids] + mean(inst.de),
+                "grad_upper_y": lambda: y - inst.d[ids] - mean(inst.dd),
+                "hvp_lower_yy": lambda: mv(inst.A[ids], v) + mv(mean(inst.dA), v),
+                "jvp_lower_xy": lambda: (mv(inst.B[ids].swapaxes(1, 2), v)
+                                         + mv(mean(inst.dB).swapaxes(1, 2), v)),
+            }[name]()
+            args = (v,) if name in ("hvp_lower_yy", "jvp_lower_xy") else ()
+            got = getattr(problem, name)(ids, x, y, *args, lanes)
+            err = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+            assert err.max() <= 1e-13, (name, ids, err.max())
 
 
 def test_instance_json_digest_pinned():
@@ -252,6 +302,23 @@ def _one_inf(a):
     return a
 
 
+def _upper_corner(A):
+    # eigvalsh reads one triangle, so this A passed the client check, with
+    # margins 0.39 on a (d2 = 3, m = 2, seed 3) instance whose A[0] has
+    # eigenvalues -0.34, 1.51 and 3.40
+    A = A.copy()
+    A[:, 0, 2] += 50.0
+    return A
+
+
+def _skewed_pair(dA):
+    # still mean zero over the samples, but the folded samples would apply it as stored
+    dA = dA.copy()
+    dA[:, 0, 0, 1] += 0.01
+    dA[:, 1, 0, 1] -= 0.01
+    return dA
+
+
 def _shift_two_clients(A):
     # clients 0 and 1 move by +/- 8 I, outside [mu, L_g] = [1, 10]; A_bar keeps its value
     return A + np.array([8.0, -8.0, 0.0])[:, None, None] * np.eye(A.shape[-1])
@@ -267,6 +334,9 @@ def _shift_two_clients(A):
     ("seed", lambda v: "a", r"\bseed\b"),
     ("mu", lambda v: 6.0, r"client 0's .*\[mu=6\.0, "),   # lambda_min(A[i]) is 5.533
     ("A", _shift_two_clients, r"client 0's .*\[mu=1\.0, L_g=10\.0\]"),
+    ("A", _upper_corner, r"^A is not symmetric"),
+    ("dA", _skewed_pair, r"^dA is not symmetric"),
+    ("dc", lambda a: a + 1.0, r"^dc does not average to zero"),
     ("hess_margin", lambda v: np.full_like(v, 50.0), r"unknown instance keys: \['hess_margin'\]"),
 ])
 def test_bad_instance_fails_by_name(name, spoil, match):
@@ -274,9 +344,10 @@ def test_bad_instance_fails_by_name(name, spoil, match):
     # and an all-NaN A was accepted; the scalar fields went unchecked (a string
     # mu ended in a raw TypeError, the other rows were accepted); client
     # Hessians outside [mu, L_g] whose mean is inside, and a declared
-    # hess_margin that A does not have, were accepted; both from a library
-    # caller and a JSON, but hess_margin is derived, so only a document can
-    # declare it
+    # hess_margin that A does not have, were accepted, and so were A and dA
+    # that are not symmetric and offsets whose mean is not zero (a full batch
+    # reads the client arrays); both from a library caller and a JSON, but
+    # hess_margin is derived, so only a document can declare it
     inst = make_quadratic(QuadraticSpec(d1=2, d2=3, m=3, n_per_client=4, seed=4))
     bad = spoil(getattr(inst, name))
     if name != "hess_margin":
@@ -285,10 +356,6 @@ def test_bad_instance_fails_by_name(name, spoil, match):
     doc_value = bad.tolist() if isinstance(bad, np.ndarray) else bad
     with pytest.raises(ParameterError, match=match):
         QuadraticInstance.from_json_dict({**inst.to_json_dict(), name: doc_value})
-
-
-_RACE_SPEC = QuadraticSpec(d1=10, d2=10, m=8, n_per_client=8, mu=1.0, L_g=1.5,
-                           hetero=0.5, noise_spread=0.05, seed=0)
 
 
 @pytest.mark.parametrize("spec", [_RACE_SPEC, QuadraticSpec(d1=120, d2=120, m=4, seed=7)],
@@ -307,7 +374,8 @@ def test_instance_arrays_read_only():
     # the means and the inverse of A_bar are computed once, so writing into an
     # array would leave y_star and the hypergradient on the old values
     inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=3, hetero=0.5, seed=4))
-    for name in ("A", "B", "c", "d", "e", "dA", "dB", "dc", "dd", "de", "hess_margin"):
+    for name in ("A", "B", "c", "d", "e", "dA", "dB", "dc", "dd", "de", "hess_margin",
+                 "lower_samples", "d_samples", "e_samples"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(inst, name)[...] = 0.0
     other = replace(inst, B=np.zeros_like(inst.B))
