@@ -12,13 +12,13 @@ from .drivers import (MetricsRecord, RunConfig, RunReport, one_round_upper, run,
 from .errors import (ConfigError, ContractViolation, DivergenceError,
                      FedBilevelError, ParameterError, ProtocolError)
 from .hypergrad import (AggITDConfig, AidConfig, EstimatorTrace, aggitd,
-                        aid_fhe, expected_aggitd_indirect, expected_aid_fhe,
-                        expected_aid_hessiv, expected_local_fhe, local_fhe)
+                        aid_fhe, local_fhe)
 from .hyperrep import (HyperRepProblem, HyperRepSpec, hypergradient_numeric,
                        make_hyperrep, partition, solve_head_exact)
 from .lower import LowerStepConfig, one_round_lower
 from .oracle import (McMoments, TestRegion, estimator_bias_mc,
-                     fd_hypergradient, measure_constants)
+                     expected_aggitd_indirect, expected_aid_fhe, expected_aid_hessiv,
+                     expected_local_fhe, fd_hypergradient, measure_constants)
 from .problems import BilevelProblem, Point, ProblemConstants
 from .quadratic import (QuadraticInstance, QuadraticProblem, QuadraticSpec,
                         make_problem, make_quadratic)

@@ -31,7 +31,7 @@ import itertools
 import json
 import os
 
-from .drivers import RunConfig, run
+from .drivers import RunConfig, build_problem, resolve_params, run
 from .errors import ConfigError, ParameterError, ProtocolError
 from .hyperrep import HyperRepSpec
 from .problems import NOISE_FINITE_SUM, NOISE_GAUSSIAN
@@ -190,7 +190,9 @@ def parse_set_args(pairs) -> dict:
 def sweep(base_doc: dict, grid: dict, out_dir, overrides: dict | None = None) -> dict:
     """Run the Cartesian product of grid overrides; one CSV per cell.
 
-    Returns the cell -> file index, which is also written last as index.json.
+    Each cell is parsed and resolved on its built problem before any runs, so
+    a bad cell writes no file; a run that diverges still stops the sweep at
+    its cell. Returns the cell -> file index, also written last as index.json.
     Seeds stay fixed across cells unless the grid itself varies them.
     """
     if not grid:
@@ -203,17 +205,19 @@ def sweep(base_doc: dict, grid: dict, out_dir, overrides: dict | None = None) ->
         if key not in CONFIG_KEYS:
             raise ParameterError(f"unknown grid key {key!r}")
 
-    os.makedirs(out_dir, exist_ok=True)
     keys = sorted(grid)
-    index = {}
+    cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = {k: v for k, v in zip(keys, combo)}
-        doc = apply_overrides(apply_overrides(base_doc, overrides), cell)
-        cfg = config_from_dict(doc)
-        label = "__".join(f"{k}={json.dumps(v)}" for k, v in cell.items())
+        cfg = config_from_dict(apply_overrides(apply_overrides(base_doc, overrides), cell))
+        resolve_params(cfg, build_problem(cfg).constants)
+        cells.append(("__".join(f"{k}={json.dumps(v)}" for k, v in cell.items()), cfg))
+
+    os.makedirs(out_dir, exist_ok=True)
+    index = {}
+    for label, cfg in cells:
         fname = "run__" + label.replace('"', "").replace(" ", "") + ".csv"
-        report = run(cfg)
-        export_csv(report, os.path.join(out_dir, fname))
+        export_csv(run(cfg), os.path.join(out_dir, fname))
         index[label] = fname
     with open(os.path.join(out_dir, "index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)

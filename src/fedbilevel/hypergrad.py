@@ -16,8 +16,8 @@ Three estimators of the hypergradient of f(x) = mean_i f_i(x, y*(x)):
 
 All three take (problem, x, y, cfg, participants, rng, ledger), as
 ``BilevelProblem.entry`` reads them; the baselines share ``AidConfig(lam, T)``.
-Deterministic expectation helpers (``expected_*``) compute the exact
-conditional means of these estimators on quadratic instances, for tests.
+The exact conditional means of these estimators on quadratic instances
+(``expected_*``) are independent references, in ``oracle``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .lower import (VARIANT_SVRG, LowerStepConfig, lower_phase_lanes, max_tau,
                     one_round_lower)
 from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
                        check_positive)
-from .quadratic import QuadraticInstance, _mv
 from .rng import CLIENT, RngStream, TableStream
 from .runtime import CommLedger, aggregate_mean
 
@@ -228,7 +227,7 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidC
 
     No cross-client second-order aggregation happens; only the final average
     costs a round. The arguments are as for ``aid_fhe``. On a noise-off
-    problem it returns the exact truncated recursion, ``expected_local_fhe``.
+    problem it returns the exact truncated recursion, ``oracle.expected_local_fhe``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
@@ -243,66 +242,3 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidC
     return aggregate_mean(problem.grad_upper_x(ids, x, y_N, rng.lanes(ids, "xi_h"))
                           - problem.jvp_lower_xy(ids, x, y_N, lam * acc,
                                                  rng.lanes(ids, "chi")), ledger)
-
-
-# -- deterministic expectation helpers (testing oracles) ----------------------
-
-def expected_aggitd_indirect(inst: QuadraticInstance, x: np.ndarray,
-                             y_iterates: Sequence[np.ndarray], lam: float,
-                             N: int) -> np.ndarray:
-    """Exact conditional mean of the fused estimator's indirect part.
-
-    Given the iterate trajectory y^0..y^N, averages the chain over the seeding
-    index analytically:
-        lam * Bbar^T * sum_Q prod_{t=N..Q+1} (I - lam*Abar) * grad_y f(x, y^Q).
-    """
-    if len(y_iterates) != N + 1:
-        raise ParameterError(f"need N+1={N + 1} iterates, got {len(y_iterates)}")
-    Ident = np.eye(inst.d2)
-    factor = Ident - lam * inst.A_bar
-    S = np.zeros(inst.d2)
-    M = Ident
-    for Qi in range(N, -1, -1):
-        S = S + M @ inst.grad_upper_y_exact(x, y_iterates[Qi])
-        if Qi > 0:
-            M = M @ factor
-    return lam * inst.B_bar.T @ S
-
-
-def expected_aid_hessiv(inst: QuadraticInstance, x: np.ndarray,
-                        y_N: np.ndarray, lam: float, T: int) -> np.ndarray:
-    """T'-marginalized baseline chain: lam * sum_{j<T} (I - lam*Abar)^j grad_y f."""
-    v = inst.grad_upper_y_exact(x, y_N)
-    s, acc = v, v.copy()
-    for _ in range(1, T):
-        s = s - lam * (inst.A_bar @ s)
-        acc += s
-    return lam * acc
-
-
-def expected_aid_fhe(inst: QuadraticInstance, x: np.ndarray, y_N: np.ndarray,
-                     lam: float, T: int) -> np.ndarray:
-    """Exact mean of the baseline estimator (noise off, T' marginalized)."""
-    hiv = expected_aid_hessiv(inst, x, y_N, lam, T)
-    return inst.grad_upper_x_exact(x, y_N) - inst.B_bar.T @ hiv
-
-
-def expected_local_fhe(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
-                       lam: float | None = None, T: int | None = None) -> np.ndarray:
-    """Exact mean of the fully local estimator: the chain of T steps of size
-    lam, or with neither given, its exact-inverse limit."""
-    if (lam is None) != (T is None):
-        raise ParameterError(f"expected_local_fhe takes lam and T together or neither, "
-                             f"got lam={lam!r}, T={T!r}")
-    gy = y - inst.d
-    if T is None:
-        hiv = np.linalg.solve(inst.A, gy[..., None])[..., 0]
-    else:
-        check_positive("lam", lam)
-        check_count("T", T)
-        s, acc = gy, gy.copy()
-        for _ in range(1, T):
-            s = s - lam * _mv(inst.A, s)
-            acc += s
-        hiv = lam * acc
-    return np.mean(inst.rho_x * x + inst.e - _mv(np.swapaxes(inst.B, 1, 2), hiv), axis=0)

@@ -78,15 +78,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _index_table(splits: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client index lists as an (m, w) table, padded with 0, and their lengths."""
-    sizes = np.array([len(s) for s in splits])
-    table = np.zeros((len(splits), sizes.max()), dtype=np.intp)
-    for i, s in enumerate(splits):
-        table[i, :len(s)] = s
-    return table, sizes
-
-
 def _swap(a: np.ndarray) -> np.ndarray:
     """Transpose of a matrix, or of each matrix in a stack."""
     return a.swapaxes(-1, -2)
@@ -109,9 +100,10 @@ class HyperRepProblem(BilevelProblem):
 
     Stochasticity is finite-sum only: each oracle call draws batch indices
     from the relevant split (training split for lower-level quantities,
-    held-out split for upper-level ones). Each split is stored as a padded
-    (m, w) index table, so clients may hold splits of unequal size; padded
-    entries get weight 0.
+    held-out split for upper-level ones). Each split is its per-client index
+    lists, padded on first use into (m, w) whole-split arrays, so clients may
+    hold splits of unequal size; padded points get weight 0. The exact truth
+    runs the five kernels on one kept exact pass per split.
     """
 
     def __init__(self, U: np.ndarray, labels: np.ndarray,
@@ -132,12 +124,9 @@ class HyperRepProblem(BilevelProblem):
         self.test_idx = test_idx
         self.spec = spec
         self.seed = seed
-        self._tables = {"train": _index_table(train_idx), "val": _index_table(val_idx)}
-        # per split, the minibatch draws' pool: the columns of its index table
-        self._pools = {split: np.arange(t.shape[1]) for split, (t, _) in self._tables.items()}
         self._full = {}     # split -> its whole-split arrays, built on first use
+        self._kept = {}     # split -> ((x, y) bytes, its exact pass over every client)
         self._test = (U[test_idx], labels[test_idx])     # test_metric's points
-        self._last_train = (None, None)     # (x, y) bytes -> its full-batch train pass
 
     def initial_point(self):
         # the origin is a stationary saddle of the bilinear embedding/head pair,
@@ -153,46 +142,56 @@ class HyperRepProblem(BilevelProblem):
         return x.reshape(*x.shape[:-1], p, f), y.reshape(*y.shape[:-1], C, p)
 
     def _whole_split(self, split):
-        """(Us, onehot, n) of every client's whole split: the padded features,
-        zeroed on padding, the one-hot labels and the point counts."""
+        """(Us, onehot, n, pool) of every client's whole split: the features
+        padded to the longest split and zeroed on padding, the one-hot labels,
+        the point counts and the minibatch draws' pool, the padded columns."""
         got = self._full.get(split)
         if got is None:
-            table, sizes = self._tables[split]
-            mask = np.arange(table.shape[1]) < sizes[:, None]
+            splits = self.train_idx if split == "train" else self.val_idx
+            sizes = np.array([len(s) for s in splits])
+            idx = np.zeros((len(splits), sizes.max()), dtype=np.intp)
+            for i, s in enumerate(splits):
+                idx[i, :len(s)] = s
+            mask = np.arange(idx.shape[1]) < sizes[:, None]
             got = self._full[split] = (
-                self.U[table] * mask[..., None],
-                self.labels[table][..., None] == np.arange(self.spec.classes),
-                sizes[:, None, None])
+                self.U[idx] * mask[..., None],
+                self.labels[idx][..., None] == np.arange(self.spec.classes),
+                sizes[:, None, None], np.arange(idx.shape[1]))
             for a in got:
                 a.flags.writeable = False
         return got
 
-    def _train_pass(self, x, y):
-        """The full-batch train ``_forward`` at (x, y) over every client. The
-        last one is kept, so the Newton solve's converged iterate also serves
-        ``hypergradient_numeric``'s pass at y*(x)."""
+    def _pass(self, ids, x, y, lanes, split):
+        """``_forward``, with the exact pass over every client kept per split.
+
+        When lanes is None and every client takes part, the last such pass at
+        the bytes of (x, y) is reused, read-only: a Newton solve's converged
+        iterate also serves ``hypergradient_numeric``'s train pass at y*(x),
+        and one val pass serves both upper gradients."""
+        if lanes is not None or ids.shape[0] < self.m:
+            return self._forward(ids, x, y, lanes, split)
         key = (x.tobytes(), y.tobytes())
-        if self._last_train[0] != key:
-            _, *rest = self._forward(self._all_ids, x, y, None, "train")
+        got = self._kept.get(split)
+        if got is None or got[0] != key:
+            _, *rest = self._forward(ids, x, y, None, split)
             for a in rest:
                 a.flags.writeable = False
-            self._last_train = (key, rest)
-        return (self._unpack(x, y)[1], *self._last_train[1])
+            self._kept[split] = got = (key, rest)
+        return (self._unpack(x, y)[1], *got[1])
 
     def _forward(self, ids, x, y, lanes, split):
         """Stacked forward pass over each row's minibatch from a split.
 
         Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
         split when lanes is None. The draw is ``lanes.subset`` over the split's
-        one pool of table columns, so a call on every client reads its rows out
+        one pool of padded columns, so a call on every client reads its rows out
         of its lane set's block in the lane table, and the minibatch is gathered
         at the drawn positions from ``_whole_split``. Returns (H, Us, Z, P, R, n):
         (k, b, .) stacks over the b columns of the minibatch table, and each
         row's point count. Padded points get zero features, so they add nothing
         to any mean.
         """
-        Us, onehot, n = self._whole_split(split)
-        pool = self._pools[split]
+        Us, onehot, n, pool = self._whole_split(split)
         if lanes is not None and self.batch_size < pool.size:
             n = n[ids]
             pos = lanes.subset(pool, self.batch_size, n[:, 0, 0])
@@ -206,24 +205,24 @@ class HyperRepProblem(BilevelProblem):
         return H, Us, Z, P, P - onehot, n          # R = pi - onehot
 
     def _grad_lower_y_batch(self, ids, x, y, lanes):
-        _, _, Z, _, R, n = self._forward(ids, x, y, lanes, "train")
+        _, _, Z, _, R, n = self._pass(ids, x, y, lanes, "train")
         return _minibatch_mean(R, Z, n) + self.spec.ridge * y
 
     def _grad_upper_y_batch(self, ids, x, y, lanes):
-        _, _, Z, _, R, n = self._forward(ids, x, y, lanes, "val")
+        _, _, Z, _, R, n = self._pass(ids, x, y, lanes, "val")
         return _minibatch_mean(R, Z, n)
 
     def _grad_upper_x_batch(self, ids, x, y, lanes):
-        H, Us, _, _, R, n = self._forward(ids, x, y, lanes, "val")
+        H, Us, _, _, R, n = self._pass(ids, x, y, lanes, "val")
         return _minibatch_mean(R @ H, Us, n)
 
     def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
-        H, _, Z, P, _, n = self._forward(ids, x, y, lanes, "train")
+        H, _, Z, P, _, n = self._pass(ids, x, y, lanes, "train")
         _, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW, Z, n) + self.spec.ridge * v
 
     def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
-        H, Us, Z, P, R, n = self._forward(ids, x, y, lanes, "train")
+        H, Us, Z, P, R, n = self._pass(ids, x, y, lanes, "train")
         V, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW @ H + R @ V, Us, n)   # H^T D V z + V^T (pi - e)
 
@@ -240,7 +239,7 @@ class HyperRepProblem(BilevelProblem):
         """The upper objective: the mean over clients of each client's mean
         cross-entropy on its held-out split, the function that ``grad_upper_x``
         and ``hypergradient_numeric`` differentiate."""
-        Us, onehot, n = self._whole_split("val")
+        Us, onehot, n, _ = self._whole_split("val")
         E, H = self._unpack(x, y)
         z = (Us @ E.T) @ H.T
         z = z - z.max(axis=-1, keepdims=True)
@@ -308,9 +307,9 @@ def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
     """Dense aggregate head Hessian: the matrix that ``hvp_lower_yy`` with
     lanes=None over every client applies, averaged over the clients.
 
-    One full-batch train forward pass at (x, y) serves it.
+    The kept full-batch train pass at (x, y) serves it.
     """
-    H, _, Z, P, _, n = problem._train_pass(x, y)
+    H, _, Z, P, _, n = problem._pass(problem._all_ids, x, y, None, "train")
     return _head_hessian(H, Z, P, n, problem.spec.ridge)
 
 
@@ -320,21 +319,19 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
     """Newton solve of the aggregate (full participation, full batch) head
     problem, started at y0 (the origin when omitted).
 
-    Each iterate runs one full-batch train forward pass. It serves the
-    aggregate gradient (the client mean of exact ``grad_lower_y``) and, when
-    the iterate steps, the Hessian (``agg_hessian_lower_yy``), so the last
-    iterate, at the solution, costs one pass and no Hessian;
-    ``hypergradient_numeric`` at the solution reuses that pass.
+    Each iterate runs one full-batch train pass. It serves the aggregate
+    gradient (the client mean of exact ``grad_lower_y``) and, when the iterate
+    steps, ``agg_hessian_lower_yy``, so the last iterate, at the solution,
+    costs one pass and no Hessian; ``hypergradient_numeric`` at the solution
+    reuses that kept pass.
     """
     y = np.zeros(problem.d2) if y0 is None else y0
-    ridge = problem.spec.ridge
-    problem.checked(problem._all_ids, x, y)
+    ids = problem.checked(problem._all_ids, x, y).ids
     for _ in range(max_iter):
-        H, _, Z, P, R, n = problem._train_pass(x, y)
-        g = (_minibatch_mean(R, Z, n) + ridge * y).mean(axis=0)
+        g = problem._grad_lower_y_batch(ids, x, y, None).mean(axis=0)
         if np.linalg.norm(g) <= tol:
             break
-        y = y - np.linalg.solve(_head_hessian(H, Z, P, n, ridge), g)
+        y = y - np.linalg.solve(agg_hessian_lower_yy(problem, x, y), g)
     return y
 
 
@@ -342,20 +339,16 @@ def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
     """Implicit-function hypergradient with a dense HessIV at the exact head.
 
-    y is the solved head y*(x). With each oracle exact (lanes=None) over every
-    client and averaged over them, it equals grad_upper_x - jvp_lower_xy(w) with
-    w = solve(agg_hessian_lower_yy, grad_upper_y), all at (x, y), bit for
-    bit, from two forward passes: one full-batch val pass serves both upper
+    y is the solved head y*(x). It is grad_upper_x - jvp_lower_xy(w) with
+    w = solve(agg_hessian_lower_yy, grad_upper_y), each oracle exact
+    (lanes=None) over every client and averaged over them, all at (x, y),
+    from two kept passes: one full-batch val pass serves both upper
     gradients, and one full-batch train pass serves the Hessian and the
     mixed-partial product. At a y just returned by ``solve_head_exact`` the
     train pass is the solve's last one, so it is not run again.
     """
-    ids = problem._all_ids
-    problem.checked(ids, x, y)
-    H, Us, Z, _, R, n = problem._forward(ids, x, y, None, "val")
-    grad_y = _minibatch_mean(R, Z, n).mean(axis=0)
-    grad_x = _minibatch_mean(R @ H, Us, n).mean(axis=0)
-    H, Us, Z, P, R, n = problem._train_pass(x, y)
-    w = np.linalg.solve(_head_hessian(H, Z, P, n, problem.spec.ridge), grad_y)
-    V, DW = _directional(Z, P, H, w)
-    return grad_x - _minibatch_mean(DW @ H + R @ V, Us, n).mean(axis=0)
+    ids = problem.checked(problem._all_ids, x, y).ids
+    w = np.linalg.solve(agg_hessian_lower_yy(problem, x, y),
+                        problem._grad_upper_y_batch(ids, x, y, None).mean(axis=0))
+    return (problem._grad_upper_x_batch(ids, x, y, None).mean(axis=0)
+            - problem._jvp_lower_xy_batch(ids, x, y, w, None).mean(axis=0))

@@ -2,9 +2,11 @@
 
 Everything here is algorithmically independent of the code paths it checks:
 finite differences against the implicit-function formula, dense solves against
-Neumann chains, Monte-Carlo moments against analytic bounds, and
-constant measurement (eigenvalue extremes, gradient bounds, noise levels) on
-a declared compact region, since quadratics are not globally Lipschitz. All
+Neumann chains, the estimators' exact conditional means on quadratic
+instances (``expected_*``, from the instance's closed forms and one truncated
+Neumann sum, ``neumann_sum``), Monte-Carlo moments against analytic bounds,
+and constant measurement (eigenvalue extremes, gradient bounds, noise levels)
+on a declared compact region, since quadratics are not globally Lipschitz. All
 region points are one stacked pass, sliced to MEASURE_BUDGET, over the
 instance's (m, ...) and (m, n, ...) arrays, with exact gradients from this
 module's own closed forms, not from the oracle kernels it checks.
@@ -13,11 +15,13 @@ module's own closed forms, not from the oracle kernels it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .problems import NOISE_FINITE_SUM, Point, ProblemConstants, check_positive
+from .problems import (NOISE_FINITE_SUM, Point, ProblemConstants, check_count,
+                       check_positive)
 from .quadratic import QuadraticInstance, QuadraticProblem, _mv, _norms
 from .rng import CLIENT, RngStream, lane_steps
 
@@ -125,6 +129,71 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
         rho=0.0,  # all second derivatives of a quadratic are constant
         sigma_f=float(np.sqrt(var_f)),
         sigma_g=float(np.sqrt(max(var_g1, var_g2))))
+
+
+# -- the estimators' exact conditional means on quadratic instances ----------
+
+def neumann_sum(A: np.ndarray, v: np.ndarray, lam: float, T: int) -> np.ndarray:
+    """The truncated Neumann sum lam * sum_{j<T} (I - lam A)^j v, by the
+    recursion s <- s - lam A s, for one matrix A and vector v or for a stack
+    of per-client matrices and vectors."""
+    s, acc = v, v.copy()
+    for _ in range(1, T):
+        s = s - lam * _mv(A, s)
+        acc += s
+    return lam * acc
+
+
+def expected_aggitd_indirect(inst: QuadraticInstance, x: np.ndarray,
+                             y_iterates: Sequence[np.ndarray], lam: float,
+                             N: int) -> np.ndarray:
+    """Exact conditional mean of the fused estimator's indirect part.
+
+    Given the iterate trajectory y^0..y^N, averages the chain over the seeding
+    index analytically:
+        lam * Bbar^T * sum_Q prod_{t=N..Q+1} (I - lam*Abar) * grad_y f(x, y^Q).
+    """
+    if len(y_iterates) != N + 1:
+        raise ParameterError(f"need N+1={N + 1} iterates, got {len(y_iterates)}")
+    Ident = np.eye(inst.d2)
+    factor = Ident - lam * inst.A_bar
+    S = np.zeros(inst.d2)
+    M = Ident
+    for Qi in range(N, -1, -1):
+        S = S + M @ inst.grad_upper_y_exact(x, y_iterates[Qi])
+        if Qi > 0:
+            M = M @ factor
+    return lam * inst.B_bar.T @ S
+
+
+def expected_aid_hessiv(inst: QuadraticInstance, x: np.ndarray,
+                        y_N: np.ndarray, lam: float, T: int) -> np.ndarray:
+    """T'-marginalized baseline chain: lam * sum_{j<T} (I - lam*Abar)^j grad_y f."""
+    return neumann_sum(inst.A_bar, inst.grad_upper_y_exact(x, y_N), lam, T)
+
+
+def expected_aid_fhe(inst: QuadraticInstance, x: np.ndarray, y_N: np.ndarray,
+                     lam: float, T: int) -> np.ndarray:
+    """Exact mean of the baseline estimator (noise off, T' marginalized)."""
+    hiv = expected_aid_hessiv(inst, x, y_N, lam, T)
+    return inst.grad_upper_x_exact(x, y_N) - inst.B_bar.T @ hiv
+
+
+def expected_local_fhe(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
+                       lam: float | None = None, T: int | None = None) -> np.ndarray:
+    """Exact mean of the fully local estimator: the chain of T steps of size
+    lam, or with neither given, its exact-inverse limit."""
+    if (lam is None) != (T is None):
+        raise ParameterError(f"expected_local_fhe takes lam and T together or neither, "
+                             f"got lam={lam!r}, T={T!r}")
+    gy = y - inst.d
+    if T is None:
+        hiv = np.linalg.solve(inst.A, gy[..., None])[..., 0]
+    else:
+        check_positive("lam", lam)
+        check_count("T", T)
+        hiv = neumann_sum(inst.A, gy, lam, T)
+    return np.mean(inst.rho_x * x + inst.e - _mv(np.swapaxes(inst.B, 1, 2), hiv), axis=0)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
 client arrays of its ``QuadraticInstance``, so every client has the same
 noise mode and sample count; ``HyperRepProblem`` pads unequal splits into
-index tables and weights the padding 0. Each problem also gives the exact
-truth over every client that metrics rows are judged against (``BilevelProblem``).
+whole-split arrays on first use and weights the padding 0. Each problem also
+gives the exact truth over every client that metrics rows are judged against
+(``BilevelProblem``).
 """
 
 from __future__ import annotations

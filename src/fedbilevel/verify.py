@@ -14,10 +14,9 @@ import numpy as np
 from .drivers import (RunConfig, build_problem, run, run_fbo_aggitd,
                       run_fednest_baseline)
 from .errors import ParameterError
-from .hypergrad import (AggITDConfig, aggitd, beta_cap, expected_aggitd_indirect,
-                        lambda_cap)
+from .hypergrad import AggITDConfig, aggitd, beta_cap, lambda_cap
 from .lower import VARIANT_SVRG, LowerStepConfig, one_round_lower
-from .oracle import fd_hypergradient
+from .oracle import expected_aggitd_indirect, fd_hypergradient, neumann_sum
 from .quadratic import QuadraticProblem, QuadraticSpec, make_quadratic
 from .reporting import export_csv
 from .rng import RngStream
@@ -38,13 +37,7 @@ def _check_fd(seed):
 def _check_dense_vs_neumann(seed):
     inst = make_quadratic(QuadraticSpec(d2=6, d1=3, m=2, seed=seed))
     v = RngStream(seed).child("neumann", "v").normal(1.0, (6,))
-    lam = lambda_cap(inst.constants)
-    s = v.copy()
-    acc = v.copy()
-    for _ in range(1, 500):
-        s = s - lam * (inst.A_bar @ s)
-        acc += s
-    series = lam * acc
+    series = neumann_sum(inst.A_bar, v, lambda_cap(inst.constants), 500)
     direct = inst.solve_A_bar(v)
     rel = np.linalg.norm(series - direct) / np.linalg.norm(direct)
     return rel <= 1e-6, f"series vs dense solve rel err {rel:.2e} (tol 1e-6)"

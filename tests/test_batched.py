@@ -238,14 +238,16 @@ def test_hyperrep_draws_match_stream_subsets(batch_size):
     ids = np.arange(problem.m)
     lanes = rng.lanes(ids, "zeta", 0)
     for split, pools in (("train", problem.train_idx), ("val", problem.val_idx)):
-        table, sizes = problem._tables[split]
-        assert sizes.tolist() == [len(p) for p in pools]
+        sizes = np.array([len(p) for p in pools])
+        table = np.zeros((problem.m, sizes.max()), dtype=np.intp)
+        for i, p in enumerate(pools):
+            table[i, :len(p)] = p
         pos = lanes.subset(np.arange(table.shape[1]), batch_size, sizes)
         for i in ids.tolist():
             want = rng.child(i, "zeta", 0).subset(pools[i], batch_size)
             assert np.array_equal(table[i, pos[i, :len(want)]], want), (split, i)
             assert (pos[i, len(want):] >= sizes[i]).all(), (split, i)
-    assert problem._tables["train"][1].tolist() == [5, 5, 5, 4, 4]
+    assert [len(t) for t in problem.train_idx] == [5, 5, 5, 4, 4]
 
 
 def test_lane_batch_draws_match_streams():

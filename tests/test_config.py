@@ -174,3 +174,14 @@ def test_sweep_errors(tmp_path):
         sweep(_fast_base(), {"tau": [1]}, tmp_path, overrides={"tau": 3})
     with pytest.raises(ParameterError):
         sweep(_fast_base(), {"warp": [1]}, tmp_path)
+
+
+@pytest.mark.parametrize("grid", [{"tau": [1, 0]}, {"lambda": [0.01, 50]}],
+                         ids=["tau", "lambda"])
+def test_sweep_checks_every_cell_before_running_any(tmp_path, grid):
+    # the second cell is bad (tau = 0; lambda above its cap), so the sweep
+    # raises before the first cell writes its CSV
+    out = tmp_path / "cells"
+    with pytest.raises((ConfigError, ParameterError)):
+        sweep(_fast_base(), grid, out)
+    assert list(out.glob("*.csv")) == []

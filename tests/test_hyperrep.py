@@ -227,10 +227,19 @@ def test_hypergradient_numeric_equals_aggregate_oracles(name):
         np.testing.assert_array_equal(hypergradient_numeric(problem, x, head), ref)
 
 
+def _padded(splits):
+    """The index lists as an (m, w) table padded with 0, and their lengths."""
+    sizes = np.array([len(s) for s in splits])
+    table = np.zeros((len(splits), sizes.max()), dtype=np.intp)
+    for i, s in enumerate(splits):
+        table[i, :len(s)] = s
+    return table, sizes
+
+
 def _forward_reference(problem, ids, x, y, lanes, split):
     """The forward pass with its minibatch gathered by take_along_axis over
-    the participants' rows of the split's index table."""
-    table, sizes = problem._tables[split]
+    the participants' rows of the split's index lists, padded into a table."""
+    table, sizes = _padded(problem.train_idx if split == "train" else problem.val_idx)
     table, sizes = table[ids], sizes[ids]
     cols = np.arange(table.shape[1])
     if lanes is None or problem.batch_size >= cols.size:

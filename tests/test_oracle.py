@@ -257,3 +257,19 @@ def test_bias_mc_trial_floor():
     with pytest.raises(ParameterError):
         estimator_bias_mc(lambda x, y, t: np.zeros(2), inst, np.zeros(2),
                           np.zeros(2), trials=100)
+
+
+@pytest.mark.parametrize("T", [1, 2, 7])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "per-client"])
+def test_neumann_sum_equals_matrix_power_series(T, stacked):
+    # the recursion against lam * sum_{j<T} (I - lam A)^j v summed from powers
+    inst = make_quadratic(QuadraticSpec(d1=3, d2=5, m=4, hetero=0.5, seed=2))
+    A = inst.A if stacked else inst.A_bar
+    v = RngStream(2).child("neumann", "v").normal(1.0, A.shape[:-1])
+    lam = 1.0 / inst.L_g
+    step = np.eye(inst.d2) - lam * A
+    want = lam * sum((np.linalg.matrix_power(step, j) @ v[..., None])[..., 0]
+                     for j in range(T))
+    got = oracle.neumann_sum(A, v, lam, T)
+    assert got.shape == v.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

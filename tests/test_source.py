@@ -88,6 +88,19 @@ def test_no_matrix_inverse_on_library_paths(path):
     assert [c for c in calls if c[1] in ("np.linalg.inv", "numpy.linalg.inv")] == []
 
 
+@pytest.mark.parametrize("name", ["hypergrad.py", "lower.py"])
+def test_estimators_import_no_problem_module(name):
+    # the estimators and local phases read only the oracle contract; the
+    # quadratic closed-form references live in oracle.py
+    tree = ast.parse((SRC / name).read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    assert sorted(modules & {"quadratic", "hyperrep", "fedbilevel.quadratic",
+                             "fedbilevel.hyperrep"}) == []
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 from fedbilevel.cli import main
