@@ -16,9 +16,9 @@ from .hypergrad import (AggITDConfig, AidConfig, EstimatorTrace, aggitd,
 from .hyperrep import (HyperRepProblem, HyperRepSpec, hypergradient_numeric,
                        make_hyperrep, partition, solve_head_exact)
 from .lower import LowerStepConfig, one_round_lower
-from .oracle import (McMoments, TestRegion, estimator_bias_mc,
-                     expected_aggitd_indirect, expected_aid_fhe, expected_aid_hessiv,
-                     expected_local_fhe, fd_hypergradient, measure_constants)
+from .oracle import (TestRegion, expected_aggitd_indirect, expected_aid_fhe,
+                     expected_aid_hessiv, expected_local_fhe, fd_hypergradient,
+                     measure_constants)
 from .problems import BilevelProblem, Point, ProblemConstants
 from .quadratic import (QuadraticInstance, QuadraticProblem, QuadraticSpec,
                         make_problem, make_quadratic)

@@ -68,7 +68,7 @@ def cmd_estimate(args) -> int:
     trace_path = os.path.join(out, "estimate_trace.json")
     with open(trace_path, "w", encoding="utf-8") as fh:
         json.dump(trace.to_json_dict(), fh, indent=2)
-    err = np.linalg.norm(h - problem.hypergradient(x, problem.y_star(x)))
+    err = np.linalg.norm(h - problem.hypergradient(x, problem.y_star(x, y)))
     print(f"||h||={np.linalg.norm(h):.6e} Q={trace.Q} rounds={ledger.rounds_total} "
           f"est_err={err:.6e} -> {trace_path}")
     return 0

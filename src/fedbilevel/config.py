@@ -145,11 +145,6 @@ def load_doc(path) -> dict:
     return doc
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a JSON run configuration."""
-    return config_from_dict(load_doc(path))
-
-
 def serialize_config(cfg: RunConfig) -> dict:
     """JSON document of cfg as written, unset fields as null; parse(serialize(cfg)) == cfg.
 

@@ -6,7 +6,9 @@ or fully local baseline), then One-Round-Upper, the local SVRG-type phase of
 iteration's lower variable at the step's final lower iterate. Communication
 per outer iteration: 2N+3 rounds / 1 loop for the fused driver, 2N+T+3 / 2 for
 the AID baseline, 2N+2 / 1 for the local one. Metrics rows use exact noise-off
-oracles over the full client set regardless of the participation ratio. Each
+oracles over the full client set regardless of the participation ratio; the
+loop only keeps each row's iterates and estimate, and ``Evaluator.record``
+computes every row of the run in one stacked pass after the loop. Each
 phase is its public function, called on the run's checked oracles and
 lane-table steps. A participant set's checked oracles and local-step schedules
 (beta/tau_i, alpha/tau_i) are built once per set: once per run under full
@@ -29,7 +31,7 @@ from .hyperrep import HyperRepSpec, make_hyperrep
 from .lower import (VARIANT_SVRG, LowerStepConfig, _local_phase, client_taus, local_lanes,
                     lower_phase_lanes, max_tau, one_round_lower)
 from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
-                       check_positive)
+                       check_positive, row_dots)
 from .quadratic import QuadraticSpec, make_problem
 from .rng import RngStream, TableStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
@@ -114,39 +116,44 @@ class RunReport:
 
 
 class Evaluator:
-    """Exact metrics rows from the problem's exact truth (``BilevelProblem``).
+    """Every metrics row of a run from one stacked pass over its kept points.
 
-    It keeps (y*(x), hypergradient) for the last x it solved, so a metrics
-    row costs one solve, warm-started at the previous y*, and the driver's
-    est_err lookup at the previous row's x costs none. A quadratic row is
-    closed forms and ufunc reductions; a hyperrep solve runs a train forward
-    pass per Newton iterate (``hyperrep.solve_head_exact``), and the
-    hypergradient one val pass, taking the HessIV Hessian and the mixed
-    partial from the solve's last train pass, at y*. The row's objective and
-    test_metric read arrays built once per problem.
+    The run keeps each row's point (x, y) and, for each row after the first,
+    its estimate h and the kept point whose x h was taken at: the previous
+    row's point at eval_every = 1, a point kept for it otherwise. ``record``
+    solves y*(x) over all kept points at once, each started at its own y,
+    then grad f(x) (``hypergradient``), through the problem's exact truth
+    (``BilevelProblem``); est_err is ||h - grad f|| at the estimate's point.
+    A quadratic pass is closed-form einsums and reductions; a hyperrep pass is
+    one masked Newton iteration over all points (``hyperrep.solve_head_exact``)
+    and one train and one val pass for the hypergradients. Rows do not depend
+    on each other, so a row's bits do not depend on eval_every.
     """
 
     def __init__(self, problem: BilevelProblem):
         self.problem = problem
-        self._memo = (None, None, None)  # (x bytes, y*(x), hypergradient at x)
 
-    def _solve(self, x: np.ndarray):
-        key = x.tobytes()
-        if self._memo[0] != key:
-            ys = self.problem.y_star(x, y0=self._memo[1])
-            self._memo = (key, ys, self.problem.hypergradient(x, ys))
-        return self._memo[1], self._memo[2]
+    def hypergradient(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """grad f at each row of x, whose solved lower points ys holds."""
+        return self.problem.hypergradient(x, ys)
 
-    def hypergradient(self, x: np.ndarray) -> np.ndarray:
-        return self._solve(x)[1]
-
-    def record(self, k: int, ledger: CommLedger, x, y, est_err: float) -> MetricsRecord:
-        ys, grad = self._solve(x)
-        gap = float(np.add.reduce((y - ys) ** 2))
-        return MetricsRecord(k=k, rounds_cum=ledger.rounds_total,
-                             grad_norm_sq=float(grad @ grad), lower_gap=gap,
-                             est_err=est_err, objective=self.problem.objective(x, ys),
-                             test_metric=self.problem.test_metric(x, y))
+    def record(self, points: list, rows: list, estimates: list) -> list:
+        """The MetricsRecords of a run: points holds the kept (x, y), rows one
+        (k, rounds_cum, point, estimate's point) per row, and estimates the h
+        of each row after the first; row 0 has est_err 0."""
+        X, Y = (np.array(a) for a in zip(*points))
+        ks, rounds, at, h_at = (list(c) for c in zip(*rows))
+        ys = self.problem.y_star(X, Y)
+        grad = self.hypergradient(X, ys)
+        err = np.zeros(len(rows))
+        if estimates:
+            r = np.array(estimates) - grad[h_at[1:]]
+            err[1:] = np.sqrt(row_dots(r, r))   # the bits of np.linalg.norm
+        X, Y, ys, grad = X[at], Y[at], ys[at], grad[at]
+        cols = (ks, rounds, row_dots(grad, grad).tolist(),
+                np.add.reduce((Y - ys) ** 2, -1).tolist(), err.tolist(),
+                self.problem.objective(X, ys).tolist(), self.problem.test_metric(X, Y).tolist())
+        return [MetricsRecord(*row) for row in zip(*cols)]
 
 
 def build_problem(cfg: RunConfig) -> BilevelProblem:
@@ -210,7 +217,8 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     2N-round lower phase, then estimate h in a second loop, ``aid_fhe`` or
     ``local_fhe`` under ``scope.child(estimator)``. The scopes
     ``root.child("est", k)`` and ``root.child("upper", k)`` are steps of lane
-    tables over the whole run."""
+    tables over the whole run. The loop keeps each metrics row's iterates and
+    estimate; ``Evaluator.record`` computes every row after the loop."""
     if problem is None:
         problem = build_problem(cfg)
     N, T, lam, alpha, beta = resolve_params(cfg, problem.constants)
@@ -218,7 +226,6 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     part = Participation(cfg.participation)
     root = RngStream(cfg.seed)
     ledger = CommLedger()
-    evaluator = Evaluator(problem)
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
@@ -243,7 +250,8 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
             return chain(problem, x, y, aid_cfg, oracles, scope.child(estimator), ledger), y
 
     x, y = problem.initial_point()
-    rows = [evaluator.record(0, ledger, x, y, est_err=0.0)]
+    points, rows, estimates = [(x, y)], [(0, 0, 0, 0)], []
+    kept = 0   # the index of (x, y) in points, or None while it is not kept
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
                  lane_steps(root, "upper", cfg.K, problem.m,
                             local_lanes("xi_up", max_tau(cfg.tau))))
@@ -253,15 +261,22 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
         if redraw or oracles is None:
             oracles = problem.checked(
                 select_participants(part, problem.m, root.child("part", k)), x, y)
-        h, y = step(x, y, oracles, est)
-        x_prev = x
-        x = one_round_upper(problem, x, y, h, alpha, cfg.tau, oracles, upper, ledger)
+        h, y_next = step(x, y, oracles, est)
+        x_next = one_round_upper(problem, x, y_next, h, alpha, cfg.tau, oracles, upper, ledger)
         ledger.finish_outer()
-        _guard(k, x, y)
+        _guard(k, x_next, y_next)
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:
-            r = h - evaluator.hypergradient(x_prev)
-            err = math.sqrt(r @ r)   # the bits of np.linalg.norm
-            rows.append(evaluator.record(k + 1, ledger, x, y, err))
+            if kept is None:
+                points.append((x, y))
+                kept = len(points) - 1
+            points.append((x_next, y_next))
+            rows.append((k + 1, ledger.rounds_total, len(points) - 1, kept))
+            estimates.append(h)
+            kept = len(points) - 1
+        else:
+            kept = None
+        x, y = x_next, y_next
+    rows = Evaluator(problem).record(points, rows, estimates)
     return RunReport(label=_LABELS[estimator], rows=rows, final_x=x, final_y=y,
                      rounds_total=ledger.rounds_total, loops_total=ledger.loops_total,
                      scalars_sent=ledger.scalars_sent, outer_history=ledger.outer_history)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .problems import BilevelProblem, ProblemConstants, check_count, check_positive
+from .problems import (BilevelProblem, ProblemConstants, check_count, check_positive,
+                       row_dots)
 from .rng import RngStream
 
 PARTITION_IID = "iid"
@@ -85,7 +86,7 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 def _minibatch_mean(A: np.ndarray, B: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Per-row mean of the outer products a_j b_j^T over n points, flattened."""
-    return (_swap(A) @ B / n).reshape(n.shape[0], -1)
+    return (_swap(A) @ B / n).reshape(*A.shape[:-2], -1)
 
 
 def _directional(Z: np.ndarray, P: np.ndarray, H: np.ndarray, v: np.ndarray):
@@ -103,7 +104,9 @@ class HyperRepProblem(BilevelProblem):
     held-out split for upper-level ones). Each split is its per-client index
     lists, padded on first use into (m, w) whole-split arrays, so clients may
     hold splits of unequal size; padded points get weight 0. The exact truth
-    runs the five kernels on one kept exact pass per split.
+    runs the kernels over every client on a stack of points, x and y as
+    (rows, 1, d) stacks; a kernel may take the pass ``fw`` of its split that
+    the caller has already run, so one pass serves several kernels.
     """
 
     def __init__(self, U: np.ndarray, labels: np.ndarray,
@@ -125,7 +128,6 @@ class HyperRepProblem(BilevelProblem):
         self.spec = spec
         self.seed = seed
         self._full = {}     # split -> its whole-split arrays, built on first use
-        self._kept = {}     # split -> ((x, y) bytes, its exact pass over every client)
         self._test = (U[test_idx], labels[test_idx])     # test_metric's points
 
     def initial_point(self):
@@ -161,24 +163,6 @@ class HyperRepProblem(BilevelProblem):
                 a.flags.writeable = False
         return got
 
-    def _pass(self, ids, x, y, lanes, split):
-        """``_forward``, with the exact pass over every client kept per split.
-
-        When lanes is None and every client takes part, the last such pass at
-        the bytes of (x, y) is reused, read-only: a Newton solve's converged
-        iterate also serves ``hypergradient_numeric``'s train pass at y*(x),
-        and one val pass serves both upper gradients."""
-        if lanes is not None or ids.shape[0] < self.m:
-            return self._forward(ids, x, y, lanes, split)
-        key = (x.tobytes(), y.tobytes())
-        got = self._kept.get(split)
-        if got is None or got[0] != key:
-            _, *rest = self._forward(ids, x, y, None, split)
-            for a in rest:
-                a.flags.writeable = False
-            self._kept[split] = got = (key, rest)
-        return (self._unpack(x, y)[1], *got[1])
-
     def _forward(self, ids, x, y, lanes, split):
         """Stacked forward pass over each row's minibatch from a split.
 
@@ -189,7 +173,8 @@ class HyperRepProblem(BilevelProblem):
         at the drawn positions from ``_whole_split``. Returns (H, Us, Z, P, R, n):
         (k, b, .) stacks over the b columns of the minibatch table, and each
         row's point count. Padded points get zero features, so they add nothing
-        to any mean.
+        to any mean. With lanes None, x and y may also be (rows, 1, d) stacks of
+        points, each evaluated over every id: the stacks are then (rows, k, b, .).
         """
         Us, onehot, n, pool = self._whole_split(split)
         if lanes is not None and self.batch_size < pool.size:
@@ -204,54 +189,54 @@ class HyperRepProblem(BilevelProblem):
         P = _softmax_rows(Z @ _swap(H))            # (k, b, C)
         return H, Us, Z, P, P - onehot, n          # R = pi - onehot
 
-    def _grad_lower_y_batch(self, ids, x, y, lanes):
-        _, _, Z, _, R, n = self._pass(ids, x, y, lanes, "train")
+    def _grad_lower_y_batch(self, ids, x, y, lanes, fw=None):
+        _, _, Z, _, R, n = fw or self._forward(ids, x, y, lanes, "train")
         return _minibatch_mean(R, Z, n) + self.spec.ridge * y
 
-    def _grad_upper_y_batch(self, ids, x, y, lanes):
-        _, _, Z, _, R, n = self._pass(ids, x, y, lanes, "val")
+    def _grad_upper_y_batch(self, ids, x, y, lanes, fw=None):
+        _, _, Z, _, R, n = fw or self._forward(ids, x, y, lanes, "val")
         return _minibatch_mean(R, Z, n)
 
-    def _grad_upper_x_batch(self, ids, x, y, lanes):
-        H, Us, _, _, R, n = self._pass(ids, x, y, lanes, "val")
+    def _grad_upper_x_batch(self, ids, x, y, lanes, fw=None):
+        H, Us, _, _, R, n = fw or self._forward(ids, x, y, lanes, "val")
         return _minibatch_mean(R @ H, Us, n)
 
     def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
-        H, _, Z, P, _, n = self._pass(ids, x, y, lanes, "train")
+        H, _, Z, P, _, n = self._forward(ids, x, y, lanes, "train")
         _, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW, Z, n) + self.spec.ridge * v
 
-    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
-        H, Us, Z, P, R, n = self._pass(ids, x, y, lanes, "train")
+    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes, fw=None):
+        H, Us, Z, P, R, n = fw or self._forward(ids, x, y, lanes, "train")
         V, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW @ H + R @ V, Us, n)   # H^T D V z + V^T (pi - e)
 
     # -- the exact truth over every client -----------------------------------
 
     def y_star(self, x, y0=None):
-        """The aggregate head solve ``solve_head_exact``, warm-started at y0."""
+        """The aggregate head solve ``solve_head_exact``, each row started at y0's."""
         return solve_head_exact(self, x, y0=y0)
 
     def hypergradient(self, x, ys):
         return hypergradient_numeric(self, x, ys)
 
-    def objective(self, x, y) -> float:
-        """The upper objective: the mean over clients of each client's mean
-        cross-entropy on its held-out split, the function that ``grad_upper_x``
-        and ``hypergradient_numeric`` differentiate."""
+    def objective(self, x, y):
+        """The upper objective at each row: the mean over clients of each
+        client's mean cross-entropy on its held-out split, the function that
+        ``grad_upper_x`` and ``hypergradient_numeric`` differentiate."""
         Us, onehot, n, _ = self._whole_split("val")
-        E, H = self._unpack(x, y)
-        z = (Us @ E.T) @ H.T
+        E, H = self._unpack(x[..., None, :], y[..., None, :])
+        z = (Us @ _swap(E)) @ _swap(H)
         z = z - z.max(axis=-1, keepdims=True)
-        loss = np.log(np.exp(z).sum(axis=-1)) - (z * onehot).sum(axis=-1)   # (m, w)
-        loss = loss * (np.arange(loss.shape[1]) < n[:, :, 0])   # padding weighs nothing
-        return float(np.mean(loss.sum(axis=1) / n[:, 0, 0]))
+        loss = np.log(np.exp(z).sum(axis=-1)) - (z * onehot).sum(axis=-1)   # (rows, m, w)
+        loss = loss * (np.arange(loss.shape[-1]) < n[:, :, 0])   # padding weighs nothing
+        return np.mean(loss.sum(axis=-1) / n[:, 0, 0], axis=-1)
 
-    def test_metric(self, x, y) -> float:
-        """Accuracy of the head on the test split."""
+    def test_metric(self, x, y):
+        """Accuracy of the head on the test split, at each row."""
         E, H = self._unpack(x, y)
         Us, labels = self._test
-        return float(np.mean(((Us @ E.T) @ H.T).argmax(axis=1) == labels))
+        return np.mean(((Us @ _swap(E)) @ _swap(H)).argmax(axis=-1) == labels, axis=-1)
 
 
 def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 4) -> HyperRepProblem:
@@ -282,7 +267,8 @@ def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 4) -> HyperRe
 
 def _head_hessian(H: np.ndarray, Z: np.ndarray, P: np.ndarray, n: np.ndarray,
                   ridge: float) -> np.ndarray:
-    """The dense aggregate head Hessian from a full-batch train forward pass.
+    """The dense aggregate head Hessian from a full-batch train forward pass,
+    one per row when the pass stacks rows.
 
     Per client over its full training split, with z_j = E u_j and
     D_j = diag(p_j) - p_j p_j^T, H_i = (1/n_i) sum_j D_j kron z_j z_j^T;
@@ -292,24 +278,33 @@ def _head_hessian(H: np.ndarray, Z: np.ndarray, P: np.ndarray, n: np.ndarray,
     product -X^T W X, and the diag(p) part is X^T W Z, added into the C
     diagonal (p, p) blocks.
     """
-    C, p = H.shape
-    X = P[..., :, None] * Z[..., None, :]                  # (k, b, C, p)
-    XtW = _swap((X / (Z.shape[0] * n)[..., None]).reshape(-1, C * p))
-    hess = -(XtW @ X.reshape(-1, C * p))
-    blocks = hess.reshape(C, p, C, p)
-    blocks[np.arange(C), :, np.arange(C)] += (XtW @ Z.reshape(-1, p)).reshape(C, p, p)
-    hess[np.diag_indices(C * p)] += ridge
+    C, p = H.shape[-2:]
+    rows = Z.shape[:-3]
+    X = P[..., :, None] * Z[..., None, :]                  # (rows, k, b, C, p)
+    XtW = _swap((X / (Z.shape[-3] * n)[..., None]).reshape(*rows, -1, C * p))
+    hess = -(XtW @ X.reshape(*rows, -1, C * p))
+    diag = (XtW @ Z.reshape(*rows, -1, p)).reshape(*rows, C, p, p)
+    c = np.arange(C)
+    hess.reshape(*rows, C, p, C, p)[..., c, :, c, :] += np.moveaxis(diag, -3, 0)
+    d = np.arange(C * p)
+    hess[..., d, d] += ridge
     return hess
 
 
-def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray,
-                         y: np.ndarray) -> np.ndarray:
-    """Dense aggregate head Hessian: the matrix that ``hvp_lower_yy`` with
-    lanes=None over every client applies, averaged over the clients.
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[r]^{-1} b[r] for a matrix and vector, or for a stack of each."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
-    The kept full-batch train pass at (x, y) serves it.
+
+def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray, y: np.ndarray,
+                         fw=None) -> np.ndarray:
+    """Dense aggregate head Hessian at each row of (x, y): the matrix that
+    ``hvp_lower_yy`` with lanes=None over every client applies, averaged over
+    the clients. fw is the full-batch train pass at (x, y) when the caller has
+    already run it.
     """
-    H, _, Z, P, _, n = problem._pass(problem._all_ids, x, y, None, "train")
+    H, _, Z, P, _, n = fw or problem._forward(problem._all_ids, x[..., None, :],
+                                              y[..., None, :], None, "train")
     return _head_hessian(H, Z, P, n, problem.spec.ridge)
 
 
@@ -317,38 +312,49 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
                      tol: float = 1e-12, max_iter: int = 60,
                      y0: np.ndarray | None = None) -> np.ndarray:
     """Newton solve of the aggregate (full participation, full batch) head
-    problem, started at y0 (the origin when omitted).
+    problem at each row of x, each started at its row of y0 (the origin when
+    omitted); one point is the stack of one row.
 
-    Each iterate runs one full-batch train pass. It serves the aggregate
-    gradient (the client mean of exact ``grad_lower_y``) and, when the iterate
-    steps, ``agg_hessian_lower_yy``, so the last iterate, at the solution,
-    costs one pass and no Hessian; ``hypergradient_numeric`` at the solution
-    reuses that kept pass.
+    All rows iterate together. Each iteration runs one full-batch train pass
+    over the rows still moving, which serves their aggregate gradient (the
+    client mean of exact ``grad_lower_y``) and the dense Hessians of the rows
+    that step. A row stops once its gradient norm is at most tol, so it takes
+    the steps its own solve would, whatever rows share the stack.
     """
-    y = np.zeros(problem.d2) if y0 is None else y0
-    ids = problem.checked(problem._all_ids, x, y).ids
+    X = x.reshape(-1, problem.d1)
+    Y = np.zeros((X.shape[0], problem.d2)) if y0 is None else np.array(
+        y0, dtype=float).reshape(X.shape[0], problem.d2)
+    ids, live = problem._all_ids, np.arange(X.shape[0])
     for _ in range(max_iter):
-        g = problem._grad_lower_y_batch(ids, x, y, None).mean(axis=0)
-        if np.linalg.norm(g) <= tol:
+        xl, yl = X[live, None], Y[live, None]
+        fw = problem._forward(ids, xl, yl, None, "train")
+        g = problem._grad_lower_y_batch(ids, xl, yl, None, fw).mean(axis=-2)
+        step = np.sqrt(row_dots(g, g)) > tol   # the bits of np.linalg.norm
+        if not step.any():
             break
-        y = y - np.linalg.solve(agg_hessian_lower_yy(problem, x, y), g)
-    return y
+        H, _, Z, P, _, n = fw
+        live = live[step]
+        Y[live] -= _solve(_head_hessian(H[step], Z[step], P[step], n, problem.spec.ridge),
+                          g[step])
+    return Y.reshape(*x.shape[:-1], problem.d2)
 
 
 def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
-    """Implicit-function hypergradient with a dense HessIV at the exact head.
+    """Implicit-function hypergradient with a dense HessIV at the exact head,
+    at each row of x with its solved head y*(x) in y.
 
-    y is the solved head y*(x). It is grad_upper_x - jvp_lower_xy(w) with
+    It is grad_upper_x - jvp_lower_xy(w) with
     w = solve(agg_hessian_lower_yy, grad_upper_y), each oracle exact
     (lanes=None) over every client and averaged over them, all at (x, y),
-    from two kept passes: one full-batch val pass serves both upper
-    gradients, and one full-batch train pass serves the Hessian and the
-    mixed-partial product. At a y just returned by ``solve_head_exact`` the
-    train pass is the solve's last one, so it is not run again.
+    from two full-batch passes over all rows: the val pass serves both upper
+    gradients, and the train pass the Hessian and the mixed-partial product.
     """
-    ids = problem.checked(problem._all_ids, x, y).ids
-    w = np.linalg.solve(agg_hessian_lower_yy(problem, x, y),
-                        problem._grad_upper_y_batch(ids, x, y, None).mean(axis=0))
-    return (problem._grad_upper_x_batch(ids, x, y, None).mean(axis=0)
-            - problem._jvp_lower_xy_batch(ids, x, y, w, None).mean(axis=0))
+    ids, x1, y1 = problem._all_ids, x[..., None, :], y[..., None, :]
+    train = problem._forward(ids, x1, y1, None, "train")
+    val = problem._forward(ids, x1, y1, None, "val")
+    w = _solve(agg_hessian_lower_yy(problem, x, y, train),
+               problem._grad_upper_y_batch(ids, x1, y1, None, val).mean(axis=-2))
+    return (problem._grad_upper_x_batch(ids, x1, y1, None, val).mean(axis=-2)
+            - problem._jvp_lower_xy_batch(ids, x1, y1, w[..., None, :], None, train)
+            .mean(axis=-2))

@@ -4,12 +4,12 @@ Everything here is algorithmically independent of the code paths it checks:
 finite differences against the implicit-function formula, dense solves against
 Neumann chains, the estimators' exact conditional means on quadratic
 instances (``expected_*``, from the instance's closed forms and one truncated
-Neumann sum, ``neumann_sum``), Monte-Carlo moments against analytic bounds,
-and constant measurement (eigenvalue extremes, gradient bounds, noise levels)
-on a declared compact region, since quadratics are not globally Lipschitz. All
-region points are one stacked pass, sliced to MEASURE_BUDGET, over the
-instance's (m, ...) and (m, n, ...) arrays, with exact gradients from this
-module's own closed forms, not from the oracle kernels it checks.
+Neumann sum, ``neumann_sum``), and constant measurement (eigenvalue
+extremes, gradient bounds, noise levels) on a declared compact region, since
+quadratics are not globally Lipschitz. All region points are one stacked
+pass, sliced to MEASURE_BUDGET, over the instance's (m, ...) and (m, n, ...)
+arrays, with exact gradients from this module's own closed forms, not from
+the oracle kernels it checks.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ class TestRegion:
 
 def fd_hypergradient(obj, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central differences of x -> f(x, y*(x)); error O(step^2). obj is any
-    exact-truth surface: a ``BilevelProblem`` or a ``QuadraticInstance``,
-    read through its ``objective(x, y_star(x))``."""
+    exact-truth surface, a ``BilevelProblem`` or a ``QuadraticInstance``, read
+    through one ``objective(X, y_star(X))`` over the stack X of the 2 d1
+    points x + step e_j, then x - step e_j."""
     check_positive("step", step)
-    g = np.zeros_like(x, dtype=float)
-    for j, e in enumerate(step * np.eye(x.shape[0])):
-        up, dn = x + e, x - e
-        g[j] = (obj.objective(up, obj.y_star(up)) - obj.objective(dn, obj.y_star(dn))) / (2 * step)
-    return g
+    d = x.shape[0]
+    X = x + np.concatenate((step * np.eye(d), -step * np.eye(d)))
+    f = obj.objective(X, obj.y_star(X))
+    return (f[:d] - f[d:]) / (2 * step)
 
 
 def measure_constants(inst: QuadraticInstance, region: TestRegion,
@@ -194,37 +194,3 @@ def expected_local_fhe(inst: QuadraticInstance, x: np.ndarray, y: np.ndarray,
         check_count("T", T)
         hiv = neumann_sum(inst.A, gy, lam, T)
     return np.mean(inst.rho_x * x + inst.e - _mv(np.swapaxes(inst.B, 1, 2), hiv), axis=0)
-
-
-@dataclass(frozen=True)
-class McMoments:
-    """Monte-Carlo bias/variance of an estimator with standard errors."""
-
-    mean: np.ndarray
-    bias_norm: float
-    bias_se: float
-    var: float
-    var_se: float
-    trials: int
-
-
-def estimator_bias_mc(estimator_fn, inst: QuadraticInstance, x: np.ndarray,
-                      y0: np.ndarray, trials: int) -> McMoments:
-    """Sample estimator_fn(x, y0, trial) and compare its mean to the oracle.
-
-    bias_norm = ||mean(h) - grad f(x)||, var = mean ||h - mean(h)||^2;
-    bias_se is the norm-perturbation bound sqrt(tr cov / trials).
-    """
-    if trials < 10 ** 3:
-        raise ParameterError("need at least 1000 trials")
-    draws = np.stack([np.asarray(estimator_fn(x, y0, t), dtype=float)
-                      for t in range(trials)])
-    mean = draws.mean(axis=0)
-    dev = draws - mean
-    sq = np.sum(dev ** 2, axis=1)
-    var = float(sq.mean())
-    var_se = float(sq.std(ddof=1) / np.sqrt(trials))
-    bias = float(np.linalg.norm(mean - inst.hypergradient(x)))
-    bias_se = float(np.sqrt(np.sum(dev.var(axis=0, ddof=1)) / trials))
-    return McMoments(mean=mean, bias_norm=bias, bias_se=bias_se, var=var,
-                     var_se=var_se, trials=trials)

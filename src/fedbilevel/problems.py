@@ -144,6 +144,13 @@ def check_real(name: str, value, low: float = -np.inf, high: float = np.inf) -> 
         raise ParameterError(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[r] . b[r] over the last axis, broadcasting the others: one ddot per
+    row, so each equals ``a[r] @ b[r]``, the product ``np.linalg.norm`` takes,
+    bit for bit (OpenBLAS threads a ddot only above 10,000 elements)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 class BilevelProblem:
     """Base class: the five oracles, the participant-set check and the sample audit.
 
@@ -152,9 +159,13 @@ class BilevelProblem:
     and ``_jvp_lower_xy_batch``, taking (ids, x, y, [v,] lanes) after the
     checks: ``lanes`` is the Lanes whose draws pick each row's sample, or None
     for the exact evaluation. It also implements the exact truth over every
-    client that ``drivers.Evaluator`` and ``estimate`` read: ``y_star(x, y0=None)``
-    (y0 a warm start), ``hypergradient(x, ys)`` and ``objective(x, ys)`` at
-    ys = y*(x), and the task metric ``test_metric(x, y)`` of an iterate.
+    client that ``drivers.Evaluator`` and ``estimate`` read, on a stack of
+    points: x of shape (rows, d1) and y of shape (rows, d2), one row per point,
+    each row independent of the others; a single point, x of shape (d1,), is
+    the stack of one row. They are ``y_star(x, y0=None)`` (y0 each row's start
+    for an iterative solve), ``hypergradient(x, ys)`` and ``objective(x, ys)``
+    at ys = y*(x), and the task metric ``test_metric(x, y)`` of iterates; the
+    last two give one value per row.
     """
 
     def __init__(self, m: int, d1: int, d2: int, constants: ProblemConstants,

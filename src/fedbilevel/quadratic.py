@@ -15,7 +15,10 @@ zero; an oracle reads each sample folded once, unbiased up to that rounding.
 
 Neither make_quadratic nor the inverse of A_bar (one eigh and an einsum) calls
 BLAS, so an instance's bytes depend on the seed, numpy's log, sqrt, cos and
-sin, and LAPACK (at the sizes tested, not on BLAS threads).
+sin, and LAPACK (at the sizes tested, not on BLAS threads). The closed forms
+take one point or a stack of points; their matrix products are einsums and
+their dot products one ddot per row (``row_dots``), so a row's bits depend
+neither on the rows beside it nor on BLAS threads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
-                       ProblemConstants, check_count, check_real)
+                       ProblemConstants, check_count, check_real, row_dots)
 from .rng import CLIENT, Lanes, LaneTable, RngStream
 
 
@@ -174,11 +177,11 @@ class QuadraticInstance:
             a.setflags(write=False)
 
     def solve_A_bar(self, v: np.ndarray) -> np.ndarray:
-        """Abar^{-1} v, one product with the inverse stored at construction."""
-        return self._A_bar_inv @ v
+        """Abar^{-1} v for v of shape (..., d2): the inverse stored at construction."""
+        return np.einsum("ij,...j->...i", self._A_bar_inv, v)
 
     def y_star(self, x: np.ndarray) -> np.ndarray:
-        return -self.solve_A_bar(self.B_bar @ x + self.c_bar)
+        return -self.solve_A_bar(np.einsum("ij,...j->...i", self.B_bar, x) + self.c_bar)
 
     def grad_upper_y_exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return y - self.d_bar
@@ -190,15 +193,16 @@ class QuadraticInstance:
         """grad f(x); ys is y*(x) when the caller has already solved it."""
         if ys is None:
             ys = self.y_star(x)
-        return self.rho_x * x + self.e_bar - self.B_bar.T @ self.solve_A_bar(ys - self.d_bar)
+        return self.rho_x * x + self.e_bar - np.einsum(
+            "ji,...j->...i", self.B_bar, self.solve_A_bar(ys - self.d_bar))
 
-    def objective(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
-        """f(x, y) averaged over clients; defaults to y = y*(x)."""
+    def objective(self, x: np.ndarray, y: np.ndarray | None = None):
+        """f(x, y) averaged over clients, one value per row; y defaults to y*(x)."""
         if y is None:
             y = self.y_star(x)
-        vals = (0.5 * np.add.reduce((y - self.d) ** 2, 1) + 0.5 * self.rho_x * float(x @ x)
-                + (self.e[:, None, :] @ x)[:, 0])
-        return float(np.add.reduce(vals) / self.m)   # the bits of np.mean
+        vals = (0.5 * np.add.reduce((y[..., None, :] - self.d) ** 2, -1)
+                + 0.5 * self.rho_x * row_dots(x, x)[..., None] + row_dots(self.e, x[..., None, :]))
+        return np.add.reduce(vals, -1) / self.m   # the bits of np.mean
 
     # -- serialization -------------------------------------------------------
 
@@ -365,7 +369,7 @@ class QuadraticProblem(BilevelProblem):
         return self.inst.objective(x, ys)
 
     def test_metric(self, x, y):
-        return 0.0
+        return np.zeros(x.shape[:-1])
 
     def _rows(self, ids):
         """Index of the clients' rows in the stacked arrays: a full slice

@@ -314,7 +314,8 @@ def test_estimate_is_the_first_step_of_a_fused_run(tmp_path, participation):
     h = np.array(trace["h_direct"]) - np.array(trace["h_indirect"])
     cfg = config_from_dict(doc)
     problem = build_problem(cfg)
-    r = h - Evaluator(problem).hypergradient(problem.initial_point()[0])
+    x0 = problem.initial_point()[0][None]   # the stack of one point
+    r = h - Evaluator(problem).hypergradient(x0, problem.y_star(x0))[0]
     rep = run(cfg)
     assert math.sqrt(r @ r) == rep.rows[1].est_err
     assert len(trace["h_indirect_clients"]) == (5 if participation == 1.0 else 4)

@@ -5,11 +5,15 @@ import json
 import pytest
 
 from fedbilevel import ConfigError, ParameterError
-from fedbilevel.config import (config_from_dict, parse_config, serialize_config,
-                               sweep)
+from fedbilevel.config import config_from_dict, load_doc, serialize_config, sweep
 from fedbilevel.drivers import RunConfig, build_problem, resolve_params, run
 from fedbilevel.hyperrep import HyperRepSpec
 from fedbilevel.quadratic import QuadraticSpec
+
+
+def parse_config(path) -> RunConfig:
+    """Load and validate a JSON run configuration, as the CLI does without overrides."""
+    return config_from_dict(load_doc(path))
 
 
 def _write(tmp_path, doc):

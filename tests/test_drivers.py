@@ -1,6 +1,7 @@
 """Outer-loop drivers: upper phase, round accounting, warm start, defaults."""
 
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -297,27 +298,113 @@ def _small_hyperrep_run(K=6):
 
 
 def test_hyperrep_one_head_solve_per_metrics_row(monkeypatch):
+    # a run solves its heads in one stacked call after the loop, one row per
+    # kept point: at eval_every = 1 each metrics row's point, once
     from fedbilevel import hyperrep
     calls = []
     original = hyperrep.solve_head_exact
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(problem, x, *args, **kwargs):
+        calls.append(x.shape)
+        return original(problem, x, *args, **kwargs)
     monkeypatch.setattr(hyperrep, "solve_head_exact", counted)
     rep = _small_hyperrep_run()
     assert len(rep.rows) == 7
-    assert len(calls) == len(rep.rows)
+    assert calls == [(len(rep.rows), rep.final_x.size)]
 
 
 def test_hyperrep_est_err_unchanged_without_memo(monkeypatch):
+    # est_err from the stacked pass, whose solves start at each point's own
+    # y, against fresh single-point solves from the origin
     from fedbilevel.drivers import Evaluator
-    memo = _small_hyperrep_run().column("est_err")
-    monkeypatch.setattr(Evaluator, "hypergradient",
-                        lambda self, x: self.problem.hypergradient(x, self.problem.y_star(x)))
-    fresh = _small_hyperrep_run().column("est_err")
-    assert np.all(memo[1:] > 0)
-    np.testing.assert_allclose(memo, fresh, rtol=1e-12, atol=0)
+    stacked = _small_hyperrep_run().column("est_err")
+
+    def fresh(self, x, ys):
+        return np.stack([self.problem.hypergradient(p[None], self.problem.y_star(p[None]))[0]
+                         for p in x])
+    monkeypatch.setattr(Evaluator, "hypergradient", fresh)
+    single = _small_hyperrep_run().column("est_err")
+    assert np.all(stacked[1:] > 0)
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "hyperrep"])
+def test_stacked_rows_equal_single_point_rows(monkeypatch, kind):
+    # each row of a run's one stacked pass against the same row computed on
+    # its own point, a stack of one row, and est_err against its own
+    # single-point hypergradient: bit for bit on a quadratic (einsums and
+    # ddots), to 1e-12 relative on hyperrep (batched gemm and LAPACK rows);
+    # eval_every = 4 keeps estimate points that are not row points
+    from fedbilevel.drivers import Evaluator
+    calls, record = [], Evaluator.record
+
+    def kept(self, *args):
+        calls.append((self, *args))
+        return record(self, *args)
+    monkeypatch.setattr(Evaluator, "record", kept)
+    rep = (_small_hyperrep_run(K=6) if kind == "hyperrep"
+           else run(dataclasses.replace(_quad_cfg(K=30, N=2, T=2), eval_every=4)))
+    (evaluator, points, rows, estimates), = calls
+    problem = evaluator.problem
+    if kind == "quadratic":
+        assert len(points) > len(rows)   # estimate points between the rows
+    for i, (got, (k, rounds, at, h_at)) in enumerate(zip(rep.rows, rows)):
+        want = record(evaluator, [points[at]], [(k, rounds, 0, 0)], [])[0]
+        if i:
+            x, y = (a[None] for a in points[h_at])
+            r = estimates[i - 1] - evaluator.hypergradient(x, problem.y_star(x, y))[0]
+            want = dataclasses.replace(want, est_err=math.sqrt(r @ r))
+        if kind == "quadratic":
+            assert got == want, i
+        else:
+            np.testing.assert_allclose(got.values(), want.values(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "hyperrep"])
+def test_rows_do_not_depend_on_eval_every(kind):
+    # the iterates do not depend on eval_every, and neither does a row: at
+    # eval_every 3 and K, every row equals the eval_every = 1 row at its k,
+    # est_err included, whose estimate point is then no row's point
+    K = 10
+    if kind == "quadratic":
+        cfgs = [dataclasses.replace(_quad_cfg(K=K, N=2, T=2, estimator="aid"), eval_every=e)
+                for e in (1, 3, K)]
+    else:
+        spec = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4,
+                            n_points=240, partition="label-skew", shards_per_client=1)
+        cfgs = [RunConfig(problem=spec, K=K, seed=3, eval_every=e, alpha=0.5, N=4,
+                          batch_size=8) for e in (1, 3, K)]
+    every, *sparse = [run(cfg) for cfg in cfgs]
+    by_k = {r.k: r for r in every.rows}
+    assert [[r.k for r in rep.rows] for rep in sparse] == [[0, 3, 6, 9, 10], [0, 10]]
+    for rep in sparse:
+        assert rep.final_x.tobytes() == every.final_x.tobytes()
+        for r in rep.rows:
+            assert r == by_k[r.k], (r.k, r, by_k[r.k])
+
+
+# the outer step at which each run diverges, pinned when the metrics rows
+# were still computed inside the loop; keeping the rows for after the loop
+# must not move it
+DIVERGING = {"aggitd": 26, "aid": 26, "hyperrep": 9}
+
+
+@pytest.mark.parametrize("eval_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(DIVERGING))
+def test_divergence_raises_at_its_step(name, eval_every):
+    if name == "hyperrep":
+        spec = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4,
+                            n_points=240, partition="label-skew", shards_per_client=1)
+        cfg = RunConfig(problem=spec, K=40, seed=3, alpha=100.0, N=4, batch_size=8,
+                        eval_every=eval_every)
+    else:
+        spec = QuadraticSpec(d1=3, d2=3, m=3, mu=1.0, L_g=2.0, hetero=0.3,
+                             noise_spread=0.1, seed=7)
+        cfg = RunConfig(problem=spec, K=200, N=2, T=2, seed=7, alpha=3.0, estimator=name,
+                        eval_every=eval_every)
+    with pytest.raises(DivergenceError) as exc:
+        run(cfg)
+    assert exc.value.k == DIVERGING[name]
 
 
 def test_bad_stepsizes_rejected_before_any_round():
@@ -389,71 +476,92 @@ def test_svrg_pairs_draw_each_lane_set_once(monkeypatch, kind):
 
 
 def test_hyperrep_metrics_row_forward_passes(monkeypatch):
-    # a metrics row runs one full-batch train pass per Newton iterate, then one
-    # val pass for both upper gradients and one train pass for the HessIV and
-    # the mixed partial: at most (Newton steps + 2) train passes and one val
-    # pass, where the Newton steps and the HessIV build one dense Hessian each
+    # a run's rows are one stacked pass: each Newton iteration runs one
+    # full-batch train pass over the points still moving and builds the
+    # dense Hessians of those that step, then the hypergradients run one
+    # train pass (the HessIV's Hessians and the mixed partial) and one val
+    # pass (both upper gradients) over every point
     from fedbilevel import hyperrep
     from fedbilevel.drivers import Evaluator
-    log, rows = [], []
+    log, runs = [], []
     forward, hessian, record = (hyperrep.HyperRepProblem._forward, hyperrep._head_hessian,
                                 Evaluator.record)
 
     def counted_forward(self, ids, x, y, lanes, split):
-        log.append(split)
+        log.append((split, x.shape[0] if x.ndim == 3 else None))
         return forward(self, ids, x, y, lanes, split)
 
-    def counted_hessian(*args):
-        log.append("hessian")
-        return hessian(*args)
+    def counted_hessian(H, *args):
+        log.append(("hessian", H.shape[0]))
+        return hessian(H, *args)
 
     def counted_record(self, *args, **kwargs):
         log.clear()
         out = record(self, *args, **kwargs)
-        rows.append(list(log))
+        runs.append(list(log))
         return out
     monkeypatch.setattr(hyperrep.HyperRepProblem, "_forward", counted_forward)
     monkeypatch.setattr(hyperrep, "_head_hessian", counted_hessian)
     monkeypatch.setattr(Evaluator, "record", counted_record)
     rep = _small_hyperrep_run()
-    assert len(rows) == len(rep.rows) == 7
-    steps = [row.count("hessian") - 1 for row in rows]
-    assert min(steps) >= 0 and sum(steps) > len(rows)
-    for row, newton_steps in zip(rows, steps):
-        assert row.count("train") <= newton_steps + 2
-        assert row.count("val") <= 1
+    (passes,) = runs
+    points = len(rep.rows)
+    *newton, train, val, hess = passes
+    assert (train, val, hess) == (("train", points), ("val", points), ("hessian", points))
+    sizes = [n for split, n in newton if split == "train"]
+    steps = [n for split, n in newton if split == "hessian"]
+    assert len(newton) == 2 * len(sizes) - 1 and len(sizes) >= 2
+    assert sizes[0] == points and sizes[1:] == steps
+    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_hyperrep_metrics_row_shares_the_y_star_train_pass(monkeypatch):
-    # the Newton solve's converged iterate and the HessIV/mixed-partial pass of
-    # hypergradient_numeric are one train pass at (x, y*): a row runs one train
-    # pass per Newton iterate and no more
+    # the rows' HessIV Hessian and mixed partial read one train pass, run at
+    # (x, y*) over every row with the heads the stacked solve returned: the
+    # Hessian is built from that pass's Z and the mixed partial gets the pass
     from fedbilevel import hyperrep
     from fedbilevel.drivers import Evaluator
-    log, rows = [], []
-    forward, hessian, record = (hyperrep.HyperRepProblem._forward, hyperrep._head_hessian,
-                                Evaluator.record)
+    passes, reads, solved = [], [], []
+    forward, hessian, jvp, solve, record = (
+        hyperrep.HyperRepProblem._forward, hyperrep._head_hessian,
+        hyperrep.HyperRepProblem._jvp_lower_xy_batch, hyperrep.solve_head_exact,
+        Evaluator.record)
 
-    def counted_forward(self, ids, x, y, lanes, split):
-        log.append(split)
-        return forward(self, ids, x, y, lanes, split)
-
-    def counted_hessian(*args):
-        log.append("hessian")
-        return hessian(*args)
-
-    def counted_record(self, *args, **kwargs):
-        log.clear()
-        out = record(self, *args, **kwargs)
-        rows.append(list(log))
+    def kept_forward(self, ids, x, y, lanes, split):
+        out = forward(self, ids, x, y, lanes, split)
+        passes.append((split, y, out))
         return out
-    monkeypatch.setattr(hyperrep.HyperRepProblem, "_forward", counted_forward)
-    monkeypatch.setattr(hyperrep, "_head_hessian", counted_hessian)
-    monkeypatch.setattr(Evaluator, "record", counted_record)
-    _small_hyperrep_run()
-    for row in rows:
-        newton_iterates = row.count("hessian")     # the steps, plus the HessIV's
-        assert row.count("train") <= newton_iterates
+
+    def kept_hessian(H, Z, *args):
+        reads.append(("hessian", Z))
+        return hessian(H, Z, *args)
+
+    def kept_jvp(self, ids, x, y, v, lanes, fw=None):
+        reads.append(("jvp", fw))
+        return jvp(self, ids, x, y, v, lanes, fw)
+
+    def kept_solve(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def kept_record(self, *args, **kwargs):
+        passes.clear()
+        reads.clear()
+        return record(self, *args, **kwargs)
+    monkeypatch.setattr(hyperrep.HyperRepProblem, "_forward", kept_forward)
+    monkeypatch.setattr(hyperrep, "_head_hessian", kept_hessian)
+    monkeypatch.setattr(hyperrep.HyperRepProblem, "_jvp_lower_xy_batch", kept_jvp)
+    monkeypatch.setattr(hyperrep, "solve_head_exact", kept_solve)
+    monkeypatch.setattr(Evaluator, "record", kept_record)
+    rep = _small_hyperrep_run()
+    (ys,) = solved
+    assert ys.shape[0] == len(rep.rows)
+    trains = [(y, out) for split, y, out in passes if split == "train"]
+    y, train = trains[-1]                   # the hypergradients' pass
+    assert np.array_equal(y[:, 0], ys)
+    assert [kind for kind, _ in reads[-2:]] == ["hessian", "jvp"]
+    assert reads[-2][1] is train[2] and reads[-1][1] is train
+    assert sum(kind == "jvp" for kind, _ in reads) == 1
 
 
 def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):

@@ -9,6 +9,8 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
                         expected_aid_fhe, expected_aid_hessiv, expected_local_fhe,
                         local_fhe, make_quadratic)
 
+from fedbilevel.hypergrad import beta_cap
+
 from conftest import manual_instance
 
 
@@ -20,7 +22,7 @@ def _deterministic_setup(d=5, m=3, hetero=0.3, seed=15, spread=0.0):
 
 
 def _beta(inst, lam):
-    return min(1.0, lam, 1.0 / (6.0 * inst.L_g))
+    return beta_cap(lam, inst.constants)
 
 
 def test_aggitd_n_zero_closed_form():

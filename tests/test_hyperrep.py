@@ -214,6 +214,11 @@ def test_solve_head_exact_equals_aggregate_newton(name):
     for max_iter in (1, 2):  # iterate by iterate, before convergence
         np.testing.assert_array_equal(solve_head_exact(problem, x, max_iter=max_iter, y0=y0),
                                       _newton_reference(problem, x, y0, max_iter=max_iter))
+    # a stack of rows, each from its own start, converging after different
+    # numbers of steps: each row takes the steps of its own solve
+    X, Y0 = np.stack([x, 0.5 * x, -x, 2 * x]), np.stack([y0, 0 * y0, 0.5 * y0, y0])
+    np.testing.assert_array_equal(solve_head_exact(problem, X, y0=Y0),
+                                  [_newton_reference(problem, *row) for row in zip(X, Y0)])
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_CASES))
@@ -225,6 +230,9 @@ def test_hypergradient_numeric_equals_aggregate_oracles(name):
         ref = (exact_mean(problem, "grad_upper_x", x, head)
                - exact_mean(problem, "jvp_lower_xy", x, head, w))
         np.testing.assert_array_equal(hypergradient_numeric(problem, x, head), ref)
+    X, Y = np.stack([x, -x]), np.stack([solve_head_exact(problem, x), y])   # a stack of rows
+    np.testing.assert_array_equal(hypergradient_numeric(problem, X, Y),
+                                  [hypergradient_numeric(problem, *row) for row in zip(X, Y)])
 
 
 def _padded(splits):

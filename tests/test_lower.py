@@ -79,8 +79,8 @@ def test_composed_round_contracts_noise_off():
 
 
 def _lower_gap(problem, x, y):
-    """A metrics row's lower_gap, ||y - y*(x)||^2."""
-    return Evaluator(problem).record(0, CommLedger(), x, y, 0.0).lower_gap
+    """A metrics row's lower_gap, ||y - y*(x)||^2: row 0 of a stack of one point."""
+    return Evaluator(problem).record([(x, y)], [(0, 0, 0, 0)], [])[0].lower_gap
 
 
 def test_lower_gap_examples():

@@ -1,14 +1,13 @@
 """Verification machinery: finite differences, constant measurement, MC moments."""
 
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
 from fedbilevel import (ParameterError, Point, QuadraticInstance,
-                        QuadraticSpec, RngStream, TestRegion,
-                        estimator_bias_mc, fd_hypergradient, make_quadratic,
-                        measure_constants)
+                        QuadraticSpec, RngStream, TestRegion, fd_hypergradient,
+                        make_quadratic, measure_constants)
 from fedbilevel import oracle
 from fedbilevel.problems import NOISE_GAUSSIAN
 
@@ -46,7 +45,7 @@ class _CubicInstance(QuadraticInstance):
     """Objective with a nonzero third derivative to exhibit the O(step^2) order."""
 
     def objective(self, x, y=None):
-        return super().objective(x, y) + 0.1 * float(np.sum(x ** 3))
+        return super().objective(x, y) + 0.1 * np.sum(x ** 3, axis=-1)
 
     def hypergradient(self, x):
         return super().hypergradient(x) + 0.3 * x ** 2
@@ -105,8 +104,9 @@ def test_measure_constants_dissimilarity_only():
 # and additive-gaussian noise with d2 = 1. "11" and "m1" re-pinned by one ulp
 # of sigma_g and M when y*(x), the region's centre, began solving with a stored
 # inverse of A_bar, all five when the instances and the region points
-# became keyed lane draws, and "11" and "17" by one ulp of M (and of sigma_g
-# for "11") when that inverse came from one eigh instead of LAPACK inv
+# became keyed lane draws, "11" and "17" by one ulp of M (and of sigma_g
+# for "11") when that inverse came from one eigh instead of LAPACK inv, and
+# "m1" by one ulp of sigma_g when y*(x) became an einsum
 _PINNED_BASE = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.3,
                              noise_spread=0.1)
 PINNED_CONSTANTS = {
@@ -119,7 +119,7 @@ PINNED_CONSTANTS = {
                     0.11547005383792516, 0.27370593873585947)),
     "m1": (dict(m=1, seed=11), (1.3432125669781496, 1.740360664363866, 1.0,
                                 3.9202916452716563, 0.0, 0.14142135623730953,
-                                0.26455465454360605)),
+                                0.264554654543606)),
     "gaussian-d4x1-m2": (dict(d1=4, d2=1, m=2, noise_mode=NOISE_GAUSSIAN, noise_std=0.3,
                               seed=11),
                          (1.5253690087307186, 1.6153690087307184, 1.0, 4.144267101102636, 0.0,
@@ -191,6 +191,40 @@ def test_measure_constants_requires_samples():
 def test_region_validation():
     with pytest.raises(ParameterError):
         TestRegion(Point(np.zeros(1), np.zeros(1)), radius=0.0)
+
+
+@dataclass(frozen=True)
+class McMoments:
+    """Monte-Carlo bias/variance of an estimator with standard errors."""
+
+    mean: np.ndarray
+    bias_norm: float
+    bias_se: float
+    var: float
+    var_se: float
+    trials: int
+
+
+def estimator_bias_mc(estimator_fn, inst: QuadraticInstance, x: np.ndarray,
+                      y0: np.ndarray, trials: int) -> McMoments:
+    """Sample estimator_fn(x, y0, trial) and compare its mean to the oracle.
+
+    bias_norm = ||mean(h) - grad f(x)||, var = mean ||h - mean(h)||^2;
+    bias_se is the norm-perturbation bound sqrt(tr cov / trials).
+    """
+    if trials < 10 ** 3:
+        raise ParameterError("need at least 1000 trials")
+    draws = np.stack([np.asarray(estimator_fn(x, y0, t), dtype=float)
+                      for t in range(trials)])
+    mean = draws.mean(axis=0)
+    dev = draws - mean
+    sq = np.sum(dev ** 2, axis=1)
+    var = float(sq.mean())
+    var_se = float(sq.std(ddof=1) / np.sqrt(trials))
+    bias = float(np.linalg.norm(mean - inst.hypergradient(x)))
+    bias_se = float(np.sqrt(np.sum(dev.var(axis=0, ddof=1)) / trials))
+    return McMoments(mean=mean, bias_norm=bias, bias_se=bias_se, var=var,
+                     var_se=var_se, trials=trials)
 
 
 def test_bias_mc_deterministic_estimator_zero_variance():

@@ -279,6 +279,43 @@ def test_run_blas_thread_boundary(name):
     assert _thread_digests(1)[name] == _thread_digests(2)[name]
 
 
+# sha256 of the metrics rows of the demo-05 hyperrep runs (K = 60, every
+# fifth step a row) and of a d = 120 quadratic run whose rows keep estimate
+# points between them; one process per BLAS thread count
+_STACKED_ROWS_SCRIPT = """
+import hashlib
+import numpy as np
+from fedbilevel import HyperRepSpec, QuadraticSpec, RunConfig, run
+hyperrep = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4, n_points=240,
+                        partition="label-skew", shards_per_client=1)
+cfgs = {est: RunConfig(problem=hyperrep, K=60, seed=3, eval_every=5, alpha=0.5, N=8,
+                       batch_size=8, estimator=est) for est in ("aggitd", "aid", "local")}
+cfgs["quadratic-120"] = RunConfig(problem=QuadraticSpec(d1=120, d2=120, m=4, seed=7), K=8,
+                                  seed=7, eval_every=3)
+for name, cfg in cfgs.items():
+    rows = np.array([r.values() for r in run(cfg).rows], dtype=float)
+    print(name, hashlib.sha256(rows.tobytes()).hexdigest())
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _stacked_row_digests(threads: int) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedbilevel.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+    out = subprocess.run([sys.executable, "-c", _STACKED_ROWS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
+@pytest.mark.parametrize("name", ["aggitd", "aid", "local", "quadratic-120"])
+def test_stacked_rows_blas_thread_boundary(name):
+    # a run's rows are one stacked pass after the loop: quadratic rows are
+    # einsums and single-threaded ddots, hyperrep rows batched gemms, one per
+    # row and client, and LAPACK solves per row, so stacking the rows reaches
+    # no BLAS path that depends on the thread count
+    assert _stacked_row_digests(1)[name] == _stacked_row_digests(2)[name]
+
+
 def test_json_rejects_other_schemas_and_disagreeing_arrays():
     inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=3, n_per_client=2, seed=9))
     doc = inst.to_json_dict()
