@@ -33,7 +33,7 @@ from .lower import (VARIANT_SVRG, LowerStepConfig, _local_phase, client_taus, lo
 from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
                        check_positive, row_dots)
 from .quadratic import QuadraticSpec, make_problem
-from .rng import RngStream, TableStream, lane_steps
+from .rng import RngStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
@@ -187,14 +187,14 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
 def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
                     h: np.ndarray, alpha: float, tau: int | Sequence[int],
                     participants: Sequence[int] | CheckedOracles,
-                    rng: RngStream | TableStream, ledger: CommLedger) -> np.ndarray:
+                    rng: RngStream, ledger: CommLedger) -> np.ndarray:
     """The upper local phase from x with correction h and stepsize alpha, on
     the "xi_up" lanes at y_plus; returns the participant mean of x_tau^i.
 
     Always the svrg variant, so a single local step is x - alpha*h.
-    participants may be checked oracles. rng is the scope stream or its step
-    of a lane table with the lane sets of ``local_lanes("xi_up", ...)``.
-    Charges one round.
+    participants may be checked oracles. rng is the scope stream, free or on
+    a table with the lane sets of ``local_lanes("xi_up", ...)``. Charges one
+    round.
     """
     oracles, rng = problem.entry(participants, x, y_plus, rng,
                                  lambda: local_lanes("xi_up", max_tau(tau)))

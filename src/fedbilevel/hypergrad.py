@@ -33,7 +33,7 @@ from .lower import (VARIANT_SVRG, LowerStepConfig, lower_phase_lanes, max_tau,
                     one_round_lower)
 from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
                        check_positive)
-from .rng import CLIENT, RngStream, TableStream
+from .rng import CLIENT, RngStream
 from .runtime import CommLedger, aggregate_mean
 
 _CAP_TOL = 1.0 + 1e-12
@@ -131,7 +131,7 @@ class EstimatorTrace:
 
 
 def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDConfig,
-           participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
+           participants: Sequence[int] | CheckedOracles, rng: RngStream,
            ledger: CommLedger, q_override: int | None = None):
     """Fused lower-level optimization + hypergradient estimation (one loop).
 
@@ -141,7 +141,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     estimates. Q is uniform on {0..N}, the counter-based draw
     ``rng.child("Q").index(N + 1)``; q_override pins it for enumeration tests.
     participants are client ids or checked oracles (``BilevelProblem.checked``);
-    rng is the scope stream or a lane table's step (``aggitd_lanes``).
+    rng is the scope stream, free or on a table of ``aggitd_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
     _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
@@ -185,7 +185,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
 
 
 def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidConfig,
-            participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
+            participants: Sequence[int] | CheckedOracles, rng: RngStream,
             ledger: CommLedger, t_prime_override: int | None = None) -> np.ndarray:
     """Two-loop baseline estimator evaluated at the finished lower iterate.
 
@@ -194,7 +194,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     T' uniform in {0..T-1}, the counter-based draw ``rng.child("T_prime").index(T)``.
     The full chain is always executed so the round bill is the deterministic
     T+2 this call charges. participants are as for ``aggitd``; rng is the
-    scope stream or a lane table's step (``chain_lanes``).
+    scope stream, free or on a table of ``chain_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
@@ -221,7 +221,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
 
 
 def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidConfig,
-              participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
+              participants: Sequence[int] | CheckedOracles, rng: RngStream,
               ledger: CommLedger) -> np.ndarray:
     """Fully local estimator: per-client Neumann chain from local curvature only.
 

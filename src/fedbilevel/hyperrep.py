@@ -74,8 +74,10 @@ def partition(labels: np.ndarray, mode: str, m: int, seed: int,
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    top = logits[..., 0]   # the row max as a np.maximum fold: max(axis=-1)'s bits, faster
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c])
+    e = np.exp(logits - top[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 

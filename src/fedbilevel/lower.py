@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .problems import BilevelProblem, CheckedOracles, check_count, check_positive
-from .rng import CLIENT, RngStream, TableStream
+from .rng import CLIENT, RngStream
 from .runtime import CommLedger, aggregate_mean
 
 VARIANT_SVRG = "svrg"
@@ -128,7 +128,7 @@ def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float
     return got
 
 
-def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: TableStream,
+def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStream,
                  grad, z: np.ndarray, correction: np.ndarray, stepsize: float,
                  tau: int | Sequence[int], tag: str, variant: str,
                  ledger: CommLedger) -> np.ndarray:
@@ -157,15 +157,15 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: TableStr
 
 def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
                     q: np.ndarray, cfg: LowerStepConfig,
-                    participants: Sequence[int] | CheckedOracles, rng: RngStream | TableStream,
+                    participants: Sequence[int] | CheckedOracles, rng: RngStream,
                     ledger: CommLedger) -> np.ndarray:
     """The lower local phase from y with correction q and stepsize beta, on
     the "zeta" lanes; returns the participant mean of y_tau^i.
 
     q must be the aggregated global lower gradient at (x, y) from the same
     outer step. participants may be checked oracles (``BilevelProblem.checked``),
-    taken without a second check. rng is a scope stream or a lane table's
-    step. Charges exactly one round.
+    taken without a second check. rng is the scope stream, free or on a table
+    of ``local_lanes("zeta", ...)``. Charges exactly one round.
     """
     oracles, rng = problem.entry(participants, x, y, rng,
                                  lambda: local_lanes("zeta", max_tau(cfg.tau),

@@ -28,9 +28,9 @@ those ids or a row subset of them and check per call only that ``lanes`` is
 None or Lanes with one row per id; then they audit the call's samples by
 purpose and call the problem's stacked kernel. A run checks one set per run
 (full participation) or per outer step. Each estimator and local phase
-opens with ``problem.entry``, which takes client ids or checked oracles as
-its participants and a scope stream or lane-table step as its rng, and
-raises ContractViolation naming rng for anything else.
+opens with ``problem.entry``: its participants are client ids or checked
+oracles, and its rng an ``RngStream``, on a lane table or free (then put on
+the phase's one-step table); any other rng raises ContractViolation naming it.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClientLookupError, ContractViolation, ParameterError
-from .rng import Lanes, LaneTable, RngStream, TableStream
+from .rng import Lanes, RngStream
 from .runtime import client_ids
 
 NOISE_FINITE_SUM = "finite-sum"
@@ -204,19 +204,19 @@ class BilevelProblem:
     def entry(self, participants, x: np.ndarray, y: np.ndarray, rng, lane_sets) -> tuple:
         """The prologue of every estimator and local phase: (oracles, rng).
         oracles is ``checked(participants, x, y)``, or participants as they
-        are if they are this problem's CheckedOracles. A scope RngStream
-        becomes step 0 of the one-step lane table of the phase's declared
-        lane sets ``lane_sets()`` over every client; a table step is returned
-        as it is, and any other rng raises ContractViolation naming rng."""
+        are if they are this problem's CheckedOracles. rng must be an
+        RngStream, else ContractViolation names it; a stream that declares no
+        lane sets becomes the stream of the one-step table of the phase's
+        lane sets ``lane_sets()`` over every client (``RngStream.declare``),
+        and a stream on a table is returned as it is."""
         if not isinstance(participants, CheckedOracles):
             participants = self.checked(participants, x, y)
         elif participants.problem is not self:
             raise ContractViolation("the checked oracles belong to another problem")
-        if isinstance(rng, RngStream):
-            rng = LaneTable.of(rng, lane_sets(), self._all_ids).step(0)
-        elif not isinstance(rng, TableStream):
-            raise ContractViolation(
-                f"rng must be an RngStream or a lane table's step, got {rng!r}")
+        if not isinstance(rng, RngStream):
+            raise ContractViolation(f"rng must be an RngStream, got {rng!r}")
+        if rng.table is None:
+            rng = rng.declare(lane_sets(), self._all_ids)
         return participants, rng
 
     def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:

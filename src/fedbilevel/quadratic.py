@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ParameterError
 from .problems import (NOISE_FINITE_SUM, NOISE_GAUSSIAN, BilevelProblem,
                        ProblemConstants, check_count, check_real, row_dots)
-from .rng import CLIENT, Lanes, LaneTable, RngStream
+from .rng import CLIENT, Lanes, RngStream
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     spread = spec.noise_spread if spec.noise_mode == NOISE_FINITE_SUM else 0.0
     n, clients = spec.n_per_client, np.arange(m)
     shapes = {"dA": (d2, d2), "dB": (d2, d1), "dc": (d2,), "dd": (d2,), "de": (d1,)}
-    step = LaneTable.of(root, [(CLIENT, name) for name in shapes], clients).step(0)
+    step = root.declare([(CLIENT, name) for name in shapes], clients)
     offsets = {name: _pm_pairs(step.lanes(clients, name), n, shape,
                                np.minimum(spread, 0.9 * margin) if name == "dA" else spread,
                                symmetric=name == "dA")

@@ -14,31 +14,31 @@ on ``child("T_prime")``, the participant sets) and set-up: each set-up array
 is drawn on the lane of its stage and name, e.g. ``child("make_quadratic",
 "U")``. ``index``, ``subset`` and ``permutation`` are pure integer arithmetic,
 ``uniform`` the hash's top 53 bits, and ``normal`` adds numpy's log, sqrt, cos
-and sin. ``generator()``, a numpy Generator on the lane, has no library caller.
+and sin. A size out of range raises ValueError naming it.
 
-Because a lane's hash depends only on its key path, the lanes of many calls
-can be hashed ahead, in any order and in bulk, without moving a draw. A
-``LaneTable`` does that for consecutive outer steps. It holds a declared list
-of lane sets: a lane set, such as ``(CLIENT, "zeta_q", 3)`` or
-``("lower", 0, CLIENT, "zeta", 2)``, is a tuple of key parts with ``CLIENT``
-at the client id's place, and stands for the lanes one oracle call reads,
-one per client. Each set owns a contiguous run of rows of one (steps, rows)
-uint64 array; the sets sit deepest first, so the array is hashed one key
-level at a time over a prefix of its rows, and the counter-0 ``index`` draws
-of the whole table are one multiply-high pass over it (in 32-bit halves, so
-no product overflows). ``TableStream`` stands in for a step's scope stream:
-its ``lanes(ids, *tags)`` is the lane set ``(*path, CLIENT, *tags)``, one
-dict lookup. A table of one step serves a direct estimator call,
-``RngStream.lanes`` and ``Lanes.of``; ``Lanes`` draws every row's samples
-from its hashes.
+``RngStream`` is the one scope type, and its ``child`` hashes nothing until
+the child draws. Since a lane's hash depends only on its key path, a
+``LaneTable`` hashes the lanes of consecutive outer steps ahead, in bulk,
+without moving a draw. It declares lane sets: a lane set, such as ``(CLIENT,
+"zeta_q", 3)`` or ``("lower", 0, CLIENT, "zeta", 2)``, is a tuple of key
+parts with ``CLIENT`` at the client id's place, the lanes one oracle call
+reads, one per client. Each set owns a run of rows of one (steps, rows)
+uint64 array, hashed one key level at a time, deepest sets first.
 
-Which draws are table-wide: a ``Lanes.index(n)`` is one pass over every row
-of the table, and a step's own scalar ``index(n)`` hashes its path alone.
-``subset`` is one pass per lane set over every step and client of the
-table, when the call's rows cover every client; a call on a client subset
-(partial participation, or the clients still stepping at a local step v)
-draws its own rows. A lane set's block is hashed in slices of steps of at
-most KEY_BUDGET counter keys. ``normal`` is drawn per call.
+Tables come from ``lane_steps``, whose outer-step scopes are streams on a
+run's tables, and from ``declare``, which puts one stream on a one-step
+table of its own (``BilevelProblem.entry`` does so for a free stream). A
+stream on a table, and every child of it, reads ``lanes(ids, *tags)`` as the
+declared set ``(*path, CLIENT, *tags)``, path being its key parts below the
+step. A free ``RngStream(seed, key)`` declares no lane sets: its ``lanes``
+and ``Lanes.of`` hash a one-step table per call.
+
+Which draws are table-wide: ``Lanes.index(n)`` is one multiply-high pass
+over every row of the table (in 32-bit halves, so no product overflows), and
+a stream's scalar ``index(n)`` hashes its own path. ``subset`` is one pass
+per lane set over every step and client, when the call covers every client
+(a client subset draws its own rows), in slices of steps of at most
+KEY_BUDGET counter keys. ``normal`` is drawn per call.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +62,7 @@ ROW_BUDGET = 1 << 12
 # a lane set's subset block is hashed in slices of steps of at most this many keys
 KEY_BUDGET = 1 << 20
 CLIENT = None   # the client id's place in a lane set's key parts
+_new = object.__new__
 
 
 def _mix64(h: int, v: int) -> int:
@@ -105,6 +105,13 @@ def _normal(hashes: np.ndarray, std: float, shape: tuple) -> np.ndarray:
     return z[:, :n].reshape(-1, *shape)
 
 
+def _check_size(draw: str, name: str, value, least: int, bound=math.inf) -> None:
+    """Raise ValueError naming value unless it is an integer in [least, bound)."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and least <= value < bound):
+        raise ValueError(f"{draw} needs an integer {name} in [{least}, {bound}), got {value!r}")
+
+
 def _permutation(hashes: np.ndarray, pool: np.ndarray, sizes: np.ndarray | None):
     """Each row's pool ordered by its hashed keys (a stable argsort), stacked
     (rows, len(pool)); positions from sizes[r] on are keyed 2**64-1."""
@@ -116,14 +123,14 @@ def _permutation(hashes: np.ndarray, pool: np.ndarray, sizes: np.ndarray | None)
 
 def _subset(hashes: np.ndarray, pool: np.ndarray, k: int, sizes: np.ndarray | None):
     """The ``Lanes.subset`` draws: the sorted length-k prefixes of ``_permutation``."""
+    _check_size("subset", "k", k, 0)
     return np.sort(_permutation(hashes, pool, sizes)[:, :k], axis=1)
 
 
 def _index(hashes: np.ndarray, n: int) -> np.ndarray:
     """``(_mix64(h, 0) * n) >> 64`` for every hash h, for 1 <= n < 2**32: the
     products of n with the 32-bit halves of the hashed counter fit in 64 bits."""
-    if not 1 <= n < 1 << 32:
-        raise ValueError(f"index needs 1 <= n < 2**32, got {n}")
+    _check_size("index", "n", n, 1, 1 << 32)
     h, n = _mix64_array(hashes, 0), np.uint64(n)
     return (((h >> _S32) * n + ((h & _LOW32) * n >> _S32)) >> _S32).astype(np.intp)
 
@@ -144,57 +151,85 @@ def _extend(h: int, parts) -> int:
     return h
 
 
-def _scalar_index(h: int, n: int) -> int:
-    """Uniform draw from {0..n-1} on the lane hashed to h: multiply-high of
-    the hashed counter 0."""
-    return (_mix64(h, 0) * n) >> 64
-
-
 def _innermost_tag(key: tuple) -> str | None:
     for c in reversed(key):
         if isinstance(c, str):
             return c
 
 
-@dataclass(frozen=True)
 class RngStream:
     """A derivable random lane: seed plus a tuple key path.
 
-    ``child(*parts)`` extends the key path and its running hash. Every draw
-    (``index``, ``subset``, ``normal``, ...) is a pure function of the lane, so evaluating
-    the same lane twice draws the same sample, which is exactly what the
-    variance-reduction corrections rely on when they evaluate two gradients
-    on one sample. ``generator()`` materializes a ``numpy.random.Generator``
-    on the lane; the library draws nothing from it.
+    ``child(*parts)`` extends the key path. Every draw is a pure function of
+    the lane, so evaluating the same lane twice draws the same sample, which
+    is exactly what the variance-reduction corrections rely on when they
+    evaluate two gradients on one sample. Streams are equal when their seeds
+    and key paths are. A stream is free, or sits at ``path`` below step s of
+    a lane ``table``, as do its children.
     """
 
-    seed: int
-    key: tuple = ()
-    _hash: int | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("seed", "_scope", "_scope_hash", "path", "table", "s")
 
-    def __post_init__(self):
-        if self._hash is None:
-            h = _mix64(0x243F6A8885A308D3, int(self.seed) & _MASK64)
-            object.__setattr__(self, "_hash", _extend(h, self.key))
+    def __init__(self, seed: int, key: tuple = ()):
+        self.seed, self._scope, self.path, self.table, self.s = seed, key, (), None, 0
+        self._scope_hash = _extend(_mix64(0x243F6A8885A308D3, int(seed) & _MASK64), key)
+
+    @property
+    def key(self) -> tuple:
+        return self._scope + self.path
+
+    @property
+    def _hash(self) -> int:
+        return _extend(self._scope_hash, self.path)
+
+    def __eq__(self, other):
+        return (isinstance(other, RngStream) and self.seed == other.seed
+                and self.key == other.key)
+
+    def __hash__(self):
+        return hash((self.seed, self.key))
+
+    def __repr__(self):
+        return f"RngStream(seed={self.seed!r}, key={self.key!r})"
 
     def child(self, *parts) -> "RngStream":
-        return RngStream(self.seed, self.key + parts, _extend(self._hash, parts))
-
-    def _entropy(self) -> int:
-        # keep the raw seed in the high word so distinct seeds can never collide
-        return ((int(self.seed) & _MASK64) << 64) | self._hash
+        c = _new(RngStream)   # the key path is scope + path; path is hashed on a draw
+        c.seed, c._scope, c._scope_hash, c.table, c.s = (
+            self.seed, self._scope, self._scope_hash, self.table, self.s)
+        c.path = self.path + parts
+        return c
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self._entropy())
+        """A numpy Generator on the lane (the raw seed in the high word). No
+        library path draws from it: it stays for the tests' arbitrary inputs
+        and for the benchmark tracer, which patches it, until the benchmark
+        change of ROADMAP item 9 deletes it."""
+        return np.random.default_rng(((int(self.seed) & _MASK64) << 64) | self._hash)
+
+    def declare(self, sets, clients: np.ndarray) -> "RngStream":
+        """This stream as step 0 of a one-step table of the lane sets over
+        the client ids clients."""
+        return LaneTable.of(self, sets, clients).step(0)
 
     def lanes(self, ids, *tags) -> "Lanes":
-        """The lanes ``child(i, *tags)`` for every client id i in ``ids``."""
-        ids = np.array(ids, dtype=np.intp).reshape(-1)
-        return LaneTable.of(self, [(CLIENT, *tags)], ids).step(0).lanes(ids, *tags)
+        """The lanes ``child(i, *tags)`` for every client id i in ids. On a
+        table: the lane set ``(*path, CLIENT, *tags)`` for checked ids of its
+        clients 0..m-1 or for all its clients, or ContractViolation naming a
+        set it does not declare. On a free stream: any ids, in any order, on
+        a one-step table of that one set."""
+        if self.table is None:
+            ids = np.array(ids, dtype=np.intp).reshape(-1)
+            return self.declare([(CLIENT, *tags)], ids).lanes(ids, *tags)
+        t, lane_set = self.table, (*self.path, CLIENT, *tags)
+        at = t.layout.at.get(lane_set)
+        if at is None:
+            raise ContractViolation(f"lane set {lane_set} is not declared by its table")
+        return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
 
     def index(self, n: int) -> int:
-        """Uniform draw from {0..n-1}: multiply-high of the hashed counter 0."""
-        return _scalar_index(self._hash, n)
+        """Uniform draw from {0..n-1}, n >= 1: multiply-high of the hashed counter 0."""
+        _check_size("index", "n", n, 1)
+        return (_mix64(self._hash, 0) * n) >> 64
 
     def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
         """k members of pool without replacement, uniform: the sorted ``permutation[:k]``."""
@@ -216,13 +251,11 @@ class RngStream:
 class _Layout:
     """Where a list of lane sets puts its rows in one step of a lane table.
 
-    A lane set is a tuple of key parts: str and int key components, with
-    ``CLIENT`` at the client id's place. It owns one row per client, the
-    contiguous run ``at[lane set]``, and its innermost string tag is
-    ``tag[lane set]`` (None if it has none). The sets sit deepest first, so
-    the rows deeper than d are a prefix of them: ``columns[d]`` holds their
-    key components of depth d. A layout depends only on the lane sets and
-    the clients, so tables of one kind share it.
+    A lane set owns one row per client, the contiguous run ``at[lane set]``,
+    and its innermost string tag is ``tag[lane set]`` (None if it has none).
+    The sets sit deepest first, so the rows deeper than d are a prefix of
+    them: ``columns[d]`` holds their key components of depth d. Tables of
+    the same lane sets and clients share one layout.
     """
 
     def __init__(self, sets: tuple, clients: tuple):
@@ -239,23 +272,18 @@ class _Layout:
                         for d in range(len(comps[0]) if comps else 0)]
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(sets: tuple, clients: tuple) -> _Layout:
-    return _Layout(sets, clients)
+_layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, clients) -> their layout
 
 
 class LaneTable:
     """The lanes of consecutive outer steps, hashed ahead in one uint64 block.
 
-    Step s has the scope stream ``RngStream(seed, keys[s])`` with running
-    hash ``scopes[s]``. For each of its lane sets, ``hashes[s, at]`` (at the
-    set's rows in the layout) holds the running hashes of
-    ``scope.child(*parts)`` with each client id in place of ``CLIENT``. The
-    (steps, rows) array is hashed one key level at a time, each level over
-    the prefix of rows that deep. ``index(n)`` draws the counter-0 index of
-    every row of the table at once, and ``subset`` the minibatch draws of
-    one lane set at every step and client; both are cached on the table and
-    read-only.
+    Step s has the scope stream ``step(s)``, key path ``keys[s]`` and running
+    hash ``scopes[s]``. For each lane set, ``hashes[s, at]`` (at the set's
+    rows in the layout) holds the running hashes of ``step(s).child(*parts)``
+    with each client id in place of ``CLIENT``. ``index(n)`` draws the
+    counter-0 index of every row at once, and ``subset`` the minibatch draws
+    of one lane set at every step and client; both are cached and read-only.
     """
 
     def __init__(self, seed: int, keys: list, scopes: np.ndarray, sets: list,
@@ -305,82 +333,51 @@ class LaneTable:
             self._subsets[key] = got
         return got
 
-    def step(self, s: int) -> "TableStream":
-        return TableStream(self, s, ())
+    def step(self, s: int) -> RngStream:
+        c = _new(RngStream)
+        c.seed, c._scope, c._scope_hash, c.path, c.table, c.s = (
+            self.seed, self.keys[s], int(self.scopes[s]), (), self, s)
+        return c
 
 
 def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
-    """``TableStream``s for the scopes ``root.child(tag, k)``, k = 0..K-1, from
-    tables of the lane sets over clients 0..m-1, each of at most ROW_BUDGET
-    rows (at least one step)."""
+    """The scope streams ``root.child(tag, k)``, k = 0..K-1, each on its step
+    of a table of the lane sets over clients 0..m-1; a table holds at most
+    ROW_BUDGET rows (at least one step)."""
     chunk = max(1, ROW_BUDGET // max(_layout(tuple(sets), tuple(range(m))).rows, 1))
-    base = np.array([root.child(tag)._hash], dtype=np.uint64)
+    base, key = np.array([root.child(tag)._hash], dtype=np.uint64), root.key
     for k0 in range(0, K, chunk):
         ks = np.arange(k0, min(K, k0 + chunk))
-        table = LaneTable(root.seed, [root.key + (tag, k) for k in ks.tolist()],
+        table = LaneTable(root.seed, [key + (tag, k) for k in ks.tolist()],
                           _mix64_array(base, ks.astype(np.uint64)), sets, np.arange(m))
         yield from (table.step(s) for s in range(ks.size))
-
-
-class TableStream:
-    """Step s of a lane table standing in for its scope stream: ``child``
-    extends the key path, ``lanes(ids, *tags)`` reads the lane set
-    ``(*path, CLIENT, *tags)`` out of the table for checked client ids,
-    sorted and distinct, and ``index(n)`` is the scalar draw of the path's
-    own lane, such as ``child("Q").index(N + 1)``. Reading a lane set the
-    table does not hold raises ContractViolation naming the set."""
-
-    __slots__ = ("table", "s", "path")
-
-    def __init__(self, table: LaneTable, s: int, path: tuple):
-        self.table, self.s, self.path = table, s, path
-
-    def child(self, *parts) -> "TableStream":
-        return TableStream(self.table, self.s, self.path + parts)
-
-    def stream(self) -> RngStream:
-        t = self.table
-        return RngStream(t.seed, t.keys[self.s], int(t.scopes[self.s])).child(*self.path)
-
-    def index(self, n: int) -> int:
-        """``stream().index(n)``, hashed from the scope without building the stream."""
-        return _scalar_index(_extend(int(self.table.scopes[self.s]), self.path), n)
-
-    def lanes(self, ids: np.ndarray, *tags) -> "Lanes":
-        t, lane_set = self.table, (*self.path, CLIENT, *tags)
-        at = t.layout.at.get(lane_set)
-        if at is None:
-            raise ContractViolation(f"lane set {lane_set} is not declared by its table")
-        return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
 
 
 class Lanes:
     """The lanes of one batched oracle call, one per client row.
 
-    Row r is the lane ``step.child(ids[r], *tags)`` of a lane table's step,
-    table row ``rows[r]`` of the lane set ``lane_set``: ``rows`` is the set's
-    whole run, a slice, when the call covers every client of the table
-    (always so for ``RngStream.lanes`` and ``Lanes.of``, whose one-step
-    table's clients are the call's ids), else an index array. ``hashes[r]``
-    is row r's running hash, so ``index``, ``subset`` and ``normal`` draw row
-    r exactly as that stream would. ``index`` reads the table's draws for
-    all its rows; ``subset`` reads the set's block when ``rows`` is a slice,
-    and is otherwise, like ``normal``, drawn once per Lanes. Every draw is
-    read-only, so the two evaluations of a variance-reduction pair share it.
-    ``Lanes.of(lane)`` wraps one stream as the set ``()`` of a one-client table.
+    Row r is the lane ``step.child(ids[r], *tags)`` of a stream on a lane
+    table, table row ``rows[r]`` of the lane set ``lane_set``: ``rows`` is
+    the set's whole run, a slice, when the call covers every client of the
+    table (as on a one-step table of a free stream's ids), else an index
+    array. ``hashes[r]`` is row r's running hash, so every draw of row r is
+    that stream's. ``index`` reads the table's draws; ``subset`` reads the
+    set's block when ``rows`` is a slice, and is otherwise, like ``normal``,
+    drawn once per Lanes. Every draw is read-only, so the two evaluations of
+    a variance-reduction pair share it. ``Lanes.of(lane)`` wraps one stream
+    as the set ``()`` of a one-client table.
     """
 
     __slots__ = ("step", "lane_set", "rows", "ids", "tags", "_draws")
 
-    def __init__(self, step: TableStream, lane_set: tuple, rows: slice | np.ndarray,
+    def __init__(self, step: RngStream, lane_set: tuple, rows: slice | np.ndarray,
                  ids: np.ndarray, tags: tuple):
         self.step, self.lane_set, self.rows, self.ids, self.tags = step, lane_set, rows, ids, tags
-        self._draws = None
+        self._draws = {}
 
     @classmethod
     def of(cls, lane: RngStream) -> "Lanes":
-        return cls(LaneTable.of(lane, [()], np.arange(1)).step(0), (), slice(0, 1),
-                   np.arange(0), ())
+        return cls(lane.declare([()], np.arange(1)), (), slice(0, 1), np.arange(0), ())
 
     @property
     def hashes(self) -> np.ndarray:
@@ -394,11 +391,9 @@ class Lanes:
         return table.layout.tag[self.lane_set] or _innermost_tag(table.keys[0]) or "unkeyed"
 
     def stream(self, r: int) -> RngStream:
-        return self.step.child(*self.ids[r:r + 1].tolist(), *self.tags).stream()
+        return self.step.child(*self.ids[r:r + 1].tolist(), *self.tags)
 
     def _drawn(self, key: tuple, draw):
-        if self._draws is None:
-            self._draws = {}
         out = self._draws.get(key)
         if out is None:
             out = self._draws[key] = draw()

@@ -310,3 +310,17 @@ def test_head_hessian_equals_einsum_reference(name):
         got = _head_hessian(H, Z, P, n, problem.spec.ridge)
         want = _einsum_head_hessian(H, Z, P, n, problem.spec.ridge)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("C", [2, 3, 8, 10])
+def test_softmax_rows_equal_the_reduce_form(C):
+    # the row max as a np.maximum fold over the C columns gives the bits of
+    # max(axis=-1), ties and signed zeros included
+    from fedbilevel.hyperrep import _softmax_rows
+    logits = 30.0 * RngStream(C).child("logits").normal(1.0, (21, 4, 24, C))
+    logits[0, 0, 0] = 0.0
+    logits[0, 0, 1, :2] = (-0.0, 0.0)
+    logits[0, 0, 2, :2] = (0.0, -0.0)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert _softmax_rows(logits).tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,3 +364,65 @@ def test_layout_depth_is_its_deepest_lane_set():
         assert [int(h) for h in step.lanes(ids, *tags).hashes] == [
             scope.child(i, *tags)._hash for i in range(m)]
     assert step.table.hashes.shape == (1, len(sets) * m)
+
+
+@pytest.mark.parametrize("form", ["scalar", "rows"])
+def test_draw_sizes_out_of_range_raise_naming_the_value(form):
+    # a stream's scalar draws and a Lanes' row draws reject a bad size alike:
+    # an index n below 1 or a subset k below 0, or a size that is no integer
+    lane, pool = RngStream(1), np.arange(3)
+    draws = lane if form == "scalar" else lane.lanes(np.arange(3), "zeta")
+    for call, bad in [(draws.index, n) for n in (0, -3, 2.5)] + [
+            (lambda k: draws.subset(pool, k), k) for k in (-1, 1.5)]:
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            call(bad)
+    assert np.size(draws.index(1)) and np.size(draws.subset(pool, 0)) == 0
+
+
+@pytest.mark.parametrize("kind", ["finite-sum", "additive-gaussian"])
+@pytest.mark.parametrize("setting", ["full", "half", "tau list"])
+def test_free_stream_and_table_step_draw_the_same(kind, setting):
+    # each estimator and local phase on a free RngStream(s).child("est", k)
+    # gives the bits, the ledger bill and the sample audit of step k of
+    # lane_steps over the phase's declared lane sets
+    from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
+                            Participation, QuadraticProblem, QuadraticSpec, aggitd, aid_fhe,
+                            local_fhe, make_quadratic, one_round_lower, one_round_upper,
+                            select_participants)
+    from fedbilevel.hypergrad import aggitd_lanes, beta_cap, chain_lanes, lambda_cap
+    from fedbilevel.lower import local_lanes, max_tau
+    from fedbilevel.rng import lane_steps
+    m, seed, K, k = 4, 9, 3, 2
+    problem = QuadraticProblem(make_quadratic(QuadraticSpec(
+        d1=3, d2=4, m=m, hetero=0.5, noise_spread=0.3, noise_std=0.2, seed=5,
+        noise_mode=kind)), batch_size=2)
+    ids = select_participants(Participation(0.5 if setting == "half" else 1.0), m,
+                              RngStream(seed).child("part", k))
+    tau = [1, 3, 2, 1] if setting == "tau list" else 2
+    lam = lambda_cap(problem.constants)
+    lower = LowerStepConfig(beta=beta_cap(lam, problem.constants), tau=tau)
+    x, y, v = 0.3 * np.ones(3), np.full(4, -0.2), np.linspace(-0.1, 0.1, 4)
+    phases = {
+        "aggitd": (aggitd_lanes(2, max_tau(tau)), lambda rng, ledger: aggitd(
+            problem, x, y, AggITDConfig(lam=lam, N=2, lower=lower), ids, rng, ledger)[:2]),
+        "aid_fhe": (chain_lanes(3), lambda rng, ledger: aid_fhe(
+            problem, x, y, AidConfig(lam=lam, T=3), ids, rng, ledger)),
+        "local_fhe": (chain_lanes(3), lambda rng, ledger: local_fhe(
+            problem, x, y, AidConfig(lam=lam, T=3), ids, rng, ledger)),
+        "one_round_lower": (local_lanes("zeta", max_tau(tau)), lambda rng, ledger:
+                            one_round_lower(problem, x, y, v, lower, ids, rng, ledger)),
+        "one_round_upper": (local_lanes("xi_up", max_tau(tau)), lambda rng, ledger:
+                            one_round_upper(problem, x, y, v[:3], 0.1, tau, ids, rng,
+                                            ledger)),
+    }
+    for name, (sets, call) in phases.items():
+        step = list(lane_steps(RngStream(seed), "est", K, m, sets))[k]
+        assert step.table is not None and step == RngStream(seed).child("est", k)
+        got = []
+        for rng in (RngStream(seed).child("est", k), step):
+            problem.audit.reset()
+            ledger = CommLedger()
+            out = np.concatenate(np.atleast_1d(*call(rng, ledger)) if name == "aggitd"
+                                 else [call(rng, ledger)])
+            got.append((out.tobytes(), ledger, dict(problem.audit.by_purpose)))
+        assert got[0] == got[1] and got[0][1].rounds_total > 0, name

@@ -4,6 +4,7 @@ module, and the dependencies a run loads."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -118,3 +119,11 @@ def test_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "loaded:"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lane_tables_are_private_to_rng(path):
+    # RngStream is the one scope type: a lane table's step is a stream, so
+    # no module but rng names the table class or a second stream type
+    if path.name != "rng.py":
+        assert re.findall(r"\b(?:LaneTable|TableStream)\b", path.read_text()) == []
