@@ -7,19 +7,20 @@ iteration's lower variable at the step's final lower iterate. Communication
 per outer iteration: 2N+3 rounds / 1 loop for the fused driver, 2N+T+3 / 2 for
 the AID baseline, 2N+2 / 1 for the local one. Metrics rows use exact noise-off
 oracles over the full client set regardless of the participation ratio; the
-loop only keeps each row's iterates and estimate, and ``Evaluator.record``
-computes every row of the run in one stacked pass after the loop. Each
-phase is its public function, called on the run's checked oracles and
-lane-table steps. A participant set's checked oracles and local-step schedules
-(beta/tau_i, alpha/tau_i) are built once per set: once per run under full
-participation, at each outer step under partial participation.
+loop only keeps each row's point and estimate, the estimate's point kept just
+before, and ``Evaluator.record`` computes every row in one stacked pass after
+the loop. Each phase is its public function, called on the run's checked
+oracles and lane-table steps. A participant set's checked oracles and
+local-step schedules (beta/tau_i, alpha/tau_i) are built once per set: once
+per run under full participation, at each outer step under partial
+participation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,8 +82,9 @@ class RunConfig:
         client_taus(self.tau, np.arange(0), self.problem.m)
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
+    """One metrics row; its fields, in order, are the CSV columns."""
+
     k: int
     rounds_cum: int
     grad_norm_sq: float
@@ -91,11 +93,8 @@ class MetricsRecord:
     objective: float
     test_metric: float
 
-    FIELDS = ("k", "rounds_cum", "grad_norm_sq", "lower_gap", "est_err",
-              "objective", "test_metric")
-
     def values(self):
-        return [getattr(self, f) for f in self.FIELDS]
+        return list(self)
 
 
 @dataclass
@@ -110,7 +109,7 @@ class RunReport:
     outer_history: list
 
     def column(self, name: str) -> np.ndarray:
-        if name not in MetricsRecord.FIELDS:
+        if name not in MetricsRecord._fields:
             raise ParameterError(f"unknown metric {name!r}")
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
@@ -119,8 +118,8 @@ class Evaluator:
     """Every metrics row of a run from one stacked pass over its kept points.
 
     The run keeps each row's point (x, y) and, for each row after the first,
-    its estimate h and the kept point whose x h was taken at: the previous
-    row's point at eval_every = 1, a point kept for it otherwise. ``record``
+    its estimate h, taken at the kept point just before the row's: the
+    previous row's point at eval_every = 1, one kept for it otherwise. ``record``
     solves y*(x) over all kept points at once, each started at its own y,
     then grad f(x) (``hypergradient``), through the problem's exact truth
     (``BilevelProblem``); est_err is ||h - grad f|| at the estimate's point.
@@ -139,21 +138,21 @@ class Evaluator:
 
     def record(self, points: list, rows: list, estimates: list) -> list:
         """The MetricsRecords of a run: points holds the kept (x, y), rows one
-        (k, rounds_cum, point, estimate's point) per row, and estimates the h
-        of each row after the first; row 0 has est_err 0."""
+        (k, rounds_cum, point index) per row, and estimates the h of each row
+        after the first, taken at the point at index - 1; row 0 has est_err 0."""
         X, Y = (np.array(a) for a in zip(*points))
-        ks, rounds, at, h_at = (list(c) for c in zip(*rows))
+        ks, rounds, at = (list(c) for c in zip(*rows))
         ys = self.problem.y_star(X, Y)
         grad = self.hypergradient(X, ys)
         err = np.zeros(len(rows))
         if estimates:
-            r = np.array(estimates) - grad[h_at[1:]]
+            r = np.array(estimates) - grad[np.array(at[1:]) - 1]
             err[1:] = np.sqrt(row_dots(r, r))   # the bits of np.linalg.norm
         X, Y, ys, grad = X[at], Y[at], ys[at], grad[at]
         cols = (ks, rounds, row_dots(grad, grad).tolist(),
                 np.add.reduce((Y - ys) ** 2, -1).tolist(), err.tolist(),
                 self.problem.objective(X, ys).tolist(), self.problem.test_metric(X, Y).tolist())
-        return [MetricsRecord(*row) for row in zip(*cols)]
+        return list(map(MetricsRecord._make, zip(*cols)))
 
 
 def build_problem(cfg: RunConfig) -> BilevelProblem:
@@ -250,8 +249,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
             return chain(problem, x, y, aid_cfg, oracles, scope.child(estimator), ledger), y
 
     x, y = problem.initial_point()
-    points, rows, estimates = [(x, y)], [(0, 0, 0, 0)], []
-    kept = 0   # the index of (x, y) in points, or None while it is not kept
+    points, rows, estimates = [(x, y)], [(0, 0, 0)], []
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
                  lane_steps(root, "upper", cfg.K, problem.m,
                             local_lanes("xi_up", max_tau(cfg.tau))))
@@ -266,15 +264,11 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
         ledger.finish_outer()
         _guard(k, x_next, y_next)
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.K:
-            if kept is None:
+            if points[-1][0] is not x:   # one_round_upper returns a fresh x
                 points.append((x, y))
-                kept = len(points) - 1
             points.append((x_next, y_next))
-            rows.append((k + 1, ledger.rounds_total, len(points) - 1, kept))
+            rows.append((k + 1, ledger.rounds_total, len(points) - 1))
             estimates.append(h)
-            kept = len(points) - 1
-        else:
-            kept = None
         x, y = x_next, y_next
     rows = Evaluator(problem).record(points, rows, estimates)
     return RunReport(label=_LABELS[estimator], rows=rows, final_x=x, final_y=y,

@@ -16,7 +16,7 @@ from .drivers import MetricsRecord, RunReport
 from .errors import ParameterError
 
 CSV_SCHEMA_LINE = "# fedbilevel-metrics-v1"
-CSV_HEADER = ",".join(MetricsRecord.FIELDS)
+CSV_HEADER = ",".join(MetricsRecord._fields)
 LOG_FLOOR = 1e-16
 
 X_AXES = ("rounds_cum", "k")
@@ -34,7 +34,7 @@ def export_csv(report: RunReport, path) -> None:
     if not report.rows:
         raise ParameterError("cannot export an empty report")
     lines = [CSV_SCHEMA_LINE, CSV_HEADER,
-             *(",".join(_fmt(v) for v in row.values()) for row in report.rows)]
+             *(",".join(map(_fmt, row)) for row in report.rows)]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -48,7 +48,7 @@ def render_svg(reports: list[RunReport], x_axis: str, y_axis: str, path,
     """
     if x_axis not in X_AXES:
         raise ParameterError(f"x_axis must be one of {X_AXES}")
-    if y_axis not in MetricsRecord.FIELDS:
+    if y_axis not in MetricsRecord._fields:
         raise ParameterError(f"unknown metric {y_axis!r}")
     if not reports:
         raise ParameterError("need at least one report")

@@ -209,14 +209,15 @@ class RngStream:
     def declare(self, sets, clients: np.ndarray) -> "RngStream":
         """This stream as step 0 of a one-step table of the lane sets over
         the client ids clients."""
-        return LaneTable.of(self, sets, clients).step(0)
+        return LaneTable(self.seed, [self.key], np.array([self._hash], dtype=np.uint64),
+                         sets, clients).step(0)
 
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ids. On a
-        table: the lane set ``(*path, CLIENT, *tags)`` for checked ids of its
-        clients 0..m-1 or for all its clients, or ContractViolation naming a
-        set it does not declare. On a free stream: any ids, in any order, on
-        a one-step table of that one set."""
+        table: the lane set ``(*path, CLIENT, *tags)`` for all its clients, or
+        for checked ids if its clients are 0..m-1; else ContractViolation names
+        the undeclared set or the ids. On a free stream: any ids, in any order,
+        on a one-step table of that one set."""
         if self.table is None:
             ids = np.array(ids, dtype=np.intp).reshape(-1)
             return self.declare([(CLIENT, *tags)], ids).lanes(ids, *tags)
@@ -224,6 +225,9 @@ class RngStream:
         at = t.layout.at.get(lane_set)
         if at is None:
             raise ContractViolation(f"lane set {lane_set} is not declared by its table")
+        if ids.shape[0] != t.m and not t.layout.dense:
+            raise ContractViolation(f"lanes of client ids {ids.tolist()}: a client subset "
+                                    "needs a table over clients 0..m-1")
         return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
 
     def index(self, n: int) -> int:
@@ -259,6 +263,7 @@ class _Layout:
     """
 
     def __init__(self, sets: tuple, clients: tuple):
+        self.dense = clients == tuple(range(len(clients)))   # a client id is its row
         ids = np.array(clients, dtype=np.intp).astype(np.uint64)
         self.at, self.tag, comps = {}, {}, []
         for parts in sorted(sets, key=len, reverse=True):
@@ -299,14 +304,10 @@ class LaneTable:
         self._index = {}        # n -> the (steps, rows) index draws
         self._subsets = {}      # (lane set, k, pool, sizes) -> a subset block
 
-    @classmethod
-    def of(cls, stream: RngStream, sets: list, clients: np.ndarray) -> "LaneTable":
-        """The table of one step whose scope is ``stream``."""
-        return cls(stream.seed, [stream.key], np.array([stream._hash], dtype=np.uint64),
-                   sets, clients)
-
     def index(self, n: int) -> np.ndarray:
         """Every row's ``index(n)`` draw, shaped (steps, rows)."""
+        if type(n) is not int:   # a bool or float equal to a cached n must not hit it
+            _check_size("index", "n", n, 1, 1 << 32)
         got = self._index.get(n)
         if got is None:
             got = self._index[n] = _index(self.hashes, n)
@@ -403,7 +404,7 @@ class Lanes:
     def index(self, n: int) -> np.ndarray:
         """``stream(r).index(n)`` for every row r, for 1 <= n < 2**32."""
         table = self.step.table
-        got = table._index.get(n)
+        got = table._index.get(n) if type(n) is int else None
         return (table.index(n) if got is None else got)[self.step.s, self.rows]
 
     def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None) -> np.ndarray:
@@ -414,6 +415,8 @@ class Lanes:
         also gets the pool entries from position sizes[r] on, k in all. When
         the rows cover every client of the table, they are read out of the
         table's block for their lane set; otherwise they are drawn here."""
+        if type(k) is not int:   # a bool or float equal to a cached k must not hit it
+            _check_size("subset", "k", k, 0)
         if isinstance(self.rows, slice):
             return self.step.table.subset(self.lane_set, pool, k, sizes)[self.step.s]
         return self._drawn(("subset", k, pool.tobytes(),

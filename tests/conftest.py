@@ -1,7 +1,12 @@
+import importlib.util
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedbilevel import QuadraticInstance, RngStream
+from fedbilevel import ParameterError, QuadraticInstance, RngStream
 from fedbilevel.rng import Lanes
 
 
@@ -54,6 +59,54 @@ def exact_mean(problem, name, x, y, *v):
     """The client mean of the exact oracle ``name`` over every client at
     (x, y) [, v]: the full-participation, noise-off aggregate."""
     return getattr(problem, name)(problem._all_ids, x, y, *v, None).mean(axis=0)
+
+
+@dataclass(frozen=True)
+class McMoments:
+    """Monte-Carlo bias/variance of an estimator with standard errors."""
+
+    mean: np.ndarray
+    bias_norm: float
+    bias_se: float
+    var: float
+    var_se: float
+    trials: int
+
+
+def estimator_bias_mc(estimator_fn, inst: QuadraticInstance, x: np.ndarray,
+                      y0: np.ndarray, trials: int) -> McMoments:
+    """Sample estimator_fn(x, y0, trial) and compare its mean to the oracle.
+
+    bias_norm = ||mean(h) - grad f(x)||, var = mean ||h - mean(h)||^2;
+    bias_se is the norm-perturbation bound sqrt(tr cov / trials).
+    """
+    if trials < 10 ** 3:
+        raise ParameterError("need at least 1000 trials")
+    draws = np.stack([np.asarray(estimator_fn(x, y0, t), dtype=float)
+                      for t in range(trials)])
+    mean = draws.mean(axis=0)
+    dev = draws - mean
+    sq = np.sum(dev ** 2, axis=1)
+    var = float(sq.mean())
+    var_se = float(sq.std(ddof=1) / np.sqrt(trials))
+    bias = float(np.linalg.norm(mean - inst.hypergradient(x)))
+    bias_se = float(np.sqrt(np.sum(dev.var(axis=0, ddof=1)) / trials))
+    return McMoments(mean=mean, bias_norm=bias, bias_se=bias_se, var=var,
+                     var_se=var_se, trials=trials)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """The benchmark's perfbench/<name>.py, loaded by path once as the module
+    perfbench_<name>; it is registered before it runs, as dataclasses need."""
+    full = f"perfbench_{name}"
+    if full not in sys.modules:
+        spec = importlib.util.spec_from_file_location(full, PERFBENCH / f"{name}.py")
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+    return sys.modules[full]
 
 
 @pytest.fixture

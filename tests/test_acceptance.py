@@ -17,7 +17,7 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
 from fedbilevel.cli import main as cli_main
 from fedbilevel.hypergrad import beta_cap, lambda_cap
 
-from conftest import batch_of_one, manual_instance
+from conftest import batch_of_one, estimator_bias_mc, manual_instance
 
 
 def _report(name, ok, detail, elapsed, budget=None):
@@ -118,15 +118,12 @@ def test_criterion_4_variance_bound():
     cfg = AggITDConfig(lam=lam, N=N,
                        lower=LowerStepConfig(beta=beta_cap(lam, problem.constants), tau=1))
     root = RngStream(123)
-    vals = []
-    for t in range(10_000):
-        _, _, tr = aggitd(problem, x, y0, cfg, range(3), root.child("mc", t),
-                          CommLedger())
-        vals.append(tr.h_indirect_clients[0])
-    vals = np.stack(vals)
-    sq = np.sum((vals - vals.mean(axis=0)) ** 2, axis=1)
-    var = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(len(sq)))
+
+    def indirect(xv, yv, t):
+        return aggitd(problem, xv, yv, cfg, range(3), root.child("mc", t),
+                      CommLedger())[2].h_indirect_clients[0]
+    mom = estimator_bias_mc(indirect, inst, x, y0, trials=10_000)
+    var, se = mom.var, mom.var_se
     sigma_h2 = lam * (N + 1) * consts.L_g ** 2 * consts.M ** 2 / consts.mu
     elapsed = time.perf_counter() - t0
     assert _report("criterion-4 variance bound",
@@ -238,11 +235,11 @@ def test_criterion_8_heterogeneity_necessity():
     bias_local = float(np.linalg.norm(h_local_oracle - truth))
     cfg = AidConfig(lam=lam, T=T)
     root = RngStream(7)
-    draws = np.stack([local_fhe(problem, x, ys, cfg, range(6), root.child("t", t),
-                                CommLedger()) for t in range(1000)])
-    mean = draws.mean(axis=0)
-    se = float(np.sqrt(np.sum(draws.var(axis=0, ddof=1)) / len(draws)))
-    dev = float(np.linalg.norm(mean - h_local_oracle))
+    mom = estimator_bias_mc(lambda xv, yv, t: local_fhe(
+        problem, xv, yv, cfg, range(6), root.child("t", t), CommLedger()), inst, x, ys,
+        trials=1000)
+    se = mom.bias_se
+    dev = float(np.linalg.norm(mom.mean - h_local_oracle))
     ok = bias_local >= 5.0 * bias_aggitd and dev <= 4 * se
     elapsed = time.perf_counter() - t0
     assert _report("criterion-8 heterogeneity necessity", ok,

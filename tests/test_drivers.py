@@ -3,9 +3,7 @@
 import contextlib
 import dataclasses
 import importlib
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +17,8 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, DivergenceError,
                         one_round_upper, run, run_fbo_aggitd, run_fednest_baseline,
                         select_participants)
 from fedbilevel.drivers import build_problem, resolve_params
+
+from conftest import perfbench_module
 
 
 def test_default_stepsizes_examples():
@@ -348,12 +348,12 @@ def test_stacked_rows_equal_single_point_rows(monkeypatch, kind):
     problem = evaluator.problem
     if kind == "quadratic":
         assert len(points) > len(rows)   # estimate points between the rows
-    for i, (got, (k, rounds, at, h_at)) in enumerate(zip(rep.rows, rows)):
-        want = record(evaluator, [points[at]], [(k, rounds, 0, 0)], [])[0]
+    for i, (got, (k, rounds, at)) in enumerate(zip(rep.rows, rows)):
+        want = record(evaluator, [points[at]], [(k, rounds, 0)], [])[0]
         if i:
-            x, y = (a[None] for a in points[h_at])
+            x, y = (a[None] for a in points[at - 1])
             r = estimates[i - 1] - evaluator.hypergradient(x, problem.y_star(x, y))[0]
-            want = dataclasses.replace(want, est_err=math.sqrt(r @ r))
+            want = want._replace(est_err=math.sqrt(r @ r))
         if kind == "quadratic":
             assert got == want, i
         else:
@@ -705,18 +705,9 @@ def test_metrics_row_reductions_keep_numpy_bits():
     assert inst.objective(x, y) == float(np.mean(vals))
 
 
-def _bench_tracer():
-    """The benchmark's span tracer, perfbench/tracer.py, loaded by path."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_tracer_methods_are_defined_on_their_classes():
     # the tracer patches each traced method where its class defines it
-    for short, cls_name, attr, _ in _bench_tracer().TRACED_METHODS:
+    for short, cls_name, attr, _ in perfbench_module("tracer").TRACED_METHODS:
         cls = getattr(importlib.import_module(f"fedbilevel.{short}"), cls_name)
         assert attr in cls.__dict__, (short, cls_name, attr)
 
@@ -726,7 +717,7 @@ def test_bench_tracer_counts_the_oracles_every_run_calls(estimator):
     # the five traced BilevelProblem oracles are the calls every estimator and
     # One-Round-Lower/Upper make: a traced run counts each of them, and its
     # rows and sample audit equal the untraced run's
-    tracer_mod = _bench_tracer()
+    tracer_mod = perfbench_module("tracer")
     cfg = _quad_cfg(K=2, N=2, T=2, estimator=estimator, tau=[1, 3, 2])
     runs = []
     for traced in (False, True):

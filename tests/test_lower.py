@@ -80,7 +80,7 @@ def test_composed_round_contracts_noise_off():
 
 def _lower_gap(problem, x, y):
     """A metrics row's lower_gap, ||y - y*(x)||^2: row 0 of a stack of one point."""
-    return Evaluator(problem).record([(x, y)], [(0, 0, 0, 0)], [])[0].lower_gap
+    return Evaluator(problem).record([(x, y)], [(0, 0, 0)], [])[0].lower_gap
 
 
 def test_lower_gap_examples():
@@ -357,7 +357,6 @@ def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
     # v = 0 pair by one rule; the audit charges both evaluations
     from fedbilevel import one_round_upper
     from fedbilevel.lower import local_lanes
-    from fedbilevel.rng import LaneTable
     problem = _noisy_problem("finite-sum-b4" if batch == 4 else "finite-sum-b1")
     x, y, q = _random_inputs(problem, 7)
     tau, beta, alpha, ids = [1, 3, 2, 1], 0.05, 0.1, np.arange(4)
@@ -371,7 +370,7 @@ def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
 
     def separate_lanes_reference(scope, tag, start, stepsize, c, grad):
         # every evaluation on its own Lanes, so no gather is shared
-        table = LaneTable.of(RngStream(scope), local_lanes(tag, 3), ids).step(0)
+        step = RngStream(scope).declare(local_lanes(tag, 3), ids)
         t, Z = np.array(tau), np.repeat(start[None], 4, axis=0)
         for v in range(max(tau)):
             sub = np.flatnonzero(t > v)
@@ -379,8 +378,8 @@ def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
                 Z[sub] = Z[sub] - stepsize / t[sub, None] * c
             else:
                 Z[sub] = Z[sub] - stepsize / t[sub, None] * (
-                    grad(sub, Z[sub], table.lanes(sub, tag, v))
-                    - grad(sub, start, table.lanes(sub, tag, v)) + c)
+                    grad(sub, Z[sub], step.lanes(sub, tag, v))
+                    - grad(sub, start, step.lanes(sub, tag, v)) + c)
         return Z.mean(axis=0)
     want = separate_lanes_reference(3, "zeta", y, beta, q, lambda sub, Y, lanes: (
         problem.grad_lower_y(sub, x, Y, lanes)))

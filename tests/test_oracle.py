@@ -1,6 +1,6 @@
 """Verification machinery: finite differences, constant measurement, MC moments."""
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from fedbilevel import (ParameterError, Point, QuadraticInstance,
 from fedbilevel import oracle
 from fedbilevel.problems import NOISE_GAUSSIAN
 
-from conftest import manual_instance
+from conftest import estimator_bias_mc, manual_instance
 
 
 def test_fd_decoupled_instance_exact():
@@ -191,40 +191,6 @@ def test_measure_constants_requires_samples():
 def test_region_validation():
     with pytest.raises(ParameterError):
         TestRegion(Point(np.zeros(1), np.zeros(1)), radius=0.0)
-
-
-@dataclass(frozen=True)
-class McMoments:
-    """Monte-Carlo bias/variance of an estimator with standard errors."""
-
-    mean: np.ndarray
-    bias_norm: float
-    bias_se: float
-    var: float
-    var_se: float
-    trials: int
-
-
-def estimator_bias_mc(estimator_fn, inst: QuadraticInstance, x: np.ndarray,
-                      y0: np.ndarray, trials: int) -> McMoments:
-    """Sample estimator_fn(x, y0, trial) and compare its mean to the oracle.
-
-    bias_norm = ||mean(h) - grad f(x)||, var = mean ||h - mean(h)||^2;
-    bias_se is the norm-perturbation bound sqrt(tr cov / trials).
-    """
-    if trials < 10 ** 3:
-        raise ParameterError("need at least 1000 trials")
-    draws = np.stack([np.asarray(estimator_fn(x, y0, t), dtype=float)
-                      for t in range(trials)])
-    mean = draws.mean(axis=0)
-    dev = draws - mean
-    sq = np.sum(dev ** 2, axis=1)
-    var = float(sq.mean())
-    var_se = float(sq.std(ddof=1) / np.sqrt(trials))
-    bias = float(np.linalg.norm(mean - inst.hypergradient(x)))
-    bias_se = float(np.sqrt(np.sum(dev.var(axis=0, ddof=1)) / trials))
-    return McMoments(mean=mean, bias_norm=bias, bias_se=bias_se, var=var,
-                     var_se=var_se, trials=trials)
 
 
 def test_bias_mc_deterministic_estimator_zero_variance():

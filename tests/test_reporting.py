@@ -73,7 +73,7 @@ def test_svg_two_reports_legend(tmp_path):
 def test_svg_log_clamp_warns(tmp_path):
     rep = _report(K=2)
     rep.rows[0] = rep.rows[0].__class__(**{**{f: getattr(rep.rows[0], f)
-                                              for f in rep.rows[0].FIELDS},
+                                              for f in rep.rows[0]._fields},
                                            "grad_norm_sq": 0.0})
     with pytest.warns(UserWarning, match="clamped"):
         render_svg([rep], "k", "grad_norm_sq", tmp_path / "p.svg", log_y=True)

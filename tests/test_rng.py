@@ -350,7 +350,7 @@ def test_layout_depth_is_its_deepest_lane_set():
     # tau = 1 svrg: the lower phase declares no "lower/zeta" lane set, so the
     # table is as deep as "zeta_q" (3 key parts), not 5
     from fedbilevel.lower import lower_phase_lanes
-    from fedbilevel.rng import CLIENT, LaneTable, _layout
+    from fedbilevel.rng import CLIENT, _layout
     m, N = 3, 2
     sets = [*lower_phase_lanes(N, 1), (CLIENT, "chi")]
     assert sets == [(CLIENT, "zeta_q", 0), (CLIENT, "zeta_q", 1), (CLIENT, "chi")]
@@ -358,7 +358,7 @@ def test_layout_depth_is_its_deepest_lane_set():
     assert len(_layout(tuple(sets + [("lower", 0, CLIENT, "zeta", 1)]),
                        tuple(range(m))).columns) == 5
     scope = RngStream(34).child("est", 0)
-    step = LaneTable.of(scope, sets, np.arange(m)).step(0)
+    step = scope.declare(sets, np.arange(m))
     ids = np.arange(m)
     for tags in [("zeta_q", t) for t in range(N)] + [("chi",)]:
         assert [int(h) for h in step.lanes(ids, *tags).hashes] == [
@@ -377,6 +377,46 @@ def test_draw_sizes_out_of_range_raise_naming_the_value(form):
         with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
             call(bad)
     assert np.size(draws.index(1)) and np.size(draws.subset(pool, 0)) == 0
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("rows", ["all", "partial"])
+def test_draw_sizes_equal_to_a_cached_size_raise(monkeypatch, warm, rows):
+    # a bool or float size equal to a cached n = 1 or k = 1 is no integer
+    # size: it raises on a table that already drew n = 1 and k = 1 as on a
+    # fresh one, while an np.integer size reads the cached draws
+    from fedbilevel import rng as rng_mod
+    ids = np.arange(3) if rows == "all" else np.array([0, 2])
+    lanes, pool = RngStream(1).lanes(np.arange(3), "z"), np.arange(5)
+    lanes = lanes.step.lanes(ids, "z")
+    if warm:
+        want = (lanes.index(1), lanes.subset(pool, 1))
+        passes = []
+        for name in ("_index", "_subset"):
+            monkeypatch.setattr(rng_mod, name, lambda *a, name=name: passes.append(name))
+        got = (lanes.index(np.int64(1)), lanes.subset(pool, np.int64(1)))
+        assert passes == [] and all(map(np.array_equal, got, want))
+    for call, bad in [(lanes.index, True), (lanes.index, 1.0),
+                      (lambda k: lanes.subset(pool, k), True),
+                      (lambda k: lanes.subset(pool, k), 1.0)]:
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            call(bad)
+
+
+def test_partial_lanes_need_a_table_over_clients_0_to_m():
+    # a client subset's rows are its ids, so only a table over clients
+    # 0..m-1 serves one; any other table names the ids instead of reading
+    # another client's lane (id 0 got client 5's) or raising IndexError
+    from fedbilevel import ContractViolation
+    from fedbilevel.rng import CLIENT
+    step = RngStream(0).declare([(CLIENT, "z")], np.array([5, 2, 7]))
+    assert step.lanes(np.array([5, 2, 7]), "z").ids.tolist() == [5, 2, 7]
+    for ids in ([0], [5], [2, 7]):
+        with pytest.raises(ContractViolation, match=re.escape(f"client ids {ids}")):
+            step.lanes(np.array(ids), "z")
+    dense = RngStream(0).declare([(CLIENT, "z")], np.arange(3))
+    assert [int(h) for h in dense.lanes(np.array([2]), "z").hashes] == [
+        RngStream(0).child(2, "z")._hash]
 
 
 @pytest.mark.parametrize("kind", ["finite-sum", "additive-gaussian"])
