@@ -30,7 +30,8 @@ purpose and call the problem's stacked kernel. A run checks one set per run
 (full participation) or per outer step. Each estimator and local phase
 opens with ``problem.entry``: its participants are client ids or checked
 oracles, and its rng an ``RngStream``, on a lane table or free (then put on
-the phase's one-step table); any other rng raises ContractViolation naming it.
+a table of the phase's lane sets by ``RngStream.declare``); any other rng
+raises ContractViolation naming it.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -206,9 +207,10 @@ class BilevelProblem:
         oracles is ``checked(participants, x, y)``, or participants as they
         are if they are this problem's CheckedOracles. rng must be an
         RngStream, else ContractViolation names it; a stream that declares no
-        lane sets becomes the stream of the one-step table of the phase's
-        lane sets ``lane_sets()`` over every client (``RngStream.declare``),
-        and a stream on a table is returned as it is."""
+        lane sets becomes a step of a table of the phase's lane sets
+        ``lane_sets()`` over every client (``RngStream.declare``: the kept
+        chunk of its siblings if its key ends in an int, else a one-step
+        table), and a stream on a table is returned as it is."""
         if not isinstance(participants, CheckedOracles):
             participants = self.checked(participants, x, y)
         elif participants.problem is not self:

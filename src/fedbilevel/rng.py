@@ -26,12 +26,17 @@ reads, one per client. Each set owns a run of rows of one (steps, rows)
 uint64 array, hashed one key level at a time, deepest sets first.
 
 Tables come from ``lane_steps``, whose outer-step scopes are streams on a
-run's tables, and from ``declare``, which puts one stream on a one-step
-table of its own (``BilevelProblem.entry`` does so for a free stream). A
-stream on a table, and every child of it, reads ``lanes(ids, *tags)`` as the
-declared set ``(*path, CLIENT, *tags)``, path being its key parts below the
-step. A free ``RngStream(seed, key)`` declares no lane sets: its ``lanes``
-and ``Lanes.of`` hash a one-step table per call.
+run's tables, and from ``declare``, which puts a free stream on a table
+(``BilevelProblem.entry``, ``lanes`` and ``Lanes.of`` do so). A free stream
+whose last key part is an int k >= 0 becomes step k of a chunk table of its
+siblings ``parent.child(j)``, hashed ahead by ``lane_steps``' chunk builder,
+so sibling direct calls such as a Monte Carlo loop over ``child("mc", t)``
+share one table; the last chunk of each (seed, parent key, layout) is kept,
+for at most SIBLING_TABLES of them. Any other stream gets a one-step table.
+The chunk's rows are the lanes' own hashes, so no draw depends on the order
+of the calls. A stream on a table, and every child of it, reads ``lanes(ids,
+*tags)`` as the declared set ``(*path, CLIENT, *tags)``, path being its key
+parts below the step. A free ``RngStream(seed, key)`` declares no lane sets.
 
 Which draws are table-wide: ``Lanes.index(n)`` is one multiply-high pass
 over every row of the table (in 32-bit halves, so no product overflows), and
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import zlib
 
 import numpy as np
@@ -59,6 +65,10 @@ _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
 
 # a run's lane table is hashed in chunks of outer steps of at most this many rows
 ROW_BUDGET = 1 << 12
+# a free stream's sibling chunk holds at most this many steps (and ROW_BUDGET rows)
+AHEAD = 16
+# the sibling chunks kept, one per (seed, parent key, layout), oldest dropped first
+SIBLING_TABLES = 16
 # a lane set's subset block is hashed in slices of steps of at most this many keys
 KEY_BUDGET = 1 << 20
 CLIENT = None   # the client id's place in a lane set's key parts
@@ -207,17 +217,34 @@ class RngStream:
         return np.random.default_rng(((int(self.seed) & _MASK64) << 64) | self._hash)
 
     def declare(self, sets, clients: np.ndarray) -> "RngStream":
-        """This stream as step 0 of a one-step table of the lane sets over
-        the client ids clients."""
-        return LaneTable(self.seed, [self.key], np.array([self._hash], dtype=np.uint64),
-                         sets, clients).step(0)
+        """This stream as a step of a table of the lane sets over the client
+        ids clients. A free stream ``parent.child(k)``, k an int >= 0, is step
+        k of the kept chunk of at most AHEAD siblings that holds it, hashed on
+        a miss; any other stream is step 0 of a one-step table."""
+        layout, key = _layout(tuple(sets), tuple(clients.tolist())), self.key
+        k = key[-1] if key else None   # a chunk's ks below 2**62 fit an int64 arange
+        if self.table is not None or type(k) is not int or not 0 <= k < 1 << 62:
+            return LaneTable(self.seed, [key], np.array([self._hash], dtype=np.uint64),
+                             layout).step(0)
+        memo = (self.seed, key[:-1], layout)
+        table = _siblings.get(memo)
+        if table is None or not 0 <= k - table.keys[0][-1] < len(table.keys):
+            chunk = min(AHEAD, _chunk_steps(layout))
+            table = _sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk, layout)
+            with _siblings_lock:
+                _siblings.pop(memo, None)
+                if len(_siblings) >= SIBLING_TABLES:
+                    del _siblings[next(iter(_siblings))]
+                _siblings[memo] = table
+        return table.step(k - table.keys[0][-1])
 
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ids. On a
         table: the lane set ``(*path, CLIENT, *tags)`` for all its clients, or
-        for checked ids if its clients are 0..m-1; else ContractViolation names
-        the undeclared set or the ids. On a free stream: any ids, in any order,
-        on a one-step table of that one set."""
+        for checked ids if its clients are 0..m-1 (any other table serves its
+        own clients in order); else ContractViolation names the undeclared set
+        or the ids. On a free stream: any ids, in any order, on the table of
+        that one set that ``declare`` gives."""
         if self.table is None:
             ids = np.array(ids, dtype=np.intp).reshape(-1)
             return self.declare([(CLIENT, *tags)], ids).lanes(ids, *tags)
@@ -225,9 +252,12 @@ class RngStream:
         at = t.layout.at.get(lane_set)
         if at is None:
             raise ContractViolation(f"lane set {lane_set} is not declared by its table")
-        if ids.shape[0] != t.m and not t.layout.dense:
-            raise ContractViolation(f"lanes of client ids {ids.tolist()}: a client subset "
-                                    "needs a table over clients 0..m-1")
+        if not t.layout.dense and not (ids.shape[0] == t.m
+                                       and np.array_equal(ids, t.layout.clients)):
+            raise ContractViolation(
+                f"lanes of client ids {ids.tolist()}: a table over clients "
+                f"{t.layout.clients.tolist()} serves those ids in that order, and a "
+                "client subset only a table over clients 0..m-1")
         return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
 
     def index(self, n: int) -> int:
@@ -264,7 +294,8 @@ class _Layout:
 
     def __init__(self, sets: tuple, clients: tuple):
         self.dense = clients == tuple(range(len(clients)))   # a client id is its row
-        ids = np.array(clients, dtype=np.intp).astype(np.uint64)
+        self.clients = np.array(clients, dtype=np.intp)
+        ids = self.clients.astype(np.uint64)
         self.at, self.tag, comps = {}, {}, []
         for parts in sorted(sets, key=len, reverse=True):
             self.at[parts] = slice(len(comps) * ids.size, (len(comps) + 1) * ids.size)
@@ -278,6 +309,8 @@ class _Layout:
 
 
 _layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, clients) -> their layout
+_siblings = {}   # (seed, parent key, layout) -> the kept chunk table of its siblings
+_siblings_lock = threading.Lock()   # a miss evicts and inserts as one step
 
 
 class LaneTable:
@@ -291,10 +324,9 @@ class LaneTable:
     of one lane set at every step and client; both are cached and read-only.
     """
 
-    def __init__(self, seed: int, keys: list, scopes: np.ndarray, sets: list,
-                 clients: np.ndarray):
-        self.seed, self.keys, self.scopes, self.m = seed, keys, scopes, clients.size
-        self.layout = _layout(tuple(sets), tuple(clients.tolist()))
+    def __init__(self, seed: int, keys: list, scopes: np.ndarray, layout: _Layout):
+        self.seed, self.keys, self.scopes, self.layout = seed, keys, scopes, layout
+        self.m = layout.clients.size
         h = np.empty((scopes.size, self.layout.rows), dtype=np.uint64)
         h[:] = scopes[:, None]
         for col in self.layout.columns:
@@ -341,17 +373,29 @@ class LaneTable:
         return c
 
 
+def _chunk_steps(layout: _Layout) -> int:
+    """The steps of a table of the layout in at most ROW_BUDGET rows (at least one)."""
+    return max(1, ROW_BUDGET // max(layout.rows, 1))
+
+
+def _sibling_table(parent: RngStream, k0: int, steps: int, layout: _Layout) -> LaneTable:
+    """The table of the steps ``parent.child(k)``, k = k0..k0+steps-1: the
+    chunk builder of ``lane_steps`` and of a free stream's ``declare``."""
+    ks, key = np.arange(k0, k0 + steps), parent.key
+    return LaneTable(parent.seed, [key + (k,) for k in ks.tolist()],
+                     _mix64_array(np.array([parent._hash], dtype=np.uint64),
+                                  ks.astype(np.uint64)), layout)
+
+
 def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
     """The scope streams ``root.child(tag, k)``, k = 0..K-1, each on its step
     of a table of the lane sets over clients 0..m-1; a table holds at most
     ROW_BUDGET rows (at least one step)."""
-    chunk = max(1, ROW_BUDGET // max(_layout(tuple(sets), tuple(range(m))).rows, 1))
-    base, key = np.array([root.child(tag)._hash], dtype=np.uint64), root.key
+    layout, parent = _layout(tuple(sets), tuple(range(m))), root.child(tag)
+    chunk = _chunk_steps(layout)
     for k0 in range(0, K, chunk):
-        ks = np.arange(k0, min(K, k0 + chunk))
-        table = LaneTable(root.seed, [key + (tag, k) for k in ks.tolist()],
-                          _mix64_array(base, ks.astype(np.uint64)), sets, np.arange(m))
-        yield from (table.step(s) for s in range(ks.size))
+        table = _sibling_table(parent, k0, min(chunk, K - k0), layout)
+        yield from (table.step(s) for s in range(len(table.keys)))
 
 
 class Lanes:
@@ -360,7 +404,7 @@ class Lanes:
     Row r is the lane ``step.child(ids[r], *tags)`` of a stream on a lane
     table, table row ``rows[r]`` of the lane set ``lane_set``: ``rows`` is
     the set's whole run, a slice, when the call covers every client of the
-    table (as on a one-step table of a free stream's ids), else an index
+    table (as on the table a free stream's ids declare), else an index
     array. ``hashes[r]`` is row r's running hash, so every draw of row r is
     that stream's. ``index`` reads the table's draws; ``subset`` reads the
     set's block when ``rows`` is a slice, and is otherwise, like ``normal``,

@@ -363,7 +363,7 @@ def test_layout_depth_is_its_deepest_lane_set():
     for tags in [("zeta_q", t) for t in range(N)] + [("chi",)]:
         assert [int(h) for h in step.lanes(ids, *tags).hashes] == [
             scope.child(i, *tags)._hash for i in range(m)]
-    assert step.table.hashes.shape == (1, len(sets) * m)
+    assert step.table.hashes.shape[1] == len(sets) * m
 
 
 @pytest.mark.parametrize("form", ["scalar", "rows"])
@@ -419,20 +419,35 @@ def test_partial_lanes_need_a_table_over_clients_0_to_m():
         RngStream(0).child(2, "z")._hash]
 
 
+def test_full_lanes_of_other_clients_must_be_them_in_order():
+    # on a table over clients 5, 2, 7, neither ids 0, 1, 2 (row 0 is client
+    # 5's lane, not child(0, "z")'s) nor 7, 2, 5 (rows in table order) may
+    # read the whole run: each raises naming the ids
+    from fedbilevel import ContractViolation
+    from fedbilevel.rng import CLIENT
+    step = RngStream(0).declare([(CLIENT, "z")], np.array([5, 2, 7]))
+    for ids in ([0, 1, 2], [7, 2, 5]):
+        with pytest.raises(ContractViolation, match=re.escape(f"client ids {ids}")):
+            step.lanes(np.array(ids), "z")
+
+
 @pytest.mark.parametrize("kind", ["finite-sum", "additive-gaussian"])
 @pytest.mark.parametrize("setting", ["full", "half", "tau list"])
-def test_free_stream_and_table_step_draw_the_same(kind, setting):
-    # each estimator and local phase on a free RngStream(s).child("est", k)
+def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
+    # each estimator and local phase on a free RngStream(s).child(tag, k)
     # gives the bits, the ledger bill and the sample audit of step k of
-    # lane_steps over the phase's declared lane sets
+    # lane_steps over the phase's declared lane sets, whatever the order of
+    # the calls: steps on both sides of a sibling chunk's end, out of order,
+    # interleaved with a second parent's
     from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
                             Participation, QuadraticProblem, QuadraticSpec, aggitd, aid_fhe,
                             local_fhe, make_quadratic, one_round_lower, one_round_upper,
                             select_participants)
     from fedbilevel.hypergrad import aggitd_lanes, beta_cap, chain_lanes, lambda_cap
     from fedbilevel.lower import local_lanes, max_tau
-    from fedbilevel.rng import lane_steps
-    m, seed, K, k = 4, 9, 3, 2
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.rng import AHEAD, lane_steps
+    m, seed, K, k = 4, 9, AHEAD + 2, 2
     problem = QuadraticProblem(make_quadratic(QuadraticSpec(
         d1=3, d2=4, m=m, hetero=0.5, noise_spread=0.3, noise_std=0.2, seed=5,
         noise_mode=kind)), batch_size=2)
@@ -455,14 +470,85 @@ def test_free_stream_and_table_step_draw_the_same(kind, setting):
                             one_round_upper(problem, x, y, v[:3], 0.1, tau, ids, rng,
                                             ledger)),
     }
+    monkeypatch.setattr(rng_mod, "_siblings", {})
+    visits = [(tag, j) for j in (AHEAD, AHEAD + 1, k, AHEAD - 1) for tag in ("est", "alt")]
     for name, (sets, call) in phases.items():
-        step = list(lane_steps(RngStream(seed), "est", K, m, sets))[k]
-        assert step.table is not None and step == RngStream(seed).child("est", k)
-        got = []
-        for rng in (RngStream(seed).child("est", k), step):
-            problem.audit.reset()
-            ledger = CommLedger()
-            out = np.concatenate(np.atleast_1d(*call(rng, ledger)) if name == "aggitd"
-                                 else [call(rng, ledger)])
-            got.append((out.tobytes(), ledger, dict(problem.audit.by_purpose)))
-        assert got[0] == got[1] and got[0][1].rounds_total > 0, name
+        steps = {tag: list(lane_steps(RngStream(seed), tag, K, m, sets))
+                 for tag in ("est", "alt")}
+        for tag, j in visits:
+            step = steps[tag][j]
+            assert step.table is not None and step == RngStream(seed).child(tag, j)
+            got = []
+            for rng in (RngStream(seed).child(tag, j), step):
+                problem.audit.reset()
+                ledger = CommLedger()
+                out = np.concatenate(np.atleast_1d(*call(rng, ledger)) if name == "aggitd"
+                                     else [call(rng, ledger)])
+                got.append((out.tobytes(), ledger, dict(problem.audit.by_purpose)))
+            assert got[0] == got[1] and got[0][1].rounds_total > 0, (name, tag, j)
+
+
+def test_sibling_direct_calls_share_one_table_per_chunk(monkeypatch):
+    # 1,000 direct aggitd calls on root.child("mc", t) hash one table per
+    # chunk of siblings; a str-ended free stream still hashes a one-step
+    # table, and the kept chunks stay within their bound
+    from fedbilevel import (AggITDConfig, CommLedger, LowerStepConfig, QuadraticSpec,
+                            aggitd, make_problem)
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.hypergrad import aggitd_lanes, beta_cap, lambda_cap
+    from fedbilevel.rng import AHEAD, CLIENT, SIBLING_TABLES, Lanes, _layout
+    problem = make_problem(QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0,
+                                         hetero=0.3, noise_spread=0.1, seed=11))
+    lam = lambda_cap(problem.constants)
+    cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=beta_cap(lam, problem.constants),
+                                                           tau=1))
+    chunk = min(AHEAD, rng_mod.ROW_BUDGET // _layout(aggitd_lanes(3, 1), (0, 1, 2)).rows)
+    built, init = [], rng_mod.LaneTable.__init__
+
+    def counted(table, seed, keys, *rest):
+        built.append(len(keys))
+        init(table, seed, keys, *rest)
+    monkeypatch.setattr(rng_mod.LaneTable, "__init__", counted)
+    monkeypatch.setattr(rng_mod, "_siblings", {})
+    root = RngStream(123)
+    for t in range(1000):
+        aggitd(problem, np.ones(3), np.zeros(3), cfg, range(3), root.child("mc", t),
+               CommLedger())
+    assert len(built) == -(-1000 // chunk) and set(built[:-1]) == {chunk}
+    built.clear()
+    root.child("mc", 3, "z").lanes(np.arange(3), "w")
+    Lanes.of(root.child("make_quadratic"))
+    assert built == [1, 1]
+    for p in range(100):
+        root.child("p", p, 0).declare([(CLIENT, "z")], np.arange(2))
+    assert len(rng_mod._siblings) == SIBLING_TABLES
+
+
+def test_sibling_chunks_shared_by_threads():
+    # threads that miss, evict and read the kept chunks at once each read
+    # their lanes' own hashes and fail nowhere (short switch interval, joins
+    # bounded in time)
+    import sys
+    import threading
+    from fedbilevel.rng import SIBLING_TABLES
+    errors, interval = [], sys.getswitchinterval()
+
+    def work(w):
+        try:
+            for p in range(4 * SIBLING_TABLES):
+                lane = RngStream(w % 2).child("th", p, w)
+                got = [int(h) for h in lane.lanes(np.arange(2), "z").hashes]
+                if got != [lane.child(i, "z")._hash for i in range(2)]:
+                    errors.append((w, p))
+        except Exception as e:   # any failure of a worker fails the test
+            errors.append(e)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
