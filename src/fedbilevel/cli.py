@@ -90,8 +90,8 @@ def cmd_sweep(args) -> int:
         grid = json.loads(args.grid)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed grid: {exc.msg}") from exc
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise ConfigError("grid must map keys to value lists")
+    if not isinstance(grid, dict):
+        raise ConfigError("grid must be a JSON object")
     base_cfg = config_from_dict(doc)
     out = args.out_dir or base_cfg.out_dir or "sweep_out"
     index = sweep(doc, grid, out)

@@ -196,9 +196,11 @@ def sweep(base_doc: dict, grid: dict, out_dir, overrides: dict | None = None) ->
     clash = set(grid) & set(overrides)
     if clash:
         raise ParameterError(f"grid keys conflict with overrides: {sorted(clash)}")
-    for key in grid:
+    for key, values in grid.items():
         if key not in CONFIG_KEYS:
             raise ParameterError(f"unknown grid key {key!r}")
+        if not isinstance(values, list) or not values:
+            raise ParameterError(f"grid key {key!r} must map to a nonempty list, got {values!r}")
 
     keys = sorted(grid)
     cells = []

@@ -208,9 +208,9 @@ class BilevelProblem:
         are if they are this problem's CheckedOracles. rng must be an
         RngStream, else ContractViolation names it; a stream that declares no
         lane sets becomes a step of a table of the phase's lane sets
-        ``lane_sets()`` over every client (``RngStream.declare``: the kept
-        chunk of its siblings if its key ends in an int, else a one-step
-        table), and a stream on a table is returned as it is."""
+        ``lane_sets()`` over every client (``RngStream.declare``: a chunk of
+        its siblings after a call on its parent if its key ends in an int,
+        else a one-step table), and a stream on a table is returned as is."""
         if not isinstance(participants, CheckedOracles):
             participants = self.checked(participants, x, y)
         elif participants.problem is not self:

@@ -27,14 +27,14 @@ uint64 array, hashed one key level at a time, deepest sets first.
 
 Tables come from ``lane_steps``, whose outer-step scopes are streams on a
 run's tables, and from ``declare``, which puts a free stream on a table
-(``BilevelProblem.entry``, ``lanes`` and ``Lanes.of`` do so). A free stream
-whose last key part is an int k >= 0 becomes step k of a chunk table of its
-siblings ``parent.child(j)``, hashed ahead by ``lane_steps``' chunk builder,
-so sibling direct calls such as a Monte Carlo loop over ``child("mc", t)``
-share one table; the last chunk of each (seed, parent key, layout) is kept,
-for at most SIBLING_TABLES of them. Any other stream gets a one-step table.
-The chunk's rows are the lanes' own hashes, so no draw depends on the order
-of the calls. A stream on a table, and every child of it, reads ``lanes(ids,
+(``BilevelProblem.entry``, ``lanes`` and ``Lanes.of`` do so). A chunk of
+steps is as many as fit in ROW_BUDGET rows, from a multiple of that count.
+``declare`` keeps its last table of a free stream ``parent.child(k)``, k an
+int >= 0: a later call on a sibling reads it or a new chunk, and a call on
+another parent (seed, key, lane sets, clients) gets one step, so a one-off
+call hashes no sibling. Any other stream gets a one-step table. A table's
+rows are the lanes' own hashes, so no draw depends on the order of the
+calls. A stream on a table, and every child of it, reads ``lanes(ids,
 *tags)`` as the declared set ``(*path, CLIENT, *tags)``, path being its key
 parts below the step. A free ``RngStream(seed, key)`` declares no lane sets.
 
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import zlib
 
 import numpy as np
@@ -65,10 +64,6 @@ _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
 
 # a run's lane table is hashed in chunks of outer steps of at most this many rows
 ROW_BUDGET = 1 << 12
-# a free stream's sibling chunk holds at most this many steps (and ROW_BUDGET rows)
-AHEAD = 16
-# the sibling chunks kept, one per (seed, parent key, layout), oldest dropped first
-SIBLING_TABLES = 16
 # a lane set's subset block is hashed in slices of steps of at most this many keys
 KEY_BUDGET = 1 << 20
 CLIENT = None   # the client id's place in a lane set's key parts
@@ -218,25 +213,24 @@ class RngStream:
 
     def declare(self, sets, clients: np.ndarray) -> "RngStream":
         """This stream as a step of a table of the lane sets over the client
-        ids clients. A free stream ``parent.child(k)``, k an int >= 0, is step
-        k of the kept chunk of at most AHEAD siblings that holds it, hashed on
-        a miss; any other stream is step 0 of a one-step table."""
+        ids clients. A free ``parent.child(k)``, k an int >= 0, reads the kept
+        table or, on a miss, a new kept one: a chunk of siblings if the kept
+        table is its parent's, else one step. Any other stream gets one step."""
+        global _kept
         layout, key = _layout(tuple(sets), tuple(clients.tolist())), self.key
-        k = key[-1] if key else None   # a chunk's ks below 2**62 fit an int64 arange
+        k = key[-1] if key else None   # a chunk's ks below 2**62 fit a uint64 arange
         if self.table is not None or type(k) is not int or not 0 <= k < 1 << 62:
-            return LaneTable(self.seed, [key], np.array([self._hash], dtype=np.uint64),
+            return LaneTable(self.seed, key, None, np.array([self._hash], dtype=np.uint64),
                              layout).step(0)
-        memo = (self.seed, key[:-1], layout)
-        table = _siblings.get(memo)
-        if table is None or not 0 <= k - table.keys[0][-1] < len(table.keys):
-            chunk = min(AHEAD, _chunk_steps(layout))
+        memo, table = _kept
+        if memo != (self.seed, key[:-1], layout):
+            table = LaneTable(self.seed, key[:-1], k, np.array([self._hash], dtype=np.uint64),
+                              layout)
+        elif not 0 <= k - table.k0 < len(table.scopes):
+            chunk = _chunk_steps(layout)
             table = _sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk, layout)
-            with _siblings_lock:
-                _siblings.pop(memo, None)
-                if len(_siblings) >= SIBLING_TABLES:
-                    del _siblings[next(iter(_siblings))]
-                _siblings[memo] = table
-        return table.step(k - table.keys[0][-1])
+        _kept = (self.seed, key[:-1], layout), table
+        return table.step(k - table.k0)
 
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ids. On a
@@ -309,23 +303,24 @@ class _Layout:
 
 
 _layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, clients) -> their layout
-_siblings = {}   # (seed, parent key, layout) -> the kept chunk table of its siblings
-_siblings_lock = threading.Lock()   # a miss evicts and inserts as one step
+_kept = (None, None)   # (seed, parent key, layout) and table of declare's last sibling table
 
 
 class LaneTable:
     """The lanes of consecutive outer steps, hashed ahead in one uint64 block.
 
-    Step s has the scope stream ``step(s)``, key path ``keys[s]`` and running
-    hash ``scopes[s]``. For each lane set, ``hashes[s, at]`` (at the set's
-    rows in the layout) holds the running hashes of ``step(s).child(*parts)``
-    with each client id in place of ``CLIENT``. ``index(n)`` draws the
-    counter-0 index of every row at once, and ``subset`` the minibatch draws
-    of one lane set at every step and client; both are cached and read-only.
+    Step s has the scope stream ``step(s)``, key path ``base + (k0 + s,)``
+    (``base`` if k0 is None: a one-step table of a key not ending in an int)
+    and running hash ``scopes[s]``. For each lane set, ``hashes[s, at]`` (at
+    the set's rows in the layout) holds the running hashes of
+    ``step(s).child(*parts)`` with each client id in place of ``CLIENT``.
+    ``index(n)`` draws the counter-0 index of every row at once, and
+    ``subset`` the minibatch draws of one lane set at every step and client;
+    both are cached and read-only.
     """
 
-    def __init__(self, seed: int, keys: list, scopes: np.ndarray, layout: _Layout):
-        self.seed, self.keys, self.scopes, self.layout = seed, keys, scopes, layout
+    def __init__(self, seed: int, base: tuple, k0, scopes: np.ndarray, layout: _Layout):
+        self.seed, self.base, self.k0, self.scopes, self.layout = seed, base, k0, scopes, layout
         self.m = layout.clients.size
         h = np.empty((scopes.size, self.layout.rows), dtype=np.uint64)
         h[:] = scopes[:, None]
@@ -369,7 +364,8 @@ class LaneTable:
     def step(self, s: int) -> RngStream:
         c = _new(RngStream)
         c.seed, c._scope, c._scope_hash, c.path, c.table, c.s = (
-            self.seed, self.keys[s], int(self.scopes[s]), (), self, s)
+            self.seed, self.base if self.k0 is None else self.base + (self.k0 + s,),
+            int(self.scopes[s]), (), self, s)
         return c
 
 
@@ -381,10 +377,9 @@ def _chunk_steps(layout: _Layout) -> int:
 def _sibling_table(parent: RngStream, k0: int, steps: int, layout: _Layout) -> LaneTable:
     """The table of the steps ``parent.child(k)``, k = k0..k0+steps-1: the
     chunk builder of ``lane_steps`` and of a free stream's ``declare``."""
-    ks, key = np.arange(k0, k0 + steps), parent.key
-    return LaneTable(parent.seed, [key + (k,) for k in ks.tolist()],
-                     _mix64_array(np.array([parent._hash], dtype=np.uint64),
-                                  ks.astype(np.uint64)), layout)
+    return LaneTable(parent.seed, parent.key, k0, _mix64_array(
+        np.array([parent._hash], dtype=np.uint64), np.arange(k0, k0 + steps, dtype=np.uint64)),
+        layout)
 
 
 def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
@@ -395,7 +390,7 @@ def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
     chunk = _chunk_steps(layout)
     for k0 in range(0, K, chunk):
         table = _sibling_table(parent, k0, min(chunk, K - k0), layout)
-        yield from (table.step(s) for s in range(len(table.keys)))
+        yield from (table.step(s) for s in range(len(table.scopes)))
 
 
 class Lanes:
@@ -433,7 +428,7 @@ class Lanes:
         """The innermost string tag of the rows' key paths (what the samples
         are for, the same for every row), or "unkeyed"."""
         table = self.step.table
-        return table.layout.tag[self.lane_set] or _innermost_tag(table.keys[0]) or "unkeyed"
+        return table.layout.tag[self.lane_set] or _innermost_tag(table.base) or "unkeyed"
 
     def stream(self, r: int) -> RngStream:
         return self.step.child(*self.ids[r:r + 1].tolist(), *self.tags)

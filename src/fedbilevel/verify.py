@@ -17,6 +17,7 @@ from .errors import ParameterError
 from .hypergrad import AggITDConfig, aggitd, beta_cap, lambda_cap
 from .lower import VARIANT_SVRG, LowerStepConfig, one_round_lower
 from .oracle import expected_aggitd_indirect, fd_hypergradient, neumann_sum
+from .problems import check_count
 from .quadratic import QuadraticProblem, QuadraticSpec, make_quadratic
 from .reporting import export_csv
 from .rng import RngStream
@@ -155,7 +156,8 @@ CHECKS = [
 
 
 def run_verification(seed: int = 0):
-    """Run all checks; returns [(name, passed, detail)]."""
+    """Run all checks; returns [(name, passed, detail)]. A bad seed raises ParameterError."""
+    check_count("seed", seed, 0)
     results = []
     for name, fn in CHECKS:
         try:

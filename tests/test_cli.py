@@ -164,6 +164,17 @@ def test_verify_battery(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_bad_seed_is_a_config_error(capsys):
+    # a negative seed is rejected once, before any check runs, not reported
+    # as seven failed checks
+    from fedbilevel import ParameterError
+    from fedbilevel.verify import run_verification
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        run_verification(-1)
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_round_accounting_check_covers_every_estimator(monkeypatch):
     # 2N+3 / 1 fused, 2N+T+3 / 2 AID, 2N+2 / 1 local at N = 4, T = 3; a local
     # run billed one extra round fails the check
@@ -189,6 +200,15 @@ def test_sweep_cli(tmp_path):
     assert rc == 0
     assert (out / "index.json").exists()
     assert main(["sweep", "--config", _cfg(tmp_path), "--grid", "not-json"]) == 2
+
+
+@pytest.mark.parametrize("grid", ['{"K": 5}', '{"K": []}'], ids=["scalar", "empty"])
+def test_sweep_grid_axis_no_nonempty_list_exit_code(tmp_path, capsys, grid):
+    out = tmp_path / "cells"
+    assert main(["sweep", "--config", _cfg(tmp_path), "--grid", grid,
+                 "--out-dir", str(out)]) == 2
+    assert "grid key 'K'" in capsys.readouterr().err
+    assert not (out / "index.json").exists()
 
 
 def test_sweep_resolves_defaults_per_cell(tmp_path):

@@ -180,6 +180,16 @@ def test_sweep_errors(tmp_path):
         sweep(_fast_base(), {"warp": [1]}, tmp_path)
 
 
+@pytest.mark.parametrize("axis", [5, []], ids=["scalar", "empty"])
+def test_sweep_grid_axes_must_be_nonempty_lists(tmp_path, axis):
+    # a grid value that is no list or an empty one is named before any
+    # directory or file is written
+    out = tmp_path / "cells"
+    with pytest.raises(ParameterError, match="grid key 'K'"):
+        sweep(_fast_base(), {"K": axis}, out)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [{"tau": [1, 0]}, {"lambda": [0.01, 50]}],
                          ids=["tau", "lambda"])
 def test_sweep_checks_every_cell_before_running_any(tmp_path, grid):

@@ -438,7 +438,8 @@ def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
     # gives the bits, the ledger bill and the sample audit of step k of
     # lane_steps over the phase's declared lane sets, whatever the order of
     # the calls: steps on both sides of a sibling chunk's end, out of order,
-    # interleaved with a second parent's
+    # interleaved with a second parent's (one-step tables), then one parent's
+    # after the other's (chunks of siblings)
     from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
                             Participation, QuadraticProblem, QuadraticSpec, aggitd, aid_fhe,
                             local_fhe, make_quadratic, one_round_lower, one_round_upper,
@@ -446,8 +447,8 @@ def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
     from fedbilevel.hypergrad import aggitd_lanes, beta_cap, chain_lanes, lambda_cap
     from fedbilevel.lower import local_lanes, max_tau
     from fedbilevel import rng as rng_mod
-    from fedbilevel.rng import AHEAD, lane_steps
-    m, seed, K, k = 4, 9, AHEAD + 2, 2
+    from fedbilevel.rng import _chunk_steps, _layout, lane_steps
+    m, seed, k = 4, 9, 2
     problem = QuadraticProblem(make_quadratic(QuadraticSpec(
         d1=3, d2=4, m=m, hetero=0.5, noise_spread=0.3, noise_std=0.2, seed=5,
         noise_mode=kind)), batch_size=2)
@@ -470,9 +471,12 @@ def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
                             one_round_upper(problem, x, y, v[:3], 0.1, tau, ids, rng,
                                             ledger)),
     }
-    monkeypatch.setattr(rng_mod, "_siblings", {})
-    visits = [(tag, j) for j in (AHEAD, AHEAD + 1, k, AHEAD - 1) for tag in ("est", "alt")]
+    monkeypatch.setattr(rng_mod, "_kept", (None, None))
     for name, (sets, call) in phases.items():
+        chunk = _chunk_steps(_layout(tuple(sets), tuple(range(m))))
+        K, js = chunk + 2, (chunk, chunk + 1, k, chunk - 1)
+        visits = ([(tag, j) for j in js for tag in ("est", "alt")]
+                  + [(tag, j) for tag in ("est", "alt") for j in js])
         steps = {tag: list(lane_steps(RngStream(seed), tag, K, m, sets))
                  for tag in ("est", "alt")}
         for tag, j in visits:
@@ -489,39 +493,68 @@ def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
 
 
 def test_sibling_direct_calls_share_one_table_per_chunk(monkeypatch):
-    # 1,000 direct aggitd calls on root.child("mc", t) hash one table per
-    # chunk of siblings; a str-ended free stream still hashes a one-step
-    # table, and the kept chunks stay within their bound
+    # 1,000 direct aggitd calls on root.child("mc", t) hash a one-step table,
+    # then one table per chunk of siblings; a str-ended free stream still
+    # hashes a one-step table, and of 100 parents only the last one's is kept
     from fedbilevel import (AggITDConfig, CommLedger, LowerStepConfig, QuadraticSpec,
                             aggitd, make_problem)
     from fedbilevel import rng as rng_mod
     from fedbilevel.hypergrad import aggitd_lanes, beta_cap, lambda_cap
-    from fedbilevel.rng import AHEAD, CLIENT, SIBLING_TABLES, Lanes, _layout
+    from fedbilevel.rng import CLIENT, Lanes, _chunk_steps, _layout
     problem = make_problem(QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0,
                                          hetero=0.3, noise_spread=0.1, seed=11))
     lam = lambda_cap(problem.constants)
     cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=beta_cap(lam, problem.constants),
                                                            tau=1))
-    chunk = min(AHEAD, rng_mod.ROW_BUDGET // _layout(aggitd_lanes(3, 1), (0, 1, 2)).rows)
+    chunk = _chunk_steps(_layout(aggitd_lanes(3, 1), (0, 1, 2)))
     built, init = [], rng_mod.LaneTable.__init__
 
-    def counted(table, seed, keys, *rest):
-        built.append(len(keys))
-        init(table, seed, keys, *rest)
+    def counted(table, seed, base, k0, scopes, *rest):
+        built.append(len(scopes))
+        init(table, seed, base, k0, scopes, *rest)
     monkeypatch.setattr(rng_mod.LaneTable, "__init__", counted)
-    monkeypatch.setattr(rng_mod, "_siblings", {})
+    monkeypatch.setattr(rng_mod, "_kept", (None, None))
     root = RngStream(123)
     for t in range(1000):
         aggitd(problem, np.ones(3), np.zeros(3), cfg, range(3), root.child("mc", t),
                CommLedger())
-    assert len(built) == -(-1000 // chunk) and set(built[:-1]) == {chunk}
+    assert len(built) == 1 + -(-1000 // chunk) and built[0] == 1 and set(built[1:]) == {chunk}
     built.clear()
     root.child("mc", 3, "z").lanes(np.arange(3), "w")
     Lanes.of(root.child("make_quadratic"))
     assert built == [1, 1]
     for p in range(100):
         root.child("p", p, 0).declare([(CLIENT, "z")], np.arange(2))
-    assert len(rng_mod._siblings) == SIBLING_TABLES
+    assert rng_mod._kept[1].base == ("p", 99)
+
+
+def test_declare_hashes_one_step_then_aligned_chunks(monkeypatch):
+    # a parent's first int-ended declare hashes one step; a later miss on the
+    # kept parent hashes the _chunk_steps chunk that holds its step, from a
+    # multiple of the chunk size; a declare on another parent in between
+    # starts that parent over at one step; each step reads its own lanes
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.rng import CLIENT, _chunk_steps, _layout
+    sets, ids = [(CLIENT, "z")], np.arange(3)
+    chunk = _chunk_steps(_layout(tuple(sets), (0, 1, 2)))
+    assert chunk == rng_mod.ROW_BUDGET // 3
+    built, init = [], rng_mod.LaneTable.__init__
+
+    def counted(table, seed, base, k0, scopes, *rest):
+        built.append((base, k0, len(scopes)))
+        init(table, seed, base, k0, scopes, *rest)
+    monkeypatch.setattr(rng_mod.LaneTable, "__init__", counted)
+    monkeypatch.setattr(rng_mod, "_kept", (None, None))
+    root, k = RngStream(7), 2 * chunk + 5
+    visits = [("a", k), ("a", k), ("a", k + 1), ("a", chunk - 1), ("a", 3),
+              ("b", 0), ("a", k + 1), ("a", k)]
+    for tag, j in visits:
+        step = root.child(tag, j).declare(sets, ids)
+        assert step == root.child(tag, j) and step.table.k0 + step.s == j
+        assert [int(h) for h in step.lanes(ids, "z").hashes] == [
+            root.child(tag, j, i, "z")._hash for i in range(3)]
+    assert built == [(("a",), k, 1), (("a",), 2 * chunk, chunk), (("a",), 0, chunk),
+                     (("b",), 0, 1), (("a",), k + 1, 1), (("a",), 2 * chunk, chunk)]
 
 
 def test_sibling_chunks_shared_by_threads():
@@ -530,12 +563,11 @@ def test_sibling_chunks_shared_by_threads():
     # bounded in time)
     import sys
     import threading
-    from fedbilevel.rng import SIBLING_TABLES
     errors, interval = [], sys.getswitchinterval()
 
     def work(w):
         try:
-            for p in range(4 * SIBLING_TABLES):
+            for p in range(64):
                 lane = RngStream(w % 2).child("th", p, w)
                 got = [int(h) for h in lane.lanes(np.arange(2), "z").hashes]
                 if got != [lane.child(i, "z")._hash for i in range(2)]:

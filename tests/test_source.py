@@ -127,3 +127,22 @@ def test_lane_tables_are_private_to_rng(path):
     # no module but rng names the table class or a second stream type
     if path.name != "rng.py":
         assert re.findall(r"\b(?:LaneTable|TableStream)\b", path.read_text()) == []
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name in README.md that starts with a package
+    # module, such as `rng.ROW_BUDGET` or `drivers.Evaluator.record`, names
+    # something that module has, so the README names no deleted object
+    import functools
+    import importlib
+    modules = {p.stem for p in SRC.glob("*.py")}
+    readme = (SRC.parents[1] / "README.md").read_text()
+    names = [n for n in re.findall(r"`(\w+(?:\.\w+)+)`", readme) if n.split(".")[0] in modules]
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, importlib.import_module(f"fedbilevel.{head}"))
+        except AttributeError:
+            missing.append(name)
+    assert len(names) > 5 and missing == []
