@@ -25,9 +25,8 @@ from .runtime import CommLedger, Participation, select_participants
 from .verify import run_verification
 
 
-def _load_doc(args) -> dict:
-    doc = load_doc(args.config) if args.config else {}
-    return apply_overrides(doc, parse_set_args(args.set))
+def _doc_and_overrides(args) -> tuple[dict, dict]:
+    return load_doc(args.config) if args.config else {}, parse_set_args(args.set)
 
 
 def _out_dir(cfg, args) -> str:
@@ -37,7 +36,7 @@ def _out_dir(cfg, args) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = config_from_dict(_load_doc(args))
+    cfg = config_from_dict(apply_overrides(*_doc_and_overrides(args)))
     report = run(cfg)
     out = _out_dir(cfg, args)
     csv_path = os.path.join(out, f"{report.label}_metrics.csv")
@@ -51,7 +50,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = config_from_dict(_load_doc(args))
+    cfg = config_from_dict(apply_overrides(*_doc_and_overrides(args)))
     if cfg.estimator != ESTIMATOR_AGGITD:
         raise ConfigError(f"estimate runs estimator 'aggitd' only, got {cfg.estimator!r}")
     problem = build_problem(cfg)
@@ -85,16 +84,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_doc(args)
+    doc, overrides = _doc_and_overrides(args)
     try:
         grid = json.loads(args.grid)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed grid: {exc.msg}") from exc
     if not isinstance(grid, dict):
         raise ConfigError("grid must be a JSON object")
-    base_cfg = config_from_dict(doc)
+    base_cfg = config_from_dict(apply_overrides(doc, overrides))
     out = args.out_dir or base_cfg.out_dir or "sweep_out"
-    index = sweep(doc, grid, out)
+    index = sweep(doc, grid, out, overrides)
     print(f"swept {len(index)} cells -> {os.path.join(out, 'index.json')}")
     return 0
 

@@ -71,7 +71,7 @@ class RunConfig:
             raise ParameterError("problem must be a QuadraticSpec or HyperRepSpec, "
                                  f"got {self.problem!r}")
         check_count("K", self.K, 0)
-        check_count("seed", self.seed, 0)
+        check_count("seed", self.seed, 0, 1 << 64)
         check_count("eval_every", self.eval_every)
         if not isinstance(self.estimator, str) or self.estimator not in _LABELS:
             raise ParameterError(f"unknown estimator {self.estimator!r}")

@@ -37,8 +37,9 @@ class HyperRepSpec:
     test_fraction: float = 0.2
 
     def __post_init__(self):
-        for name in ("embed_dim", "feature_dim", "classes", "shards_per_client", "m"):
+        for name in ("embed_dim", "feature_dim", "shards_per_client", "m"):
             check_count(name, getattr(self, name))
+        check_count("classes", self.classes, 2)   # one class has a zero gradient
         if not isinstance(self.n_points, numbers.Integral) or isinstance(self.n_points, bool):
             raise ParameterError(f"n_points must be an integer, got {self.n_points!r}")
         check_positive("ridge", self.ridge)   # a strongly convex head
@@ -243,6 +244,7 @@ class HyperRepProblem(BilevelProblem):
 
 def make_hyperrep(spec: HyperRepSpec, seed: int, batch_size: int = 4) -> HyperRepProblem:
     """Generate the Gaussian-mixture dataset and partition it across clients."""
+    check_count("seed", seed, 0, 1 << 64)
     root = RngStream(seed).child("make_hyperrep")
     C, f = spec.classes, spec.feature_dim
     centers = 2.0 * root.child("centers").normal(1.0, (C, f))

@@ -14,10 +14,10 @@ oracles that each evaluate a participant set in one call:
 
 Each returns a ``(len(ids), dim)`` stack in id order. x, y (and v) are shared
 vectors or stacks with one row per id. Row r draws its sample from the lane
-``rng.child(ids[r], *tags)`` when ``lanes`` is ``rng.lanes(ids, *tags)`` or
-the same rows of a lane table (``Lanes.of(stream)`` is one stream as a batch
-of one); ``lanes=None`` evaluates the exact (noise-off) quantities. A row
-does not depend on the other rows of its call.
+``rng.child(ids[r], *tags)`` when ``lanes`` is ``rng.lanes(ids, *tags)``,
+which on a lane table over the problem's clients 0..m-1 reads the same rows;
+``lanes=None`` evaluates the exact (noise-off) quantities. A row does not
+depend on the other rows of its call.
 
 ``problem.checked(participants, x, y)`` checks a participant set: it sorts
 and deduplicates the ids, checks them and the points' shapes, and returns
@@ -30,8 +30,8 @@ purpose and call the problem's stacked kernel. A run checks one set per run
 (full participation) or per outer step. Each estimator and local phase
 opens with ``problem.entry``: its participants are client ids or checked
 oracles, and its rng an ``RngStream``, on a lane table or free (then put on
-a table of the phase's lane sets by ``RngStream.declare``); any other rng
-raises ContractViolation naming it.
+a table of the phase's lane sets over clients 0..m-1 by
+``RngStream.declare``); any other rng raises ContractViolation naming it.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -121,13 +121,15 @@ class SampleAudit:
         self.total = 0
 
 
-def check_count(name: str, value, least: int = 1) -> None:
+def check_count(name: str, value, least: int = 1, bound=np.inf) -> None:
     """Raise ParameterError naming the setting unless value is an integer
-    >= least (bools are not counts), such as batch_size, the samples one
-    oracle row draws."""
+    >= least and < bound (bools are not counts), such as batch_size, the
+    samples one oracle row draws, or a seed (below 2**64, the bits a lane
+    keeps of it, so no two seeds share their draws)."""
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= least):
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+            and least <= value < bound):
+        below = "" if bound == np.inf else f" and < {bound}"
+        raise ParameterError(f"{name} must be an integer >= {least}{below}, got {value!r}")
 
 
 def check_positive(name: str, value) -> None:
@@ -208,7 +210,7 @@ class BilevelProblem:
         are if they are this problem's CheckedOracles. rng must be an
         RngStream, else ContractViolation names it; a stream that declares no
         lane sets becomes a step of a table of the phase's lane sets
-        ``lane_sets()`` over every client (``RngStream.declare``: a chunk of
+        ``lane_sets()`` over clients 0..m-1 (``RngStream.declare``: a chunk of
         its siblings after a call on its parent if its key ends in an int,
         else a one-step table), and a stream on a table is returned as is."""
         if not isinstance(participants, CheckedOracles):
@@ -218,7 +220,7 @@ class BilevelProblem:
         if not isinstance(rng, RngStream):
             raise ContractViolation(f"rng must be an RngStream, got {rng!r}")
         if rng.table is None:
-            rng = rng.declare(lane_sets(), self._all_ids)
+            rng = rng.declare(lane_sets(), self.m)
         return participants, rng
 
     def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:
@@ -228,8 +230,7 @@ class BilevelProblem:
         if not isinstance(lanes, Lanes):
             raise ContractViolation(
                 f"oracle lanes must be Lanes or None, got {type(lanes).__name__}")
-        # Lanes.of is the one lane set () and has one row but no ids
-        rows, k = lanes.ids.shape[0] if lanes.lane_set else 1, ids.shape[0]
+        rows, k = lanes.ids.shape[0], ids.shape[0]
         if rows != k:
             raise ContractViolation(f"{rows} lanes for {k} clients")
         self.audit.record(lanes.purpose, self.batch_size * k)

@@ -43,7 +43,7 @@ class QuadraticSpec:
     of the zero-mean per-sample offsets (finite-sum mode); noise_std >= 0 is
     the additive-gaussian alternative. coupling and lin_scale shape the cross
     block and the linear terms. Every field is checked here, by name: counts
-    are integers >= 1 (seed >= 0), 0 < mu <= L_g, and the rest finite reals.
+    are integers >= 1 (seed in [0, 2**64)), 0 < mu <= L_g, and the rest finite reals.
     """
 
     d1: int = 5
@@ -63,7 +63,7 @@ class QuadraticSpec:
     def __post_init__(self):
         for name in ("d1", "d2", "m", "n_per_client"):
             check_count(name, getattr(self, name))
-        check_count("seed", self.seed, 0)
+        check_count("seed", self.seed, 0, 1 << 64)
         ProblemConstants(mu=self.mu, L_g=self.L_g)   # 0 < mu <= L_g
         check_real("hetero", self.hetero, 0.0, 1.0)
         for name in ("noise_spread", "noise_std"):
@@ -113,7 +113,7 @@ class QuadraticInstance:
     non-finite array, an A or dA not exactly symmetric, offsets whose mean
     exceeds 1e-12 of their largest entry, A_bar not positive definite, a
     client Hessian outside [mu, L_g] (1e-12 slack), a non-finite rho_x,
-    noise_std < 0, a seed not an integer >= 0 or bad ``constants`` raise
+    noise_std < 0, a seed not an integer in [0, 2**64) or bad ``constants`` raise
     ParameterError naming the field (or the client). The instance keeps
     read-only copies of the arrays, so nothing it derives can go stale;
     ``dataclasses.replace`` builds a changed instance.
@@ -142,7 +142,7 @@ class QuadraticInstance:
         check_real("rho_x", self.rho_x)
         self.constants = ProblemConstants(mu=self.mu, L_g=self.L_g, L_f=max(1.0, self.rho_x))
         check_real("noise_std", self.noise_std, 0.0)
-        check_count("seed", self.seed, 0)
+        check_count("seed", self.seed, 0, 1 << 64)
         sizes = {}
         for name, axes in _AXES.items():
             a = np.array(getattr(self, name))   # a copy: the caller's stays writable
@@ -324,7 +324,7 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticInstance:
     spread = spec.noise_spread if spec.noise_mode == NOISE_FINITE_SUM else 0.0
     n, clients = spec.n_per_client, np.arange(m)
     shapes = {"dA": (d2, d2), "dB": (d2, d1), "dc": (d2,), "dd": (d2,), "de": (d1,)}
-    step = root.declare([(CLIENT, name) for name in shapes], clients)
+    step = root.declare([(CLIENT, name) for name in shapes], m)
     offsets = {name: _pm_pairs(step.lanes(clients, name), n, shape,
                                np.minimum(spread, 0.9 * margin) if name == "dA" else spread,
                                symmetric=name == "dA")

@@ -19,24 +19,25 @@ and sin. A size out of range raises ValueError naming it.
 ``RngStream`` is the one scope type, and its ``child`` hashes nothing until
 the child draws. Since a lane's hash depends only on its key path, a
 ``LaneTable`` hashes the lanes of consecutive outer steps ahead, in bulk,
-without moving a draw. It declares lane sets: a lane set, such as ``(CLIENT,
-"zeta_q", 3)`` or ``("lower", 0, CLIENT, "zeta", 2)``, is a tuple of key
-parts with ``CLIENT`` at the client id's place, the lanes one oracle call
-reads, one per client. Each set owns a run of rows of one (steps, rows)
-uint64 array, hashed one key level at a time, deepest sets first.
+without moving a draw. It declares lane sets over clients 0..m-1: a lane
+set, such as ``(CLIENT, "zeta_q", 3)`` or ``("lower", 0, CLIENT, "zeta",
+2)``, is a tuple of key parts with ``CLIENT`` at the client id's place, the
+lanes one oracle call reads. Each set owns a run of m rows, client i's at
+row i of it, of one (steps, rows) uint64 array, hashed one key level at a
+time, deepest sets first.
 
 Tables come from ``lane_steps``, whose outer-step scopes are streams on a
-run's tables, and from ``declare``, which puts a free stream on a table
-(``BilevelProblem.entry``, ``lanes`` and ``Lanes.of`` do so). A chunk of
-steps is as many as fit in ROW_BUDGET rows, from a multiple of that count.
+run's tables, and from ``declare(sets, m)``, which puts a free stream on a
+table (``BilevelProblem.entry`` and ``lanes`` do so). A chunk of steps is
+as many as fit in ROW_BUDGET rows, from a multiple of that count.
 ``declare`` keeps its last table of a free stream ``parent.child(k)``, k an
 int >= 0: a later call on a sibling reads it or a new chunk, and a call on
-another parent (seed, key, lane sets, clients) gets one step, so a one-off
-call hashes no sibling. Any other stream gets a one-step table. A table's
-rows are the lanes' own hashes, so no draw depends on the order of the
-calls. A stream on a table, and every child of it, reads ``lanes(ids,
-*tags)`` as the declared set ``(*path, CLIENT, *tags)``, path being its key
-parts below the step. A free ``RngStream(seed, key)`` declares no lane sets.
+another parent (seed, key, lane sets, m) gets one step, so a one-off call
+hashes no sibling. Any other stream gets a one-step table. A table's rows
+are the lanes' own hashes, so no draw depends on the order of the calls. A
+stream on a table, and every child of it, reads ``lanes(ids, *tags)`` as
+the declared set ``(*path, CLIENT, *tags)``, path being its key parts
+below the step. A free ``RngStream(seed, key)`` declares no lane sets.
 
 Which draws are table-wide: ``Lanes.index(n)`` is one multiply-high pass
 over every row of the table (in 32-bit halves, so no product overflows), and
@@ -211,13 +212,13 @@ class RngStream:
         change of ROADMAP item 9 deletes it."""
         return np.random.default_rng(((int(self.seed) & _MASK64) << 64) | self._hash)
 
-    def declare(self, sets, clients: np.ndarray) -> "RngStream":
-        """This stream as a step of a table of the lane sets over the client
-        ids clients. A free ``parent.child(k)``, k an int >= 0, reads the kept
+    def declare(self, sets, m: int) -> "RngStream":
+        """This stream as a step of a table of the lane sets over clients
+        0..m-1. A free ``parent.child(k)``, k an int >= 0, reads the kept
         table or, on a miss, a new kept one: a chunk of siblings if the kept
         table is its parent's, else one step. Any other stream gets one step."""
         global _kept
-        layout, key = _layout(tuple(sets), tuple(clients.tolist())), self.key
+        layout, key = _layout(tuple(sets), m), self.key
         k = key[-1] if key else None   # a chunk's ks below 2**62 fit a uint64 arange
         if self.table is not None or type(k) is not int or not 0 <= k < 1 << 62:
             return LaneTable(self.seed, key, None, np.array([self._hash], dtype=np.uint64),
@@ -234,25 +235,23 @@ class RngStream:
 
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ids. On a
-        table: the lane set ``(*path, CLIENT, *tags)`` for all its clients, or
-        for checked ids if its clients are 0..m-1 (any other table serves its
-        own clients in order); else ContractViolation names the undeclared set
-        or the ids. On a free stream: any ids, in any order, on the table of
-        that one set that ``declare`` gives."""
+        table: the lane set ``(*path, CLIENT, *tags)``, else ContractViolation
+        names it; m ids must be 0..m-1 in order, as ``CheckedOracles`` gives
+        them, and fewer read their own rows. On a free stream: any ids >= 0,
+        reordered or repeated, each by row on the table of that one set over
+        clients 0..max(ids) that ``declare`` gives; an id < 0 raises
+        ContractViolation."""
         if self.table is None:
             ids = np.array(ids, dtype=np.intp).reshape(-1)
-            return self.declare([(CLIENT, *tags)], ids).lanes(ids, *tags)
-        t, lane_set = self.table, (*self.path, CLIENT, *tags)
-        at = t.layout.at.get(lane_set)
+            if ids.size and ids.min() < 0:
+                raise ContractViolation(f"lanes of client ids {ids.tolist()}: an id is < 0")
+            step = self.declare([(CLIENT, *tags)], int(ids.max(initial=-1)) + 1)
+            return Lanes(step, (CLIENT, *tags), ids, ids, tags)   # the set's run starts at row 0
+        layout, lane_set = self.table.layout, (*self.path, CLIENT, *tags)
+        at = layout.at.get(lane_set)
         if at is None:
             raise ContractViolation(f"lane set {lane_set} is not declared by its table")
-        if not t.layout.dense and not (ids.shape[0] == t.m
-                                       and np.array_equal(ids, t.layout.clients)):
-            raise ContractViolation(
-                f"lanes of client ids {ids.tolist()}: a table over clients "
-                f"{t.layout.clients.tolist()} serves those ids in that order, and a "
-                "client subset only a table over clients 0..m-1")
-        return Lanes(self, lane_set, at if ids.shape[0] == t.m else ids + at.start, ids, tags)
+        return Lanes(self, lane_set, at if ids.shape[0] == layout.m else ids + at.start, ids, tags)
 
     def index(self, n: int) -> int:
         """Uniform draw from {0..n-1}, n >= 1: multiply-high of the hashed counter 0."""
@@ -279,30 +278,29 @@ class RngStream:
 class _Layout:
     """Where a list of lane sets puts its rows in one step of a lane table.
 
-    A lane set owns one row per client, the contiguous run ``at[lane set]``,
-    and its innermost string tag is ``tag[lane set]`` (None if it has none).
-    The sets sit deepest first, so the rows deeper than d are a prefix of
-    them: ``columns[d]`` holds their key components of depth d. Tables of
-    the same lane sets and clients share one layout.
+    A lane set owns one row per client 0..m-1, client i's at ``at.start + i``
+    of the run ``at = at[lane set]``, and its innermost string tag is
+    ``tag[lane set]`` (None if it has none). The sets sit deepest first, so
+    the rows deeper than d are a prefix of them: ``columns[d]`` holds their
+    key components of depth d. Tables of the same lane sets and m share one
+    layout.
     """
 
-    def __init__(self, sets: tuple, clients: tuple):
-        self.dense = clients == tuple(range(len(clients)))   # a client id is its row
-        self.clients = np.array(clients, dtype=np.intp)
-        ids = self.clients.astype(np.uint64)
-        self.at, self.tag, comps = {}, {}, []
+    def __init__(self, sets: tuple, m: int):
+        ids = np.arange(m, dtype=np.uint64)
+        self.m, self.at, self.tag, comps = m, {}, {}, []
         for parts in sorted(sets, key=len, reverse=True):
-            self.at[parts] = slice(len(comps) * ids.size, (len(comps) + 1) * ids.size)
+            self.at[parts] = slice(len(comps) * m, (len(comps) + 1) * m)
             self.tag[parts] = _innermost_tag(parts)
             comps.append([ids if p is CLIENT else
-                          np.full(ids.size, _component_to_int(p), dtype=np.uint64)
+                          np.full(m, _component_to_int(p), dtype=np.uint64)
                           for p in parts])
-        self.rows = len(comps) * ids.size
+        self.rows = len(comps) * m
         self.columns = [np.concatenate([c[d] for c in comps if len(c) > d])
                         for d in range(len(comps[0]) if comps else 0)]
 
 
-_layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, clients) -> their layout
+_layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, m) -> their layout
 _kept = (None, None)   # (seed, parent key, layout) and table of declare's last sibling table
 
 
@@ -321,7 +319,6 @@ class LaneTable:
 
     def __init__(self, seed: int, base: tuple, k0, scopes: np.ndarray, layout: _Layout):
         self.seed, self.base, self.k0, self.scopes, self.layout = seed, base, k0, scopes, layout
-        self.m = layout.clients.size
         h = np.empty((scopes.size, self.layout.rows), dtype=np.uint64)
         h[:] = scopes[:, None]
         for col in self.layout.columns:
@@ -386,7 +383,7 @@ def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
     """The scope streams ``root.child(tag, k)``, k = 0..K-1, each on its step
     of a table of the lane sets over clients 0..m-1; a table holds at most
     ROW_BUDGET rows (at least one step)."""
-    layout, parent = _layout(tuple(sets), tuple(range(m))), root.child(tag)
+    layout, parent = _layout(tuple(sets), m), root.child(tag)
     chunk = _chunk_steps(layout)
     for k0 in range(0, K, chunk):
         table = _sibling_table(parent, k0, min(chunk, K - k0), layout)
@@ -398,14 +395,13 @@ class Lanes:
 
     Row r is the lane ``step.child(ids[r], *tags)`` of a stream on a lane
     table, table row ``rows[r]`` of the lane set ``lane_set``: ``rows`` is
-    the set's whole run, a slice, when the call covers every client of the
-    table (as on the table a free stream's ids declare), else an index
-    array. ``hashes[r]`` is row r's running hash, so every draw of row r is
-    that stream's. ``index`` reads the table's draws; ``subset`` reads the
+    the set's whole run, a slice, when a table step's call covers all m
+    clients, else an index array (a client subset, or any call on a free
+    stream). ``hashes[r]`` is row r's running hash, so every draw of row r
+    is that stream's. ``index`` reads the table's draws; ``subset`` reads the
     set's block when ``rows`` is a slice, and is otherwise, like ``normal``,
     drawn once per Lanes. Every draw is read-only, so the two evaluations of
-    a variance-reduction pair share it. ``Lanes.of(lane)`` wraps one stream
-    as the set ``()`` of a one-client table.
+    a variance-reduction pair share it.
     """
 
     __slots__ = ("step", "lane_set", "rows", "ids", "tags", "_draws")
@@ -414,10 +410,6 @@ class Lanes:
                  ids: np.ndarray, tags: tuple):
         self.step, self.lane_set, self.rows, self.ids, self.tags = step, lane_set, rows, ids, tags
         self._draws = {}
-
-    @classmethod
-    def of(cls, lane: RngStream) -> "Lanes":
-        return cls(lane.declare([()], np.arange(1)), (), slice(0, 1), np.arange(0), ())
 
     @property
     def hashes(self) -> np.ndarray:
@@ -431,7 +423,7 @@ class Lanes:
         return table.layout.tag[self.lane_set] or _innermost_tag(table.base) or "unkeyed"
 
     def stream(self, r: int) -> RngStream:
-        return self.step.child(*self.ids[r:r + 1].tolist(), *self.tags)
+        return self.step.child(int(self.ids[r]), *self.tags)
 
     def _drawn(self, key: tuple, draw):
         out = self._draws.get(key)

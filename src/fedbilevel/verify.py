@@ -157,7 +157,7 @@ CHECKS = [
 
 def run_verification(seed: int = 0):
     """Run all checks; returns [(name, passed, detail)]. A bad seed raises ParameterError."""
-    check_count("seed", seed, 0)
+    check_count("seed", seed, 0, 1 << 64)
     results = []
     for name, fn in CHECKS:
         try:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedbilevel import ParameterError, QuadraticInstance, RngStream
-from fedbilevel.rng import Lanes
+from fedbilevel.rng import CLIENT
 
 
 def zero_offsets(m, n, d1, d2):
@@ -49,9 +49,15 @@ def two_sample_instance(grads=(1.0, -1.0)):
 
 def batch_of_one(problem, name, i, p, *args):
     """Client i's oracle ``name`` at the Point p, as a batch of one: args are
-    ([v,] stream), and the stream (None: the exact oracle) is the one lane."""
+    ([v,] stream), and the stream (None: the exact oracle) is the one lane.
+    Its key is ``scope.key + (i, *tags)``, i at the last part equal to i, so
+    the lane is row i of the declared set ``(CLIENT, *tags)`` on scope."""
     *v, stream = args
-    lanes = None if stream is None else Lanes.of(stream)
+    lanes = None
+    if stream is not None:
+        at = max(j for j, c in enumerate(stream.key) if type(c) is int and c == i)
+        scope, tags = RngStream(stream.seed, stream.key[:at]), stream.key[at + 1:]
+        lanes = scope.declare([(CLIENT, *tags)], problem.m).lanes(np.array([i]), *tags)
     return getattr(problem, name)(np.array([i]), p.x, p.y, *v, lanes)[0]
 
 

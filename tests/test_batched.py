@@ -13,7 +13,7 @@ from fedbilevel import (ContractViolation, HyperRepSpec, ParameterError, Point,
                         QuadraticInstance, QuadraticProblem, QuadraticSpec,
                         RngStream, make_hyperrep, make_quadratic)
 from fedbilevel.problems import NOISE_GAUSSIAN
-from fedbilevel.rng import CLIENT, Lanes, lane_steps
+from fedbilevel.rng import CLIENT, lane_steps
 
 from conftest import batch_of_one, manual_instance
 
@@ -262,7 +262,7 @@ def test_lane_batch_draws_match_streams():
     assert np.array_equal(lanes.subset(pool, 4), np.stack([s.subset(pool, 4) for s in streams]))
     assert np.array_equal(lanes.normal(0.2, (2, 3)),
                           np.stack([s.normal(0.2, (2, 3)) for s in streams]))
-    one = Lanes.of(streams[1])
+    one = rng.declare([(CLIENT, "zeta", 0)], 7).lanes(ids[1:2], "zeta", 0)
     assert one.stream(0) == streams[1] and one.purpose == "zeta"
     assert one.index(7).tolist() == [streams[1].index(7)]
 
@@ -278,7 +278,7 @@ def test_batched_contract_violations():
     step = next(lane_steps(RngStream(0), "est", 1, problem.m, [(CLIENT, "zeta")]))
     miscounted = ((full, step.lanes(sub, "zeta")), (sub, step.lanes(full, "zeta")),
                   (full, RngStream(0).lanes(full[1:], "zeta")),
-                  (sub, Lanes.of(RngStream(0).child(1, "zeta"))),
+                  (sub, RngStream(0).lanes([1], "zeta")),
                   (sub[:1], RngStream(0).lanes(np.array([], dtype=int), "zeta")))
     for ids, lanes in miscounted:
         for name in ORACLES:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, byte-determinism."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -175,6 +176,29 @@ def test_verify_bad_seed_is_a_config_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_seeds_from_2_to_the_64_are_rejected(tmp_path):
+    # a lane keeps a seed's low 64 bits, so seed 2**64 would draw seed 0's
+    # instance and run; every entry point rejects it, and the CLI exits 2
+    from fedbilevel import (HyperRepSpec, ParameterError, QuadraticSpec, RunConfig,
+                            make_hyperrep, make_quadratic)
+    from fedbilevel.verify import run_verification
+    match = "seed must be an integer >= 0 and < 18446744073709551616, got 18446744073709551616"
+    inst = make_quadratic(QuadraticSpec(d1=2, d2=2, m=2))
+    for build in (lambda s: RunConfig(seed=s), lambda s: QuadraticSpec(seed=s),
+                  lambda s: dataclasses.replace(inst, seed=s), run_verification,
+                  lambda s: make_hyperrep(HyperRepSpec(), s)):
+        with pytest.raises(ParameterError, match=match):
+            build(2 ** 64)
+    assert RunConfig(seed=2 ** 64 - 1).seed == QuadraticSpec(seed=2 ** 64 - 1).seed
+    out = tmp_path / "o"
+    for argv in (["run", "--config", _cfg(tmp_path, {"seed": 2 ** 64})],
+                 ["run", "--config", _cfg(tmp_path, {"problem": {
+                     "type": "quadratic", "d1": 2, "d2": 2, "m": 2, "seed": 2 ** 64}})],
+                 ["verify", "--seed", str(2 ** 64)]):
+        assert main([*argv, "--out-dir", str(out)] if argv[0] == "run" else argv) == 2
+    assert not out.exists()
+
+
 def test_round_accounting_check_covers_every_estimator(monkeypatch):
     # 2N+3 / 1 fused, 2N+T+3 / 2 AID, 2N+2 / 1 local at N = 4, T = 3; a local
     # run billed one extra round fails the check
@@ -200,6 +224,20 @@ def test_sweep_cli(tmp_path):
     assert rc == 0
     assert (out / "index.json").exists()
     assert main(["sweep", "--config", _cfg(tmp_path), "--grid", "not-json"]) == 2
+
+
+def test_sweep_set_clashing_with_the_grid_exit_code(tmp_path, capsys):
+    # --set pairs are the sweep's overrides, so a key in both is the
+    # library's clash error, not a grid that silently wins
+    out = tmp_path / "cells"
+    assert main(["sweep", "--config", _cfg(tmp_path), "--set", "tau=3", "--grid",
+                 '{"tau": [1, 2]}', "--out-dir", str(out)]) == 2
+    assert "grid keys conflict with overrides: ['tau']" in capsys.readouterr().err
+    assert not (out / "index.json").exists()
+    assert main(["sweep", "--config", _cfg(tmp_path), "--set", "K=2", "--grid",
+                 '{"tau": [1, 2]}', "--out-dir", str(out)]) == 0
+    assert json.loads((out / "index.json").read_text()) == {
+        "tau=1": "run__tau=1.csv", "tau=2": "run__tau=2.csv"}
 
 
 @pytest.mark.parametrize("grid", ['{"K": 5}', '{"K": []}'], ids=["scalar", "empty"])

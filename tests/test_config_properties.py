@@ -53,7 +53,7 @@ quadratic_specs = st.tuples(positive, positive).map(sorted).flatmap(lambda eigs:
     seed=st.integers(0, 2**32), coupling=finite, lin_scale=finite))
 hyperrep_specs = st.builds(
     HyperRepSpec, embed_dim=st.integers(1, 4), feature_dim=st.integers(1, 4),
-    classes=st.integers(1, 4), ridge=positive,
+    classes=st.integers(2, 4), ridge=positive,
     partition=st.sampled_from(["iid", "label-skew"]), shards_per_client=st.integers(1, 3),
     m=st.integers(1, 4), n_points=st.integers(100, 400),
     test_fraction=st.floats(0.01, 0.99))

@@ -64,6 +64,20 @@ def test_ridge_rejected_nonpositive():
         HyperRepSpec(ridge=0.0)
 
 
+def test_spec_needs_two_classes(tmp_path):
+    # with one class every softmax gradient is zero and every test point is
+    # classified right, so a run would report a perfect, unmoving model
+    import json
+    from fedbilevel.cli import main
+    with pytest.raises(ParameterError, match="classes must be an integer >= 2, got 1"):
+        HyperRepSpec(classes=1)
+    assert HyperRepSpec(classes=2).classes == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"type": "hyperrep", "classes": 1}, "K": 1}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n_points", [-1, 0, 4])
 def test_spec_needs_a_test_point(n_points):
     # at the default test_fraction 0.2, 4 points leave none to test on

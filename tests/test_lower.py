@@ -359,7 +359,7 @@ def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
     from fedbilevel.lower import local_lanes
     problem = _noisy_problem("finite-sum-b4" if batch == 4 else "finite-sum-b1")
     x, y, q = _random_inputs(problem, 7)
-    tau, beta, alpha, ids = [1, 3, 2, 1], 0.05, 0.1, np.arange(4)
+    tau, beta, alpha = [1, 3, 2, 1], 0.05, 0.1
     got = one_round_lower(problem, x, y, q, LowerStepConfig(beta=beta, tau=tau), range(4),
                           RngStream(3), CommLedger())
     assert problem.audit.by_purpose == {"zeta": 2 * batch * sum(tau)}
@@ -370,7 +370,7 @@ def test_svrg_pairs_at_a_tau_list_match_separate_lanes(batch):
 
     def separate_lanes_reference(scope, tag, start, stepsize, c, grad):
         # every evaluation on its own Lanes, so no gather is shared
-        step = RngStream(scope).declare(local_lanes(tag, 3), ids)
+        step = RngStream(scope).declare(local_lanes(tag, 3), 4)
         t, Z = np.array(tau), np.repeat(start[None], 4, axis=0)
         for v in range(max(tau)):
             sub = np.flatnonzero(t > v)

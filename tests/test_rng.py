@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -256,9 +257,9 @@ def test_lane_tables_leave_out_unread_lanes():
     m, N, T = 8, 2, 2     # the race configuration, tau = 1
     for variant, fused, aid in (("svrg", 72, 56), ("sgd", 88, 72)):
         sets = [*lower_phase_lanes(N, 1, variant), *chain_lanes(T, "aid")]
-        assert _layout(aggitd_lanes(N, 1, variant), tuple(range(m))).rows == fused
+        assert _layout(aggitd_lanes(N, 1, variant), m).rows == fused
         assert aggitd_lanes(N, 1, variant) is aggitd_lanes(N, 1, variant)   # cached
-        assert _layout(tuple(sets), tuple(range(m))).rows == aid
+        assert _layout(tuple(sets), m).rows == aid
 
 
 def _subset_rows_want(stream, pool, k, size):
@@ -298,10 +299,10 @@ def test_subset_blocks_equal_stream_draws(monkeypatch, key_budget, k):
 
 @pytest.mark.parametrize("key_budget", [1 << 20, 5])
 def test_subset_one_step_tables_equal_stream_draws(monkeypatch, key_budget):
-    # RngStream.lanes (any ids, in any order) and Lanes.of read a one-step
-    # table whose clients are the call's ids
+    # RngStream.lanes (any ids, in any order) reads a one-step table over
+    # clients 0..max(ids) by row, as does one client of a declared lane set
     from fedbilevel import rng as rng_mod
-    from fedbilevel.rng import Lanes
+    from fedbilevel.rng import CLIENT
     monkeypatch.setattr(rng_mod, "KEY_BUDGET", key_budget)
     base, pool = RngStream(32).child("scope"), np.arange(7)
     ids, sizes = np.array([5, 0, 3]), np.array([7, 1, 4])
@@ -311,11 +312,11 @@ def test_subset_one_step_tables_equal_stream_draws(monkeypatch, key_budget):
         for r, i in enumerate(ids.tolist()):
             want = _subset_rows_want(base.child(i, "xi", 4), pool, k, sizes[r])
             assert got[r].tolist() == want.tolist()
-        lane = base.child(2, "chi")
-        one = Lanes.of(lane).subset(pool, k, np.array([3]))
+        lane, two = base.child(2, "chi"), np.array([2])
+        one = base.declare([(CLIENT, "chi")], 3).lanes(two, "chi").subset(pool, k, np.array([3]))
         assert not one.flags.writeable
         assert one[0].tolist() == _subset_rows_want(lane, pool, k, 3).tolist()
-        assert Lanes.of(lane).subset(pool, k)[0].tolist() == lane.subset(pool, k).tolist()
+        assert base.lanes(two, "chi").subset(pool, k)[0].tolist() == lane.subset(pool, k).tolist()
 
 
 def test_subset_blocks_hash_each_lane_set_once(monkeypatch):
@@ -354,11 +355,11 @@ def test_layout_depth_is_its_deepest_lane_set():
     m, N = 3, 2
     sets = [*lower_phase_lanes(N, 1), (CLIENT, "chi")]
     assert sets == [(CLIENT, "zeta_q", 0), (CLIENT, "zeta_q", 1), (CLIENT, "chi")]
-    assert len(_layout(tuple(sets), tuple(range(m))).columns) == 3
+    assert len(_layout(tuple(sets), m).columns) == 3
     assert len(_layout(tuple(sets + [("lower", 0, CLIENT, "zeta", 1)]),
-                       tuple(range(m))).columns) == 5
+                       m).columns) == 5
     scope = RngStream(34).child("est", 0)
-    step = scope.declare(sets, np.arange(m))
+    step = scope.declare(sets, m)
     ids = np.arange(m)
     for tags in [("zeta_q", t) for t in range(N)] + [("chi",)]:
         assert [int(h) for h in step.lanes(ids, *tags).hashes] == [
@@ -403,32 +404,24 @@ def test_draw_sizes_equal_to_a_cached_size_raise(monkeypatch, warm, rows):
             call(bad)
 
 
-def test_partial_lanes_need_a_table_over_clients_0_to_m():
-    # a client subset's rows are its ids, so only a table over clients
-    # 0..m-1 serves one; any other table names the ids instead of reading
-    # another client's lane (id 0 got client 5's) or raising IndexError
+def test_lanes_read_each_id_its_own_lane():
+    # a table step reads a client subset by id; a free stream reads any ids
+    # by row, so reordered and repeated ids each draw their own lane, even
+    # when there are as many ids as clients, and a negative id raises
     from fedbilevel import ContractViolation
     from fedbilevel.rng import CLIENT
-    step = RngStream(0).declare([(CLIENT, "z")], np.array([5, 2, 7]))
-    assert step.lanes(np.array([5, 2, 7]), "z").ids.tolist() == [5, 2, 7]
-    for ids in ([0], [5], [2, 7]):
-        with pytest.raises(ContractViolation, match=re.escape(f"client ids {ids}")):
-            step.lanes(np.array(ids), "z")
-    dense = RngStream(0).declare([(CLIENT, "z")], np.arange(3))
-    assert [int(h) for h in dense.lanes(np.array([2]), "z").hashes] == [
-        RngStream(0).child(2, "z")._hash]
-
-
-def test_full_lanes_of_other_clients_must_be_them_in_order():
-    # on a table over clients 5, 2, 7, neither ids 0, 1, 2 (row 0 is client
-    # 5's lane, not child(0, "z")'s) nor 7, 2, 5 (rows in table order) may
-    # read the whole run: each raises naming the ids
-    from fedbilevel import ContractViolation
-    from fedbilevel.rng import CLIENT
-    step = RngStream(0).declare([(CLIENT, "z")], np.array([5, 2, 7]))
-    for ids in ([0, 1, 2], [7, 2, 5]):
-        with pytest.raises(ContractViolation, match=re.escape(f"client ids {ids}")):
-            step.lanes(np.array(ids), "z")
+    root = RngStream(0)
+    step = root.declare([(CLIENT, "z")], 3)
+    for ids in ([2], [0, 2]):
+        assert [int(h) for h in step.lanes(np.array(ids), "z").hashes] == [
+            root.child(i, "z")._hash for i in ids]
+    for ids in ([2, 1, 0], [1, 1, 1], [4, 0, 4, 2]):
+        lanes = root.lanes(ids, "z")
+        assert lanes.ids.tolist() == ids and lanes.index(1000).tolist() == [
+            root.child(i, "z").index(1000) for i in ids]
+        assert [int(h) for h in lanes.hashes] == [root.child(i, "z")._hash for i in ids]
+    with pytest.raises(ContractViolation, match=re.escape("client ids [1, -1]")):
+        root.lanes([1, -1], "z")
 
 
 @pytest.mark.parametrize("kind", ["finite-sum", "additive-gaussian"])
@@ -473,7 +466,7 @@ def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
     }
     monkeypatch.setattr(rng_mod, "_kept", (None, None))
     for name, (sets, call) in phases.items():
-        chunk = _chunk_steps(_layout(tuple(sets), tuple(range(m))))
+        chunk = _chunk_steps(_layout(tuple(sets), m))
         K, js = chunk + 2, (chunk, chunk + 1, k, chunk - 1)
         visits = ([(tag, j) for j in js for tag in ("est", "alt")]
                   + [(tag, j) for tag in ("est", "alt") for j in js])
@@ -500,13 +493,13 @@ def test_sibling_direct_calls_share_one_table_per_chunk(monkeypatch):
                             aggitd, make_problem)
     from fedbilevel import rng as rng_mod
     from fedbilevel.hypergrad import aggitd_lanes, beta_cap, lambda_cap
-    from fedbilevel.rng import CLIENT, Lanes, _chunk_steps, _layout
+    from fedbilevel.rng import CLIENT, _chunk_steps, _layout
     problem = make_problem(QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0,
                                          hetero=0.3, noise_spread=0.1, seed=11))
     lam = lambda_cap(problem.constants)
     cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=beta_cap(lam, problem.constants),
                                                            tau=1))
-    chunk = _chunk_steps(_layout(aggitd_lanes(3, 1), (0, 1, 2)))
+    chunk = _chunk_steps(_layout(aggitd_lanes(3, 1), 3))
     built, init = [], rng_mod.LaneTable.__init__
 
     def counted(table, seed, base, k0, scopes, *rest):
@@ -521,10 +514,10 @@ def test_sibling_direct_calls_share_one_table_per_chunk(monkeypatch):
     assert len(built) == 1 + -(-1000 // chunk) and built[0] == 1 and set(built[1:]) == {chunk}
     built.clear()
     root.child("mc", 3, "z").lanes(np.arange(3), "w")
-    Lanes.of(root.child("make_quadratic"))
+    root.child("make_quadratic").declare([(CLIENT, "U")], 2)
     assert built == [1, 1]
     for p in range(100):
-        root.child("p", p, 0).declare([(CLIENT, "z")], np.arange(2))
+        root.child("p", p, 0).declare([(CLIENT, "z")], 2)
     assert rng_mod._kept[1].base == ("p", 99)
 
 
@@ -536,7 +529,7 @@ def test_declare_hashes_one_step_then_aligned_chunks(monkeypatch):
     from fedbilevel import rng as rng_mod
     from fedbilevel.rng import CLIENT, _chunk_steps, _layout
     sets, ids = [(CLIENT, "z")], np.arange(3)
-    chunk = _chunk_steps(_layout(tuple(sets), (0, 1, 2)))
+    chunk = _chunk_steps(_layout(tuple(sets), 3))
     assert chunk == rng_mod.ROW_BUDGET // 3
     built, init = [], rng_mod.LaneTable.__init__
 
@@ -549,7 +542,7 @@ def test_declare_hashes_one_step_then_aligned_chunks(monkeypatch):
     visits = [("a", k), ("a", k), ("a", k + 1), ("a", chunk - 1), ("a", 3),
               ("b", 0), ("a", k + 1), ("a", k)]
     for tag, j in visits:
-        step = root.child(tag, j).declare(sets, ids)
+        step = root.child(tag, j).declare(sets, 3)
         assert step == root.child(tag, j) and step.table.k0 + step.s == j
         assert [int(h) for h in step.lanes(ids, "z").hashes] == [
             root.child(tag, j, i, "z")._hash for i in range(3)]
@@ -584,3 +577,155 @@ def test_sibling_chunks_shared_by_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
+
+
+# -- the reference model: every draw from the free per-lane definition --------
+
+def _model_hash(seed, key):
+    """The lane's running hash: the seed's lane extended by the key path."""
+    from fedbilevel.rng import _extend
+    return _extend(RngStream(seed)._hash, key)
+
+
+def _is_size(value, least, bound):
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and least <= value < bound)
+
+
+def _model_index(hashes, n):
+    if not _is_size(n, 1, 2 ** 32):
+        raise ValueError(n)
+    return [(_mix64(h, 0) * int(n)) >> 64 for h in hashes]
+
+
+def _model_subset(hashes, pool, k, sizes):
+    # a row's positions from its size on sort last; Python's sort is stable
+    if not _is_size(k, 0, np.inf):
+        raise ValueError(k)
+    rows = []
+    for h, size in zip(hashes, sizes):
+        keys = [_mix64(h, c) if c < size else 2 ** 64 - 1 for c in range(len(pool))]
+        rows.append(sorted(pool[sorted(range(len(pool)), key=keys.__getitem__)[:k]].tolist()))
+    return rows
+
+
+def _model_normal(h, std, shape):
+    n = int(np.prod(shape))
+    u = np.array([1.0 - (_mix64(h, c) >> 11) * 2.0 ** -53 for c in range(n + n % 2)])
+    r, theta = std * np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
+    return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n].reshape(shape)
+
+
+def _same_or_same_error(got, want):
+    """got() equals want(), or both raise ValueError; got's names the size."""
+    try:
+        expected = want()
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(e.args[0]))}$"):
+            got()
+        return
+    assert got() == expected
+
+
+def test_draws_equal_the_per_lane_model(monkeypatch):
+    # declare on int- and str-ended keys, lane_steps chunks, table lanes on
+    # all and on sorted partial ids, free lanes on any ids, and index, subset
+    # and normal at fresh, cached and bool/float sizes, interleaved on two
+    # seeds and a few parents with small row and key budgets: every draw is
+    # the model's, or the same ValueError, whatever the tables and caches hold
+    from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
+    from fedbilevel import ContractViolation
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.rng import CLIENT
+    monkeypatch.setattr(rng_mod, "ROW_BUDGET", 6)
+    monkeypatch.setattr(rng_mod, "KEY_BUDGET", 8)
+    monkeypatch.setattr(rng_mod, "_kept", (None, None))
+    seeds, parents = st.sampled_from([3, 2 ** 64 - 5]), st.sampled_from([(), ("est",), ("p", 2)])
+    lasts = st.integers(0, 9) | st.sampled_from(["s", "t"])
+    set_lists = st.sampled_from([((CLIENT, "z"),), ((CLIENT, "z", 0), (CLIENT, "u"),
+                                                    ("lower", 1, CLIENT, "zeta", 2))])
+    parts = st.lists(st.integers(0, 3), max_size=3)   # a client subset, taken mod m
+    pools = [np.arange(5), np.arange(10, 17) * 3]
+    sizes = [1, 2, 7, 2 ** 32 - 1, np.int64(7), True, 1.0, 0, 2 ** 32]
+
+    class Machine(RuleBasedStateMachine):
+        # each table step adds the Lanes of every declared set, on all its
+        # clients and on a sorted subset, and each draw rule draws on every
+        # Lanes built so far, so a call meets whatever earlier calls left in
+        # the tables' and the Lanes' caches
+
+        def __init__(self):
+            super().__init__()
+            self.lanes = []   # (Lanes, the model hash of each row)
+
+        def add_table_lanes(self, step, seed, key, sets, m, part):
+            for lane_set in sets:
+                at = lane_set.index(CLIENT)
+                path, tags = lane_set[:at], lane_set[at + 1:]
+                for ids in (list(range(m)), sorted({i % m for i in part})):
+                    self.lanes.append((
+                        step.child(*path).lanes(np.array(ids, dtype=np.intp), *tags),
+                        [_model_hash(seed, (*key, *path, i, *tags)) for i in ids]))
+
+        @rule(seed=seeds, parent=parents, lasts=st.lists(lasts, min_size=1, max_size=4),
+              sets=set_lists, m=st.integers(1, 4), part=parts)
+        def declare(self, seed, parent, lasts, sets, m, part):
+            # siblings of one parent in turn: kept-table hits, misses and chunks
+            for last in lasts:
+                key = (*parent, last)
+                step = RngStream(seed).child(*key).declare(sets, m)
+                assert step.index(7) == _model_index([_model_hash(seed, key)], 7)[0]
+                assert step.child("Q").index(2 ** 40) == (
+                    _mix64(_model_hash(seed, (*key, "Q")), 0) * 2 ** 40) >> 64
+                with pytest.raises(ContractViolation, match="is not declared"):
+                    step.lanes(np.arange(1), "nope")
+            self.add_table_lanes(step, seed, key, sets, m, part)
+
+        @rule(seed=seeds, tag=st.sampled_from(["est", "upper"]), K=st.integers(1, 7),
+              k=st.integers(0, 6), sets=set_lists, m=st.integers(1, 4), part=parts)
+        def lane_steps(self, seed, tag, K, k, sets, m, part):
+            step = list(rng_mod.lane_steps(RngStream(seed), tag, K, m, sets))[k % K]
+            assert step.index(7) == _model_index([_model_hash(seed, (tag, k % K))], 7)[0]
+            self.add_table_lanes(step, seed, (tag, k % K), sets, m, part)
+
+        @rule(seed=seeds, parent=parents, last=lasts, ids=st.lists(st.integers(0, 5), max_size=6),
+              tags=st.sampled_from([(), ("z",), ("zeta", 1)]))
+        def free_lanes(self, seed, parent, last, ids, tags):
+            key = (*parent, last)
+            self.lanes.append((RngStream(seed).child(*key).lanes(ids, *tags),
+                               [_model_hash(seed, (*key, i, *tags)) for i in ids]))
+            with pytest.raises(ContractViolation, match="< 0"):
+                RngStream(seed).child(*key).lanes([*ids, -1], *tags)
+
+        @rule(order=st.permutations(sizes))
+        def index(self, order):
+            for n in order:
+                for lanes, hashes in self.lanes:
+                    _same_or_same_error(lambda: lanes.index(n).tolist(),
+                                        lambda: _model_index(hashes, n))
+
+        @rule(first=st.sampled_from([0, 1]),
+              k=st.sampled_from([0, 1, 3, 9, np.int64(1), True, 1.0, -1]),
+              short=st.booleans())
+        def subset(self, first, k, short):
+            # both pools in either order, each whole and with row r's pool cut
+            # to its first (r + 3) % 6 entries, in either order
+            for pool, short in itertools.product((pools[first], pools[1 - first]),
+                                                 (short, not short)):
+                for lanes, hashes in self.lanes:
+                    rows = np.arange(3, 3 + len(hashes)) % 6 if short else None
+                    per_row = [len(pool)] * len(hashes) if rows is None else rows.tolist()
+                    _same_or_same_error(lambda: lanes.subset(pool, k, rows).tolist(),
+                                        lambda: _model_subset(hashes, pool, k, per_row))
+
+        @rule(std=st.sampled_from([0.5, 2.0]), shape=st.sampled_from([(1,), (3,), (2, 2)]))
+        def normal(self, std, shape):
+            for lanes, hashes in self.lanes:
+                got = lanes.normal(std, shape)
+                assert got.shape == (len(hashes), *shape)
+                assert got.tobytes() == b"".join(_model_normal(h, std, shape).tobytes()
+                                                 for h in hashes)
+
+    run_state_machine_as_test(Machine, settings=settings(
+        max_examples=60, stateful_step_count=25, derandomize=True, deadline=None,
+        database=None))
