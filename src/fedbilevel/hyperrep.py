@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,25 @@ def _minibatch_mean(A: np.ndarray, B: np.ndarray, n: np.ndarray) -> np.ndarray:
 def _directional(Z: np.ndarray, P: np.ndarray, H: np.ndarray, v: np.ndarray):
     """The head direction V of v, and the rows D_j (V z_j)."""
     V = v.reshape(*v.shape[:-1], *H.shape[-2:])
-    W = Z @ _swap(V)
-    return V, P * W - P * (P * W).sum(axis=-1, keepdims=True)
+    PW = P * (Z @ _swap(V))
+    return V, PW - P * PW.sum(axis=-1, keepdims=True)
+
+
+class _Split(NamedTuple):
+    """One split of every client, padded to its longest, w points: flat
+    C-contiguous stores (m * w, .) of the features (zero on padding) and the
+    float one-hot labels, client i's points at rows i * w to i * w + w - 1;
+    the point counts; the minibatch draws' pool, the w padded columns; and,
+    for a minibatch of b = min(batch_size, w) columns, each client's row
+    offset i * w repeated over the columns (m, b) and its point count
+    min(n_i, b) as a float (m, 1, 1)."""
+
+    U: np.ndarray
+    onehot: np.ndarray
+    sizes: np.ndarray
+    pool: np.ndarray
+    row0: np.ndarray
+    counts: np.ndarray
 
 
 class HyperRepProblem(BilevelProblem):
@@ -105,11 +123,12 @@ class HyperRepProblem(BilevelProblem):
     Stochasticity is finite-sum only: each oracle call draws batch indices
     from the relevant split (training split for lower-level quantities,
     held-out split for upper-level ones). Each split is its per-client index
-    lists, padded on first use into (m, w) whole-split arrays, so clients may
-    hold splits of unequal size; padded points get weight 0. The exact truth
-    runs the kernels over every client on a stack of points, x and y as
-    (rows, 1, d) stacks; a kernel may take the pass ``fw`` of its split that
-    the caller has already run, so one pass serves several kernels.
+    lists, padded on first use into flat (m * w, .) stores (``_Split``), so
+    clients may hold splits of unequal size; padded points get weight 0. A
+    minibatch is one ``take`` from each store. The exact truth runs the
+    kernels over every client on a stack of points, x and y as (rows, 1, d)
+    stacks; a kernel may take the pass ``fw`` of its split that the caller
+    has already run, so one pass serves several kernels.
     """
 
     def __init__(self, U: np.ndarray, labels: np.ndarray,
@@ -147,21 +166,22 @@ class HyperRepProblem(BilevelProblem):
         return x.reshape(*x.shape[:-1], p, f), y.reshape(*y.shape[:-1], C, p)
 
     def _whole_split(self, split):
-        """(Us, onehot, n, pool) of every client's whole split: the features
-        padded to the longest split and zeroed on padding, the one-hot labels,
-        the point counts and the minibatch draws' pool, the padded columns."""
+        """The split's ``_Split``, built on first use and read-only."""
         got = self._full.get(split)
         if got is None:
             splits = self.train_idx if split == "train" else self.val_idx
             sizes = np.array([len(s) for s in splits])
-            idx = np.zeros((len(splits), sizes.max()), dtype=np.intp)
+            m, w = len(splits), sizes.max()
+            b = min(self.batch_size, w)
+            idx = np.zeros((m, w), dtype=np.intp)
             for i, s in enumerate(splits):
                 idx[i, :len(s)] = s
-            mask = np.arange(idx.shape[1]) < sizes[:, None]
-            got = self._full[split] = (
-                self.U[idx] * mask[..., None],
-                self.labels[idx][..., None] == np.arange(self.spec.classes),
-                sizes[:, None, None], np.arange(idx.shape[1]))
+            mask = np.arange(w) < sizes[:, None]
+            got = self._full[split] = _Split(
+                (self.U[idx] * mask[..., None]).reshape(m * w, -1),
+                (self.labels[idx].reshape(-1, 1) == np.arange(self.spec.classes)) * 1.0,
+                sizes, np.arange(w), np.repeat(self._all_ids[:, None] * w, b, axis=1),
+                np.minimum(sizes, b)[:, None, None] * 1.0)
             for a in got:
                 a.flags.writeable = False
         return got
@@ -172,21 +192,27 @@ class HyperRepProblem(BilevelProblem):
         Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
         split when lanes is None. The draw is ``lanes.subset`` over the split's
         one pool of padded columns, so a call on every client reads its rows out
-        of its lane set's block in the lane table, and the minibatch is gathered
-        at the drawn positions from ``_whole_split``. Returns (H, Us, Z, P, R, n):
-        (k, b, .) stacks over the b columns of the minibatch table, and each
-        row's point count. Padded points get zero features, so they add nothing
-        to any mean. With lanes None, x and y may also be (rows, 1, d) stacks of
-        points, each evaluated over every id: the stacks are then (rows, k, b, .).
+        of its lane set's block in the lane table, and the minibatch is one
+        ``take`` of the drawn rows, row offset plus position, from each of the
+        split's flat stores; its count is min(n_i, b), as a short split pads
+        its draw. Offsets and counts are the split's, read at the ids' rows
+        (a full slice, no gather, on every client). Returns (H, Us, Z, P, R,
+        n): (k, b, .) stacks over the b columns of the minibatch table, and
+        each row's point count. Padded points get zero features, so they add
+        nothing to any mean. With lanes None, x and y may also be (rows, 1, d)
+        stacks of points, each evaluated over every id: the stacks are then
+        (rows, k, b, .).
         """
-        Us, onehot, n, pool = self._whole_split(split)
-        if lanes is not None and self.batch_size < pool.size:
-            n = n[ids]
-            pos = lanes.subset(pool, self.batch_size, n[:, 0, 0])
-            Us, onehot = Us[ids[:, None], pos], onehot[ids[:, None], pos]   # (k, b, .)
-            n = np.minimum(n, self.batch_size)     # a short split pads its draw
-        elif ids.shape[0] < self.m:
-            Us, onehot, n = Us[ids], onehot[ids], n[ids]
+        U, onehot, sizes, pool, row0, counts = self._whole_split(split)
+        w = pool.size
+        r = slice(None) if ids.shape[0] == self.m else ids   # checked ids: all m are 0..m-1
+        if lanes is not None and self.batch_size < w:
+            sizes = sizes[r]
+            rows = row0[r] + lanes.subset(pool, self.batch_size, sizes)
+            Us, onehot, n = U.take(rows, 0), onehot.take(rows, 0), counts[r]   # (k, b, .)
+        else:
+            Us, onehot = U.reshape(self.m, w, -1)[r], onehot.reshape(self.m, w, -1)[r]
+            n = sizes[r, None, None]
         E, H = self._unpack(x, y)
         Z = Us @ _swap(E)                          # (k, b, p)
         P = _softmax_rows(Z @ _swap(H))            # (k, b, C)
@@ -227,13 +253,14 @@ class HyperRepProblem(BilevelProblem):
         """The upper objective at each row: the mean over clients of each
         client's mean cross-entropy on its held-out split, the function that
         ``grad_upper_x`` and ``hypergradient_numeric`` differentiate."""
-        Us, onehot, n, _ = self._whole_split("val")
+        U, onehot, sizes, pool, _, _ = self._whole_split("val")
         E, H = self._unpack(x[..., None, :], y[..., None, :])
-        z = (Us @ _swap(E)) @ _swap(H)
+        z = (U.reshape(self.m, pool.size, -1) @ _swap(E)) @ _swap(H)
         z = z - z.max(axis=-1, keepdims=True)
-        loss = np.log(np.exp(z).sum(axis=-1)) - (z * onehot).sum(axis=-1)   # (rows, m, w)
-        loss = loss * (np.arange(loss.shape[-1]) < n[:, :, 0])   # padding weighs nothing
-        return np.mean(loss.sum(axis=-1) / n[:, 0, 0], axis=-1)
+        loss = (np.log(np.exp(z).sum(axis=-1))
+                - (z * onehot.reshape(z.shape[-3:])).sum(axis=-1))   # (rows, m, w)
+        loss = loss * (pool < sizes[:, None])   # padding weighs nothing
+        return np.mean(loss.sum(axis=-1) / sizes, axis=-1)
 
     def test_metric(self, x, y):
         """Accuracy of the head on the test split, at each row."""

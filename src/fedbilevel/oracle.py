@@ -79,9 +79,11 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
     the oracle kernels, in slices of at most MEASURE_BUDGET elements per
     temporary. Per point there remains, for additive-gaussian noise only, one
     batched oracle call per purpose on the lanes ``child("mc", k, i, tag)``.
+    samples must be an integer >= 100 and seed one in [0, 2**64), else
+    ParameterError names the setting.
     """
-    if samples < 100:
-        raise ParameterError("need at least 100 region samples")
+    check_count("samples", samples, 100)
+    check_count("seed", seed, 0, 1 << 64)
     eigs = np.concatenate([np.linalg.eigvalsh(inst.A_bar), np.linalg.eigvalsh(inst.A).ravel(),
                            np.linalg.eigvalsh(inst.lower_samples[..., :inst.d2]).ravel()])
     mu, L_g = float(eigs.min()), float(eigs.max())

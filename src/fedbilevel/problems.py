@@ -24,9 +24,11 @@ and deduplicates the ids, checks them and the points' shapes, and returns
 them as ``CheckedOracles``. The full client set has one ``CheckedOracles``
 per problem, so the local-step schedules kept on it serve every direct call
 and every run on that problem; a partial set gets its own. The oracles take
-those ids or a row subset of them and check per call only that ``lanes`` is
-None or Lanes with one row per id; then they audit the call's samples by
-purpose and call the problem's stacked kernel. A run checks one set per run
+those ids or a row subset of them, so the ids of a call are increasing and a
+call on all m clients takes 0..m-1 in order; the kernels read such a call's
+rows as a full slice. They check per call only that ``lanes`` is None or
+Lanes with one row per id; then they audit the call's samples by purpose and
+call the problem's stacked kernel. A run checks one set per run
 (full participation) or per outer step. Each estimator and local phase
 opens with ``problem.entry``: its participants are client ids or checked
 oracles, and its rng an ``RngStream``, on a lane table or free (then put on

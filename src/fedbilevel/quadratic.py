@@ -342,9 +342,14 @@ class QuadraticProblem(BilevelProblem):
 
     The problem keeps a reference to the instance's stacked (m, ...) arrays,
     with no copy, and every oracle is a stacked kernel over a participant id
-    array: row r reads the rows ids[r] of the arrays. A finite-sum row of
-    batch 1 gathers its folded sample once: a lower gradient is one gemv of
-    [A + dA | B + dB | c + dc] with [y; x; 1], a Hessian- or Jacobian-vector
+    array: row r reads the rows ids[r] of the arrays. The folded samples sit
+    in flat, C-contiguous, read-only (m * n, ...) stores built once per
+    finite-sum problem, client i's sample j at row i * n + j: the packed
+    [A + dA | B + dB | c + dc] rows and the d + dd and e + de vectors are
+    views of the instance's arrays, and the A and B blocks contiguous copies.
+    A finite-sum row of batch 1 gathers its folded sample with one ``take``
+    at its client's row offset plus its drawn index: a lower gradient is one
+    gemv of the packed row with [y; x; 1], a Hessian- or Jacobian-vector
     product one gemv on its A or B block. A minibatch of 1 < k < n averages
     the folded samples, so it is unbiased up to the rounding of each fold; a
     full batch and lanes=None read the client arrays and are exact.
@@ -355,8 +360,17 @@ class QuadraticProblem(BilevelProblem):
                          batch_size=batch_size)
         self.inst = inst
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
-        S = inst.lower_samples
-        self._A_samples, self._B_samples = S[..., :inst.d2], S[..., inst.d2:-1]
+        self._lower = self._A = self._B = self._d = self._e = None
+        self._pool = self._row0 = None
+        if self.finite_sum:     # additive-gaussian noise reads no sample store
+            n, d2, S = inst.n_samples, inst.d2, inst.lower_samples
+            # the stores of the A and B blocks are copies, the others views
+            self._lower, self._A, self._B, self._d, self._e = (
+                np.ascontiguousarray(a).reshape(inst.m * n, *a.shape[2:])
+                for a in (S, S[..., :d2], S[..., d2:-1], inst.d_samples, inst.e_samples))
+            self._pool, self._row0 = np.arange(n), self._all_ids * n   # client i's first row
+            for a in (self._lower, self._A, self._B, self._d, self._e, self._pool, self._row0):
+                a.setflags(write=False)
 
     # the exact truth: the instance's closed forms, with no task metric
     def y_star(self, x, y0=None):
@@ -373,28 +387,33 @@ class QuadraticProblem(BilevelProblem):
 
     def _rows(self, ids):
         """Index of the clients' rows in the stacked arrays: a full slice
-        (no copy) when every client takes part."""
+        (no copy) when every client takes part, as checked ids then are
+        0..m-1 in order."""
         return slice(None) if ids.shape[0] == self.m else ids
 
-    def _sample(self, ids, lanes, folded, client=None):
-        """Each row's sample from the folded (m, n, ...) data: the drawn one
-        (batch 1) or the mean over the drawn subset. With no draw (lanes None,
-        additive-gaussian noise, or all n samples, whose offsets average to
-        zero) the rows of ``client`` instead, or None without it."""
+    def _sample(self, ids, lanes, flat, client=None):
+        """Each row's sample from a flat (m * n, ...) store of folded samples:
+        the drawn one (batch 1) or the mean over the drawn subset, gathered by
+        one ``take`` at the client's row offset plus the drawn indices, the
+        offsets read at ``_rows(ids)`` like the client arrays. With no draw
+        (lanes None, additive-gaussian noise, or all n samples, whose offsets
+        average to zero) the rows of ``client`` instead, or None without
+        it."""
         n = self.inst.n_samples
         k = min(self.batch_size, n)
         if lanes is None or not self.finite_sum or k == n:
             return None if client is None else client[self._rows(ids)]
+        row0 = self._row0[self._rows(ids)]
         if k == 1:
-            return folded[ids, lanes.index(n)]
-        return folded[ids[:, None], lanes.subset(np.arange(n), k)].mean(axis=1)
+            return flat.take(row0 + lanes.index(n), 0)
+        return flat.take(row0[:, None] + lanes.subset(self._pool, k), 0).mean(axis=1)
 
     def _gaussian(self, lanes):
         return lanes is not None and not self.finite_sum
 
     def _grad_lower_y_batch(self, ids, x, y, lanes):
         q = self.inst
-        S = self._sample(ids, lanes, q.lower_samples)
+        S = self._sample(ids, lanes, self._lower)
         if S is not None:
             return _mv(S, _affine(y, x))
         r = self._rows(ids)
@@ -403,17 +422,17 @@ class QuadraticProblem(BilevelProblem):
 
     def _grad_upper_x_batch(self, ids, x, y, lanes):
         q = self.inst
-        g = q.rho_x * x + self._sample(ids, lanes, q.e_samples, q.e)
+        g = q.rho_x * x + self._sample(ids, lanes, self._e, q.e)
         return g + lanes.normal(q.noise_std, (self.d1,)) if self._gaussian(lanes) else g
 
     def _grad_upper_y_batch(self, ids, x, y, lanes):
         q = self.inst
-        g = y - self._sample(ids, lanes, q.d_samples, q.d)
+        g = y - self._sample(ids, lanes, self._d, q.d)
         return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
 
     def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
         q = self.inst
-        A = self._sample(ids, lanes, self._A_samples, q.A)
+        A = self._sample(ids, lanes, self._A, q.A)
         if self._gaussian(lanes):
             S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
             nrm = np.linalg.norm(S, 2, axis=(1, 2))
@@ -425,7 +444,7 @@ class QuadraticProblem(BilevelProblem):
 
     def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
         q = self.inst
-        B = self._sample(ids, lanes, self._B_samples, q.B)
+        B = self._sample(ids, lanes, self._B, q.B)
         if self._gaussian(lanes):
             B = B + lanes.normal(q.noise_std, (self.d2, self.d1))
         return _mv(B.swapaxes(-1, -2), v)

@@ -117,6 +117,48 @@ def test_grad_lower_y_stacked_copy_of_shared_y(mode, make, stochastic):
         assert np.array_equal(stacked, shared), ids
 
 
+@pytest.mark.parametrize("mode,make,stochastic", MODES, ids=[m[0] for m in MODES])
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+def test_full_set_rows_match_subset_calls(mode, make, stochastic, stacked):
+    # a call on all m clients reads, on a lane table step, the set's block of
+    # draws, and calls on client subsets their own rows of it; each row's
+    # minibatch is gathered at its own client's row offset, so every call
+    # gives each client's row with the same bits
+    problem = make()
+    gen = RngStream(6).child("points").generator()
+    step = next(lane_steps(RngStream(41), "est", 1, problem.m, [(CLIENT, n) for n in ORACLES]))
+    everyone = np.arange(problem.m)
+    shape = lambda d: (problem.m, d) if stacked else (d,)  # noqa: E731
+    x, y, v = (0.5 * gen.normal(size=shape(d)) for d in (problem.d1, problem.d2, problem.d2))
+    part = lambda a, ids: a[ids] if stacked else a  # noqa: E731
+    for name in ORACLES:
+        lanes = (lambda ids: step.lanes(ids, name)) if stochastic else (lambda ids: None)
+        full = _batched(problem, name, everyone, x, y, v, lanes(everyone))
+        for ids in (np.array([0, 2, 3]), np.array([1, 4]), np.array([3]), everyone[:-1]):
+            got = _batched(problem, name, ids, *(part(a, ids) for a in (x, y, v)), lanes(ids))
+            assert got.tobytes() == full[ids].tobytes(), (name, ids)
+
+
+@pytest.mark.parametrize("make", [lambda: _quadratic(3), lambda: _hyperrep(3)],
+                         ids=["quadratic", "hyperrep"])
+def test_checked_full_set_is_every_client_in_order(make):
+    # the kernels read a call on all m ids as clients 0..m-1 in order (a full
+    # slice of their arrays, offsets and counts); checked() gives the full
+    # set so from any order of the participants, and every client's row of
+    # that call is its own
+    problem = make()
+    x, y = np.zeros(problem.d1), np.zeros(problem.d2)
+    step = next(lane_steps(RngStream(2), "est", 1, problem.m, [(CLIENT, "zeta")]))
+    order = np.arange(problem.m)
+    for participants in (order[::-1], [2, 0, 4, 1, 3, 2]):
+        ids = problem.checked(participants, x, y).ids
+        assert ids.tolist() == order.tolist()
+        full = problem.grad_lower_y(ids, x, y, step.lanes(ids, "zeta"))
+        for i in order:
+            one = problem.grad_lower_y(order[i:i + 1], x, y, step.lanes(order[i:i + 1], "zeta"))
+            assert one.tobytes() == full[i:i + 1].tobytes()
+
+
 def _reference(problem, name, i, x, y, v, lane):
     """The quadratic oracles written per client, as plain numpy on row i of the
     instance arrays. A finite-sum sample folds its offsets into the client

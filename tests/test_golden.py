@@ -77,6 +77,26 @@ def test_hyperrep_iterates_pinned(estimator):
     assert got == HYPERREP_ITERATES[estimator]
 
 
+# sha256 of final_x, final_y and the sorted SampleAudit.by_purpose JSON of a
+# hyperrep run off the demo-05 path: half the clients per step (a client
+# subset in every oracle call), SVRG pairs at v >= 1 (tau up to 3) and
+# minibatches of 4 from train splits of 6, 6, 6 and 5 points; pinned on
+# x86_64 with OpenBLAS
+HYPERREP_PARTIAL = "0b9e680164bb413cd7f142f3167847ed3127ba4952e8ebd792a02b4f5f106cba"
+
+
+def test_hyperrep_partial_participation_pinned():
+    spec = HyperRepSpec(embed_dim=2, feature_dim=3, classes=3, ridge=0.2, m=4, n_points=58)
+    cfg = RunConfig(problem=spec, K=12, seed=7, eval_every=4, alpha=0.5, N=4, batch_size=4,
+                    participation=0.5, tau=[1, 2, 3, 1])
+    problem = build_problem(cfg)
+    assert [len(t) for t in problem.train_idx] == [6, 6, 6, 5]
+    rep = run_fbo_aggitd(cfg, problem)
+    audit = json.dumps(problem.audit.by_purpose, sort_keys=True).encode()
+    got = hashlib.sha256(rep.final_x.tobytes() + rep.final_y.tobytes() + audit).hexdigest()
+    assert got == HYPERREP_PARTIAL
+
+
 def _spec(**kw):
     base = dict(d1=4, d2=4, m=4, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.5,
                 noise_spread=0.1, seed=5)
@@ -108,6 +128,9 @@ GOLDEN_RUNS = {
     "gaussian": (dict(problem=_spec(noise_mode="additive-gaussian", noise_std=0.15),
                       estimator="aid", tau=2),
                  "d5426e6f49581f6278546ef4435b52265a75bebfbe08b8a2163607e8e9eae196"),
+    # a minibatch mean over a client subset in every oracle call
+    "participation_batch": (dict(problem=_spec(m=6), participation=0.5, batch_size=3),
+                            "fe9d95f1494f78e0869f9a7ce6e56bc91acad5808b998afbdb5639370b0b53c9"),
 }
 
 

@@ -338,3 +338,25 @@ def test_softmax_rows_equal_the_reduce_form(C):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     want = e / e.sum(axis=-1, keepdims=True)
     assert _softmax_rows(logits).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("C", [2, 3, 8, 10])
+def test_directional_rows_equal_the_reduce_form(C):
+    # _directional forms P * W once and sums its rows with one reduce over the
+    # class axis: the bits of P * W - P * (P * W).sum(axis=-1, keepdims=True),
+    # signed zeros included (a row of -0.0 products sums to +0.0)
+    from fedbilevel.hyperrep import _directional
+    gen = RngStream(C).child("directional")
+    p = 3
+    Z = gen.child("Z").normal(1.0, (5, 6, p))
+    H = gen.child("H").normal(1.0, (C, p))
+    v = gen.child("v").normal(1.0, (5, C * p))
+    P = gen.child("P").uniform((5, 6, C))
+    W = Z @ v.reshape(5, C, p).swapaxes(-1, -2)
+    P[0, 0] = np.copysign(0.0, -W[0, 0])     # every product -0.0
+    P[0, 1] = np.copysign(0.0, W[0, 1])      # every product +0.0
+    P[0, 2, :2] = (0.0, -0.0)                # mixed zeros beside nonzero products
+    V, DW = _directional(Z, P, H, v)
+    want = P * W - P * (P * W).sum(axis=-1, keepdims=True)
+    assert np.signbit(P[0, 0] * W[0, 0]).all()
+    assert V.shape == (5, C, p) and DW.tobytes() == want.tobytes()

@@ -188,6 +188,19 @@ def test_measure_constants_requires_samples():
         measure_constants(inst, region, samples=50)
 
 
+def test_measure_constants_checks_counts_by_name():
+    # a fractional count would reach a slice, and a seed outside [0, 2**64)
+    # would be masked to another seed's 64 bits: both name the setting instead
+    inst = manual_instance([1.0, 2.0], d1=2, m=2)
+    region = TestRegion(Point(np.zeros(2), np.zeros(2)), radius=1.0)
+    for kw, name in ((dict(samples=100.5), "samples"), (dict(samples=True), "samples"),
+                     (dict(seed=1 << 64), "seed"), (dict(seed=-1), "seed"),
+                     (dict(seed=2.0), "seed")):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            measure_constants(inst, region, **kw)
+    assert measure_constants(inst, region, seed=(1 << 64) - 1).mu == 1.0
+
+
 def test_region_validation():
     with pytest.raises(ParameterError):
         TestRegion(Point(np.zeros(1), np.zeros(1)), radius=0.0)

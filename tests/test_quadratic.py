@@ -167,6 +167,33 @@ def test_lower_samples_fold_each_sample_once():
         inst.c[:, None] + dc).tobytes()
 
 
+def test_problem_keeps_flat_sample_stores():
+    # a finite-sum problem gathers its folded samples with one take from flat
+    # (m * n, ...) stores, client i's sample j at row i * n + j: C-contiguous
+    # and read-only, views of the instance's folds except the A and B blocks
+    inst = make_quadratic(QuadraticSpec(d1=3, d2=2, m=3, n_per_client=4, hetero=0.5, seed=8))
+    problem = QuadraticProblem(inst, batch_size=2)
+    S = inst.lower_samples
+    for store, folded, shared in ((problem._lower, S, True), (problem._A, S[..., :2], False),
+                                  (problem._B, S[..., 2:5], False),
+                                  (problem._d, inst.d_samples, True),
+                                  (problem._e, inst.e_samples, True)):
+        assert store.flags.c_contiguous and not store.flags.writeable
+        assert store.shape == (12, *folded.shape[2:])
+        assert np.shares_memory(store, folded) == shared
+        for i, j in ((0, 0), (1, 3), (2, 1)):
+            assert store[i * 4 + j].tobytes() == np.ascontiguousarray(folded[i, j]).tobytes()
+    lanes = RngStream(3).lanes(np.array([0, 2]), "zeta")
+    for store in (problem._A, problem._B):
+        assert problem._sample(np.array([0, 2]), lanes, store).flags.c_contiguous
+    # additive-gaussian noise draws no sample, so its problem keeps no store
+    gaussian = QuadraticProblem(make_quadratic(QuadraticSpec(
+        d1=3, d2=2, m=3, n_per_client=4, seed=8, noise_mode="additive-gaussian",
+        noise_std=0.1)))
+    assert all(a is None for a in (gaussian._lower, gaussian._A, gaussian._B,
+                                   gaussian._d, gaussian._e))
+
+
 _RACE_SPEC = QuadraticSpec(d1=10, d2=10, m=8, n_per_client=8, mu=1.0, L_g=1.5,
                            hetero=0.5, noise_spread=0.05, seed=0)
 _MC_SPEC = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0, hetero=0.3,
