@@ -98,6 +98,8 @@ def _problem_spec(doc: dict):
     noise = doc.get("noise", {})
     if not isinstance(noise, dict):
         raise ConfigError("noise must be an object with mode/spread/std")
+    for key in sorted(set(noise) - {"mode", "spread", "std"}):
+        raise ConfigError(f"unknown noise key {key!r}")
     mode = noise.get("mode", NOISE_FINITE_SUM)
     if mode not in (NOISE_FINITE_SUM, NOISE_GAUSSIAN):
         raise ConfigError(f"unknown noise mode {mode!r}")
@@ -105,7 +107,7 @@ def _problem_spec(doc: dict):
         fields["hetero"] = doc["hetero"]
     if "noise" in doc:
         fields["noise_mode"] = mode
-        fields.update({f"noise_{k}": v for k, v in noise.items() if k in ("spread", "std")})
+        fields.update({f"noise_{k}": v for k, v in noise.items() if k != "mode"})
     seed = doc.get("seed")
     fields.setdefault("seed", 0 if seed is None else seed)
     return _build_spec(QuadraticSpec, kind, fields)

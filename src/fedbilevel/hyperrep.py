@@ -186,7 +186,7 @@ class HyperRepProblem(BilevelProblem):
                 a.flags.writeable = False
         return got
 
-    def _forward(self, ids, x, y, lanes, split):
+    def _forward(self, rows, x, y, lanes, split):
         """Stacked forward pass over each row's minibatch from a split.
 
         Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
@@ -195,48 +195,47 @@ class HyperRepProblem(BilevelProblem):
         of its lane set's block in the lane table, and the minibatch is one
         ``take`` of the drawn rows, row offset plus position, from each of the
         split's flat stores; its count is min(n_i, b), as a short split pads
-        its draw. Offsets and counts are the split's, read at the ids' rows
-        (a full slice, no gather, on every client). Returns (H, Us, Z, P, R,
-        n): (k, b, .) stacks over the b columns of the minibatch table, and
+        its draw. Offsets and counts are the split's, read at ``rows``, the
+        call's k clients (``BilevelProblem._audit``). Returns (H, Us, Z, P,
+        R, n): (k, b, .) stacks over the b columns of the minibatch table, and
         each row's point count. Padded points get zero features, so they add
-        nothing to any mean. With lanes None, x and y may also be (rows, 1, d)
-        stacks of points, each evaluated over every id: the stacks are then
-        (rows, k, b, .).
+        nothing to any mean. With lanes None, x and y may also be (p, 1, d)
+        stacks of p points, each evaluated over every client of rows: the
+        stacks are then (p, k, b, .).
         """
         U, onehot, sizes, pool, row0, counts = self._whole_split(split)
         w = pool.size
-        r = slice(None) if ids.shape[0] == self.m else ids   # checked ids: all m are 0..m-1
         if lanes is not None and self.batch_size < w:
-            sizes = sizes[r]
-            rows = row0[r] + lanes.subset(pool, self.batch_size, sizes)
-            Us, onehot, n = U.take(rows, 0), onehot.take(rows, 0), counts[r]   # (k, b, .)
+            sizes = sizes[rows]
+            at = row0[rows] + lanes.subset(pool, self.batch_size, sizes)
+            Us, onehot, n = U.take(at, 0), onehot.take(at, 0), counts[rows]   # (k, b, .)
         else:
-            Us, onehot = U.reshape(self.m, w, -1)[r], onehot.reshape(self.m, w, -1)[r]
-            n = sizes[r, None, None]
+            Us, onehot = U.reshape(self.m, w, -1)[rows], onehot.reshape(self.m, w, -1)[rows]
+            n = sizes[rows, None, None]
         E, H = self._unpack(x, y)
         Z = Us @ _swap(E)                          # (k, b, p)
         P = _softmax_rows(Z @ _swap(H))            # (k, b, C)
         return H, Us, Z, P, P - onehot, n          # R = pi - onehot
 
-    def _grad_lower_y_batch(self, ids, x, y, lanes, fw=None):
-        _, _, Z, _, R, n = fw or self._forward(ids, x, y, lanes, "train")
+    def _grad_lower_y_batch(self, rows, x, y, lanes, fw=None):
+        _, _, Z, _, R, n = fw or self._forward(rows, x, y, lanes, "train")
         return _minibatch_mean(R, Z, n) + self.spec.ridge * y
 
-    def _grad_upper_y_batch(self, ids, x, y, lanes, fw=None):
-        _, _, Z, _, R, n = fw or self._forward(ids, x, y, lanes, "val")
+    def _grad_upper_y_batch(self, rows, x, y, lanes, fw=None):
+        _, _, Z, _, R, n = fw or self._forward(rows, x, y, lanes, "val")
         return _minibatch_mean(R, Z, n)
 
-    def _grad_upper_x_batch(self, ids, x, y, lanes, fw=None):
-        H, Us, _, _, R, n = fw or self._forward(ids, x, y, lanes, "val")
+    def _grad_upper_x_batch(self, rows, x, y, lanes, fw=None):
+        H, Us, _, _, R, n = fw or self._forward(rows, x, y, lanes, "val")
         return _minibatch_mean(R @ H, Us, n)
 
-    def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
-        H, _, Z, P, _, n = self._forward(ids, x, y, lanes, "train")
+    def _hvp_lower_yy_batch(self, rows, x, y, v, lanes):
+        H, _, Z, P, _, n = self._forward(rows, x, y, lanes, "train")
         _, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW, Z, n) + self.spec.ridge * v
 
-    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes, fw=None):
-        H, Us, Z, P, R, n = fw or self._forward(ids, x, y, lanes, "train")
+    def _jvp_lower_xy_batch(self, rows, x, y, v, lanes, fw=None):
+        H, Us, Z, P, R, n = fw or self._forward(rows, x, y, lanes, "train")
         V, DW = _directional(Z, P, H, v)
         return _minibatch_mean(DW @ H + R @ V, Us, n)   # H^T D V z + V^T (pi - e)
 
@@ -334,7 +333,7 @@ def agg_hessian_lower_yy(problem: HyperRepProblem, x: np.ndarray, y: np.ndarray,
     the clients. fw is the full-batch train pass at (x, y) when the caller has
     already run it.
     """
-    H, _, Z, P, _, n = fw or problem._forward(problem._all_ids, x[..., None, :],
+    H, _, Z, P, _, n = fw or problem._forward(slice(None), x[..., None, :],
                                               y[..., None, :], None, "train")
     return _head_hessian(H, Z, P, n, problem.spec.ridge)
 
@@ -355,11 +354,11 @@ def solve_head_exact(problem: HyperRepProblem, x: np.ndarray,
     X = x.reshape(-1, problem.d1)
     Y = np.zeros((X.shape[0], problem.d2)) if y0 is None else np.array(
         y0, dtype=float).reshape(X.shape[0], problem.d2)
-    ids, live = problem._all_ids, np.arange(X.shape[0])
+    every, live = slice(None), np.arange(X.shape[0])
     for _ in range(max_iter):
         xl, yl = X[live, None], Y[live, None]
-        fw = problem._forward(ids, xl, yl, None, "train")
-        g = problem._grad_lower_y_batch(ids, xl, yl, None, fw).mean(axis=-2)
+        fw = problem._forward(every, xl, yl, None, "train")
+        g = problem._grad_lower_y_batch(every, xl, yl, None, fw).mean(axis=-2)
         step = np.sqrt(row_dots(g, g)) > tol   # the bits of np.linalg.norm
         if not step.any():
             break
@@ -381,11 +380,11 @@ def hypergradient_numeric(problem: HyperRepProblem, x: np.ndarray,
     from two full-batch passes over all rows: the val pass serves both upper
     gradients, and the train pass the Hessian and the mixed-partial product.
     """
-    ids, x1, y1 = problem._all_ids, x[..., None, :], y[..., None, :]
-    train = problem._forward(ids, x1, y1, None, "train")
-    val = problem._forward(ids, x1, y1, None, "val")
+    every, x1, y1 = slice(None), x[..., None, :], y[..., None, :]
+    train = problem._forward(every, x1, y1, None, "train")
+    val = problem._forward(every, x1, y1, None, "val")
     w = _solve(agg_hessian_lower_yy(problem, x, y, train),
-               problem._grad_upper_y_batch(ids, x1, y1, None, val).mean(axis=-2))
-    return (problem._grad_upper_x_batch(ids, x1, y1, None, val).mean(axis=-2)
-            - problem._jvp_lower_xy_batch(ids, x1, y1, w[..., None, :], None, train)
+               problem._grad_upper_y_batch(every, x1, y1, None, val).mean(axis=-2))
+    return (problem._grad_upper_x_batch(every, x1, y1, None, val).mean(axis=-2)
+            - problem._jvp_lower_xy_batch(every, x1, y1, w[..., None, :], None, train)
             .mean(axis=-2))

@@ -113,8 +113,8 @@ def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
 
 def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float) -> tuple:
     """(stepsize / tau_i column, [(v, rows, ids[rows]) per local step v]) of the
-    participants with tau_i > v (rows a full slice while all step), kept on
-    oracles; past SCHEDULES_KEPT settings the oldest is dropped."""
+    participants with tau_i > v (while all step, rows a full slice and ids[rows] the
+    set's own ids), kept on oracles; past SCHEDULES_KEPT settings the oldest is dropped."""
     key, memo = (repr(tau), stepsize), oracles.schedules
     got = memo.get(key)
     if got is None:
@@ -124,7 +124,8 @@ def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float
         if len(memo) >= SCHEDULES_KEPT:
             del memo[next(iter(memo))]
         got = memo[key] = ((stepsize / taus)[:, None],
-                           [(v, r, ids[r]) for v, r in enumerate(rows)])
+                           [(v, r, ids if isinstance(r, slice) else ids[r])
+                            for v, r in enumerate(rows)])
     return got
 
 

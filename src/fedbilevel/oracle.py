@@ -99,7 +99,8 @@ def measure_constants(inst: QuadraticInstance, region: TestRegion,
         # squared draws are pooled per client across points; one contiguous
         # row per client and purpose, so each mean is a pairwise sum over a row
         noise = np.empty((2, inst.m, samples))
-        problem, ids = QuadraticProblem(inst), np.arange(inst.m)
+        problem = QuadraticProblem(inst)
+        ids = problem._all_ids   # the full set's own ids: the oracles read a full slice
         steps = lane_steps(RngStream(seed), "mc", samples, inst.m,
                            [(CLIENT, "fx"), (CLIENT, "fy"), (CLIENT, "gg")])
     per = max(1, MEASURE_BUDGET // (inst.m * inst.n_samples * (inst.d1 + inst.d2)))

@@ -23,17 +23,19 @@ depend on the other rows of its call.
 and deduplicates the ids, checks them and the points' shapes, and returns
 them as ``CheckedOracles``. The full client set has one ``CheckedOracles``
 per problem, so the local-step schedules kept on it serve every direct call
-and every run on that problem; a partial set gets its own. The oracles take
-those ids or a row subset of them, so the ids of a call are increasing and a
-call on all m clients takes 0..m-1 in order; the kernels read such a call's
-rows as a full slice. They check per call only that ``lanes`` is None or
-Lanes with one row per id; then they audit the call's samples by purpose and
-call the problem's stacked kernel. A run checks one set per run
-(full participation) or per outer step. Each estimator and local phase
-opens with ``problem.entry``: its participants are client ids or checked
-oracles, and its rng an ``RngStream``, on a lane table or free (then put on
-a table of the phase's lane sets over clients 0..m-1 by
-``RngStream.declare``); any other rng raises ContractViolation naming it.
+and every run on that problem; a partial set gets its own. Library calls pass
+those ids or a row subset of them, but an oracle serves any id order: it picks
+the call's rows of the problem's (m, ...) arrays once, a full slice (no copy)
+for the full set's own ids array, else the ids. Per call it checks only that
+``lanes`` is None or Lanes with one row per id, audits the call's samples by
+purpose and calls the problem's stacked kernel on those rows. A lane-table
+step's ``lanes`` reads m ids as clients 0..m-1 in order (``RngStream.lanes``);
+only library code builds table steps. A run checks one set per run (full
+participation) or per outer step. Each estimator and local phase opens with
+``problem.entry``: its participants are client ids or checked oracles, and its
+rng an ``RngStream``, on a lane table or free (then put on a table of the
+phase's lane sets over clients 0..m-1 by ``RngStream.declare``); any other rng
+raises ContractViolation naming it.
 
 There is no per-client fallback: each problem implements the five kernels
 ``_grad_lower_y_batch`` etc. ``QuadraticProblem`` reads the stacked (m, ...)
@@ -161,15 +163,16 @@ class BilevelProblem:
 
     A subclass implements the five kernels ``_grad_lower_y_batch``,
     ``_grad_upper_x_batch``, ``_grad_upper_y_batch``, ``_hvp_lower_yy_batch``
-    and ``_jvp_lower_xy_batch``, taking (ids, x, y, [v,] lanes) after the
-    checks: ``lanes`` is the Lanes whose draws pick each row's sample, or None
-    for the exact evaluation. It also implements the exact truth over every
-    client that ``drivers.Evaluator`` and ``estimate`` read, on a stack of
-    points: x of shape (rows, d1) and y of shape (rows, d2), one row per point,
-    each row independent of the others; a single point, x of shape (d1,), is
-    the stack of one row. They are ``y_star(x, y0=None)`` (y0 each row's start
-    for an iterative solve), ``hypergradient(x, ys)`` and ``objective(x, ys)``
-    at ys = y*(x), and the task metric ``test_metric(x, y)`` of iterates; the
+    and ``_jvp_lower_xy_batch``, taking (rows, x, y, [v,] lanes) after the
+    checks: ``rows`` indexes the call's clients (``_audit``), and ``lanes`` is
+    the Lanes whose draws pick each row's sample, or None for the exact
+    evaluation. It also implements the exact truth over every client that
+    ``drivers.Evaluator`` and ``estimate`` read, on a stack of points: x of
+    shape (rows, d1) and y of shape (rows, d2), one row per point, each row
+    independent of the others; a single point, x of shape (d1,), is the stack
+    of one row. They are ``y_star(x, y0=None)`` (y0 each row's start for an
+    iterative solve), ``hypergradient(x, ys)`` and ``objective(x, ys)`` at
+    ys = y*(x), and the task metric ``test_metric(x, y)`` of iterates; the
     last two give one value per row.
     """
 
@@ -225,17 +228,18 @@ class BilevelProblem:
             rng = rng.declare(lane_sets(), self.m)
         return participants, rng
 
-    def _audit(self, ids: np.ndarray, lanes: Lanes | None) -> None:
-        """lanes None or one Lanes row per id; then audit the call's samples."""
-        if lanes is None:
-            return
-        if not isinstance(lanes, Lanes):
-            raise ContractViolation(
-                f"oracle lanes must be Lanes or None, got {type(lanes).__name__}")
-        rows, k = lanes.ids.shape[0], ids.shape[0]
-        if rows != k:
-            raise ContractViolation(f"{rows} lanes for {k} clients")
-        self.audit.record(lanes.purpose, self.batch_size * k)
+    def _audit(self, ids: np.ndarray, lanes: Lanes | None):
+        """The call's rows of the (m, ...) arrays, a full slice for the problem's own ids
+        (no copy), else ids; lanes must be None or one Lanes row per id, audited."""
+        if lanes is not None:
+            if not isinstance(lanes, Lanes):
+                raise ContractViolation(
+                    f"oracle lanes must be Lanes or None, got {type(lanes).__name__}")
+            n, k = lanes.ids.shape[0], ids.shape[0]
+            if n != k:
+                raise ContractViolation(f"{n} lanes for {k} clients")
+            self.audit.record(lanes.purpose, self.batch_size * k)
+        return slice(None) if ids is self._all_ids else ids
 
     def initial_point(self) -> tuple[np.ndarray, np.ndarray]:
         """Default (x0, y0) for solvers; the origin unless a subclass overrides."""
@@ -246,32 +250,27 @@ class BilevelProblem:
     def grad_lower_y(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                      lanes: Lanes | None) -> np.ndarray:
         """Stochastic gradients of the clients' lower objectives in y."""
-        self._audit(ids, lanes)
-        return self._grad_lower_y_batch(ids, x, y, lanes)
+        return self._grad_lower_y_batch(self._audit(ids, lanes), x, y, lanes)
 
     def grad_upper_x(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                      lanes: Lanes | None) -> np.ndarray:
         """Stochastic gradients of the clients' upper objectives in x."""
-        self._audit(ids, lanes)
-        return self._grad_upper_x_batch(ids, x, y, lanes)
+        return self._grad_upper_x_batch(self._audit(ids, lanes), x, y, lanes)
 
     def grad_upper_y(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                      lanes: Lanes | None) -> np.ndarray:
         """Stochastic gradients of the clients' upper objectives in y."""
-        self._audit(ids, lanes)
-        return self._grad_upper_y_batch(ids, x, y, lanes)
+        return self._grad_upper_y_batch(self._audit(ids, lanes), x, y, lanes)
 
     def hvp_lower_yy(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                      v: np.ndarray, lanes: Lanes | None) -> np.ndarray:
         """Sampled lower Hessians times v; linear in v, eigenvalues in [mu, L_g]."""
-        self._audit(ids, lanes)
-        return self._hvp_lower_yy_batch(ids, x, y, v, lanes)
+        return self._hvp_lower_yy_batch(self._audit(ids, lanes), x, y, v, lanes)
 
     def jvp_lower_xy(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                      v: np.ndarray, lanes: Lanes | None) -> np.ndarray:
         """Sampled mixed partials of G_i applied to y-directions, results in x-space."""
-        self._audit(ids, lanes)
-        return self._jvp_lower_xy_batch(ids, x, y, v, lanes)
+        return self._jvp_lower_xy_batch(self._audit(ids, lanes), x, y, v, lanes)
 
 
 class CheckedOracles:

@@ -113,10 +113,10 @@ class QuadraticInstance:
     non-finite array, an A or dA not exactly symmetric, offsets whose mean
     exceeds 1e-12 of their largest entry, A_bar not positive definite, a
     client Hessian outside [mu, L_g] (1e-12 slack), a non-finite rho_x,
-    noise_std < 0, a seed not an integer in [0, 2**64) or bad ``constants`` raise
-    ParameterError naming the field (or the client). The instance keeps
-    read-only copies of the arrays, so nothing it derives can go stale;
-    ``dataclasses.replace`` builds a changed instance.
+    noise_std < 0 or so large that a draw overflows, a seed not an integer in
+    [0, 2**64) or bad ``constants`` raise ParameterError naming the field (or
+    the client). The instance keeps read-only copies of the arrays, so nothing
+    it derives can go stale; ``dataclasses.replace`` builds a changed instance.
     """
 
     A: np.ndarray            # (m, d2, d2)
@@ -141,7 +141,9 @@ class QuadraticInstance:
             raise ParameterError(f"unknown noise mode {self.noise_mode!r}")
         check_real("rho_x", self.rho_x)
         self.constants = ProblemConstants(mu=self.mu, L_g=self.L_g, L_f=max(1.0, self.rho_x))
-        check_real("noise_std", self.noise_std, 0.0)
+        # the largest std whose Box-Muller draws, |z| <= sqrt(-2 ln 2**-53), and _sym sums are finite
+        check_real("noise_std", self.noise_std, 0.0,
+                   np.finfo(float).max / 2 / np.sqrt(-2.0 * np.log(2.0 ** -53)))
         check_count("seed", self.seed, 0, 1 << 64)
         sizes = {}
         for name, axes in _AXES.items():
@@ -341,10 +343,10 @@ class QuadraticProblem(BilevelProblem):
     """Stochastic oracle bundle over a QuadraticInstance.
 
     The problem keeps a reference to the instance's stacked (m, ...) arrays,
-    with no copy, and every oracle is a stacked kernel over a participant id
-    array: row r reads the rows ids[r] of the arrays. The folded samples sit
-    in flat, C-contiguous, read-only (m * n, ...) stores built once per
-    finite-sum problem, client i's sample j at row i * n + j: the packed
+    with no copy, and every oracle is a stacked kernel over the call's client
+    rows (``BilevelProblem._audit``). The folded samples sit in flat,
+    C-contiguous, read-only (m * n, ...) stores built once per finite-sum
+    problem, client i's sample j at row i * n + j: the packed
     [A + dA | B + dB | c + dc] rows and the d + dd and e + de vectors are
     views of the instance's arrays, and the A and B blocks contiguous copies.
     A finite-sum row of batch 1 gathers its folded sample with one ``take``
@@ -385,25 +387,19 @@ class QuadraticProblem(BilevelProblem):
     def test_metric(self, x, y):
         return np.zeros(x.shape[:-1])
 
-    def _rows(self, ids):
-        """Index of the clients' rows in the stacked arrays: a full slice
-        (no copy) when every client takes part, as checked ids then are
-        0..m-1 in order."""
-        return slice(None) if ids.shape[0] == self.m else ids
-
-    def _sample(self, ids, lanes, flat, client=None):
+    def _sample(self, rows, lanes, flat, client=None):
         """Each row's sample from a flat (m * n, ...) store of folded samples:
         the drawn one (batch 1) or the mean over the drawn subset, gathered by
         one ``take`` at the client's row offset plus the drawn indices, the
-        offsets read at ``_rows(ids)`` like the client arrays. With no draw
+        offsets read at ``rows`` like the client arrays. With no draw
         (lanes None, additive-gaussian noise, or all n samples, whose offsets
         average to zero) the rows of ``client`` instead, or None without
         it."""
         n = self.inst.n_samples
         k = min(self.batch_size, n)
         if lanes is None or not self.finite_sum or k == n:
-            return None if client is None else client[self._rows(ids)]
-        row0 = self._row0[self._rows(ids)]
+            return None if client is None else client[rows]
+        row0 = self._row0[rows]
         if k == 1:
             return flat.take(row0 + lanes.index(n), 0)
         return flat.take(row0[:, None] + lanes.subset(self._pool, k), 0).mean(axis=1)
@@ -411,40 +407,39 @@ class QuadraticProblem(BilevelProblem):
     def _gaussian(self, lanes):
         return lanes is not None and not self.finite_sum
 
-    def _grad_lower_y_batch(self, ids, x, y, lanes):
+    def _grad_lower_y_batch(self, rows, x, y, lanes):
         q = self.inst
-        S = self._sample(ids, lanes, self._lower)
+        S = self._sample(rows, lanes, self._lower)
         if S is not None:
             return _mv(S, _affine(y, x))
-        r = self._rows(ids)
-        g = _mv(q.A[r], y) + _mv(q.B[r], x) + q.c[r]
+        g = _mv(q.A[rows], y) + _mv(q.B[rows], x) + q.c[rows]
         return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
 
-    def _grad_upper_x_batch(self, ids, x, y, lanes):
+    def _grad_upper_x_batch(self, rows, x, y, lanes):
         q = self.inst
-        g = q.rho_x * x + self._sample(ids, lanes, self._e, q.e)
+        g = q.rho_x * x + self._sample(rows, lanes, self._e, q.e)
         return g + lanes.normal(q.noise_std, (self.d1,)) if self._gaussian(lanes) else g
 
-    def _grad_upper_y_batch(self, ids, x, y, lanes):
+    def _grad_upper_y_batch(self, rows, x, y, lanes):
         q = self.inst
-        g = y - self._sample(ids, lanes, self._d, q.d)
+        g = y - self._sample(rows, lanes, self._d, q.d)
         return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
 
-    def _hvp_lower_yy_batch(self, ids, x, y, v, lanes):
+    def _hvp_lower_yy_batch(self, rows, x, y, v, lanes):
         q = self.inst
-        A = self._sample(ids, lanes, self._A, q.A)
+        A = self._sample(rows, lanes, self._A, q.A)
         if self._gaussian(lanes):
             S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
             nrm = np.linalg.norm(S, 2, axis=(1, 2))
-            margin = q.hess_margin[self._rows(ids)]
+            margin = q.hess_margin[rows]
             over = nrm > margin   # shrink to keep sampled eigenvalues inside [mu, L_g]
             S[over] *= (margin[over] / nrm[over])[:, None, None]
             A = A + S
         return _mv(A, v)
 
-    def _jvp_lower_xy_batch(self, ids, x, y, v, lanes):
+    def _jvp_lower_xy_batch(self, rows, x, y, v, lanes):
         q = self.inst
-        B = self._sample(ids, lanes, self._B, q.B)
+        B = self._sample(rows, lanes, self._B, q.B)
         if self._gaussian(lanes):
             B = B + lanes.normal(q.noise_std, (self.d2, self.d1))
         return _mv(B.swapaxes(-1, -2), v)

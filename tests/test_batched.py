@@ -123,7 +123,10 @@ def test_full_set_rows_match_subset_calls(mode, make, stochastic, stacked):
     # a call on all m clients reads, on a lane table step, the set's block of
     # draws, and calls on client subsets their own rows of it; each row's
     # minibatch is gathered at its own client's row offset, so every call
-    # gives each client's row with the same bits
+    # gives each client's row with the same bits. On lanes None or a free
+    # stream's lanes, the full set runs in any id order: the problem's own ids
+    # read a full slice of its arrays, and a fresh, reversed or shuffled
+    # array a gather; each row is its client's one-client call, bit for bit
     problem = make()
     gen = RngStream(6).child("points").generator()
     step = next(lane_steps(RngStream(41), "est", 1, problem.m, [(CLIENT, n) for n in ORACLES]))
@@ -137,15 +140,28 @@ def test_full_set_rows_match_subset_calls(mode, make, stochastic, stacked):
         for ids in (np.array([0, 2, 3]), np.array([1, 4]), np.array([3]), everyone[:-1]):
             got = _batched(problem, name, ids, *(part(a, ids) for a in (x, y, v)), lanes(ids))
             assert got.tobytes() == full[ids].tobytes(), (name, ids)
+    own = problem.checked(range(problem.m), x, y).ids
+    shuffled = RngStream(7).child("order").permutation(everyone)
+    assert 0 < np.count_nonzero(np.diff(shuffled) > 0) < problem.m - 1   # neither order
+    free = RngStream(43).child("free")
+    for name in ORACLES:
+        for lanes in [lambda ids: None] + [lambda ids: free.lanes(ids, name)] * stochastic:
+            for ids in (own, everyone.copy(), everyone[::-1].copy(), shuffled):
+                got = _batched(problem, name, ids, *(part(a, ids) for a in (x, y, v)), lanes(ids))
+                for r in range(problem.m):
+                    one = ids[r:r + 1]
+                    want = _batched(problem, name, one, *(part(a, one) for a in (x, y, v)),
+                                    lanes(one))
+                    assert got[r].tobytes() == want[0].tobytes(), (name, ids, r)
 
 
 @pytest.mark.parametrize("make", [lambda: _quadratic(3), lambda: _hyperrep(3)],
                          ids=["quadratic", "hyperrep"])
 def test_checked_full_set_is_every_client_in_order(make):
-    # the kernels read a call on all m ids as clients 0..m-1 in order (a full
-    # slice of their arrays, offsets and counts); checked() gives the full
-    # set so from any order of the participants, and every client's row of
-    # that call is its own
+    # checked() gives the full set from any order or repetition of the
+    # participants as the problem's own ids, 0..m-1 in order, which is also
+    # the order a lane table step's lanes read m ids in; every client's row
+    # of a call on them is its own
     problem = make()
     x, y = np.zeros(problem.d1), np.zeros(problem.d2)
     step = next(lane_steps(RngStream(2), "est", 1, problem.m, [(CLIENT, "zeta")]))

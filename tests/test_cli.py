@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,8 @@ BAD_CONFIGS = [
         '"partition": "label-skew", "shards_per_client": 0')),
     (['noise={"spread": -0.5}'], 2),
     (['noise={"mode": "additive-gaussian", "std": -1}'], 2),
+    (['noise={"mode": "additive-gaussian", "sdt": 1}'], 2),   # a misspelt key
+    (['noise={"mode": "additive-gaussian", "std": 1e308}'], 2),   # its draws overflow
     # every float key at each non-finite JSON number
     *(([f"{key}={v}"], 2) for v in _NONFINITE
       for key in ("lambda", "alpha", "beta", "participation", "hetero")),
@@ -151,6 +154,35 @@ def test_integral_floats_accepted_for_integer_keys(tmp_path):
     assert all(type(v) is int for v in (cfg.K, *cfg.tau, cfg.seed, cfg.problem.m))
     assert main(["run", "--config", _cfg(tmp_path, {"K": 2.0}),
                  "--out-dir", str(tmp_path / "o")]) == 0
+
+
+def test_additive_gaussian_std_bound(tmp_path, capsys):
+    # noise_std is at most the largest std whose Box-Muller draws, |z| <=
+    # sqrt(-2 ln 2**-53), and their symmetrized sums stay finite; above it a
+    # run or an estimate exits 2 naming noise_std, not with a raw LinAlgError
+    # from the spectral norm of an overflowed Hessian draw
+    from fedbilevel import ParameterError, QuadraticSpec, make_quadratic
+    z = float(np.sqrt(-2.0 * np.log(2.0 ** -53)))
+    bound = sys.float_info.max / 2 / z
+    above = math.nextafter(bound, math.inf)
+    assert math.isfinite(2 * (bound * z)) and not math.isfinite(2 * (above * z))
+    spec = QuadraticSpec(d1=2, d2=2, m=2, noise_mode="additive-gaussian", noise_std=bound)
+    assert make_quadratic(spec).noise_std == bound
+    for std in (above, 1e308):
+        with pytest.raises(ParameterError, match="noise_std"):
+            make_quadratic(dataclasses.replace(spec, noise_std=std))
+    for std, commands, code in ((bound, ["run"], 3), (above, ["run", "estimate"], 2),
+                                (1e308, ["run", "estimate"], 2)):
+        for command in commands:
+            argv = [command, "--config", _cfg(tmp_path), "--out-dir", str(tmp_path / "o"),
+                    "--set", "noise=" + json.dumps({"mode": "additive-gaussian", "std": std})]
+            if code == 3:   # the draws are finite and the iterates diverge
+                with pytest.warns(RuntimeWarning):
+                    assert main(argv) == 3
+            else:
+                assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert ("noise_std" in err) == (code == 2) and "Traceback" not in err
 
 
 def test_divergence_exit_code(tmp_path):

@@ -129,6 +129,31 @@ def test_lane_tables_are_private_to_rng(path):
         assert re.findall(r"\b(?:LaneTable|TableStream)\b", path.read_text()) == []
 
 
+def _sizes_against_m(tree) -> list:
+    """Lines of comparisons that read a size (a .shape, a .size or a len())
+    and a client count (m or an .m attribute)."""
+    def reads(node, test):
+        return any(test(n) for n in ast.walk(node))
+
+    def is_m(n):
+        return (isinstance(n, ast.Name) and n.id == "m"
+                or isinstance(n, ast.Attribute) and n.attr == "m")
+
+    def is_size(n):
+        return (isinstance(n, ast.Attribute) and n.attr in ("shape", "size")
+                or isinstance(n, ast.Call) and _dotted(n.func) == "len")
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and reads(node, is_m) and reads(node, is_size)]
+
+
+@pytest.mark.parametrize("name", ["quadratic.py", "hyperrep.py"])
+def test_kernels_take_the_rows_the_oracles_pick(name):
+    # BilevelProblem._audit picks a call's client rows once, a full slice for
+    # the problem's own ids, so no kernel guesses the full set by comparing a
+    # call's id count with m
+    assert _sizes_against_m(ast.parse((SRC / name).read_text())) == []
+
+
 def test_readme_names_resolve():
     # every backticked dotted name in README.md that starts with a package
     # module, such as `rng.ROW_BUDGET` or `drivers.Evaluator.record`, or with
