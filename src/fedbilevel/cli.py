@@ -63,6 +63,8 @@ def cmd_estimate(args) -> int:
     ledger = CommLedger()
     x, y = problem.initial_point()
     h, _, trace = aggitd(problem, x, y, acfg, parts, root.child("est", 0), ledger)
+    if not np.isfinite(h).all():
+        raise DivergenceError(f"the estimate is not finite: ||h||={np.linalg.norm(h):.3e}")
     out = _out_dir(cfg, args)
     trace_path = os.path.join(out, "estimate_trace.json")
     with open(trace_path, "w", encoding="utf-8") as fh:

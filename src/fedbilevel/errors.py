@@ -22,7 +22,7 @@ class ProtocolError(FedBilevelError):
 
 
 class DivergenceError(FedBilevelError):
-    """An iterate became non-finite or exceeded the divergence guard threshold."""
+    """An iterate or estimate became non-finite, or an iterate exceeded the divergence guard."""
 
     def __init__(self, message, k=None, x_norm=None, y_norm=None):
         super().__init__(message)

@@ -7,9 +7,10 @@ Three estimators of the hypergradient of f(x) = mean_i f_i(x, y*(x)):
   seeding the chain at a uniformly random iterate index Q and piggybacking the
   chain payloads on the gradient rounds. Costs 2N+2 rounds (the upper round
   elsewhere completes 2N+3 per outer iteration).
-* ``aid_fhe`` -- the two-loop baseline: a Neumann chain of T rounds built at
-  the finished lower iterate y^N, of which a uniformly random prefix length
-  T' is used. Costs T+2 rounds on top of the caller's 2N lower rounds.
+* ``aid_fhe`` -- the two-loop baseline: a Neumann chain of T rounds at the
+  finished lower iterate y^N, of which only a uniformly random prefix of
+  length T' is read and computed; the rounds past it are charged, samples
+  included, without a payload. Costs T+2 rounds beyond the caller's 2N.
 * ``local_fhe`` -- each client builds its Hessian-inverse-vector product from
   its own curvature and upper gradient only; one round for the final average.
   Biased under heterogeneity, which is exactly what it is here to demonstrate.
@@ -189,12 +190,13 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
             ledger: CommLedger, t_prime_override: int | None = None) -> np.ndarray:
     """Two-loop baseline estimator evaluated at the finished lower iterate.
 
-    Builds p_0 = lambda*T * mean_i grad_y F_i, then the full T-round chain
-    p_t = (I - lambda * mean_i H_i) p_{t-1}; the estimate uses p_{T'} with
+    Builds p_0 = lambda*T * mean_i grad_y F_i, then the chain
+    p_t = (I - lambda * mean_i H_i) p_{t-1} up to the p_{T'} the estimate reads,
     T' uniform in {0..T-1}, the counter-based draw ``rng.child("T_prime").index(T)``.
-    The full chain is always executed so the round bill is the deterministic
-    T+2 this call charges. participants are as for ``aggitd``; rng is the
-    scope stream, free or on a table of ``chain_lanes``.
+    Rounds t = T'+1..T are charged to the ledger, and their "zeta_h" samples to
+    the audit, without a payload; their lanes are still resolved, so a table
+    missing one raises ContractViolation whatever T' is. participants are as
+    for ``aggitd``; rng is the scope stream, free or on a table of ``chain_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
@@ -207,15 +209,15 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     ledger.begin_loop()
     r = aggregate_mean(problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)
     p = lam * T * r
-    chain = [p]
-    for t in range(1, T + 1):
+    for t in range(1, T_prime + 1):
         hv = problem.hvp_lower_yy(ids, x, y_N, p, rng.lanes(ids, "zeta_h", t))
         p = aggregate_mean(p - lam * hv, ledger)
-        chain.append(p)
-    p_sel = chain[T_prime]
+    for t in range(T_prime + 1, T + 1):   # unread: the round and samples, no payload
+        problem.audit.record(rng.lanes(ids, "zeta_h", t).purpose, problem.batch_size * ids.size)
+        ledger.record_round(ids.size * problem.d2)
 
     direct = problem.grad_upper_x(ids, x, y_N, rng.lanes(ids, "xi_h"))
-    indirect = problem.jvp_lower_xy(ids, x, y_N, p_sel, rng.lanes(ids, "chi"))
+    indirect = problem.jvp_lower_xy(ids, x, y_N, p, rng.lanes(ids, "chi"))
     h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
     return h_direct - h_indirect
 

@@ -110,7 +110,8 @@ class ProblemConstants:
 
 
 class SampleAudit:
-    """Counts oracle samples drawn, keyed by purpose tag (the lane's innermost tag)."""
+    """The algorithm's sample bill by purpose tag (the lane's innermost tag): the
+    oracle calls' samples, and those charged uncomputed (``lower``, ``aid_fhe``)."""
 
     def __init__(self):
         self.by_purpose: dict[str, int] = {}

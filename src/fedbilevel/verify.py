@@ -90,7 +90,7 @@ def _check_rounds(seed):
 
 def expected_sample_bill(estimator: str, N: int, T: int, taus, batch_size: int,
                          Q: int | None = None, variant: str = VARIANT_SVRG) -> dict:
-    """The oracle samples one outer step draws, by purpose: what the problem's
+    """The sample bill of one outer step, by purpose: what the problem's
     ``SampleAudit`` records for it, as ``_check_rounds`` bills its rounds.
 
     taus holds tau_i of each of the step's k participants and batch_size is
@@ -98,10 +98,10 @@ def expected_sample_bill(estimator: str, N: int, T: int, taus, batch_size: int,
     k b N, "xi_h" and "chi" k b each, One-Round-Lower's "zeta" 2 b sum(tau_i)
     per lower step (b sum(tau_i) for sgd) and One-Round-Upper's "xi_up"
     2 b sum(tau_i). The fused chain charges "xi_r" k b and "u" k b (N - Q)
-    for its seeding index Q; the AID chain "xi0" k b and "zeta_h" k b T,
-    whatever T' is; the local chain "xi0" k b and "zeta_h" k b (T - 1).
-    Purposes that draw nothing are left out. The fused chain's bill needs Q,
-    so aggitd without it raises ParameterError.
+    for its seeding index Q; the AID chain "xi0" k b and "zeta_h" k b T, whatever
+    T' is (the rounds past T' are billed, not drawn, like the svrg v = 0 pairs);
+    the local chain "xi0" k b and "zeta_h" k b (T - 1). Purposes billed nothing
+    are left out. The fused bill needs Q: aggitd without it raises ParameterError.
     """
     if estimator == "aggitd" and Q is None:
         raise ParameterError("the aggitd sample bill needs the seeding index Q")

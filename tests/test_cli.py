@@ -185,6 +185,19 @@ def test_additive_gaussian_std_bound(tmp_path, capsys):
             assert ("noise_std" in err) == (code == 2) and "Traceback" not in err
 
 
+def test_estimate_of_non_finite_value_exit_code(tmp_path, capsys):
+    # the draws at std 1e200 are finite but the estimate overflows: estimate
+    # names the divergence and exits 3 as run does, writing no trace
+    out = tmp_path / "o"
+    argv = ["estimate", "--config", _cfg(tmp_path), "--out-dir", str(out),
+            "--set", 'noise={"mode": "additive-gaussian", "std": 1e200}']
+    with pytest.warns(RuntimeWarning):
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numerical divergence" in err and "estimate is not finite" in err
+    assert "Traceback" not in err and not (out / "estimate_trace.json").exists()
+
+
 def test_divergence_exit_code(tmp_path):
     assert main(["run", "--config", _cfg(tmp_path, {"alpha": 1e7, "K": 40}),
                  "--out-dir", str(tmp_path / "o")]) == 3

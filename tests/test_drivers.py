@@ -714,9 +714,11 @@ def test_bench_tracer_methods_are_defined_on_their_classes():
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
 def test_bench_tracer_counts_the_oracles_every_run_calls(estimator):
-    # the five traced BilevelProblem oracles are the calls every estimator and
+    # the traced BilevelProblem oracles are the calls every estimator and
     # One-Round-Lower/Upper make: a traced run counts each of them, and its
-    # rows and sample audit equal the untraced run's
+    # rows and sample audit equal the untraced run's. AID computes its chain
+    # only up to the p_{T'} it reads, so it makes T' Hessian calls per step:
+    # this run draws T' = 0 at both steps and makes none
     tracer_mod = perfbench_module("tracer")
     cfg = _quad_cfg(K=2, N=2, T=2, estimator=estimator, tau=[1, 3, 2])
     runs = []
@@ -731,7 +733,12 @@ def test_bench_tracer_counts_the_oracles_every_run_calls(estimator):
     table = tracer.table()
     for name in ("grad_lower_y", "grad_upper_x", "grad_upper_y", "hvp_lower_yy",
                  "jvp_lower_xy"):
-        assert table.get(f"problems.{name}", {}).get("calls", 0) > 0, name
+        calls = table.get(f"problems.{name}", {}).get("calls", 0)
+        if estimator == "aid" and name == "hvp_lower_yy":
+            assert calls == sum(RngStream(cfg.seed).child("est", k, "aid", "T_prime").index(2)
+                                for k in range(2))
+        else:
+            assert calls > 0, name
     assert table["lower.one_round_lower"]["calls"] == 2 * 2
     assert table["drivers.one_round_upper"]["calls"] == 2   # once per outer step
 

@@ -5,11 +5,11 @@ import pytest
 
 from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
                         LowerStepConfig, ParameterError, QuadraticProblem, QuadraticSpec,
-                        RngStream, aggitd, aid_fhe, expected_aggitd_indirect,
-                        expected_aid_fhe, expected_aid_hessiv, expected_local_fhe,
-                        local_fhe, make_quadratic)
+                        RngStream, aggitd, aggregate_mean, aid_fhe,
+                        expected_aggitd_indirect, expected_aid_fhe, expected_aid_hessiv,
+                        expected_local_fhe, local_fhe, make_quadratic)
 
-from fedbilevel.hypergrad import beta_cap
+from fedbilevel.hypergrad import beta_cap, chain_lanes
 
 from conftest import manual_instance
 
@@ -242,6 +242,82 @@ def test_aid_round_accounting_and_errors():
     for T in (0, 2.5, "3", True):   # True is not a count
         with pytest.raises(ParameterError, match=r"\bT\b"):
             AidConfig(lam=lam, T=T)
+
+
+def _aid_problems():
+    """A noisy quadratic and a hyperrep problem, each with a point (x, y) and
+    a lambda under its cap."""
+    from fedbilevel import HyperRepSpec, make_hyperrep
+    from fedbilevel.hypergrad import lambda_cap
+    inst = make_quadratic(QuadraticSpec(d1=4, d2=3, m=4, hetero=0.4, noise_spread=0.2,
+                                        seed=21))
+    quad = QuadraticProblem(inst, batch_size=2)
+    rep = make_hyperrep(HyperRepSpec(m=3, n_points=120), 0, batch_size=4)
+    x_rep, _ = rep.initial_point()
+    for problem, x, y in ((quad, np.full(4, 0.3), inst.y_star(np.full(4, 0.3)) + 0.2),
+                          (rep, x_rep, np.full(rep.d2, 0.1))):
+        yield problem, x, y, 0.9 * lambda_cap(problem.constants)
+
+
+def _full_chain_aid(problem, x, y, lam, T, T_prime, ids, scope):
+    """The AID estimate from every p_t of the T-round chain, built from the
+    public oracles and aggregate_mean, and the ledger of those rounds."""
+    ledger = CommLedger()
+    p = lam * T * aggregate_mean(problem.grad_upper_y(ids, x, y, scope.lanes(ids, "xi0")),
+                                 ledger)
+    chain = [p]
+    for t in range(1, T + 1):
+        hv = problem.hvp_lower_yy(ids, x, y, chain[-1], scope.lanes(ids, "zeta_h", t))
+        chain.append(aggregate_mean(chain[-1] - lam * hv, ledger))
+    direct = problem.grad_upper_x(ids, x, y, scope.lanes(ids, "xi_h"))
+    indirect = problem.jvp_lower_xy(ids, x, y, chain[T_prime], scope.lanes(ids, "chi"))
+    h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
+    return h_direct - h_indirect, ledger
+
+
+@pytest.mark.parametrize("participants", ["all", [0, 2]])
+def test_aid_computes_the_chain_up_to_t_prime_and_charges_all_of_it(participants):
+    # aid_fhe builds p_t only up to the p_{T'} it reads: its estimate equals
+    # the full chain's bit for bit, it makes T' Hessian calls, and it still
+    # charges T+2 rounds, one loop, the full chain's scalars and the AID
+    # chain's sample bill, for every T' in 0..T-1
+    from fedbilevel.verify import expected_sample_bill
+    T = 4
+    for problem, x, y, lam in _aid_problems():
+        parts = range(problem.m) if participants == "all" else participants
+        ids = problem.checked(parts, x, y).ids
+        k, b = ids.size, problem.batch_size
+        bill = expected_sample_bill("aid", 0, T, [1] * k, b)
+        bill = {purpose: bill[purpose] for purpose in ("xi0", "zeta_h", "xi_h", "chi")}
+        hvp = problem.hvp_lower_yy
+        for T_prime in range(T):
+            scope = RngStream(8).child("aid", T_prime).declare(chain_lanes(T), problem.m)
+            want, full = _full_chain_aid(problem, x, y, lam, T, T_prime, ids, scope)
+            calls, ledger = [], CommLedger()
+            problem.audit.reset()
+            problem.hvp_lower_yy = lambda *a: calls.append(1) or hvp(*a)
+            try:
+                h = aid_fhe(problem, x, y, AidConfig(lam=lam, T=T), parts, scope, ledger,
+                            t_prime_override=T_prime)
+            finally:
+                del problem.hvp_lower_yy
+            assert h.tobytes() == want.tobytes(), T_prime
+            assert len(calls) == T_prime
+            assert (ledger.rounds_total, ledger.loops_total) == (T + 2, 1)
+            assert ledger.scalars_sent == full.scalars_sent
+            assert problem.audit.by_purpose == bill
+
+
+def test_aid_resolves_every_chain_lane_whatever_t_prime():
+    # the rounds past T' still resolve their lanes, so a table that declares
+    # a shorter chain than T raises on every call, not only when T' reaches it
+    inst, problem = _deterministic_setup(spread=0.2)
+    cfg = AidConfig(lam=1.0 / inst.L_g, T=2)
+    for T_prime in range(2):
+        scope = RngStream(3).declare(chain_lanes(1), problem.m)
+        with pytest.raises(ContractViolation, match="zeta_h"):
+            aid_fhe(problem, np.ones(5), np.zeros(5), cfg, range(3), scope, CommLedger(),
+                    t_prime_override=T_prime)
 
 
 def test_local_equals_aid_when_homogeneous():

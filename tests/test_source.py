@@ -129,6 +129,34 @@ def test_lane_tables_are_private_to_rng(path):
         assert re.findall(r"\b(?:LaneTable|TableStream)\b", path.read_text()) == []
 
 
+def _callers(*tail) -> set:
+    """module.function (module.Class.method) around each call, in every
+    package module, whose dotted callee ends in the names tail."""
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        defs = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                for f in c.body if isinstance(f, ast.FunctionDef)]
+        defs += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and tuple(_dotted(node.func).split("."))[-len(tail):] == tail):
+                name = next((n for n, f in defs if f.lineno <= node.lineno <= f.end_lineno),
+                            "<module>")
+                found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_charges_without_a_payload_stay_in_two_places():
+    # a round is charged by aggregating its payloads, and samples by an
+    # oracle's audit; only the AID chain past T' charges rounds it does not
+    # compute, and only it and the cancelling svrg pair of a local phase
+    # charge samples they do not draw
+    assert _callers("record_round") == {"runtime.aggregate_mean", "hypergrad.aid_fhe"}
+    assert {c for c in _callers("audit", "record") if not c.startswith("problems.")} == {
+        "lower._local_phase", "hypergrad.aid_fhe"}
+
+
 def _sizes_against_m(tree) -> list:
     """Lines of comparisons that read a size (a .shape, a .size or a len())
     and a client count (m or an .m attribute)."""
