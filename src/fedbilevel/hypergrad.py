@@ -147,8 +147,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     _check_lambda(cfg.lam, problem.constants)
     _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
     N, lam, lower = cfg.N, cfg.lam, cfg.lower
-    if q_override is not None and not 0 <= q_override <= N:
-        raise ParameterError(f"q_override={q_override} outside {{0..{N}}}")
+    if q_override is not None:   # an integer in {0..N}, else named
+        check_count("q_override", q_override, 0, N + 1)
     y_t = np.asarray(y, dtype=float)
     oracles, rng = problem.entry(participants, x, y_t, rng,
                                  lambda: aggitd_lanes(N, max_tau(lower.tau), lower.variant))
@@ -200,8 +200,8 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     """
     _check_lambda(cfg.lam, problem.constants)
     T, lam = cfg.T, cfg.lam
-    if t_prime_override is not None and not 0 <= t_prime_override < T:
-        raise ParameterError(f"t_prime_override={t_prime_override} outside {{0..{T - 1}}}")
+    if t_prime_override is not None:   # an integer in {0..T-1}, else named
+        check_count("t_prime_override", t_prime_override, 0, T)
     y_N = np.asarray(y_N, dtype=float)
     oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))
     T_prime = rng.child("T_prime").index(T) if t_prime_override is None else int(t_prime_override)

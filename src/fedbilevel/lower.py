@@ -111,21 +111,16 @@ def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
     return got
 
 
-def _schedule(oracles: CheckedOracles, tau: int | Sequence[int], stepsize: float) -> tuple:
+def _schedule(oracles: CheckedOracles, key: tuple, tau, stepsize: float) -> tuple:
     """(stepsize / tau_i column, [(v, rows, ids[rows]) per local step v]) of the
     participants with tau_i > v (while all step, rows a full slice and ids[rows] the
-    set's own ids), kept on oracles; past SCHEDULES_KEPT settings the oldest is dropped."""
-    key, memo = (repr(tau), stepsize), oracles.schedules
-    got = memo.get(key)
-    if got is None:
-        ids, taus = oracles.ids, _taus(oracles.problem, tau)[oracles.ids]
-        rows = [slice(None) if v < taus.min() else np.flatnonzero(taus > v)
-                for v in range(taus.max())]
-        if len(memo) >= SCHEDULES_KEPT:
-            del memo[next(iter(memo))]
-        got = memo[key] = ((stepsize / taus)[:, None],
-                           [(v, r, ids if isinstance(r, slice) else ids[r])
-                            for v, r in enumerate(rows)])
+    set's own ids), kept in oracles.schedules under key; past SCHEDULES_KEPT the oldest goes."""
+    memo, ids, taus = oracles.schedules, oracles.ids, _taus(oracles.problem, tau)[oracles.ids]
+    if len(memo) >= SCHEDULES_KEPT:
+        del memo[next(iter(memo))]
+    got = memo[key] = ((stepsize / taus)[:, None], [
+        (v, slice(None), ids) if v < taus.min() else (v, np.flatnonzero(taus > v), ids[taus > v])
+        for v in range(taus.max())])
     return got
 
 
@@ -140,7 +135,8 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStrea
     draws); the svrg step v = 0 makes none, and the audit charges its pair's
     2 * batch_size tag samples per participant. Charges one round."""
     ids = oracles.ids
-    rates, steps = _schedule(oracles, tau, stepsize)
+    key = (tau if type(tau) is int else repr(tau), stepsize)   # a list (unhashable) by repr
+    rates, steps = oracles.schedules.get(key) or _schedule(oracles, key, tau, stepsize)
     if variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record(tag, 2 * problem.batch_size * ids.size)
         Z = z - rates * correction

@@ -139,8 +139,8 @@ def check_count(name: str, value, least: int = 1, bound=np.inf) -> None:
 
 def check_positive(name: str, value) -> None:
     """Raise ParameterError naming the setting unless value is a finite real > 0 (no bool)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value < np.inf):
+    if not ((type(value) is float or isinstance(value, numbers.Real)
+             and not isinstance(value, bool)) and 0 < value < np.inf):
         raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
 
 

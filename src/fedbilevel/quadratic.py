@@ -362,6 +362,7 @@ class QuadraticProblem(BilevelProblem):
                          batch_size=batch_size)
         self.inst = inst
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
+        self._n, self._k = inst.n_samples, min(batch_size, inst.n_samples)   # k of n per row
         self._lower = self._A = self._B = self._d = self._e = None
         self._pool = self._row0 = None
         if self.finite_sum:     # additive-gaussian noise reads no sample store
@@ -395,17 +396,12 @@ class QuadraticProblem(BilevelProblem):
         (lanes None, additive-gaussian noise, or all n samples, whose offsets
         average to zero) the rows of ``client`` instead, or None without
         it."""
-        n = self.inst.n_samples
-        k = min(self.batch_size, n)
-        if lanes is None or not self.finite_sum or k == n:
+        if lanes is None or not self.finite_sum or self._k == self._n:
             return None if client is None else client[rows]
         row0 = self._row0[rows]
-        if k == 1:
-            return flat.take(row0 + lanes.index(n), 0)
-        return flat.take(row0[:, None] + lanes.subset(self._pool, k), 0).mean(axis=1)
-
-    def _gaussian(self, lanes):
-        return lanes is not None and not self.finite_sum
+        if self._k == 1:
+            return flat.take(row0 + lanes.index(self._n), 0)
+        return flat.take(row0[:, None] + lanes.subset(self._pool, self._k), 0).mean(axis=1)
 
     def _grad_lower_y_batch(self, rows, x, y, lanes):
         q = self.inst
@@ -413,22 +409,22 @@ class QuadraticProblem(BilevelProblem):
         if S is not None:
             return _mv(S, _affine(y, x))
         g = _mv(q.A[rows], y) + _mv(q.B[rows], x) + q.c[rows]
-        return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
+        return g if lanes is None or self.finite_sum else g + lanes.normal(q.noise_std, (self.d2,))
 
     def _grad_upper_x_batch(self, rows, x, y, lanes):
         q = self.inst
         g = q.rho_x * x + self._sample(rows, lanes, self._e, q.e)
-        return g + lanes.normal(q.noise_std, (self.d1,)) if self._gaussian(lanes) else g
+        return g if lanes is None or self.finite_sum else g + lanes.normal(q.noise_std, (self.d1,))
 
     def _grad_upper_y_batch(self, rows, x, y, lanes):
         q = self.inst
         g = y - self._sample(rows, lanes, self._d, q.d)
-        return g + lanes.normal(q.noise_std, (self.d2,)) if self._gaussian(lanes) else g
+        return g if lanes is None or self.finite_sum else g + lanes.normal(q.noise_std, (self.d2,))
 
     def _hvp_lower_yy_batch(self, rows, x, y, v, lanes):
         q = self.inst
         A = self._sample(rows, lanes, self._A, q.A)
-        if self._gaussian(lanes):
+        if lanes is not None and not self.finite_sum:
             S = _sym(lanes.normal(q.noise_std, (self.d2, self.d2)))
             nrm = np.linalg.norm(S, 2, axis=(1, 2))
             margin = q.hess_margin[rows]
@@ -440,7 +436,7 @@ class QuadraticProblem(BilevelProblem):
     def _jvp_lower_xy_batch(self, rows, x, y, v, lanes):
         q = self.inst
         B = self._sample(rows, lanes, self._B, q.B)
-        if self._gaussian(lanes):
+        if lanes is not None and not self.finite_sum:
             B = B + lanes.normal(q.noise_std, (self.d2, self.d1))
         return _mv(B.swapaxes(-1, -2), v)
 

@@ -163,6 +163,16 @@ def _innermost_tag(key: tuple) -> str | None:
             return c
 
 
+def _id_array(ids) -> np.ndarray:
+    """Client ids as a flat intp array; ContractViolation names a non-integer id (or a bool)."""
+    flat = np.array(ids, dtype=object).reshape(-1)
+    bad = [i for i in flat if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+    if bad:
+        raise ContractViolation(f"lanes of client ids {flat.tolist()}: "
+                                f"{bad[0]!r} is not an integer")
+    return flat.astype(np.intp)
+
+
 class RngStream:
     """A derivable random lane: seed plus a tuple key path.
 
@@ -234,24 +244,30 @@ class RngStream:
         return table.step(k - table.k0)
 
     def lanes(self, ids, *tags) -> "Lanes":
-        """The lanes ``child(i, *tags)`` for every client id i in ids. On a
-        table: the lane set ``(*path, CLIENT, *tags)``, else ContractViolation
-        names it; m ids must be 0..m-1 in order, as ``CheckedOracles`` gives
-        them, and fewer read their own rows. On a free stream: any ids >= 0,
-        reordered or repeated, each by row on the table of that one set over
-        clients 0..max(ids) that ``declare`` gives; an id < 0 raises
-        ContractViolation."""
+        """The lanes ``child(i, *tags)`` for every client id i in ids (any id
+        sequence; a table step takes an ndarray as is). On a table: the lane
+        set ``(*path, CLIENT, *tags)``, rows and purpose in one lookup, else
+        ContractViolation names it; m ids must be 0..m-1 in order, as
+        ``CheckedOracles`` gives them, and fewer read their own rows. On a free
+        stream: any ids >= 0, reordered or repeated, each by row on the table of
+        that one set over clients 0..max(ids) that ``declare`` gives. A negative
+        or non-integer id raises ContractViolation naming it."""
+        if self.table is None or type(ids) is not np.ndarray:
+            ids = _id_array(ids)
+        step = self
         if self.table is None:
-            ids = np.array(ids, dtype=np.intp).reshape(-1)
             if ids.size and ids.min() < 0:
                 raise ContractViolation(f"lanes of client ids {ids.tolist()}: an id is < 0")
             step = self.declare([(CLIENT, *tags)], int(ids.max(initial=-1)) + 1)
-            return Lanes(step, (CLIENT, *tags), ids, ids, tags)   # the set's run starts at row 0
-        layout, lane_set = self.table.layout, (*self.path, CLIENT, *tags)
-        at = layout.at.get(lane_set)
+        table, lane_set = step.table, (*step.path, CLIENT, *tags)
+        at, tag = table.layout.at.get(lane_set, (None, None))
         if at is None:
             raise ContractViolation(f"lane set {lane_set} is not declared by its table")
-        return Lanes(self, lane_set, at if ids.shape[0] == layout.m else ids + at.start, ids, tags)
+        lanes = _new(Lanes)
+        lanes.step, lanes.lane_set, lanes.ids, lanes.tags, lanes.purpose, lanes._draws = (
+            step, lane_set, ids, tags, tag or table.purpose, None)
+        lanes.rows = at if step is self and ids.shape[0] == table.layout.m else ids + at.start
+        return lanes
 
     def index(self, n: int) -> int:
         """Uniform draw from {0..n-1}, n >= 1: multiply-high of the hashed counter 0."""
@@ -279,8 +295,8 @@ class _Layout:
     """Where a list of lane sets puts its rows in one step of a lane table.
 
     A lane set owns one row per client 0..m-1, client i's at ``at.start + i``
-    of the run ``at = at[lane set]``, and its innermost string tag is
-    ``tag[lane set]`` (None if it has none). The sets sit deepest first, so
+    of the run ``at``, and ``at, tag = at[lane set]`` also gives its innermost
+    string tag (None if it has none). The sets sit deepest first, so
     the rows deeper than d are a prefix of them: ``columns[d]`` holds their
     key components of depth d. Tables of the same lane sets and m share one
     layout.
@@ -288,10 +304,9 @@ class _Layout:
 
     def __init__(self, sets: tuple, m: int):
         ids = np.arange(m, dtype=np.uint64)
-        self.m, self.at, self.tag, comps = m, {}, {}, []
+        self.m, self.at, comps = m, {}, []
         for parts in sorted(sets, key=len, reverse=True):
-            self.at[parts] = slice(len(comps) * m, (len(comps) + 1) * m)
-            self.tag[parts] = _innermost_tag(parts)
+            self.at[parts] = slice(len(comps) * m, (len(comps) + 1) * m), _innermost_tag(parts)
             comps.append([ids if p is CLIENT else
                           np.full(m, _component_to_int(p), dtype=np.uint64)
                           for p in parts])
@@ -314,11 +329,13 @@ class LaneTable:
     ``step(s).child(*parts)`` with each client id in place of ``CLIENT``.
     ``index(n)`` draws the counter-0 index of every row at once, and
     ``subset`` the minibatch draws of one lane set at every step and client;
-    both are cached and read-only.
+    both are cached and read-only. A lane set with no string tag has
+    ``purpose``, the base's innermost one or "unkeyed".
     """
 
     def __init__(self, seed: int, base: tuple, k0, scopes: np.ndarray, layout: _Layout):
         self.seed, self.base, self.k0, self.scopes, self.layout = seed, base, k0, scopes, layout
+        self.purpose = _innermost_tag(base) or "unkeyed"
         h = np.empty((scopes.size, self.layout.rows), dtype=np.uint64)
         h[:] = scopes[:, None]
         for col in self.layout.columns:
@@ -347,7 +364,7 @@ class LaneTable:
         key = (lane_set, k, pool.tobytes(), None if sizes is None else sizes.tobytes())
         got = self._subsets.get(key)
         if got is None:
-            rows = self.hashes[:, self.layout.at[lane_set]]
+            rows = self.hashes[:, self.layout.at[lane_set][0]]
             per = max(1, KEY_BUDGET // max(1, rows.shape[1] * len(pool)))
             parts = [_subset(r.reshape(-1), pool, k, None if sizes is None
                              else np.broadcast_to(sizes, r.shape).reshape(-1))
@@ -387,7 +404,7 @@ def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
     chunk = _chunk_steps(layout)
     for k0 in range(0, K, chunk):
         table = _sibling_table(parent, k0, min(chunk, K - k0), layout)
-        yield from (table.step(s) for s in range(len(table.scopes)))
+        yield from map(table.step, range(len(table.scopes)))
 
 
 class Lanes:
@@ -398,37 +415,27 @@ class Lanes:
     the set's whole run, a slice, when a table step's call covers all m
     clients, else an index array (a client subset, or any call on a free
     stream). ``hashes[r]`` is row r's running hash, so every draw of row r
-    is that stream's. ``index`` reads the table's draws; ``subset`` reads the
-    set's block when ``rows`` is a slice, and is otherwise, like ``normal``,
-    drawn once per Lanes. Every draw is read-only, so the two evaluations of
-    a variance-reduction pair share it.
+    is that stream's, and ``purpose`` the innermost string tag of the rows'
+    key paths (what the samples are for), or "unkeyed". ``index`` reads the
+    table's draws; ``subset`` reads the set's block when ``rows`` is a slice,
+    and is otherwise, like ``normal``, drawn once per Lanes. Every draw is
+    read-only, so the two evaluations of a variance-reduction pair share it.
     """
 
-    __slots__ = ("step", "lane_set", "rows", "ids", "tags", "_draws")
-
-    def __init__(self, step: RngStream, lane_set: tuple, rows: slice | np.ndarray,
-                 ids: np.ndarray, tags: tuple):
-        self.step, self.lane_set, self.rows, self.ids, self.tags = step, lane_set, rows, ids, tags
-        self._draws = {}
+    __slots__ = ("step", "lane_set", "rows", "ids", "tags", "purpose", "_draws")
 
     @property
     def hashes(self) -> np.ndarray:
         return self.step.table.hashes[self.step.s, self.rows]
 
-    @property
-    def purpose(self) -> str:
-        """The innermost string tag of the rows' key paths (what the samples
-        are for, the same for every row), or "unkeyed"."""
-        table = self.step.table
-        return table.layout.tag[self.lane_set] or _innermost_tag(table.base) or "unkeyed"
-
     def stream(self, r: int) -> RngStream:
         return self.step.child(int(self.ids[r]), *self.tags)
 
     def _drawn(self, key: tuple, draw):
-        out = self._draws.get(key)
+        memo = self._draws = self._draws or {}   # made on the first draw
+        out = memo.get(key)
         if out is None:
-            out = self._draws[key] = draw()
+            out = memo[key] = draw()
             out.flags.writeable = False
         return out
 

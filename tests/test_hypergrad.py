@@ -457,6 +457,25 @@ def test_config_validation():
                 call()
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1", np.float64(1.0), -1, 3])
+@pytest.mark.parametrize("name", ["q_override", "t_prime_override"])
+def test_override_not_an_index_in_range_is_named(name, value):
+    # a float, a bool or a str is not read as an index, nor is one out of
+    # {0..N} (N = 2) or {0..T-1} (T = 3): each raises ParameterError naming
+    # the argument, before any round
+    inst, problem = _deterministic_setup()
+    lam = 1.0 / inst.L_g
+    x, y, ledger = np.ones(5), np.zeros(5), CommLedger()
+    with pytest.raises(ParameterError, match=rf"^{name} must be an integer >= 0"):
+        if name == "q_override":
+            aggitd(problem, x, y, AggITDConfig(lam=lam, N=2, lower=LowerStepConfig(
+                beta=_beta(inst, lam))), range(3), RngStream(0), ledger, q_override=value)
+        else:
+            aid_fhe(problem, x, y, AidConfig(lam=lam, T=3), range(3), RngStream(0), ledger,
+                    t_prime_override=value)
+    assert ledger.rounds_total == 0 and problem.audit.total == 0
+
+
 def test_estimators_take_checked_oracles_of_their_problem_only():
     # an outer step's checked oracles stand in for the participant ids, bit
     # for bit; another problem's checked oracles are a contract violation

@@ -1,6 +1,8 @@
 """Oracle contract: hand-checked values, unbiasedness, linearity, determinism."""
 
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,3 +345,19 @@ def test_schedule_memo_stays_bounded_over_a_stepsize_sweep():
     again = one_round_lower(problem, x, y, q, LowerStepConfig(beta=1e-3, tau=tau), range(4),
                             RngStream(2), CommLedger())
     assert again.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), 1, Fraction(1, 2)])
+def test_check_positive_accepts_finite_positive_reals(value):
+    from fedbilevel.problems import check_positive
+    check_positive("lam", value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
+def test_check_positive_names_what_it_rejects(value):
+    # a float is accepted by its type first, but not when it is not in (0, inf)
+    from fedbilevel import ParameterError
+    from fedbilevel.problems import check_positive
+    with pytest.raises(ParameterError, match=re.escape(
+            f"lam must be a finite number > 0, got {value!r}") + "$"):
+        check_positive("lam", value)

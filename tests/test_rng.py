@@ -424,6 +424,37 @@ def test_lanes_read_each_id_its_own_lane():
         root.lanes([1, -1], "z")
 
 
+def test_table_step_lanes_take_id_sequences(monkeypatch):
+    # a list, tuple or range of ids reads the lanes of their intp array,
+    # converted once; the intp array CheckedOracles passes is not converted
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.rng import CLIENT
+    step = RngStream(0).child("a", 0).declare([(CLIENT, "z")], 3)
+    converted, convert = [], rng_mod._id_array
+    monkeypatch.setattr(rng_mod, "_id_array", lambda ids: converted.append(ids) or convert(ids))
+    for ids in ([1], (0, 2), range(3), range(1, 3), []):
+        want = step.lanes(np.array(ids, dtype=np.intp), "z")
+        assert converted == []
+        got = step.lanes(ids, "z")
+        assert converted == [ids] and got.ids.dtype == np.intp
+        assert got.ids.tolist() == list(ids) and got.purpose == want.purpose == "z"
+        assert got.hashes.tolist() == want.hashes.tolist()
+        assert got.index(9).tolist() == want.index(9).tolist()
+        converted.clear()
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, np.float64(2.0)])
+def test_lanes_name_a_non_integer_id(bad):
+    # on a table step and on a free stream, before any lane is read
+    from fedbilevel import ContractViolation
+    from fedbilevel.rng import CLIENT
+    root = RngStream(0).child("a", 0)
+    for stream in (root.declare([(CLIENT, "z")], 3), root):
+        for ids in ([0, bad], (bad,)):
+            with pytest.raises(ContractViolation, match=re.escape(f"{bad!r} is not an integer")):
+                stream.lanes(ids, "z")
+
+
 @pytest.mark.parametrize("kind", ["finite-sum", "additive-gaussian"])
 @pytest.mark.parametrize("setting", ["full", "half", "tau list"])
 def test_free_stream_and_table_step_draw_the_same(monkeypatch, kind, setting):
@@ -616,6 +647,14 @@ def _model_normal(h, std, shape):
     return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n].reshape(shape)
 
 
+def _model_purpose(key):
+    """A lane's purpose: the innermost string tag of its key path, else
+    "unkeyed". Below its table's base a key path holds the int step index,
+    the lane set's parts and the int client id, so this is the set's
+    innermost tag, else the base's."""
+    return next((c for c in reversed(key) if isinstance(c, str)), "unkeyed")
+
+
 def _same_or_same_error(got, want):
     """got() equals want(), or both raise ValueError; got's names the size."""
     try:
@@ -629,10 +668,13 @@ def _same_or_same_error(got, want):
 
 def test_draws_equal_the_per_lane_model(monkeypatch):
     # declare on int- and str-ended keys, lane_steps chunks, table lanes on
-    # all and on sorted partial ids, free lanes on any ids, and index, subset
-    # and normal at fresh, cached and bool/float sizes, interleaved on two
-    # seeds and a few parents with small row and key budgets: every draw is
-    # the model's, or the same ValueError, whatever the tables and caches hold
+    # all ids (an intp array) and on sorted partial ids (a list), free lanes
+    # on any ids, and index, subset and normal at fresh, cached and bool/float
+    # sizes, interleaved on two seeds and a few parents with small row and key
+    # budgets: every draw is the model's, or the same ValueError, whatever the
+    # tables and caches hold, and every Lanes has the model's purpose (a set
+    # with no string tag, (CLIENT, 1) or a free stream's (CLIENT,), takes its
+    # table base's)
     from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
     from fedbilevel import ContractViolation
     from fedbilevel import rng as rng_mod
@@ -642,7 +684,7 @@ def test_draws_equal_the_per_lane_model(monkeypatch):
     monkeypatch.setattr(rng_mod, "_kept", (None, None))
     seeds, parents = st.sampled_from([3, 2 ** 64 - 5]), st.sampled_from([(), ("est",), ("p", 2)])
     lasts = st.integers(0, 9) | st.sampled_from(["s", "t"])
-    set_lists = st.sampled_from([((CLIENT, "z"),), ((CLIENT, "z", 0), (CLIENT, "u"),
+    set_lists = st.sampled_from([((CLIENT, "z"),), ((CLIENT, "z", 0), (CLIENT, 1),
                                                     ("lower", 1, CLIENT, "zeta", 2))])
     parts = st.lists(st.integers(0, 3), max_size=3)   # a client subset, taken mod m
     pools = [np.arange(5), np.arange(10, 17) * 3]
@@ -662,10 +704,11 @@ def test_draws_equal_the_per_lane_model(monkeypatch):
             for lane_set in sets:
                 at = lane_set.index(CLIENT)
                 path, tags = lane_set[:at], lane_set[at + 1:]
-                for ids in (list(range(m)), sorted({i % m for i in part})):
-                    self.lanes.append((
-                        step.child(*path).lanes(np.array(ids, dtype=np.intp), *tags),
-                        [_model_hash(seed, (*key, *path, i, *tags)) for i in ids]))
+                for ids in (np.arange(m, dtype=np.intp), sorted({i % m for i in part})):
+                    lanes = step.child(*path).lanes(ids, *tags)
+                    assert lanes.purpose == _model_purpose((*key, *path, *tags))
+                    self.lanes.append((lanes, [_model_hash(seed, (*key, *path, i, *tags))
+                                               for i in map(int, ids)]))
 
         @rule(seed=seeds, parent=parents, lasts=st.lists(lasts, min_size=1, max_size=4),
               sets=set_lists, m=st.integers(1, 4), part=parts)
@@ -692,8 +735,9 @@ def test_draws_equal_the_per_lane_model(monkeypatch):
               tags=st.sampled_from([(), ("z",), ("zeta", 1)]))
         def free_lanes(self, seed, parent, last, ids, tags):
             key = (*parent, last)
-            self.lanes.append((RngStream(seed).child(*key).lanes(ids, *tags),
-                               [_model_hash(seed, (*key, i, *tags)) for i in ids]))
+            lanes = RngStream(seed).child(*key).lanes(ids, *tags)
+            assert lanes.purpose == _model_purpose((*key, *tags))
+            self.lanes.append((lanes, [_model_hash(seed, (*key, i, *tags)) for i in ids]))
             with pytest.raises(ContractViolation, match="< 0"):
                 RngStream(seed).child(*key).lanes([*ids, -1], *tags)
 
