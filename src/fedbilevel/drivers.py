@@ -34,7 +34,7 @@ from .lower import (VARIANT_SVRG, LowerStepConfig, _local_phase, client_taus, lo
 from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
                        check_positive, row_dots)
 from .quadratic import QuadraticSpec, make_problem
-from .rng import RngStream, lane_steps
+from .rng import INDEX_RANGE, RngStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
@@ -171,9 +171,9 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     least 1), lam and beta at their caps, alpha = kappa_g^-4 / sqrt(K)."""
     kappa = constants.kappa_g
     N = cfg.N if cfg.N is not None else max(1, math.ceil(kappa))
-    check_count("N", N, 0)
+    check_count("N", N, 0, INDEX_RANGE - 1)
     T = cfg.T if cfg.T is not None else max(1, N)
-    check_count("T", T)
+    check_count("T", T, 1, INDEX_RANGE)
     lam = cfg.lam if cfg.lam is not None else lambda_cap(constants)
     _check_lambda(lam, constants)   # before beta's default reads it
     alpha = cfg.alpha if cfg.alpha is not None else kappa ** -4 / math.sqrt(max(cfg.K, 1))

@@ -34,7 +34,7 @@ from .lower import (VARIANT_SVRG, LowerStepConfig, lower_phase_lanes, max_tau,
                     one_round_lower)
 from .problems import (BilevelProblem, CheckedOracles, ProblemConstants, check_count,
                        check_positive)
-from .rng import CLIENT, RngStream
+from .rng import CLIENT, INDEX_RANGE, RngStream
 from .runtime import CommLedger, aggregate_mean
 
 _CAP_TOL = 1.0 + 1e-12
@@ -73,7 +73,7 @@ class AggITDConfig:
     lower: LowerStepConfig
 
     def __post_init__(self):
-        check_count("N", self.N, 0)
+        check_count("N", self.N, 0, INDEX_RANGE - 1)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class AidConfig:
     T: int
 
     def __post_init__(self):
-        check_count("T", self.T)
+        check_count("T", self.T, 1, INDEX_RANGE)
 
 
 @functools.lru_cache(maxsize=256)
@@ -115,6 +115,7 @@ class EstimatorTrace:
     """Diagnostic record of one fused-estimator evaluation.
 
     Invariants: p = lambda*(N+1)*z_final and h = h_direct - h_indirect.
+    ``h_indirect_clients``, id -> its row of the (k, d1) ``indirect``, is built on first read.
     """
 
     Q: int
@@ -123,10 +124,15 @@ class EstimatorTrace:
     p: np.ndarray
     h_direct: np.ndarray
     h_indirect: np.ndarray
-    h_indirect_clients: dict
+    ids: np.ndarray
+    indirect: np.ndarray
+
+    @functools.cached_property
+    def h_indirect_clients(self) -> dict:
+        return dict(zip(self.ids.tolist(), self.indirect))
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)[:-1]}
+        doc = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)[:-2]}
         return {**doc, "h_indirect_clients": {str(i): np.asarray(v).tolist()
                                               for i, v in self.h_indirect_clients.items()}}
 
@@ -139,9 +145,9 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     Returns (h_tilde, y_N, trace). Charges exactly 2N+2 rounds: per t a single
     gradient round with the chain payloads piggybacked, a One-Round-Lower
     iterate round for t <= N-1, and one final round aggregating the per-client
-    estimates. Q is uniform on {0..N}, the counter-based draw
-    ``rng.child("Q").index(N + 1)``; q_override pins it for enumeration tests.
-    participants are client ids or checked oracles (``BilevelProblem.checked``);
+    estimates. Q, uniform on {0..N}, is ``rng.child("Q").index(N + 1)``, read from
+    the table's draw of every step (``step_index``, so N + 1 < 2**32); q_override
+    pins it. participants are client ids or checked oracles (``BilevelProblem.checked``);
     rng is the scope stream, free or on a table of ``aggitd_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
@@ -152,7 +158,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     y_t = np.asarray(y, dtype=float)
     oracles, rng = problem.entry(participants, x, y_t, rng,
                                  lambda: aggitd_lanes(N, max_tau(lower.tau), lower.variant))
-    Q = rng.child("Q").index(N + 1) if q_override is None else int(q_override)
+    Q = rng.table.step_index((*rng.path, "Q"), N + 1)[rng.s] if q_override is None else q_override
     ids = oracles.ids
     ledger.begin_loop()
     y_iterates = [y_t]
@@ -179,9 +185,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     indirect = problem.jvp_lower_xy(ids, x, y_t, p, rng.lanes(ids, "chi"))
     h_direct, h_indirect = aggregate_mean([direct, indirect], ledger)
 
-    trace = EstimatorTrace(Q=Q, y_iterates=y_iterates, z_final=z, p=p,
-                           h_direct=h_direct, h_indirect=h_indirect,
-                           h_indirect_clients=dict(zip(ids.tolist(), indirect)))
+    trace = EstimatorTrace(Q=Q, y_iterates=y_iterates, z_final=z, p=p, h_direct=h_direct,
+                           h_indirect=h_indirect, ids=ids, indirect=indirect)
     return h_direct - h_indirect, y_t, trace
 
 
@@ -192,10 +197,10 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
 
     Builds p_0 = lambda*T * mean_i grad_y F_i, then the chain
     p_t = (I - lambda * mean_i H_i) p_{t-1} up to the p_{T'} the estimate reads,
-    T' uniform in {0..T-1}, the counter-based draw ``rng.child("T_prime").index(T)``.
-    Rounds t = T'+1..T are charged to the ledger, and their "zeta_h" samples to
-    the audit, without a payload; their lanes are still resolved, so a table
-    missing one raises ContractViolation whatever T' is. participants are as
+    T' uniform in {0..T-1}, ``rng.child("T_prime").index(T)``, read from the table's
+    draw of every step (``step_index``, so T < 2**32). Rounds t = T'+1..T and their
+    "zeta_h" samples are charged without a payload; their lanes are still resolved, so
+    a table missing one raises ContractViolation whatever T' is. participants are as
     for ``aggitd``; rng is the scope stream, free or on a table of ``chain_lanes``.
     """
     _check_lambda(cfg.lam, problem.constants)
@@ -204,7 +209,8 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
         check_count("t_prime_override", t_prime_override, 0, T)
     y_N = np.asarray(y_N, dtype=float)
     oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))
-    T_prime = rng.child("T_prime").index(T) if t_prime_override is None else int(t_prime_override)
+    T_prime = (rng.table.step_index((*rng.path, "T_prime"), T)[rng.s]
+               if t_prime_override is None else t_prime_override)
     ids = oracles.ids
     ledger.begin_loop()
     r = aggregate_mean(problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)

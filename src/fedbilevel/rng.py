@@ -39,12 +39,13 @@ stream on a table, and every child of it, reads ``lanes(ids, *tags)`` as
 the declared set ``(*path, CLIENT, *tags)``, path being its key parts
 below the step. A free ``RngStream(seed, key)`` declares no lane sets.
 
-Which draws are table-wide: ``Lanes.index(n)`` is one multiply-high pass
-over every row of the table (in 32-bit halves, so no product overflows), and
-a stream's scalar ``index(n)`` hashes its own path. ``subset`` is one pass
-per lane set over every step and client, when the call covers every client
-(a client subset draws its own rows), in slices of steps of at most
-KEY_BUDGET counter keys. ``normal`` is drawn per call.
+Which draws are table-wide: ``Lanes.index(n)`` and ``LaneTable.step_index``,
+a scalar lane's draw at every step (the estimators' Q and T', so N + 1 and T
+are below INDEX_RANGE = 2**32), are one multiply-high pass over the table,
+in 32-bit halves so that no product overflows; a stream's own ``index(n)``
+hashes its path. ``subset`` is one pass per lane set over every step and
+client, when the call covers every client (a client subset draws its own
+rows), in slices of at most KEY_BUDGET counter keys. ``normal`` is per call.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
 
+INDEX_RANGE = 1 << 32   # a table-wide index(n) draw takes 1 <= n < INDEX_RANGE
 # a run's lane table is hashed in chunks of outer steps of at most this many rows
 ROW_BUDGET = 1 << 12
 # a lane set's subset block is hashed in slices of steps of at most this many keys
@@ -134,9 +136,9 @@ def _subset(hashes: np.ndarray, pool: np.ndarray, k: int, sizes: np.ndarray | No
 
 
 def _index(hashes: np.ndarray, n: int) -> np.ndarray:
-    """``(_mix64(h, 0) * n) >> 64`` for every hash h, for 1 <= n < 2**32: the
-    products of n with the 32-bit halves of the hashed counter fit in 64 bits."""
-    _check_size("index", "n", n, 1, 1 << 32)
+    """``(_mix64(h, 0) * n) >> 64`` for every hash h, for 1 <= n < INDEX_RANGE:
+    the products of n with the 32-bit halves of the hashed counter fit in 64 bits."""
+    _check_size("index", "n", n, 1, INDEX_RANGE)
     h, n = _mix64_array(hashes, 0), np.uint64(n)
     return (((h >> _S32) * n + ((h & _LOW32) * n >> _S32)) >> _S32).astype(np.intp)
 
@@ -150,10 +152,10 @@ def _component_to_int(c) -> int:
     raise TypeError(f"lane key components must be int or str, got {type(c).__name__}")
 
 
-def _extend(h: int, parts) -> int:
-    """The running hash h extended by the key components parts."""
+def _extend(h, parts, mix=_mix64):
+    """The running hash h, an int (or uint64 array, mix ``_mix64_array``), extended by parts."""
     for c in parts:
-        h = _mix64(h, _component_to_int(c))
+        h = mix(h, _component_to_int(c))
     return h
 
 
@@ -250,14 +252,17 @@ class RngStream:
         ContractViolation names it; m ids must be 0..m-1 in order, as
         ``CheckedOracles`` gives them, and fewer read their own rows. On a free
         stream: any ids >= 0, reordered or repeated, each by row on the table of
-        that one set over clients 0..max(ids) that ``declare`` gives. A negative
-        or non-integer id raises ContractViolation naming it."""
+        that one set over clients 0..max(ids) that ``declare`` gives. A negative or
+        non-integer id, or a converted one >= m on a table, raises ContractViolation."""
+        step = self
         if self.table is None or type(ids) is not np.ndarray:
             ids = _id_array(ids)
-        step = self
+            m = np.inf if self.table is None else self.table.layout.m
+            bad = ids[(ids < 0) | (ids >= m)]
+            if bad.size:
+                raise ContractViolation(f"lanes of client ids {ids.tolist()}: id {bad[0]} is "
+                                        + ("< 0" if bad[0] < 0 else f">= m = {m}"))
         if self.table is None:
-            if ids.size and ids.min() < 0:
-                raise ContractViolation(f"lanes of client ids {ids.tolist()}: an id is < 0")
             step = self.declare([(CLIENT, *tags)], int(ids.max(initial=-1)) + 1)
         table, lane_set = step.table, (*step.path, CLIENT, *tags)
         at, tag = table.layout.at.get(lane_set, (None, None))
@@ -327,10 +332,10 @@ class LaneTable:
     and running hash ``scopes[s]``. For each lane set, ``hashes[s, at]`` (at
     the set's rows in the layout) holds the running hashes of
     ``step(s).child(*parts)`` with each client id in place of ``CLIENT``.
-    ``index(n)`` draws the counter-0 index of every row at once, and
-    ``subset`` the minibatch draws of one lane set at every step and client;
-    both are cached and read-only. A lane set with no string tag has
-    ``purpose``, the base's innermost one or "unkeyed".
+    ``index(n)`` draws the counter-0 index of every row at once, ``step_index``
+    that of a scalar lane at every step, and ``subset`` the minibatch draws of
+    one lane set at every step and client, cached and read-only. A set with no
+    string tag has ``purpose``, the base's innermost one or "unkeyed".
     """
 
     def __init__(self, seed: int, base: tuple, k0, scopes: np.ndarray, layout: _Layout):
@@ -342,17 +347,25 @@ class LaneTable:
             h[:, :col.size] = _mix64_array(h[:, :col.size], col)
         h.flags.writeable = False
         self.hashes = h
-        self._index = {}        # n -> the (steps, rows) index draws
+        self._index = {}        # n -> the (steps, rows) index draws; (path, n) -> step_index
         self._subsets = {}      # (lane set, k, pool, sizes) -> a subset block
 
     def index(self, n: int) -> np.ndarray:
         """Every row's ``index(n)`` draw, shaped (steps, rows)."""
         if type(n) is not int:   # a bool or float equal to a cached n must not hit it
-            _check_size("index", "n", n, 1, 1 << 32)
+            _check_size("index", "n", n, 1, INDEX_RANGE)
         got = self._index.get(n)
         if got is None:
             got = self._index[n] = _index(self.hashes, n)
             got.flags.writeable = False
+        return got
+
+    def step_index(self, path: tuple, n: int) -> tuple:
+        """The ints ``step(s).child(*path).index(n)`` of every step s, 1 <= n < INDEX_RANGE."""
+        got = self._index.get((path, n))
+        if got is None:   # one hash pass per key part over the step hashes
+            h = _extend(self.scopes, path, _mix64_array)
+            got = self._index[path, n] = tuple(_index(h, n).tolist())
         return got
 
     def subset(self, lane_set: tuple, pool: np.ndarray, k: int,
@@ -440,7 +453,7 @@ class Lanes:
         return out
 
     def index(self, n: int) -> np.ndarray:
-        """``stream(r).index(n)`` for every row r, for 1 <= n < 2**32."""
+        """``stream(r).index(n)`` for every row r, for 1 <= n < INDEX_RANGE."""
         table = self.step.table
         got = table._index.get(n) if type(n) is int else None
         return (table.index(n) if got is None else got)[self.step.s, self.rows]

@@ -422,3 +422,35 @@ def test_estimate_is_the_first_step_of_a_fused_run(tmp_path, participation):
     rep = run(cfg)
     assert math.sqrt(r @ r) == rep.rows[1].est_err
     assert len(trace["h_indirect_clients"]) == (5 if participation == 1.0 else 4)
+
+
+@pytest.mark.parametrize("command", ["run", "estimate"])
+@pytest.mark.parametrize("setting,value", [("N", 2**32 - 1), ("T", 2**32)])
+def test_index_range_bounds_exit_code(tmp_path, capsys, command, setting, value):
+    # N + 1 and T are the ranges of the table-wide draws of Q and T', below 2**32
+    args = [command, "--config", _cfg(tmp_path), "--out-dir", str(tmp_path / "o"),
+            "--set", f"{setting}={value}"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {setting} must be an integer" in err and "Traceback" not in err
+
+
+# sha256 of estimate_trace.json as written when EstimatorTrace built its
+# per-client dict in the estimator, before it was built on read
+ESTIMATE_TRACE_SHA256 = {
+    1.0: "68753e94e19117d3173d7096fb980c791f99eb2da089d23f9559cca25a1704d5",
+    0.7: "8d18c26fed5d50ae12f3eadc8372e6365425bd9869752770fe3fd89a6c341cb2"}
+
+
+@pytest.mark.parametrize("participation", [1.0, 0.7])
+def test_estimate_trace_bytes_are_pinned(tmp_path, participation):
+    import hashlib
+    doc = {"problem": {"type": "quadratic", "d1": 3, "d2": 3, "m": 5, "mu": 1.0,
+                       "L_g": 2.0, "seed": 4},
+           "hetero": 0.4, "noise": {"spread": 0.1}, "K": 1, "N": 3, "seed": 9,
+           "tau": [1, 3, 2, 1, 2], "participation": participation}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "estimate_trace.json").read_bytes()).hexdigest()
+    assert got == ESTIMATE_TRACE_SHA256[participation]

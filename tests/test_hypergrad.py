@@ -1,5 +1,7 @@
 """Hypergradient estimators against enumeration, dense-solve and closed-form oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -525,3 +527,169 @@ def test_direct_calls_build_the_full_set_schedule_once(monkeypatch):
                       RngStream(9).child("mc", t), CommLedger())[0]
         assert h.tobytes() == want.tobytes()
     assert len(built) == 1 + len(first)
+
+
+def test_q_and_t_prime_are_the_scalar_draws_on_every_scope(monkeypatch):
+    # Q and T' come from their lane table's one draw per step and equal
+    # RngStream(seed).child(*key, "Q").index(N + 1) and
+    # child(*key, "T_prime").index(T) on every scope a call can get: steps of
+    # lane_steps under "est", the child("aid") of such a step, kept sibling
+    # chunks read across chunk boundaries, one-step tables and a run's steps
+    # at participation 0.5. No estimator makes a scalar draw of its own.
+    from fedbilevel import RunConfig, drivers, run_fbo_aggitd, run_fednest_baseline
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.hypergrad import aggitd_lanes
+    from fedbilevel.rng import lane_steps
+    spec = QuadraticSpec(d1=3, d2=3, m=2, hetero=0.3, noise_spread=0.2, seed=15)
+    problem = QuadraticProblem(make_quadratic(spec))
+    lam = 1.0 / problem.constants.L_g
+    N, T, K, seed = 3, 5, 12, 11
+    cfg = AggITDConfig(lam=lam, N=N, lower=LowerStepConfig(beta=_beta(problem, lam)))
+    aid_cfg = AidConfig(lam=lam, T=T)
+    x, y, root = np.ones(3), np.zeros(3), RngStream(seed)
+    scalar = RngStream.index
+
+    def want_q(*key):
+        return scalar(RngStream(seed).child(*key, "Q"), N + 1)
+
+    def want_t_prime(*key):
+        return scalar(RngStream(seed).child(*key, "T_prime"), T)
+
+    hvps, hvp = [], problem.hvp_lower_yy   # aid_fhe makes T' Hessian calls
+    monkeypatch.setattr(problem, "hvp_lower_yy", lambda *a: hvps.append(1) or hvp(*a))
+
+    def t_prime(scope):
+        hvps.clear()
+        aid_fhe(problem, x, y, aid_cfg, range(2), scope, CommLedger())
+        return len(hvps)
+
+    def q(scope):
+        return aggitd(problem, x, y, cfg, range(2), scope, CommLedger())[2].Q
+
+    monkeypatch.setattr(RngStream, "index", lambda *a: pytest.fail("a scalar index draw"))
+    monkeypatch.setattr(rng_mod, "ROW_BUDGET", 50)   # chunks of 2 (fused) and 3 (AID) steps
+    qs = [q(s) for s in lane_steps(root, "est", K, 2, aggitd_lanes(N, 1))]
+    assert qs == [want_q("est", k) for k in range(K)] and len(set(qs)) > 1
+    tps = [t_prime(s.child("aid")) for s in lane_steps(root, "est", K, 2, chain_lanes(T, "aid"))]
+    assert tps == [want_t_prime("est", k, "aid") for k in range(K)] and len(set(tps)) > 1
+    for name, draw, want in (("q", q, want_q), ("aid", t_prime, want_t_prime)):
+        assert [draw(root.child(name, k)) for k in range(K)] == [want(name, k) for k in range(K)]
+        assert rng_mod._kept[1].scopes.size in (2, 3)   # the kept table is a sibling chunk
+    one_step = root.child("est", 0).child("aid")
+    assert (q(one_step), t_prime(one_step)) == (want_q("est", 0, "aid"),
+                                                want_t_prime("est", 0, "aid"))
+    assert q(root) == want_q()
+
+    run_qs, run_tps = [], []
+
+    def traced_aggitd(*a, **kw):
+        out = aggitd(*a, **kw)
+        run_qs.append(out[2].Q)
+        return out
+
+    def traced_aid_fhe(*a, **kw):
+        hvps.clear()
+        out = aid_fhe(*a, **kw)
+        run_tps.append(len(hvps))
+        return out
+
+    monkeypatch.setattr(drivers, "aggitd", traced_aggitd)
+    monkeypatch.setattr(drivers, "aid_fhe", traced_aid_fhe)
+    run_cfg = RunConfig(problem=spec, K=K, N=N, T=T, alpha=0.01, participation=0.5, seed=seed)
+    run_fbo_aggitd(run_cfg, problem)
+    run_fednest_baseline(dataclasses.replace(run_cfg, estimator="aid"), problem)
+    assert run_qs == [want_q("est", k) for k in range(K)]
+    assert run_tps == [want_t_prime("est", k, "aid") for k in range(K)]
+
+
+def test_index_range_bounds_name_the_setting():
+    # Q and T' are drawn table-wide, which takes a range below 2**32: so
+    # N + 1 and T are bounded where they are set, and named there
+    from fedbilevel import RunConfig
+    from fedbilevel.drivers import resolve_params
+    lower, big = LowerStepConfig(beta=0.1), 1 << 32
+    assert AggITDConfig(lam=0.1, N=big - 2, lower=lower).N == big - 2
+    assert AidConfig(lam=0.1, T=big - 1).T == big - 1
+    with pytest.raises(ParameterError, match=rf"^N must be an integer >= 0 and < {big - 1}, "):
+        AggITDConfig(lam=0.1, N=big - 1, lower=lower)
+    with pytest.raises(ParameterError, match=rf"^T must be an integer >= 1 and < {big}, "):
+        AidConfig(lam=0.1, T=big)
+    constants = make_quadratic(QuadraticSpec(d1=2, d2=2, m=2)).constants
+    assert resolve_params(RunConfig(N=big - 2), constants)[:2] == (big - 2, big - 2)
+    assert resolve_params(RunConfig(T=big - 1), constants)[1] == big - 1
+    with pytest.raises(ParameterError, match=rf"^N must be an integer >= 0 and < {big - 1}, "):
+        resolve_params(RunConfig(N=big - 1), constants)
+    with pytest.raises(ParameterError, match=rf"^T must be an integer >= 1 and < {big}, "):
+        resolve_params(RunConfig(T=big), constants)
+
+
+@pytest.mark.parametrize("participants", [range(3), [0, 2]], ids=["all", "partial"])
+def test_trace_per_client_view_is_built_on_read(participants):
+    # h_indirect_clients is client id -> that client's indirect part, as the
+    # public jvp oracle gives it on the call's "chi" lanes, bit for bit; the
+    # trace builds it on its first read only
+    from fedbilevel.hypergrad import aggitd_lanes
+    from fedbilevel.rng import lane_steps
+    inst, problem = _deterministic_setup(spread=0.2)
+    lam = 1.0 / inst.L_g
+    cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=_beta(inst, lam)))
+    x, y = np.ones(5), np.zeros(5)
+    step = next(lane_steps(RngStream(4), "est", 1, 3, aggitd_lanes(3, 1)))
+    oracles = problem.checked(participants, x, y)
+    _, y_N, tr = aggitd(problem, x, y, cfg, oracles, step, CommLedger())
+    assert "h_indirect_clients" not in vars(tr)
+    ids = oracles.ids
+    want = dict(zip(ids.tolist(), problem.jvp_lower_xy(ids, x, y_N, tr.p,
+                                                       step.lanes(ids, "chi"))))
+    got = tr.h_indirect_clients
+    assert list(got) == list(want) == list(participants)
+    assert all(got[i].tobytes() == want[i].tobytes() for i in want)
+    assert tr.h_indirect_clients is got
+
+
+def test_hyperrep_q_average_is_the_itd_forward_recursion():
+    # criterion 2's identity on a problem whose Hessians move with y. With a
+    # batch that covers the largest split every oracle is exact, and the mean
+    # over Q in {0..N} of the fused indirect part equals ITD's forward
+    # recursion over the trace's iterates, through the public oracles:
+    # s_0 = grad_y F(y^0), s_t = (I - lam H(y^t)) s_{t-1} + grad_y F(y^t),
+    # mean = lam * mean_i jvp_i(y^N, s_N). Only the summation order differs.
+    from fedbilevel import HyperRepSpec, make_hyperrep
+    from fedbilevel.hypergrad import lambda_cap
+    spec = HyperRepSpec(embed_dim=2, feature_dim=3, classes=3, ridge=0.2, m=3, n_points=48)
+    probe = make_hyperrep(spec, 0)
+    largest = max(len(s) for s in (*probe.train_idx, *probe.val_idx))
+    problem = make_hyperrep(spec, 0, batch_size=largest)
+    N, lam = 4, lambda_cap(problem.constants)
+    cfg = AggITDConfig(lam=lam, N=N, lower=LowerStepConfig(beta=_beta(problem, lam)))
+    x, y = problem.initial_point()
+    y = y + 2.0 * RngStream(1).child("y0").normal(1.0, y.shape)
+    ids = np.arange(spec.m)
+    traces = [aggitd(problem, x, y, cfg, ids, RngStream(7), CommLedger(), q_override=q)[2]
+              for q in range(N + 1)]
+    average = np.mean([tr.h_indirect for tr in traces], axis=0)
+    ys = traces[0].y_iterates
+
+    def mean(rows):
+        return np.mean(rows, axis=0)
+
+    s = mean(problem.grad_upper_y(ids, x, ys[0], None))
+    for t in range(1, N + 1):
+        s = (s - lam * mean(problem.hvp_lower_yy(ids, x, ys[t], s, None))
+             + mean(problem.grad_upper_y(ids, x, ys[t], None)))
+    want = lam * mean(problem.jvp_lower_xy(ids, x, ys[N], s, None))
+    assert np.linalg.norm(average - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_local_fhe_at_small_t_is_its_truncated_chain(T):
+    # noise off, local_fhe is the exact T-term local chain; at small T one
+    # term more or fewer is far above the tolerance
+    inst = make_quadratic(QuadraticSpec(d1=3, d2=3, m=4, hetero=0.8,
+                                        noise_spread=0.0, seed=73))
+    problem = QuadraticProblem(inst)
+    lam = 1.0 / inst.L_g
+    x = np.ones(3) * 0.7
+    y = inst.y_star(x) + 0.5
+    h = local_fhe(problem, x, y, AidConfig(lam=lam, T=T), range(4), RngStream(0), CommLedger())
+    np.testing.assert_allclose(h, expected_local_fhe(inst, x, y, lam, T), rtol=1e-12)

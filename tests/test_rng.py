@@ -443,6 +443,21 @@ def test_table_step_lanes_take_id_sequences(monkeypatch):
         converted.clear()
 
 
+def test_table_step_lanes_name_an_id_out_of_range():
+    # an id sequence a table step converts must hold clients 0..m-1 of its
+    # table: on two lane sets over m = 2, id 2 would read the other set's
+    # first row under "z", and id 5 no row at all
+    from fedbilevel import ContractViolation
+    from fedbilevel.rng import CLIENT
+    step = RngStream(0).child("a", 0).declare([(CLIENT, "z"), (CLIENT, "y")], 2)
+    for ids, bad in (([2], "id 2 is >= m = 2"), ([5], "id 5 is >= m = 2"),
+                     ((1, 3), "id 3 is >= m = 2"), (range(3), "id 2 is >= m = 2"),
+                     ([0, -1], "id -1 is < 0")):
+        with pytest.raises(ContractViolation, match=re.escape(bad)):
+            step.lanes(ids, "z")
+    assert step.lanes([1], "z").hashes.tolist() == [RngStream(0).child("a", 0, 1, "z")._hash]
+
+
 @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, np.float64(2.0)])
 def test_lanes_name_a_non_integer_id(bad):
     # on a table step and on a free stream, before any lane is read
