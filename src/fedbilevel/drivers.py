@@ -38,6 +38,9 @@ from .rng import INDEX_RANGE, RngStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
+# the lane sets one outer step may declare, at most N (max tau_i + 3) + T + 3
+# of them: each is hashed for every client before the step's first round
+STEP_LANE_SETS = 1 << 16
 
 ESTIMATOR_AGGITD = "aggitd"
 ESTIMATOR_AID = "aid"
@@ -168,12 +171,18 @@ def resolve_params(cfg: RunConfig, constants: ProblemConstants):
     """(N, T, lam, alpha, beta) of a run, checked against the caps; every run
     and ``estimate`` call this on the built problem's constants. The one home
     of the defaults of unset values: N = max(1, ceil(kappa_g)), T = N (at
-    least 1), lam and beta at their caps, alpha = kappa_g^-4 / sqrt(K)."""
+    least 1), lam and beta at their caps, alpha = kappa_g^-4 / sqrt(K). N, T
+    and tau must keep a step's lane sets within STEP_LANE_SETS."""
     kappa = constants.kappa_g
     N = cfg.N if cfg.N is not None else max(1, math.ceil(kappa))
     check_count("N", N, 0, INDEX_RANGE - 1)
     T = cfg.T if cfg.T is not None else max(1, N)
     check_count("T", T, 1, INDEX_RANGE)
+    tau = max_tau(cfg.tau)
+    sets = N * (tau + 3) + T + 3
+    if sets > STEP_LANE_SETS:
+        raise ParameterError(f"N = {N}, T = {T} and tau = {tau} declare up to {sets} lane "
+                             f"sets per outer step, above STEP_LANE_SETS = {STEP_LANE_SETS}")
     lam = cfg.lam if cfg.lam is not None else lambda_cap(constants)
     _check_lambda(lam, constants)   # before beta's default reads it
     alpha = cfg.alpha if cfg.alpha is not None else kappa ** -4 / math.sqrt(max(cfg.K, 1))
@@ -222,21 +231,21 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
         problem = build_problem(cfg)
     N, T, lam, alpha, beta = resolve_params(cfg, problem.constants)
     lower_cfg = LowerStepConfig(beta=beta, tau=cfg.tau, variant=cfg.variant)
+    taus = max_tau(cfg.tau)
     part = Participation(cfg.participation)
     root = RngStream(cfg.seed)
     ledger = CommLedger()
 
     if estimator == ESTIMATOR_AGGITD:
         acfg = AggITDConfig(lam=lam, N=N, lower=lower_cfg)
-        lane_sets = aggitd_lanes(N, max_tau(cfg.tau), cfg.variant)
+        lane_sets = aggitd_lanes(N, taus, cfg.variant)
 
         def step(x, y, oracles, scope):
             return aggitd(problem, x, y, acfg, oracles, scope, ledger)[:2]
     else:
         aid_cfg = AidConfig(lam=lam, T=T)
         chain = aid_fhe if estimator == ESTIMATOR_AID else local_fhe
-        lane_sets = (lower_phase_lanes(N, max_tau(cfg.tau), cfg.variant)
-                     + chain_lanes(T, estimator))
+        lane_sets = lower_phase_lanes(N, taus, cfg.variant) + chain_lanes(T, estimator)
 
         def step(x, y, oracles, scope):
             ids = oracles.ids
@@ -251,8 +260,7 @@ def _run_loop(cfg: RunConfig, problem: BilevelProblem | None, estimator: str) ->
     x, y = problem.initial_point()
     points, rows, estimates = [(x, y)], [(0, 0, 0)], []
     scopes = zip(lane_steps(root, "est", cfg.K, problem.m, lane_sets),
-                 lane_steps(root, "upper", cfg.K, problem.m,
-                            local_lanes("xi_up", max_tau(cfg.tau))))
+                 lane_steps(root, "upper", cfg.K, problem.m, local_lanes("xi_up", taus)))
     oracles, redraw = None, part.size(problem.m) < problem.m
     for k, (est, upper) in enumerate(scopes):
         ledger.start_outer()

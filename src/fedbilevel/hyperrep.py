@@ -105,15 +105,13 @@ class _Split(NamedTuple):
     C-contiguous stores (m * w, .) of the features (zero on padding) and the
     float one-hot labels, client i's points at rows i * w to i * w + w - 1;
     the point counts; the minibatch draws' pool, the w padded columns; and,
-    for a minibatch of b = min(batch_size, w) columns, each client's row
-    offset i * w repeated over the columns (m, b) and its point count
-    min(n_i, b) as a float (m, 1, 1)."""
+    for a minibatch of b = min(batch_size, w) columns, each client's point
+    count min(n_i, b) as a float (m, 1, 1)."""
 
     U: np.ndarray
     onehot: np.ndarray
     sizes: np.ndarray
     pool: np.ndarray
-    row0: np.ndarray
     counts: np.ndarray
 
 
@@ -180,8 +178,7 @@ class HyperRepProblem(BilevelProblem):
             got = self._full[split] = _Split(
                 (self.U[idx] * mask[..., None]).reshape(m * w, -1),
                 (self.labels[idx].reshape(-1, 1) == np.arange(self.spec.classes)) * 1.0,
-                sizes, np.arange(w), np.repeat(self._all_ids[:, None] * w, b, axis=1),
-                np.minimum(sizes, b)[:, None, None] * 1.0)
+                sizes, np.arange(w), np.minimum(sizes, b)[:, None, None] * 1.0)
             for a in got:
                 a.flags.writeable = False
         return got
@@ -192,22 +189,21 @@ class HyperRepProblem(BilevelProblem):
         Row r takes min(batch_size, n_i) points drawn by lane r, or its whole
         split when lanes is None. The draw is ``lanes.subset`` over the split's
         one pool of padded columns, so a call on every client reads its rows out
-        of its lane set's block in the lane table, and the minibatch is one
-        ``take`` of the drawn rows, row offset plus position, from each of the
-        split's flat stores; its count is min(n_i, b), as a short split pads
-        its draw. Offsets and counts are the split's, read at ``rows``, the
-        call's k clients (``BilevelProblem._audit``). Returns (H, Us, Z, P,
-        R, n): (k, b, .) stacks over the b columns of the minibatch table, and
-        each row's point count. Padded points get zero features, so they add
-        nothing to any mean. With lanes None, x and y may also be (p, 1, d)
-        stacks of p points, each evaluated over every client of rows: the
-        stacks are then (p, k, b, .).
+        of its lane set's block in the lane table. The draws come back as rows
+        of the split's flat stores (``flat=True``), and the minibatch is one
+        ``take`` of them from each store; its count is min(n_i, b), as a short
+        split pads its draw. Sizes and counts are the split's, read at
+        ``rows``, the call's k clients (``BilevelProblem._audit``). Returns
+        (H, Us, Z, P, R, n): (k, b, .) stacks over the b columns of the
+        minibatch table, and each row's point count. Padded points get zero
+        features, so they add nothing to any mean. With lanes None, x and y
+        may also be (p, 1, d) stacks of p points, each evaluated over every
+        client of rows: the stacks are then (p, k, b, .).
         """
-        U, onehot, sizes, pool, row0, counts = self._whole_split(split)
+        U, onehot, sizes, pool, counts = self._whole_split(split)
         w = pool.size
         if lanes is not None and self.batch_size < w:
-            sizes = sizes[rows]
-            at = row0[rows] + lanes.subset(pool, self.batch_size, sizes)
+            at = lanes.subset(pool, self.batch_size, sizes[rows], flat=True)
             Us, onehot, n = U.take(at, 0), onehot.take(at, 0), counts[rows]   # (k, b, .)
         else:
             Us, onehot = U.reshape(self.m, w, -1)[rows], onehot.reshape(self.m, w, -1)[rows]
@@ -252,7 +248,7 @@ class HyperRepProblem(BilevelProblem):
         """The upper objective at each row: the mean over clients of each
         client's mean cross-entropy on its held-out split, the function that
         ``grad_upper_x`` and ``hypergradient_numeric`` differentiate."""
-        U, onehot, sizes, pool, _, _ = self._whole_split("val")
+        U, onehot, sizes, pool, _ = self._whole_split("val")
         E, H = self._unpack(x[..., None, :], y[..., None, :])
         z = (U.reshape(self.m, pool.size, -1) @ _swap(E)) @ _swap(H)
         z = z - z.max(axis=-1, keepdims=True)

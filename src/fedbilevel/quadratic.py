@@ -350,7 +350,7 @@ class QuadraticProblem(BilevelProblem):
     [A + dA | B + dB | c + dc] rows and the d + dd and e + de vectors are
     views of the instance's arrays, and the A and B blocks contiguous copies.
     A finite-sum row of batch 1 gathers its folded sample with one ``take``
-    at its client's row offset plus its drawn index: a lower gradient is one
+    of its draw, which comes back as a flat store row: a lower gradient is one
     gemv of the packed row with [y; x; 1], a Hessian- or Jacobian-vector
     product one gemv on its A or B block. A minibatch of 1 < k < n averages
     the folded samples, so it is unbiased up to the rounding of each fold; a
@@ -364,15 +364,15 @@ class QuadraticProblem(BilevelProblem):
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
         self._n, self._k = inst.n_samples, min(batch_size, inst.n_samples)   # k of n per row
         self._lower = self._A = self._B = self._d = self._e = None
-        self._pool = self._row0 = None
+        self._pool = None
         if self.finite_sum:     # additive-gaussian noise reads no sample store
             n, d2, S = inst.n_samples, inst.d2, inst.lower_samples
             # the stores of the A and B blocks are copies, the others views
             self._lower, self._A, self._B, self._d, self._e = (
                 np.ascontiguousarray(a).reshape(inst.m * n, *a.shape[2:])
                 for a in (S, S[..., :d2], S[..., d2:-1], inst.d_samples, inst.e_samples))
-            self._pool, self._row0 = np.arange(n), self._all_ids * n   # client i's first row
-            for a in (self._lower, self._A, self._B, self._d, self._e, self._pool, self._row0):
+            self._pool = np.arange(n)
+            for a in (self._lower, self._A, self._B, self._d, self._e, self._pool):
                 a.setflags(write=False)
 
     # the exact truth: the instance's closed forms, with no task metric
@@ -388,20 +388,19 @@ class QuadraticProblem(BilevelProblem):
     def test_metric(self, x, y):
         return np.zeros(x.shape[:-1])
 
-    def _sample(self, rows, lanes, flat, client=None):
+    def _sample(self, rows, lanes, store, client=None):
         """Each row's sample from a flat (m * n, ...) store of folded samples:
         the drawn one (batch 1) or the mean over the drawn subset, gathered by
-        one ``take`` at the client's row offset plus the drawn indices, the
-        offsets read at ``rows`` like the client arrays. With no draw
-        (lanes None, additive-gaussian noise, or all n samples, whose offsets
+        one ``take`` of the draws as store rows (``flat=True``), which the
+        lane table holds with their clients' offsets. With no draw (lanes
+        None, additive-gaussian noise, or all n samples, whose offsets
         average to zero) the rows of ``client`` instead, or None without
         it."""
         if lanes is None or not self.finite_sum or self._k == self._n:
             return None if client is None else client[rows]
-        row0 = self._row0[rows]
         if self._k == 1:
-            return flat.take(row0 + lanes.index(self._n), 0)
-        return flat.take(row0[:, None] + lanes.subset(self._pool, self._k), 0).mean(axis=1)
+            return store.take(lanes.index(self._n, flat=True), 0)
+        return store.take(lanes.subset(self._pool, self._k, flat=True), 0).mean(axis=1)
 
     def _grad_lower_y_batch(self, rows, x, y, lanes):
         q = self.inst

@@ -46,6 +46,9 @@ in 32-bit halves so that no product overflows; a stream's own ``index(n)``
 hashes its path. ``subset`` is one pass per lane set over every step and
 client, when the call covers every client (a client subset draws its own
 rows), in slices of at most KEY_BUDGET counter keys. ``normal`` is per call.
+Draws come back as flat store rows: ``flat=True`` adds each row's client id
+times n (or len(pool)) in the cached block, so that an oracle's draws are
+rows of a client-major (m * n, ...) sample store.
 """
 
 from __future__ import annotations
@@ -334,7 +337,8 @@ class LaneTable:
     ``step(s).child(*parts)`` with each client id in place of ``CLIENT``.
     ``index(n)`` draws the counter-0 index of every row at once, ``step_index``
     that of a scalar lane at every step, and ``subset`` the minibatch draws of
-    one lane set at every step and client, cached and read-only. A set with no
+    one lane set at every step and client, cached and read-only (with
+    ``flat=True``, as rows of a client-major sample store). A set with no
     string tag has ``purpose``, the base's innermost one or "unkeyed".
     """
 
@@ -347,16 +351,19 @@ class LaneTable:
             h[:, :col.size] = _mix64_array(h[:, :col.size], col)
         h.flags.writeable = False
         self.hashes = h
-        self._index = {}        # n -> the (steps, rows) index draws; (path, n) -> step_index
-        self._subsets = {}      # (lane set, k, pool, sizes) -> a subset block
+        self._index = {}    # (n, flat) -> the (steps, rows) index draws; (path, n) -> step_index
+        self._subsets = {}  # (lane set, k, pool, sizes, flat) -> a subset block
 
-    def index(self, n: int) -> np.ndarray:
-        """Every row's ``index(n)`` draw, shaped (steps, rows)."""
+    def index(self, n: int, flat: bool = False) -> np.ndarray:
+        """Every row's ``index(n)`` draw, shaped (steps, rows); flat adds each
+        row's client id times n, so the draws are rows of a client-major
+        (m * n, ...) sample store."""
         if type(n) is not int:   # a bool or float equal to a cached n must not hit it
             _check_size("index", "n", n, 1, INDEX_RANGE)
-        got = self._index.get(n)
+        got = self._index.get((n, flat))
         if got is None:
-            got = self._index[n] = _index(self.hashes, n)
+            got = self._index[n, flat] = _index(self.hashes, n) + (
+                np.arange(self.layout.rows) % self.layout.m * n if flat else 0)
             got.flags.writeable = False
         return got
 
@@ -369,12 +376,13 @@ class LaneTable:
         return got
 
     def subset(self, lane_set: tuple, pool: np.ndarray, k: int,
-               sizes: np.ndarray | None) -> np.ndarray:
+               sizes: np.ndarray | None, flat: bool = False) -> np.ndarray:
         """The ``subset(pool[:sizes[i]], k)`` draws of one lane set at every step
         and client i, shaped (steps, clients, k), where sizes (one per client)
-        are the same at every step. Hashed in slices of steps of at most
-        KEY_BUDGET keys, drawn once per table and read-only."""
-        key = (lane_set, k, pool.tobytes(), None if sizes is None else sizes.tobytes())
+        are the same at every step; flat adds i * len(pool), as ``index`` does.
+        Hashed in slices of steps of at most KEY_BUDGET keys, drawn once per
+        table and read-only."""
+        key = (lane_set, k, pool.tobytes(), None if sizes is None else sizes.tobytes(), flat)
         got = self._subsets.get(key)
         if got is None:
             rows = self.hashes[:, self.layout.at[lane_set][0]]
@@ -384,6 +392,8 @@ class LaneTable:
                      for r in (rows[a:a + per] for a in range(0, len(rows), per))]
             got = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(
                 *rows.shape, parts[0].shape[1])
+            if flat:
+                got += np.arange(rows.shape[1])[:, None] * len(pool)
             got.flags.writeable = False
             self._subsets[key] = got
         return got
@@ -452,27 +462,32 @@ class Lanes:
             out.flags.writeable = False
         return out
 
-    def index(self, n: int) -> np.ndarray:
-        """``stream(r).index(n)`` for every row r, for 1 <= n < INDEX_RANGE."""
+    def index(self, n: int, flat: bool = False) -> np.ndarray:
+        """``stream(r).index(n)`` for every row r, for 1 <= n < INDEX_RANGE;
+        flat adds ``ids[r] * n``, so the draws are rows of a client-major
+        (m * n, ...) sample store, read out of the table's flat block."""
         table = self.step.table
-        got = table._index.get(n) if type(n) is int else None
-        return (table.index(n) if got is None else got)[self.step.s, self.rows]
+        got = table._index.get((n, flat)) if type(n) is int else None
+        return (table.index(n, flat) if got is None else got)[self.step.s, self.rows]
 
-    def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None) -> np.ndarray:
+    def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None,
+               flat: bool = False) -> np.ndarray:
         """``stream(r).subset(pool[:sizes[r]], k)`` for every row r, stacked (rows, k).
 
         sizes defaults to the whole pool. Positions from sizes[r] on are keyed
         2**64-1, so they sort after the row's members: a row with sizes[r] < k
-        also gets the pool entries from position sizes[r] on, k in all. When
-        the rows cover every client of the table, they are read out of the
-        table's block for their lane set; otherwise they are drawn here."""
+        also gets the pool entries from position sizes[r] on, k in all. flat
+        adds ``ids[r] * len(pool)``, as ``index`` does. When the rows cover
+        every client of the table, they are read out of the table's block for
+        their lane set; otherwise they are drawn here."""
         if type(k) is not int:   # a bool or float equal to a cached k must not hit it
             _check_size("subset", "k", k, 0)
         if isinstance(self.rows, slice):
-            return self.step.table.subset(self.lane_set, pool, k, sizes)[self.step.s]
+            return self.step.table.subset(self.lane_set, pool, k, sizes, flat)[self.step.s]
         return self._drawn(("subset", k, pool.tobytes(),
-                            None if sizes is None else sizes.tobytes()),
-                           lambda: _subset(self.hashes, pool, k, sizes))
+                            None if sizes is None else sizes.tobytes(), flat),
+                           lambda: _subset(self.hashes, pool, k, sizes)
+                           + (self.ids[:, None] * len(pool) if flat else 0))
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
         """``stream(r).normal(std, shape)`` for every row r, stacked (rows, *shape)."""

@@ -107,7 +107,8 @@ def aggregate_mean(payloads: np.ndarray | Sequence[np.ndarray], ledger: CommLedg
     not depend on the order in which the participants were listed. A single
     stack is a group of one, so both forms run one loop that checks, counts
     and averages each stack; the round is charged only after every stack
-    passed its checks.
+    passed its checks. The sum is divided by ``float(k)``: the quotient of
+    the int k, bit for bit, without numpy's Python-int scalar conversion.
     """
     grouped = isinstance(payloads, (tuple, list))
     means, k, scalars = [], -1, 0
@@ -118,7 +119,7 @@ def aggregate_mean(payloads: np.ndarray | Sequence[np.ndarray], ledger: CommLedg
             raise ProtocolError(_NOT_STACKS)
         k, scalars = s.shape[0], scalars + s.size
         # the bits of s.mean(axis=0); an empty stack is rejected below, unaveraged
-        means.append(np.add.reduce(s, 0) / k if k else None)
+        means.append(np.add.reduce(s, 0) / float(k) if k else None)
     if k < 1:   # no stacks, or empty ones
         raise ProtocolError("empty participant set" if k == 0 else _NOT_STACKS)
     ledger.record_round(scalars)

@@ -435,6 +435,20 @@ def test_index_range_bounds_exit_code(tmp_path, capsys, command, setting, value)
     assert f"config error: {setting} must be an integer" in err and "Traceback" not in err
 
 
+def test_huge_chain_exits_2_before_any_lane_set(tmp_path, capsys):
+    # N = 10**8 would declare 3 * 10**8 lane sets for each step; the bound on
+    # them stops the run at resolve_params, before a lane-set tuple is built
+    import time
+    from fedbilevel.hypergrad import aggitd_lanes
+    before, t0 = aggitd_lanes.cache_info().misses, time.perf_counter()
+    assert main(["run", "--set", "N=100000000", "--out-dir", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert aggitd_lanes.cache_info().misses == before
+    err = capsys.readouterr().err
+    assert "config error: N = 100000000, T = 100000000 and tau = 1 declare up to" in err
+    assert "STEP_LANE_SETS = 65536" in err and "Traceback" not in err
+
+
 # sha256 of estimate_trace.json as written when EstimatorTrace built its
 # per-client dict in the estimator, before it was built on read
 ESTIMATE_TRACE_SHA256 = {

@@ -35,6 +35,25 @@ def test_default_stepsizes_examples():
     assert N == 10
 
 
+def test_step_lane_sets_bound_names_n_t_and_tau():
+    # a step hashes its lane sets, at most N (max tau_i + 3) + T + 3 of them,
+    # before its first round: resolve_params bounds them by STEP_LANE_SETS, so
+    # a huge N, T or tau is a named error, not a process stopped by memory
+    from fedbilevel.drivers import STEP_LANE_SETS
+    assert STEP_LANE_SETS == 65536
+    spec, c = QuadraticSpec(m=2), ProblemConstants(mu=1.0, L_g=10.0)
+    for N, T, tau in ((16383, 1, 1), (0, 65533, 1), (1, 1, [1, 65529])):
+        assert resolve_params(RunConfig(problem=spec, N=N, T=T, tau=tau), c)[:2] == (N, T)
+    for N, T, tau, sets in ((16384, 1, 1, 65540), (0, 65534, 1, 65537),
+                            (1, 1, [65530, 1], 65537), (10 ** 8, None, 1, 5 * 10 ** 8 + 3)):
+        with pytest.raises(ParameterError, match=rf"^N = {N}, T = {T or N} and tau = "
+                           rf"{max(np.atleast_1d(tau))} declare up to {sets} lane sets"):
+            resolve_params(RunConfig(problem=spec, N=N, T=T, tau=tau), c)
+    # the default hyperrep run, N = T = 1,107 at tau = 1, is well inside
+    hyper = RunConfig(problem=HyperRepSpec())
+    assert resolve_params(hyper, build_problem(hyper).constants)[:2] == (1107, 1107)
+
+
 def test_one_round_upper_single_step_identity():
     spec = QuadraticSpec(d1=3, d2=3, m=3, hetero=0.4, noise_spread=0.3, seed=1)
     problem = QuadraticProblem(make_quadratic(spec))
@@ -576,11 +595,11 @@ def test_hyperrep_run_hashes_each_subset_lane_set_once_per_table(monkeypatch):
         passes.append(len(pool))
         return original(hashes, pool, k, sizes)
 
-    def keyed(self, pool, k, sizes=None):
+    def keyed(self, pool, k, sizes=None, flat=False):
         table = self.step.table
         tables.append(table)     # keeps every id below distinct
         keys.add((id(table), self.lane_set, repr(self.rows), pool.tobytes()))
-        return subset(self, pool, k, sizes)
+        return subset(self, pool, k, sizes, flat)
     monkeypatch.setattr(rng_mod, "_subset", counted)
     monkeypatch.setattr(rng_mod.Lanes, "subset", keyed)
     rep = _small_hyperrep_run(K=20)
@@ -648,14 +667,22 @@ def test_run_checks_participants_and_tau_once_per_step(monkeypatch, estimator):
 
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])
-@pytest.mark.parametrize("participation,tau", [(1.0, 1), (0.7, [1, 3, 2])])
-def test_run_first_step_equals_the_public_calls(estimator, participation, tau):
+@pytest.mark.parametrize("participation,tau,kind", [
+    (1.0, 1, "quadratic"), (0.7, [1, 3, 2], "quadratic"),
+    (1.0, 1, "hyperrep"), (0.7, [1, 3, 2], "hyperrep")],
+    ids=["1.0-1", "0.7-tau1", "hyperrep-1.0-1", "hyperrep-0.7-tau1"])
+def test_run_first_step_equals_the_public_calls(estimator, participation, tau, kind):
     # a K = 1 run, whose one outer step reuses checked oracles and local-step
     # schedules, gives the bits of the public calls on the scope streams
     # root.child("est", 0) and root.child("upper", 0): the Q and T' draws,
-    # the participant set and every lane are where a public call puts them
-    cfg = _quad_cfg(K=1, N=3, T=2, estimator=estimator, tau=tau,
-                    participation=participation, variant="svrg")
+    # the participant set and every lane are where a public call puts them.
+    # On hyperrep every oracle depends on y, so a phase run at the wrong lower
+    # iterate changes bits; alpha = 0.5 makes the upper steps move x
+    kw = dict(estimator=estimator, tau=tau, participation=participation, variant="svrg")
+    cfg = _quad_cfg(K=1, N=3, T=2, **kw) if kind == "quadratic" else RunConfig(
+        problem=HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=3,
+                             partition="label-skew"),
+        K=1, N=3, T=2, seed=7, alpha=0.5, batch_size=8, **kw)
     rep = run(cfg)
     problem = build_problem(cfg)
     N, T, lam, alpha, beta = resolve_params(cfg, problem.constants)
@@ -684,8 +711,9 @@ def test_run_first_step_equals_the_public_calls(estimator, participation, tau):
     assert rep.final_y.tobytes() == y_new.tobytes()
     assert rep.final_x.tobytes() == x_new.tobytes()
     assert rep.rounds_total == ledger.rounds_total
-    assert rep.rows[1].est_err == float(np.linalg.norm(h - problem.inst.hypergradient(x)))
-    assert rep.rows[1].lower_gap == float(np.sum((y_new - problem.inst.y_star(x_new)) ** 2))
+    grad = problem.hypergradient(x, problem.y_star(x, y))
+    assert rep.rows[1].est_err == float(np.linalg.norm(h - grad))
+    assert rep.rows[1].lower_gap == float(np.sum((y_new - problem.y_star(x_new, y_new)) ** 2))
 
 
 def test_metrics_row_reductions_keep_numpy_bits():

@@ -615,8 +615,10 @@ def test_index_range_bounds_name_the_setting():
     with pytest.raises(ParameterError, match=rf"^T must be an integer >= 1 and < {big}, "):
         AidConfig(lam=0.1, T=big)
     constants = make_quadratic(QuadraticSpec(d1=2, d2=2, m=2)).constants
-    assert resolve_params(RunConfig(N=big - 2), constants)[:2] == (big - 2, big - 2)
-    assert resolve_params(RunConfig(T=big - 1), constants)[1] == big - 1
+    # in a run, the bound on a step's lane sets (STEP_LANE_SETS) binds first
+    for cfg in (RunConfig(N=big - 2), RunConfig(T=big - 1)):
+        with pytest.raises(ParameterError, match=r"lane sets per outer step, above"):
+            resolve_params(cfg, constants)
     with pytest.raises(ParameterError, match=rf"^N must be an integer >= 0 and < {big - 1}, "):
         resolve_params(RunConfig(N=big - 1), constants)
     with pytest.raises(ParameterError, match=rf"^T must be an integer >= 1 and < {big}, "):

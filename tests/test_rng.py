@@ -235,6 +235,50 @@ def test_table_step_index_equals_stream_index(monkeypatch, budget):
                 assert step.index(n) == RngStream(21).child("est", k).index(n)
 
 
+def _assert_flat_draws(lanes):
+    # the flat draws are the bare draws shifted to each row's client block of a
+    # client-major store: ids * n for index(n), ids * len(pool) for subset
+    ids = lanes.ids
+    for n in (1, 8, 2 ** 32 - 1):
+        got, want = lanes.index(n, flat=True), ids * n + lanes.index(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    sizes = np.arange(ids.size) % 5 + 1
+    for pool, k, sz in ((np.arange(6), 3, None), (np.arange(7), 4, sizes),
+                        (np.arange(10, 17) * 3, 2, sizes)):
+        got = lanes.subset(pool, k, sz, flat=True)
+        want = ids[:, None] * len(pool) + lanes.subset(pool, k, sz)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_flat_draws_equal_offset_bare_draws(monkeypatch):
+    # on run steps, a child("aid") of one, kept sibling chunks across a chunk
+    # boundary, a one-step table, a free stream on reordered and repeated ids
+    # and a client subset of a table step
+    from fedbilevel import rng as rng_mod
+    from fedbilevel.rng import CLIENT
+    monkeypatch.setattr(rng_mod, "ROW_BUDGET", 50)
+    monkeypatch.setattr(rng_mod, "_kept", (None, None))
+    m, _, _, _, tables = _table_cases()
+    all_ids = np.arange(m, dtype=np.intp)
+    for step in rng_mod.lane_steps(RngStream(5), "est", 3, m, tables["aid"]):
+        _assert_flat_draws(step.lanes(all_ids, "zeta_q", 1))
+        _assert_flat_draws(step.child("aid").lanes(all_ids, "zeta_h", 2))
+        _assert_flat_draws(step.lanes([1, 3], "zeta_q", 0))
+    sets = [(CLIENT, "z"), (CLIENT, "y", 0), ("lower", 1, CLIENT, "zeta", 2)]
+    chunk = [RngStream(9).child("mc", k).declare(sets, m) for k in range(10)]
+    # 12 rows a step, so 4 steps a chunk: k = 0 on its own table (the first
+    # call on the parent), then the chunks from k = 0, 4 and 8
+    assert len({id(step.table) for step in chunk}) == 4
+    for step in chunk:
+        _assert_flat_draws(step.lanes(all_ids, "z"))
+        _assert_flat_draws(step.child("lower", 1).lanes(all_ids, "zeta", 2))
+    one = RngStream(9).child("mc", "s").declare(sets, m)
+    assert len(one.table.scopes) == 1
+    _assert_flat_draws(one.lanes(all_ids, "y", 0))
+    _assert_flat_draws(RngStream(4).child("free").lanes([3, 0, 3, 1, 0], "z"))
+
+
 def test_vectorised_index_equals_python_multiply_high():
     from fedbilevel.rng import _index, _mix64
     gen = np.random.default_rng(5)
