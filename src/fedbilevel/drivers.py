@@ -25,9 +25,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .hypergrad import (AggITDConfig, AidConfig, _check_beta, _check_lambda,
-                        aggitd, aggitd_lanes, aid_fhe, beta_cap, chain_lanes,
-                        lambda_cap, local_fhe)
+from .hypergrad import (STEP_LANE_SETS, AggITDConfig, AidConfig, _check_beta, _check_lambda,
+                        aggitd, aggitd_lanes, aid_fhe, beta_cap, chain_lanes, lambda_cap,
+                        local_fhe)
 from .hyperrep import HyperRepSpec, make_hyperrep
 from .lower import (VARIANT_SVRG, LowerStepConfig, _local_phase, client_taus, local_lanes,
                     lower_phase_lanes, max_tau, one_round_lower)
@@ -38,9 +38,6 @@ from .rng import INDEX_RANGE, RngStream, lane_steps
 from .runtime import CommLedger, Participation, aggregate_mean, select_participants
 
 DIVERGENCE_NORM = 1e8
-# the lane sets one outer step may declare, at most N (max tau_i + 3) + T + 3
-# of them: each is hashed for every client before the step's first round
-STEP_LANE_SETS = 1 << 16
 
 ESTIMATOR_AGGITD = "aggitd"
 ESTIMATOR_AID = "aid"

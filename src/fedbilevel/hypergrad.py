@@ -38,6 +38,9 @@ from .rng import CLIENT, INDEX_RANGE, RngStream
 from .runtime import CommLedger, aggregate_mean
 
 _CAP_TOL = 1.0 + 1e-12
+# the lane sets one estimator call, or one outer step of a run, may declare:
+# each is hashed for every client before the first round
+STEP_LANE_SETS = 1 << 16
 
 
 def lambda_cap(constants: ProblemConstants) -> float:
@@ -64,9 +67,33 @@ def _check_beta(beta: float, lam: float, constants: ProblemConstants) -> None:
         raise ParameterError(f"beta={beta} violates cap min{{1, lambda, 1/(6 L_g)}}={cap}")
 
 
+def _check_steps(problem: BilevelProblem, cfg: AggITDConfig | AidConfig) -> None:
+    """cfg's lambda, and an AggITDConfig's lower beta, within the caps of the
+    problem's constants, else ParameterError. The config that passed last is
+    kept on the problem with those constants (``steps_passed``, by identity:
+    both are frozen), so repeated calls on one config derive the caps once."""
+    passed, constants = problem.steps_passed
+    if passed is not cfg or constants is not problem.constants:
+        _check_lambda(cfg.lam, problem.constants)
+        if isinstance(cfg, AggITDConfig):
+            _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
+        problem.steps_passed = cfg, problem.constants
+
+
+def _check_lane_sets(sets: int, settings: str) -> None:
+    """ParameterError naming the settings unless ``sets``, the lane sets one
+    call declares under them, are within STEP_LANE_SETS: checked where the
+    settings are, before any set is built (``resolve_params`` bounds a run's step)."""
+    if sets > STEP_LANE_SETS:
+        raise ParameterError(f"{settings} declare up to {sets} lane sets per call, "
+                             f"above STEP_LANE_SETS = {STEP_LANE_SETS}")
+
+
 @dataclass(frozen=True)
 class AggITDConfig:
-    """Neumann stepsize lambda, lower-loop length N and the lower-step config."""
+    """Neumann stepsize lambda, lower-loop length N and the lower-step config.
+    A call declares at most N (max tau_i + 3) + 3 lane sets (``aggitd_lanes``),
+    which must be within STEP_LANE_SETS."""
 
     lam: float
     N: int
@@ -74,19 +101,25 @@ class AggITDConfig:
 
     def __post_init__(self):
         check_count("N", self.N, 0, INDEX_RANGE - 1)
+        if not isinstance(self.lower, LowerStepConfig):
+            raise ParameterError(f"lower must be a LowerStepConfig, got {self.lower!r}")
+        tau = max_tau(self.lower.tau)
+        _check_lane_sets(self.N * (tau + 3) + 3, f"N = {self.N} and tau = {tau}")
 
 
 @dataclass(frozen=True)
 class AidConfig:
     """The chain settings of ``aid_fhe`` and ``local_fhe``: Neumann stepsize
     lambda and chain budget T. The lower phase before the chain is the
-    caller's, with its own N and ``LowerStepConfig``."""
+    caller's, with its own N and ``LowerStepConfig``. A call declares T + 3
+    lane sets (``chain_lanes``), which must be within STEP_LANE_SETS."""
 
     lam: float
     T: int
 
     def __post_init__(self):
         check_count("T", self.T, 1, INDEX_RANGE)
+        _check_lane_sets(self.T + 3, f"T = {self.T}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -110,6 +143,24 @@ def chain_lanes(T: int, *prefix) -> tuple:
             (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi"))
 
 
+class _BuiltOnRead:
+    """``functools.cached_property`` without the lock that Python 3.11's takes:
+    the value is built on the first read and stored in the instance under the
+    attribute's name, where later reads find it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        got = obj.__dict__[self.name] = self.build(obj)
+        return got
+
+
 @dataclass
 class EstimatorTrace:
     """Diagnostic record of one fused-estimator evaluation.
@@ -127,7 +178,7 @@ class EstimatorTrace:
     ids: np.ndarray
     indirect: np.ndarray
 
-    @functools.cached_property
+    @_BuiltOnRead
     def h_indirect_clients(self) -> dict:
         return dict(zip(self.ids.tolist(), self.indirect))
 
@@ -150,8 +201,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     pins it. participants are client ids or checked oracles (``BilevelProblem.checked``);
     rng is the scope stream, free or on a table of ``aggitd_lanes``.
     """
-    _check_lambda(cfg.lam, problem.constants)
-    _check_beta(cfg.lower.beta, cfg.lam, problem.constants)
+    _check_steps(problem, cfg)
     N, lam, lower = cfg.N, cfg.lam, cfg.lower
     if q_override is not None:   # an integer in {0..N}, else named
         check_count("q_override", q_override, 0, N + 1)
@@ -203,7 +253,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     a table missing one raises ContractViolation whatever T' is. participants are as
     for ``aggitd``; rng is the scope stream, free or on a table of ``chain_lanes``.
     """
-    _check_lambda(cfg.lam, problem.constants)
+    _check_steps(problem, cfg)
     T, lam = cfg.T, cfg.lam
     if t_prime_override is not None:   # an integer in {0..T-1}, else named
         check_count("t_prime_override", t_prime_override, 0, T)
@@ -237,7 +287,7 @@ def local_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidC
     costs a round. The arguments are as for ``aid_fhe``. On a noise-off
     problem it returns the exact truncated recursion, ``oracle.expected_local_fhe``.
     """
-    _check_lambda(cfg.lam, problem.constants)
+    _check_steps(problem, cfg)
     T, lam = cfg.T, cfg.lam
     y_N = np.asarray(y_N, dtype=float)
     oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))

@@ -66,7 +66,7 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
     count. Raises ParameterError if any tau_i, listed or shared, is not an
     integer >= 1 (bools are not counts), or if m, the problem's client count,
     is given and a list does not hold m entries."""
-    listed = isinstance(tau, Sequence)
+    listed = type(tau) is not int and isinstance(tau, Sequence)   # an int skips the ABC check
     for t in (tau if listed else (tau,)):
         check_count("every tau_i", t)
     if listed and m is not None and len(tau) != m:
@@ -77,6 +77,8 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
 def max_tau(tau: int | Sequence[int]) -> int:
     """The largest tau_i of a checked tau setting: the local steps a lane-set
     declaration covers."""
+    if type(tau) is int:   # the shared count, without the Sequence ABC check
+        return tau
     return int(max(tau) if isinstance(tau, Sequence) else tau)
 
 
@@ -140,6 +142,8 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStrea
     if variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record(tag, 2 * problem.batch_size * ids.size)
         Z = z - rates * correction
+        if len(steps) == 1:   # no local step follows
+            return aggregate_mean(Z, ledger)
         steps = steps[1:]
     else:
         Z = np.repeat(z[None], ids.size, axis=0)

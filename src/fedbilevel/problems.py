@@ -49,6 +49,7 @@ gives the exact truth over every client that metrics rows are judged against
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,19 +112,22 @@ class ProblemConstants:
 
 class SampleAudit:
     """The algorithm's sample bill by purpose tag (the lane's innermost tag): the
-    oracle calls' samples, and those charged uncomputed (``lower``, ``aid_fhe``)."""
+    oracle calls' samples, and those charged uncomputed (``lower``, ``aid_fhe``).
+    ``by_purpose`` is a Counter, so an oracle call charges its purpose with one
+    ``+=`` (``BilevelProblem._audit``), and ``total`` is its sum."""
 
     def __init__(self):
-        self.by_purpose: dict[str, int] = {}
-        self.total = 0
+        self.by_purpose: Counter[str] = Counter()
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_purpose.values())
 
     def record(self, purpose: str, n: int) -> None:
-        self.by_purpose[purpose] = self.by_purpose.get(purpose, 0) + n
-        self.total += n
+        self.by_purpose[purpose] += n
 
     def reset(self) -> None:
         self.by_purpose.clear()
-        self.total = 0
 
 
 def check_count(name: str, value, least: int = 1, bound=np.inf) -> None:
@@ -190,8 +194,10 @@ class BilevelProblem:
         self.audit = SampleAudit()
         self._all_ids = np.arange(m)
         self._all_ids.flags.writeable = False
+        self._every = range(m)
         self._everyone = CheckedOracles(self, self._all_ids)
         self.taus = {}   # repr(tau setting) -> tau_i of every client (lower._taus)
+        self.steps_passed = None, None   # (config, constants) (hypergrad._check_steps)
 
     # -- contract plumbing -------------------------------------------------
 
@@ -199,10 +205,14 @@ class BilevelProblem:
         """The participant set, its ``client_ids``, checked on every call: ids in
         [0, m), and x and y each a shared vector or one row per id. The full
         client set is the problem's one ``CheckedOracles`` for it, so its
-        schedules outlive the call; a partial set gets a new one."""
-        ids = client_ids(participants)
-        if ids[0] < 0 or ids[-1] >= self.m:
-            raise ClientLookupError(f"client ids {ids.tolist()} not in [0, {self.m})")
+        schedules outlive the call; a partial set gets a new one. ``range(m)``,
+        every client in order, is the full set's own ids, with nothing to sort."""
+        if type(participants) is range and participants == self._every:
+            ids = self._all_ids
+        else:
+            ids = client_ids(participants)
+            if ids[0] < 0 or ids[-1] >= self.m:
+                raise ClientLookupError(f"client ids {ids.tolist()} not in [0, {self.m})")
         k = ids.size
         for name, a, dim in (("x", x, self.d1), ("y", y, self.d2)):
             if a.shape != (dim,) and a.shape != (k, dim):
@@ -239,7 +249,7 @@ class BilevelProblem:
             n, k = lanes.ids.shape[0], ids.shape[0]
             if n != k:
                 raise ContractViolation(f"{n} lanes for {k} clients")
-            self.audit.record(lanes.purpose, self.batch_size * k)
+            self.audit.by_purpose[lanes.purpose] += self.batch_size * k
         return slice(None) if ids is self._all_ids else ids
 
     def initial_point(self) -> tuple[np.ndarray, np.ndarray]:

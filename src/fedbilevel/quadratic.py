@@ -251,17 +251,6 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 _ONE = np.ones(1)
 
 
-def _affine(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[y; x; 1], one row per id when y or x is a stack: packed lower data
-    [A | B | c] times it is A y + B x + c."""
-    if y.ndim == x.ndim == 1:
-        return np.concatenate((y, x, _ONE))
-    d2 = y.shape[-1]
-    u = np.ones(((y if y.ndim == 2 else x).shape[0], d2 + x.shape[-1] + 1))
-    u[:, :d2], u[:, d2:-1] = y, x
-    return u
-
-
 def _norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: pairwise sums of each row's squares,
     no BLAS call, so the bits do not depend on the BLAS thread count."""
@@ -363,6 +352,8 @@ class QuadraticProblem(BilevelProblem):
         self.inst = inst
         self.finite_sum = inst.noise_mode == NOISE_FINITE_SUM
         self._n, self._k = inst.n_samples, min(batch_size, inst.n_samples)   # k of n per row
+        # a row draws only a finite-sum sample of fewer than all n (whose offsets average out)
+        self._draws = self.finite_sum and self._k < self._n
         self._lower = self._A = self._B = self._d = self._e = None
         self._pool = None
         if self.finite_sum:     # additive-gaussian noise reads no sample store
@@ -396,7 +387,7 @@ class QuadraticProblem(BilevelProblem):
         None, additive-gaussian noise, or all n samples, whose offsets
         average to zero) the rows of ``client`` instead, or None without
         it."""
-        if lanes is None or not self.finite_sum or self._k == self._n:
+        if lanes is None or not self._draws:
             return None if client is None else client[rows]
         if self._k == 1:
             return store.take(lanes.index(self._n, flat=True), 0)
@@ -405,8 +396,12 @@ class QuadraticProblem(BilevelProblem):
     def _grad_lower_y_batch(self, rows, x, y, lanes):
         q = self.inst
         S = self._sample(rows, lanes, self._lower)
-        if S is not None:
-            return _mv(S, _affine(y, x))
+        if S is not None:   # the packed [A | B | c] rows times [y; x; 1], one row per id
+            if y.ndim == x.ndim == 1:   # a shared point: _mv's gemv per row
+                return S @ np.concatenate((y, x, _ONE))
+            u = np.ones(((y if y.ndim == 2 else x).shape[0], self.d2 + self.d1 + 1))
+            u[:, :self.d2], u[:, self.d2:-1] = y, x
+            return _mv(S, u)
         g = _mv(q.A[rows], y) + _mv(q.B[rows], x) + q.c[rows]
         return g if lanes is None or self.finite_sum else g + lanes.normal(q.noise_std, (self.d2,))
 

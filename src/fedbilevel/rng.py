@@ -233,19 +233,20 @@ class RngStream:
         table or, on a miss, a new kept one: a chunk of siblings if the kept
         table is its parent's, else one step. Any other stream gets one step."""
         global _kept
-        layout, key = _layout(tuple(sets), m), self.key
+        sets, key = tuple(sets), self._scope + self.path
         k = key[-1] if key else None   # a chunk's ks below 2**62 fit a uint64 arange
         if self.table is not None or type(k) is not int or not 0 <= k < 1 << 62:
             return LaneTable(self.seed, key, None, np.array([self._hash], dtype=np.uint64),
-                             layout).step(0)
-        memo, table = _kept
-        if memo != (self.seed, key[:-1], layout):
+                             _layout(sets, m)).step(0)
+        memo, table = _kept   # the kept sets compare by identity first: no re-hash
+        if memo != (self.seed, key[:-1], sets, m):
             table = LaneTable(self.seed, key[:-1], k, np.array([self._hash], dtype=np.uint64),
-                              layout)
+                              _layout(sets, m))
         elif not 0 <= k - table.k0 < len(table.scopes):
-            chunk = _chunk_steps(layout)
-            table = _sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk, layout)
-        _kept = (self.seed, key[:-1], layout), table
+            chunk = _chunk_steps(table.layout)
+            table = _sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk,
+                                   table.layout)
+        _kept = (self.seed, key[:-1], sets, m), table
         return table.step(k - table.k0)
 
     def lanes(self, ids, *tags) -> "Lanes":
@@ -324,7 +325,7 @@ class _Layout:
 
 
 _layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, m) -> their layout
-_kept = (None, None)   # (seed, parent key, layout) and table of declare's last sibling table
+_kept = (None, None)   # (seed, parent key, sets, m) and table of declare's last sibling table
 
 
 class LaneTable:
@@ -466,9 +467,12 @@ class Lanes:
         """``stream(r).index(n)`` for every row r, for 1 <= n < INDEX_RANGE;
         flat adds ``ids[r] * n``, so the draws are rows of a client-major
         (m * n, ...) sample store, read out of the table's flat block."""
-        table = self.step.table
+        table, rows = self.step.table, self.rows
         got = table._index.get((n, flat)) if type(n) is int else None
-        return (table.index(n, flat) if got is None else got)[self.step.s, self.rows]
+        got = (table.index(n, flat) if got is None else got)[self.step.s, rows]
+        if type(rows) is not slice:   # index-array rows take a copy: read-only as well
+            got.flags.writeable = False
+        return got
 
     def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None,
                flat: bool = False) -> np.ndarray:

@@ -4,6 +4,7 @@ Each test prints a single [PASS]/[FAIL] line with the measured quantity and
 its threshold; run with `pytest -s tests/test_acceptance.py -v` to see them.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, LowerStepConfig,
 from fedbilevel.cli import main as cli_main
 from fedbilevel.hypergrad import beta_cap, lambda_cap
 
-from conftest import batch_of_one, estimator_bias_mc, manual_instance
+from conftest import batch_of_one, estimator_bias_mc, manual_instance, zero_offsets
 
 
 def _report(name, ok, detail, elapsed, budget=None):
@@ -130,6 +131,68 @@ def test_criterion_4_variance_bound():
                    var + 4 * se <= sigma_h2 and elapsed < 30.0,
                    f"var {var:.3e} + 4SE {4 * se:.1e} <= sigma_h^2 {sigma_h2:.3e}",
                    elapsed, 30.0)
+
+
+def _noise_off(inst):
+    """The instance with every per-sample offset zero: each sample is its client's data."""
+    return dataclasses.replace(inst, **zero_offsets(inst.m, inst.n_samples, inst.d1, inst.d2))
+
+
+def _fused_per_q(inst, x, y0, lam, beta, N):
+    """The noise-off fused estimate of each seeding index Q, full participation
+    and tau = 1, from the instance's matrices alone: y^(t+1) = y^t - beta (Abar
+    y^t + Bbar x + cbar), z = (I - lam Abar)^(N-Q) (y^Q - dbar), p = lam (N+1) z;
+    returns the (N+1, d1) stacks of h and of client 0's indirect part B_0^T p."""
+    ys = [y0]
+    for _ in range(N):
+        ys.append(ys[-1] - beta * (inst.A_bar @ ys[-1] + inst.B_bar @ x + inst.c_bar))
+    chain = np.eye(inst.d2) - lam * inst.A_bar
+    p = np.stack([lam * (N + 1) * np.linalg.matrix_power(chain, N - Q) @ (ys[Q] - inst.d_bar)
+                  for Q in range(N + 1)])
+    return inst.rho_x * x + inst.e_bar - p @ inst.B_bar, p @ inst.B[0]
+
+
+def test_criterion_4_companion_variance_of_the_seeding_index():
+    # criterion 4's sigma_h^2 is hundreds of times its measured variance, so
+    # it does not bind. On a noise-off copy of its instance, each Q's estimate
+    # equals the matrix recursion (to 1e-12 of its scale), and criterion 4's
+    # Monte Carlo variance of client 0's indirect part lies in [Var_Q, 2 Var_Q]
+    # (4 SE each side): Var_Q is its variance over Q alone, and the sample
+    # noise only adds to it. Band and tolerance were fixed before the first run
+    t0 = time.perf_counter()
+    spec = QuadraticSpec(d1=3, d2=3, m=3, n_per_client=8, mu=1.0, L_g=2.0,
+                         hetero=0.3, noise_spread=0.1, seed=11)
+    inst = make_quadratic(spec)
+    problem = QuadraticProblem(inst)
+    x = np.ones(3)
+    y0 = inst.y_star(x) + 0.3
+    consts = measure_constants(inst, TestRegion(Point(x, y0), 1.5), samples=100)
+    lam = min(lambda_cap(consts), lambda_cap(problem.constants))
+    N = 3
+    beta = beta_cap(lam, problem.constants)
+    cfg = AggITDConfig(lam=lam, N=N, lower=LowerStepConfig(beta=beta, tau=1))
+    h_q, ind_q = _fused_per_q(inst, x, y0, lam, beta, N)
+    quiet = QuadraticProblem(_noise_off(inst))
+    err = 0.0
+    for Q in range(N + 1):
+        h, _, tr = aggitd(quiet, x, y0, cfg, range(3), RngStream(123), CommLedger(),
+                          q_override=Q)
+        err = max(err, float(np.max(np.abs(h - h_q[Q]))) / float(np.max(np.abs(h_q[Q]))),
+                  float(np.max(np.abs(tr.h_indirect_clients[0] - ind_q[Q])))
+                  / float(np.max(np.abs(ind_q[Q]))))
+    var_q = float(np.mean(np.sum((ind_q - ind_q.mean(axis=0)) ** 2, axis=1)))
+    root = RngStream(123)
+
+    def indirect(xv, yv, t):
+        return aggitd(problem, xv, yv, cfg, range(3), root.child("mc", t),
+                      CommLedger())[2].h_indirect_clients[0]
+    mom = estimator_bias_mc(indirect, inst, x, y0, trials=10_000)
+    var, se = mom.var, mom.var_se
+    ok = err <= 1e-12 and var + 4 * se >= var_q and var - 4 * se <= 2 * var_q
+    elapsed = time.perf_counter() - t0
+    assert _report("criterion-4 companion: Var_Q band", ok,
+                   f"per-Q rel err {err:.1e} <= 1e-12; var {var:.4e} (4SE {4 * se:.1e}) "
+                   f"in [Var_Q, 2 Var_Q] = [{var_q:.4e}, {2 * var_q:.4e}]", elapsed)
 
 
 def test_criterion_5_lower_solver_contraction():
@@ -245,6 +308,37 @@ def test_criterion_8_heterogeneity_necessity():
     assert _report("criterion-8 heterogeneity necessity", ok,
                    f"local bias {bias_local:.3e} >= 5 x fused bias {bias_aggitd:.3e}; "
                    f"MC-vs-oracle dev {dev:.2e} <= 4SE {4 * se:.2e}", elapsed)
+
+
+def test_criterion_8_companion_finite_n_truncation_bias():
+    # criterion 8's fused bias at N = 50 is round-off. At N = 2 and 4, the
+    # mean over Q of noise-off estimates started at y* is biased by the
+    # Neumann truncation Bbar^T (I - lam Abar)^(N+1) Abar^-1 (y* - dbar); the
+    # enumerated bias must equal it to 1e-9 of its norm (fixed before the first run)
+    t0 = time.perf_counter()
+    spec = QuadraticSpec(d1=6, d2=6, m=6, n_per_client=6, mu=1.0, L_g=10.0,
+                         hetero=0.5, noise_spread=0.1, seed=33)
+    inst = _noise_off(make_quadratic(spec))
+    problem = QuadraticProblem(inst)
+    x = np.full(6, 0.5)
+    ys = inst.y_star(x)
+    lam = 1.0 / inst.L_g
+    truth = inst.hypergradient(x)
+    errs, norms = [], []
+    for N in (2, 4):
+        cfg = AggITDConfig(lam=lam, N=N,
+                           lower=LowerStepConfig(beta=beta_cap(lam, problem.constants)))
+        mean = np.mean([aggitd(problem, x, ys, cfg, range(6), RngStream(7), CommLedger(),
+                               q_override=Q)[0] for Q in range(N + 1)], axis=0)
+        want = inst.B_bar.T @ np.linalg.matrix_power(
+            np.eye(6) - lam * inst.A_bar, N + 1) @ inst.solve_A_bar(ys - inst.d_bar)
+        norms.append(float(np.linalg.norm(want)))
+        errs.append(float(np.linalg.norm(mean - truth - want)) / norms[-1])
+    elapsed = time.perf_counter() - t0
+    assert _report("criterion-8 companion: finite-N fused bias",
+                   max(errs) <= 1e-9 and min(norms) > 0,
+                   f"rel err {errs[0]:.1e} (N=2, bias {norms[0]:.3e}), {errs[1]:.1e} "
+                   f"(N=4, bias {norms[1]:.3e}) <= 1e-9", elapsed)
 
 
 def test_criterion_9_determinism(tmp_path):

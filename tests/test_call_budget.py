@@ -8,7 +8,10 @@ resolved once (the purpose with the lane rows, the sample counts once per
 problem, the local-step schedule once per setting) the same counts were
 123.65 (fused), 129.55 (AID) and 138.17 (estimate); before Q and T' were
 read from their lane table's one draw per step, and the trace's per-client
-dict built on read, 103.1, 106.9 and 115.76.
+dict built on read, 103.1, 106.9 and 115.76; before a direct call stopped
+re-deriving what it was handed (range(m) without a sort, the stepsize caps
+once per config, an oracle's audit in one ``+=``, a lower gradient's packed
+product inline), 97.35, 100.2 and 109.76.
 """
 
 import cProfile
@@ -25,9 +28,9 @@ from fedbilevel import (AggITDConfig, CommLedger, LowerStepConfig, QuadraticSpec
 PACKAGE = os.path.dirname(os.path.abspath(fedbilevel.__file__)) + os.sep
 K = 20
 # calls per outer step of a K-step run of the criterion-7 race spec, its set-up
-# included: 98.775 per step over both drivers
-RACE_BUDGET = {"fused": 97.35, "aid": 100.2}
-ESTIMATE_BUDGET = 109.76   # calls per aggitd call on the criterion-4 Monte Carlo spec
+# included: 85.825 per step over both drivers
+RACE_BUDGET = {"fused": 82.9, "aid": 88.75}
+ESTIMATE_BUDGET = 89.29   # calls per aggitd call on the criterion-4 Monte Carlo spec
 
 
 def _calls(fn) -> int:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
-                        LowerStepConfig, ParameterError, QuadraticProblem, QuadraticSpec,
+                        LowerStepConfig, ParameterError, ProtocolError, QuadraticProblem,
+                        QuadraticSpec,
                         RngStream, aggitd, aggregate_mean, aid_fhe,
                         expected_aggitd_indirect, expected_aid_fhe, expected_aid_hessiv,
                         expected_local_fhe, local_fhe, make_quadratic)
 
+from fedbilevel.errors import ClientLookupError
 from fedbilevel.hypergrad import beta_cap, chain_lanes
 
 from conftest import manual_instance
@@ -40,6 +42,65 @@ def test_aggitd_n_zero_closed_form():
     np.testing.assert_allclose(trace.p, lam * gy, rtol=1e-14)
     expect = inst.grad_upper_x_exact(x, y0) - inst.B_bar.T @ (lam * gy)
     np.testing.assert_allclose(h, expect, rtol=1e-13)
+
+
+@pytest.mark.parametrize("tau", [1, [1, 3, 2, 1, 2]], ids=["tau1", "tau-list"])
+def test_full_set_forms_give_identical_estimates_ledgers_and_audits(tau):
+    # range(m) is the full set's own ids without a sort; a list, an ndarray, a
+    # reversed range or the checked oracles give the same bits, the same
+    # ledger and the same sample audit, and a second direct call on one
+    # config reads the kept table and the checked stepsizes
+    inst, problem = _deterministic_setup(m=5, hetero=0.5, spread=0.2)
+    lam = 1.0 / inst.L_g
+    cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=_beta(inst, lam), tau=tau))
+    x, y = np.ones(5), np.zeros(5)
+    outs = []
+    for parts in (range(5), [4, 3, 2, 1, 0], np.arange(5), range(4, -1, -1),
+                  problem.checked(range(5), x, y), range(5)):
+        problem.audit.reset()
+        ledger = CommLedger()
+        h, y_N, tr = aggitd(problem, x, y, cfg, parts, RngStream(3).child("mc", 2), ledger)
+        outs.append((h.tobytes(), y_N.tobytes(), tr.Q, tr.p.tobytes(),
+                     [(i, v.tobytes()) for i, v in tr.h_indirect_clients.items()],
+                     vars(ledger), dict(problem.audit.by_purpose), problem.audit.total))
+    assert all(out == outs[0] for out in outs[1:])
+    assert outs[0][6] and outs[0][7] == sum(outs[0][6].values())
+    assert problem.steps_passed == (cfg, problem.constants)
+
+
+def test_direct_call_prologue_keeps_every_check():
+    # what range(m), a checked set and a kept table skip is still checked:
+    # range(1, m) is a partial set, range(m + 1) an id out of range, another
+    # problem's checked oracles and a non-stream rng are contract violations,
+    # and a changed config or constants derive the caps again
+    inst, problem = _deterministic_setup(m=4, spread=0.2)
+    _, other = _deterministic_setup(m=4, spread=0.2, seed=16)
+    lam = 1.0 / inst.L_g
+    cfg = AggITDConfig(lam=lam, N=2, lower=LowerStepConfig(beta=_beta(inst, lam)))
+    x, y = np.ones(5), np.zeros(5)
+
+    def call(parts, rng=RngStream(4), c=cfg):
+        return aggitd(problem, x, y, c, parts, rng, CommLedger())[0].tobytes()
+    assert call(range(1, 4)) == call([1, 2, 3]) != call(range(4))
+    assert problem.checked(range(1, 4), x, y) is not problem.checked(range(4), x, y)
+    assert call(range(0, 4, 2)) == call([0, 2])
+    with pytest.raises(ClientLookupError):
+        call(range(5))
+    with pytest.raises(ProtocolError, match="empty"):
+        call(range(0))
+    with pytest.raises(ContractViolation, match="shape"):
+        aggitd(problem, x, np.zeros((3, 5)), cfg, range(4), RngStream(4), CommLedger())
+    with pytest.raises(ContractViolation, match="another problem"):
+        call(other.checked(range(4), x, y))
+    for rng in (None, RngStream(4).generator(), 4):
+        with pytest.raises(ContractViolation, match=r"\brng\b"):
+            call(range(4), rng)
+    call(range(4))
+    with pytest.raises(ParameterError, match="violates cap"):
+        call(range(4), c=dataclasses.replace(cfg, lam=2 * lam))
+    problem.constants = dataclasses.replace(problem.constants, L_g=2 * inst.L_g)
+    with pytest.raises(ParameterError, match="violates cap"):
+        call(range(4))
 
 
 def test_aggitd_bits_independent_of_participant_order():
@@ -604,12 +665,15 @@ def test_q_and_t_prime_are_the_scalar_draws_on_every_scope(monkeypatch):
 
 def test_index_range_bounds_name_the_setting():
     # Q and T' are drawn table-wide, which takes a range below 2**32: so
-    # N + 1 and T are bounded where they are set, and named there
+    # N + 1 and T are bounded where they are set, and named there; inside
+    # that range, the lane sets of one call (STEP_LANE_SETS) bind first
     from fedbilevel import RunConfig
     from fedbilevel.drivers import resolve_params
     lower, big = LowerStepConfig(beta=0.1), 1 << 32
-    assert AggITDConfig(lam=0.1, N=big - 2, lower=lower).N == big - 2
-    assert AidConfig(lam=0.1, T=big - 1).T == big - 1
+    with pytest.raises(ParameterError, match=rf"^N = {big - 2} and tau = 1 declare up to "):
+        AggITDConfig(lam=0.1, N=big - 2, lower=lower)
+    with pytest.raises(ParameterError, match=rf"^T = {big - 1} declare up to {big + 2} lane"):
+        AidConfig(lam=0.1, T=big - 1)
     with pytest.raises(ParameterError, match=rf"^N must be an integer >= 0 and < {big - 1}, "):
         AggITDConfig(lam=0.1, N=big - 1, lower=lower)
     with pytest.raises(ParameterError, match=rf"^T must be an integer >= 1 and < {big}, "):
@@ -623,6 +687,39 @@ def test_index_range_bounds_name_the_setting():
         resolve_params(RunConfig(N=big - 1), constants)
     with pytest.raises(ParameterError, match=rf"^T must be an integer >= 1 and < {big}, "):
         resolve_params(RunConfig(T=big), constants)
+
+
+def test_config_lane_sets_bound_names_n_t_and_tau():
+    # a direct estimator call hashes its lane sets before its first round, at
+    # most N (max tau_i + 3) + 3 for aggitd and T + 3 for aid_fhe and
+    # local_fhe: the configs bound them by STEP_LANE_SETS, before any set is
+    # built, and every config a run resolves still passes
+    from fedbilevel import RunConfig, drivers
+    from fedbilevel.hypergrad import STEP_LANE_SETS, aggitd_lanes, chain_lanes
+    assert drivers.STEP_LANE_SETS is STEP_LANE_SETS == 65536
+    for N, tau in ((0, 1), (3, 1), (2, 4), (3, [2, 5])):
+        top = max(np.atleast_1d(tau))
+        assert len(aggitd_lanes(N, top, "sgd")) == N * (top + 3) + 3
+        assert len(aggitd_lanes(N, top)) <= N * (top + 3) + 3
+    assert len(chain_lanes(7)) == 7 + 3
+    lower = LowerStepConfig(beta=0.1)
+    assert AggITDConfig(lam=0.1, N=16383, lower=lower).N == 16383   # 65,535 sets
+    assert AidConfig(lam=0.1, T=65533).T == 65533
+    for N, tau, sets in ((16384, 1, 65539), (10 ** 5, 1, 400003), (1, [1, 65531], 65537)):
+        with pytest.raises(ParameterError, match=rf"^N = {N} and tau = {max(np.atleast_1d(tau))}"
+                           rf" declare up to {sets} lane sets per call, above STEP_LANE_SETS"):
+            AggITDConfig(lam=0.1, N=N, lower=LowerStepConfig(beta=0.1, tau=tau))
+    with pytest.raises(ParameterError, match=r"^T = 65534 declare up to 65537 lane sets per"):
+        AidConfig(lam=0.1, T=65534)
+    with pytest.raises(ParameterError, match=r"^lower must be a LowerStepConfig, got None"):
+        AggITDConfig(lam=0.1, N=1, lower=None)
+    constants = make_quadratic(QuadraticSpec(d1=2, d2=2, m=2)).constants
+    for N, T, tau in ((16383, 1, 1), (0, 65533, 1), (1, 1, [1, 65529])):
+        N, T, lam, _, beta = drivers.resolve_params(RunConfig(N=N, T=T, tau=tau,
+                                                              problem=QuadraticSpec(m=2)),
+                                                    constants)
+        assert AggITDConfig(lam=lam, N=N, lower=LowerStepConfig(beta=beta, tau=tau)).N == N
+        assert AidConfig(lam=lam, T=T).T == T
 
 
 @pytest.mark.parametrize("participants", [range(3), [0, 2]], ids=["all", "partial"])

@@ -279,6 +279,26 @@ def test_flat_draws_equal_offset_bare_draws(monkeypatch):
     _assert_flat_draws(RngStream(4).child("free").lanes([3, 0, 3, 1, 0], "z"))
 
 
+def test_every_lanes_draw_is_read_only():
+    # a table step on every client reads views of the table's read-only blocks;
+    # a client subset and a free stream draw index-array rows, copies, which
+    # are read-only too, so the two evaluations of a variance-reduction pair
+    # share a draw that neither can change
+    from fedbilevel.rng import CLIENT, lane_steps
+    step = next(lane_steps(RngStream(3), "est", 1, 4, [(CLIENT, "z")]))
+    kinds = {"all": step.lanes(np.arange(4), "z"), "subset": step.lanes([1, 3], "z"),
+             "free": RngStream(3).child("free").lanes([2, 0, 2], "z")}
+    assert isinstance(kinds["all"].rows, slice)
+    assert not isinstance(kinds["subset"].rows, slice) and not isinstance(
+        kinds["free"].rows, slice)
+    for kind, lanes in kinds.items():
+        draws = [lanes.index(8), lanes.index(8, flat=True), lanes.subset(np.arange(6), 2),
+                 lanes.subset(np.arange(6), 2, flat=True), lanes.normal(1.0, (2,))]
+        assert [d.flags.writeable for d in draws] == [False] * 5, kind
+        with pytest.raises(ValueError, match="read-only"):
+            draws[1][0] = 0
+
+
 def test_vectorised_index_equals_python_multiply_high():
     from fedbilevel.rng import _index, _mix64
     gen = np.random.default_rng(5)
