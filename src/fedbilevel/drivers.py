@@ -209,7 +209,8 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
 
 
 def _guard(k: int, x: np.ndarray, y: np.ndarray) -> None:
-    xn, yn = math.sqrt(x @ x), math.sqrt(y @ y)   # the bits of np.linalg.norm
+    # the bits of x @ x (and np.linalg.norm), but an overflow to inf does not warn
+    xn, yn = math.sqrt(np.vdot(x, x)), math.sqrt(np.vdot(y, y))
     if not (math.isfinite(xn) and math.isfinite(yn)) or max(xn, yn) > DIVERGENCE_NORM:
         raise DivergenceError(
             f"iterate diverged at outer iteration {k}: ||x||={xn:.3e}, ||y||={yn:.3e}",

@@ -222,7 +222,9 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
         elif t >= Q + 1:
             hv = problem.hvp_lower_yy(ids, x, y_t, z, rng.lanes(ids, "u", t))
             payloads.append(z - lam * hv)
-        means = aggregate_mean(payloads, ledger)
+        # a lone payload goes bare (t < Q, t = N); only piggybacked ones as a group
+        means = (aggregate_mean(payloads, ledger) if len(payloads) > 1
+                 else [aggregate_mean(payloads[0], ledger)])
         if t >= Q:
             z = means[-1]
         if t <= N - 1:

@@ -19,7 +19,11 @@ on one sample and cancels exactly: a batched oracle gives the same rows, bit
 for bit, on a stacked copy of z as on z itself, so (g - g) + c is c. The first
 svrg step is therefore z - (stepsize/tau_i) c with no oracle call. The sample
 audit still charges the pair's samples, since it reports the algorithm's
-sample bill, as the ledger reports its round bill.
+sample bill, as the ledger reports its round bill. When every participant
+takes one step (each tau_i = 1), every client uploads the same iterate
+z - stepsize c, so the round's mean is that common iterate: the phase returns
+it and charges the round's k * dim scalars without averaging k copies, whose
+float mean would move its last bit at some k (3, or 8).
 """
 
 from __future__ import annotations
@@ -141,9 +145,10 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStrea
     rates, steps = oracles.schedules.get(key) or _schedule(oracles, key, tau, stepsize)
     if variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record(tag, 2 * problem.batch_size * ids.size)
+        if len(steps) == 1:   # every tau_i is 1: each client uploads the same iterate
+            ledger.record_round(ids.size * z.size)
+            return z - stepsize * correction
         Z = z - rates * correction
-        if len(steps) == 1:   # no local step follows
-            return aggregate_mean(Z, ledger)
         steps = steps[1:]
     else:
         Z = np.repeat(z[None], ids.size, axis=0)

@@ -28,8 +28,10 @@ time, deepest sets first.
 
 Tables come from ``lane_steps``, whose outer-step scopes are streams on a
 run's tables, and from ``declare(sets, m)``, which puts a free stream on a
-table (``BilevelProblem.entry`` and ``lanes`` do so). A chunk of steps is
-as many as fit in ROW_BUDGET rows, from a multiple of that count.
+table (``BilevelProblem.entry`` does so); a free stream's ``lanes`` reads a
+one-step table of its one lane set over the distinct ids it is given. A
+chunk of steps is as many as fit in ROW_BUDGET rows, from a multiple of that
+count.
 ``declare`` keeps its last table of a free stream ``parent.child(k)``, k an
 int >= 0: a later call on a sibling reads it or a new chunk, and a call on
 another parent (seed, key, lane sets, m) gets one step, so a one-off call
@@ -255,8 +257,8 @@ class RngStream:
         set ``(*path, CLIENT, *tags)``, rows and purpose in one lookup, else
         ContractViolation names it; m ids must be 0..m-1 in order, as
         ``CheckedOracles`` gives them, and fewer read their own rows. On a free
-        stream: any ids >= 0, reordered or repeated, each by row on the table of
-        that one set over clients 0..max(ids) that ``declare`` gives. A negative or
+        stream: any ids >= 0, reordered or repeated, each by row on a one-step
+        table of that one set over the distinct ids only. A negative or
         non-integer id, or a converted one >= m on a table, raises ContractViolation."""
         step = self
         if self.table is None or type(ids) is not np.ndarray:
@@ -266,8 +268,11 @@ class RngStream:
             if bad.size:
                 raise ContractViolation(f"lanes of client ids {ids.tolist()}: id {bad[0]} is "
                                         + ("< 0" if bad[0] < 0 else f">= m = {m}"))
-        if self.table is None:
-            step = self.declare([(CLIENT, *tags)], int(ids.max(initial=-1)) + 1)
+        rows = ids
+        if self.table is None:   # rows of the sorted distinct ids, so one per id
+            distinct, rows = np.unique(ids, return_inverse=True)
+            step = LaneTable(self.seed, self.key, None, np.array([self._hash], dtype=np.uint64),
+                             _Layout(((CLIENT, *tags),), distinct.size, distinct)).step(0)
         table, lane_set = step.table, (*step.path, CLIENT, *tags)
         at, tag = table.layout.at.get(lane_set, (None, None))
         if at is None:
@@ -275,7 +280,7 @@ class RngStream:
         lanes = _new(Lanes)
         lanes.step, lanes.lane_set, lanes.ids, lanes.tags, lanes.purpose, lanes._draws = (
             step, lane_set, ids, tags, tag or table.purpose, None)
-        lanes.rows = at if step is self and ids.shape[0] == table.layout.m else ids + at.start
+        lanes.rows = at if step is self and ids.shape[0] == table.layout.m else rows + at.start
         return lanes
 
     def index(self, n: int) -> int:
@@ -303,20 +308,22 @@ class RngStream:
 class _Layout:
     """Where a list of lane sets puts its rows in one step of a lane table.
 
-    A lane set owns one row per client 0..m-1, client i's at ``at.start + i``
-    of the run ``at``, and ``at, tag = at[lane set]`` also gives its innermost
-    string tag (None if it has none). The sets sit deepest first, so
+    A lane set owns one row per client, client ``ids[i]``'s at ``at.start + i``
+    of the run ``at``: ``ids`` are the clients 0..m-1, or the m sorted distinct
+    ids of a free stream's ``lanes``. ``at, tag = at[lane set]`` also gives its
+    innermost string tag (None if it has none). The sets sit deepest first, so
     the rows deeper than d are a prefix of them: ``columns[d]`` holds their
-    key components of depth d. Tables of the same lane sets and m share one
-    layout.
+    key components of depth d. Tables of the same lane sets over clients
+    0..m-1 share one layout (``_layout``).
     """
 
-    def __init__(self, sets: tuple, m: int):
-        ids = np.arange(m, dtype=np.uint64)
+    def __init__(self, sets: tuple, m: int, ids: np.ndarray | None = None):
+        self.ids = np.arange(m) if ids is None else ids
+        client = self.ids.astype(np.uint64)
         self.m, self.at, comps = m, {}, []
         for parts in sorted(sets, key=len, reverse=True):
             self.at[parts] = slice(len(comps) * m, (len(comps) + 1) * m), _innermost_tag(parts)
-            comps.append([ids if p is CLIENT else
+            comps.append([client if p is CLIENT else
                           np.full(m, _component_to_int(p), dtype=np.uint64)
                           for p in parts])
         self.rows = len(comps) * m
@@ -364,7 +371,7 @@ class LaneTable:
         got = self._index.get((n, flat))
         if got is None:
             got = self._index[n, flat] = _index(self.hashes, n) + (
-                np.arange(self.layout.rows) % self.layout.m * n if flat else 0)
+                np.resize(self.layout.ids, self.layout.rows) * n if flat else 0)
             got.flags.writeable = False
         return got
 

@@ -11,7 +11,10 @@ read from their lane table's one draw per step, and the trace's per-client
 dict built on read, 103.1, 106.9 and 115.76; before a direct call stopped
 re-deriving what it was handed (range(m) without a sort, the stepsize caps
 once per config, an oracle's audit in one ``+=``, a lower gradient's packed
-product inline), 97.35, 100.2 and 109.76.
+product inline), 97.35, 100.2 and 109.76; before a local phase whose
+clients all take one step returned their common iterate without averaging k
+copies of it, 82.9, 88.75 and 89.29, and 408.75 (fused), 411.0 (AID) and
+448.0 (local) per step of a short run on the hyperrep benchmark spec.
 """
 
 import cProfile
@@ -22,15 +25,20 @@ import numpy as np
 import pytest
 
 import fedbilevel
-from fedbilevel import (AggITDConfig, CommLedger, LowerStepConfig, QuadraticSpec, RngStream,
-                        RunConfig, aggitd, make_problem, run_fbo_aggitd, run_fednest_baseline)
+from fedbilevel import (AggITDConfig, CommLedger, HyperRepSpec, LowerStepConfig, QuadraticSpec,
+                        RngStream, RunConfig, aggitd, make_hyperrep, make_problem,
+                        run_fbo_aggitd, run_fednest_baseline)
 
 PACKAGE = os.path.dirname(os.path.abspath(fedbilevel.__file__)) + os.sep
 K = 20
 # calls per outer step of a K-step run of the criterion-7 race spec, its set-up
-# included: 85.825 per step over both drivers
-RACE_BUDGET = {"fused": 82.9, "aid": 88.75}
-ESTIMATE_BUDGET = 89.29   # calls per aggitd call on the criterion-4 Monte Carlo spec
+# included: 82.825 per step over both drivers
+RACE_BUDGET = {"fused": 79.9, "aid": 85.75}
+ESTIMATE_BUDGET = 86.29   # calls per aggitd call on the criterion-4 Monte Carlo spec
+# calls per outer step of a HYPERREP_K-step run on the benchmark's hyperrep spec
+# (demo 05's, N = T = 8, batch 8, a metrics row per step), its set-up included
+HYPERREP_K = 4
+HYPERREP_BUDGET = {"aggitd": 399.75, "aid": 402.0, "local": 439.0}
 
 
 def _calls(fn) -> int:
@@ -69,3 +77,17 @@ def test_monte_carlo_estimate_call_budget():
     per_call = _calls(estimates) / 100
     print(f"aggitd: {per_call:.2f} calls per estimate (budget {ESTIMATE_BUDGET})")
     assert per_call <= ESTIMATE_BUDGET
+
+
+@pytest.mark.parametrize("estimator", sorted(HYPERREP_BUDGET))
+def test_hyperrep_outer_step_call_budget(estimator):
+    spec = HyperRepSpec(embed_dim=3, feature_dim=6, classes=3, ridge=0.2, m=4, n_points=240,
+                        partition="label-skew", shards_per_client=1)
+    cfg = RunConfig(problem=spec, K=HYPERREP_K, seed=0, eval_every=1, alpha=0.5, N=8, T=8,
+                    batch_size=8, estimator=estimator)
+    problem = make_hyperrep(spec, 3, batch_size=8)
+    run = run_fbo_aggitd if estimator == "aggitd" else run_fednest_baseline
+    per_step = _calls(lambda: run(cfg, problem)) / HYPERREP_K
+    print(f"{estimator}: {per_step:.2f} calls per outer step "
+          f"(budget {HYPERREP_BUDGET[estimator]})")
+    assert per_step <= HYPERREP_BUDGET[estimator]

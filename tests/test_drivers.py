@@ -220,6 +220,15 @@ def test_divergence_guard():
     assert exc.value.k is not None
 
 
+def test_divergence_guard_on_an_overflowing_norm():
+    # a finite iterate near 1e300 squares past the float range: the guard
+    # names the divergence at k = 0 without numpy's overflow warning, which the
+    # suite's warning filter would raise in place of DivergenceError
+    with pytest.raises(DivergenceError) as exc:
+        run(RunConfig(K=3, alpha=1e300))
+    assert exc.value.k == 0 and exc.value.x_norm == math.inf
+
+
 def test_sample_audit_exact_count_at_fixed_chain_seed():
     from fedbilevel import AggITDConfig, LowerStepConfig, aggitd
     spec = QuadraticSpec(d1=3, d2=3, m=3, mu=1.0, L_g=2.0, hetero=0.3,

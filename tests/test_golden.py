@@ -115,12 +115,18 @@ def _spec(**kw):
 # A_i + dA_ij etc. (the iterates move in their last bits), and all five
 # when the rows became one stacked pass of einsum closed forms after the
 # loop (final_x kept its bits; grad_norm_sq and est_err moved by at most
-# 5.5e-16 and 1.6e-15 relative)
+# 5.5e-16 and 1.6e-15 relative), and "participation" and
+# "participation_batch" when a local phase whose participants all take one
+# step began returning their common iterate instead of the mean of its k
+# identical rows: that mean is the row itself at k = 1, 2 and 4, but moves
+# the last bit of some coordinates at the k = 3 of these two runs and the
+# k = 8 of the race CSVs, which re-pinned with them (no round moved;
+# the race metrics moved by at most 5.5e-13 relative)
 GOLDEN_RUNS = {
     "tau_list": (dict(problem=_spec(), tau=[1, 3, 2, 1]),
                  "b8b5fc81ee2d4b1ff465890291cea1c3ccb209f22f462940bd621c5ff60c9d64"),
     "participation": (dict(problem=_spec(m=6), estimator="aid", participation=0.5),
-                      "769fdf50ff3fcef8e5c859bfa3a37f53c2fac1df754d5fba6a39797ec2333a57"),
+                      "7c36703dd241253ae3c6400e25b09f7dc541313045827f8b60a50fb1e0d206b4"),
     "local": (dict(problem=_spec(), estimator="local", tau=2),
               "8c0ec07fca6c0a13766a9144f0a5a3f0d6feaa835c0561cccee3040dc793336a"),
     "batch_size": (dict(problem=_spec(), batch_size=4),
@@ -130,7 +136,7 @@ GOLDEN_RUNS = {
                  "d5426e6f49581f6278546ef4435b52265a75bebfbe08b8a2163607e8e9eae196"),
     # a minibatch mean over a client subset in every oracle call
     "participation_batch": (dict(problem=_spec(m=6), participation=0.5, batch_size=3),
-                            "fe9d95f1494f78e0869f9a7ce6e56bc91acad5808b998afbdb5639370b0b53c9"),
+                            "49fa6855fca2acd8f14466b160065158b4b061d08ba83ad587a518ec003ef6ca"),
 }
 
 

@@ -29,12 +29,27 @@ def test_tau_one_reduces_to_global_step():
     for variant in (VARIANT_SVRG, VARIANT_SGD):
         cfg = LowerStepConfig(beta=0.05, tau=1, variant=variant)
         got = one_round_lower(problem, x, y, q, cfg, range(3), RngStream(1), CommLedger())
-        if variant == VARIANT_SVRG:
-            np.testing.assert_allclose(got, y - 0.05 * q, rtol=1e-14)
+        if variant == VARIANT_SVRG:   # the clients' common iterate, not a mean of copies
+            assert np.array_equal(got, y - 0.05 * q)
         else:
             # sgd ignores q; with noise off it takes the exact local gradients
             agg = exact_mean(problem, "grad_lower_y", x, y)
             np.testing.assert_allclose(got, y - 0.05 * agg, rtol=1e-14)
+
+
+def test_upper_tau_one_is_the_global_step():
+    # One-Round-Upper's twin of the svrg case above: every client's one step is
+    # x - alpha * h, returned as it is, with one round of k * d1 scalars and the
+    # cancelling pair's samples charged
+    from fedbilevel import one_round_upper
+    inst, problem = _noise_off_problem(d=6, m=3)
+    x, h = RngStream(0).child("xh").generator().normal(size=(2, 6))
+    y = np.zeros(6)
+    ledger = CommLedger()
+    got = one_round_upper(problem, x, y, h, 0.05, 1, range(3), RngStream(1), ledger)
+    assert np.array_equal(got, x - 0.05 * h)
+    assert (ledger.rounds_total, ledger.scalars_sent) == (1, 3 * 6)
+    assert problem.audit.by_purpose == {"xi_up": 2 * problem.batch_size * 3}
 
 
 def test_homogeneous_noise_off_svrg_equals_sgd():
@@ -252,7 +267,7 @@ def test_svrg_first_step_makes_no_oracle_call(monkeypatch, kind, phase):
         start, c, tag = x, h, "xi_up"
     assert calls == []
     assert problem.audit.by_purpose == {tag: 2 * problem.batch_size * 3}
-    assert np.array_equal(got, np.stack([start - 0.05 * c] * 3).mean(axis=0))
+    assert np.array_equal(got, start - 0.05 * c)
 
 
 @pytest.mark.parametrize("kind", ["finite-sum-b4", "hyperrep"])

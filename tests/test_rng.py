@@ -279,6 +279,25 @@ def test_flat_draws_equal_offset_bare_draws(monkeypatch):
     _assert_flat_draws(RngStream(4).child("free").lanes([3, 0, 3, 1, 0], "z"))
 
 
+def test_free_lanes_hash_one_row_per_distinct_id():
+    # a free stream's lanes hash a one-step table of the distinct ids only, not
+    # clients 0..max(ids), and every draw is the scalar stream's, bit for bit
+    base, ids = RngStream(6).child("s"), [10 ** 6, 4, 10 ** 6, 0]
+    lanes = base.lanes(ids, "z", 1)
+    assert lanes.step.table.hashes.shape == (1, 3)
+    streams = [base.child(i, "z", 1) for i in ids]
+    assert lanes.index(9).tolist() == [s.index(9) for s in streams]
+    assert lanes.index(9, flat=True).tolist() == [s.index(9) + 9 * i
+                                                  for s, i in zip(streams, ids)]
+    pool = np.arange(7)
+    assert lanes.subset(pool, 3).tolist() == [s.subset(pool, 3).tolist() for s in streams]
+    assert lanes.subset(pool, 3, flat=True).tolist() == [
+        (s.subset(pool, 3) + 7 * i).tolist() for s, i in zip(streams, ids)]
+    want = np.stack([s.normal(0.5, (2, 3)) for s in streams])
+    assert lanes.normal(0.5, (2, 3)).tobytes() == want.tobytes()
+    _assert_flat_draws(lanes)
+
+
 def test_every_lanes_draw_is_read_only():
     # a table step on every client reads views of the table's read-only blocks;
     # a client subset and a free stream draw index-array rows, copies, which
@@ -364,7 +383,7 @@ def test_subset_blocks_equal_stream_draws(monkeypatch, key_budget, k):
 @pytest.mark.parametrize("key_budget", [1 << 20, 5])
 def test_subset_one_step_tables_equal_stream_draws(monkeypatch, key_budget):
     # RngStream.lanes (any ids, in any order) reads a one-step table over
-    # clients 0..max(ids) by row, as does one client of a declared lane set
+    # its distinct ids by row, as does one client of a declared lane set
     from fedbilevel import rng as rng_mod
     from fedbilevel.rng import CLIENT
     monkeypatch.setattr(rng_mod, "KEY_BUDGET", key_budget)

@@ -150,9 +150,12 @@ def _callers(*tail) -> set:
 def test_charges_without_a_payload_stay_in_two_places():
     # a round is charged by aggregating its payloads, and samples by an
     # oracle's audit; only the AID chain past T' charges rounds it does not
-    # compute, and only it and the cancelling svrg pair of a local phase
-    # charge samples they do not draw
-    assert _callers("record_round") == {"runtime.aggregate_mean", "hypergrad.aid_fhe"}
+    # compute, a local phase whose clients all take one step charges the round
+    # whose mean it knows (their common iterate) without averaging copies, and
+    # only the AID chain and the cancelling svrg pair of a local phase charge
+    # samples they do not draw
+    assert _callers("record_round") == {"runtime.aggregate_mean", "hypergrad.aid_fhe",
+                                        "lower._local_phase"}
     assert {c for c in _callers("audit", "record") if not c.startswith("problems.")} == {
         "lower._local_phase", "hypergrad.aid_fhe"}
 
