@@ -23,7 +23,8 @@ sample bill, as the ledger reports its round bill. When every participant
 takes one step (each tau_i = 1), every client uploads the same iterate
 z - stepsize c, so the round's mean is that common iterate: the phase returns
 it and charges the round's k * dim scalars without averaging k copies, whose
-float mean would move its last bit at some k (3, or 8).
+float mean would move its last bit at some k (3, or 8). A stacked start, one
+row per participant as ``BilevelProblem.checked`` accepts, is averaged.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStrea
     rates, steps = oracles.schedules.get(key) or _schedule(oracles, key, tau, stepsize)
     if variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record(tag, 2 * problem.batch_size * ids.size)
-        if len(steps) == 1:   # every tau_i is 1: each client uploads the same iterate
-            ledger.record_round(ids.size * z.size)
+        if len(steps) == 1 and z.ndim == 1:   # every tau_i is 1 from a shared z:
+            ledger.record_round(ids.size * z.size)   # each client uploads the same iterate
             return z - stepsize * correction
         Z = z - rates * correction
         steps = steps[1:]

@@ -52,6 +52,19 @@ def test_upper_tau_one_is_the_global_step():
     assert problem.audit.by_purpose == {"xi_up": 2 * problem.batch_size * 3}
 
 
+def test_tau_one_averages_a_stacked_start():
+    # a start with one row per participant is no common iterate: its rows
+    # after the step are averaged, one round of k * d2 scalars
+    inst, problem = _noise_off_problem()
+    x, Y = np.ones(3), np.arange(9.0).reshape(3, 3) / 10
+    q = RngStream(0).child("q").generator().normal(size=3)
+    ledger = CommLedger()
+    got = one_round_lower(problem, x, Y, q, LowerStepConfig(beta=0.05, tau=1), range(3),
+                          RngStream(1), ledger)
+    assert np.array_equal(got, np.add.reduce(Y - 0.05 * q, 0) / 3.0)
+    assert (ledger.rounds_total, ledger.scalars_sent) == (1, 3 * 3)
+
+
 def test_homogeneous_noise_off_svrg_equals_sgd():
     inst, problem = _noise_off_problem(hetero=0.0)
     x = np.ones(3)
