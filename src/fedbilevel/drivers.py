@@ -10,10 +10,10 @@ oracles over the full client set regardless of the participation ratio; the
 loop only keeps each row's point and estimate, the estimate's point kept just
 before, and ``Evaluator.record`` computes every row in one stacked pass after
 the loop. Each phase is its public function, called on the run's checked
-oracles and lane-table steps. A participant set's checked oracles and
-local-step schedules (beta/tau_i, alpha/tau_i) are built once per set: once
-per run under full participation, at each outer step under partial
-participation.
+oracles and lane-table steps. The participant set is checked once per run
+under full participation, at each outer step under partial participation;
+its local-step schedules (beta/tau_i, alpha/tau_i) are cached on the set's ids
+(``lower._schedule``), so a set that recurs reads them back.
 """
 
 from __future__ import annotations
@@ -196,11 +196,13 @@ def one_round_upper(problem: BilevelProblem, x: np.ndarray, y_plus: np.ndarray,
     """The upper local phase from x with correction h and stepsize alpha, on
     the "xi_up" lanes at y_plus; returns the participant mean of x_tau^i.
 
-    Always the svrg variant, so a single local step is x - alpha*h.
-    participants may be checked oracles. rng is the scope stream, free or on
-    a table with the lane sets of ``local_lanes("xi_up", ...)``. Charges one
-    round.
+    Always the svrg variant, so a single local step is x - alpha*h. alpha
+    must be a finite real > 0, else ParameterError. participants may be
+    checked oracles. rng is the scope stream, free or on a table with the
+    lane sets of ``local_lanes("xi_up", ...)``. Charges one round.
     """
+    if not (type(alpha) is float and 0 < alpha < math.inf):   # a float passes with no call
+        check_positive("alpha", alpha)
     oracles, rng = problem.entry(participants, x, y_plus, rng,
                                  lambda: local_lanes("xi_up", max_tau(tau)))
     return _local_phase(problem, oracles, rng,

@@ -14,17 +14,18 @@ correction variance-reducing. The server then averages the client iterates,
 which costs one communication round. The aggregation that produced c is
 charged by the caller.
 
-Every client starts at z_0 = z, so at v = 0 the svrg pair evaluates one point
-on one sample and cancels exactly: a batched oracle gives the same rows, bit
-for bit, on a stacked copy of z as on z itself, so (g - g) + c is c. The first
-svrg step is therefore z - (stepsize/tau_i) c with no oracle call. The sample
-audit still charges the pair's samples, since it reports the algorithm's
-sample bill, as the ledger reports its round bill. When every participant
-takes one step (each tau_i = 1), every client uploads the same iterate
-z - stepsize c, so the round's mean is that common iterate: the phase returns
-it and charges the round's k * dim scalars without averaging k copies, whose
-float mean would move its last bit at some k (3, or 8). A stacked start, one
-row per participant as ``BilevelProblem.checked`` accepts, is averaged.
+Every client starts at one shared z_0 = z (``BilevelProblem.entry`` rejects a
+stacked start), and a batched oracle gives the same rows, bit for bit, on a
+stacked copy of z as on z itself. So the sgd step v = 0 evaluates z, and the
+svrg pair at v = 0 cancels exactly, (g - g) + c is c: the first svrg step is
+z - (stepsize/tau_i) c with no oracle call. The sample audit still charges
+the pair's samples, since it reports the algorithm's sample bill, as the
+ledger reports its round bill. When every participant takes one step (each
+tau_i = 1), every client uploads the same iterate z - stepsize c, so the
+round's mean is that common iterate: the phase returns it and charges the
+round's k * dim scalars without averaging k copies, whose float mean would
+move its last bit at some k (3, or 8). Any other tau setting reads its step
+schedule from one cache, ``_schedule``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .runtime import CommLedger, aggregate_mean
 
 VARIANT_SVRG = "svrg"
 VARIANT_SGD = "sgd"
-SCHEDULES_KEPT = 16   # local-step schedules one CheckedOracles keeps (_schedule)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class LowerStepConfig:
     The effective local stepsize is beta/tau_i. When used inside the fused
     estimator, beta must also satisfy beta <= min{1, lambda, 1/(6 L_g)}; that
     cap is enforced at the estimator boundary where lambda is known. tau is
-    checked here; ``_taus`` resolves it to every client's tau_i once per problem.
+    checked here; ``_schedule`` resolves it to the participants' tau_i.
     """
 
     beta: float
@@ -80,10 +80,11 @@ def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None)
 
 
 def max_tau(tau: int | Sequence[int]) -> int:
-    """The largest tau_i of a checked tau setting: the local steps a lane-set
-    declaration covers."""
+    """The largest tau_i of a tau setting, checked by ``client_taus`` unless an
+    int: the local steps a lane-set declaration covers."""
     if type(tau) is int:   # the shared count, without the Sequence ABC check
         return tau
+    client_taus(tau, np.arange(0))
     return int(max(tau) if isinstance(tau, Sequence) else tau)
 
 
@@ -107,53 +108,51 @@ def lower_phase_lanes(N: int, max_tau: int, variant: str = VARIANT_SVRG) -> tupl
         s for t in range(N) for s in local_lanes("zeta", max_tau, "lower", t, variant=variant))
 
 
-def _taus(problem: BilevelProblem, tau: int | Sequence[int]) -> np.ndarray:
-    """tau_i of every client of problem under the tau setting, read-only:
-    resolved by ``client_taus`` once per problem and setting, then read back."""
-    key = repr(tau)   # a list is unhashable, and repr tells 1 from True and 1.0
-    got = problem.taus.get(key)
-    if got is None:
-        got = problem.taus[key] = client_taus(tau, problem._all_ids, problem.m)
-        got.flags.writeable = False
-    return got
+class _Setting(str):
+    """A tau setting as its repr, a key that tells 1 from True and 1.0 (and
+    hashes a list), holding the setting itself as ``tau``."""
+
+    def __new__(cls, tau):
+        key = super().__new__(cls, repr(tau))
+        key.tau = tau
+        return key
 
 
-def _schedule(oracles: CheckedOracles, key: tuple, tau, stepsize: float) -> tuple:
-    """(stepsize / tau_i column, [(v, rows, ids[rows]) per local step v]) of the
-    participants with tau_i > v (while all step, rows a full slice and ids[rows] the
-    set's own ids), kept in oracles.schedules under key; past SCHEDULES_KEPT the oldest goes."""
-    memo, ids, taus = oracles.schedules, oracles.ids, _taus(oracles.problem, tau)[oracles.ids]
-    if len(memo) >= SCHEDULES_KEPT:
-        del memo[next(iter(memo))]
-    got = memo[key] = ((stepsize / taus)[:, None], [
-        (v, slice(None), ids) if v < taus.min() else (v, np.flatnonzero(taus > v), ids[taus > v])
-        for v in range(taus.max())])
-    return got
+@functools.lru_cache(maxsize=256)
+def _schedule(tau: _Setting, stepsize: float, ids: bytes, m: int) -> tuple:
+    """(stepsize / tau_i column, ((v, rows, sub) per local step v >= 1)) of the
+    clients whose intp ids are the bytes ids, of m: the positions and ids with
+    tau_i > v, or a full slice and None (the caller's ids) while all step."""
+    ids = np.frombuffer(ids, dtype=np.intp)
+    taus = client_taus(tau.tau, ids, m)
+    return (stepsize / taus)[:, None], tuple(
+        (v, slice(None), None) if v < taus.min() else (v, np.flatnonzero(taus > v), ids[taus > v])
+        for v in range(1, taus.max()))
 
 
 def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStream,
                  grad, z: np.ndarray, correction: np.ndarray, stepsize: float,
                  tau: int | Sequence[int], tag: str, variant: str,
                  ledger: CommLedger) -> np.ndarray:
-    """The participant mean of z_tau^i after the local phase from z (module
-    docstring); grad(ids, Z, lanes) is the oracle in the stepped variable,
-    the other one bound. All participants step together, one batched call of
-    grad per local step (two for svrg, on the same lanes and so on the same
-    draws); the svrg step v = 0 makes none, and the audit charges its pair's
-    2 * batch_size tag samples per participant. Charges one round."""
+    """The participant mean of z_tau^i after the local phase from the shared
+    start z (module docstring); grad(ids, Z, lanes) is the oracle in the
+    stepped variable, the other one bound. All participants step together, one
+    batched call of grad per local step (two for svrg, on the same lanes and so
+    on the same draws); the svrg step v = 0 makes none, and the audit charges
+    its pair's 2 * batch_size tag samples per participant. Charges one round."""
     ids = oracles.ids
-    key = (tau if type(tau) is int else repr(tau), stepsize)   # a list (unhashable) by repr
-    rates, steps = oracles.schedules.get(key) or _schedule(oracles, key, tau, stepsize)
+    rates, steps = ((stepsize, ()) if type(tau) is int and tau == 1   # the shared count 1
+                    else _schedule(_Setting(tau), stepsize, ids.tobytes(), problem.m))
     if variant == VARIANT_SVRG:  # v = 0: every client steps, and its pair cancels
         problem.audit.record(tag, 2 * problem.batch_size * ids.size)
-        if len(steps) == 1 and z.ndim == 1:   # every tau_i is 1 from a shared z:
-            ledger.record_round(ids.size * z.size)   # each client uploads the same iterate
+        if not steps:   # every tau_i is 1: each client uploads the same iterate
+            ledger.record_round(ids.size * z.size)
             return z - stepsize * correction
         Z = z - rates * correction
-        steps = steps[1:]
     else:
-        Z = np.repeat(z[None], ids.size, axis=0)
+        Z = z - rates * grad(ids, z, rng.lanes(ids, tag, 0))
     for v, rows, sub in steps:
+        sub = ids if sub is None else sub
         lanes = rng.lanes(sub, tag, v)
         step = grad(sub, Z[rows], lanes)
         if variant == VARIANT_SVRG:

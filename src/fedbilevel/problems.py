@@ -20,10 +20,9 @@ which on a lane table over the problem's clients 0..m-1 reads the same rows;
 depend on the other rows of its call.
 
 ``problem.checked(participants, x, y)`` checks a participant set: it sorts
-and deduplicates the ids, checks them and the points' shapes, and returns
-them as ``CheckedOracles``. The full client set has one ``CheckedOracles``
-per problem, so the local-step schedules kept on it serve every direct call
-and every run on that problem; a partial set gets its own. Library calls pass
+and deduplicates the ids, checks them and that x and y are shared vectors
+(every phase starts from one point), and returns them as ``CheckedOracles``,
+one per problem for the full client set. Library calls pass
 those ids or a row subset of them, but an oracle serves any id order: it picks
 the call's rows of the problem's (m, ...) arrays once, a full slice (no copy)
 for the full set's own ids array, else the ids. Per call it checks only that
@@ -196,43 +195,48 @@ class BilevelProblem:
         self._all_ids.flags.writeable = False
         self._every = range(m)
         self._everyone = CheckedOracles(self, self._all_ids)
-        self.taus = {}   # repr(tau setting) -> tau_i of every client (lower._taus)
         self.steps_passed = None, None   # (config, constants) (hypergrad._check_steps)
 
     # -- contract plumbing -------------------------------------------------
 
     def checked(self, participants, x: np.ndarray, y: np.ndarray) -> "CheckedOracles":
         """The participant set, its ``client_ids``, checked on every call: ids in
-        [0, m), and x and y each a shared vector or one row per id. The full
-        client set is the problem's one ``CheckedOracles`` for it, so its
-        schedules outlive the call; a partial set gets a new one. ``range(m)``,
-        every client in order, is the full set's own ids, with nothing to sort."""
+        [0, m), and x and y shared vectors, (d1,) and (d2,) (``_reject_start``). The
+        full client set is the problem's one ``CheckedOracles`` for it; a partial
+        set gets a new one. ``range(m)``, every client in order, is the full
+        set's own ids, with nothing to sort."""
         if type(participants) is range and participants == self._every:
             ids = self._all_ids
         else:
             ids = client_ids(participants)
             if ids[0] < 0 or ids[-1] >= self.m:
                 raise ClientLookupError(f"client ids {ids.tolist()} not in [0, {self.m})")
-        k = ids.size
-        for name, a, dim in (("x", x, self.d1), ("y", y, self.d2)):
-            if a.shape != (dim,) and a.shape != (k, dim):
-                raise ContractViolation(
-                    f"{name} has shape {a.shape}, expected ({dim},) or ({k}, {dim})")
-        return self._everyone if k == self.m else CheckedOracles(self, ids)
+        if x.shape != (self.d1,) or y.shape != (self.d2,):
+            self._reject_start(x, y)
+        return self._everyone if ids.size == self.m else CheckedOracles(self, ids)
+
+    def _reject_start(self, x: np.ndarray, y: np.ndarray):
+        """ContractViolation naming x, or else y, as no shared start vector."""
+        name, a, dim = ("x", x, self.d1) if x.shape != (self.d1,) else ("y", y, self.d2)
+        raise ContractViolation(f"{name} has shape {a.shape}, expected ({dim},): "
+                                "a phase starts from one shared point")
 
     def entry(self, participants, x: np.ndarray, y: np.ndarray, rng, lane_sets) -> tuple:
         """The prologue of every estimator and local phase: (oracles, rng).
         oracles is ``checked(participants, x, y)``, or participants as they
-        are if they are this problem's CheckedOracles. rng must be an
-        RngStream, else ContractViolation names it; a stream that declares no
-        lane sets becomes a step of a table of the phase's lane sets
-        ``lane_sets()`` over clients 0..m-1 (``RngStream.declare``: a chunk of
-        its siblings after a call on its parent if its key ends in an int,
-        else a one-step table), and a stream on a table is returned as is."""
+        are if they are this problem's CheckedOracles, with x and y still
+        checked as shared vectors. rng must be an RngStream, else
+        ContractViolation names it; a stream that declares no lane sets
+        becomes a step of a table of the phase's lane sets ``lane_sets()``
+        over clients 0..m-1 (``RngStream.declare``: a chunk of its siblings
+        after a call on its parent if its key ends in an int, else a one-step
+        table), and a stream on a table is returned as is."""
         if not isinstance(participants, CheckedOracles):
             participants = self.checked(participants, x, y)
         elif participants.problem is not self:
             raise ContractViolation("the checked oracles belong to another problem")
+        elif x.shape != (self.d1,) or y.shape != (self.d2,):
+            self._reject_start(x, y)
         if not isinstance(rng, RngStream):
             raise ContractViolation(f"rng must be an RngStream, got {rng!r}")
         if rng.table is None:
@@ -285,20 +289,13 @@ class BilevelProblem:
 
 
 class CheckedOracles:
-    """A participant set its problem checked: the ``problem``, the set's
-    sorted distinct ``ids``, and the local-step ``schedules`` that
-    One-Round-Lower/Upper build for it (``lower._schedule``, a bounded memo).
+    """A participant set its problem checked: the ``problem`` and the set's
+    sorted distinct ``ids``, from ``BilevelProblem.checked`` (the problem's one
+    instance for the full client set, else a new one per check). The
+    estimators and One-Round-Lower/Upper take it as their ``participants`` and
+    call the problem's oracles on its ids or a row subset of them."""
 
-    ``BilevelProblem.checked`` and ``entry`` return it: for the full client
-    set, always the problem's one instance, whose schedules persist across
-    direct estimator calls and runs; for a partial set, a new one per check.
-    The estimators and One-Round-Lower/Upper take it as their
-    ``participants`` and call the problem's oracles on its ids or a row
-    subset of them.
-    """
-
-    __slots__ = ("problem", "ids", "schedules")
+    __slots__ = ("problem", "ids")
 
     def __init__(self, problem: BilevelProblem, ids: np.ndarray):
         self.problem, self.ids = problem, ids
-        self.schedules = {}

@@ -61,6 +61,22 @@ def batch_of_one(problem, name, i, p, *args):
     return getattr(problem, name)(np.array([i]), p.x, p.y, *v, lanes)[0]
 
 
+def count_schedule_resolutions(monkeypatch) -> list:
+    """Empty ``lower._schedule``'s cache and return a list that gets the ids,
+    as a tuple, of every ``client_taus`` resolution of a participant set's
+    tau_i from then on (a config's check on no clients is not one)."""
+    from fedbilevel import lower
+    resolved, client_taus = [], lower.client_taus
+
+    def counted(tau, ids, m=None):
+        if ids.size:
+            resolved.append(tuple(ids.tolist()))
+        return client_taus(tau, ids, m)
+    monkeypatch.setattr(lower, "client_taus", counted)
+    lower._schedule.cache_clear()
+    return resolved
+
+
 def exact_mean(problem, name, x, y, *v):
     """The client mean of the exact oracle ``name`` over every client at
     (x, y) [, v]: the full-participation, noise-off aggregate."""

@@ -140,7 +140,7 @@ def test_full_set_rows_match_subset_calls(mode, make, stochastic, stacked):
         for ids in (np.array([0, 2, 3]), np.array([1, 4]), np.array([3]), everyone[:-1]):
             got = _batched(problem, name, ids, *(part(a, ids) for a in (x, y, v)), lanes(ids))
             assert got.tobytes() == full[ids].tobytes(), (name, ids)
-    own = problem.checked(range(problem.m), x, y).ids
+    own = problem.checked(range(problem.m), np.zeros(problem.d1), np.zeros(problem.d2)).ids
     shuffled = RngStream(7).child("order").permutation(everyone)
     assert 0 < np.count_nonzero(np.diff(shuffled) > 0) < problem.m - 1   # neither order
     free = RngStream(43).child("free")

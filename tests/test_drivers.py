@@ -18,7 +18,7 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, DivergenceError,
                         select_participants)
 from fedbilevel.drivers import build_problem, resolve_params
 
-from conftest import perfbench_module
+from conftest import count_schedule_resolutions, perfbench_module
 
 
 def test_default_stepsizes_examples():
@@ -103,6 +103,20 @@ def test_one_round_upper_rejects_bad_tau():
     with pytest.raises(ParameterError):
         one_round_upper(problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, 0,
                         range(2), RngStream(6), CommLedger())
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), float("inf"), True, "0.1", None])
+def test_one_round_upper_rejects_bad_alpha(alpha):
+    # alpha is checked as LowerStepConfig checks beta: a finite real > 0
+    problem = QuadraticProblem(make_quadratic(QuadraticSpec(d1=2, d2=2, m=2, seed=5)))
+    x, h = np.ones(2), np.array([0.5, -1.0])
+    with pytest.raises(ParameterError, match="alpha"):
+        one_round_upper(problem, x, np.zeros(2), h, alpha, 1, range(2), RngStream(6),
+                        CommLedger())
+    for ok in (0.1, np.float64(0.1), 1):
+        got = one_round_upper(problem, x, np.zeros(2), h, ok, 1, range(2), RngStream(6),
+                              CommLedger())
+        assert got.tobytes() == (x - ok * h).tobytes()
 
 
 def _quad_cfg(K, seed=7, N=None, T=None, **kw):
@@ -646,33 +660,34 @@ def test_run_checks_participants_and_tau_once_per_step(monkeypatch, estimator):
     # under partial participation each outer step checks its participants
     # once, and the estimator call and One-Round-Lower/Upper take those
     # checked oracles; under full participation one check serves the run.
-    # The tau setting is resolved once per run, whatever K is
-    from fedbilevel import drivers, lower
+    # The tau setting is resolved once per participant set and stepsize (beta
+    # for One-Round-Lower, alpha for One-Round-Upper), so a set that recurs
+    # across outer steps reuses its schedules
+    from collections import Counter
+
+    from fedbilevel import lower
     from fedbilevel.problems import BilevelProblem
-    checks, taus = [], []
-    checked, client_taus = BilevelProblem.checked, lower.client_taus
+    checks = []
+    checked = BilevelProblem.checked
 
     def counted_checked(self, *args):
-        checks.append(1)
-        return checked(self, *args)
-
-    def counted_taus(*args):
-        taus.append(1)
-        return client_taus(*args)
+        got = checked(self, *args)
+        checks.append(tuple(got.ids.tolist()))
+        return got
     monkeypatch.setattr(BilevelProblem, "checked", counted_checked)
-    monkeypatch.setattr(lower, "client_taus", counted_taus)
-    monkeypatch.setattr(drivers, "client_taus", counted_taus)
-    counts = []
+    recurred = False
     for K in (2, 5):
         for participation, per_run in ((0.7, K), (1.0, 1)):
             cfg = _quad_cfg(K=K, N=3, T=2, estimator=estimator, tau=[1, 3, 2],
                             participation=participation)
+            *_, alpha, beta = resolve_params(cfg, build_problem(cfg).constants)
             checks.clear()
-            taus.clear()
+            resolved = count_schedule_resolutions(monkeypatch)
             run(cfg)
             assert len(checks) == per_run
-            counts.append(len(taus))
-    assert len(set(counts)) == 1 and counts[0] <= 2
+            assert Counter(resolved) == {ids: len({alpha, beta}) for ids in checks}
+            recurred |= len(set(checks)) < len(checks)
+    assert recurred and lower._schedule.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("estimator", ["aggitd", "aid", "local"])

@@ -15,7 +15,7 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.hypergrad import beta_cap, chain_lanes
 
-from conftest import manual_instance
+from conftest import count_schedule_resolutions, manual_instance
 
 
 def _deterministic_setup(d=5, m=3, hetero=0.3, seed=15, spread=0.0):
@@ -565,25 +565,25 @@ def test_estimators_take_checked_oracles_of_their_problem_only():
 
 def test_direct_calls_build_the_full_set_schedule_once(monkeypatch):
     # direct aggitd calls on one problem check their participants on every
-    # call but share the problem's one full-set CheckedOracles, so the
-    # One-Round-Lower schedule is built once; a wrong point still raises
+    # call, but the One-Round-Lower schedule of the full set is cached on its
+    # ids, so it is built once; a wrong point still raises
     from fedbilevel import lower
     from fedbilevel.problems import CheckedOracles
     inst, problem = _deterministic_setup(m=4, spread=0.2)
     lam = 1.0 / inst.L_g
     cfg = AggITDConfig(lam=lam, N=3, lower=LowerStepConfig(beta=_beta(inst, lam),
                                                            tau=[1, 3, 2, 1]))
-    built, taus = [], lower._taus
-    monkeypatch.setattr(lower, "_taus", lambda *a: built.append(1) or taus(*a))
+    built = count_schedule_resolutions(monkeypatch)
     x, y = np.ones(5), np.zeros(5)
     first = [aggitd(problem, x, y, cfg, range(4), RngStream(9).child("mc", t),
                     CommLedger())[0] for t in range(5)]
-    assert len(built) == 1
-    assert len(problem.checked(range(4), x, y).schedules) == 1
-    for xx, yy in ((np.ones(4), y), (x, np.zeros(6)), (x, np.zeros((3, 5)))):
+    assert built == [(0, 1, 2, 3)] and lower._schedule.cache_info().currsize == 1
+    for xx, yy in ((np.ones(4), y), (x, np.zeros(6)), (x, np.zeros((3, 5))),
+                   (x, np.zeros((4, 5)))):
         with pytest.raises(ContractViolation, match="shape"):
             aggitd(problem, xx, yy, cfg, range(4), RngStream(9), CommLedger())
-    for t, h in enumerate(first):   # against a new schedule per call
+    for t, h in enumerate(first):   # against a schedule built anew for each call
+        lower._schedule.cache_clear()
         want = aggitd(problem, x, y, cfg, CheckedOracles(problem, np.arange(4)),
                       RngStream(9).child("mc", t), CommLedger())[0]
         assert h.tobytes() == want.tobytes()

@@ -12,7 +12,7 @@ from fedbilevel.drivers import Evaluator
 from fedbilevel.lower import VARIANT_SGD, VARIANT_SVRG, client_taus
 from fedbilevel.oracle import TestRegion, measure_constants
 
-from conftest import batch_of_one, exact_mean, manual_instance
+from conftest import batch_of_one, count_schedule_resolutions, exact_mean, manual_instance
 
 
 def _noise_off_problem(hetero=0.5, seed=3, d=3, m=3):
@@ -52,17 +52,42 @@ def test_upper_tau_one_is_the_global_step():
     assert problem.audit.by_purpose == {"xi_up": 2 * problem.batch_size * 3}
 
 
-def test_tau_one_averages_a_stacked_start():
-    # a start with one row per participant is no common iterate: its rows
-    # after the step are averaged, one round of k * d2 scalars
-    inst, problem = _noise_off_problem()
-    x, Y = np.ones(3), np.arange(9.0).reshape(3, 3) / 10
-    q = RngStream(0).child("q").generator().normal(size=3)
-    ledger = CommLedger()
-    got = one_round_lower(problem, x, Y, q, LowerStepConfig(beta=0.05, tau=1), range(3),
-                          RngStream(1), ledger)
-    assert np.array_equal(got, np.add.reduce(Y - 0.05 * q, 0) / 3.0)
-    assert (ledger.rounds_total, ledger.scalars_sent) == (1, 3 * 3)
+def test_a_stacked_start_raises_contract_violation():
+    # every estimator and local phase starts all its participants at one
+    # shared point: a (k, d) x or y, on client ids or on checked oracles, at
+    # every tau and variant a call takes, raises ContractViolation naming its
+    # shape before any round or sample is charged
+    from fedbilevel import (AggITDConfig, AidConfig, ContractViolation, aggitd, aid_fhe,
+                            local_fhe, one_round_upper)
+    from fedbilevel.hypergrad import beta_cap, lambda_cap
+    problem = QuadraticProblem(make_quadratic(QuadraticSpec(
+        d1=3, d2=3, m=3, hetero=0.5, noise_spread=0.3, seed=5)))
+    x, y, q = _random_inputs(problem, 4)
+    lam = lambda_cap(problem.constants)
+    calls = {"aid_fhe": lambda p, X, Y: aid_fhe(problem, X, Y, AidConfig(lam=lam, T=2), p,
+                                                RngStream(1), ledger),
+             "local_fhe": lambda p, X, Y: local_fhe(problem, X, Y, AidConfig(lam=lam, T=2), p,
+                                                    RngStream(1), ledger)}
+    for tau in (1, 2, [1, 3, 2]):
+        calls[f"one_round_upper {tau}"] = lambda p, X, Y, tau=tau: one_round_upper(
+            problem, X, Y, q, 0.05, tau, p, RngStream(1), ledger)
+        for variant in (VARIANT_SVRG, VARIANT_SGD):
+            lower = LowerStepConfig(beta=beta_cap(lam, problem.constants), tau=tau,
+                                    variant=variant)
+            calls[f"aggitd {tau} {variant}"] = lambda p, X, Y, lower=lower: aggitd(
+                problem, X, Y, AggITDConfig(lam=lam, N=2, lower=lower), p, RngStream(1), ledger)
+            calls[f"one_round_lower {tau} {variant}"] = lambda p, X, Y, lower=lower: (
+                one_round_lower(problem, X, Y, q, lower, p, RngStream(1), ledger))
+    stacked = np.arange(9.0).reshape(3, 3) / 10
+    for name, call in calls.items():
+        for participants in (range(3), [2, 0, 1], problem.checked(range(3), x, y)):
+            for X, Y, named in ((stacked, y, "x"), (x, stacked, "y")):
+                ledger = CommLedger()
+                problem.audit.reset()
+                with pytest.raises(ContractViolation, match=rf"{named} has shape \(3, 3\)"):
+                    call(participants, X, Y)
+                assert ledger.rounds_total == problem.audit.total == 0, name
+        assert call(range(3), x, y) is not None, name   # the shared start runs
 
 
 def test_homogeneous_noise_off_svrg_equals_sgd():
@@ -359,22 +384,39 @@ def test_upper_equals_explicit_pair_reference(kind):
         assert audit == problem.audit.by_purpose
 
 
-def test_checked_oracles_keep_one_schedule_per_tau_setting_and_stepsize():
-    # one participant set's checked oracles serve calls with other tau
-    # settings, stepsizes and variants: each call equals one on plain ids
+def test_one_schedule_per_tau_setting_stepsize_and_set(monkeypatch):
+    # the local-step schedule is resolved once per (tau setting, stepsize,
+    # participant set, m), whether the set comes checked or as ids in another
+    # order, and both variants read it: each call on checked oracles equals
+    # one on plain ids. The shared count 1 reads no schedule, and a setting
+    # equal to a cached one but for its types ([1, True], 1.0) is its own key
+    from fedbilevel import one_round_upper
+    from fedbilevel.lower import _schedule, local_lanes
+    from fedbilevel.rng import lane_steps
     problem = _noisy_problem("finite-sum-b1")
     x, y, q = _random_inputs(problem, 3)
     checked = problem.checked([0, 1, 3], x, y)
-    cases = ((0.05, 1, VARIANT_SVRG), (0.05, [1, 3, 2, 2], VARIANT_SVRG),
-             (0.02, [1, 3, 2, 2], VARIANT_SVRG), (0.05, 2, VARIANT_SGD),
-             (0.05, [2, 1, 1, 3], VARIANT_SVRG))
+    resolved = count_schedule_resolutions(monkeypatch)
+    cases = ((0.05, 1, VARIANT_SVRG), (0.05, 1, VARIANT_SGD),
+             (0.05, [1, 3, 2, 2], VARIANT_SVRG), (0.02, [1, 3, 2, 2], VARIANT_SVRG),
+             (0.05, 2, VARIANT_SGD),
+             (0.05, [2, 1, 1, 3], VARIANT_SVRG), (0.05, [1, 3, 2, 2], VARIANT_SGD))
     for t, (beta, tau, variant) in enumerate(cases):
         cfg = LowerStepConfig(beta=beta, tau=tau, variant=variant)
         rng = RngStream(8).child("lower", t)
         got = one_round_lower(problem, x, y, q, cfg, checked, rng, CommLedger())
         want = one_round_lower(problem, x, y, q, cfg, [3, 0, 1], rng, CommLedger())
         assert got.tobytes() == want.tobytes(), (beta, tau, variant)
-    assert len(checked.schedules) == len(cases)
+    assert resolved == [(0, 1, 3)] * 4 and _schedule.cache_info().currsize == 4
+    # on a free stream a bad setting raises where its lane sets are declared,
+    # on a table step where its schedule is resolved
+    table_step = next(lane_steps(RngStream(9), "upper", 1, 4, local_lanes("xi_up", 1)))
+    for rng in (RngStream(9), table_step):
+        one_round_upper(problem, x, y, q[:3], 0.05, [1, 1, 1, 1], checked, rng, CommLedger())
+        for tau in ([1, True, 1, 1], 1.0, True, np.ones(4, dtype=int)):
+            with pytest.raises(ParameterError, match="tau"):
+                one_round_upper(problem, x, y, q[:3], 0.05, tau, checked, rng, CommLedger())
+    assert len(resolved) == 5 + 4 and _schedule.cache_info().currsize == 5
 
 
 @pytest.mark.parametrize("batch", [1, 4])

@@ -15,8 +15,8 @@ from fedbilevel import (AggITDConfig, AidConfig, CommLedger, ContractViolation,
 from fedbilevel.errors import ClientLookupError
 from fedbilevel.problems import NOISE_GAUSSIAN
 
-from conftest import (batch_of_one, exact_mean, manual_instance, two_sample_instance,
-                      zero_offsets)
+from conftest import (batch_of_one, count_schedule_resolutions, exact_mean, manual_instance,
+                      two_sample_instance, zero_offsets)
 
 
 def _problem_1d():
@@ -303,47 +303,55 @@ def test_full_set_has_one_checked_oracles_per_problem():
     problem, x, y, _ = _persistent_case()
     full = problem.checked(range(4), x, y)
     assert problem.checked([3, 1, 0, 2, 2], x, y) is full
-    assert problem.checked(np.arange(4), np.tile(x, (4, 1)), y) is full
+    assert problem.checked(np.arange(4), x, y) is full
     assert full.ids.tolist() == [0, 1, 2, 3] and not full.ids.flags.writeable
     other, *_ = _persistent_case()
     assert other.checked(range(4), x, y) is not full
-    for xx, yy in ((np.zeros(2), y), (x, np.zeros(5)), (x, np.zeros((3, 4)))):
+    for xx, yy in ((np.zeros(2), y), (x, np.zeros(5)), (x, np.zeros((3, 4))),
+                   (np.tile(x, (4, 1)), y)):
         with pytest.raises(ContractViolation, match="shape"):
             problem.checked(range(4), xx, yy)
 
 
-def test_partial_set_gets_its_own_checked_oracles():
-    # a partial set's schedules live on its own CheckedOracles, one per check,
-    # and never on the full set's
+def test_partial_set_gets_its_own_checked_oracles(monkeypatch):
+    # a partial set gets its own CheckedOracles per check, but its local-step
+    # schedule is cached on its ids: checked or listed in another order, the
+    # set reads one schedule, the full set its own, and the same ids among
+    # another client count m theirs
     problem, x, y, q = _persistent_case()
     full = problem.checked(range(4), x, y)
     cfg = LowerStepConfig(beta=0.05, tau=[1, 3, 2, 1])
     part = problem.checked([2, 0], x, y)
     assert part is not problem.checked([0, 2], x, y) and part is not full
-    one_round_lower(problem, x, y, q, cfg, part, RngStream(1), CommLedger())
-    one_round_lower(problem, x, y, q, cfg, [0, 2], RngStream(1), CommLedger())
-    assert len(part.schedules) == 1 and full.schedules == {}
+    resolved = count_schedule_resolutions(monkeypatch)
+    got = one_round_lower(problem, x, y, q, cfg, part, RngStream(1), CommLedger())
+    want = one_round_lower(problem, x, y, q, cfg, [2, 0], RngStream(1), CommLedger())
+    assert got.tobytes() == want.tobytes() and resolved == [(0, 2)]
     one_round_lower(problem, x, y, q, cfg, range(4), RngStream(1), CommLedger())
-    assert len(full.schedules) == 1
+    assert resolved == [(0, 2), (0, 1, 2, 3)]
+    two = LowerStepConfig(beta=0.05, tau=2)
+    for p, *point in ((problem, x, y, q), _persistent_case(m=5), (problem, x, y, q)):
+        one_round_lower(p, *point, two, [2, 0], RngStream(1), CommLedger())
+    assert resolved == [(0, 2), (0, 1, 2, 3), (0, 2), (0, 2)]
 
 
 def test_schedule_memo_stays_bounded_over_a_stepsize_sweep():
-    # direct calls on the full set share its CheckedOracles, so a sweep over
-    # 1,000 stepsizes keeps at most SCHEDULES_KEPT schedules; a setting dropped
-    # from the memo is rebuilt with the same bits
-    from fedbilevel.lower import SCHEDULES_KEPT
+    # a sweep over 1,000 stepsizes leaves at most the cache's maxsize
+    # schedules; a setting dropped from the cache is rebuilt with the same bits
+    from fedbilevel.lower import _schedule
     problem, x, y, q = _persistent_case()
     tau = [1, 3, 2, 1]
+    _schedule.cache_clear()
     first = one_round_lower(problem, x, y, q, LowerStepConfig(beta=1e-3, tau=tau), range(4),
                             RngStream(2), CommLedger())
     for beta in np.linspace(1e-3, 0.1, 1000)[1:]:
         one_round_lower(problem, x, y, q, LowerStepConfig(beta=float(beta), tau=tau),
                         range(4), RngStream(2), CommLedger())
-    schedules = problem.checked(range(4), x, y).schedules
-    assert len(schedules) == SCHEDULES_KEPT
-    assert (repr(tau), 1e-3) not in schedules
+    info = _schedule.cache_info()
+    assert info.currsize == info.maxsize < 1000 and info.misses == 1000
     again = one_round_lower(problem, x, y, q, LowerStepConfig(beta=1e-3, tau=tau), range(4),
                             RngStream(2), CommLedger())
+    assert _schedule.cache_info().misses == 1001
     assert again.tobytes() == first.tobytes()
 
 
