@@ -143,30 +143,12 @@ def chain_lanes(T: int, *prefix) -> tuple:
             (*prefix, CLIENT, "xi_h"), (*prefix, CLIENT, "chi"))
 
 
-class _BuiltOnRead:
-    """``functools.cached_property`` without the lock that Python 3.11's takes:
-    the value is built on the first read and stored in the instance under the
-    attribute's name, where later reads find it."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        got = obj.__dict__[self.name] = self.build(obj)
-        return got
-
-
 @dataclass
 class EstimatorTrace:
     """Diagnostic record of one fused-estimator evaluation.
 
     Invariants: p = lambda*(N+1)*z_final and h = h_direct - h_indirect.
-    ``h_indirect_clients``, id -> its row of the (k, d1) ``indirect``, is built on first read.
+    ``h_indirect_clients``, id -> its row of the (k, d1) ``indirect``, is built on each read.
     """
 
     Q: int
@@ -178,7 +160,7 @@ class EstimatorTrace:
     ids: np.ndarray
     indirect: np.ndarray
 
-    @_BuiltOnRead
+    @property
     def h_indirect_clients(self) -> dict:
         return dict(zip(self.ids.tolist(), self.indirect))
 
@@ -197,8 +179,8 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     gradient round with the chain payloads piggybacked, a One-Round-Lower
     iterate round for t <= N-1, and one final round aggregating the per-client
     estimates. Q, uniform on {0..N}, is ``rng.child("Q").index(N + 1)``, read from
-    the table's draw of every step (``step_index``, so N + 1 < 2**32); q_override
-    pins it. participants are client ids or checked oracles (``BilevelProblem.checked``);
+    the table's draw of every step (so N + 1 < 2**32); q_override pins it.
+    participants are client ids or checked oracles (``BilevelProblem.checked``);
     rng is the scope stream, free or on a table of ``aggitd_lanes``.
     """
     _check_steps(problem, cfg)
@@ -208,7 +190,7 @@ def aggitd(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, cfg: AggITDCon
     y_t = np.asarray(y, dtype=float)
     oracles, rng = problem.entry(participants, x, y_t, rng,
                                  lambda: aggitd_lanes(N, max_tau(lower.tau), lower.variant))
-    Q = rng.table.step_index((*rng.path, "Q"), N + 1)[rng.s] if q_override is None else q_override
+    Q = rng.child("Q").index(N + 1) if q_override is None else q_override
     ids = oracles.ids
     ledger.begin_loop()
     y_iterates = [y_t]
@@ -250,7 +232,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
     Builds p_0 = lambda*T * mean_i grad_y F_i, then the chain
     p_t = (I - lambda * mean_i H_i) p_{t-1} up to the p_{T'} the estimate reads,
     T' uniform in {0..T-1}, ``rng.child("T_prime").index(T)``, read from the table's
-    draw of every step (``step_index``, so T < 2**32). Rounds t = T'+1..T and their
+    draw of every step (so T < 2**32). Rounds t = T'+1..T and their
     "zeta_h" samples are charged without a payload; their lanes are still resolved, so
     a table missing one raises ContractViolation whatever T' is. participants are as
     for ``aggitd``; rng is the scope stream, free or on a table of ``chain_lanes``.
@@ -261,8 +243,7 @@ def aid_fhe(problem: BilevelProblem, x: np.ndarray, y_N: np.ndarray, cfg: AidCon
         check_count("t_prime_override", t_prime_override, 0, T)
     y_N = np.asarray(y_N, dtype=float)
     oracles, rng = problem.entry(participants, x, y_N, rng, lambda: chain_lanes(T))
-    T_prime = (rng.table.step_index((*rng.path, "T_prime"), T)[rng.s]
-               if t_prime_override is None else t_prime_override)
+    T_prime = rng.child("T_prime").index(T) if t_prime_override is None else t_prime_override
     ids = oracles.ids
     ledger.begin_loop()
     r = aggregate_mean(problem.grad_upper_y(ids, x, y_N, rng.lanes(ids, "xi0")), ledger)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ContractViolation, ParameterError
 from .problems import BilevelProblem, CheckedOracles, check_count, check_positive
 from .rng import CLIENT, RngStream
 from .runtime import CommLedger, aggregate_mean
@@ -69,13 +69,15 @@ class LowerStepConfig:
 def client_taus(tau: int | Sequence[int], ids: np.ndarray, m: int | None = None) -> np.ndarray:
     """tau_i for each client id: its entry of a per-client list, or the shared
     count. Raises ParameterError if any tau_i, listed or shared, is not an
-    integer >= 1 (bools are not counts), or if m, the problem's client count,
-    is given and a list does not hold m entries."""
+    integer >= 1 (bools are not counts), if a list holds no entry, or if m,
+    the problem's client count, is given and a list does not hold m entries."""
     listed = type(tau) is not int and isinstance(tau, Sequence)   # an int skips the ABC check
     for t in (tau if listed else (tau,)):
         check_count("every tau_i", t)
     if listed and m is not None and len(tau) != m:
         raise ParameterError(f"tau lists {len(tau)} local step counts for {m} clients")
+    if listed and not len(tau):
+        raise ParameterError("tau lists no local step counts")
     return np.asarray(tau, dtype=int)[ids] if listed else np.full(ids.shape, int(tau))
 
 
@@ -139,7 +141,11 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStrea
     stepped variable, the other one bound. All participants step together, one
     batched call of grad per local step (two for svrg, on the same lanes and so
     on the same draws); the svrg step v = 0 makes none, and the audit charges
-    its pair's 2 * batch_size tag samples per participant. Charges one round."""
+    its pair's 2 * batch_size tag samples per participant. Charges one round.
+    A correction not of z's shape (d,) raises ContractViolation first."""
+    if getattr(correction, "shape", None) != z.shape:
+        name = "One-Round-Lower q" if tag == "zeta" else "One-Round-Upper h"
+        raise ContractViolation(f"{name} has shape {np.shape(correction)}, expected {z.shape}")
     ids = oracles.ids
     rates, steps = ((stepsize, ()) if type(tau) is int and tau == 1   # the shared count 1
                     else _schedule(_Setting(tau), stepsize, ids.tobytes(), problem.m))

@@ -41,13 +41,15 @@ stream on a table, and every child of it, reads ``lanes(ids, *tags)`` as
 the declared set ``(*path, CLIENT, *tags)``, path being its key parts
 below the step. A free ``RngStream(seed, key)`` declares no lane sets.
 
-Which draws are table-wide: ``Lanes.index(n)`` and ``LaneTable.step_index``,
-a scalar lane's draw at every step (the estimators' Q and T', so N + 1 and T
-are below INDEX_RANGE = 2**32), are one multiply-high pass over the table,
-in 32-bit halves so that no product overflows; a stream's own ``index(n)``
-hashes its path. ``subset`` is one pass per lane set over every step and
-client, when the call covers every client (a client subset draws its own
-rows), in slices of at most KEY_BUDGET counter keys. ``normal`` is per call.
+Which draws are table-wide: on a table, ``index(n)`` of an int n < INDEX_RANGE
+= 2**32 (the estimators' Q and T', so N + 1 and T are below it) reads the
+draw of the stream's path at every step, and ``Lanes.index(n)`` that of
+every row, each one multiply-high pass in 32-bit halves, so that no product
+overflows; a free stream, or a larger n, hashes its path. ``Lanes.subset``
+is one pass per lane set over every step and client, when the call covers
+every client (a client subset draws its own rows), in slices of at most
+KEY_BUDGET counter keys. ``normal`` is per call. A ``LaneTable`` only holds
+what ``RngStream`` and ``Lanes``, the one draw surface, read.
 Draws come back as flat store rows: ``flat=True`` adds each row's client id
 times n (or len(pool)) in the cached block, so that an oracle's draws are
 rows of a client-major (m * n, ...) sample store.
@@ -56,6 +58,7 @@ rows of a client-major (m * n, ...) sample store.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import zlib
 
@@ -239,7 +242,7 @@ class RngStream:
         k = key[-1] if key else None   # a chunk's ks below 2**62 fit a uint64 arange
         if self.table is not None or type(k) is not int or not 0 <= k < 1 << 62:
             return LaneTable(self.seed, key, None, np.array([self._hash], dtype=np.uint64),
-                             _layout(sets, m)).step(0)
+                             _layout(sets, m)).steps[0]
         memo, table = _kept   # the kept sets compare by identity first: no re-hash
         if memo != (self.seed, key[:-1], sets, m):
             table = LaneTable(self.seed, key[:-1], k, np.array([self._hash], dtype=np.uint64),
@@ -249,7 +252,7 @@ class RngStream:
             table = _sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk,
                                    table.layout)
         _kept = (self.seed, key[:-1], sets, m), table
-        return table.step(k - table.k0)
+        return table.steps[k - table.k0]
 
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ids (any id
@@ -272,21 +275,30 @@ class RngStream:
         if self.table is None:   # rows of the sorted distinct ids, so one per id
             distinct, rows = np.unique(ids, return_inverse=True)
             step = LaneTable(self.seed, self.key, None, np.array([self._hash], dtype=np.uint64),
-                             _Layout(((CLIENT, *tags),), distinct.size, distinct)).step(0)
+                             _Layout(((CLIENT, *tags),), distinct.size, distinct)).steps[0]
         table, lane_set = step.table, (*step.path, CLIENT, *tags)
         at, tag = table.layout.at.get(lane_set, (None, None))
         if at is None:
             raise ContractViolation(f"lane set {lane_set} is not declared by its table")
         lanes = _new(Lanes)
-        lanes.step, lanes.lane_set, lanes.ids, lanes.tags, lanes.purpose, lanes._draws = (
-            step, lane_set, ids, tags, tag or table.purpose, None)
+        lanes.step, lanes.lane_set, lanes.ids, lanes.purpose, lanes._draws = (
+            step, lane_set, ids, tag or table.purpose, None)
         lanes.rows = at if step is self and ids.shape[0] == table.layout.m else rows + at.start
         return lanes
 
     def index(self, n: int) -> int:
-        """Uniform draw from {0..n-1}, n >= 1: multiply-high of the hashed counter 0."""
-        _check_size("index", "n", n, 1)
-        return (_mix64(self._hash, 0) * n) >> 64
+        """Uniform draw from {0..n-1}, n >= 1: multiply-high of the hashed
+        counter 0. On a table, an int n < INDEX_RANGE reads the draws of this
+        path at every step, one hash pass per key part over the step hashes."""
+        table = self.table
+        if table is None or type(n) is not int or n >= INDEX_RANGE:
+            _check_size("index", "n", n, 1)
+            return (_mix64(self._hash, 0) * n) >> 64
+        got = table._index.get((self.path, n))
+        if got is None:
+            got = table._index[self.path, n] = tuple(
+                _index(_extend(table.scopes, self.path, _mix64_array), n).tolist())
+        return got[self.s]
 
     def subset(self, pool: np.ndarray, k: int) -> np.ndarray:
         """k members of pool without replacement, uniform: the sorted ``permutation[:k]``."""
@@ -338,16 +350,15 @@ _kept = (None, None)   # (seed, parent key, sets, m) and table of declare's last
 class LaneTable:
     """The lanes of consecutive outer steps, hashed ahead in one uint64 block.
 
-    Step s has the scope stream ``step(s)``, key path ``base + (k0 + s,)``
+    Step s has the scope stream ``steps[s]``, key path ``base + (k0 + s,)``
     (``base`` if k0 is None: a one-step table of a key not ending in an int)
     and running hash ``scopes[s]``. For each lane set, ``hashes[s, at]`` (at
     the set's rows in the layout) holds the running hashes of
-    ``step(s).child(*parts)`` with each client id in place of ``CLIENT``.
-    ``index(n)`` draws the counter-0 index of every row at once, ``step_index``
-    that of a scalar lane at every step, and ``subset`` the minibatch draws of
-    one lane set at every step and client, cached and read-only (with
-    ``flat=True``, as rows of a client-major sample store). A set with no
-    string tag has ``purpose``, the base's innermost one or "unkeyed".
+    ``steps[s].child(*parts)`` with each client id in place of ``CLIENT``.
+    The table draws nothing: it keeps the draws that its streams'
+    ``index`` and their ``Lanes``' ``index`` and ``subset`` cache on it,
+    read-only. A set with no string tag has ``purpose``, the base's
+    innermost one or "unkeyed".
     """
 
     def __init__(self, seed: int, base: tuple, k0, scopes: np.ndarray, layout: _Layout):
@@ -359,59 +370,14 @@ class LaneTable:
             h[:, :col.size] = _mix64_array(h[:, :col.size], col)
         h.flags.writeable = False
         self.hashes = h
-        self._index = {}    # (n, flat) -> the (steps, rows) index draws; (path, n) -> step_index
-        self._subsets = {}  # (lane set, k, pool, sizes, flat) -> a subset block
-
-    def index(self, n: int, flat: bool = False) -> np.ndarray:
-        """Every row's ``index(n)`` draw, shaped (steps, rows); flat adds each
-        row's client id times n, so the draws are rows of a client-major
-        (m * n, ...) sample store."""
-        if type(n) is not int:   # a bool or float equal to a cached n must not hit it
-            _check_size("index", "n", n, 1, INDEX_RANGE)
-        got = self._index.get((n, flat))
-        if got is None:
-            got = self._index[n, flat] = _index(self.hashes, n) + (
-                np.resize(self.layout.ids, self.layout.rows) * n if flat else 0)
-            got.flags.writeable = False
-        return got
-
-    def step_index(self, path: tuple, n: int) -> tuple:
-        """The ints ``step(s).child(*path).index(n)`` of every step s, 1 <= n < INDEX_RANGE."""
-        got = self._index.get((path, n))
-        if got is None:   # one hash pass per key part over the step hashes
-            h = _extend(self.scopes, path, _mix64_array)
-            got = self._index[path, n] = tuple(_index(h, n).tolist())
-        return got
-
-    def subset(self, lane_set: tuple, pool: np.ndarray, k: int,
-               sizes: np.ndarray | None, flat: bool = False) -> np.ndarray:
-        """The ``subset(pool[:sizes[i]], k)`` draws of one lane set at every step
-        and client i, shaped (steps, clients, k), where sizes (one per client)
-        are the same at every step; flat adds i * len(pool), as ``index`` does.
-        Hashed in slices of steps of at most KEY_BUDGET keys, drawn once per
-        table and read-only."""
-        key = (lane_set, k, pool.tobytes(), None if sizes is None else sizes.tobytes(), flat)
-        got = self._subsets.get(key)
-        if got is None:
-            rows = self.hashes[:, self.layout.at[lane_set][0]]
-            per = max(1, KEY_BUDGET // max(1, rows.shape[1] * len(pool)))
-            parts = [_subset(r.reshape(-1), pool, k, None if sizes is None
-                             else np.broadcast_to(sizes, r.shape).reshape(-1))
-                     for r in (rows[a:a + per] for a in range(0, len(rows), per))]
-            got = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(
-                *rows.shape, parts[0].shape[1])
-            if flat:
-                got += np.arange(rows.shape[1])[:, None] * len(pool)
-            got.flags.writeable = False
-            self._subsets[key] = got
-        return got
-
-    def step(self, s: int) -> RngStream:
-        c = _new(RngStream)
-        c.seed, c._scope, c._scope_hash, c.path, c.table, c.s = (
-            self.seed, self.base if self.k0 is None else self.base + (self.k0 + s,),
-            int(self.scopes[s]), (), self, s)
-        return c
+        self._index = {}    # (n, flat) -> Lanes.index's block; (path, n) -> RngStream.index's
+        self._subsets = {}  # (lane set, k, pool, sizes, flat) -> a (steps, clients, k) block
+        self.steps = []
+        for s, scope_hash in enumerate(scopes.tolist()):
+            c = _new(RngStream)
+            c.seed, c._scope, c._scope_hash, c.path, c.table, c.s = (
+                seed, base if k0 is None else base + (k0 + s,), scope_hash, (), self, s)
+            self.steps.append(c)
 
 
 def _chunk_steps(layout: _Layout) -> int:
@@ -433,34 +399,32 @@ def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
     ROW_BUDGET rows (at least one step)."""
     layout, parent = _layout(tuple(sets), m), root.child(tag)
     chunk = _chunk_steps(layout)
-    for k0 in range(0, K, chunk):
-        table = _sibling_table(parent, k0, min(chunk, K - k0), layout)
-        yield from map(table.step, range(len(table.scopes)))
+    return itertools.chain.from_iterable(_sibling_table(parent, k0, min(chunk, K - k0),
+                                                        layout).steps
+                                         for k0 in range(0, K, chunk))
 
 
 class Lanes:
     """The lanes of one batched oracle call, one per client row.
 
-    Row r is the lane ``step.child(ids[r], *tags)`` of a stream on a lane
-    table, table row ``rows[r]`` of the lane set ``lane_set``: ``rows`` is
-    the set's whole run, a slice, when a table step's call covers all m
-    clients, else an index array (a client subset, or any call on a free
-    stream). ``hashes[r]`` is row r's running hash, so every draw of row r
-    is that stream's, and ``purpose`` the innermost string tag of the rows'
-    key paths (what the samples are for), or "unkeyed". ``index`` reads the
-    table's draws; ``subset`` reads the set's block when ``rows`` is a slice,
-    and is otherwise, like ``normal``, drawn once per Lanes. Every draw is
+    Row r is the lane of the set ``lane_set`` at step ``step`` of a lane
+    table, client ``ids[r]`` in place of ``CLIENT``, table row ``rows[r]``:
+    ``rows`` is the set's whole run, a slice, when a table step's call
+    covers all m clients, else an index array (a client subset, or any call
+    on a free stream). ``hashes[r]`` is row r's running hash, so every draw
+    of row r is that lane's stream's, and ``purpose`` the innermost string
+    tag of the rows' key paths (what the samples are for), or "unkeyed".
+    ``index`` reads the table's draw of every row; ``subset`` reads the
+    set's block when ``rows`` is a slice, and is otherwise, like ``normal``,
+    drawn once per Lanes. Both blocks are cached on the table. Every draw is
     read-only, so the two evaluations of a variance-reduction pair share it.
     """
 
-    __slots__ = ("step", "lane_set", "rows", "ids", "tags", "purpose", "_draws")
+    __slots__ = ("step", "lane_set", "rows", "ids", "purpose", "_draws")
 
     @property
     def hashes(self) -> np.ndarray:
         return self.step.table.hashes[self.step.s, self.rows]
-
-    def stream(self, r: int) -> RngStream:
-        return self.step.child(int(self.ids[r]), *self.tags)
 
     def _drawn(self, key: tuple, draw):
         memo = self._draws = self._draws or {}   # made on the first draw
@@ -471,35 +435,56 @@ class Lanes:
         return out
 
     def index(self, n: int, flat: bool = False) -> np.ndarray:
-        """``stream(r).index(n)`` for every row r, for 1 <= n < INDEX_RANGE;
-        flat adds ``ids[r] * n``, so the draws are rows of a client-major
-        (m * n, ...) sample store, read out of the table's flat block."""
+        """Each row's lane's ``index(n)``, for 1 <= n < INDEX_RANGE; flat adds
+        ``ids[r] * n``, so the draws are rows of a client-major (m * n, ...)
+        sample store. Read out of the table's (steps, rows) block for n."""
         table, rows = self.step.table, self.rows
-        got = table._index.get((n, flat)) if type(n) is int else None
-        got = (table.index(n, flat) if got is None else got)[self.step.s, rows]
+        if type(n) is not int:   # a bool or float equal to a cached n must not hit it
+            _check_size("index", "n", n, 1, INDEX_RANGE)
+        got = table._index.get((n, flat))
+        if got is None:
+            got = table._index[n, flat] = _index(table.hashes, n) + (
+                np.resize(table.layout.ids, table.layout.rows) * n if flat else 0)
+            got.flags.writeable = False
+        got = got[self.step.s, rows]
         if type(rows) is not slice:   # index-array rows take a copy: read-only as well
             got.flags.writeable = False
         return got
 
     def subset(self, pool: np.ndarray, k: int, sizes: np.ndarray | None = None,
                flat: bool = False) -> np.ndarray:
-        """``stream(r).subset(pool[:sizes[r]], k)`` for every row r, stacked (rows, k).
+        """Each row's lane's ``subset(pool[:sizes[r]], k)``, stacked (rows, k).
 
         sizes defaults to the whole pool. Positions from sizes[r] on are keyed
         2**64-1, so they sort after the row's members: a row with sizes[r] < k
         also gets the pool entries from position sizes[r] on, k in all. flat
         adds ``ids[r] * len(pool)``, as ``index`` does. When the rows cover
         every client of the table, they are read out of the table's block for
-        their lane set; otherwise they are drawn here."""
+        their lane set at every step, hashed in slices of steps of at most
+        KEY_BUDGET keys (sizes are the same at every step); otherwise they
+        are drawn here."""
         if type(k) is not int:   # a bool or float equal to a cached k must not hit it
             _check_size("subset", "k", k, 0)
-        if isinstance(self.rows, slice):
-            return self.step.table.subset(self.lane_set, pool, k, sizes, flat)[self.step.s]
-        return self._drawn(("subset", k, pool.tobytes(),
-                            None if sizes is None else sizes.tobytes(), flat),
-                           lambda: _subset(self.hashes, pool, k, sizes)
-                           + (self.ids[:, None] * len(pool) if flat else 0))
+        key = (self.lane_set, k, pool.tobytes(), None if sizes is None else sizes.tobytes(), flat)
+        if not isinstance(self.rows, slice):
+            return self._drawn(key, lambda: _subset(self.hashes, pool, k, sizes)
+                               + (self.ids[:, None] * len(pool) if flat else 0))
+        table = self.step.table
+        got = table._subsets.get(key)
+        if got is None:
+            rows = table.hashes[:, self.rows]
+            per = max(1, KEY_BUDGET // max(1, rows.shape[1] * len(pool)))
+            parts = [_subset(r.reshape(-1), pool, k, None if sizes is None
+                             else np.broadcast_to(sizes, r.shape).reshape(-1))
+                     for r in (rows[a:a + per] for a in range(0, len(rows), per))]
+            got = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(
+                *rows.shape, parts[0].shape[1])
+            if flat:
+                got += np.arange(rows.shape[1])[:, None] * len(pool)
+            got.flags.writeable = False
+            table._subsets[key] = got
+        return got[self.step.s]
 
     def normal(self, std: float, shape: tuple) -> np.ndarray:
-        """``stream(r).normal(std, shape)`` for every row r, stacked (rows, *shape)."""
+        """Each row's lane's ``normal(std, shape)``, stacked (rows, *shape)."""
         return self._drawn(("normal", std, shape), lambda: _normal(self.hashes, std, shape))

@@ -596,7 +596,9 @@ def test_q_and_t_prime_are_the_scalar_draws_on_every_scope(monkeypatch):
     # child(*key, "T_prime").index(T) on every scope a call can get: steps of
     # lane_steps under "est", the child("aid") of such a step, kept sibling
     # chunks read across chunk boundaries, one-step tables and a run's steps
-    # at participation 0.5. No estimator makes a scalar draw of its own.
+    # at participation 0.5. No estimator hashes a Q or T' of its own: an
+    # index draw on a free stream, or of an n past the table-wide range,
+    # fails the test.
     from fedbilevel import RunConfig, drivers, run_fbo_aggitd, run_fednest_baseline
     from fedbilevel import rng as rng_mod
     from fedbilevel.hypergrad import aggitd_lanes
@@ -627,7 +629,11 @@ def test_q_and_t_prime_are_the_scalar_draws_on_every_scope(monkeypatch):
     def q(scope):
         return aggitd(problem, x, y, cfg, range(2), scope, CommLedger())[2].Q
 
-    monkeypatch.setattr(RngStream, "index", lambda *a: pytest.fail("a scalar index draw"))
+    def table_index(stream, n):
+        if stream.table is None or type(n) is not int or n >= rng_mod.INDEX_RANGE:
+            pytest.fail("a scalar index draw")
+        return scalar(stream, n)
+    monkeypatch.setattr(RngStream, "index", table_index)
     monkeypatch.setattr(rng_mod, "ROW_BUDGET", 50)   # chunks of 2 (fused) and 3 (AID) steps
     qs = [q(s) for s in lane_steps(root, "est", K, 2, aggitd_lanes(N, 1))]
     assert qs == [want_q("est", k) for k in range(K)] and len(set(qs)) > 1
@@ -743,7 +749,8 @@ def test_trace_per_client_view_is_built_on_read(participants):
     got = tr.h_indirect_clients
     assert list(got) == list(want) == list(participants)
     assert all(got[i].tobytes() == want[i].tobytes() for i in want)
-    assert tr.h_indirect_clients is got
+    assert [v.tobytes() for v in tr.h_indirect_clients.values()] == [
+        v.tobytes() for v in got.values()]
 
 
 def test_hyperrep_q_average_is_the_itd_forward_recursion():

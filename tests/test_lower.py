@@ -1,5 +1,6 @@
 """One-Round-Lower: reductions, fixed point, contraction against direct iteration."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,50 @@ def test_tau_list_length_checked_on_library_path(tau):
     with pytest.raises(ParameterError, match=msg):
         client_taus(tau, np.arange(2), 4)
     assert client_taus([1, 3, 2, 1], np.array([1, 2]), 4).tolist() == [3, 2]
+
+
+def test_empty_tau_list_raises_named():
+    # a tau list with no entry is rejected by the one tau check, not by a
+    # max() over no counts: in the config, in One-Round-Upper's own tau, and
+    # in One-Round-Lower on a config whose tau was emptied past that check
+    from fedbilevel import one_round_upper
+    _, problem = _noise_off_problem()
+    x, y = np.zeros(3), np.zeros(3)
+    msg = "tau lists no local step counts"
+    with pytest.raises(ParameterError, match=msg):
+        LowerStepConfig(beta=0.05, tau=[])
+    with pytest.raises(ParameterError, match=msg):
+        one_round_upper(problem, x, y, np.zeros(3), 0.1, [], range(3), RngStream(1),
+                        CommLedger())
+    cfg = LowerStepConfig(beta=0.05)
+    object.__setattr__(cfg, "tau", [])
+    with pytest.raises(ParameterError, match=msg):
+        one_round_lower(problem, x, y, np.zeros(3), cfg, range(3), RngStream(1), CommLedger())
+    with pytest.raises(ParameterError, match=msg):
+        client_taus([], np.arange(0))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (2,), ()],
+                         ids=["long", "stacked", "short", "scalar"])
+@pytest.mark.parametrize("variant", [VARIANT_SVRG, VARIANT_SGD])
+def test_local_phase_correction_has_the_start_shape(shape, variant):
+    # One-Round-Lower's q is (d2,) and One-Round-Upper's h is (d1,), as their
+    # starts are; any other correction is named before a round or a sample
+    # is charged, not broadcast into a wrong "mean" or a raw numpy error
+    from fedbilevel import ContractViolation, one_round_upper
+    spec = QuadraticSpec(d1=2, d2=3, m=3, hetero=0.5, noise_spread=0.0, seed=3)
+    problem = QuadraticProblem(make_quadratic(spec))
+    x, y, bad, ledger = np.ones(2), np.zeros(3), np.ones(shape), CommLedger()
+    cfg = LowerStepConfig(beta=0.05, tau=[1, 3, 2], variant=variant)
+    if shape != (3,):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"One-Round-Lower q has shape {shape}, expected (3,)")):
+            one_round_lower(problem, x, y, bad, cfg, range(3), RngStream(1), ledger)
+    if shape != (2,):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"One-Round-Upper h has shape {shape}, expected (2,)")):
+            one_round_upper(problem, x, y, bad, 0.1, cfg.tau, range(3), RngStream(1), ledger)
+    assert ledger.rounds_total == 0 and problem.audit.total == 0
 
 
 def _noisy_problem(kind, m=4):

@@ -214,13 +214,14 @@ def test_table_rows_equal_stream_hashes(monkeypatch, budget):
                     assert [int(h) for h in lanes.hashes] == [s._hash for s in want]
                     assert lanes.index(8).tolist() == [s.index(8) for s in want]
                     assert lanes.purpose == tags[0]
-                    assert lanes.stream(0) == want[0]
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 50])
 def test_table_step_index_equals_stream_index(monkeypatch, budget):
-    # Q and T' are drawn on a table step's own path, with no stream built: the
-    # draw the scope stream makes; a budget of 50 rows hashes one step per table
+    # Q and T' are drawn on a table step's child path, out of the table's
+    # draw of that path at every step (n below 2**32) or on the child's own
+    # lane: the draw the free scope stream makes; a budget of 50 rows hashes
+    # one step per table
     from fedbilevel import rng as rng_mod
     monkeypatch.setattr(rng_mod, "ROW_BUDGET", budget)
     m, _, _, _, tables = _table_cases()
@@ -450,13 +451,17 @@ def test_layout_depth_is_its_deepest_lane_set():
     assert step.table.hashes.shape[1] == len(sets) * m
 
 
-@pytest.mark.parametrize("form", ["scalar", "rows"])
+@pytest.mark.parametrize("form", ["scalar", "step", "rows"])
 def test_draw_sizes_out_of_range_raise_naming_the_value(form):
-    # a stream's scalar draws and a Lanes' row draws reject a bad size alike:
-    # an index n below 1 or a subset k below 0, or a size that is no integer
+    # a stream's scalar draws, free or on a table, and a Lanes' row draws
+    # reject a bad size alike: an index n below 1 or a subset k below 0, or a
+    # size that is no integer
+    from fedbilevel.rng import CLIENT
     lane, pool = RngStream(1), np.arange(3)
-    draws = lane if form == "scalar" else lane.lanes(np.arange(3), "zeta")
-    for call, bad in [(draws.index, n) for n in (0, -3, 2.5)] + [
+    draws = {"scalar": lane, "step": lane.declare([(CLIENT, "zeta")], 3),
+             "rows": lane.lanes(np.arange(3), "zeta")}[form]
+    draws.index(1)   # a bool or float equal to a drawn n raises as well
+    for call, bad in [(draws.index, n) for n in (0, -3, 2.5, True, 1.0)] + [
             (lambda k: draws.subset(pool, k), k) for k in (-1, 1.5)]:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
             call(bad)

@@ -129,6 +129,17 @@ def test_lane_tables_are_private_to_rng(path):
         assert re.findall(r"\b(?:LaneTable|TableStream)\b", path.read_text()) == []
 
 
+@pytest.mark.parametrize("name", ["drivers.py", "hypergrad.py", "lower.py"])
+def test_estimators_read_no_table_internals(name):
+    # the estimators and local phases draw through RngStream and Lanes only
+    # (Q and T' as rng.child(...).index(...)): they read no stream's table,
+    # path below its step or step number, and name no table draw
+    text = (SRC / name).read_text()
+    read = {node.attr for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Attribute)}
+    assert sorted(read & {"table", "path", "s"}) == []
+    assert "step_index" not in text
+
+
 def _callers(*tail) -> set:
     """module.function (module.Class.method) around each call, in every
     package module, whose dotted callee ends in the names tail."""
