@@ -142,10 +142,11 @@ def _local_phase(problem: BilevelProblem, oracles: CheckedOracles, rng: RngStrea
     batched call of grad per local step (two for svrg, on the same lanes and so
     on the same draws); the svrg step v = 0 makes none, and the audit charges
     its pair's 2 * batch_size tag samples per participant. Charges one round.
-    A correction not of z's shape (d,) raises ContractViolation first."""
+    A correction that is no ndarray of shape (d,) raises ContractViolation first (sgd's too)."""
     if getattr(correction, "shape", None) != z.shape:
         name = "One-Round-Lower q" if tag == "zeta" else "One-Round-Upper h"
-        raise ContractViolation(f"{name} has shape {np.shape(correction)}, expected {z.shape}")
+        raise ContractViolation(f"{name} must be an ndarray of shape {z.shape}, got "
+                                f"{getattr(correction, 'shape', type(correction).__name__)}")
     ids = oracles.ids
     rates, steps = ((stepsize, ()) if type(tau) is int and tau == 1   # the shared count 1
                     else _schedule(_Setting(tau), stepsize, ids.tobytes(), problem.m))
@@ -175,9 +176,10 @@ def one_round_lower(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
     the "zeta" lanes; returns the participant mean of y_tau^i.
 
     q must be the aggregated global lower gradient at (x, y) from the same
-    outer step. participants may be checked oracles (``BilevelProblem.checked``),
-    taken without a second check. rng is the scope stream, free or on a table
-    of ``local_lanes("zeta", ...)``. Charges exactly one round.
+    outer step, an ndarray of shape (d2,), which sgd checks but does not read.
+    participants may be checked oracles (``BilevelProblem.checked``), taken
+    without a second check. rng is the scope stream, free or on a table of
+    ``local_lanes("zeta", ...)``. Charges exactly one round.
     """
     oracles, rng = problem.entry(participants, x, y, rng,
                                  lambda: local_lanes("zeta", max_tau(cfg.tau),

@@ -24,35 +24,30 @@ set, such as ``(CLIENT, "zeta_q", 3)`` or ``("lower", 0, CLIENT, "zeta",
 2)``, is a tuple of key parts with ``CLIENT`` at the client id's place, the
 lanes one oracle call reads. Each set owns a run of m rows, client i's at
 row i of it, of one (steps, rows) uint64 array, hashed one key level at a
-time, deepest sets first.
+time, deepest sets first. A table's rows are the lanes' own hashes, so no
+draw depends on the order of the calls.
 
 Tables come from ``lane_steps``, whose outer-step scopes are streams on a
-run's tables, and from ``declare(sets, m)``, which puts a free stream on a
-table (``BilevelProblem.entry`` does so); a free stream's ``lanes`` reads a
-one-step table of its one lane set over the distinct ids it is given. A
-chunk of steps is as many as fit in ROW_BUDGET rows, from a multiple of that
-count.
-``declare`` keeps its last table of a free stream ``parent.child(k)``, k an
-int >= 0: a later call on a sibling reads it or a new chunk, and a call on
-another parent (seed, key, lane sets, m) gets one step, so a one-off call
-hashes no sibling. Any other stream gets a one-step table. A table's rows
-are the lanes' own hashes, so no draw depends on the order of the calls. A
+run's tables, in chunks of as many steps as fit in ROW_BUDGET rows, from a
+multiple of that count; from ``declare(sets, m)``, which puts a free stream
+on a table (``BilevelProblem.entry`` does so) and keeps it for a sibling's
+later call, which reads it or a new chunk; and from a free stream's
+``lanes``, a one-step table of its one lane set over the distinct ids. A
 stream on a table, and every child of it, reads ``lanes(ids, *tags)`` as
-the declared set ``(*path, CLIENT, *tags)``, path being its key parts
-below the step. A free ``RngStream(seed, key)`` declares no lane sets.
+the declared set ``(*path, CLIENT, *tags)``, path being its key parts below
+the step. The table keeps none of its step streams, so it is freed with them.
 
-Which draws are table-wide: on a table, ``index(n)`` of an int n < INDEX_RANGE
-= 2**32 (the estimators' Q and T', so N + 1 and T are below it) reads the
-draw of the stream's path at every step, and ``Lanes.index(n)`` that of
-every row, each one multiply-high pass in 32-bit halves, so that no product
-overflows; a free stream, or a larger n, hashes its path. ``Lanes.subset``
-is one pass per lane set over every step and client, when the call covers
-every client (a client subset draws its own rows), in slices of at most
-KEY_BUDGET counter keys. ``normal`` is per call. A ``LaneTable`` only holds
-what ``RngStream`` and ``Lanes``, the one draw surface, read.
-Draws come back as flat store rows: ``flat=True`` adds each row's client id
-times n (or len(pool)) in the cached block, so that an oracle's draws are
-rows of a client-major (m * n, ...) sample store.
+Which draws are table-wide: ``RngStream`` and ``Lanes`` are the one draw
+surface, and a ``LaneTable`` only holds what they read and cache. On a
+table, ``index(n)`` of an int n < INDEX_RANGE = 2**32 (the estimators' Q
+and T') reads the draw of the stream's path at every step, and
+``Lanes.index(n)`` that of every row, each one multiply-high pass in 32-bit
+halves, so that no product overflows; a free stream, or another n, hashes
+its path. ``Lanes.subset`` is one pass per lane set over every step and
+client when the call covers every client, in slices of at most KEY_BUDGET
+counter keys. ``normal`` is per call. ``flat=True`` adds each row's client
+id times n (or len(pool)) in the cached block, so that an oracle's draws
+are rows of a client-major (m * n, ...) sample store.
 """
 
 from __future__ import annotations
@@ -241,18 +236,18 @@ class RngStream:
         sets, key = tuple(sets), self._scope + self.path
         k = key[-1] if key else None   # a chunk's ks below 2**62 fit a uint64 arange
         if self.table is not None or type(k) is not int or not 0 <= k < 1 << 62:
-            return LaneTable(self.seed, key, None, np.array([self._hash], dtype=np.uint64),
-                             _layout(sets, m)).steps[0]
-        memo, table = _kept   # the kept sets compare by identity first: no re-hash
+            return _steps(LaneTable(self.seed, key, None, np.array([self._hash], dtype=np.uint64),
+                                    _layout(sets, m)))[0]
+        memo, steps = _kept   # the kept sets compare by identity first: no re-hash
         if memo != (self.seed, key[:-1], sets, m):
-            table = LaneTable(self.seed, key[:-1], k, np.array([self._hash], dtype=np.uint64),
-                              _layout(sets, m))
-        elif not 0 <= k - table.k0 < len(table.scopes):
-            chunk = _chunk_steps(table.layout)
-            table = _sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk,
-                                   table.layout)
-        _kept = (self.seed, key[:-1], sets, m), table
-        return table.steps[k - table.k0]
+            steps = _steps(LaneTable(self.seed, key[:-1], k, np.array([self._hash], np.uint64),
+                                     _layout(sets, m)))
+        elif not 0 <= k - steps[0].table.k0 < len(steps):
+            chunk = _chunk_steps(steps[0].table.layout)
+            steps = _steps(_sibling_table(RngStream(self.seed, key[:-1]), k - k % chunk, chunk,
+                                          steps[0].table.layout))
+        _kept = (self.seed, key[:-1], sets, m), steps
+        return steps[k - steps[0].table.k0]
 
     def lanes(self, ids, *tags) -> "Lanes":
         """The lanes ``child(i, *tags)`` for every client id i in ids (any id
@@ -274,8 +269,8 @@ class RngStream:
         rows = ids
         if self.table is None:   # rows of the sorted distinct ids, so one per id
             distinct, rows = np.unique(ids, return_inverse=True)
-            step = LaneTable(self.seed, self.key, None, np.array([self._hash], dtype=np.uint64),
-                             _Layout(((CLIENT, *tags),), distinct.size, distinct)).steps[0]
+            step = _steps(LaneTable(self.seed, self.key, None, np.array([self._hash], np.uint64),
+                                    _Layout(((CLIENT, *tags),), distinct.size, distinct)))[0]
         table, lane_set = step.table, (*step.path, CLIENT, *tags)
         at, tag = table.layout.at.get(lane_set, (None, None))
         if at is None:
@@ -292,8 +287,8 @@ class RngStream:
         path at every step, one hash pass per key part over the step hashes."""
         table = self.table
         if table is None or type(n) is not int or n >= INDEX_RANGE:
-            _check_size("index", "n", n, 1)
-            return (_mix64(self._hash, 0) * n) >> 64
+            _check_size("index", "n", n, 1)   # a numpy integer n draws as int(n)
+            return (_mix64(self._hash, 0) * int(n)) >> 64
         got = table._index.get((self.path, n))
         if got is None:
             got = table._index[self.path, n] = tuple(
@@ -344,21 +339,20 @@ class _Layout:
 
 
 _layout = functools.lru_cache(maxsize=256)(_Layout)   # (sets, m) -> their layout
-_kept = (None, None)   # (seed, parent key, sets, m) and table of declare's last sibling table
+_kept = (None, None)   # (seed, parent key, sets, m) and step streams of declare's last table
 
 
 class LaneTable:
     """The lanes of consecutive outer steps, hashed ahead in one uint64 block.
 
-    Step s has the scope stream ``steps[s]``, key path ``base + (k0 + s,)``
-    (``base`` if k0 is None: a one-step table of a key not ending in an int)
-    and running hash ``scopes[s]``. For each lane set, ``hashes[s, at]`` (at
-    the set's rows in the layout) holds the running hashes of
-    ``steps[s].child(*parts)`` with each client id in place of ``CLIENT``.
-    The table draws nothing: it keeps the draws that its streams'
-    ``index`` and their ``Lanes``' ``index`` and ``subset`` cache on it,
-    read-only. A set with no string tag has ``purpose``, the base's
-    innermost one or "unkeyed".
+    Step s has the scope stream ``_steps(table)[s]``, key path ``base + (k0 +
+    s,)`` (``base`` if k0 is None: a one-step table of a key not ending in an
+    int) and running hash ``scopes[s]``. For each lane set, ``hashes[s, at]``
+    (at the set's rows in the layout) holds the running hashes of the step's
+    ``child(*parts)`` with each client id in place of ``CLIENT``. The table
+    draws nothing: it keeps the draws that its streams' ``index`` and their
+    ``Lanes``' ``index`` and ``subset`` cache on it, read-only. A set with no
+    string tag has ``purpose``, the base's innermost one or "unkeyed".
     """
 
     def __init__(self, seed: int, base: tuple, k0, scopes: np.ndarray, layout: _Layout):
@@ -372,12 +366,17 @@ class LaneTable:
         self.hashes = h
         self._index = {}    # (n, flat) -> Lanes.index's block; (path, n) -> RngStream.index's
         self._subsets = {}  # (lane set, k, pool, sizes, flat) -> a (steps, clients, k) block
-        self.steps = []
-        for s, scope_hash in enumerate(scopes.tolist()):
-            c = _new(RngStream)
-            c.seed, c._scope, c._scope_hash, c.path, c.table, c.s = (
-                seed, base if k0 is None else base + (k0 + s,), scope_hash, (), self, s)
-            self.steps.append(c)
+
+
+def _steps(table: LaneTable) -> list:
+    """The table's step streams; the table keeps none of them, so it is no cycle."""
+    steps, base, k0 = [], table.base, table.k0
+    for s, scope_hash in enumerate(table.scopes.tolist()):
+        c = _new(RngStream)
+        c.seed, c._scope, c._scope_hash, c.path, c.table, c.s = (
+            table.seed, base if k0 is None else base + (k0 + s,), scope_hash, (), table, s)
+        steps.append(c)
+    return steps
 
 
 def _chunk_steps(layout: _Layout) -> int:
@@ -399,8 +398,8 @@ def lane_steps(root: RngStream, tag: str, K: int, m: int, sets: list):
     ROW_BUDGET rows (at least one step)."""
     layout, parent = _layout(tuple(sets), m), root.child(tag)
     chunk = _chunk_steps(layout)
-    return itertools.chain.from_iterable(_sibling_table(parent, k0, min(chunk, K - k0),
-                                                        layout).steps
+    return itertools.chain.from_iterable(_steps(_sibling_table(parent, k0, min(chunk, K - k0),
+                                                               layout))
                                          for k0 in range(0, K, chunk))
 
 

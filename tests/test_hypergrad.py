@@ -641,7 +641,7 @@ def test_q_and_t_prime_are_the_scalar_draws_on_every_scope(monkeypatch):
     assert tps == [want_t_prime("est", k, "aid") for k in range(K)] and len(set(tps)) > 1
     for name, draw, want in (("q", q, want_q), ("aid", t_prime, want_t_prime)):
         assert [draw(root.child(name, k)) for k in range(K)] == [want(name, k) for k in range(K)]
-        assert rng_mod._kept[1].scopes.size in (2, 3)   # the kept table is a sibling chunk
+        assert len(rng_mod._kept[1]) in (2, 3)   # the kept steps are a sibling chunk
     one_step = root.child("est", 0).child("aid")
     assert (q(one_step), t_prime(one_step)) == (want_q("est", 0, "aid"),
                                                 want_t_prime("est", 0, "aid"))
@@ -667,6 +667,38 @@ def test_q_and_t_prime_are_the_scalar_draws_on_every_scope(monkeypatch):
     run_fednest_baseline(dataclasses.replace(run_cfg, estimator="aid"), problem)
     assert run_qs == [want_q("est", k) for k in range(K)]
     assert run_tps == [want_t_prime("est", k, "aid") for k in range(K)]
+
+
+def test_numpy_integer_n_and_t_draw_the_int_q_and_t_prime(monkeypatch):
+    # a numpy integer N or T passes AggITDConfig's and AidConfig's checks, so
+    # it draws the Q and T' of the int setting on every scope: steps of
+    # lane_steps, kept sibling chunks and a one-step table
+    from fedbilevel.hypergrad import aggitd_lanes
+    from fedbilevel.rng import lane_steps
+    spec = QuadraticSpec(d1=3, d2=3, m=2, hetero=0.3, noise_spread=0.2, seed=15)
+    problem = QuadraticProblem(make_quadratic(spec))
+    lam = 1.0 / problem.constants.L_g
+    lower = LowerStepConfig(beta=_beta(problem, lam))
+    N, T, K, x, y, root = 5, 6, 10, np.ones(3), np.zeros(3), RngStream(8)
+    hvps, hvp = [], problem.hvp_lower_yy   # aid_fhe makes T' Hessian calls
+    monkeypatch.setattr(problem, "hvp_lower_yy", lambda *a: hvps.append(1) or hvp(*a))
+
+    def q(n, scope):
+        cfg = AggITDConfig(lam=lam, N=n, lower=lower)
+        return aggitd(problem, x, y, cfg, range(2), scope, CommLedger())[2].Q
+
+    def t_prime(t, scope):
+        hvps.clear()
+        aid_fhe(problem, x, y, AidConfig(lam=lam, T=t), range(2), scope, CommLedger())
+        return len(hvps)
+
+    for draw, n, sets in ((q, N, aggitd_lanes(N, 1)), (t_prime, T, chain_lanes(T))):
+        scopes = [*lane_steps(root, "est", K, 2, sets), *(root.child("kept", k) for k in range(K)),
+                  root.child("one")]
+        want = [draw(n, s) for s in scopes]
+        assert len(set(want)) > 1
+        for t in (np.int64, np.int32, np.uint64):
+            assert [draw(t(n), s) for s in scopes] == want, t
 
 
 def test_index_range_bounds_name_the_setting():

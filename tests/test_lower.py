@@ -290,13 +290,32 @@ def test_local_phase_correction_has_the_start_shape(shape, variant):
     x, y, bad, ledger = np.ones(2), np.zeros(3), np.ones(shape), CommLedger()
     cfg = LowerStepConfig(beta=0.05, tau=[1, 3, 2], variant=variant)
     if shape != (3,):
-        with pytest.raises(ContractViolation,
-                           match=re.escape(f"One-Round-Lower q has shape {shape}, expected (3,)")):
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"One-Round-Lower q must be an ndarray of shape (3,), got {shape}")):
             one_round_lower(problem, x, y, bad, cfg, range(3), RngStream(1), ledger)
     if shape != (2,):
-        with pytest.raises(ContractViolation,
-                           match=re.escape(f"One-Round-Upper h has shape {shape}, expected (2,)")):
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"One-Round-Upper h must be an ndarray of shape (2,), got {shape}")):
             one_round_upper(problem, x, y, bad, 0.1, cfg.tau, range(3), RngStream(1), ledger)
+    assert ledger.rounds_total == 0 and problem.audit.total == 0
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SVRG, VARIANT_SGD])
+def test_local_phase_correction_that_is_no_ndarray_is_named(variant):
+    # a list or tuple correction of the start's length is named as no
+    # ndarray, in sgd too, which does not read it; no round or sample is charged
+    from fedbilevel import ContractViolation, one_round_upper
+    spec = QuadraticSpec(d1=2, d2=3, m=3, hetero=0.5, noise_spread=0.0, seed=3)
+    problem = QuadraticProblem(make_quadratic(spec))
+    x, y, ledger = np.ones(2), np.zeros(3), CommLedger()
+    for tau in (1, [1, 3, 2]):
+        cfg = LowerStepConfig(beta=0.05, tau=tau, variant=variant)
+        with pytest.raises(ContractViolation, match=re.escape(
+                "One-Round-Lower q must be an ndarray of shape (3,), got list")):
+            one_round_lower(problem, x, y, [0.0] * 3, cfg, range(3), RngStream(1), ledger)
+        with pytest.raises(ContractViolation, match=re.escape(
+                "One-Round-Upper h must be an ndarray of shape (2,), got tuple")):
+            one_round_upper(problem, x, y, (0.0, 0.0), 0.1, tau, range(3), RngStream(1), ledger)
     assert ledger.rounds_total == 0 and problem.audit.total == 0
 
 

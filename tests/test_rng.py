@@ -236,6 +236,23 @@ def test_table_step_index_equals_stream_index(monkeypatch, budget):
                 assert step.index(n) == RngStream(21).child("est", k).index(n)
 
 
+def test_numpy_integer_index_draws_the_int_index():
+    # an np.integer n passes the size check, so it draws what the int n
+    # draws, on a free stream and on a table step, below and past 2**32,
+    # in exact integer arithmetic (no fixed-width overflow)
+    from fedbilevel.rng import CLIENT
+    for k in range(8):
+        free = RngStream(3).child("a", k)
+        step = RngStream(3).child("b", k).declare([(CLIENT, "zeta")], 2)
+        for stream in (free, step, step.child("Q")):
+            for n in (7, 1000, 2 ** 32 - 1, 2 ** 40):
+                want = stream.index(n)
+                for t in (np.int64, np.uint64, np.int32, np.uint32):
+                    if n <= np.iinfo(t).max:
+                        got = stream.index(t(n))
+                        assert type(got) is int and got == want, (k, n, t)
+
+
 def _assert_flat_draws(lanes):
     # the flat draws are the bare draws shifted to each row's client block of a
     # client-major store: ids * n for index(n), ids * len(pool) for subset
@@ -652,7 +669,7 @@ def test_sibling_direct_calls_share_one_table_per_chunk(monkeypatch):
     assert built == [1, 1]
     for p in range(100):
         root.child("p", p, 0).declare([(CLIENT, "z")], 2)
-    assert rng_mod._kept[1].base == ("p", 99)
+    assert rng_mod._kept[1][0].table.base == ("p", 99)
 
 
 def test_declare_hashes_one_step_then_aligned_chunks(monkeypatch):
